@@ -22,53 +22,58 @@ let emit kind ~right_arity lrow matches acc =
   | Semi -> if matches <> [] then lrow :: acc else acc
   | Anti -> if matches = [] then lrow :: acc else acc
 
+(* Every variant below computes one thing, the probe primitive: per
+   left row (by position), its matching right rows in build order.
+   [join] is [emit] over those lists in left order, so no variant has a
+   second probe path, and a consumer that groups matches itself (the
+   NRA executor's fused nest) reads the same lists. *)
+let emit_all kind left right matches =
+  let right_arity = Schema.arity (Relation.schema right) in
+  let acc = ref [] in
+  Array.iteri
+    (fun i lrow -> acc := emit kind ~right_arity lrow matches.(i) !acc)
+    (Relation.rows left);
+  Relation.of_rows (out_schema kind left right) (List.rev !acc)
+
+(* a trivially-true residual (the Cartesian fallback in join-nest
+   fusion, or an equi-only join) needs no per-pair concat to test it *)
+let trivially_true = function
+  | Expr.Lit3 Three_valued.True -> true
+  | _ -> false
+
 (* ---------- nested loop (no equi-conjunct) ---------- *)
 
-let nested_loop kind ~on left right =
-  let left_rows = Relation.rows left in
-  let right_rows = Relation.rows right in
-  let right_arity = Schema.arity (Relation.schema right) in
+let nested_loop_matches ~on left_rows right_rows =
   (* hoisted: one list conversion for the whole join, not one per left
      row *)
   let right_list = Array.to_list right_rows in
-  (* a trivially-true predicate (the Cartesian fallback in join-nest
-     fusion) needs no per-pair concat just to test it *)
-  let all_match =
-    match on with Expr.Lit3 Three_valued.True -> true | _ -> false
-  in
+  let all_match = trivially_true on in
   let matches_of lrow =
     if all_match then right_list
     else
       List.filter (fun rrow -> Expr.holds on (Row.concat lrow rrow)) right_list
   in
-  let out =
-    if Pool.use_parallel (Array.length left_rows) then begin
-      let morsels =
-        Pool.parallel_chunks ~n:(Array.length left_rows)
-          (fun ledger ~lo ~hi ->
-            let acc = ref [] in
-            for i = lo to hi - 1 do
-              Pool.Ledger.tick ledger;
-              acc :=
-                emit kind ~right_arity left_rows.(i)
-                  (matches_of left_rows.(i))
-                  !acc
-            done;
-            List.rev !acc)
-      in
-      List.concat (Array.to_list morsels)
-    end
-    else begin
-      let acc = ref [] in
-      Array.iter
-        (fun lrow ->
-          Nra_guard.Guard.tick ();
-          acc := emit kind ~right_arity lrow (matches_of lrow) !acc)
-        left_rows;
-      List.rev !acc
-    end
-  in
-  Relation.of_rows (out_schema kind left right) out
+  let n = Array.length left_rows in
+  let matches = Array.make n [] in
+  if Pool.use_parallel n then
+    (* each morsel writes its own slots of [matches] *)
+    ignore
+      (Pool.parallel_chunks ~n (fun ledger ~lo ~hi ->
+           for i = lo to hi - 1 do
+             Pool.Ledger.tick ledger;
+             matches.(i) <- matches_of left_rows.(i)
+           done))
+  else
+    Array.iteri
+      (fun i lrow ->
+        Nra_guard.Guard.tick ();
+        matches.(i) <- matches_of lrow)
+      left_rows;
+  matches
+
+let nested_loop kind ~on left right =
+  emit_all kind left right
+    (nested_loop_matches ~on (Relation.rows left) (Relation.rows right))
 
 (* ---------- hash join ---------- *)
 
@@ -100,53 +105,57 @@ let vec_hash vecs idxs row i =
   | Some (h, _) -> Array.unsafe_get h i
   | None -> Row.hash_on idxs row
 
-(* The shared probe step: the same expression in the serial and
-   parallel paths, so their match lists are identical by construction.
-   The key hash is the caller's — precomputed columnar vector entry or
-   an inline [Row.hash_on]. *)
-let probe_one tbl ~h ~lpos ~rpos ~residual_pred lrow =
-  Hashtbl.find_all tbl h
-  |> List.rev (* restore build order *)
-  |> List.filter (fun rrow ->
-         Array.for_all2
-           (fun li ri -> Value.equal lrow.(li) rrow.(ri))
-           lpos rpos
-         && Expr.holds residual_pred (Row.concat lrow rrow))
+let rec keys_equal lpos rpos lrow rrow i =
+  i >= Array.length lpos
+  || Value.equal lrow.(lpos.(i)) rrow.(rpos.(i))
+     && keys_equal lpos rpos lrow rrow (i + 1)
 
-let join_serial kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs
-    left_rows right_rows =
+(* The shared probe step: the same expression in the serial, parallel
+   and grace paths, so their match lists are identical by construction.
+   The key hash is the caller's — precomputed columnar vector entry or
+   an inline [Row.hash_on].  [find_all] lists the bucket newest first,
+   so consing the survivors in that order yields them in build order. *)
+let probe_one tbl ~h ~lpos ~rpos ~residual_pred lrow =
+  let all_match = trivially_true residual_pred in
+  List.fold_left
+    (fun acc rrow ->
+      if
+        keys_equal lpos rpos lrow rrow 0
+        && (all_match || Expr.holds residual_pred (Row.concat lrow rrow))
+      then rrow :: acc
+      else acc)
+    [] (Hashtbl.find_all tbl h)
+
+let hash_serial ~lpos ~rpos ~residual_pred ~lvecs ~rvecs left_rows right_rows
+    =
   let tbl = Hashtbl.create (max 16 (Array.length right_rows)) in
   Array.iteri
     (fun i rrow ->
       if not (vec_null rvecs rpos rrow i) then
         Hashtbl.add tbl (vec_hash rvecs rpos rrow i) rrow)
     right_rows;
-  let acc = ref [] in
+  let matches = Array.make (Array.length left_rows) [] in
   Array.iteri
     (fun i lrow ->
       Nra_guard.Guard.tick ();
       incr stats_probes;
-      let matches =
-        if vec_null lvecs lpos lrow i then []
-        else
+      if not (vec_null lvecs lpos lrow i) then
+        matches.(i) <-
           probe_one tbl
             ~h:(vec_hash lvecs lpos lrow i)
-            ~lpos ~rpos ~residual_pred lrow
-      in
-      acc := emit kind ~right_arity lrow matches !acc)
+            ~lpos ~rpos ~residual_pred lrow)
     left_rows;
-  List.rev !acc
+  matches
 
 (* Parallel variant: radix-partition the build side by key hash (each
    key's rows land in exactly one partition, in build order), build the
    partition tables in parallel, then probe left-side morsels in
-   parallel — each morsel fills its own buffer and the owner
-   concatenates the buffers in morsel order, so the result is
-   bit-identical to [join_serial].  Workers run only pure row/predicate
-   code; checkpoints accrue to the morsel's ledger and are charged at
-   the barrier (the guard contract in docs/PERF.md). *)
-let join_parallel kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs
-    left_rows right_rows =
+   parallel — each morsel fills its own slots of the match array, so
+   the result is bit-identical to [hash_serial].  Workers run only pure
+   row/predicate code; checkpoints accrue to the morsel's ledger and are
+   charged at the barrier (the guard contract in docs/PERF.md). *)
+let hash_parallel ~lpos ~rpos ~residual_pred ~lvecs ~rvecs left_rows
+    right_rows =
   let nparts = Pool.executors () in
   let nright = Array.length right_rows in
   let rhash = Array.make nright 0 in
@@ -170,26 +179,22 @@ let join_parallel kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs
             tbl))
     |> Array.to_list |> Array.concat
   in
-  let morsels =
-    Pool.parallel_chunks ~n:(Array.length left_rows) (fun ledger ~lo ~hi ->
-        let acc = ref [] in
-        for i = lo to hi - 1 do
-          let lrow = left_rows.(i) in
-          Pool.Ledger.tick ledger;
-          let matches =
-            if vec_null lvecs lpos lrow i then []
-            else
-              let h = vec_hash lvecs lpos lrow i in
-              probe_one
-                tables.(h land max_int mod nparts)
-                ~h ~lpos ~rpos ~residual_pred lrow
-          in
-          acc := emit kind ~right_arity lrow matches !acc
-        done;
-        List.rev !acc)
-  in
+  let matches = Array.make (Array.length left_rows) [] in
+  ignore
+    (Pool.parallel_chunks ~n:(Array.length left_rows) (fun ledger ~lo ~hi ->
+         for i = lo to hi - 1 do
+           let lrow = left_rows.(i) in
+           Pool.Ledger.tick ledger;
+           if not (vec_null lvecs lpos lrow i) then begin
+             let h = vec_hash lvecs lpos lrow i in
+             matches.(i) <-
+               probe_one
+                 tables.(h land max_int mod nparts)
+                 ~h ~lpos ~rpos ~residual_pred lrow
+           end
+         done));
   stats_probes := !stats_probes + Array.length left_rows;
-  List.concat (Array.to_list morsels)
+  matches
 
 (* Grace/hybrid variant: when the build side exceeds the buffer pool's
    frame budget, partition both inputs by key hash into [nparts]
@@ -199,16 +204,16 @@ let join_parallel kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs
    charged page writes under the budget, charged page reads when each
    partition is processed build-then-probe.
 
-   Bit-identical to [join_serial] by the same argument as
-   [join_parallel]: every row with key hash [h] lands in partition
+   Bit-identical to [hash_serial] by the same argument as
+   [hash_parallel]: every row with key hash [h] lands in partition
    [h mod nparts], spills preserve arrival order so each partition
    table is built in build order, and [probe_one] against the
    partition table sees exactly the rows the global table's
    [find_all h] would return.  Left matches are collected into a
    per-row array indexed by the original position (spilled left rows
-   carry their index) and emitted in one ordered pass at the end. *)
-let join_grace kind ~lpos ~rpos ~residual_pred ~right_arity ~frames ~lvecs
-    ~rvecs left_rows right_rows =
+   carry their index). *)
+let hash_grace ~lpos ~rpos ~residual_pred ~frames ~lvecs ~rvecs left_rows
+    right_rows =
   let module B = Nra_storage.Bufpool in
   let build_pages = Nra_storage.Iosim.pages (Array.length right_rows) in
   let budget = max 1 (frames - 1) in
@@ -285,48 +290,38 @@ let join_grace kind ~lpos ~rpos ~residual_pred ~right_arity ~frames ~lvecs
              Pool.Ledger.consumed_spill ledger lspills.(k)
            done));
   stats_probes := !stats_probes + n;
-  let acc = ref [] in
-  for i = 0 to n - 1 do
-    acc := emit kind ~right_arity left_rows.(i) matches.(i) !acc
-  done;
-  List.rev !acc
+  matches
 
-let join kind ~on left right =
+let matches ~on left right =
   let left_arity = Schema.arity (Relation.schema left) in
   let equi, residual = Expr.split_equi ~left_arity on in
-  if equi = [] then nested_loop kind ~on left right
+  let left_rows = Relation.rows left in
+  let right_rows = Relation.rows right in
+  if equi = [] then nested_loop_matches ~on left_rows right_rows
   else begin
     let lpos = Array.of_list (List.map fst equi) in
     let rpos = Array.of_list (List.map snd equi) in
-    let left_rows = Relation.rows left in
-    let right_rows = Relation.rows right in
-    let right_arity = Schema.arity (Relation.schema right) in
     let residual_pred = Expr.conj residual in
     let lvecs = key_vectors left lpos and rvecs = key_vectors right rpos in
-    let spill =
-      match Nra_storage.Bufpool.frames () with
-      | Some f when Nra_storage.Iosim.pages (Array.length right_rows) > f ->
-          Some f
-      | _ -> None
-    in
-    let rows =
-      match spill with
-      | Some frames ->
-          (* the grace/hybrid path runs its spilled partitions under
-             the Domain pool itself (iter_raw workers + owner-side
-             ledger replay), so out-of-core and parallel compose *)
-          join_grace kind ~lpos ~rpos ~residual_pred ~right_arity ~frames
-            ~lvecs ~rvecs left_rows right_rows
-      | None ->
-          if
-            Pool.use_parallel
-              (max (Array.length left_rows) (Array.length right_rows))
-          then
-            join_parallel kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs
-              ~rvecs left_rows right_rows
-          else
-            join_serial kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs
-              ~rvecs left_rows right_rows
-    in
-    Relation.of_rows (out_schema kind left right) rows
+    let build_pages = Nra_storage.Iosim.pages (Array.length right_rows) in
+    match Nra_storage.Bufpool.frames () with
+    | Some frames when build_pages > frames ->
+        (* the grace/hybrid path runs its spilled partitions under the
+           Domain pool itself (iter_raw workers + owner-side ledger
+           replay), so out-of-core and parallel compose *)
+        hash_grace ~lpos ~rpos ~residual_pred ~frames ~lvecs ~rvecs left_rows
+          right_rows
+    | _ ->
+        if
+          Pool.use_parallel
+            (max (Array.length left_rows) (Array.length right_rows))
+        then
+          hash_parallel ~lpos ~rpos ~residual_pred ~lvecs ~rvecs left_rows
+            right_rows
+        else
+          hash_serial ~lpos ~rpos ~residual_pred ~lvecs ~rvecs left_rows
+            right_rows
   end
+
+let join kind ~on left right =
+  emit_all kind left right (matches ~on left right)

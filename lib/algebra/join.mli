@@ -26,6 +26,14 @@ val join : kind -> on:Expr.pred -> Relation.t -> Relation.t -> Relation.t
 (** [on] is over the concatenated frame (left columns then right
     columns), even for [Semi]/[Anti]. *)
 
+val matches : on:Expr.pred -> Relation.t -> Relation.t -> Row.t list array
+(** The probe primitive every variant shares: for each left row (by
+    position), the right rows that satisfy [on], in right (build)
+    order.  [join kind] is exactly this, emitted per left row in left
+    order.  Picks the same physical variant as [join] (nested loop,
+    serial or parallel hash, grace/hybrid under a frame budget), with
+    the same charges, ticks and spill traffic. *)
+
 val nested_loop : kind -> on:Expr.pred -> Relation.t -> Relation.t ->
   Relation.t
 (** Reference implementation; used by tests to validate [join] and by

@@ -64,6 +64,7 @@ type stats = {
   mutable total_intermediate_rows : int;
   mutable nest_select_seconds : float;
   mutable join_seconds : float;
+  mutable fused_sites : int;
 }
 
 let now () = Unix.gettimeofday ()
@@ -97,21 +98,24 @@ let apply_mode mode verdict key elems out =
         padded :: out
       end
 
+(* a directive overrides the options: a fused nest ([n_assume_sorted]
+   confirmed by the runtime [sorted] flag) takes the single-pass run
+   scan, which on key-sorted input produces exactly the groups (and
+   group order) the materialized nest would *)
+let nest_pipelined opts flags ~sorted =
+  match flags with
+  | Some f -> f.n_pipelined || (f.n_assume_sorted && sorted)
+  | None -> opts.pipelined
+
 (* The staging relation holds the nest-by attributes as a prefix and the
    keep columns after them; [nest_select] computes υ followed by the
    linking selection, either as two materialized passes (original) or
-   fused into one group scan over sorted input (optimized). *)
+   fused into one group scan over sorted input (optimized, at a site
+   whose wide frame fed its grandchildren; other pipelined sites take
+   [fused_nest_select] and never stage). *)
 let nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode ~sorted wide =
   let t0 = now () in
-  (* a directive overrides the options: a fused nest ([n_assume_sorted]
-     confirmed by the runtime [sorted] flag) takes the single-pass run
-     scan, which on key-sorted input produces exactly the groups (and
-     group order) the materialized nest would *)
-  let pipelined =
-    match flags with
-    | Some f -> f.n_pipelined || (f.n_assume_sorted && sorted)
-    | None -> opts.pipelined
-  in
+  let pipelined = nest_pipelined opts flags ~sorted in
   let key_arity = Schema.arity key_schema in
   let prefix =
     List.init key_arity (fun i -> (Expr.Col i, Schema.col key_schema i))
@@ -169,6 +173,65 @@ let nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode ~sorted wide =
   st.nest_select_seconds <- st.nest_select_seconds +. (now () -. t0);
   (result, emitted_sorted)
 
+(* The fused probe–nest–select of a pipelined site whose wide frame
+   feeds no grandchild: the nest groups the join's per-outer-row match
+   lists directly, so neither the wide product nor a staging copy is
+   built, and only the (narrow) outer rows are sorted.
+
+   Byte-identical to joining, staging, stably sorting the staging on
+   the outer columns and scanning runs: the staging row of outer row
+   [i]'s [k]-th match sits at wide position (i, k), so the stable sort
+   orders rows by outer value, then by [i], then by [k].  A stable sort
+   of outer positions followed by a scan that merges runs of equal outer
+   rows (σ̄ padding can make distinct outer rows equal) and appends each
+   row's matches in build order visits exactly that sequence.  An
+   unmatched outer row contributes the element the NULL-padded wide row
+   would have.  Keep expressions are remapped into the right frame; only
+   one that reads an outer column needs the concatenated row. *)
+let fused_nest_select st ~key_schema ~keep ~verdict ~mode ~sorted rel
+    child_rel matches =
+  let t0 = now () in
+  let key_arity = Schema.arity key_schema in
+  let right_nulls = Row.nulls (Schema.arity (Relation.schema child_rel)) in
+  let exprs = Array.of_list (List.map fst keep) in
+  let reads_outer s =
+    List.exists (fun i -> i < key_arity) (Expr.scalar_cols s)
+  in
+  let elem_of =
+    if Array.exists reads_outer exprs then fun lrow rrow ->
+      Array.map (Expr.eval_scalar (Row.concat lrow rrow)) exprs
+    else
+      let right = Array.map (Expr.shift_scalar (-key_arity)) exprs in
+      let cols = Array.map (function Expr.Col j -> j | _ -> -1) right in
+      if Array.for_all (fun j -> j >= 0) cols then fun _ rrow ->
+        Row.project_arr rrow cols
+      else fun _ rrow -> Array.map (Expr.eval_scalar rrow) right
+  in
+  let outer = Relation.rows rel in
+  let n = Array.length outer in
+  let order = Array.init n Fun.id in
+  if not sorted then
+    Array.stable_sort (fun i j -> Row.compare outer.(i) outer.(j)) order;
+  let out = ref [] in
+  let k = ref 0 in
+  while !k < n do
+    Nra_guard.Guard.tick ();
+    let key = outer.(order.(!k)) in
+    let elems = ref [] in
+    while !k < n && Row.equal key outer.(order.(!k)) do
+      let i = order.(!k) in
+      let lrow = outer.(i) in
+      (match matches.(i) with
+      | [] -> elems := elem_of lrow right_nulls :: !elems
+      | ms ->
+          List.iter (fun rrow -> elems := elem_of lrow rrow :: !elems) ms);
+      incr k
+    done;
+    out := apply_mode mode verdict key (List.rev !elems) !out
+  done;
+  st.nest_select_seconds <- st.nest_select_seconds +. (now () -. t0);
+  Relation.of_rows key_schema (List.rev !out)
+
 (* ---------- the recursive driver ---------- *)
 
 (* Site positivity: JA children (scalar_agg present) are never positive
@@ -192,8 +255,9 @@ let inject_alloc_pressure () =
            (Nra_guard.Guard.Budget_exceeded Nra_guard.Guard.Rows))
   | _ -> ()
 
-let record_intermediate st rel =
-  let n = Relation.cardinality rel in
+(* [n] is the wide (outer-join) cardinality, whether or not the wide
+   relation is materialized *)
+let record_intermediate st n =
   st.total_intermediate_rows <- st.total_intermediate_rows + n;
   if n > st.peak_intermediate_rows then st.peak_intermediate_rows <- n;
   inject_alloc_pressure ();
@@ -379,44 +443,66 @@ and join_nest_select cat t opts dirs st ?flags ~mode ~sorted_prefix
     ~sp_after_select rel (c : A.child) child_rel ~recurse =
   let b = c.A.block in
   let key_schema = Relation.schema rel in
+  let key_arity = Schema.arity key_schema in
   let concat = Schema.append key_schema (Relation.schema child_rel) in
-  let t0 = now () in
-  let wide =
-    if b.A.correlated = [] then
-      (* genuine Cartesian product is required when the subquery is
-         correlated deeper down but not at this level *)
-      J.nested_loop J.Left_outer ~on:Expr.true_ rel child_rel
-    else
-      J.join J.Left_outer
-        ~on:(Frame.to_pred concat b.A.correlated)
-        rel child_rel
-  in
-  st.join_seconds <- st.join_seconds +. (now () -. t0);
-  record_intermediate st wide;
-  let wide, wide_sorted_prefix =
-    if recurse then
-      process cat t opts dirs st
-        ~discard_ok:(mode = Discard && is_positive_site c)
-        (wide, sorted_prefix) b
-    else (wide, sorted_prefix)
-  in
-  let keep, verdict =
-    Linkeval.verdict_and_keep ~key_schema ~wide_schema:(Relation.schema wide)
-      ~with_marker:true c
-  in
-  let rel', emitted_sorted =
-    (* the wide join product stays live while its staging is projected
-       and nested — charge it for that extent so the governor's
-       high-water mark reflects both *)
-    Nra_storage.Governor.with_charged
-      ~rows:(Relation.cardinality wide)
-      ~width:(Schema.arity (Relation.schema wide))
-      (fun () ->
-        nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode
-          ~sorted:(wide_sorted_prefix >= Schema.arity key_schema)
-          wide)
-  in
-  (rel', if emitted_sorted then sp_after_select else 0)
+  (* uncorrelated at this level (correlated deeper down) is a genuine
+     Cartesian product: [on] is then TRUE *)
+  let on = Frame.to_pred concat b.A.correlated in
+  let feeds_grandchildren = recurse && b.A.children <> [] in
+  let sorted = sorted_prefix >= key_arity in
+  if (not feeds_grandchildren) && nest_pipelined opts flags ~sorted then begin
+    let t0 = now () in
+    let matches = J.matches ~on rel child_rel in
+    st.join_seconds <- st.join_seconds +. (now () -. t0);
+    (* the logical wide cardinality: one row per match, one padded row
+       per unmatched outer row *)
+    let wide_rows =
+      Array.fold_left (fun acc ms -> acc + max 1 (List.length ms)) 0 matches
+    in
+    record_intermediate st wide_rows;
+    let keep, verdict =
+      Linkeval.verdict_and_keep ~key_schema ~wide_schema:concat
+        ~with_marker:true c
+    in
+    let rel' =
+      Nra_storage.Governor.with_charged ~rows:wide_rows
+        ~width:(Schema.arity concat) (fun () ->
+          fused_nest_select st ~key_schema ~keep ~verdict ~mode ~sorted rel
+            child_rel matches)
+    in
+    st.fused_sites <- st.fused_sites + 1;
+    (rel', sp_after_select)
+  end
+  else begin
+    let t0 = now () in
+    let wide = J.join J.Left_outer ~on rel child_rel in
+    st.join_seconds <- st.join_seconds +. (now () -. t0);
+    record_intermediate st (Relation.cardinality wide);
+    let wide, wide_sorted_prefix =
+      if recurse then
+        process cat t opts dirs st
+          ~discard_ok:(mode = Discard && is_positive_site c)
+          (wide, sorted_prefix) b
+      else (wide, sorted_prefix)
+    in
+    let keep, verdict =
+      Linkeval.verdict_and_keep ~key_schema
+        ~wide_schema:(Relation.schema wide) ~with_marker:true c
+    in
+    let rel', emitted_sorted =
+      (* the wide join product stays live while its staging is projected
+         and nested — charge it for that extent so the governor's
+         high-water mark reflects both *)
+      Nra_storage.Governor.with_charged
+        ~rows:(Relation.cardinality wide)
+        ~width:(Schema.arity (Relation.schema wide))
+        (fun () ->
+          nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode
+            ~sorted:(wide_sorted_prefix >= key_arity)
+            wide)
+    in
+    (rel', if emitted_sorted then sp_after_select else 0)
+  end
 
 (* ---------- entry points ---------- *)
 
@@ -427,6 +513,7 @@ let run_where ?(options = optimized) ?(directives = []) cat (t : A.t) =
       total_intermediate_rows = 0;
       nest_select_seconds = 0.0;
       join_seconds = 0.0;
+      fused_sites = 0;
     }
   in
   let rel = Frame.block_relation t.A.root in
@@ -487,6 +574,13 @@ let plan_description ?(options = optimized) (t : A.t) =
     if discard_ok then Format.sprintf "σ[%s]" (link_str c)
     else Format.sprintf "σ̄[%s] (pad the owning block)" (link_str c)
   in
+  (* as in [join_nest_select]: a pipelined site whose wide frame feeds
+     no grandchild runs the fused probe–nest–select *)
+  let nest_note ~feeds_grandchildren =
+    if not options.pipelined then ""
+    else if feeds_grandchildren then " (pipelined)"
+    else " (pipelined, fused with the probe)"
+  in
   let rec walk depth ~discard_ok ~frame (p : A.block) =
     List.iter
       (fun (c : A.child) ->
@@ -512,8 +606,9 @@ let plan_description ?(options = optimized) (t : A.t) =
         else if options.bottom_up_linear && contained then begin
           line depth "· §4.2.3 bottom-up: reduce T%d standalone" b.A.id;
           walk (depth + 1) ~discard_ok:true ~frame:(block_label b) b;
-          line depth "%s ⟕[%s] T%d; ν by frame keep {linked, key#}; %s" frame
-            (conds b.A.correlated) b.A.id (sel_str ~discard_ok c)
+          line depth "%s ⟕[%s] T%d; ν by frame keep {linked, key#}; %s%s"
+            frame (conds b.A.correlated) b.A.id (sel_str ~discard_ok c)
+            (nest_note ~feeds_grandchildren:false)
         end
         else begin
           let frame' = frame ^ " ⟕ " ^ block_label b in
@@ -528,7 +623,7 @@ let plan_description ?(options = optimized) (t : A.t) =
             b.A.id
             (Format.asprintf "%a" R.pp_expr (R.RCol b.A.marker))
             (sel_str ~discard_ok c)
-            (if options.pipelined then " (pipelined)" else "")
+            (nest_note ~feeds_grandchildren:(b.A.children <> []))
         end)
       p.A.children
   in

@@ -14,7 +14,10 @@
       consecutive nests — an upper level's nesting attributes are a
       prefix of the level below, and outer joins preserve the left
       order, so re-sorts are skipped) and the linking selection
-      evaluated during the group scan, in a single pass;
+      evaluated during the group scan, in a single pass.  At a site
+      whose wide frame feeds no grandchild, the nest groups the join's
+      per-outer-row match lists as the probe emits them (the fused
+      probe–nest–select), so the wide product is never materialized;
     - {b bottom-up for linear correlation} (§4.2.3): a self-contained
       subquery is reduced standalone so only qualifying tuples join
       upward;
@@ -78,12 +81,18 @@ type directives = (int * link_impl) list
 
 type stats = {
   mutable peak_intermediate_rows : int;
-      (** largest wide relation materialized *)
+      (** largest wide (outer-join) relation, counted at its logical
+          cardinality even where a fused site never materializes it *)
   mutable total_intermediate_rows : int;
   mutable nest_select_seconds : float;
-      (** time in nest + linking selection — the cost the paper reports
-          separately *)
-  mutable join_seconds : float;
+      (** time in nest + linking selection (grouping and verdicts) — the
+          cost the paper reports separately *)
+  mutable join_seconds : float;  (** time in outer joins: build + probe *)
+  mutable fused_sites : int;
+      (** sites evaluated by the fused probe–nest–select: pipelined
+          sites whose wide frame feeds no grandchild, which group the
+          join's match lists directly instead of materializing,
+          staging and sorting the wide product *)
 }
 
 val run_where :

@@ -1,24 +1,39 @@
 type t = Value.t array
 
-let project_arr row idxs = Array.map (fun i -> row.(i)) idxs
+let project_arr row idxs =
+  let n = Array.length idxs in
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n row.(idxs.(0)) in
+    for i = 1 to n - 1 do
+      out.(i) <- row.(idxs.(i))
+    done;
+    out
+  end
+
 let project row idxs = project_arr row (Array.of_list idxs)
 let concat = Array.append
 let nulls n = Array.make n Value.Null
 
-let compare a b =
-  let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la || i >= lb then Int.compare la lb
-    else
-      let c = Value.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+(* The comparison and hash helpers below are explicit loops or
+   top-level recursions: a local [go] closure or a [fold_left] lambda
+   would allocate on every call, and sorts and hash probes call these
+   once per row or per comparison. *)
+let rec compare_from a b la lb i =
+  if i >= la || i >= lb then Int.compare la lb
+  else
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b la lb (i + 1)
 
+let compare a b = compare_from a b (Array.length a) (Array.length b) 0
 let equal a b = compare a b = 0
 
 let hash row =
-  Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 row
+  let h = ref 17 in
+  for i = 0 to Array.length row - 1 do
+    h := (!h * 31) + Value.hash row.(i)
+  done;
+  !h
 
 (* A keyed hash table over whole rows: grouping and duplicate-style
    lookups index by projected key rows, and a keyed table beats the
@@ -30,23 +45,28 @@ module Tbl = Hashtbl.Make (struct
   let hash r = hash r land max_int
 end)
 
-let compare_on idxs a b =
-  let n = Array.length idxs in
-  let rec go i =
-    if i >= n then 0
-    else
-      let c = Value.compare a.(idxs.(i)) b.(idxs.(i)) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+let rec compare_on_from idxs a b i =
+  if i >= Array.length idxs then 0
+  else
+    let j = idxs.(i) in
+    let c = Value.compare a.(j) b.(j) in
+    if c <> 0 then c else compare_on_from idxs a b (i + 1)
 
+let compare_on idxs a b = compare_on_from idxs a b 0
 let equal_on idxs a b = compare_on idxs a b = 0
 
 let hash_on idxs row =
-  Array.fold_left (fun acc i -> (acc * 31) + Value.hash row.(i)) 17 idxs
+  let h = ref 17 in
+  for i = 0 to Array.length idxs - 1 do
+    h := (!h * 31) + Value.hash row.(idxs.(i))
+  done;
+  !h
 
-let has_null_on idxs row =
-  Array.exists (fun i -> Value.is_null row.(i)) idxs
+let rec has_null_from idxs row i =
+  i < Array.length idxs
+  && (Value.is_null row.(idxs.(i)) || has_null_from idxs row (i + 1))
+
+let has_null_on idxs row = has_null_from idxs row 0
 
 let pp ppf row =
   Format.fprintf ppf "(@[%a@])"

@@ -1,0 +1,229 @@
+(* The fused probe–nest–select (a pipelined site whose wide frame feeds
+   no grandchild groups the join's match lists as the probe emits them)
+   against the materialized nest of the original variant: byte-identical
+   CSV and identical fetched-row charges at every pool size and frame
+   budget, faults on.  The corpus covers the Figure 4–9 queries, the
+   Query 1-JA links, the emp/dept subquery corpus, and the cases the
+   fusion argument rests on: runs of equal outer rows left by σ̄
+   padding, element order within a group, keep expressions that read an
+   outer column, and outer relations that arrive key-sorted or out of
+   key order. *)
+
+open Nra
+open Test_support
+module N = Exec.Nra_exec
+module A = Planner.Analyze
+module I = Nra_storage.Iosim
+module B = Nra_storage.Bufpool
+module Q = Tpch.Queries
+
+(* small morsels so even the emp/dept corpus crosses the Domain pool *)
+let () =
+  Pool.set_parallel_threshold 2;
+  Pool.set_morsel 4
+
+let domains = [ 0; 2 ]
+let budgets = [ ("8", Some 8); ("inf", None) ]
+
+type outcome = { csv : string; fetched : int; fused : int }
+
+let run cat sql options =
+  let t =
+    match A.analyze_string cat sql with
+    | Ok t -> t
+    | Error m -> Alcotest.fail (sql ^ ": " ^ m)
+  in
+  (* reseeded per run: each run sees the same fault-draw sequence *)
+  Fault.configure ~seed:23 ~max_retries:8 0.02;
+  I.reset ();
+  let rel, st = N.run_where ~options cat t in
+  let out = Exec.Post.apply t.A.output rel in
+  {
+    csv = Relation.to_csv out;
+    fetched = (I.counters ()).I.fetched_rows;
+    fused = st.N.fused_sites;
+  }
+
+(* [must_fuse]: queries whose optimized run must take the fused path at
+   least once, so the matrix cannot pass vacuously *)
+let check_matrix ?(must_fuse = []) cat corpus =
+  let saved = I.config () in
+  Fun.protect
+    ~finally:(fun () ->
+      I.set_config saved;
+      B.set_frames None;
+      Pool.set_size 0;
+      Fault.disable ())
+    (fun () ->
+      (* two rows per page, so the small tables overflow eight frames and
+         the grace join runs its spilled partitions *)
+      I.set_config { saved with I.rows_per_page = 2 };
+      List.iter
+        (fun d ->
+          List.iter
+            (fun (budget, frames) ->
+              Pool.set_size d;
+              B.set_frames frames;
+              List.iter
+                (fun sql ->
+                  let where =
+                    Printf.sprintf "domains=%d frames=%s: %s" d budget sql
+                  in
+                  let orig = run cat sql N.original in
+                  let opt = run cat sql N.optimized in
+                  Alcotest.(check int) ("original never fuses, " ^ where) 0
+                    orig.fused;
+                  Alcotest.(check string) ("CSV, " ^ where) orig.csv opt.csv;
+                  Alcotest.(check int)
+                    ("fetched rows, " ^ where)
+                    orig.fetched opt.fetched;
+                  if List.mem sql must_fuse && opt.fused = 0 then
+                    Alcotest.fail ("no fused site, " ^ where))
+                corpus)
+            budgets)
+        domains)
+
+(* ---------- Figure 4–9 queries and the Query 1-JA links ---------- *)
+
+let tpch_cat =
+  lazy (Tpch.Gen.generate { Tpch.Gen.default with Tpch.Gen.scale = 0.002 })
+
+let figure_corpus =
+  let lo, hi = Q.q1_window ~outer_fraction:0.2 in
+  let q2 quant =
+    Q.q2 ~quant ~size_lo:1 ~size_hi:12 ~availqty_max:2000 ~quantity:25
+  in
+  let q3 quant exists variant =
+    Q.q3 ~quant ~exists ~variant ~size_lo:1 ~size_hi:12 ~availqty_max:2000
+      ~quantity:25
+  in
+  [ Q.q1 ~date_lo:lo ~date_hi:hi; q2 Q.Any; q2 Q.All ]
+  @ List.concat_map
+      (fun variant ->
+        [ q3 Q.Any true variant; q3 Q.All false variant ])
+      [ Q.A; Q.B; Q.C ]
+
+let ja_corpus =
+  let lo, hi = Q.q1_window ~outer_fraction:0.2 in
+  List.map
+    (fun link -> Q.q1_ja ~link ~date_lo:lo ~date_hi:hi)
+    [ Q.Ja_in; Q.Ja_not_in; Q.Ja_gt_all; Q.Ja_scalar_eq ]
+
+(* every one of them has a leaf site *)
+let test_figures () =
+  check_matrix ~must_fuse:figure_corpus (Lazy.force tpch_cat) figure_corpus
+
+let test_ja () =
+  check_matrix ~must_fuse:ja_corpus (Lazy.force tpch_cat) ja_corpus
+
+(* ---------- the cases the byte-identity argument rests on ---------- *)
+
+(* d ⟵ e ⟵ p: every e row of department 1 leads a project whose hours
+   equal its salary; department 1's project floats sum to 0 or 1
+   depending on the order they are added in; e is stored out of key
+   order, so a site over it must sort its outer rows *)
+let edge_catalog () =
+  let cat = Catalog.create () in
+  Catalog.register cat
+    (Table.create ~name:"d" ~key:[ "did" ]
+       [ col "did" Ttype.Int; col "v" Ttype.Int ]
+       [| [| vi 1; vi 10 |]; [| vi 2; vi 20 |]; [| vi 3; vnull |] |]);
+  Catalog.register cat
+    (Table.create ~name:"e" ~key:[ "eid" ]
+       [ col "eid" Ttype.Int; col "did" Ttype.Int; col "s" Ttype.Int ]
+       [|
+         [| vi 4; vi 2; vi 8 |];
+         [| vi 1; vi 1; vi 5 |];
+         [| vi 2; vi 1; vi 6 |];
+         [| vi 3; vi 1; vi 7 |];
+         [| vi 5; vi 2; vnull |];
+         [| vi 6; vnull; vi 9 |];
+       |]);
+  Catalog.register cat
+    (Table.create ~name:"p" ~key:[ "pid" ]
+       [
+         col "pid" Ttype.Int;
+         col "did" Ttype.Int;
+         col "eref" Ttype.Int;
+         col "h" Ttype.Int;
+         col "f" Ttype.Float;
+       ]
+       [|
+         [| vi 1; vi 1; vi 1; vi 5; vf 1.0 |];
+         [| vi 2; vi 1; vi 2; vi 6; vf 1e16 |];
+         [| vi 3; vi 1; vi 3; vi 7; vf (-1e16) |];
+         [| vi 4; vi 2; vi 4; vi 3; vf 2.0 |];
+         [| vi 5; vnull; vi 5; vnull; vnull |];
+       |]);
+  cat
+
+(* Three sibling subqueries under a negated one.  σ̄ at the first (NOT
+   IN) pads department 1's three e rows to the same (d, NULL …) row; the
+   second, a leaf correlated to d only, sees them as one run of equal
+   outer rows, each with matches, and must emit the run once; the third
+   site's wide cardinality — and so the fetched-row charge — counts what
+   the second emitted. *)
+let padded_runs =
+  [
+    "select did from d where not exists (select * from e where e.did = \
+     d.did and e.s not in (select h from p where p.eref = e.eid) and exists \
+     (select * from p p2 where p2.did = d.did) and exists (select * from p \
+     p3 where p3.did = e.did))";
+    "select did from d where v not in (select s from e where e.did = d.did \
+     and not exists (select * from p where p.eref = e.eid and p.h = e.s) \
+     and s < all (select h + 10 from p p2 where p2.did = d.did) and exists \
+     (select * from p p3 where p3.eref = e.eid))";
+  ]
+
+(* floating-point sums expose element order: 1 + 1e16 - 1e16 is 0 in
+   build order and 1 in reverse *)
+let element_order =
+  [
+    "select did from d where 0.0 = (select sum(f) from p where p.did = \
+     d.did)";
+    "select did from d where 1.0 = (select sum(f) from p where p.did = \
+     d.did)";
+  ]
+
+(* the linked attribute reads an outer column: elements need the
+   concatenated row *)
+let outer_keep =
+  [
+    "select did from d where v > all (select s + d.v - 9 from e where e.did \
+     = d.did)";
+    "select eid from e where s in (select h - e.did + 1 from p where p.eref \
+     = e.eid)";
+  ]
+
+(* the second site of the root block sees the first site's key-sorted
+   output, so the fused path skips its outer sort; a site over e must
+   sort, or its groups come out in storage order *)
+let outer_order =
+  [
+    "select eid from e where not exists (select * from p where p.eref = \
+     e.eid and p.h > 100)";
+    "select did from d where exists (select * from e where e.did = d.did) \
+     and v not in (select h from p where p.did = d.did)";
+    "select did from d where not exists (select * from e where e.did = \
+     d.did and s > 7) and v > some (select h from p where p.did = d.did)";
+  ]
+
+let test_edge_cases () =
+  let corpus = padded_runs @ element_order @ outer_keep @ outer_order in
+  check_matrix ~must_fuse:corpus (edge_catalog ()) corpus
+
+let test_subquery_corpus () =
+  check_matrix (emp_dept_catalog ()) subquery_corpus
+
+let () =
+  Alcotest.run "fused"
+    [
+      ( "fused vs materialized",
+        [
+          Alcotest.test_case "figure 4-9 queries" `Quick test_figures;
+          Alcotest.test_case "query 1-JA links" `Quick test_ja;
+          Alcotest.test_case "padded runs, outer keep, presorted" `Quick
+            test_edge_cases;
+          Alcotest.test_case "subquery corpus" `Quick test_subquery_corpus;
+        ] );
+    ]

@@ -138,6 +138,48 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
+let test_fused_sites () =
+  let cat = Tpch.Gen.generate { Tpch.Gen.default with scale = 0.002 } in
+  let lo, hi = Tpch.Queries.q1_window ~outer_fraction:0.5 in
+  let q1 = Tpch.Queries.q1 ~date_lo:lo ~date_hi:hi in
+  let q1_ja link = Tpch.Queries.q1_ja ~link ~date_lo:lo ~date_hi:hi in
+  let q2 =
+    Tpch.Queries.q2 ~quant:Tpch.Queries.All ~size_lo:1 ~size_hi:12
+      ~availqty_max:2000 ~quantity:25
+  in
+  let run options sql =
+    let t = analyze cat sql in
+    let _, st = N.run_where ~options cat t in
+    (st, N.plan_description ~options t)
+  in
+  let expect name sql ~fused =
+    let st_opt, plan_opt = run N.optimized sql in
+    let st_orig, plan_orig = run N.original sql in
+    Alcotest.(check int) (name ^ ": fused under nra-optimized") fused
+      st_opt.N.fused_sites;
+    Alcotest.(check int) (name ^ ": none under nra-original") 0
+      st_orig.N.fused_sites;
+    Alcotest.(check bool) (name ^ ": optimized plan marks it") true
+      (contains plan_opt "fused with the probe");
+    Alcotest.(check bool) (name ^ ": original plan does not") false
+      (contains plan_orig "fused");
+    (* the logical wide cardinality is counted either way *)
+    Alcotest.(check int)
+      (name ^ ": same peak intermediate")
+      st_orig.N.peak_intermediate_rows st_opt.N.peak_intermediate_rows;
+    Alcotest.(check int)
+      (name ^ ": same total intermediate")
+      st_orig.N.total_intermediate_rows st_opt.N.total_intermediate_rows
+  in
+  expect "Q1" q1 ~fused:1;
+  List.iter
+    (fun link ->
+      expect ("Q1-JA " ^ Tpch.Queries.ja_link_str link) (q1_ja link) ~fused:1)
+    Tpch.Queries.[ Ja_in; Ja_not_in; Ja_gt_all; Ja_scalar_eq ];
+  (* Q2's upper site feeds its NOT EXISTS grandchild, so only the leaf
+     fuses *)
+  expect "Q2" q2 ~fused:1
+
 let test_plan_description () =
   let cat = emp_dept_catalog () in
   let t =
@@ -206,6 +248,7 @@ let () =
             test_positive_simplification_used;
           Alcotest.test_case "nest cost recorded" `Quick
             test_nest_cost_recorded;
+          Alcotest.test_case "fused sites" `Quick test_fused_sites;
           Alcotest.test_case "plan description" `Quick test_plan_description;
           Alcotest.test_case "JA plan description" `Quick
             test_ja_plan_description;

@@ -61,6 +61,27 @@ let test_row_ops () =
     (Row.hash_on [| 0; 2 |] row)
     (Row.hash_on [| 0; 1 |] [| vi 1; vi 3; vi 0; vi 0 |])
 
+(* the keyed operations run once per row in hash probes and once per
+   comparison in sorts: none of them may allocate *)
+let test_keyed_ops_allocate_nothing () =
+  let a = [| vi 1; Value.String "x"; Value.Float 2.5; vnull |] in
+  let b = [| vi 1; Value.String "x"; Value.Float 2.5; vi 0 |] in
+  let idxs = [| 3; 0; 1; 2 |] in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    sink :=
+      !sink + Row.compare_on idxs a b + Row.hash_on idxs a + Row.compare a b
+      + Row.hash b
+      + Bool.to_int (Row.equal_on idxs a b)
+      + Bool.to_int (Row.has_null_on idxs b)
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sink);
+  if words > 100.0 then
+    Alcotest.failf "keyed row operations allocated %.0f words in 1000 rounds"
+      words
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let arb_row =
@@ -73,6 +94,17 @@ let prop_row_compare_consistent_hash =
   QCheck.Test.make ~name:"equal rows hash equally"
     (QCheck.pair arb_row arb_row)
     (fun (a, b) -> if Row.equal a b then Row.hash a = Row.hash b else true)
+
+(* partition layouts, spill page counts and the columnar hash vectors
+   all depend on these exact values *)
+let prop_hash_is_the_fold =
+  QCheck.Test.make ~name:"hash and hash_on are the 31-fold from 17"
+    arb_row (fun row ->
+      let fold = Array.fold_left (fun h v -> (h * 31) + Value.hash v) 17 in
+      let n = Array.length row in
+      let rev = Array.init n (fun i -> n - 1 - i) in
+      Row.hash row = fold row
+      && Row.hash_on rev row = fold (Array.map (fun i -> row.(i)) rev))
 
 let prop_project_preserves =
   QCheck.Test.make ~name:"projection on all positions is identity" arb_row
@@ -89,8 +121,16 @@ let () =
           Alcotest.test_case "append/project/rename" `Quick
             test_append_project_rename;
         ] );
-      ("row", [ Alcotest.test_case "operations" `Quick test_row_ops ]);
+      ( "row",
+        [
+          Alcotest.test_case "operations" `Quick test_row_ops;
+          Alcotest.test_case "keyed operations allocate nothing" `Quick
+            test_keyed_ops_allocate_nothing;
+        ] );
       ( "properties",
-        [ qtest prop_row_compare_consistent_hash; qtest prop_project_preserves ]
-      );
+        [
+          qtest prop_row_compare_consistent_hash;
+          qtest prop_hash_is_the_fold;
+          qtest prop_project_preserves;
+        ] );
     ]
