@@ -144,9 +144,9 @@ type point = {
 let points : point list ref = ref []
 
 (* one rewrite-on/off comparison per (query, strategy): [fired] is
-   whether the cost gate actually installed directives for the plan the
-   strategy ran (for auto, the plan of its pick), and [pick_*] record
-   auto's choice under each configuration *)
+   whether the cost gate actually rewrote the plan the strategy ran
+   (for auto, the plan of its pick), and [pick_*] record auto's choice
+   under each configuration *)
 type rw_run = {
   rw_name : string;
   fired : bool;
@@ -434,11 +434,6 @@ let ablations () =
   Printf.printf "\n[pipelining — §4.2.1/4.2.2, on Query 1]\n";
   ablation_run "original (two passes)" Nx.original q1;
   ablation_run "pipelined" Nx.optimized q1;
-  Printf.printf "\n[nest implementation, on Query 1]\n";
-  ablation_run "sort-based nest" Nx.original q1;
-  ablation_run "hash-based nest"
-    { Nx.original with Nx.nest_impl = `Hash }
-    q1;
   Printf.printf "\n[bottom-up linear evaluation — §4.2.3, on Query 2b]\n";
   ablation_run "top-down" Nx.optimized q2b;
   ablation_run "bottom-up"
@@ -986,7 +981,7 @@ let outofcore_sweep () =
 let rewrite_sweep () =
   header "Rewrite sweep"
     "--rewrite none vs all per strategy; 'fired' = the cost gate \
-     installed directives for the plan that ran";
+     rewrote the plan that ran";
   let rw_strategies =
     [
       ("nra-orig", Nra.Nra_original);

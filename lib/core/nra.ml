@@ -52,6 +52,7 @@ module Exec = struct
   module Classical = Nra_exec.Classical
   module Magic = Nra_exec.Magic
   module Linkeval = Nra_exec.Linkeval
+  module Plan = Nra_exec.Plan
   module Nra_exec = Nra_exec.Nra
 end
 
@@ -72,7 +73,6 @@ end
 
 module Opt = struct
   module Config = Nra_opt.Config
-  module Plan = Nra_opt.Plan
   module Rewrite = Nra_opt.Rewrite
 end
 
@@ -181,8 +181,7 @@ let set_columnar = Nra_relational.Batch.set_enabled
 let rewrite_epoch = Nra_opt.Config.current_epoch
 let rewrite_signature = Nra_opt.Config.signature
 
-(* which executor options an NRA-family strategy runs under — the
-   rewriter's starting plan must mirror exactly that decision chain *)
+(* which options an NRA-family strategy lifts its plan under *)
 let nra_base_options = function
   | Nra_original -> Some Nra_exec.Nra.original
   | Nra_optimized -> Some Nra_exec.Nra.optimized
@@ -205,10 +204,10 @@ let rewrite_for cat t base =
    apply transparently to every strategy, including Auto's picks and
    Hybrid's NRA arm *)
 let run_nra options cat t =
-  match rewrite_for cat t options with
-  | Some r ->
-      Nra_exec.Nra.run ~options ~directives:r.Nra_opt.Rewrite.dirs cat t
-  | None -> Nra_exec.Nra.run ~options cat t
+  let directives =
+    Option.map (fun r -> r.Nra_opt.Rewrite.dirs) (rewrite_for cat t options)
+  in
+  Nra_exec.Nra.run ~options ?directives cat t
 
 (* Auto over strategies × rewritten plans.  The rewriter only fires
    cost-improving edits and [run_nra] re-applies them at execution, so
@@ -216,48 +215,36 @@ let run_nra options cat t =
    estimate by its rewrite's estimated delta (never below zero) and
    re-ranking. *)
 let estimates_with_rewrites cat t =
-  let es = Nra_stats.Cost.estimates cat t in
+  let module Cost = Nra_stats.Cost in
+  let module Rw = Nra_opt.Rewrite in
+  let es = Cost.estimates cat t in
   if Nra_opt.Config.rules () = [] then es
   else
-    let clamp v = Float.max 0.0 v in
+    let adjust (e : Cost.estimate) (r : Rw.result) =
+      let shift v f = Float.max 0.0 (v +. (f r.Rw.after -. f r.Rw.before)) in
+      let bd = e.Cost.breakdown in
+      {
+        e with
+        Cost.cost_ms = shift e.Cost.cost_ms (fun c -> c.Rw.ms);
+        breakdown =
+          {
+            Cost.seq_pages = shift bd.Cost.seq_pages (fun c -> c.Rw.seq);
+            rand_pages = shift bd.Cost.rand_pages (fun c -> c.Rw.rand);
+            fetched_rows = shift bd.Cost.fetched_rows (fun c -> c.Rw.fetch);
+          };
+      }
+    in
     List.map
-      (fun (e : Nra_stats.Cost.estimate) ->
-        match nra_base_options (of_cost_strategy e.Nra_stats.Cost.strategy) with
+      (fun (e : Cost.estimate) ->
+        match nra_base_options (of_cost_strategy e.Cost.strategy) with
         | None -> e
-        | Some base -> (
-            match rewrite_for cat t base with
-            | None -> e
-            | Some r ->
-                let b = r.Nra_opt.Rewrite.before
-                and a = r.Nra_opt.Rewrite.after in
-                let bd = e.Nra_stats.Cost.breakdown in
-                {
-                  e with
-                  Nra_stats.Cost.cost_ms =
-                    clamp
-                      (e.Nra_stats.Cost.cost_ms
-                      +. (a.Nra_opt.Rewrite.ms -. b.Nra_opt.Rewrite.ms));
-                  breakdown =
-                    {
-                      Nra_stats.Cost.seq_pages =
-                        clamp
-                          (bd.Nra_stats.Cost.seq_pages
-                          +. (a.Nra_opt.Rewrite.seq -. b.Nra_opt.Rewrite.seq));
-                      rand_pages =
-                        clamp
-                          (bd.Nra_stats.Cost.rand_pages
-                          +. (a.Nra_opt.Rewrite.rand -. b.Nra_opt.Rewrite.rand));
-                      fetched_rows =
-                        clamp
-                          (bd.Nra_stats.Cost.fetched_rows
-                          +. (a.Nra_opt.Rewrite.fetch -. b.Nra_opt.Rewrite.fetch));
-                    };
-                }))
+        | Some base ->
+            Option.fold ~none:e ~some:(adjust e) (rewrite_for cat t base))
       es
     (* the input is (cost, preference)-sorted; a stable re-sort on cost
        alone keeps the preference tiebreak *)
-    |> List.stable_sort (fun (x : Nra_stats.Cost.estimate) y ->
-           Float.compare x.Nra_stats.Cost.cost_ms y.Nra_stats.Cost.cost_ms)
+    |> List.stable_sort (fun (x : Cost.estimate) y ->
+           Float.compare x.Cost.cost_ms y.Cost.cost_ms)
 
 (* Budget-aware choice: when the caller runs under a guard, prefer the
    cheapest plan whose estimate FITS what is left of that budget over
@@ -952,7 +939,9 @@ let explain cat sql =
              if t.Nra_planner.Analyze.depth > 0 then
                Format.fprintf ppf
                  "@,@,nested relational pipeline (optimized):@,%s"
-                 (String.trim (Nra_exec.Nra.plan_description t)))
+                 (String.trim
+                    (Nra_exec.Nra.plan_description
+                       (Nra_exec.Plan.lift ~base:Nra_exec.Nra.optimized t))))
            t)
 
 (* The rewrite part of EXPLAIN COSTS: which rules are on, and — per

@@ -99,6 +99,7 @@ module Exec : sig
   module Classical = Nra_exec.Classical
   module Magic = Nra_exec.Magic
   module Linkeval = Nra_exec.Linkeval
+  module Plan = Nra_exec.Plan
   module Nra_exec = Nra_exec.Nra
 end
 
@@ -119,13 +120,12 @@ end
 
 module Opt : sig
   module Config = Nra_opt.Config
-  module Plan = Nra_opt.Plan
   module Rewrite = Nra_opt.Rewrite
 end
-(** The algebraic rewrite subsystem: an explicit NRA plan IR lifted
-    from the planner's block tree, four cost-gated rules (nest fusion,
-    push-down, pipelining, semijoin conversion), and the directives the
-    executors consume — see docs/OPTIMIZER.md. *)
+(** The algebraic rewrite subsystem: four cost-gated rules (nest
+    fusion, push-down, pipelining, semijoin conversion) that edit the
+    NRA plan ({!Exec.Plan}) the executor then runs — see
+    docs/OPTIMIZER.md. *)
 
 (** {1 Errors} *)
 

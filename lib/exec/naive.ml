@@ -13,54 +13,18 @@ let stats = { inner_loops = 0; index_probes = 0 }
 (* Correlated equi-conjuncts of block [b]: (inner column name, outer
    expression), for index probing. *)
 let equi_probes (b : A.block) =
-  List.filter_map
-    (fun rc ->
-      match rc with
-      | R.RCmp (T3.Eq, R.RCol c, e) when c.R.block_id = b.A.id
-        && not (List.mem b.A.id (R.expr_blocks e)) ->
-          Some (c.R.col, e)
-      | R.RCmp (T3.Eq, e, R.RCol c) when c.R.block_id = b.A.id
-        && not (List.mem b.A.id (R.expr_blocks e)) ->
-          Some (c.R.col, e)
-      | _ -> None)
-    b.A.correlated
+  List.map (fun (c, e) -> (c.R.col, e)) (A.equi_conjuncts b)
 
-(* Pick an index of the inner table covering (a subset of) the equi
-   columns; prefer the sorted (B-tree-like) index, as the paper's System
-   A uses.  Returns a probe function from the outer row to candidate
-   base-table rows. *)
-let index_access cat (bd : A.binding) outer_schema equis =
+(* The index nested iteration probes for the equi columns [cols] of the
+   inner table: an exact sorted index on all of them (in some order),
+   else a hash index on a subset, else a sorted index on one of them —
+   the paper's System A prefers the sorted (B-tree-like) index.  Returns
+   the columns the chosen index probes on, and its probe. *)
+let index_choice cat (bd : A.binding) cols =
   match Catalog.table_opt cat bd.A.source with
   | None -> None
   | Some base_table -> (
       let base_name = Table.name base_table in
-      let cols = List.map fst equis in
-      let scalar_of e = Resolved.to_scalar outer_schema e in
-      let key_scalars names =
-        List.map (fun c -> scalar_of (List.assoc c equis)) names
-        |> Array.of_list
-      in
-      let probe_with names ids_of =
-        let scalars = key_scalars names in
-        let rows = Relation.rows (Table.relation bd.A.table) in
-        (* the index descent is charged at probe time; each rowid fetch
-           is charged lazily as the row is actually examined — through
-           the buffer cache, and only if the evaluation gets that far
-           (EXISTS-style early exits pay only for what they read) *)
-        Some
-          (fun outer_row ->
-            stats.index_probes <- stats.index_probes + 1;
-            Fault.with_retries (fun () -> Iosim.charge_probe ~matches:0);
-            let key = Array.map (Expr.eval_scalar outer_row) scalars in
-            let ids = ids_of key in
-            Seq.map
-              (fun id ->
-                Fault.with_retries (fun () ->
-                    Iosim.charge_row_fetch ~table:base_name ~row_id:id);
-                rows.(id))
-              (List.to_seq ids))
-      in
-      (* exact sorted index on all equi columns, in some order *)
       let sorted_exact =
         List.find_map
           (fun perm ->
@@ -68,7 +32,7 @@ let index_access cat (bd : A.binding) outer_schema equis =
               Catalog.sorted_index_on cat ~table:base_name (List.hd perm)
             with
             | Some idx
-              when List.length (Array.to_list (Sorted_index.positions idx))
+              when Array.length (Sorted_index.positions idx)
                    = List.length perm ->
                 (* verify the index covers exactly these columns *)
                 let idx_cols =
@@ -77,32 +41,53 @@ let index_access cat (bd : A.binding) outer_schema equis =
                          (Schema.col (Table.schema base_table) p).Schema.name)
                 in
                 if List.sort compare idx_cols = List.sort compare cols then
-                  Some (idx_cols, idx)
+                  Some (idx_cols, Sorted_index.probe idx)
                 else None
             | _ -> None)
           (List.map (fun c -> [ c ]) cols
           @ if List.length cols > 1 then [ cols; List.rev cols ] else [])
       in
       match sorted_exact with
-      | Some (idx_cols, idx) ->
-          probe_with idx_cols (fun key -> Sorted_index.probe idx key)
+      | Some _ -> sorted_exact
       | None -> (
-          (* hash index on a subset *)
           match Catalog.hash_index_covering cat ~table:base_name cols with
-          | Some (idx, idx_cols) ->
-              probe_with idx_cols (fun key -> Hash_index.probe idx key)
-          | None -> (
-              (* sorted index on a single equi column *)
-              match
-                List.find_map
-                  (fun c ->
-                    Option.map (fun i -> (c, i))
-                      (Catalog.sorted_index_on cat ~table:base_name c))
-                  cols
-              with
-              | Some (c, idx) ->
-                  probe_with [ c ] (fun key -> Sorted_index.probe idx key)
-              | None -> None)))
+          | Some (idx, idx_cols) -> Some (idx_cols, Hash_index.probe idx)
+          | None ->
+              List.find_map
+                (fun c ->
+                  Option.map
+                    (fun i -> ([ c ], Sorted_index.probe i))
+                    (Catalog.sorted_index_on cat ~table:base_name c))
+                cols))
+
+(* A probe function from the outer row to candidate base-table rows
+   through [index_choice]'s index, or [None] when there is none. *)
+let index_access cat (bd : A.binding) outer_schema equis =
+  match index_choice cat bd (List.map fst equis) with
+  | None -> None
+  | Some (idx_cols, ids_of) ->
+      let scalars =
+        List.map
+          (fun c -> Resolved.to_scalar outer_schema (List.assoc c equis))
+          idx_cols
+        |> Array.of_list
+      in
+      let rows = Relation.rows (Table.relation bd.A.table) in
+      (* the index descent is charged at probe time; each rowid fetch
+         is charged lazily as the row is actually examined — through
+         the buffer cache, and only if the evaluation gets that far
+         (EXISTS-style early exits pay only for what they read) *)
+      Some
+        (fun outer_row ->
+          stats.index_probes <- stats.index_probes + 1;
+          Fault.with_retries (fun () -> Iosim.charge_probe ~matches:0);
+          let key = Array.map (Expr.eval_scalar outer_row) scalars in
+          Seq.map
+            (fun id ->
+              Fault.with_retries (fun () ->
+                  Iosim.charge_row_fetch ~table:bd.A.source ~row_id:id);
+              rows.(id))
+            (List.to_seq (ids_of key)))
 
 (* A subtree whose result cannot depend on the outer tuple: no
    correlation anywhere inside, and the output attribute references only

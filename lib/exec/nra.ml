@@ -4,11 +4,9 @@ module A = Analyze
 module R = Resolved
 module T3 = Three_valued
 module J = Nra_algebra.Join
-module Ast = Nra_sql.Ast
 
-type options = {
+type options = Plan.options = {
   pipelined : bool;
-  nest_impl : [ `Sort | `Hash ];
   bottom_up_linear : bool;
   push_down_nest : bool;
   positive_simplify : bool;
@@ -17,7 +15,6 @@ type options = {
 let original =
   {
     pipelined = false;
-    nest_impl = `Sort;
     bottom_up_linear = false;
     push_down_nest = false;
     positive_simplify = false;
@@ -28,36 +25,10 @@ let optimized = { original with pipelined = true }
 let full =
   {
     pipelined = true;
-    nest_impl = `Sort;
     bottom_up_linear = true;
     push_down_nest = true;
     positive_simplify = true;
   }
-
-(* ---------- per-site rewrite directives ----------
-
-   The optimizer (nra.opt) speaks to this executor through per-child
-   directives keyed by block id: which of the five linking
-   implementations to run at that site, and — for the join+nest paths —
-   whether the nest is pipelined and whether its input may be assumed
-   already key-sorted (adjacent-nest fusion).  [n_assume_sorted] is a
-   hint, not a command: it is honored only when the executor's own
-   sorted-prefix tracking agrees at runtime, so a wrong hint degrades to
-   the unfused plan instead of to wrong groups.  A block with no
-   directive (or a directive whose structural preconditions do not hold
-   here) falls back to the options-driven decision chain, which is
-   byte-identical to the pre-directive executor. *)
-
-type nest_directive = { n_pipelined : bool; n_assume_sorted : bool }
-
-type link_impl =
-  | D_shared_set
-  | D_push_down
-  | D_semijoin
-  | D_bottom_up of nest_directive
-  | D_top_down of nest_directive
-
-type directives = (int * link_impl) list
 
 type stats = {
   mutable peak_intermediate_rows : int;
@@ -68,11 +39,6 @@ type stats = {
 }
 
 let now () = Unix.gettimeofday ()
-
-(* ---------- structural checks ---------- *)
-
-let self_contained = A.self_contained
-let equi_correlation = A.equi_correlation
 
 let block_positions schema (blk : A.block) =
   let uids = A.block_uids blk in
@@ -98,24 +64,23 @@ let apply_mode mode verdict key elems out =
         padded :: out
       end
 
-(* a directive overrides the options: a fused nest ([n_assume_sorted]
-   confirmed by the runtime [sorted] flag) takes the single-pass run
-   scan, which on key-sorted input produces exactly the groups (and
-   group order) the materialized nest would *)
-let nest_pipelined opts flags ~sorted =
-  match flags with
-  | Some f -> f.n_pipelined || (f.n_assume_sorted && sorted)
-  | None -> opts.pipelined
+(* a fused nest ([assume_sorted] confirmed by the runtime [sorted]
+   flag) takes the single-pass run scan, which on key-sorted input
+   produces exactly the groups (and group order) the materialized nest
+   would *)
+let nest_pipelined (nest : Plan.nest) ~sorted =
+  nest.Plan.pipelined || (nest.Plan.assume_sorted && sorted)
 
 (* The staging relation holds the nest-by attributes as a prefix and the
    keep columns after them; [nest_select] computes υ followed by the
    linking selection, either as two materialized passes (original) or
    fused into one group scan over sorted input (optimized, at a site
    whose wide frame fed its grandchildren; other pipelined sites take
-   [fused_nest_select] and never stage). *)
-let nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode ~sorted wide =
+   [fused_nest_select] and never stage).  Either way the output is
+   key-sorted. *)
+let nest_select nest st ~key_schema ~keep ~verdict ~mode ~sorted wide =
   let t0 = now () in
-  let pipelined = nest_pipelined opts flags ~sorted in
+  let pipelined = nest_pipelined nest ~sorted in
   let key_arity = Schema.arity key_schema in
   let prefix =
     List.init key_arity (fun i -> (Expr.Col i, Schema.col key_schema i))
@@ -128,15 +93,13 @@ let nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode ~sorted wide =
   (* the pre-nest flat staging is governed: charged to the memory
      ledger and routed through a spill partition when it would not fit
      the frame budget (byte-identical either way) *)
-  let result, emitted_sorted =
+  let result =
     Nra_storage.Governor.with_staged ~label:"nest-staging" staging
     @@ fun staging ->
     if not pipelined then begin
       (* original: materialize the nested relation, then select *)
       let grouped =
-        match opts.nest_impl with
-        | `Sort -> Nra_nested.Grouped.nest_sort ~by ~keep:keep_pos staging
-        | `Hash -> Nra_nested.Grouped.nest_hash ~by ~keep:keep_pos staging
+        Nra_nested.Grouped.nest_sort ~by ~keep:keep_pos staging
       in
       let out = ref [] in
       Array.iter
@@ -144,7 +107,7 @@ let nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode ~sorted wide =
           Nra_guard.Guard.tick ();
           out := apply_mode mode verdict key (Array.to_list elems) !out)
         grouped.Nra_nested.Grouped.groups;
-      (Relation.of_rows key_schema (List.rev !out), opts.nest_impl = `Sort)
+      Relation.of_rows key_schema (List.rev !out)
     end
     else begin
       (* optimized: single pass over (at most once re-)sorted input; the
@@ -167,11 +130,11 @@ let nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode ~sorted wide =
         done;
         out := apply_mode mode verdict key (List.rev !elems) !out
       done;
-      (Relation.of_rows key_schema (List.rev !out), true)
+      Relation.of_rows key_schema (List.rev !out)
     end
   in
   st.nest_select_seconds <- st.nest_select_seconds +. (now () -. t0);
-  (result, emitted_sorted)
+  result
 
 (* The fused probe–nest–select of a pipelined site whose wide frame
    feeds no grandchild: the nest groups the join's per-outer-row match
@@ -234,11 +197,6 @@ let fused_nest_select st ~key_schema ~keep ~verdict ~mode ~sorted rel
 
 (* ---------- the recursive driver ---------- *)
 
-(* Site positivity: JA children (scalar_agg present) are never positive
-   — an empty group aggregates to a value, so it must reach the linking
-   selection instead of being discarded by σ or a semijoin. *)
-let is_positive_site = A.child_positive
-
 (* Allocation-pressure injection fires where a real row-budget
    exhaustion would: as an intermediate materializes under a finite row
    budget.  (A budget of [max_int] rows is effectively unlimited —
@@ -278,75 +236,52 @@ let rowwise mode verdict elems_of rel =
     (Relation.rows rel);
   Relation.of_rows (Relation.schema rel) (List.rev !out)
 
-(* The five linking-site implementations, as a closed choice: the
-   options-driven decision chain picks one (exactly as it always has),
-   and a rewrite directive can pick one directly when its structural
-   preconditions hold at this site. *)
-type site_pick =
-  | P_shared
-  | P_push of (R.rcol * R.rexpr) list
-  | P_semi
-  | P_bottom of nest_directive option
-  | P_top of nest_directive option
+(* The executor runs the plan as given: each node's [impl] picks one of
+   the five linking-site implementations, and its [discard_ok] picks σ
+   or σ̄.  A plan with a node whose structural preconditions do not hold
+   at its site, or whose discard context disagrees with its position,
+   is rejected before anything runs. *)
+let check_plan (p : Plan.t) =
+  List.iter2
+    (fun (n : Plan.node) (expected : Plan.node) ->
+      if n.Plan.discard_ok <> expected.Plan.discard_ok
+         || not (Plan.admissible n)
+      then
+        invalid_arg
+          (Printf.sprintf "Nra.run_where: %s%s is not admissible at block %d"
+             (Plan.impl_to_string n.Plan.impl)
+             (if n.Plan.discard_ok then "" else " σ̄")
+             n.Plan.child.A.block.A.id))
+    (Plan.nodes p)
+    (Plan.nodes (Plan.renormalize p))
 
-let rec process cat t opts dirs st ~discard_ok (rel, sorted_prefix)
-    (p : A.block) =
+let rec process st (rel, sorted_prefix) (p : A.block) nodes =
   List.fold_left
-    (fun acc c ->
-      apply_child cat t opts dirs st ~discard_ok ~parent:p acc c)
-    (rel, sorted_prefix) p.A.children
+    (fun acc n -> apply_child st ~parent:p acc n)
+    (rel, sorted_prefix) nodes
 
-and reduce_standalone cat t opts dirs st (b : A.block) : Relation.t =
+and reduce_standalone st (n : Plan.node) : Relation.t =
+  let b = n.Plan.child.A.block in
   let rel = Frame.block_relation b in
-  let rel', _ = process cat t opts dirs st ~discard_ok:true (rel, 0) b in
+  let rel', _ = process st (rel, 0) b n.Plan.sub in
   rel'
 
-and apply_child cat t opts dirs st ~discard_ok ~parent (rel, sorted_prefix)
-    (c : A.child) =
+and apply_child st ~parent (rel, sorted_prefix) (n : Plan.node) =
+  let c = n.Plan.child in
   let b = c.A.block in
   let key_schema = Relation.schema rel in
   let key_arity = Schema.arity key_schema in
-  let mode =
-    if discard_ok then Discard else Pad (block_positions key_schema parent)
-  in
-  let contained = self_contained b in
-  let sp_after_select =
-    match mode with
-    | Discard -> key_arity
-    | Pad _ -> key_arity - Array.length (block_positions key_schema parent)
-  in
-  let semi_ok =
-    b.A.children = [] && discard_ok
-    && is_positive_site c
-    && b.A.correlated <> []
-  in
-  let legacy_pick () =
-    if contained && b.A.correlated = [] then P_shared
+  let mode, sp_after_select =
+    if n.Plan.discard_ok then (Discard, key_arity)
     else
-      match (opts.push_down_nest && contained, equi_correlation b) with
-      | true, Some pairs -> P_push pairs
-      | _ ->
-          if opts.positive_simplify && semi_ok then P_semi
-          else if opts.bottom_up_linear && contained then P_bottom None
-          else P_top None
+      let pad = block_positions key_schema parent in
+      (Pad pad, key_arity - Array.length pad)
   in
-  let pick =
-    match List.assoc_opt b.A.id dirs with
-    | Some D_shared_set when contained && b.A.correlated = [] -> P_shared
-    | Some D_push_down when contained -> (
-        match equi_correlation b with
-        | Some pairs -> P_push pairs
-        | None -> legacy_pick ())
-    | Some D_semijoin when semi_ok -> P_semi
-    | Some (D_bottom_up nf) when contained -> P_bottom (Some nf)
-    | Some (D_top_down nf) -> P_top (Some nf)
-    | _ -> legacy_pick ()
-  in
-  match pick with
-  | P_shared ->
+  match n.Plan.impl with
+  | Plan.Shared_set ->
       (* virtual Cartesian product: the subquery is evaluated once and
          its value set shared by every outer tuple *)
-      let child_red = reduce_standalone cat t opts dirs st b in
+      let child_red = reduce_standalone st n in
       let keep, verdict =
         Linkeval.verdict_and_keep ~key_schema
           ~wide_schema:(Relation.schema child_red) ~with_marker:false c
@@ -359,10 +294,11 @@ and apply_child cat t opts dirs st ~discard_ok ~parent (rel, sorted_prefix)
       in
       let rel' = rowwise mode verdict (fun _ -> elems) rel in
       (rel', min sorted_prefix sp_after_select)
-  | P_push pairs ->
+  | Plan.Push_down ->
       (* §4.2.4: group the reduced child by its correlation key once;
          probe per outer tuple *)
-      let child_red = reduce_standalone cat t opts dirs st b in
+      let pairs = Option.get (A.equi_correlation b) in
+      let child_red = reduce_standalone st n in
       let cschema = Relation.schema child_red in
       let keep, verdict =
         Linkeval.verdict_and_keep ~key_schema ~wide_schema:cschema
@@ -403,7 +339,7 @@ and apply_child cat t opts dirs st ~discard_ok ~parent (rel, sorted_prefix)
       in
       let rel' = rowwise mode verdict elems_of rel in
       (rel', min sorted_prefix sp_after_select)
-  | P_semi ->
+  | Plan.Semijoin ->
       (* §4.2.5: σ_{AθSOME{B}}(υ(R ⟕_C S)) = R ⋉_{C ∧ AθB} S *)
       let child_rel = Frame.block_relation b in
       let concat = Schema.append key_schema (Relation.schema child_rel) in
@@ -427,20 +363,21 @@ and apply_child cat t opts dirs st ~discard_ok ~parent (rel, sorted_prefix)
       let rel' = J.join J.Semi ~on rel child_rel in
       st.join_seconds <- st.join_seconds +. (now () -. t0);
       (rel', sorted_prefix) (* semijoin preserves left order *)
-  | P_bottom flags ->
+  | Plan.Bottom_up nest ->
       (* §4.2.3: reduce the subquery standalone, then one outer join
          and one nest+selection at this level *)
-      let child_red = reduce_standalone cat t opts dirs st b in
-      join_nest_select cat t opts dirs st ?flags ~mode ~sorted_prefix
-        ~sp_after_select rel c child_red ~recurse:false
-  | P_top flags ->
+      let child_red = reduce_standalone st n in
+      join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel n
+        child_red ~recurse:false
+  | Plan.Top_down nest ->
       (* Algorithm 1, general top-down case *)
       let child_rel = Frame.block_relation b in
-      join_nest_select cat t opts dirs st ?flags ~mode ~sorted_prefix
-        ~sp_after_select rel c child_rel ~recurse:true
+      join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel n
+        child_rel ~recurse:true
 
-and join_nest_select cat t opts dirs st ?flags ~mode ~sorted_prefix
-    ~sp_after_select rel (c : A.child) child_rel ~recurse =
+and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel
+    (n : Plan.node) child_rel ~recurse =
+  let c = n.Plan.child in
   let b = c.A.block in
   let key_schema = Relation.schema rel in
   let key_arity = Schema.arity key_schema in
@@ -448,9 +385,9 @@ and join_nest_select cat t opts dirs st ?flags ~mode ~sorted_prefix
   (* uncorrelated at this level (correlated deeper down) is a genuine
      Cartesian product: [on] is then TRUE *)
   let on = Frame.to_pred concat b.A.correlated in
-  let feeds_grandchildren = recurse && b.A.children <> [] in
+  let feeds_grandchildren = recurse && n.Plan.sub <> [] in
   let sorted = sorted_prefix >= key_arity in
-  if (not feeds_grandchildren) && nest_pipelined opts flags ~sorted then begin
+  if (not feeds_grandchildren) && nest_pipelined nest ~sorted then begin
     let t0 = now () in
     let matches = J.matches ~on rel child_rel in
     st.join_seconds <- st.join_seconds +. (now () -. t0);
@@ -480,16 +417,14 @@ and join_nest_select cat t opts dirs st ?flags ~mode ~sorted_prefix
     record_intermediate st (Relation.cardinality wide);
     let wide, wide_sorted_prefix =
       if recurse then
-        process cat t opts dirs st
-          ~discard_ok:(mode = Discard && is_positive_site c)
-          (wide, sorted_prefix) b
+        process st (wide, sorted_prefix) b n.Plan.sub
       else (wide, sorted_prefix)
     in
     let keep, verdict =
       Linkeval.verdict_and_keep ~key_schema
         ~wide_schema:(Relation.schema wide) ~with_marker:true c
     in
-    let rel', emitted_sorted =
+    let rel' =
       (* the wide join product stays live while its staging is projected
          and nested — charge it for that extent so the governor's
          high-water mark reflects both *)
@@ -497,16 +432,24 @@ and join_nest_select cat t opts dirs st ?flags ~mode ~sorted_prefix
         ~rows:(Relation.cardinality wide)
         ~width:(Schema.arity (Relation.schema wide))
         (fun () ->
-          nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode
+          nest_select nest st ~key_schema ~keep ~verdict ~mode
             ~sorted:(wide_sorted_prefix >= key_arity)
             wide)
     in
-    (rel', if emitted_sorted then sp_after_select else 0)
+    (rel', sp_after_select)
   end
 
 (* ---------- entry points ---------- *)
 
-let run_where ?(options = optimized) ?(directives = []) cat (t : A.t) =
+let run_where ?(options = optimized) ?directives _cat (t : A.t) =
+  let plan =
+    match directives with
+    | Some (p : Plan.t) when p.Plan.analyzed != t ->
+        invalid_arg "Nra.run_where: the plan was lifted from another query"
+    | Some p -> p
+    | None -> Plan.lift ~base:options t
+  in
+  check_plan plan;
   let st =
     {
       peak_intermediate_rows = 0;
@@ -517,9 +460,7 @@ let run_where ?(options = optimized) ?(directives = []) cat (t : A.t) =
     }
   in
   let rel = Frame.block_relation t.A.root in
-  let rel', _ =
-    process cat t options directives st ~discard_ok:true (rel, 0) t.A.root
-  in
+  let rel', _ = process st (rel, 0) t.A.root plan.Plan.roots in
   (rel', st)
 
 let run ?options ?directives cat t =
@@ -528,7 +469,7 @@ let run ?options ?directives cat t =
 
 (* ---------- plan rendering (no execution) ---------- *)
 
-let plan_description ?(options = optimized) (t : A.t) =
+let plan_description (plan : Plan.t) =
   let buf = Buffer.create 256 in
   let line depth fmt =
     Format.kasprintf
@@ -570,63 +511,59 @@ let plan_description ?(options = optimized) (t : A.t) =
         Format.asprintf "%a %s scalar%s" R.pp_expr e (T3.cmpop_to_string op)
           set
   in
-  let sel_str ~discard_ok (c : A.child) =
-    if discard_ok then Format.sprintf "σ[%s]" (link_str c)
-    else Format.sprintf "σ̄[%s] (pad the owning block)" (link_str c)
+  let sel_str (n : Plan.node) =
+    if n.Plan.discard_ok then Format.sprintf "σ[%s]" (link_str n.Plan.child)
+    else
+      Format.sprintf "σ̄[%s] (pad the owning block)" (link_str n.Plan.child)
   in
   (* as in [join_nest_select]: a pipelined site whose wide frame feeds
      no grandchild runs the fused probe–nest–select *)
-  let nest_note ~feeds_grandchildren =
-    if not options.pipelined then ""
+  let nest_note (nest : Plan.nest) ~feeds_grandchildren =
+    if not nest.Plan.pipelined then ""
     else if feeds_grandchildren then " (pipelined)"
     else " (pipelined, fused with the probe)"
   in
-  let rec walk depth ~discard_ok ~frame (p : A.block) =
+  let rec walk depth ~frame nodes =
     List.iter
-      (fun (c : A.child) ->
-        let b = c.A.block in
-        let contained = self_contained b in
-        if contained && b.A.correlated = [] then begin
-          line depth "· subquery T%d is uncorrelated: evaluate once" b.A.id;
-          walk (depth + 1) ~discard_ok:true ~frame:(block_label b) b;
-          line depth "%s, against the shared value set" (sel_str ~discard_ok c)
-        end
-        else if options.push_down_nest && contained
-                && equi_correlation b <> None then begin
-          line depth "· §4.2.4 push-down: reduce T%d standalone" b.A.id;
-          walk (depth + 1) ~discard_ok:true ~frame:(block_label b) b;
-          line depth "group T%d by [%s]; probe per outer tuple; %s" b.A.id
-            (conds b.A.correlated) (sel_str ~discard_ok c)
-        end
-        else if options.positive_simplify && b.A.children = [] && discard_ok
-                && is_positive_site c
-                && b.A.correlated <> [] then
-          line depth "· §4.2.5: %s ⋉[%s ∧ %s] %s" frame
-            (conds b.A.correlated) (link_str c) (block_label b)
-        else if options.bottom_up_linear && contained then begin
-          line depth "· §4.2.3 bottom-up: reduce T%d standalone" b.A.id;
-          walk (depth + 1) ~discard_ok:true ~frame:(block_label b) b;
-          line depth "%s ⟕[%s] T%d; ν by frame keep {linked, key#}; %s%s"
-            frame (conds b.A.correlated) b.A.id (sel_str ~discard_ok c)
-            (nest_note ~feeds_grandchildren:false)
-        end
-        else begin
-          let frame' = frame ^ " ⟕ " ^ block_label b in
-          line depth "%s ⟕[%s] %s" frame
-            (if b.A.correlated = [] then "⨯"
-             else conds b.A.correlated)
-            (block_label b);
-          walk (depth + 1)
-            ~discard_ok:(discard_ok && is_positive_site c)
-            ~frame:frame' b;
-          line depth "ν by {%s …} keep {linked T%d attrs, %s#}; %s%s" frame
-            b.A.id
-            (Format.asprintf "%a" R.pp_expr (R.RCol b.A.marker))
-            (sel_str ~discard_ok c)
-            (nest_note ~feeds_grandchildren:(b.A.children <> []))
-        end)
-      p.A.children
+      (fun (n : Plan.node) ->
+        let b = n.Plan.child.A.block in
+        let standalone () =
+          walk (depth + 1) ~frame:(block_label b) n.Plan.sub
+        in
+        match n.Plan.impl with
+        | Plan.Shared_set ->
+            line depth "· subquery T%d is uncorrelated: evaluate once" b.A.id;
+            standalone ();
+            line depth "%s, against the shared value set" (sel_str n)
+        | Plan.Push_down ->
+            line depth "· §4.2.4 push-down: reduce T%d standalone" b.A.id;
+            standalone ();
+            line depth "group T%d by [%s]; probe per outer tuple; %s" b.A.id
+              (conds b.A.correlated) (sel_str n)
+        | Plan.Semijoin ->
+            line depth "· §4.2.5: %s ⋉[%s ∧ %s] %s" frame
+              (conds b.A.correlated) (link_str n.Plan.child) (block_label b)
+        | Plan.Bottom_up nest ->
+            line depth "· §4.2.3 bottom-up: reduce T%d standalone" b.A.id;
+            standalone ();
+            line depth "%s ⟕[%s] T%d; ν by frame keep {linked, key#}; %s%s"
+              frame (conds b.A.correlated) b.A.id (sel_str n)
+              (nest_note nest ~feeds_grandchildren:false)
+        | Plan.Top_down nest ->
+            line depth "%s ⟕[%s] %s" frame
+              (if b.A.correlated = [] then "⨯" else conds b.A.correlated)
+              (block_label b);
+            walk (depth + 1)
+              ~frame:(frame ^ " ⟕ " ^ block_label b)
+              n.Plan.sub;
+            line depth "ν by {%s …} keep {linked T%d attrs, %s#}; %s%s" frame
+              b.A.id
+              (Format.asprintf "%a" R.pp_expr (R.RCol b.A.marker))
+              (sel_str n)
+              (nest_note nest ~feeds_grandchildren:(n.Plan.sub <> [])))
+      nodes
   in
+  let t = plan.Plan.analyzed in
   line 0 "T1 := %s" (block_label t.A.root);
-  walk 0 ~discard_ok:true ~frame:"T1" t.A.root;
+  walk 0 ~frame:"T1" plan.Plan.roots;
   Buffer.contents buf

@@ -9,7 +9,9 @@
     positive), σ̄ (pad the owning block's attributes, including its
     carried primary key, with NULL) otherwise.
 
-    The variants of Section 4.2 are selectable:
+    Each linking site runs the implementation its {!Plan} node names;
+    the variants of Section 4.2 are the options {!Plan.lift} chooses
+    them from:
     - {b pipelined} (§4.2.1–4.2.2): one shared physical sort (fused
       consecutive nests — an upper level's nesting attributes are a
       prefix of the level below, and outer joins preserve the left
@@ -34,9 +36,8 @@ open Nra_relational
 open Nra_storage
 open Nra_planner
 
-type options = {
+type options = Plan.options = {
   pipelined : bool;
-  nest_impl : [ `Sort | `Hash ];
   bottom_up_linear : bool;
   push_down_nest : bool;
   positive_simplify : bool;
@@ -52,32 +53,6 @@ val optimized : options
 
 val full : options
 (** Everything in Section 4.2 switched on. *)
-
-type nest_directive = {
-  n_pipelined : bool;
-      (** evaluate the linking selection during the group scan instead of
-          materializing υ (§4.2.1–4.2.2) *)
-  n_assume_sorted : bool;
-      (** fuse with the upstream sort: when the wide input is already
-          key-sorted at runtime, skip the re-sort and stream groups off
-          the run scan.  Checked against the executor's own sorted-prefix
-          tracking, so an over-optimistic directive degrades to the
-          materialized path rather than changing results. *)
-}
-
-(** Per linking site (keyed by block id), which of the five evaluation
-    paths to take.  Directives come from the [lib/opt] rewriter; each is
-    validated against the site's structural preconditions at runtime and
-    silently falls back to the options-driven choice when they no longer
-    hold, so a stale or wrong directive can never change results. *)
-type link_impl =
-  | D_shared_set  (** uncorrelated: evaluate once, share the value set *)
-  | D_push_down  (** §4.2.4 group-by-correlation-key probe *)
-  | D_semijoin  (** §4.2.5 positive linking → plain semijoin *)
-  | D_bottom_up of nest_directive  (** §4.2.3 reduce standalone, then join+nest *)
-  | D_top_down of nest_directive  (** Algorithm 1 general case *)
-
-type directives = (int * link_impl) list
 
 type stats = {
   mutable peak_intermediate_rows : int;
@@ -97,22 +72,29 @@ type stats = {
 
 val run_where :
   ?options:options ->
-  ?directives:directives ->
+  ?directives:Plan.t ->
   Catalog.t ->
   Analyze.t ->
   Relation.t * stats
-(** Outer-frame rows satisfying WHERE, plus cost counters. *)
+(** Outer-frame rows satisfying WHERE, plus cost counters.  Runs the
+    plan [directives] (a rewritten plan of this very [Analyze.t]) as
+    given, or [Plan.lift ~base:options] (default {!optimized}) when it
+    is absent.
+    @raise Invalid_argument before anything runs when the plan was
+    lifted from another query, or one of its nodes is not
+    {!Plan.admissible} or carries a discard context its position
+    contradicts. *)
 
 val run :
   ?options:options ->
-  ?directives:directives ->
+  ?directives:Plan.t ->
   Catalog.t ->
   Analyze.t ->
   Relation.t
 (** [run_where] followed by output post-processing. *)
 
-val plan_description : ?options:options -> Analyze.t -> string
-(** The operator pipeline the executor would run (the paper's Figure 3b
-    query tree, linearized), without executing anything: one line per
-    join / nest / linking selection, annotated with the σ-vs-σ̄ choice
-    and any §4.2 shortcut taken. *)
+val plan_description : Plan.t -> string
+(** The operator pipeline the plan runs (the paper's Figure 3b query
+    tree, linearized), without executing anything: one line per join /
+    nest / linking selection, annotated with the σ-vs-σ̄ choice and any
+    §4.2 shortcut taken. *)

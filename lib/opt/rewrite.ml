@@ -1,146 +1,108 @@
-(* The rewrite engine: rules propose [impl] edits on the plan IR, and an
-   edit is applied only when the whole-plan Iosim estimate strictly
+(* The rewrite engine: rules propose [impl] edits on the NRA plan, and
+   an edit is applied only when the whole-plan Iosim estimate strictly
    improves.
 
-   The cost walk below is [Nra_stats.Cost.nra_cost] extended to price
-   what the directives can change: a materialized nest pays a
-   materialize-and-rescan pass over its staging, a sort-based nest pays
-   a sort pass unless the input is already key-sorted, and a pipelined
-   nest pays only the sort (when needed).  Sortedness is tracked as a
-   conservative boolean — "the relation is fully key-sorted for the
-   current frame" — mirroring the executor's sorted-prefix tracking;
-   where the static analysis cannot be sure (e.g. below a top-down
-   recursion) it assumes unsorted, which can only under-fire the fusion
-   rule, never mis-fire it. *)
+   The estimate is the cost model's scan/fetch walk over the plan
+   ([Nra_stats.Cost.plan_breakdown]) plus the nest passes the rewrites
+   can change: a materialized nest pays a materialize-and-rescan pass
+   over its staging and a sort pass, a pipelined nest pays only the
+   sort, and that sort is skipped when the staging input is already
+   key-sorted.  Sortedness is tracked as a conservative boolean — "the
+   relation is fully key-sorted for the current frame" — modelled on the
+   executor's sorted-prefix tracking; where the static analysis cannot
+   be sure (e.g. below a top-down recursion) it assumes unsorted, which
+   can only under-fire the fusion rule, never mis-fire it. *)
 
-open Nra_storage
 open Nra_planner
 module A = Analyze
-module C = Nra_stats.Cardinality
+module Cost = Nra_stats.Cost
+module Plan = Nra_exec.Plan
 module Nx = Nra_exec.Nra
 
 type costline = { seq : float; rand : float; fetch : float; ms : float }
 
-let pages rows =
-  let rpp = float_of_int (max 1 (Iosim.config ()).Iosim.rows_per_page) in
-  Float.max 1.0 (Float.ceil (rows /. rpp))
+(* Block ids of the join+nest sites whose staging input is statically
+   key-sorted.  A frame starts unsorted; a join+nest site emits it
+   sorted unless σ̄ padding breaks the order, a semijoin keeps the order
+   it was given, and a shared-set or push-down site keeps it only where
+   it discards.  A top-down site's grandchildren widen its frame, so
+   its staging is sorted only when it has none. *)
+let presorted (p : Plan.t) =
+  let rec sites acc ~sorted = function
+    | [] -> acc
+    | (n : Plan.node) :: rest ->
+        let acc = sites acc ~sorted:false n.Plan.sub in
+        let id = n.Plan.child.A.block.A.id in
+        let acc =
+          match n.Plan.impl with
+          | Plan.Bottom_up _ when sorted -> id :: acc
+          | Plan.Top_down _ when sorted && n.Plan.sub = [] -> id :: acc
+          | _ -> acc
+        in
+        let sorted =
+          match n.Plan.impl with
+          | Plan.Bottom_up _ | Plan.Top_down _ -> n.Plan.discard_ok
+          | Plan.Semijoin -> sorted
+          | Plan.Shared_set | Plan.Push_down -> sorted && n.Plan.discard_ok
+        in
+        sites acc ~sorted rest
+  in
+  sites [] ~sorted:false p.Plan.roots
 
-let block_scan_pages (b : A.block) =
-  List.fold_left
-    (fun acc (bd : A.binding) ->
-      acc +. pages (float_of_int (Table.cardinality bd.A.table)))
-    0.0 b.A.bindings
-
-type acc = { mutable seq : float; mutable rand : float; mutable fetch : float }
-
-let price seq rand fetch =
-  let c = Iosim.config () in
-  (seq *. c.Iosim.t_seq_ms)
-  +. (rand *. c.Iosim.t_rand_ms)
-  +. (fetch *. c.Iosim.t_fetch_ms)
-
-(* Charge one nest+linking-selection over [rows] staged tuples; return
-   whether its output is key-sorted (the executor's [emitted_sorted]).
-   [sorted] is the staging input's static sortedness. *)
-let charge_nest (base : Nx.options) (nf : Plan.nest) ~sorted ~rows acc =
-  let p2 = 2.0 *. pages rows in
-  let pipelined = nf.Plan.pipelined || (nf.Plan.assume_sorted && sorted) in
-  if pipelined then begin
+(* the sequential pages of one nest+linking-selection over [rows] staged
+   tuples *)
+let nest_pages (nest : Plan.nest) ~sorted ~rows =
+  let p2 = 2.0 *. Cost.pages rows in
+  if nest.Plan.pipelined || (nest.Plan.assume_sorted && sorted) then
     (* single pass; one re-sort when the input is not already sorted *)
-    if not sorted then acc.seq <- acc.seq +. p2;
-    true
-  end
-  else begin
-    (* materialize the nested relation, then a separate selection pass *)
-    acc.seq <- acc.seq +. p2;
-    match base.Nx.nest_impl with
-    | `Sort ->
-        acc.seq <- acc.seq +. p2;
-        true
-    | `Hash -> false
-  end
+    if sorted then 0.0 else p2
+  else
+    (* materialize the nested relation and sort it, then a separate
+       selection pass *)
+    2.0 *. p2
 
 let cost_of cat (p : Plan.t) =
-  let env = C.make_env cat p.Plan.analyzed in
-  let acc = { seq = 0.0; rand = 0.0; fetch = 0.0 } in
-  let root = p.Plan.analyzed.A.root in
-  acc.seq <- acc.seq +. block_scan_pages root;
-  let loj_out ~outer b = outer *. Float.max 1.0 (C.fanout env b) in
-  (* returns the static sortedness of the frame after this site *)
-  let rec go ~outer ~sorted (n : Plan.node) =
-    let b = n.Plan.child.A.block in
-    acc.seq <- acc.seq +. block_scan_pages b;
-    let standalone_sub () =
-      (* the subtree is reduced on its own frame, which starts unsorted *)
-      ignore
-        (List.fold_left
-           (fun s c -> go ~outer:(C.block_card env b) ~sorted:s c)
-           false n.Plan.sub)
-    in
-    match n.Plan.impl with
-    | Plan.Shared_set | Plan.Push_down ->
-        standalone_sub ();
-        sorted && n.Plan.discard_ok
-    | Plan.Semijoin -> sorted
-    | Plan.Bottom_up nf ->
-        standalone_sub ();
-        let rows = loj_out ~outer b in
-        acc.fetch <- acc.fetch +. rows;
-        let emitted = charge_nest p.Plan.base nf ~sorted ~rows acc in
-        emitted && n.Plan.discard_ok
-    | Plan.Top_down nf ->
-        let rows = loj_out ~outer b in
-        acc.fetch <- acc.fetch +. rows;
-        (* grandchildren widen the frame, so their sortedness (and the
-           wide relation's, once they have run) is conservatively lost *)
-        ignore
-          (List.fold_left
-             (fun s c -> go ~outer:rows ~sorted:s c)
-             false n.Plan.sub);
-        let sorted_mid = sorted && n.Plan.sub = [] in
-        let emitted = charge_nest p.Plan.base nf ~sorted:sorted_mid ~rows acc in
-        emitted && n.Plan.discard_ok
+  let sorted = presorted p in
+  let nest_seq = ref 0.0 in
+  let nest (n : Plan.node) nf ~rows =
+    let sorted = List.mem n.Plan.child.A.block.A.id sorted in
+    nest_seq := !nest_seq +. nest_pages nf ~sorted ~rows
   in
-  ignore
-    (List.fold_left
-       (fun s n -> go ~outer:(C.block_card env root) ~sorted:s n)
-       false p.Plan.roots);
+  let bd = Cost.plan_breakdown ~nest cat p in
+  let bd = { bd with Cost.seq_pages = bd.Cost.seq_pages +. !nest_seq } in
   {
-    seq = acc.seq;
-    rand = acc.rand;
-    fetch = acc.fetch;
-    ms = price acc.seq acc.rand acc.fetch;
+    seq = bd.Cost.seq_pages;
+    rand = bd.Cost.rand_pages;
+    fetch = bd.Cost.fetched_rows;
+    ms = Cost.price bd;
   }
 
 (* ---------- rules ---------- *)
 
-(* A rule proposes a new impl for one node, or nothing.  Preconditions
-   mirror the executor's runtime validation exactly, so a proposal that
-   survives the cost gate always takes effect. *)
+(* A rule proposes a new impl for one node, or nothing; a proposal is
+   made only where the new impl is admissible, so one that survives the
+   cost gate always runs. *)
 let propose (rule : Config.rule) (n : Plan.node) : Plan.impl option =
-  let b = n.Plan.child.A.block in
-  match (rule, n.Plan.impl) with
-  | Config.Semijoin, (Plan.Bottom_up _ | Plan.Top_down _)
-    when b.A.children = [] && n.Plan.discard_ok
-         && A.child_positive n.Plan.child
-         && b.A.correlated <> [] ->
-      Some Plan.Semijoin
-  | Config.Push_down, (Plan.Bottom_up _ | Plan.Top_down _)
-    when A.self_contained b
-         && A.equi_correlation b <> None
-         && b.A.correlated <> [] ->
-      Some Plan.Push_down
-  | Config.Pipeline, Plan.Bottom_up nf when not nf.Plan.pipelined ->
-      Some (Plan.Bottom_up { nf with Plan.pipelined = true })
-  | Config.Pipeline, Plan.Top_down nf when not nf.Plan.pipelined ->
-      Some (Plan.Top_down { nf with Plan.pipelined = true })
-  | Config.Fuse_nests, Plan.Bottom_up nf
-    when (not nf.Plan.pipelined) && not nf.Plan.assume_sorted ->
-      Some (Plan.Bottom_up { nf with Plan.assume_sorted = true })
-  | Config.Fuse_nests, Plan.Top_down nf
-    when (not nf.Plan.pipelined) && not nf.Plan.assume_sorted ->
-      Some (Plan.Top_down { nf with Plan.assume_sorted = true })
-  | _ -> None
+  let candidate =
+    match (rule, n.Plan.impl) with
+    | Config.Semijoin, (Plan.Bottom_up _ | Plan.Top_down _) ->
+        Some Plan.Semijoin
+    | Config.Push_down, (Plan.Bottom_up _ | Plan.Top_down _) ->
+        Some Plan.Push_down
+    | Config.Pipeline, Plan.Bottom_up nf when not nf.Plan.pipelined ->
+        Some (Plan.Bottom_up { nf with Plan.pipelined = true })
+    | Config.Pipeline, Plan.Top_down nf when not nf.Plan.pipelined ->
+        Some (Plan.Top_down { nf with Plan.pipelined = true })
+    | Config.Fuse_nests, Plan.Bottom_up nf
+      when (not nf.Plan.pipelined) && not nf.Plan.assume_sorted ->
+        Some (Plan.Bottom_up { nf with Plan.assume_sorted = true })
+    | Config.Fuse_nests, Plan.Top_down nf
+      when (not nf.Plan.pipelined) && not nf.Plan.assume_sorted ->
+        Some (Plan.Top_down { nf with Plan.assume_sorted = true })
+    | _ -> None
+  in
+  Option.bind candidate (fun impl ->
+      if Plan.admissible { n with Plan.impl } then Some impl else None)
 
 (* ---------- the engine ---------- *)
 
@@ -156,8 +118,7 @@ type trace_entry = {
 }
 
 type result = {
-  plan : Plan.t;
-  dirs : Nx.directives;
+  dirs : Plan.t;
   changed : bool;
   trace : trace_entry list;
   before : costline;
@@ -204,7 +165,7 @@ let rewrite ?rules cat (analyzed : A.t) ~(base : Nx.options) : result =
                   Plan.renormalize (Plan.replace !plan ~id ~impl)
                 in
                 let cost' = cost_of cat candidate in
-                if cost'.ms < !cost.ms -. eps then begin
+                let record verdict =
                   trace :=
                     {
                       rule;
@@ -212,9 +173,12 @@ let rewrite ?rules cat (analyzed : A.t) ~(base : Nx.options) : result =
                       site;
                       cost_before = !cost;
                       cost_after = cost';
-                      verdict = Fired;
+                      verdict;
                     }
-                    :: !trace;
+                    :: !trace
+                in
+                if cost'.ms < !cost.ms -. eps then begin
+                  record Fired;
                   plan := candidate;
                   cost := cost';
                   changed := true;
@@ -222,22 +186,12 @@ let rewrite ?rules cat (analyzed : A.t) ~(base : Nx.options) : result =
                 end
                 else if !pass_no = 1 then
                   (* record the gate's refusals once, for explain *)
-                  trace :=
-                    {
-                      rule;
-                      block_id = id;
-                      site;
-                      cost_before = !cost;
-                      cost_after = cost';
-                      verdict = Skipped "no estimated improvement";
-                    }
-                    :: !trace)
+                  record (Skipped "no estimated improvement"))
           (Plan.nodes !plan))
       active
   done;
   {
-    plan = !plan;
-    dirs = Plan.directives !plan;
+    dirs = !plan;
     changed = !changed;
     trace = List.rev !trace;
     before;

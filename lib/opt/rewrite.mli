@@ -1,25 +1,27 @@
-(** Cost-gated rewrite engine over the {!Plan} IR.
+(** Cost-gated rewrite engine over the NRA plan ({!Nra_exec.Plan}).
 
     Each enabled rule proposes [impl] edits node by node; an edit is
     applied only when the whole-plan Iosim estimate strictly improves.
     The engine iterates to a bounded fixpoint and returns the rewritten
-    plan, the executor directives compiled from it, and the fired /
+    plan, which {!Nra_exec.Nra.run_where} runs as given, and the fired /
     skipped trace for [explain --costs]. *)
 
 open Nra_storage
 open Nra_planner
 module Nx := Nra_exec.Nra
+module Plan := Nra_exec.Plan
 
 type costline = { seq : float; rand : float; fetch : float; ms : float }
 
 val cost_of : Catalog.t -> Plan.t -> costline
-(** The IR-level Iosim estimate: {!Nra_stats.Cost}'s NRA walk extended
-    with nest materialize / sort / pipeline charges, so two plans that
-    differ only in a directive still cost differently. *)
+(** The plan's Iosim estimate: {!Nra_stats.Cost.plan_breakdown} plus
+    the nest materialize / sort / pipeline passes, so two plans that
+    differ only in a nest's shape still cost differently. *)
 
 val propose : Config.rule -> Plan.node -> Plan.impl option
-(** The rule's structural precondition check: [Some impl] when the rule
-    applies at this node (before any costing). *)
+(** The rule's edit at this node (before any costing): [Some impl] only
+    when the rule applies and [impl] is {!Nra_exec.Plan.admissible}
+    there. *)
 
 type verdict = Fired | Skipped of string
 
@@ -33,8 +35,9 @@ type trace_entry = {
 }
 
 type result = {
-  plan : Plan.t;
-  dirs : Nx.directives;
+  dirs : Plan.t;
+      (** the rewritten plan, for {!Nra_exec.Nra.run_where}'s
+          [?directives] *)
   changed : bool;
   trace : trace_entry list;
   before : costline;

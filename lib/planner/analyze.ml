@@ -466,20 +466,21 @@ let self_contained (b : block) =
   && List.for_all (fun blk -> block_ok ~own:false blk)
        (List.tl (collect_blocks b))
 
-let equi_correlation (b : block) =
-  let classify rc =
-    match rc with
-    | R.RCmp (T3.Eq, R.RCol c, e)
-      when c.R.block_id = b.id && not (List.mem b.id (R.expr_blocks e)) ->
-        Some (c, e)
-    | R.RCmp (T3.Eq, e, R.RCol c)
-      when c.R.block_id = b.id && not (List.mem b.id (R.expr_blocks e)) ->
-        Some (c, e)
-    | _ -> None
+let equi_conjuncts (b : block) =
+  let inner (c : R.rcol) e =
+    c.R.block_id = b.id && not (List.mem b.id (R.expr_blocks e))
   in
-  let pairs = List.map classify b.correlated in
-  if List.for_all Option.is_some pairs && pairs <> [] then
-    Some (List.map Option.get pairs)
+  List.filter_map
+    (function
+      | R.RCmp (T3.Eq, R.RCol c, e) when inner c e -> Some (c, e)
+      | R.RCmp (T3.Eq, e, R.RCol c) when inner c e -> Some (c, e)
+      | _ -> None)
+    b.correlated
+
+let equi_correlation (b : block) =
+  let pairs = equi_conjuncts b in
+  if pairs <> [] && List.length pairs = List.length b.correlated then
+    Some pairs
   else None
 
 let analyze catalog (q : Ast.query) : t =

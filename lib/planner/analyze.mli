@@ -130,6 +130,11 @@ val self_contained : block -> bool
     subtree can be reduced standalone (the paper's §4.2.3/4.2.4, and the
     precondition of magic decorrelation). *)
 
+val equi_conjuncts : block -> (Resolved.rcol * Resolved.rexpr) list
+(** The block's correlated predicates of the shape
+    [inner_column = outer_expression], as (inner column, outer
+    expression) pairs. *)
+
 val equi_correlation : block -> (Resolved.rcol * Resolved.rexpr) list option
 (** When every correlated predicate of the block has the shape
     [inner_column = outer_expression], the list of those pairs

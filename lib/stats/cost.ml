@@ -1,10 +1,9 @@
-open Nra_relational
 open Nra_storage
 open Nra_planner
 module A = Analyze
-module R = Resolved
-module T3 = Three_valued
 module C = Cardinality
+module Plan = Nra_exec.Plan
+module Nx = Nra_exec.Nra
 
 type strategy =
   | Naive
@@ -65,73 +64,13 @@ let block_scan_pages (b : A.block) =
 
 (* ---------- nested iteration (Naive; Classical/Magic fallback) ---- *)
 
-(* mirror of Naive.equi_probes, column names only *)
-let equi_probe_cols (b : A.block) =
-  List.filter_map
-    (fun rc ->
-      match rc with
-      | R.RCmp (T3.Eq, R.RCol c, e)
-        when c.R.block_id = b.A.id && not (List.mem b.A.id (R.expr_blocks e))
-        ->
-          Some c.R.col
-      | R.RCmp (T3.Eq, e, R.RCol c)
-        when c.R.block_id = b.A.id && not (List.mem b.A.id (R.expr_blocks e))
-        ->
-          Some c.R.col
-      | _ -> None)
-    b.A.correlated
-
-(* mirror of Naive.index_access's index selection: which columns does
-   the chosen index actually probe on?  (The same Catalog lookups, so
-   the model and the executor agree query by query.) *)
-let index_probe_cols cat (bd : A.binding) cols =
-  match Catalog.table_opt cat bd.A.source with
-  | None -> None
-  | Some base -> (
-      let name = Table.name base in
-      let sorted_exact =
-        List.find_map
-          (fun perm ->
-            match Catalog.sorted_index_on cat ~table:name (List.hd perm) with
-            | Some idx
-              when Array.length (Sorted_index.positions idx)
-                   = List.length perm ->
-                let idx_cols =
-                  Array.to_list (Sorted_index.positions idx)
-                  |> List.map (fun p ->
-                         (Schema.col (Table.schema base) p).Schema.name)
-                in
-                if List.sort compare idx_cols = List.sort compare cols then
-                  Some idx_cols
-                else None
-            | _ -> None)
-          (List.map (fun c -> [ c ]) cols
-          @ if List.length cols > 1 then [ cols; List.rev cols ] else [])
-      in
-      match sorted_exact with
-      | Some ic -> Some ic
-      | None -> (
-          match Catalog.hash_index_covering cat ~table:name cols with
-          | Some (_, ic) -> Some ic
-          | None ->
-              List.find_opt
-                (fun c -> Catalog.sorted_index_on cat ~table:name c <> None)
-                cols
-              |> Option.map (fun c -> [ c ])))
-
-(* mirror of Naive.static_subtree, on the correlation structure alone *)
-let static_subtree (b : A.block) =
-  List.for_all
-    (fun (blk : A.block) -> blk.A.correlated = [])
-    (A.collect_blocks b)
-
 let rec naive_child env cat acc ~outer (c : A.child) =
   let b = c.A.block in
-  let probes = if static_subtree b then 1.0 else outer in
-  (match (b.A.bindings, equi_probe_cols b) with
+  let probes = if Nra_exec.Naive.static_subtree b then 1.0 else outer in
+  (match (b.A.bindings, List.map fst (Nra_exec.Naive.equi_probes b)) with
   | [ bd ], (_ :: _ as cols) -> (
-      match index_probe_cols cat bd cols with
-      | Some ic ->
+      match Nra_exec.Naive.index_choice cat bd cols with
+      | Some (ic, _) ->
           let raw = C.probe_fanout env b ic in
           let table_pages =
             pages (float_of_int (Table.cardinality bd.A.table))
@@ -195,45 +134,39 @@ let magic_cost env cat (t : A.t) acc =
 
 (* ---------- the nested relational approach ---------- *)
 
-let nra_cost env _cat (opts : Nra_exec.Nra.options) (t : A.t) acc =
-  acc.seq <- acc.seq +. block_scan_pages t.A.root;
-  let outer = C.block_card env t.A.root in
+(* One walk over the plan's linking sites, charging what the executor
+   charges: one scan per block, and the per-tuple fetch of every wide
+   (outer-join) intermediate at a join+nest site, after the sites its
+   standalone reduction runs and before the sites that join against the
+   widened frame.  [nest] sees each join+nest site, its nest and its
+   wide row count once the site's subtree is priced. *)
+let nra_walk ?(nest = fun _ _ ~rows:_ -> ()) env acc (p : Plan.t) =
+  let root = p.Plan.analyzed.A.root in
+  acc.seq <- acc.seq +. block_scan_pages root;
   (* left-outer-join output: every outer tuple survives (padded when
      unmatched), matched ones multiply by the fan-out *)
   let loj_out ~outer b = outer *. Float.max 1.0 (C.fanout env b) in
-  let rec go ~outer (c : A.child) =
-    let b = c.A.block in
-    let contained = A.self_contained b in
-    let equi = A.equi_correlation b <> None in
+  let rec go ~outer (n : Plan.node) =
+    let b = n.Plan.child.A.block in
     acc.seq <- acc.seq +. block_scan_pages b;
-    if contained && b.A.correlated = [] then
-      (* virtual Cartesian product: the subquery is reduced once *)
-      List.iter (go ~outer:(C.block_card env b)) b.A.children
-    else if opts.Nra_exec.Nra.push_down_nest && contained && equi then
-      (* §4.2.4: group the reduced child once, probe per outer tuple *)
-      List.iter (go ~outer:(C.block_card env b)) b.A.children
-    else if
-      opts.Nra_exec.Nra.positive_simplify
-      && b.A.children = []
-      && A.child_positive c
-      && b.A.correlated <> []
-    then
-      (* §4.2.5: semijoin, no wide intermediate *)
-      ()
-    else if opts.Nra_exec.Nra.bottom_up_linear && contained then begin
-      (* §4.2.3: reduce standalone, then one join+nest at this level *)
-      List.iter (go ~outer:(C.block_card env b)) b.A.children;
-      acc.fetch <- acc.fetch +. loj_out ~outer b
-    end
-    else begin
-      (* Algorithm 1: left outer join into the wide intermediate,
-         children join against the widened relation *)
-      let out = loj_out ~outer b in
-      acc.fetch <- acc.fetch +. out;
-      List.iter (go ~outer:out) b.A.children
-    end
+    let standalone () =
+      List.iter (go ~outer:(C.block_card env b)) n.Plan.sub
+    in
+    match n.Plan.impl with
+    | Plan.Shared_set | Plan.Push_down -> standalone ()
+    | Plan.Semijoin -> ()
+    | Plan.Bottom_up nf ->
+        standalone ();
+        let rows = loj_out ~outer b in
+        acc.fetch <- acc.fetch +. rows;
+        nest n nf ~rows
+    | Plan.Top_down nf ->
+        let rows = loj_out ~outer b in
+        acc.fetch <- acc.fetch +. rows;
+        List.iter (go ~outer:rows) n.Plan.sub;
+        nest n nf ~rows
   in
-  List.iter (go ~outer) t.A.root.A.children
+  List.iter (go ~outer:(C.block_card env root)) p.Plan.roots
 
 (* ---------- assembly ---------- *)
 
@@ -243,6 +176,11 @@ let price (bd : breakdown) =
   +. (bd.rand_pages *. c.Iosim.t_rand_ms)
   +. (bd.fetched_rows *. c.Iosim.t_fetch_ms)
 
+let plan_breakdown ?nest cat (p : Plan.t) =
+  let acc = { seq = 0.0; rand = 0.0; fetch = 0.0 } in
+  nra_walk ?nest (C.make_env cat p.Plan.analyzed) acc p;
+  { seq_pages = acc.seq; rand_pages = acc.rand; fetched_rows = acc.fetch }
+
 let estimate cat (t : A.t) strategy =
   let env = C.make_env cat t in
   let acc = { seq = 0.0; rand = 0.0; fetch = 0.0 } in
@@ -250,9 +188,9 @@ let estimate cat (t : A.t) strategy =
   | Naive -> naive_cost env cat t acc
   | Classical -> classical_cost env cat t acc
   | Magic -> magic_cost env cat t acc
-  | Nra_original -> nra_cost env cat Nra_exec.Nra.original t acc
-  | Nra_optimized -> nra_cost env cat Nra_exec.Nra.optimized t acc
-  | Nra_full -> nra_cost env cat Nra_exec.Nra.full t acc);
+  | Nra_original -> nra_walk env acc (Plan.lift ~base:Nx.original t)
+  | Nra_optimized -> nra_walk env acc (Plan.lift ~base:Nx.optimized t)
+  | Nra_full -> nra_walk env acc (Plan.lift ~base:Nx.full t));
   let breakdown =
     { seq_pages = acc.seq; rand_pages = acc.rand; fetched_rows = acc.fetch }
   in

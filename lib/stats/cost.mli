@@ -13,10 +13,15 @@
       inner rescan when no index applies;
     - Classical semijoin/antijoin reductions and Magic's pushed
       selections are scan-only (in-memory hash joins);
-    - the NRA variants pay the per-tuple engine→procedure fetch for
-      every wide-intermediate tuple they materialize; the §4.2 shortcuts
-      (push-down nest, positive simplification, standalone reduction)
-      skip those fetches exactly where the executor does.
+    - nested iteration prices the access path the executor takes:
+      {!Nra_exec.Naive}'s equi-probe columns, index choice and
+      evaluate-once test are the ones it runs with;
+    - the NRA variants price the plan the executor runs,
+      [Plan.lift ~base] of the strategy's options: every
+      wide-intermediate tuple pays the per-tuple engine→procedure fetch,
+      and the §4.2 shortcuts (push-down nest, positive simplification,
+      standalone reduction) skip those fetches exactly at the sites the
+      plan takes them.
 
     Ties are broken by a fixed preference order —
     Classical > Nra_full > Magic > Nra_optimized > Nra_original > Naive
@@ -51,6 +56,19 @@ type estimate = {
 }
 
 val estimate : Catalog.t -> Analyze.t -> strategy -> estimate
+
+val pages : float -> float
+(** Pages that many rows occupy (at least one). *)
+
+val price : breakdown -> float
+(** A breakdown's simulated milliseconds at the current {!Iosim.config}. *)
+
+val plan_breakdown :
+  ?nest:(Nra_exec.Plan.node -> Nra_exec.Plan.nest -> rows:float -> unit) ->
+  Catalog.t -> Nra_exec.Plan.t -> breakdown
+(** The scan and fetch charges of an NRA plan, as {!estimate} prices
+    the NRA strategies.  [nest] sees every join+nest site, its nest and
+    its estimated wide row count. *)
 
 val estimates : Catalog.t -> Analyze.t -> estimate list
 (** All six, cheapest first (ties in preference order). *)

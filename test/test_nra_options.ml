@@ -15,18 +15,14 @@ let option_space =
         (fun bottom_up ->
           List.concat_map
             (fun push_down ->
-              List.concat_map
+              List.map
                 (fun positive ->
-                  List.map
-                    (fun nest_impl ->
-                      {
-                        N.pipelined;
-                        nest_impl;
-                        bottom_up_linear = bottom_up;
-                        push_down_nest = push_down;
-                        positive_simplify = positive;
-                      })
-                    [ `Sort; `Hash ])
+                  {
+                    N.pipelined;
+                    bottom_up_linear = bottom_up;
+                    push_down_nest = push_down;
+                    positive_simplify = positive;
+                  })
                 bools)
             bools)
         bools)
@@ -150,7 +146,7 @@ let test_fused_sites () =
   let run options sql =
     let t = analyze cat sql in
     let _, st = N.run_where ~options cat t in
-    (st, N.plan_description ~options t)
+    (st, N.plan_description (Exec.Plan.lift ~base:options t))
   in
   let expect name sql ~fused =
     let st_opt, plan_opt = run N.optimized sql in
@@ -188,7 +184,7 @@ let test_plan_description () =
        where emp.dept_id = dept.dept_id and not exists (select * from \
        project where project.lead_emp = emp.emp_id))"
   in
-  let plan = N.plan_description t in
+  let plan = N.plan_description (Exec.Plan.lift ~base:N.optimized t) in
   Alcotest.(check bool) "starts from T1" true (contains plan "T1 :=");
   Alcotest.(check bool) "outer join shown" true (contains plan "⟕");
   Alcotest.(check bool) "nest shown" true (contains plan "ν by");
@@ -197,7 +193,7 @@ let test_plan_description () =
   Alcotest.(check bool) "discard at the top" true
     (contains plan "σ[dept.budget <= ALL");
   (* the full options report the shortcut they take *)
-  let plan_full = N.plan_description ~options:N.full t in
+  let plan_full = N.plan_description (Exec.Plan.lift ~base:N.full t) in
   Alcotest.(check bool) "bottom-up reported" true
     (contains plan_full "§4.2.3" || contains plan_full "§4.2.4");
   (* explain exposes the pipeline *)
@@ -215,12 +211,12 @@ let test_ja_plan_description () =
   in
   let cat = emp_dept_catalog () in
   let t = analyze cat ja_sql in
-  let plan = N.plan_description t in
+  let plan = N.plan_description (Exec.Plan.lift ~base:N.optimized t) in
   Alcotest.(check bool) "aggregate value set rendered" true
     (contains plan "{max(…)}");
   (* a JA site is never positive: the §4.2.5 semijoin shortcut must not
      be reported even under the full options *)
-  let plan_full = N.plan_description ~options:N.full t in
+  let plan_full = N.plan_description (Exec.Plan.lift ~base:N.full t) in
   Alcotest.(check bool) "no semijoin shortcut on a JA link" false
     (contains plan_full "§4.2.5");
   match Nra.explain cat ja_sql with
@@ -234,7 +230,7 @@ let () =
     [
       ( "equivalence",
         [
-          Alcotest.test_case "all 32 option combinations" `Quick
+          Alcotest.test_case "all 16 option combinations" `Quick
             test_option_space;
           Alcotest.test_case "deep linear chain" `Quick
             test_deep_linear_bottom_up;

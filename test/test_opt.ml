@@ -10,7 +10,7 @@
 open Nra
 open Test_support
 module Cfg = Nra.Opt.Config
-module Plan = Nra.Opt.Plan
+module Plan = Nra.Exec.Plan
 module Rw = Nra.Opt.Rewrite
 module Nx = Nra.Exec.Nra_exec
 module An = Nra.Planner.Analyze
@@ -75,11 +75,11 @@ let test_config_epoch () =
     (Nra.rewrite_signature () <> s0);
   reset ()
 
-(* ---------- per-rule preconditions on the lifted IR ----------
+(* ---------- per-rule preconditions on the lifted plan ----------
 
    [Rw.propose] is the structural gate alone (no costing): each rule
-   must offer an edit exactly where the executor's runtime validation
-   would accept the directive. *)
+   must offer an edit exactly where [Plan.admissible] holds for it, the
+   check the executor asserts. *)
 
 let exists_equi =
   "select dname from dept where exists (select * from emp where \
@@ -189,10 +189,82 @@ let test_gate_monotone () =
                 (e.Rw.cost_after.Rw.ms < e.Rw.cost_before.Rw.ms)
           | Rw.Skipped _ -> ())
         r.Rw.trace;
+      let impls p = List.map (fun n -> n.Plan.impl) (Plan.nodes p) in
       if r.Rw.changed then
-        Alcotest.(check bool) "a changed plan compiles directives" true
-          (r.Rw.dirs <> []))
+        Alcotest.(check bool) "the rewritten plan differs from the lifted one"
+          true
+          (impls r.Rw.dirs
+          <> impls (Plan.lift ~base:Nx.original (analyze cat sql))))
     [ exists_equi; not_exists_equi; nested_under_negative; uncorrelated ]
+
+(* every proposal on every corpus site, under every base, is admissible
+   where it is proposed *)
+let test_proposals_admissible () =
+  let cat = emp_dept_catalog () in
+  List.iter
+    (fun sql ->
+      List.iter
+        (fun base ->
+          List.iter
+            (fun (n : Plan.node) ->
+              List.iter
+                (fun rule ->
+                  match Rw.propose rule n with
+                  | None -> ()
+                  | Some impl ->
+                      if not (Plan.admissible { n with Plan.impl }) then
+                        Alcotest.fail
+                          (Printf.sprintf "%s proposed %s at block %d: %s"
+                             (Cfg.rule_to_string rule)
+                             (Plan.impl_to_string impl)
+                             n.Plan.child.An.block.An.id sql))
+                Cfg.all)
+            (Plan.nodes (Plan.lift ~base (analyze cat sql))))
+        [ Nx.original; Nx.optimized; Nx.full ])
+    subquery_corpus
+
+(* ---------- the executor runs the plan as given ----------
+
+   A hand-edited plan that puts an implementation where its structural
+   preconditions fail is rejected with [Invalid_argument] before any
+   row is produced — it never degrades to another implementation. *)
+
+let test_inadmissible_plan_raises () =
+  let cat = emp_dept_catalog () in
+  let check name sql ~id ~impl =
+    let t = analyze cat sql in
+    let plan = Plan.replace (Plan.lift ~base:Nx.original t) ~id ~impl in
+    Alcotest.(check bool) (name ^ ": not admissible") false
+      (Plan.admissible (node_of plan id));
+    match Nx.run_where ~directives:plan cat t with
+    | _ -> Alcotest.fail (name ^ ": an inadmissible plan returned rows")
+    | exception Invalid_argument _ -> ()
+  in
+  check "semijoin on NOT EXISTS" not_exists_equi ~id:2 ~impl:Plan.Semijoin;
+  check "push-down on a non-equi site" non_equi_corr ~id:2
+    ~impl:Plan.Push_down;
+  (* a discard context the node's position contradicts is rejected too *)
+  let t = analyze cat nested_under_negative in
+  let plan = Plan.lift ~base:Nx.original t in
+  let lie =
+    {
+      plan with
+      Plan.roots =
+        List.map
+          (fun (n : Plan.node) ->
+            {
+              n with
+              Plan.sub =
+                List.map
+                  (fun (m : Plan.node) -> { m with Plan.discard_ok = true })
+                  n.Plan.sub;
+            })
+          plan.Plan.roots;
+    }
+  in
+  match Nx.run_where ~directives:lie cat t with
+  | _ -> Alcotest.fail "a contradicted discard context returned rows"
+  | exception Invalid_argument _ -> ()
 
 (* ---------- rewritten vs unrewritten: byte-identical CSV ----------
 
@@ -383,6 +455,13 @@ let () =
         [
           Alcotest.test_case "no rules, no change" `Quick test_gate_no_rules;
           Alcotest.test_case "monotone estimates" `Quick test_gate_monotone;
+        ] );
+      ( "plan",
+        [
+          Alcotest.test_case "proposals are admissible" `Quick
+            test_proposals_admissible;
+          Alcotest.test_case "inadmissible plan raises" `Quick
+            test_inadmissible_plan_raises;
         ] );
       ( "identity",
         [ Alcotest.test_case "rewritten = unrewritten" `Slow

@@ -258,6 +258,80 @@ let test_auto_within_tolerance () =
              best rows))
     [ 500.; 16_000. ]
 
+(* ---------- the estimators price what executes ---------- *)
+
+let analyze cat sql =
+  match Planner.Analyze.analyze_string cat sql with
+  | Ok t -> t
+  | Error m -> Alcotest.fail m
+
+(* Naive's estimated pages against the pages it charges.  Both queries
+   probe per outer tuple: the first because its linked attribute reads
+   the outer block (so the subquery is not evaluated once), the second
+   through region's key index.  The estimate counts each probe's page
+   misses without the LRU cache in front of row fetches, so the run
+   goes without it too. *)
+let test_naive_access_path () =
+  let cat =
+    Tpch.Gen.generate { Tpch.Gen.default with Tpch.Gen.scale = 0.002 }
+  in
+  (match Nra.exec cat "analyze" with Ok _ -> () | Error m -> Alcotest.fail m);
+  let saved = I.config () in
+  Fun.protect
+    ~finally:(fun () -> I.set_config saved)
+    (fun () ->
+      Fault.disable ();
+      Bufpool.set_frames None;
+      I.set_config { saved with I.cache_pages = 0 };
+      List.iter
+        (fun sql ->
+          let e = Stats.Cost.estimate cat (analyze cat sql) Stats.Cost.Naive in
+          I.reset ();
+          ignore (Nra.query_exn ~strategy:Nra.Naive cat sql);
+          let c = I.counters () in
+          let b = e.Stats.Cost.breakdown in
+          Alcotest.(check (float 0.0)) ("seq pages: " ^ sql)
+            (float_of_int c.I.seq_pages) b.Stats.Cost.seq_pages;
+          Alcotest.(check (float 0.0)) ("random pages: " ^ sql)
+            (float_of_int c.I.rand_pages) b.Stats.Cost.rand_pages)
+        [
+          "select n_name from nation where n_regionkey > all (select \
+           nation.n_regionkey + r_regionkey from region)";
+          "select n_name from nation where exists (select * from region \
+           where r_regionkey = n_regionkey)";
+        ])
+
+(* Query 3-B with < ALL over a correlated EXISTS: the EXISTS site is a
+   σ̄ site (its parent's link is not positive), so nra-full cannot turn
+   it into a semijoin and reduces it bottom-up.  The estimate must price
+   that plan — not one that skips its wide intermediate — so Auto's
+   attempt budget holds and it never falls back. *)
+let test_nra_full_prices_its_plan () =
+  let cat = tpch_cat () in
+  Fault.disable ();
+  let sql =
+    Tpch.Queries.q3 ~quant:Tpch.Queries.All ~exists:true
+      ~variant:Tpch.Queries.B ~size_lo:1 ~size_hi:12 ~availqty_max:2000
+      ~quantity:25
+  in
+  let t = analyze cat sql in
+  (match Exec.Plan.find (Exec.Plan.lift ~base:Exec.Nra_exec.full t) 3 with
+  | Some { Exec.Plan.impl = Exec.Plan.Bottom_up _; discard_ok = false; _ } ->
+      ()
+  | _ -> Alcotest.fail "block 3 should run bottom-up under σ̄");
+  let fetched s =
+    (Stats.Cost.estimate cat t s).Stats.Cost.breakdown.Stats.Cost.fetched_rows
+  in
+  Alcotest.(check bool) "nra-full fetches no fewer rows than nra-optimized"
+    true
+    (fetched Stats.Cost.Nra_full >= fetched Stats.Cost.Nra_optimized);
+  let before = (Guard.events ()).Guard.auto_fallbacks in
+  (match Nra.query ~strategy:Nra.Auto cat sql with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check int) "no auto fallback" before
+    (Guard.events ()).Guard.auto_fallbacks
+
 (* ---------- budget-aware pick (Guard.remaining -> Cost.pick) ---------- *)
 
 let test_budget_pick_flips () =
@@ -321,6 +395,13 @@ let () =
           Alcotest.test_case "command" `Quick test_analyze_command;
           Alcotest.test_case "staleness" `Quick test_staleness;
           Alcotest.test_case "explain costs" `Quick test_explain_costs;
+        ] );
+      ( "estimates",
+        [
+          Alcotest.test_case "naive access path" `Quick
+            test_naive_access_path;
+          Alcotest.test_case "nra-full prices its plan" `Quick
+            test_nra_full_prices_its_plan;
         ] );
       ( "auto",
         [
