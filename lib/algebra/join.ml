@@ -209,9 +209,10 @@ let hash_parallel ~lpos ~rpos ~residual_pred ~lvecs ~rvecs left_rows
    [h mod nparts], spills preserve arrival order so each partition
    table is built in build order, and [probe_one] against the
    partition table sees exactly the rows the global table's
-   [find_all h] would return.  Left matches are collected into a
-   per-row array indexed by the original position (spilled left rows
-   carry their index). *)
+   [find_all h] would return.  A partition holds row positions, not
+   rows: it is rebuilt from [right_rows] and probed with [left_rows],
+   hashing through the same key vectors as the build pass, and the
+   matches land in the per-row array at the spilled left position. *)
 let hash_grace ~lpos ~rpos ~residual_pred ~frames ~lvecs ~rvecs left_rows
     right_rows =
   let module B = Nra_storage.Bufpool in
@@ -238,12 +239,11 @@ let hash_grace ~lpos ~rpos ~residual_pred ~frames ~lvecs ~rvecs left_rows
         let h = vec_hash rvecs rpos rrow i in
         let p = h land max_int mod nparts in
         if p = 0 then Hashtbl.add tbl0 h rrow
-        else B.Spill.add rspills.(p - 1) rrow
+        else B.Spill.add rspills.(p - 1) i
       end)
     right_rows;
   Array.iter B.Spill.finish rspills;
-  (* probe pass: partition 0 resolved immediately, the rest deferred
-     with the row's original index prepended *)
+  (* probe pass: partition 0 resolved immediately, the rest deferred *)
   let n = Array.length left_rows in
   let matches = Array.make n [] in
   Array.iteri
@@ -254,7 +254,7 @@ let hash_grace ~lpos ~rpos ~residual_pred ~frames ~lvecs ~rvecs left_rows
         let p = h land max_int mod nparts in
         if p = 0 then
           matches.(i) <- probe_one tbl0 ~h ~lpos ~rpos ~residual_pred lrow
-        else B.Spill.add lspills.(p - 1) (Array.append [| Value.Int i |] lrow)
+        else B.Spill.add lspills.(p - 1) i
       end)
     left_rows;
   Array.iter B.Spill.finish lspills;
@@ -275,17 +275,16 @@ let hash_grace ~lpos ~rpos ~residual_pred ~frames ~lvecs ~rvecs left_rows
              Pool.Ledger.tick ledger;
              let rsp = rspills.(k) in
              let tbl = Hashtbl.create (max 16 (B.Spill.length rsp)) in
-             B.Spill.iter_raw rsp (fun rrow ->
-                 Hashtbl.add tbl (Row.hash_on rpos rrow) rrow);
-             B.Spill.iter_raw lspills.(k) (fun packed ->
+             B.Spill.iter_raw rsp (fun j ->
+                 let rrow = right_rows.(j) in
+                 Hashtbl.add tbl (vec_hash rvecs rpos rrow j) rrow);
+             B.Spill.iter_raw lspills.(k) (fun i ->
                  Pool.Ledger.tick ledger;
-                 let i =
-                   match packed.(0) with Value.Int i -> i | _ -> assert false
-                 in
-                 let lrow = Array.sub packed 1 (Array.length packed - 1) in
+                 let lrow = left_rows.(i) in
                  matches.(i) <-
-                   probe_one tbl ~h:(Row.hash_on lpos lrow) ~lpos ~rpos
-                     ~residual_pred lrow);
+                   probe_one tbl
+                     ~h:(vec_hash lvecs lpos lrow i)
+                     ~lpos ~rpos ~residual_pred lrow);
              Pool.Ledger.consumed_spill ledger rsp;
              Pool.Ledger.consumed_spill ledger lspills.(k)
            done));

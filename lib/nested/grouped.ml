@@ -133,12 +133,13 @@ let nest_hash_parallel ~by ~keep ~khash rows =
   Array.map snd all
 
 (* Spillable variant: when the input exceeds the buffer pool's frame
-   budget, partition the projected (key, elem) stream by key hash into
-   buckets sized to fit the budget.  Bucket 0 nests in memory as rows
-   arrive (hybrid); the others spill through Bufpool.Spill — charged
+   budget, partition the rows by key hash into buckets sized to fit the
+   budget.  Bucket 0 nests in memory as rows arrive (hybrid); the
+   others spill their row positions through Bufpool.Spill — charged
    page writes, charged page re-reads when each partition nests on its
-   own — with the row's original index prepended so the final
-   first-index sort restores the exact serial first-seen key order.
+   own, projecting key and element only then — and the positions
+   double as first-seen indices, so the final first-index sort
+   restores the exact serial first-seen key order.
    Bit-identical to [nest_hash_serial] by the same argument as
    [nest_hash_parallel]: every occurrence of a key lands in one
    partition, in row order. *)
@@ -148,25 +149,27 @@ let nest_hash_spill ~by ~keep ~frames ~khash rows =
   let budget = max 1 (frames - 1) in
   let input_pages = Nra_storage.Iosim.pages n in
   let nparts = min 64 (max 2 ((input_pages + budget - 1) / budget)) in
-  let karity = Array.length by and earity = Array.length keep in
   let tbl0 : Row.t list ref Row.Tbl.t = Row.Tbl.create 64 in
   let order0 = ref [] in
   let spills =
     Array.init (nparts - 1) (fun p -> B.Spill.create (Printf.sprintf "ns%d" p))
   in
   Fun.protect ~finally:(fun () -> Array.iter B.Spill.free spills) @@ fun () ->
+  let nest_row tbl order i =
+    nest_into tbl order i
+      (Row.project_arr rows.(i) by)
+      (Row.project_arr rows.(i) keep)
+  in
   Array.iteri
     (fun i row ->
-      let key = Row.project_arr row by in
-      let elem = Row.project_arr row keep in
+      (* [Row.hash_on by] is [Row.hash] of the projected key *)
       let h =
-        match khash with Some v -> Array.unsafe_get v i | None -> Row.hash key
+        match khash with
+        | Some v -> Array.unsafe_get v i
+        | None -> Row.hash_on by row
       in
       let p = h land max_int mod nparts in
-      if p = 0 then nest_into tbl0 order0 i key elem
-      else
-        B.Spill.add spills.(p - 1)
-          (Array.concat [ [| Value.Int i |]; key; elem ]))
+      if p = 0 then nest_row tbl0 order0 i else B.Spill.add spills.(p - 1) i)
     rows;
   Array.iter B.Spill.finish spills;
   (* spilled partitions nest under the Domain pool, one chunk per
@@ -186,13 +189,7 @@ let nest_hash_spill ~by ~keep ~frames ~khash rows =
             let sp = spills.(k) in
             let tbl : Row.t list ref Row.Tbl.t = Row.Tbl.create 64 in
             let order = ref [] in
-            B.Spill.iter_raw sp (fun packed ->
-                let i =
-                  match packed.(0) with Value.Int i -> i | _ -> assert false
-                in
-                let key = Array.sub packed 1 karity in
-                let elem = Array.sub packed (1 + karity) earity in
-                nest_into tbl order i key elem);
+            B.Spill.iter_raw sp (nest_row tbl order);
             acc := List.rev_append (finish_groups order) !acc;
             Pool.Ledger.consumed_spill ledger sp
           done;

@@ -560,35 +560,3 @@ let filter_plan pred rel =
     | None -> None
     | Some producer ->
         Some (fun ~lo ~hi -> Bitset.indices ~base:lo (producer ~lo ~hi))
-
-(* ------------------------------------------------------------------ *)
-(* Columnar spill pages: a page of rows packed column-wise, so spilled
-   partitions hold unboxed ints/floats instead of per-cell Value
-   blocks.  Reconstruction preserves constructors exactly (the Boxed
-   fallback catches mixed columns), so spilled-and-reread rows are
-   structurally identical to what was written. *)
-
-type packed = { plen : int; pcols : (col * Bitset.t) array }
-
-let pack rows =
-  let n = Array.length rows in
-  if n = 0 then Some { plen = 0; pcols = [||] }
-  else
-    let arity = Array.length rows.(0) in
-    if Array.exists (fun r -> Array.length r <> arity) rows then None
-    else
-      Some
-        {
-          plen = n;
-          pcols =
-            Array.init arity (fun ci ->
-                build_column (fun i -> rows.(i).(ci)) n);
-        }
-
-let packed_length p = p.plen
-
-let packed_iter p f =
-  let arity = Array.length p.pcols in
-  for i = 0 to p.plen - 1 do
-    f (Array.init arity (fun c -> value_at p.pcols.(c) i))
-  done

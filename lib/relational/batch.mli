@@ -21,8 +21,7 @@
     structurally exact for every relation.
 
     See docs/PERF.md ("Columnar batches") for layout and the
-    vectorizable predicate subset, docs/STORAGE.md for the columnar
-    spill page format built on {!pack}. *)
+    vectorizable predicate subset. *)
 
 (** {1 Toggle}
 
@@ -111,18 +110,3 @@ val filter_plan :
     the predicate is outside the subset ([Not] does not decompose
     under WHERE semantics; [Like] and arithmetic can raise) — callers
     then fall back to [Expr.holds] rows. *)
-
-(** {1 Columnar spill pages}
-
-    [Bufpool.Spill] packs each flushed page column-wise when the
-    columnar core is enabled: unboxed cell storage instead of per-cell
-    [Value.t] blocks, reconstructed exactly on re-read. *)
-
-type packed
-
-val pack : Row.t array -> packed option
-(** [None] if rows disagree on arity (never the case for spill pages). *)
-
-val packed_length : packed -> int
-val packed_iter : packed -> (Row.t -> unit) -> unit
-(** Rebuild and visit rows in order; pure, callable from workers. *)

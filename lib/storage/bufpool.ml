@@ -33,15 +33,14 @@ type stats = {
   spilled_pages : int;
 }
 
-let zero_stats =
-  {
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    writebacks = 0;
-    spilled_partitions = 0;
-    spilled_pages = 0;
-  }
+(* the live counters: bumped in place on every access, so the hot
+   paths allocate nothing; [stats] takes a snapshot *)
+let hits = ref 0
+let misses = ref 0
+let evictions = ref 0
+let writebacks = ref 0
+let spilled_partitions = ref 0
+let spilled_pages = ref 0
 
 type meta = {
   key : string * int;
@@ -57,18 +56,28 @@ let ids : (string * int, int) Hashtbl.t = Hashtbl.create 256
 let next_id = ref 0
 let metas : (int, meta) Hashtbl.t = Hashtbl.create 256
 let lru = ref (Lru.create ~capacity:max_int)
-let st = ref zero_stats
 
 let enabled () = !frame_budget <> None
 let frames () = !frame_budget
-let stats () = !st
+
+let stats () =
+  {
+    hits = !hits;
+    misses = !misses;
+    evictions = !evictions;
+    writebacks = !writebacks;
+    spilled_partitions = !spilled_partitions;
+    spilled_pages = !spilled_pages;
+  }
 
 let reset () =
   Hashtbl.reset ids;
   Hashtbl.reset metas;
   next_id := 0;
   lru := Lru.create ~capacity:max_int;
-  st := zero_stats
+  List.iter
+    (fun r -> r := 0)
+    [ hits; misses; evictions; writebacks; spilled_partitions; spilled_pages ]
 
 let set_frames n =
   reset ();
@@ -107,11 +116,11 @@ let rec enforce () =
             let m = Hashtbl.find metas i in
             if m.dirty then begin
               Fault.with_retries (fun () -> Iosim.charge_page_out 1);
-              st := { !st with writebacks = !st.writebacks + 1 }
+              incr writebacks
             end;
             Lru.remove !lru i;
             Hashtbl.remove metas i;
-            st := { !st with evictions = !st.evictions + 1 };
+            incr evictions;
             enforce ()
       end
 
@@ -122,11 +131,11 @@ let touch ~dirty ~charge key =
     let i = id_of key in
     match Hashtbl.find_opt metas i with
     | Some m ->
-        st := { !st with hits = !st.hits + 1 };
+        incr hits;
         ignore (Lru.touch !lru i);
         if dirty then m.dirty <- true
     | None ->
-        st := { !st with misses = !st.misses + 1 };
+        incr misses;
         if charge then Fault.with_retries (fun () -> Iosim.charge_page_in 1);
         ignore (Lru.touch !lru i);
         Hashtbl.replace metas i { key; dirty; pins = 0 };
@@ -167,109 +176,93 @@ let drop key =
 
 (* ---------- spill partitions ----------
 
-   A spill partition is an append-only run of pages holding rows that
-   exceeded the frame budget — the unit the grace hash join and the
-   spillable nest write out and later consume partition-at-a-time.  The
-   rows themselves stay on the OCaml heap (this is a simulation); what
-   the pool tracks is that the partition's pages were *written* (dirty
-   frames, written back as the budget forces them out) and later *read*
-   (hits if still resident — which is exactly how a hybrid join's
-   lucky partitions become free — misses charged otherwise). *)
+   A spill partition is an append-only run of pages holding the rows
+   that exceeded the frame budget — the unit the grace hash join, the
+   spillable nest and the governor's over-budget stagings write out and
+   later consume partition-at-a-time.  The rows themselves stay on the
+   OCaml heap, in the array the operator already holds (this is a
+   simulation): a partition records only their positions in that
+   array.  What the pool tracks is that
+   the partition's pages were *written* (dirty frames, written back as
+   the budget forces them out) and later *read* (hits if still
+   resident — which is exactly how a hybrid join's lucky partitions
+   become free — misses charged otherwise).  A page is [rows_per_page]
+   consecutive positions, so page counts, charges and fault draws are
+   those of a partition of whole rows. *)
 
 module Spill = struct
-  (* A page is stored columnar ([Batch.pack]: typed unboxed columns +
-     null bitmaps, reconstructed exactly on re-read) when the columnar
-     core is enabled at flush time, row-wise otherwise.  Page counts,
-     charges and fault draws are independent of the format — only the
-     in-heap representation of the spilled data changes. *)
-  type page =
-    | Prows of Nra_relational.Row.t array
-    | Packed of Nra_relational.Batch.packed
-
-  let iter_page f = function
-    | Prows rows -> Array.iter f rows
-    | Packed p -> Nra_relational.Batch.packed_iter p f
-
   type t = {
     tag : string;
-    mutable page_data : page list; (* newest first until [finish] *)
-    mutable finished : page array;
-    mutable buf : Nra_relational.Row.t list;
-    mutable buf_len : int;
+    per_page : int;
+    mutable pos : int array;
+    mutable len : int;
     mutable n_pages : int;
-    mutable rows : int;
   }
 
   let seq = ref 0
 
   let create label =
     incr seq;
+    let per_page = max 1 (Iosim.config ()).Iosim.rows_per_page in
     {
       tag = Printf.sprintf "spill:%s#%d" label !seq;
-      page_data = [];
-      finished = [||];
-      buf = [];
-      buf_len = 0;
+      per_page;
+      pos = [||];
+      len = 0;
       n_pages = 0;
-      rows = 0;
     }
 
-  let length t = t.rows
+  let length t = t.len
 
+  (* the page holding positions [n_pages * per_page, len) is complete:
+     write it (a dirty frame, charged when the budget forces it out) *)
   let flush_page t =
-    if t.buf_len > 0 then begin
-      if t.n_pages = 0 then
-        st := { !st with spilled_partitions = !st.spilled_partitions + 1 };
-      let rows = Array.of_list (List.rev t.buf) in
-      let page =
-        if Nra_relational.Batch.enabled () then
-          match Nra_relational.Batch.pack rows with
-          | Some p -> Packed p
-          | None -> Prows rows
-        else Prows rows
-      in
-      t.page_data <- page :: t.page_data;
-      t.buf <- [];
-      t.buf_len <- 0;
+    if t.len > t.n_pages * t.per_page then begin
+      if t.n_pages = 0 then incr spilled_partitions;
       write (t.tag, t.n_pages);
       t.n_pages <- t.n_pages + 1;
-      st := { !st with spilled_pages = !st.spilled_pages + 1 }
+      incr spilled_pages
     end
 
-  let add t row =
-    t.buf <- row :: t.buf;
-    t.buf_len <- t.buf_len + 1;
-    t.rows <- t.rows + 1;
-    if t.buf_len >= (Iosim.config ()).Iosim.rows_per_page then flush_page t
+  let add t i =
+    if t.len = Array.length t.pos then begin
+      let grown = Array.make (max t.per_page (2 * t.len)) 0 in
+      Array.blit t.pos 0 grown 0 t.len;
+      t.pos <- grown
+    end;
+    t.pos.(t.len) <- i;
+    t.len <- t.len + 1;
+    if t.len mod t.per_page = 0 then flush_page t
 
-  let finish t =
-    flush_page t;
-    t.finished <- Array.of_list (List.rev t.page_data);
-    t.page_data <- []
+  let finish t = flush_page t
+
+  let iter_page t p f =
+    for j = p * t.per_page to min t.len ((p + 1) * t.per_page) - 1 do
+      f (Array.unsafe_get t.pos j)
+    done
 
   let iter t f =
-    Array.iteri
-      (fun p rows ->
-        let key = (t.tag, p) in
-        pin key;
-        Fun.protect
-          ~finally:(fun () -> unpin key)
-          (fun () -> iter_page f rows))
-      t.finished
+    for p = 0 to t.n_pages - 1 do
+      let key = (t.tag, p) in
+      pin key;
+      Fun.protect ~finally:(fun () -> unpin key) (fun () -> iter_page t p f)
+    done
 
   (* pure data walk for worker domains: no pool residency, no charges,
      no fault draws.  The owner must replay the partition's page reads
      with [account_consumed] at the join barrier. *)
-  let iter_raw t f = Array.iter (fun page -> iter_page f page) t.finished
+  let iter_raw t f =
+    for p = 0 to t.n_pages - 1 do
+      iter_page t p f
+    done
 
   let free t =
     for p = 0 to t.n_pages - 1 do
       drop (t.tag, p)
     done;
-    t.finished <- [||];
-    t.page_data <- []
-
-  let pages t = t.n_pages
+    t.n_pages <- 0;
+    t.len <- 0;
+    t.pos <- [||]
 
   (* owner-side replay of a partition a worker consumed with
      [iter_raw]: pin/unpin every page in order (hits if resident,
@@ -278,12 +271,11 @@ module Spill = struct
      join barrier in partition order, so charges and faults land in the
      same sequence at every pool size. *)
   let account_consumed t =
-    Array.iteri
-      (fun p _ ->
-        let key = (t.tag, p) in
-        pin key;
-        unpin key)
-      t.finished;
+    for p = 0 to t.n_pages - 1 do
+      let key = (t.tag, p) in
+      pin key;
+      unpin key
+    done;
     free t
 end
 

@@ -68,14 +68,19 @@ val drop : string * int -> unit
 val resident : string * int -> bool
 (** Residency test without promoting or charging (for tests). *)
 
-(** Append-only spilled partitions — the unit the grace hash join and
-    the spillable nest write when their build side exceeds the frame
-    budget.  Rows are buffered into pages of [rows_per_page] rows; each
-    full page is a {!write} (dirty frame, written back as the budget
-    forces it out) and each page revisited by [iter] is a {!read}
-    (free if still resident — how a hybrid join's lucky partitions
-    become free — charged otherwise), pinned while its rows are
-    consumed. *)
+(** Append-only spilled partitions — the unit the grace hash join, the
+    spillable nest and the governor's over-budget stagings write when
+    their input exceeds the frame budget.  The rows stay where the
+    caller already holds them: a partition is a paged list of {e row
+    positions} into the caller's array, and [iter] hands the positions
+    back in the order they were added.  Positions are buffered into
+    pages of [rows_per_page] entries (the {!Iosim} page size when the
+    partition is created), so a partition has as many pages as one of
+    whole rows would; each full page is a {!write} (dirty frame,
+    written back as the budget forces it out) and each page revisited
+    by [iter] is a {!read} (free if still resident — how a hybrid
+    join's lucky partitions become free — charged otherwise), pinned
+    while its positions are consumed. *)
 module Spill : sig
   type t
 
@@ -83,27 +88,30 @@ module Spill : sig
   (** [create label] — a fresh empty partition; the label only
       namespaces page identities for debugging. *)
 
-  val add : t -> Nra_relational.Row.t -> unit
+  val add : t -> int -> unit
+  (** Append a row position; completing a page writes it. *)
+
   val length : t -> int
+  (** Number of positions added. *)
 
   val finish : t -> unit
   (** Flush the final partial page.  Call once, before [iter]. *)
 
-  val iter : t -> (Nra_relational.Row.t -> unit) -> unit
+  val iter : t -> (int -> unit) -> unit
+  (** Every position, in the order added, page by page: each page is
+      pinned (charged as {!read} if not resident) while its positions
+      are consumed. *)
 
-  val iter_raw : t -> (Nra_relational.Row.t -> unit) -> unit
-  (** Walk the partition's rows without touching the pool: no residency
-      updates, no charges, no fault draws.  This is the only spill
-      entry point worker domains may call; the owning domain must
+  val iter_raw : t -> (int -> unit) -> unit
+  (** Walk the partition's positions without touching the pool: no
+      residency updates, no charges, no fault draws.  This is the only
+      spill entry point worker domains may call; the owning domain must
       account for the consumed pages afterwards with
       {!account_consumed}. *)
 
-  val pages : t -> int
-  (** Number of pages the partition materialized. *)
-
   val free : t -> unit
   (** Drop every page of the partition from the pool (no writebacks)
-      and release the row storage. *)
+      and release the position storage. *)
 
   val account_consumed : t -> unit
   (** Owner-side replay for a partition consumed via {!iter_raw}:

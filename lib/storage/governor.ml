@@ -13,9 +13,10 @@
    - when the buffer pool is enabled and the staging would not fit the
      frame budget ([Iosim.pages rows > frames]), the rows are routed
      through a [Bufpool.Spill] partition and read straight back — the
-     relation is byte-identical (spill preserves append order), but
-     the page-outs/page-ins are charged and fault-drawn like any other
-     spill traffic, and the staging never counts as resident;
+     partition holds row positions, so the relation handed on is the
+     staging itself, while the page-outs/page-ins are charged and
+     fault-drawn like any other spill traffic, and the staging never
+     counts as resident;
    - stagings kept in memory record [max_resident_pages], so a test
      can assert that no unspilled intermediate ever exceeded the frame
      budget.
@@ -77,23 +78,20 @@ let over_budget rows =
   | None -> false
   | Some f -> Iosim.pages rows > f
 
-(* write the staging out and read it straight back: pages are charged
-   (write-behind flushes, then one pinned read per page) and the rows
-   come back in exactly the order they went in *)
-let spill_roundtrip ~label rel =
-  let rows = Relation.rows rel in
+(* write a staging of [rows] rows out and read it straight back: pages
+   are charged (write-behind flushes, then one pinned read per page)
+   while the rows stay where they are — the partition holds only their
+   positions *)
+let spill_roundtrip ~label rows =
   let sp = Bufpool.Spill.create label in
   Fun.protect
     ~finally:(fun () -> Bufpool.Spill.free sp)
     (fun () ->
-      Array.iter (Bufpool.Spill.add sp) rows;
+      for i = 0 to rows - 1 do
+        Bufpool.Spill.add sp i
+      done;
       Bufpool.Spill.finish sp;
-      let out = Array.make (Array.length rows) [||] in
-      let i = ref 0 in
-      Bufpool.Spill.iter sp (fun r ->
-          out.(!i) <- r;
-          incr i);
-      Relation.make (Relation.schema rel) out)
+      Bufpool.Spill.iter sp ignore)
 
 let with_staged ~label rel f =
   let rows = Relation.cardinality rel in
@@ -110,7 +108,8 @@ let with_staged ~label rel f =
         spilled_stagings = !st.spilled_stagings + 1;
         spilled_rows = !st.spilled_rows + rows;
       };
-    f (spill_roundtrip ~label rel)
+    spill_roundtrip ~label rows;
+    f rel
   end
   else begin
     let p = Iosim.pages rows in

@@ -9,10 +9,9 @@
       charged to a live-bytes ledger with a high-water mark, surfaced
       in [explain --costs] and [query --time];
     - when the buffer pool is enabled and the staging exceeds the
-      frame budget, its rows are routed through a {!Bufpool.Spill}
-      partition and read straight back — byte-identical (spill
-      preserves order), with the page traffic charged and fault-drawn
-      like any other spill I/O;
+      frame budget, its row positions are routed through a
+      {!Bufpool.Spill} partition and read straight back, with the page
+      traffic charged and fault-drawn like any other spill I/O;
     - stagings kept in memory record {!field:max_resident_pages}, so
       tests can assert no unspilled intermediate ever exceeded the
       budget.
@@ -53,10 +52,10 @@ val with_staged :
   (Nra_relational.Relation.t -> 'a) ->
   'a
 (** [with_staged ~label rel f] — charge the staged relation and hand
-    [f] either [rel] itself (fits the budget, counted resident) or its
-    spill round-trip (over budget: written to a spill partition and
-    read back in order, page traffic charged).  The relation [f]
-    receives is row-for-row identical either way. *)
+    [f] [rel] itself, counted resident when it fits the budget, or
+    after its spill round-trip when it does not (its row positions
+    written to a spill partition and read back, page traffic
+    charged). *)
 
 val over_budget : int -> bool
 (** Whether a staging of that many rows exceeds the enabled frame

@@ -1,6 +1,5 @@
-(* The columnar batch layer: round-trip exactness, kernel-service
-   equivalence with the row-at-a-time primitives, and the packed spill
-   page format.
+(* The columnar batch layer: round-trip exactness and kernel-service
+   equivalence with the row-at-a-time primitives.
 
    The properties here are what the bit-identity argument in
    docs/PERF.md rests on: [to_relation (of_relation r) = r]
@@ -137,18 +136,6 @@ let prop_roundtrip =
       Schema.equal_names (Relation.schema rel) (Relation.schema rel')
       && rows_identical (Relation.rows rel) (Relation.rows rel'))
 
-let prop_pack_roundtrip =
-  QCheck.Test.make ~count:500 ~name:"pack |> packed_iter rebuilds rows"
-    arb_relation (fun rel ->
-      let rows = Relation.rows rel in
-      match Batch.pack rows with
-      | None -> false (* uniform arity: pack must succeed *)
-      | Some p ->
-          let out = ref [] in
-          Batch.packed_iter p (fun r -> out := r :: !out);
-          Batch.packed_length p = Array.length rows
-          && rows_identical rows (Array.of_list (List.rev !out)))
-
 let prop_hash_on =
   QCheck.Test.make ~count:500 ~name:"hash_on matches Row.hash_on exactly"
     arb_relation (fun rel ->
@@ -219,11 +206,6 @@ let test_all_null_column () =
     "all-null column survives" true
     (rows_identical (Relation.rows rel) (Relation.rows rel'))
 
-let test_pack_ragged () =
-  Alcotest.(check bool)
-    "ragged arity refuses to pack" true
-    (Batch.pack [| [| vi 1 |]; [| vi 1; vi 2 |] |] = None)
-
 let test_cache_identity () =
   let rel =
     mk [ Schema.column "a" Ttype.Int ] [| [| vi 1 |]; [| vi 2 |] |]
@@ -282,7 +264,6 @@ let () =
           Alcotest.test_case "mixed int/float column" `Quick
             test_mixed_column_preserved;
           Alcotest.test_case "all-null column" `Quick test_all_null_column;
-          Alcotest.test_case "ragged pack" `Quick test_pack_ragged;
           Alcotest.test_case "scan cache identity" `Quick test_cache_identity;
           Alcotest.test_case "toggle fallback" `Quick
             test_disabled_falls_back;
@@ -292,7 +273,6 @@ let () =
       ( "properties",
         [
           qtest prop_roundtrip;
-          qtest prop_pack_roundtrip;
           qtest prop_hash_on;
           qtest prop_filter_plan;
         ] );

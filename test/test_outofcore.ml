@@ -82,18 +82,24 @@ let test_dirty_writeback () =
 let test_spill_roundtrip () =
   with_pool ~rows_per_page:3 (Some 2) (fun () ->
       let sp = B.Spill.create "unit" in
-      let rows = Array.init 8 (fun i -> [| Value.Int i; Value.Int (i * i) |]) in
-      Array.iter (B.Spill.add sp) rows;
+      let positions = [| 5; 0; 7; 2; 2; 6; 1; 3 |] in
+      Array.iter (B.Spill.add sp) positions;
       B.Spill.finish sp;
       Alcotest.(check int) "length" 8 (B.Spill.length sp);
       let got = ref [] in
-      B.Spill.iter sp (fun r -> got := r :: !got);
-      let got = Array.of_list (List.rev !got) in
-      Alcotest.(check bool) "rows round-trip in order" true (got = rows);
+      B.Spill.iter sp (fun i -> got := i :: !got);
+      Alcotest.(check (array int))
+        "positions round-trip in order" positions
+        (Array.of_list (List.rev !got));
       let s = B.stats () in
       Alcotest.(check int) "one partition" 1 s.B.spilled_partitions;
       (* ceil(8/3) = 3 pages *)
       Alcotest.(check int) "pages" 3 s.B.spilled_pages;
+      (* two frames: writing page 2 evicts dirty page 0, and each page
+         read back evicts the next one, so every page is written back
+         once and paged in once *)
+      Alcotest.(check int) "writebacks" 3 s.B.writebacks;
+      Alcotest.(check int) "misses" 6 s.B.misses;
       B.Spill.free sp)
 
 let test_reset_hooks () =
@@ -117,6 +123,91 @@ let test_disabled_is_free () =
   Alcotest.(check int) "disabled pool never charges" 0
     (I.counters ()).I.seq_pages;
   Alcotest.(check int) "disabled pool never counts" 0 (B.stats ()).B.misses
+
+(* ---------- spills hold positions, not copies ----------
+
+   Every spill path hands back the caller's own rows: a spill partition
+   records positions into the array the operator already holds.  Two
+   frames at two rows per page put each fixture over budget. *)
+
+let int_rel names rows =
+  Relation.make
+    (Schema.of_columns
+       (List.map (fun n -> Schema.column ~table:"t" n Ttype.Int) names))
+    (Array.map
+       (Array.map (function None -> Value.Null | Some i -> Value.Int i))
+       rows)
+
+(* run [f] with the columnar core on, key-hash vectors cached for
+   [rels], then off (no vectors) *)
+let columnar_on_and_off rels f =
+  let saved = Batch.enabled () in
+  Fun.protect ~finally:(fun () -> Nra.set_columnar saved) @@ fun () ->
+  Nra.set_columnar true;
+  List.iter Batch.prime rels;
+  f "columnar on";
+  Nra.set_columnar false;
+  f "columnar off"
+
+let physically_in rows r = Array.exists (fun r' -> r' == r) rows
+
+let test_grace_matches_no_copy () =
+  let left =
+    int_rel [ "a"; "b" ]
+      (Array.init 12 (fun i ->
+           [| (if i = 7 then None else Some (i mod 5)); Some i |]))
+  in
+  let right =
+    int_rel [ "c"; "d" ]
+      (Array.init 12 (fun i ->
+           [| (if i = 3 then None else Some (i mod 4)); Some (100 + i) |]))
+  in
+  let on = Expr.Cmp (Three_valued.Eq, Expr.Col 0, Expr.Col 2) in
+  columnar_on_and_off [ left; right ] (fun mode ->
+      let reference = Nra.Algebra.Join.matches ~on left right in
+      with_pool (Some 2) (fun () ->
+          let got = Nra.Algebra.Join.matches ~on left right in
+          Alcotest.(check bool)
+            (mode ^ ": grace path spilled") true
+            ((B.stats ()).B.spilled_partitions > 0);
+          Alcotest.(check bool)
+            (mode ^ ": same matches as in memory") true (got = reference);
+          Alcotest.(check bool)
+            (mode ^ ": every match is a right input row") true
+            (Array.for_all
+               (List.for_all (physically_in (Relation.rows right)))
+               got)))
+
+let test_staged_no_copy () =
+  let rel = int_rel [ "a" ] (Array.init 12 (fun i -> [| Some i |])) in
+  with_pool (Some 2) (fun () ->
+      let staged =
+        Governor.with_staged ~label:"unit" rel (fun r -> Relation.rows r)
+      in
+      Alcotest.(check int) "staging spilled" 1
+        (Governor.stats ()).Governor.spilled_stagings;
+      Alcotest.(check int) "six pages written" 6 (B.stats ()).B.spilled_pages;
+      Alcotest.(check bool) "f sees the input rows themselves" true
+        (Array.for_all2 ( == ) staged (Relation.rows rel)))
+
+let test_spilled_nest_hash () =
+  let rel =
+    int_rel [ "k"; "v" ]
+      (Array.init 40 (fun i ->
+           [| (if i mod 11 = 0 then None else Some (i mod 7)); Some i |]))
+  in
+  let nest () = Nra.Nested.Grouped.nest_hash ~by:[| 0 |] ~keep:[| 1 |] rel in
+  columnar_on_and_off [ rel ] (fun mode ->
+      let reference = nest () in
+      with_pool (Some 2) (fun () ->
+          let got = nest () in
+          Alcotest.(check bool)
+            (mode ^ ": nest spilled") true
+            ((B.stats ()).B.spilled_partitions > 0);
+          Alcotest.(check bool)
+            (mode ^ ": same groups in the same order") true
+            (got.Nra.Nested.Grouped.groups
+            = reference.Nra.Nested.Grouped.groups)))
 
 (* ---------- the spill-equivalence matrix ---------- *)
 
@@ -180,6 +271,15 @@ let () =
           Alcotest.test_case "spill round-trip" `Quick test_spill_roundtrip;
           Alcotest.test_case "reset hooks" `Quick test_reset_hooks;
           Alcotest.test_case "disabled is free" `Quick test_disabled_is_free;
+        ] );
+      ( "no copy",
+        [
+          Alcotest.test_case "grace join matches are right rows" `Quick
+            test_grace_matches_no_copy;
+          Alcotest.test_case "spilled staging passes its rows" `Quick
+            test_staged_no_copy;
+          Alcotest.test_case "spilled nest_hash = in-memory" `Quick
+            test_spilled_nest_hash;
         ] );
       ( "equivalence",
         [
