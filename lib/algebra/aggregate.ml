@@ -28,41 +28,53 @@ let output_type schema = function
   | Sum e | Min e | Max e ->
       Option.value ~default:Ttype.Float (scalar_type schema e)
 
-let eval_one func rows =
-  let non_null e =
-    List.filter_map
-      (fun row ->
-        let v = Expr.eval_scalar row e in
-        if Value.is_null v then None else Some v)
-      rows
-  in
+(* A running aggregate: [n] counts the rows ([Count_star]) or the
+   non-NULL argument values seen; [v] is the running value — the sum
+   (from [Int 0] for AVG, from the first value for SUM), the minimum
+   or the maximum.  Each step applies the same [Value] operation, in
+   the same order, as folding the whole list would. *)
+type acc = { func : func; mutable n : int; mutable v : Value.t }
+
+let init_value = function Avg _ -> Value.Int 0 | _ -> Value.Null
+let start func = { func; n = 0; v = init_value func }
+
+let reset acc =
+  acc.n <- 0;
+  acc.v <- init_value acc.func
+
+let step acc x =
+  match acc.func with
+  | Count_star -> acc.n <- acc.n + 1
+  | _ when Value.is_null x -> ()
+  | Count _ -> acc.n <- acc.n + 1
+  | Sum _ ->
+      acc.v <- (if acc.n = 0 then x else Value.add acc.v x);
+      acc.n <- acc.n + 1
+  | Avg _ ->
+      acc.v <- Value.add acc.v x;
+      acc.n <- acc.n + 1
+  | Min _ ->
+      if acc.n = 0 || Value.compare x acc.v < 0 then acc.v <- x;
+      acc.n <- acc.n + 1
+  | Max _ ->
+      if acc.n = 0 || Value.compare x acc.v > 0 then acc.v <- x;
+      acc.n <- acc.n + 1
+
+let arg_value func row =
   match func with
-  | Count_star -> Value.Int (List.length rows)
-  | Count e -> Value.Int (List.length (non_null e))
-  | Sum e -> (
-      match non_null e with
-      | [] -> Value.Null
-      | v :: vs -> List.fold_left Value.add v vs)
-  | Avg e -> (
-      match non_null e with
-      | [] -> Value.Null
-      | vs ->
-          let sum = List.fold_left Value.add (Value.Int 0) vs in
-          Value.div
-            (Value.mul sum (Value.Float 1.0))
-            (Value.Int (List.length vs)))
-  | Min e -> (
-      match non_null e with
-      | [] -> Value.Null
-      | v :: vs ->
-          List.fold_left (fun a b -> if Value.compare b a < 0 then b else a)
-            v vs)
-  | Max e -> (
-      match non_null e with
-      | [] -> Value.Null
-      | v :: vs ->
-          List.fold_left (fun a b -> if Value.compare b a > 0 then b else a)
-            v vs)
+  | Count_star -> Value.Null
+  | Count e | Sum e | Avg e | Min e | Max e -> Expr.eval_scalar row e
+
+let step_row acc row = step acc (arg_value acc.func row)
+
+let finish acc =
+  match acc.func with
+  | Count_star | Count _ -> Value.Int acc.n
+  | Sum _ | Min _ | Max _ -> acc.v
+  | Avg _ ->
+      if acc.n = 0 then Value.Null
+      else
+        Value.div (Value.mul acc.v (Value.Float 1.0)) (Value.Int acc.n)
 
 let out_schema input_schema ~keys specs =
   let key_cols = List.map (Schema.col input_schema) keys in
@@ -76,41 +88,43 @@ let out_schema input_schema ~keys specs =
 
 let group_by ~keys specs rel =
   let kpos = Array.of_list keys in
-  (* order-of-first-occurrence grouping via hash on the key projection *)
-  let groups : (int, Row.t * Row.t list ref) Hashtbl.t = Hashtbl.create 64 in
+  let funcs = Array.of_list (List.map (fun (s : spec) -> s.func) specs) in
+  (* order-of-first-occurrence grouping via hash on the key projection;
+     each group steps one accumulator per aggregate as its rows arrive *)
+  let groups : (int, Row.t * acc array) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
   Array.iter
     (fun row ->
       let key = Row.project_arr row kpos in
       let h = Row.hash key in
-      let existing =
-        Hashtbl.find_all groups h
-        |> List.find_opt (fun (k, _) -> Row.equal k key)
+      let accs =
+        match
+          Hashtbl.find_all groups h
+          |> List.find_opt (fun (k, _) -> Row.equal k key)
+        with
+        | Some (_, accs) -> accs
+        | None ->
+            let accs = Array.map start funcs in
+            Hashtbl.add groups h (key, accs);
+            order := (key, accs) :: !order;
+            accs
       in
-      match existing with
-      | Some (_, cell) -> cell := row :: !cell
-      | None ->
-          let cell = ref [ row ] in
-          Hashtbl.add groups h (key, cell);
-          order := (key, cell) :: !order)
+      Array.iter (fun acc -> step_row acc row) accs)
     (Relation.rows rel);
   let schema = out_schema (Relation.schema rel) ~keys specs in
   let out =
     List.rev_map
-      (fun (key, cell) ->
-        let rows = List.rev !cell in
-        let aggs =
-          List.map (fun { func; _ } -> eval_one func rows) specs
-        in
-        Array.append key (Array.of_list aggs))
+      (fun (key, accs) -> Array.append key (Array.map finish accs))
       !order
   in
   Relation.of_rows schema out
 
 let global specs rel =
-  let rows = Array.to_list (Relation.rows rel) in
-  let schema = out_schema (Relation.schema rel) ~keys:[] specs in
-  let row =
-    Array.of_list (List.map (fun { func; _ } -> eval_one func rows) specs)
+  let accs =
+    Array.of_list (List.map (fun (s : spec) -> start s.func) specs)
   in
-  Relation.make schema [| row |]
+  Array.iter
+    (fun row -> Array.iter (fun acc -> step_row acc row) accs)
+    (Relation.rows rel);
+  let schema = out_schema (Relation.schema rel) ~keys:[] specs in
+  Relation.make schema [| Array.map finish accs |]

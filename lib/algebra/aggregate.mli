@@ -29,6 +29,27 @@ val group_by : keys:int list -> spec list -> Relation.t -> Relation.t
 val global : spec list -> Relation.t -> Relation.t
 (** Aggregation without keys: always exactly one output row. *)
 
-val eval_one : func -> Row.t list -> Value.t
-(** Aggregate a list of rows directly — used by the scalar-subquery
-    evaluators. *)
+(** {1 Running aggregates}
+
+    One aggregate stepped value by value, left to right: [group_by],
+    [global] and the linking selection's type-JA verdict
+    ({!Nra_nested.Link_pred}) all fold through it, so an aggregate's
+    value — including a float sum's dependence on element order — is
+    computed the same way everywhere. *)
+
+type acc
+
+val start : func -> acc
+val reset : acc -> unit
+(** Back to the empty aggregate, for reuse on the next group. *)
+
+val step : acc -> Value.t -> unit
+(** Step one element by its argument value (ignored by [Count_star];
+    NULL is skipped by the others). *)
+
+val arg_value : func -> Row.t -> Value.t
+(** The argument of [func] evaluated on a row ([Null] for
+    [Count_star]). *)
+
+val finish : acc -> Value.t
+(** COUNT of nothing is 0; SUM/AVG/MIN/MAX of nothing are NULL. *)

@@ -3,28 +3,6 @@ open Nra_planner
 module A = Analyze
 module T3 = Three_valued
 
-(* A small hash multimap from key rows to accumulated values, used for
-   both the magic set (unit values) and the grouped inner result. *)
-module Keyed = struct
-  type 'a t = (int, Row.t * 'a list ref) Hashtbl.t
-
-  let create n : 'a t = Hashtbl.create (max 16 n)
-
-  let find (t : 'a t) key =
-    Hashtbl.find_all t (Row.hash key)
-    |> List.find_opt (fun (k, _) -> Row.equal k key)
-
-  let add (t : 'a t) key v =
-    match find t key with
-    | Some (_, cell) -> cell := v :: !cell
-    | None -> Hashtbl.add t (Row.hash key) (key, ref [ v ])
-
-  let mem (t : 'a t) key = find t key <> None
-
-  let get (t : 'a t) key =
-    match find t key with Some (_, cell) -> List.rev !cell | None -> []
-end
-
 let magic_applicable (c : A.child) =
   let b = c.A.block in
   A.self_contained b && A.equi_correlation b <> None
@@ -46,13 +24,13 @@ and apply_child cat t rel (c : A.child) =
           (List.map (fun (_, e) -> Frame.to_scalar key_schema e) pairs)
       in
       (* 1. the magic set: distinct correlation keys of the outer *)
-      let magic = Keyed.create (Relation.cardinality rel) in
+      let magic = Row.Tbl.create (max 16 (Relation.cardinality rel)) in
       Array.iter
         (fun row ->
           Nra_guard.Guard.tick ();
           let key = Array.map (Expr.eval_scalar row) outer_keys in
           if not (Array.exists Value.is_null key) then
-            if not (Keyed.mem magic key) then Keyed.add magic key ())
+            Row.Tbl.replace magic key ())
         (Relation.rows rel);
       (* 2. restrict the inner block by the magic set, then reduce its
          own subqueries on the restricted relation *)
@@ -70,33 +48,23 @@ and apply_child cat t rel (c : A.child) =
           (fun row ->
             Nra_guard.Guard.tick ();
             let key = Array.map (Expr.eval_scalar row) child_keys in
-            (not (Array.exists Value.is_null key)) && Keyed.mem magic key)
+            (not (Array.exists Value.is_null key)) && Row.Tbl.mem magic key)
           child_rel
       in
       let reduced = apply_children cat t restricted b in
       (* 3. group by the correlation key and decide per outer tuple *)
-      let keep, verdict =
-        Linkeval.verdict_and_keep ~key_schema ~wide_schema:cschema
-          ~with_marker:false c
+      let lk =
+        Linkeval.compile ~key_schema ~wide_schema:cschema ~with_marker:false
+          c
       in
-      let groups = Keyed.create (Relation.cardinality reduced) in
-      Array.iter
-        (fun row ->
-          Nra_guard.Guard.tick ();
-          let key = Array.map (Expr.eval_scalar row) child_keys in
-          if not (Array.exists Value.is_null key) then
-            Keyed.add groups key
-              (Array.of_list
-                 (List.map (fun (s, _) -> Expr.eval_scalar row s) keep)))
-        (Relation.rows reduced);
+      let groups =
+        Linkeval.group lk ~keys:child_keys ~tick:true (Relation.rows reduced)
+      in
       Relation.filter
         (fun row ->
           Nra_guard.Guard.tick ();
           let key = Array.map (Expr.eval_scalar row) outer_keys in
-          let elems =
-            if Array.exists Value.is_null key then [] else Keyed.get groups key
-          in
-          T3.to_bool (verdict row elems))
+          T3.to_bool (Linkeval.decide groups ~key ~outer:row))
         rel
   | _ ->
       (* no equality correlation (or an escaping reference): nested
@@ -122,14 +90,14 @@ let magic_set_sizes _cat (t : A.t) =
               Array.of_list
                 (List.map (fun (_, e) -> Frame.to_scalar key_schema e) pairs)
             in
-            let magic = Keyed.create 64 in
+            let magic = Row.Tbl.create 64 in
             Array.iter
               (fun row ->
                 let key = Array.map (Expr.eval_scalar row) outer_keys in
                 if not (Array.exists Value.is_null key) then
-                  if not (Keyed.mem magic key) then Keyed.add magic key ())
+                  Row.Tbl.replace magic key ())
               (Relation.rows rel);
-            acc := (b.A.id, Hashtbl.length magic) :: !acc;
+            acc := (b.A.id, Row.Tbl.length magic) :: !acc;
             go (Frame.block_relation ~charge:false b) b
         | _ -> ())
       p.A.children

@@ -4,7 +4,6 @@ open Nra_planner
 module A = Analyze
 module R = Resolved
 module T3 = Three_valued
-module Ast = Nra_sql.Ast
 
 type stats = { mutable inner_loops : int; mutable index_probes : int }
 
@@ -129,14 +128,6 @@ let rec compile ?(use_indexes = true) cat (t : A.t) outer_schema
     | _ -> None
   in
   let scan_rows = Relation.rows filtered in
-  let linked =
-    Option.map (fun e -> Frame.to_scalar concat_schema e) b.A.linked_attr
-  in
-  let agg_arg =
-    match b.A.scalar_agg with
-    | Some (_, Some e) -> Some (Frame.to_scalar concat_schema e)
-    | _ -> None
-  in
   let scan_charges =
     List.map
       (fun (bd : A.binding) ->
@@ -188,75 +179,34 @@ let rec compile ?(use_indexes = true) cat (t : A.t) outer_schema
        evaluated (and charged) once, as a DBMS would *)
     if static then Lazy.force static_memo else qualifying_seq outer_row
   in
-  (* short-circuiting quantifier evaluation: SOME stops at the first
-     True, ALL at the first False; Unknown is remembered *)
-  let quant_eval op quant x values =
-    let rec go acc seq =
+  (* the verdict is the site's [Link_pred] fold over the lazily forced
+     qualifying rows; it stops forcing as soon as the verdict is decided
+     (EXISTS at the first row, SOME at the first True, ALL at the first
+     False, a scalar subquery at its second row), so short-circuiting
+     evaluation pays only for the rows it examines.  The closure is never
+     re-entered while a verdict is open (children are other closures),
+     so one fold serves every outer tuple. *)
+  let lk =
+    Linkeval.compile ~key_schema:outer_schema ~wide_schema:concat_schema
+      ~with_marker:false c
+  in
+  let linked = Linkeval.linked_of lk in
+  let f = Nra_nested.Link_pred.fold lk.Linkeval.pred in
+  let rec go seq =
+    if not (Nra_nested.Link_pred.decided f) then
       match seq () with
-      | Seq.Nil -> acc
-      | Seq.Cons (v, rest) -> (
-          let r = T3.cmp op x v in
-          match (quant, r) with
-          | `Any, T3.True -> T3.True
-          | `All, T3.False -> T3.False
-          | `Any, r -> go (T3.or_ acc r) rest
-          | `All, r -> go (T3.and_ acc r) rest)
-    in
-    go (match quant with `Any -> T3.False | `All -> T3.True) values
+      | Seq.Nil -> ()
+      | Seq.Cons (row, rest) ->
+          Nra_nested.Link_pred.step f (linked row);
+          go rest
   in
   fun outer_row ->
     Nra_guard.Guard.tick ();
     stats.inner_loops <- stats.inner_loops + 1;
     let qualifying = qualifying_for outer_row in
-    match c.A.link with
-    | A.L_exists -> T3.of_bool (not (Seq.is_empty qualifying))
-    | A.L_not_exists -> T3.of_bool (Seq.is_empty qualifying)
-    | A.L_in a | A.L_not_in a | A.L_quant (a, _, _) | A.L_scalar (a, _) -> (
-        let x =
-          Expr.eval_scalar outer_row (Frame.to_scalar outer_schema a)
-        in
-        let linked_values () =
-          match linked with
-          | Some s -> Seq.map (fun row -> Expr.eval_scalar row s) qualifying
-          | None -> Seq.empty
-        in
-        (* the block's one-row aggregate value; the qualifying list is a
-           materialized intermediate: charge its footprint to the memory
-           governor while the aggregate consumes it *)
-        let agg_value f =
-          let func =
-            match (f, agg_arg) with
-            | Ast.Count_star, _ -> Nra_algebra.Aggregate.Count_star
-            | Ast.Count, Some e -> Nra_algebra.Aggregate.Count e
-            | Ast.Sum, Some e -> Nra_algebra.Aggregate.Sum e
-            | Ast.Avg, Some e -> Nra_algebra.Aggregate.Avg e
-            | Ast.Min, Some e -> Nra_algebra.Aggregate.Min e
-            | Ast.Max, Some e -> Nra_algebra.Aggregate.Max e
-            | _, None -> failwith "aggregate without argument"
-          in
-          let elems = List.of_seq qualifying in
-          Nra_storage.Governor.with_charged
-            ~rows:(List.length elems)
-            ~width:(Schema.arity concat_schema)
-            (fun () -> Nra_algebra.Aggregate.eval_one func elems)
-        in
-        match (c.A.link, b.A.scalar_agg) with
-        (* type JA: IN / θ SOME / θ ALL against the aggregate's
-           singleton {v} collapse to one 3VL comparison with v *)
-        | A.L_in _, Some (f, _) -> T3.cmp T3.Eq x (agg_value f)
-        | A.L_not_in _, Some (f, _) -> T3.cmp T3.Neq x (agg_value f)
-        | A.L_quant (_, op, _), Some (f, _) -> T3.cmp op x (agg_value f)
-        | A.L_scalar (_, op), Some (f, _) -> T3.cmp op x (agg_value f)
-        | A.L_in _, None -> quant_eval T3.Eq `Any x (linked_values ())
-        | A.L_not_in _, None -> quant_eval T3.Neq `All x (linked_values ())
-        | A.L_quant (_, op, quant), None ->
-            quant_eval op quant x (linked_values ())
-        | A.L_scalar (_, op), None -> (
-            match List.of_seq (Seq.take 2 (linked_values ())) with
-            | [] -> T3.Unknown
-            | [ v ] -> T3.cmp op x v
-            | _ -> failwith "scalar subquery returned more than one row")
-        | (A.L_exists | A.L_not_exists), _ -> assert false)
+    Nra_nested.Link_pred.start f ~outer:outer_row;
+    go qualifying;
+    Nra_nested.Link_pred.finish f
 
 let run_where ?(use_indexes = true) cat (t : A.t) =
   stats.inner_loops <- 0;

@@ -4,6 +4,7 @@ module A = Analyze
 module R = Resolved
 module T3 = Three_valued
 module J = Nra_algebra.Join
+module LP = Nra_nested.Link_pred
 
 type options = Plan.options = {
   pipelined : bool;
@@ -53,16 +54,17 @@ let block_positions schema (blk : A.block) =
 
 type mode = Discard | Pad of int array
 
-let apply_mode mode verdict key elems out =
-  match mode with
-  | Discard -> if T3.to_bool (verdict key elems) then key :: out else out
-  | Pad pad ->
-      if T3.to_bool (verdict key elems) then key :: out
-      else begin
+(* σ keeps a group's key when its verdict is True; σ̄ keeps every key,
+   NULL-padding the owning block's positions of a failed one *)
+let emit mode verdict key out =
+  if T3.to_bool verdict then key :: out
+  else
+    match mode with
+    | Discard -> out
+    | Pad pad ->
         let padded = Array.copy key in
         Array.iter (fun i -> padded.(i) <- Value.Null) pad;
         padded :: out
-      end
 
 (* a fused nest ([assume_sorted] confirmed by the runtime [sorted]
    flag) takes the single-pass run scan, which on key-sorted input
@@ -77,19 +79,18 @@ let nest_pipelined (nest : Plan.nest) ~sorted =
    fused into one group scan over sorted input (optimized, at a site
    whose wide frame fed its grandchildren; other pipelined sites take
    [fused_nest_select] and never stage).  Either way the output is
-   key-sorted. *)
-let nest_select nest st ~key_schema ~keep ~verdict ~mode ~sorted wide =
+   key-sorted, and each group's verdict is one pass of the site's
+   [Link_pred] fold. *)
+let nest_select nest st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted wide =
   let t0 = now () in
   let pipelined = nest_pipelined nest ~sorted in
   let key_arity = Schema.arity key_schema in
   let prefix =
     List.init key_arity (fun i -> (Expr.Col i, Schema.col key_schema i))
   in
-  let staging = Nra_algebra.Basic.project_exprs (prefix @ keep) wide in
+  let staging = Nra_algebra.Basic.project_exprs (prefix @ lk.keep) wide in
   let by = Array.init key_arity Fun.id in
-  let keep_pos =
-    Array.init (List.length keep) (fun i -> key_arity + i)
-  in
+  let f = LP.fold lk.pred in
   (* the pre-nest flat staging is governed: charged to the memory
      ledger and routed through a spill partition when it would not fit
      the frame budget (byte-identical either way) *)
@@ -98,6 +99,9 @@ let nest_select nest st ~key_schema ~keep ~verdict ~mode ~sorted wide =
     @@ fun staging ->
     if not pipelined then begin
       (* original: materialize the nested relation, then select *)
+      let keep_pos =
+        Array.init (List.length lk.keep) (fun i -> key_arity + i)
+      in
       let grouped =
         Nra_nested.Grouped.nest_sort ~by ~keep:keep_pos staging
       in
@@ -105,30 +109,42 @@ let nest_select nest st ~key_schema ~keep ~verdict ~mode ~sorted wide =
       Array.iter
         (fun (key, elems) ->
           Nra_guard.Guard.tick ();
-          out := apply_mode mode verdict key (Array.to_list elems) !out)
+          LP.start f ~outer:key;
+          Array.iter (LP.step_elem f ~marker:lk.marker) elems;
+          out := emit mode (LP.finish f) key !out)
         grouped.Nra_nested.Grouped.groups;
       Relation.of_rows key_schema (List.rev !out)
     end
     else begin
       (* optimized: single pass over (at most once re-)sorted input; the
-         run scan needs adjacent groups, so sortedness is mandatory *)
+         run scan needs adjacent groups, so sortedness is mandatory.
+         Each element's linked value and marker are read in place from
+         its staging row. *)
       let staging =
         if sorted then staging else Relation.sort_by by staging
       in
       let rows = Relation.rows staging in
       let n = Array.length rows in
+      let linked = Option.map (fun i -> key_arity + i) lk.linked in
+      let marker = Option.map (fun i -> key_arity + i) lk.marker in
       let out = ref [] in
       let i = ref 0 in
       while !i < n do
         Nra_guard.Guard.tick ();
         let start = !i in
         let key = Row.project_arr rows.(start) by in
-        let elems = ref [] in
+        LP.start f ~outer:key;
         while !i < n && Row.equal_on by rows.(start) rows.(!i) do
-          elems := Row.project_arr rows.(!i) keep_pos :: !elems;
+          let row = rows.(!i) in
+          (match marker with
+          | Some m when Value.is_null row.(m) -> ()
+          | _ ->
+              if not (LP.decided f) then
+                LP.step f
+                  (match linked with Some l -> row.(l) | None -> Value.Null));
           incr i
         done;
-        out := apply_mode mode verdict key (List.rev !elems) !out
+        out := emit mode (LP.finish f) key !out
       done;
       Relation.of_rows key_schema (List.rev !out)
     end
@@ -136,61 +152,95 @@ let nest_select nest st ~key_schema ~keep ~verdict ~mode ~sorted wide =
   st.nest_select_seconds <- st.nest_select_seconds +. (now () -. t0);
   result
 
+(* Is the relation already in [Row.compare] order?  Then a stable sort
+   of its positions is the identity. *)
+let in_key_order rows =
+  let n = Array.length rows in
+  let rec go i =
+    i >= n || (Row.compare rows.(i - 1) rows.(i) <= 0 && go (i + 1))
+  in
+  go 1
+
 (* The fused probe–nest–select of a pipelined site whose wide frame
    feeds no grandchild: the nest groups the join's per-outer-row match
-   lists directly, so neither the wide product nor a staging copy is
-   built, and only the (narrow) outer rows are sorted.
+   lists directly and the linking selection folds over them as it
+   goes, so neither the wide product, a staging copy, nor an element
+   row is built, and only the (narrow) outer rows are sorted — unless
+   they are already in key order.
 
    Byte-identical to joining, staging, stably sorting the staging on
    the outer columns and scanning runs: the staging row of outer row
    [i]'s [k]-th match sits at wide position (i, k), so the stable sort
    orders rows by outer value, then by [i], then by [k].  A stable sort
    of outer positions followed by a scan that merges runs of equal outer
-   rows (σ̄ padding can make distinct outer rows equal) and appends each
+   rows (σ̄ padding can make distinct outer rows equal) and steps each
    row's matches in build order visits exactly that sequence.  An
    unmatched outer row contributes the element the NULL-padded wide row
-   would have.  Keep expressions are remapped into the right frame; only
-   one that reads an outer column needs the concatenated row. *)
-let fused_nest_select st ~key_schema ~keep ~verdict ~mode ~sorted rel
+   would have.  The linked value and the marker are read in place from
+   the right row through keep expressions remapped into the right
+   frame; only one that reads an outer column evaluates on the
+   concatenated row. *)
+let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted rel
     child_rel matches =
   let t0 = now () in
   let key_arity = Schema.arity key_schema in
   let right_nulls = Row.nulls (Schema.arity (Relation.schema child_rel)) in
-  let exprs = Array.of_list (List.map fst keep) in
-  let reads_outer s =
-    List.exists (fun i -> i < key_arity) (Expr.scalar_cols s)
-  in
-  let elem_of =
-    if Array.exists reads_outer exprs then fun lrow rrow ->
-      Array.map (Expr.eval_scalar (Row.concat lrow rrow)) exprs
+  let reader pos =
+    let s = fst (List.nth lk.keep pos) in
+    if List.exists (fun i -> i < key_arity) (Expr.scalar_cols s) then
+      fun lrow rrow -> Expr.eval_scalar (Row.concat lrow rrow) s
     else
-      let right = Array.map (Expr.shift_scalar (-key_arity)) exprs in
-      let cols = Array.map (function Expr.Col j -> j | _ -> -1) right in
-      if Array.for_all (fun j -> j >= 0) cols then fun _ rrow ->
-        Row.project_arr rrow cols
-      else fun _ rrow -> Array.map (Expr.eval_scalar rrow) right
+      match Expr.shift_scalar (-key_arity) s with
+      | Expr.Col j -> fun _ rrow -> rrow.(j)
+      | s -> fun _ rrow -> Expr.eval_scalar rrow s
+  in
+  let linked =
+    match lk.linked with Some p -> reader p | None -> fun _ _ -> Value.Null
+  in
+  let padding =
+    match lk.marker with
+    | Some p ->
+        let m = reader p in
+        fun lrow rrow -> Value.is_null (m lrow rrow)
+    | None -> fun _ _ -> false
+  in
+  let f = LP.fold lk.pred in
+  let step_one lrow rrow =
+    if not (padding lrow rrow || LP.decided f) then
+      LP.step f (linked lrow rrow)
+  in
+  (* a named recursion: [List.iter (step_one lrow)] would allocate a
+     closure per outer row *)
+  let rec step_matches lrow = function
+    | [] -> ()
+    | rrow :: rest ->
+        step_one lrow rrow;
+        step_matches lrow rest
   in
   let outer = Relation.rows rel in
   let n = Array.length outer in
-  let order = Array.init n Fun.id in
-  if not sorted then
-    Array.stable_sort (fun i j -> Row.compare outer.(i) outer.(j)) order;
+  let pos =
+    if sorted || in_key_order outer then Fun.id
+    else begin
+      let order = Array.init n Fun.id in
+      Array.stable_sort (fun i j -> Row.compare outer.(i) outer.(j)) order;
+      Array.get order
+    end
+  in
   let out = ref [] in
   let k = ref 0 in
   while !k < n do
     Nra_guard.Guard.tick ();
-    let key = outer.(order.(!k)) in
-    let elems = ref [] in
-    while !k < n && Row.equal key outer.(order.(!k)) do
-      let i = order.(!k) in
-      let lrow = outer.(i) in
-      (match matches.(i) with
-      | [] -> elems := elem_of lrow right_nulls :: !elems
-      | ms ->
-          List.iter (fun rrow -> elems := elem_of lrow rrow :: !elems) ms);
+    let key = outer.(pos !k) in
+    LP.start f ~outer:key;
+    while !k < n && Row.equal key outer.(pos !k) do
+      let lrow = outer.(pos !k) in
+      (match matches.(pos !k) with
+      | [] -> step_one lrow right_nulls
+      | ms -> step_matches lrow ms);
       incr k
     done;
-    out := apply_mode mode verdict key (List.rev !elems) !out
+    out := emit mode (LP.finish f) key !out
   done;
   st.nest_select_seconds <- st.nest_select_seconds +. (now () -. t0);
   Relation.of_rows key_schema (List.rev !out)
@@ -225,14 +275,15 @@ let record_intermediate st n =
   Nra_storage.Fault.with_retries (fun () ->
       Nra_storage.Iosim.charge_fetch_rows n)
 
-(* Per-row application of a linking predicate whose element set comes
-   from a closure (virtual-cartesian-product and push-down paths). *)
-let rowwise mode verdict elems_of rel =
+(* Per-row application of a linking predicate whose sets are keyed
+   apart from the outer relation (virtual-cartesian-product and
+   push-down paths). *)
+let rowwise mode decide rel =
   let out = ref [] in
   Array.iter
     (fun row ->
       Nra_guard.Guard.tick ();
-      out := apply_mode mode verdict row (elems_of row) !out)
+      out := emit mode (decide row) row !out)
     (Relation.rows rel);
   Relation.of_rows (Relation.schema rel) (List.rev !out)
 
@@ -280,19 +331,19 @@ and apply_child st ~parent (rel, sorted_prefix) (n : Plan.node) =
   match n.Plan.impl with
   | Plan.Shared_set ->
       (* virtual Cartesian product: the subquery is evaluated once and
-         its value set shared by every outer tuple *)
+         its value set — one set, under the empty key — shared by every
+         outer tuple *)
       let child_red = reduce_standalone st n in
-      let keep, verdict =
-        Linkeval.verdict_and_keep ~key_schema
+      let lk =
+        Linkeval.compile ~key_schema
           ~wide_schema:(Relation.schema child_red) ~with_marker:false c
       in
-      let elems =
-        Array.to_list (Relation.rows child_red)
-        |> List.map (fun row ->
-               Array.of_list
-                 (List.map (fun (s, _) -> Expr.eval_scalar row s) keep))
+      let set =
+        Linkeval.group lk ~keys:[||] ~tick:false (Relation.rows child_red)
       in
-      let rel' = rowwise mode verdict (fun _ -> elems) rel in
+      let rel' =
+        rowwise mode (fun row -> Linkeval.decide set ~key:[||] ~outer:row) rel
+      in
       (rel', min sorted_prefix sp_after_select)
   | Plan.Push_down ->
       (* §4.2.4: group the reduced child by its correlation key once;
@@ -300,9 +351,9 @@ and apply_child st ~parent (rel, sorted_prefix) (n : Plan.node) =
       let pairs = Option.get (A.equi_correlation b) in
       let child_red = reduce_standalone st n in
       let cschema = Relation.schema child_red in
-      let keep, verdict =
-        Linkeval.verdict_and_keep ~key_schema ~wide_schema:cschema
-          ~with_marker:false c
+      let lk =
+        Linkeval.compile ~key_schema ~wide_schema:cschema ~with_marker:false
+          c
       in
       let child_keys =
         Array.of_list
@@ -313,31 +364,15 @@ and apply_child st ~parent (rel, sorted_prefix) (n : Plan.node) =
         Array.of_list
           (List.map (fun (_, e) -> Frame.to_scalar key_schema e) pairs)
       in
-      let tbl : Row.t list ref Row.Tbl.t =
-        Row.Tbl.create (max 16 (Relation.cardinality child_red))
+      let groups =
+        Linkeval.group lk ~keys:child_keys ~tick:false
+          (Relation.rows child_red)
       in
-      Array.iter
-        (fun row ->
-          let key = Array.map (Expr.eval_scalar row) child_keys in
-          if not (Array.exists Value.is_null key) then begin
-            let elem =
-              Array.of_list
-                (List.map (fun (s, _) -> Expr.eval_scalar row s) keep)
-            in
-            match Row.Tbl.find_opt tbl key with
-            | Some cell -> cell := elem :: !cell
-            | None -> Row.Tbl.add tbl key (ref [ elem ])
-          end)
-        (Relation.rows child_red);
-      let elems_of outer_row =
-        let key = Array.map (Expr.eval_scalar outer_row) outer_keys in
-        if Array.exists Value.is_null key then []
-        else
-          match Row.Tbl.find_opt tbl key with
-          | Some cell -> List.rev !cell
-          | None -> []
+      let decide row =
+        let key = Array.map (Expr.eval_scalar row) outer_keys in
+        Linkeval.decide groups ~key ~outer:row
       in
-      let rel' = rowwise mode verdict elems_of rel in
+      let rel' = rowwise mode decide rel in
       (rel', min sorted_prefix sp_after_select)
   | Plan.Semijoin ->
       (* §4.2.5: σ_{AθSOME{B}}(υ(R ⟕_C S)) = R ⋉_{C ∧ AθB} S *)
@@ -397,15 +432,14 @@ and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel
       Array.fold_left (fun acc ms -> acc + max 1 (List.length ms)) 0 matches
     in
     record_intermediate st wide_rows;
-    let keep, verdict =
-      Linkeval.verdict_and_keep ~key_schema ~wide_schema:concat
-        ~with_marker:true c
+    let lk =
+      Linkeval.compile ~key_schema ~wide_schema:concat ~with_marker:true c
     in
     let rel' =
       Nra_storage.Governor.with_charged ~rows:wide_rows
         ~width:(Schema.arity concat) (fun () ->
-          fused_nest_select st ~key_schema ~keep ~verdict ~mode ~sorted rel
-            child_rel matches)
+          fused_nest_select st ~key_schema ~lk ~mode ~sorted rel child_rel
+            matches)
     in
     st.fused_sites <- st.fused_sites + 1;
     (rel', sp_after_select)
@@ -420,9 +454,9 @@ and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel
         process st (wide, sorted_prefix) b n.Plan.sub
       else (wide, sorted_prefix)
     in
-    let keep, verdict =
-      Linkeval.verdict_and_keep ~key_schema
-        ~wide_schema:(Relation.schema wide) ~with_marker:true c
+    let lk =
+      Linkeval.compile ~key_schema ~wide_schema:(Relation.schema wide)
+        ~with_marker:true c
     in
     let rel' =
       (* the wide join product stays live while its staging is projected
@@ -432,7 +466,7 @@ and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel
         ~rows:(Relation.cardinality wide)
         ~width:(Schema.arity (Relation.schema wide))
         (fun () ->
-          nest_select nest st ~key_schema ~keep ~verdict ~mode
+          nest_select nest st ~key_schema ~lk ~mode
             ~sorted:(wide_sorted_prefix >= key_arity)
             wide)
     in

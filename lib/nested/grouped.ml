@@ -270,24 +270,28 @@ let equal a b =
     (fun (k1, e1) (k2, e2) -> Row.equal k1 k2 && List.equal Row.equal e1 e2)
     (canon a) (canon b)
 
-let eval_group pred ~marker (key, elems) =
-  let elems = Link_pred.filter_marker ~marker (Array.to_list elems) in
-  Link_pred.eval pred ~outer:key ~elems
+(* one fold per selection, restarted per group *)
+let eval_group f ~marker (key, elems) =
+  Link_pred.start f ~outer:key;
+  Array.iter (Link_pred.step_elem f ~marker) elems;
+  Link_pred.finish f
 
 let select pred ~marker t =
+  let f = Link_pred.fold pred in
   let out = ref [] in
   Array.iter
     (fun g ->
-      if T3.to_bool (eval_group pred ~marker g) then out := fst g :: !out)
+      if T3.to_bool (eval_group f ~marker g) then out := fst g :: !out)
     t.groups;
   Relation.of_rows t.key_schema (List.rev !out)
 
 let pseudo_select pred ~marker ~pad t =
+  let f = Link_pred.fold pred in
   let out = ref [] in
   Array.iter
     (fun ((key, _) as g) ->
       let row =
-        if T3.to_bool (eval_group pred ~marker g) then key
+        if T3.to_bool (eval_group f ~marker g) then key
         else begin
           let padded = Array.copy key in
           Array.iter (fun i -> padded.(i) <- Value.Null) pad;

@@ -8,33 +8,126 @@ type t =
   | Non_empty
   | Is_empty
   | Agg of Expr.scalar * T3.cmpop * Nra_algebra.Aggregate.func
+  | Scalar of Expr.scalar * T3.cmpop * int
 
 let filter_marker ~marker elems =
   match marker with
   | None -> elems
   | Some m -> List.filter (fun e -> not (Value.is_null e.(m))) elems
 
-let eval p ~outer ~elems =
+(* The verdict as a left-to-right fold.  [x] is the outer side, [n]
+   counts the elements stepped, [r] is the running verdict: the 3VL
+   disjunction (SOME, from False) or conjunction (ALL, from True) so
+   far, or a scalar link's one comparison.  Disjunction and conjunction
+   are associative and commutative under 3VL, so the fold equals the
+   n-ary [T3.disj]/[T3.conj] of the whole set; an aggregate's value is
+   folded by [Aggregate]'s own accumulator, in element order. *)
+type fold = {
+  pred : t;
+  agg : Nra_algebra.Aggregate.acc;
+  mutable x : Value.t;
+  mutable n : int;
+  mutable r : T3.t;
+}
+
+let init_verdict = function Quant (_, _, All, _) -> T3.True | _ -> T3.False
+
+let fold pred =
+  let func =
+    match pred with
+    | Agg (_, _, f) -> f
+    | Quant _ | Non_empty | Is_empty | Scalar _ ->
+        Nra_algebra.Aggregate.Count_star
+  in
+  {
+    pred;
+    agg = Nra_algebra.Aggregate.start func;
+    x = Value.Null;
+    n = 0;
+    r = init_verdict pred;
+  }
+
+let outer_value p outer =
   match p with
-  | Non_empty -> T3.of_bool (elems <> [])
-  | Is_empty -> T3.of_bool (elems = [])
-  | Quant (a, op, q, b) ->
-      let x = Expr.eval_scalar outer a in
-      let one e = T3.cmp op x e.(b) in
-      (match q with
-      | Some_ -> T3.disj (List.map one elems)
-      | All -> T3.conj (List.map one elems))
-  | Agg (a, op, f) ->
-      (* aggregate linking (type JA): the set is collapsed to one value
-         first — COUNT ∅ = 0, other aggregates of ∅ are NULL — and the
+  | Quant (a, _, _, _) | Agg (a, _, _) | Scalar (a, _, _) ->
+      Expr.eval_scalar outer a
+  | Non_empty | Is_empty -> Value.Null
+
+let clear f =
+  f.n <- 0;
+  f.r <- init_verdict f.pred;
+  Nra_algebra.Aggregate.reset f.agg
+
+let start f ~outer =
+  f.x <- outer_value f.pred outer;
+  clear f
+
+let step f v =
+  (match f.pred with
+  | Non_empty | Is_empty -> ()
+  | Quant (_, op, Some_, _) -> (
+      match f.r with
+      | T3.True -> ()
+      | r -> f.r <- T3.or_ r (T3.cmp op f.x v))
+  | Quant (_, op, All, _) -> (
+      match f.r with
+      | T3.False -> ()
+      | r -> f.r <- T3.and_ r (T3.cmp op f.x v))
+  | Scalar (_, op, _) ->
+      if f.n > 0 then failwith "scalar subquery returned more than one row";
+      f.r <- T3.cmp op f.x v
+  | Agg _ -> Nra_algebra.Aggregate.step f.agg v);
+  f.n <- f.n + 1
+
+let linked_value p (e : Row.t) =
+  match p with
+  | Quant (_, _, _, b) | Scalar (_, _, b) -> e.(b)
+  | Agg (_, _, func) -> Nra_algebra.Aggregate.arg_value func e
+  | Non_empty | Is_empty -> Value.Null
+
+let step_elem f ~marker (e : Row.t) =
+  match marker with
+  | Some m when Value.is_null e.(m) -> ()
+  | _ -> step f (linked_value f.pred e)
+
+let decided f =
+  match f.pred with
+  | Non_empty | Is_empty -> f.n > 0
+  | Quant (_, _, Some_, _) -> T3.equal f.r T3.True
+  | Quant (_, _, All, _) -> T3.equal f.r T3.False
+  | Scalar _ | Agg _ -> false
+
+let finish f =
+  match f.pred with
+  | Non_empty -> T3.of_bool (f.n > 0)
+  | Is_empty -> T3.of_bool (f.n = 0)
+  | Quant _ -> f.r
+  | Scalar _ -> if f.n = 0 then T3.Unknown else f.r
+  | Agg (_, op, _) ->
+      (* aggregate linking (type JA): the set collapses to one value —
+         COUNT ∅ = 0, other aggregates of ∅ are NULL — and the
          comparison is a single 3VL test against it *)
-      let x = Expr.eval_scalar outer a in
-      T3.cmp op x (Nra_algebra.Aggregate.eval_one f elems)
+      T3.cmp op f.x (Nra_algebra.Aggregate.finish f.agg)
+
+let outer_free = function
+  | Non_empty | Is_empty | Agg _ -> true
+  | Quant _ | Scalar _ -> false
+
+let verdict f ~outer =
+  f.x <- outer_value f.pred outer;
+  finish f
+
+let eval p ~outer ~elems =
+  let f = fold p in
+  start f ~outer;
+  List.iter (step_elem f ~marker:None) elems;
+  finish f
 
 let is_positive = function
   | Non_empty | Quant (_, _, Some_, _) -> true
   | Is_empty | Quant (_, _, All, _) -> false
   | Agg _ -> false (* the empty set aggregates to a value: it matters *)
+  | Scalar _ -> false (* like Analyze: the empty result is Unknown *)
 
 let agg_func_name (f : Nra_algebra.Aggregate.func) =
   match f with
@@ -56,3 +149,6 @@ let pp ppf = function
   | Agg (a, op, f) ->
       Format.fprintf ppf "%a %s %s{B}" Expr.pp_scalar a
         (T3.cmpop_to_string op) (agg_func_name f)
+  | Scalar (a, op, b) ->
+      Format.fprintf ppf "%a %s scalar{#%d}" Expr.pp_scalar a
+        (T3.cmpop_to_string op) b

@@ -11,6 +11,12 @@
     - [EXISTS]    → [≠ ∅];      [NOT EXISTS] → [= ∅]
     - aggregate subqueries (type JA, [A θ (SELECT agg(B) …)], also via
       [IN]/[SOME]/[ALL]) → [Agg]
+    - scalar subqueries without an aggregate ([A θ (SELECT B …)]) →
+      [Scalar]
+
+    This module is the engine's only implementation of the verdict:
+    the formal model ({!Grouped}, {!Linking}) and every executor decide
+    a link through the same fold.
 
     Evaluation is three-valued: [x θ ALL ∅ = True], [x θ SOME ∅ = False],
     and a NULL on either side of an element comparison contributes
@@ -41,9 +47,58 @@ type t =
           the empty set is 0, SUM/AVG/MIN/MAX of it are NULL — and [A θ
           v] is one three-valued comparison.  [IN]/[θ SOME]/[θ ALL]
           against a one-row aggregate subquery all reduce to this. *)
+  | Scalar of Expr.scalar * Three_valued.cmpop * int
+      (** [Scalar (a, θ, b)]: [a θ (SELECT b …)] — no element is
+          Unknown, one element [e] is [a θ e.(b)], and a second element
+          fails with ["scalar subquery returned more than one row"]. *)
+
+(** {1 The verdict as a fold}
+
+    A linking predicate is decided by one left-to-right pass over a
+    group's elements.  Callers that never build an element row step the
+    fold with each element's {e linked value} — the attribute a
+    [Quant]/[Scalar] compares, the argument an [Agg] aggregates (any
+    value for the EXISTS forms and [Count_star]); marker-null padding
+    elements are the caller's to skip.  A [fold] is mutable and reused:
+    [start] it once per group. *)
+
+type fold
+
+val fold : t -> fold
+val start : fold -> outer:Row.t -> unit
+(** Begin a group: evaluate the outer side on [outer], empty the set. *)
+
+val step : fold -> Value.t -> unit
+(** Add one element by its linked value.  Raises [Failure] on a
+    [Scalar] predicate's second element. *)
+
+val step_elem : fold -> marker:int option -> Row.t -> unit
+(** Step one element row by its linked value (position [b] of
+    [Quant]/[Scalar], the aggregate's argument for [Agg]); skipped when
+    its [marker] position holds NULL. *)
+
+val decided : fold -> bool
+(** No further element can change the verdict (EXISTS after one
+    element, SOME once True, ALL once False): a caller may stop
+    stepping.  Never true for [Agg] or [Scalar]. *)
+
+val finish : fold -> Three_valued.t
+
+val outer_free : t -> bool
+(** Stepping never reads the outer side (the EXISTS forms, [Agg]): one
+    set can be stepped once, from [clear], and decided by [verdict]
+    against any number of outer tuples. *)
+
+val clear : fold -> unit
+(** Empty the set without an outer tuple. *)
+
+val verdict : fold -> outer:Row.t -> Three_valued.t
+(** Decide the set stepped so far against [outer], leaving it as it is.
+    Only meaningful when [outer_free]. *)
 
 val eval : t -> outer:Row.t -> elems:Row.t list -> Three_valued.t
-(** [elems] must already have marker-null padding elements removed. *)
+(** The fold over a list.  [elems] must already have marker-null
+    padding elements removed. *)
 
 val filter_marker : marker:int option -> Row.t list -> Row.t list
 (** Drop elements whose marker position holds NULL ([None] keeps all). *)

@@ -3,9 +3,12 @@ module T3 = Three_valued
 module N = Nested_relation
 
 let eval_tuple pred ~sub ~marker (tp : N.tuple) =
-  let elems = List.map (fun (e : N.tuple) -> e.avals) tp.svals.(sub).tuples in
-  let elems = Link_pred.filter_marker ~marker elems in
-  Link_pred.eval pred ~outer:tp.avals ~elems
+  let f = Link_pred.fold pred in
+  Link_pred.start f ~outer:tp.avals;
+  List.iter
+    (fun (e : N.tuple) -> Link_pred.step_elem f ~marker e.avals)
+    tp.svals.(sub).tuples;
+  Link_pred.finish f
 
 let select pred ~sub ~marker (t : N.t) =
   {

@@ -86,8 +86,12 @@ let hook () =
   match !current with
   | None -> ()
   | Some (t, tk) ->
-      if io_now_ms () -. tk.slice_start_io >= t.q_ms then
-        Effect.perform Yield
+      (* runs at every guard checkpoint: the slice test compares the
+         simulated clock in place, so a checkpoint allocates nothing *)
+      if
+        Nra_storage.Iosim.elapsed_ms_reached ~since_ms:tk.slice_start_io
+          t.q_ms
+      then Effect.perform Yield
 
 let sleeper ms =
   match !current with

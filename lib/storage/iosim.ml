@@ -246,3 +246,17 @@ let simulated_seconds () =
   +. (float_of_int s.rand_pages *. c.t_rand_ms)
   +. (float_of_int s.fetched_rows *. c.t_fetch_ms))
   /. 1000.0
+
+(* [simulated_seconds () *. 1000.0 -. since_ms >= ms], the same
+   arithmetic in the same order, computed in place: a float returned
+   across a module boundary is boxed, and the scheduler asks this at
+   every guard checkpoint *)
+let elapsed_ms_reached ~since_ms ms =
+  let c = !current and s = !state in
+  let secs =
+    (float_of_int s.seq_pages *. c.t_seq_ms
+    +. (float_of_int s.rand_pages *. c.t_rand_ms)
+    +. (float_of_int s.fetched_rows *. c.t_fetch_ms))
+    /. 1000.0
+  in
+  (secs *. 1000.0) -. since_ms >= ms

@@ -168,3 +168,8 @@ val restore_task : task_io -> unit
 
 val simulated_seconds : unit -> float
 (** Simulated elapsed I/O time since the last [reset]. *)
+
+val elapsed_ms_reached : since_ms:float -> float -> bool
+(** [elapsed_ms_reached ~since_ms ms] is
+    [simulated_seconds () *. 1000.0 -. since_ms >= ms], bit for bit,
+    without allocating. *)

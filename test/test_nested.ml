@@ -133,6 +133,72 @@ let test_quantifier_semantics () =
   Alcotest.check t3 "not exists" T.True
     (LP.eval LP.Is_empty ~outer:[||] ~elems:[])
 
+(* the scalar case: no element is Unknown, one is a comparison, a
+   second raises the same error text every executor reports *)
+let test_scalar_link () =
+  let pred = LP.Scalar (Expr.Col 0, T.Eq, 0) in
+  let eval x elems =
+    LP.eval pred ~outer:[| x |] ~elems:(List.map (fun v -> [| v |]) elems)
+  in
+  Alcotest.check t3 "no row is unknown" T.Unknown (eval (vi 5) []);
+  Alcotest.check t3 "5 = (5)" T.True (eval (vi 5) [ vi 5 ]);
+  Alcotest.check t3 "5 = (4)" T.False (eval (vi 5) [ vi 4 ]);
+  Alcotest.check t3 "5 = (null)" T.Unknown (eval (vi 5) [ vnull ]);
+  Alcotest.check t3 "null = (5)" T.Unknown (eval vnull [ vi 5 ]);
+  Alcotest.check_raises "two rows"
+    (Failure "scalar subquery returned more than one row") (fun () ->
+      ignore (eval (vi 5) [ vi 5; vi 6 ]));
+  Alcotest.(check bool) "not positive" false (LP.is_positive pred);
+  (* the fold never reports a scalar verdict decided: a second element
+     must still be seen *)
+  let f = LP.fold pred in
+  LP.start f ~outer:[| vi 5 |];
+  LP.step f (vi 5);
+  Alcotest.(check bool) "undecided after one row" false (LP.decided f);
+  Alcotest.check t3 "verdict after one row" T.True (LP.finish f)
+
+(* the fold is restartable and equals [eval] on every group; an
+   aggregate steps in element order, and an outer-free predicate decides
+   one stepped set against many outer tuples *)
+let test_fold_reuse () =
+  let sum = LP.Agg (Expr.Col 0, T.Eq, Algebra.Aggregate.Sum (Expr.Col 0)) in
+  let f = LP.fold sum in
+  let run outer elems =
+    LP.start f ~outer;
+    List.iter (fun v -> LP.step f v) elems;
+    LP.finish f
+  in
+  Alcotest.check t3 "1 + 1e16 - 1e16 = 0 in element order" T.True
+    (run [| vf 0.0 |] [ vf 1.0; vf 1e16; vf (-1e16) ]);
+  Alcotest.check t3 "reversed, the sum is 1" T.True
+    (run [| vf 1.0 |] [ vf (-1e16); vf 1e16; vf 1.0 ]);
+  Alcotest.check t3 "restarted: SUM of the empty set is NULL" T.Unknown
+    (run [| vf 0.0 |] []);
+  Alcotest.check t3 "all-NULL group: SUM is NULL" T.Unknown
+    (run [| vf 0.0 |] [ vnull; vnull ]);
+  let count =
+    LP.Agg (Expr.Col 0, T.Eq, Algebra.Aggregate.Count (Expr.Col 0))
+  in
+  Alcotest.(check bool)
+    "aggregates are outer-free" true (LP.outer_free count);
+  Alcotest.(check bool) "quantifiers are not" false
+    (LP.outer_free (LP.Quant (Expr.Col 0, T.Eq, LP.Some_, 0)));
+  let g = LP.fold count in
+  LP.clear g;
+  List.iter (LP.step g) [ vi 7; vnull; vi 8 ];
+  Alcotest.check t3 "2 = COUNT {7, null, 8}" T.True
+    (LP.verdict g ~outer:[| vi 2 |]);
+  Alcotest.check t3 "3 <> COUNT {7, null, 8}" T.False
+    (LP.verdict g ~outer:[| vi 3 |]);
+  let some = LP.Quant (Expr.Col 0, T.Lt, LP.Some_, 0) in
+  let q = LP.fold some in
+  LP.start q ~outer:[| vi 1 |];
+  LP.step q vnull;
+  Alcotest.(check bool) "SOME undecided on unknown" false (LP.decided q);
+  LP.step q (vi 3);
+  Alcotest.(check bool) "SOME decided on true" true (LP.decided q);
+  Alcotest.check t3 "1 < SOME {null, 3}" T.True (LP.finish q)
+
 let test_marker_filter () =
   let elems = [ [| vi 1; vi 9 |]; [| vi 2; vnull |] ] in
   Alcotest.(check int) "marker drops padded" 1
@@ -305,6 +371,8 @@ let () =
         [
           Alcotest.test_case "quantifier semantics" `Quick
             test_quantifier_semantics;
+          Alcotest.test_case "scalar link" `Quick test_scalar_link;
+          Alcotest.test_case "fold reuse" `Quick test_fold_reuse;
           Alcotest.test_case "marker filter" `Quick test_marker_filter;
           Alcotest.test_case "positivity" `Quick test_is_positive;
           Alcotest.test_case "grouped selections" `Quick test_grouped_select;

@@ -346,6 +346,29 @@ let test_deterministic_replay () =
   Alcotest.(check (list int)) "same completion order" o1 o2;
   Alcotest.(check int) "same slice count" s1 s2
 
+(* ---------- the slice test allocates nothing ----------
+
+   Inside a task every guard checkpoint calls the scheduler's hook, and
+   checkpoints run once per probed row and once per group: the hook's
+   "has this slice used its quantum?" test must not allocate. *)
+
+let test_tick_allocation () =
+  let sch = Scheduler.create ~quantum_ms:1e9 () in
+  let n = 1_000_000 in
+  let words = ref Float.nan in
+  ignore
+    (Scheduler.spawn sch (fun () ->
+         let before = Gc.minor_words () in
+         for _ = 1 to n do
+           Guard.tick ()
+         done;
+         words := Gc.minor_words () -. before));
+  Scheduler.run_until_idle sch;
+  let per_tick = !words /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per checkpoint inside a task" per_tick)
+    true (per_tick < 0.01)
+
 let () =
   Alcotest.run "scheduler"
     [
@@ -364,6 +387,8 @@ let () =
             test_preemption_within_quantum;
           Alcotest.test_case "deterministic replay" `Quick
             test_deterministic_replay;
+          Alcotest.test_case "a checkpoint inside a task allocates nothing"
+            `Quick test_tick_allocation;
         ] );
       ( "backoff",
         [
