@@ -1,22 +1,26 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    Section 5 (Figures 4–9 plus the in-text nest/linking-selection cost
-   table, reported here as "Figure 10"), the Section 4.2 ablations, and
-   Bechamel microbenchmarks of the core physical operators.
+   table, reported here as "Figure 10"), the type-JA sweep, the
+   robustness pseudo-figure, the Section 4.2 ablations and the rewrite
+   on/off sweep.  Every figure and rewrite sweep point lands in
+   BENCH_subqueries.json.
 
    Usage:
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- --figure 6   # one figure
-     dune exec bench/main.exe -- --scale 0.02 --no-micro --no-ablation
-     dune exec bench/main.exe -- --domains-sweep --scale 0.02
-                                              # parallel-kernel speedups
-                                              # only, to BENCH_parallel.json
+     dune exec bench/main.exe -- --scale 0.02 --no-ablation
+     dune exec bench/main.exe -- --rewrite-sweep --scale 0.02
+                                              # rewrite none vs all only
 
    Two costs are reported per run:
-   - cpu(s): measured wall-clock of the in-memory OCaml engine;
+   - cpu(s): measured wall-clock of the in-memory OCaml engine, from a
+     single timed run after one warm-up;
    - sim(s): the simulated 2005-disk elapsed time of Iosim (sequential
      scans, random index I/O, per-tuple engine→procedure fetch), which
      is the regime the paper's absolute numbers live in.  Figure shapes
-     (who wins, crossovers) are asserted on sim(s); see EXPERIMENTS.md. *)
+     (who wins, crossovers) are asserted on sim(s); see EXPERIMENTS.md.
+     sim(s) is deterministic; cpu(s) is not.  The repeated, gated
+     end-to-end measurement is perfbench/ (BENCHMARK.json). *)
 
 module Iosim = Nra_storage.Iosim
 module Q = Nra.Tpch.Queries
@@ -26,19 +30,14 @@ module Nx = Nra.Exec.Nra_exec
 
 let scale = ref 0.05
 let selected_figures : int list ref = ref []
-let run_micro = ref true
 let run_ablation = ref true
 let run_full = ref false
-let run_domains_sweep = ref false
-let run_outofcore_sweep = ref false
 let run_rewrite_sweep = ref false
-let run_columnar_sweep = ref false
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--figure N]... [--scale S] [--full] [--no-micro] \
-     [--no-ablation] [--domains-sweep] [--outofcore-sweep] \
-     [--rewrite-sweep] [--columnar-sweep]";
+    "usage: main.exe [--figure N]... [--scale S] [--full] [--no-ablation] \
+     [--rewrite-sweep]";
   exit 2
 
 let () =
@@ -57,23 +56,11 @@ let () =
     | "--full" :: rest ->
         run_full := true;
         parse rest
-    | "--no-micro" :: rest ->
-        run_micro := false;
-        parse rest
     | "--no-ablation" :: rest ->
         run_ablation := false;
         parse rest
-    | "--domains-sweep" :: rest ->
-        run_domains_sweep := true;
-        parse rest
-    | "--outofcore-sweep" :: rest ->
-        run_outofcore_sweep := true;
-        parse rest
     | "--rewrite-sweep" :: rest ->
         run_rewrite_sweep := true;
-        parse rest
-    | "--columnar-sweep" :: rest ->
-        run_columnar_sweep := true;
         parse rest
     | _ -> usage ()
   in
@@ -521,452 +508,6 @@ let robustness () =
   Nra.set_auto_guard ~overrun ~floor_ms ();
   Nra.Guard.reset_events ()
 
-(* ---------- Bechamel microbenchmarks ---------- *)
-
-let micro () =
-  header "Microbenchmarks (Bechamel)"
-    "per-operation cost of the physical operators on fixed inputs";
-  let open Bechamel in
-  let open Nra in
-  let lineitem = Table.relation (Catalog.table cat "lineitem") in
-  let orders = Table.relation (Catalog.table cat "orders") in
-  let sample n rel =
-    Relation.make (Relation.schema rel)
-      (Array.sub (Relation.rows rel) 0 (min n (Relation.cardinality rel)))
-  in
-  let li = sample 20_000 lineitem in
-  let ords = sample 5_000 orders in
-  let li_schema = Relation.schema li in
-  let o_schema = Relation.schema ords in
-  let okey = Schema.find o_schema ~table:"orders" "o_orderkey" in
-  let lkey = Schema.find li_schema ~table:"lineitem" "l_orderkey" in
-  let join_on =
-    Expr.Cmp
-      (Three_valued.Eq, Expr.Col okey,
-       Expr.Col (Schema.arity o_schema + lkey))
-  in
-  let wide = Algebra.Join.join Algebra.Join.Left_outer ~on:join_on ords li in
-  let by = Array.init (Schema.arity o_schema) Fun.id in
-  let keep =
-    [| Schema.arity o_schema + lkey; Schema.arity o_schema + lkey |]
-  in
-  let grouped = Nested.Grouped.nest_sort ~by ~keep wide in
-  let pred =
-    Nested.Link_pred.Quant
-      (Expr.Col
-         (Schema.find o_schema ~table:"orders" "o_totalprice"),
-       Three_valued.Gt, Nested.Link_pred.All, 0)
-  in
-  let tests =
-    Test.make_grouped ~name:"operators"
-      [
-        Test.make ~name:"hash-join(5k x 20k)"
-          (Staged.stage (fun () ->
-               Algebra.Join.join Algebra.Join.Inner ~on:join_on ords li));
-        Test.make ~name:"left-outer-join(5k x 20k)"
-          (Staged.stage (fun () ->
-               Algebra.Join.join Algebra.Join.Left_outer ~on:join_on ords li));
-        Test.make ~name:"nest-sort"
-          (Staged.stage (fun () -> Nested.Grouped.nest_sort ~by ~keep wide));
-        Test.make ~name:"nest-hash"
-          (Staged.stage (fun () -> Nested.Grouped.nest_hash ~by ~keep wide));
-        Test.make ~name:"linking-selection"
-          (Staged.stage (fun () ->
-               Nested.Grouped.select pred ~marker:(Some 1) grouped));
-        Test.make ~name:"pseudo-selection"
-          (Staged.stage (fun () ->
-               Nested.Grouped.pseudo_select pred ~marker:(Some 1)
-                 ~pad:[| 0 |] grouped));
-        Test.make ~name:"sort(20k)"
-          (Staged.stage (fun () -> Relation.sort_by [| lkey |] li));
-        Test.make ~name:"semijoin(5k x 20k)"
-          (Staged.stage (fun () ->
-               Algebra.Join.join Algebra.Join.Semi ~on:join_on ords li));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| "run" |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let names = Hashtbl.fold (fun k _ acc -> k :: acc) results [] in
-  List.iter
-    (fun name ->
-      let v = Hashtbl.find results name in
-      match Analyze.OLS.estimates v with
-      | Some (t :: _) -> Printf.printf "  %-34s %10.3f ms/run\n" name (t /. 1e6)
-      | _ -> Printf.printf "  %-34s (no estimate)\n" name)
-    (List.sort compare names)
-
-(* ---------- BENCH_parallel.json ----------
-
-   Two sweeps share the file: the domains sweep (parallel-kernel
-   speedup curve) and the columnar sweep (row vs columnar kernel
-   timings at domains=0).  Each records its section; whichever sweeps
-   ran are emitted together. *)
-
-let domains_section : string option ref = ref None
-let columnar_section : string option ref = ref None
-
-let write_bench_parallel () =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"scale\": %g,\n  \"host_cores\": %d" !scale
-       (Domain.recommended_domain_count ()));
-  (match !domains_section with
-  | Some s -> Buffer.add_string buf (",\n  \"domains_sweep\": " ^ s)
-  | None -> ());
-  (match !columnar_section with
-  | Some s -> Buffer.add_string buf (",\n  \"columnar_sweep\": " ^ s)
-  | None -> ());
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_parallel.json\n"
-
-(* ---------- domains sweep ----------
-
-   The three parallel kernels (partitioned hash join, parallel nest,
-   morsel filter) timed at pool sizes 0/1/2/4 against the serial
-   baseline, with a bit-identity check per point; results land in
-   BENCH_parallel.json.  The host core count goes into the JSON too:
-   wall-clock speedup is bounded by the physical cores, not the domain
-   count, so single-core CI still produces an honest (flat) curve. *)
-
-let domains_sweep () =
-  let open Nra in
-  header "Domains sweep"
-    "parallel kernels vs the serial baseline (bit-identity checked)";
-  let lineitem = Table.relation (Catalog.table cat "lineitem") in
-  let orders = Table.relation (Catalog.table cat "orders") in
-  let li_schema = Relation.schema lineitem in
-  let o_schema = Relation.schema orders in
-  let okey = Schema.find o_schema ~table:"orders" "o_orderkey" in
-  let lkey = Schema.find li_schema ~table:"lineitem" "l_orderkey" in
-  let join_on =
-    Expr.Cmp
-      ( Three_valued.Eq,
-        Expr.Col okey,
-        Expr.Col (Schema.arity o_schema + lkey) )
-  in
-  let by = Array.init (Schema.arity o_schema) Fun.id in
-  let keep =
-    [| Schema.arity o_schema + lkey; Schema.arity o_schema + lkey |]
-  in
-  let filter_on =
-    Expr.Cmp (Three_valued.Gt, Expr.Col lkey, Expr.Const (Value.Int 100))
-  in
-  let join () = Algebra.Join.join Algebra.Join.Inner ~on:join_on orders lineitem in
-  let wide = join () in
-  let nest () = Nested.Grouped.nest_hash ~by ~keep wide in
-  let filter () = Algebra.Basic.select filter_on lineitem in
-  (* best-of-3 after a warm-up: the kernels are sub-second at these
-     scales and we want the speedup curve, not allocator noise *)
-  let time f =
-    ignore (f ());
-    let best = ref infinity in
-    let result = ref (f ()) in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := r
-    done;
-    (!best, !result)
-  in
-  Printf.printf "%8s | %10s %10s %10s | identical\n" "domains" "join(s)"
-    "nest(s)" "filter(s)";
-  let baseline = ref None in
-  let points =
-    List.map
-      (fun d ->
-        Pool.set_size d;
-        let tj, rj = time join in
-        let tn, rn = time nest in
-        let tf, rf = time filter in
-        let identical =
-          match !baseline with
-          | None ->
-              baseline := Some (rj, rn, rf);
-              true
-          | Some (bj, bn, bf) ->
-              Relation.rows bj = Relation.rows rj
-              && bn.Nested.Grouped.groups = rn.Nested.Grouped.groups
-              && Relation.rows bf = Relation.rows rf
-        in
-        Printf.printf "%8d | %10.4f %10.4f %10.4f | %b\n%!" d tj tn tf
-          identical;
-        (d, tj, tn, tf, identical))
-      [ 0; 1; 2; 4 ]
-  in
-  Pool.set_size 0;
-  let b0 = List.hd points in
-  let base (_, tj, tn, tf, _) = (tj, tn, tf) in
-  let bj, bn, bf = base b0 in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "{\n\
-    \    \"note\": \"speedup = serial_best_of_3 / best_of_3; wall-clock \
-     speedup is bounded by host_cores regardless of the domain count; \
-     identity is structural equality against the domains=0 result\",\n\
-    \    \"points\": [\n";
-  List.iteri
-    (fun i (d, tj, tn, tf, identical) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"domains\": %d, \"join_s\": %.6f, \"nest_s\": %.6f, \
-            \"filter_s\": %.6f, \"join_speedup\": %.3f, \"nest_speedup\": \
-            %.3f, \"filter_speedup\": %.3f, \"identical\": %b}"
-           d tj tn tf (bj /. tj) (bn /. tn) (bf /. tf) identical))
-    points;
-  Buffer.add_string buf "\n    ]\n  }";
-  domains_section := Some (Buffer.contents buf)
-
-(* ---------- columnar sweep ----------
-
-   Row-at-a-time vs columnar timings for the four kernel shapes, at
-   domains=0 — an honest single-core comparison, no parallel speedup
-   mixed in.  Per kernel: disable the columnar core and take the best
-   of five runs, then enable it (priming the base-relation batches the
-   way Exec.Frame does at scan time) and repeat; the two results must
-   be structurally identical.  The probe-heavy join direction (big
-   lineitem probing a small orders build) is where the hash-vector
-   probe win shows; every kernel input is a scan-primed base relation,
-   the only place the hash-vector paths engage (intermediates hash
-   inline either way — see Join.key_vectors). *)
-
-let columnar_sweep () =
-  let open Nra in
-  header "Columnar sweep"
-    "row vs columnar kernels at domains=0 (structural identity checked)";
-  Pool.set_size 0;
-  let lineitem = Table.relation (Catalog.table cat "lineitem") in
-  let orders = Table.relation (Catalog.table cat "orders") in
-  let li_schema = Relation.schema lineitem in
-  let o_schema = Relation.schema orders in
-  let okey = Schema.find o_schema ~table:"orders" "o_orderkey" in
-  let lkey = Schema.find li_schema ~table:"lineitem" "l_orderkey" in
-  let o_arity = Schema.arity o_schema in
-  let li_arity = Schema.arity li_schema in
-  let join_build_on =
-    Expr.Cmp (Three_valued.Eq, Expr.Col okey, Expr.Col (o_arity + lkey))
-  in
-  let join_probe_on =
-    Expr.Cmp (Three_valued.Eq, Expr.Col lkey, Expr.Col (li_arity + okey))
-  in
-  let filter_on =
-    Expr.Cmp (Three_valued.Gt, Expr.Col lkey, Expr.Const (Value.Int 100))
-  in
-  (* nest over a primed base relation: the key-hash vectors only engage
-     for scan-primed inputs (intermediates hash inline either way, so
-     timing them would compare identical code) *)
-  let by = [| lkey |] in
-  let keep = [| lkey; lkey |] in
-  let kernels =
-    [
-      ( "filter_morsel",
-        fun () -> `R (Algebra.Basic.select filter_on lineitem) );
-      ( "join_build_heavy",
-        fun () ->
-          `R (Algebra.Join.join Algebra.Join.Inner ~on:join_build_on orders
-                lineitem) );
-      (* Anti (the NOT EXISTS shape): the probe pass IS the work — no
-         output rows get built, so the timing isolates hash + bucket
-         scan instead of drowning it in Row.concat allocation *)
-      ( "join_probe_heavy",
-        fun () ->
-          `R (Algebra.Join.join Algebra.Join.Anti ~on:join_probe_on
-                lineitem orders) );
-      ( "nest_hash",
-        fun () -> `N (Nested.Grouped.nest_hash ~by ~keep lineitem) );
-    ]
-  in
-  let same a b =
-    match (a, b) with
-    | `R x, `R y -> Relation.rows x = Relation.rows y
-    | `N x, `N y -> x.Nested.Grouped.groups = y.Nested.Grouped.groups
-    | _ -> false
-  in
-  (* the two legs are interleaved rep by rep, each preceded by an
-     untimed warm run and a full major GC: heap drift over a long
-     process hits both legs equally instead of whichever leg happened
-     to run later *)
-  let timed f =
-    ignore (f ());
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  Printf.printf "%-18s | %10s %11s %8s | identical\n" "kernel" "row(s)"
-    "columnar(s)" "speedup";
-  let points =
-    List.map
-      (fun (name, run) ->
-        let best_row = ref infinity and best_col = ref infinity in
-        let row_res = ref None and col_res = ref None in
-        for _ = 1 to 5 do
-          Batch.set_enabled false;
-          let dt, r = timed run in
-          if dt < !best_row then best_row := dt;
-          row_res := Some r;
-          Batch.set_enabled true;
-          Batch.prime lineitem;
-          Batch.prime orders;
-          (* the warm run inside [timed] also re-forces the lazy
-             columns the toggle flush dropped, so the timed run sees
-             the scan-primed steady state *)
-          let dt, r = timed run in
-          if dt < !best_col then best_col := dt;
-          col_res := Some r
-        done;
-        let trow = !best_row and tcol = !best_col in
-        let identical =
-          match (!row_res, !col_res) with
-          | Some a, Some b -> same a b
-          | _ -> false
-        in
-        Printf.printf "%-18s | %10.4f %11.4f %8.2f | %b\n%!" name trow tcol
-          (trow /. tcol) identical;
-        (name, trow, tcol, identical))
-      kernels
-  in
-  Batch.set_enabled true;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "{\n\
-    \    \"note\": \"row_s = NRA_COLUMNAR off, columnar_s = on with \
-     base-relation batches primed, both best-of-5 at domains=0; speedup = \
-     row_s / columnar_s; identity is structural equality of the two \
-     results\",\n\
-    \    \"kernels\": [\n";
-  List.iteri
-    (fun i (name, trow, tcol, identical) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"kernel\": %s, \"row_s\": %.6f, \"columnar_s\": %.6f, \
-            \"speedup\": %.3f, \"identical\": %b}"
-           (json_string name) trow tcol (trow /. tcol) identical))
-    points;
-  Buffer.add_string buf "\n    ]\n  }";
-  columnar_section := Some (Buffer.contents buf);
-  if List.exists (fun (_, _, _, ok) -> not ok) points then begin
-    prerr_endline "columnar sweep: result divergence";
-    exit 1
-  end
-
-(* ---------- out-of-core sweep ----------
-
-   The paper's queries under three buffer-pool frame budgets — tiny
-   (everything spills and thrashes), the paper's 32 MB cache (exact
-   frame count via Iosim.frames_for_mb), and unbounded (pool disabled,
-   the pre-pool engine) — with a CSV-identity check of every run
-   against the pool-disabled reference and the pool counters recorded
-   per point; results land in BENCH_outofcore.json.  The naive point
-   shows the other side of the cache story: index-free nested
-   iteration rescans the inner block per outer tuple, which a resident
-   inner table makes nearly free and a tiny budget makes brutal. *)
-
-let outofcore_sweep () =
-  let open Nra in
-  header "Out-of-core sweep"
-    "frame budgets tiny / paper-32MB / unbounded; CSV identity checked \
-     against the pool-disabled run";
-  let runs =
-    [
-      ("q1/nra-opt", Nra.Nra_optimized, List.nth (q1_sqls ()) 3);
-      ("q1/naive", Nra.Naive, List.nth (q1_sqls ()) 0);
-      ("q2b/nra-opt", Nra.Nra_optimized, List.nth (q2_sqls Q.All) 1);
-    ]
-  in
-  let budgets =
-    [
-      ("tiny", Some 8);
-      ("paper-32mb", Some (Iosim.frames_for_mb 32.0));
-      ("unbounded", None);
-    ]
-  in
-  Bufpool.set_frames None;
-  let refs =
-    List.map
-      (fun (name, strategy, sql) ->
-        (name, Relation.to_csv (query_exn ~strategy cat sql)))
-      runs
-  in
-  Printf.printf "%-12s %-12s %10s %10s %6s %6s %6s %6s | identical\n"
-    "budget" "run" "cpu(s)" "sim(s)" "hit" "miss" "evict" "spill";
-  let all_ok = ref true in
-  let point_rows =
-    List.concat_map
-      (fun (bname, frames) ->
-        Bufpool.set_frames frames;
-        List.map
-          (fun (qname, strategy, sql) ->
-            ignore (query_exn ~strategy cat sql);
-            Iosim.reset ();
-            let t0 = Unix.gettimeofday () in
-            let rel = query_exn ~strategy cat sql in
-            let cpu = Unix.gettimeofday () -. t0 in
-            let sim = Iosim.simulated_seconds () in
-            let bp = Bufpool.stats () in
-            let gv = Governor.stats () in
-            let identical =
-              Relation.to_csv rel = List.assoc qname refs
-            in
-            if not identical then all_ok := false;
-            Printf.printf
-              "%-12s %-12s %10.3f %10.2f %6d %6d %6d %6d | %b\n%!" bname
-              qname cpu sim bp.Bufpool.hits bp.Bufpool.misses
-              bp.Bufpool.evictions bp.Bufpool.spilled_partitions identical;
-            (bname, frames, qname, cpu, sim, bp, gv, identical))
-          runs)
-      budgets
-  in
-  Bufpool.set_frames None;
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"scale\": %g,\n  \"page_size_kb\": %g,\n  \"note\": \
-        \"identity is CSV equality against the pool-disabled run; \
-        frames=0 means the pool is disabled\",\n  \"points\": [\n"
-       !scale (Iosim.config ()).Iosim.page_size_kb);
-  List.iteri
-    (fun i (bname, frames, qname, cpu, sim, bp, gv, identical) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"budget\": %s, \"frames\": %d, \"run\": %s, \"cpu_s\": \
-            %.6f, \"sim_s\": %.4f, \"hits\": %d, \"misses\": %d, \
-            \"evictions\": %d, \"writebacks\": %d, \
-            \"spilled_partitions\": %d, \"spilled_pages\": %d, \
-            \"governor_hw_bytes\": %d, \"governor_stagings\": %d, \
-            \"governor_spilled_stagings\": %d, \"spill_volume_kb\": %d, \
-            \"identical\": %b}"
-           (json_string bname)
-           (Option.value frames ~default:0)
-           (json_string qname) cpu sim bp.Nra.Bufpool.hits
-           bp.Nra.Bufpool.misses bp.Nra.Bufpool.evictions
-           bp.Nra.Bufpool.writebacks bp.Nra.Bufpool.spilled_partitions
-           bp.Nra.Bufpool.spilled_pages gv.Nra.Governor.high_water_bytes
-           gv.Nra.Governor.stagings gv.Nra.Governor.spilled_stagings
-           (int_of_float
-              (float_of_int bp.Nra.Bufpool.spilled_pages
-              *. (Iosim.config ()).Iosim.page_size_kb))
-           identical))
-    point_rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out "BENCH_outofcore.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_outofcore.json (every point identical: %b)\n"
-    !all_ok;
-  if not !all_ok then exit 1
-
 (* ---------- rewrite sweep ----------
 
    The algebraic rewrite pass (lib/opt) on and off over the Figure 4
@@ -1046,16 +587,6 @@ let rewrite_sweep () =
 (* ---------- main ---------- *)
 
 let () =
-  if !run_domains_sweep || !run_columnar_sweep then begin
-    if !run_domains_sweep then domains_sweep ();
-    if !run_columnar_sweep then columnar_sweep ();
-    write_bench_parallel ();
-    exit 0
-  end;
-  if !run_outofcore_sweep then begin
-    outofcore_sweep ();
-    exit 0
-  end;
   (* with explicit --figure selections the rewrite sweep composes with
      them (one emit at the end records both); alone it keeps the old
      sweep-and-exit behavior *)
@@ -1076,6 +607,5 @@ let () =
   if wanted 11 then robustness ();
   if wanted 12 then figure_ja ();
   if !run_ablation && !selected_figures = [] then ablations ();
-  if !run_micro && !selected_figures = [] then micro ();
   if !points <> [] then emit_json "BENCH_subqueries.json";
   print_newline ()

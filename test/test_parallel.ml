@@ -75,6 +75,20 @@ let tpch_corpus =
      any (select ps_supplycost from partsupp where ps_partkey = p_partkey)";
     "select c_custkey from customer where c_custkey < 30 and exists \
      (select * from orders where o_custkey = c_custkey)";
+    (* a flat equi-join and filter: the join and morsel-filter kernels
+       on their own *)
+    "select o_orderkey, l_linenumber from orders, lineitem where \
+     o_orderkey = l_orderkey and l_orderkey < 50";
+    (* NOT EXISTS: the big side probes the small build (anti-join) *)
+    "select l_orderkey, l_linenumber from lineitem where l_orderkey < 50 \
+     and not exists (select * from orders where o_orderkey = l_orderkey \
+     and o_orderstatus = 'F')";
+    (* Query 2b's shape: ALL over a NOT EXISTS grandchild *)
+    "select p_partkey from part where p_partkey < 40 and p_retailprice < \
+     all (select ps_supplycost from partsupp where ps_partkey = p_partkey \
+     and ps_availqty < 2000 and not exists (select * from lineitem where \
+     ps_partkey = l_partkey and ps_suppkey = l_suppkey and l_quantity = \
+     25))";
   ]
 
 let tpch_catalog () =

@@ -369,6 +369,93 @@ let test_tick_allocation () =
     (Printf.sprintf "%.3f minor words per checkpoint inside a task" per_tick)
     true (per_tick < 0.01)
 
+(* ---------- head-of-line blocking ----------
+
+   A few long statements (the paper's Query 1 over a wide window)
+   salted into a stream of short nested lookups over the dimension
+   tables, two slots, nothing turned away.  At quantum [infinity] a
+   long statement holds its slot for its whole simulated I/O, so the
+   shorts queue behind it; at a finite quantum it yields, and the
+   shorts' tail latency on the virtual clock must fall.  A fixed
+   strategy, not Auto: an Auto attempt is a no-yield critical section. *)
+
+let hol_catalog =
+  lazy (Tpch.Gen.generate { Tpch.Gen.default with Tpch.Gen.scale = 0.005 })
+
+let hol_short =
+  "select s_name from supplier where s_nationkey in (select n_nationkey \
+   from nation where n_regionkey = 2)"
+
+let hol_long =
+  let lo, hi =
+    Tpch.Queries.q1_window ~outer_fraction:(16_000. /. 1_500_000.)
+  in
+  Tpch.Queries.q1 ~date_lo:lo ~date_hi:hi
+
+(* (outcomes, p95 of the short statements' latency) at one quantum *)
+let hol_run ~quantum_ms =
+  let srv =
+    Server.create
+      ~config:
+        {
+          Server.default_config with
+          admission =
+            {
+              Admission.max_concurrent = 2;
+              queue_len = 4096;
+              queue_timeout_ms = None;
+            };
+          strategy = Nra.Nra_optimized;
+          quantum_ms;
+        }
+      (Lazy.force hol_catalog)
+  in
+  let clients, shorts, longs, gap_ms = (4, 12, 3, 10.0) in
+  let sessions = Array.init clients (fun _ -> Server.session srv ()) in
+  let outcomes = ref [] in
+  let note os = outcomes := List.rev_append os !outcomes in
+  let t = ref 0.0 in
+  let submit i sql =
+    (match Server.submit srv ~at:!t sessions.(i) sql with
+    | `Done o -> note [ o ]
+    | `Running _ | `Queued -> ());
+    note (Server.drain srv);
+    t := !t +. gap_ms
+  in
+  (* waves of one short per client, every (shorts/longs)-th wave
+     preceded by a long from client 0 *)
+  for k = 0 to shorts - 1 do
+    if k mod (shorts / longs) = 0 then submit 0 hol_long;
+    for i = 0 to clients - 1 do
+      submit i hol_short
+    done
+  done;
+  note (Server.finish srv);
+  let lat =
+    List.filter_map
+      (fun o ->
+        if String.equal o.Server.sql hol_short then
+          Some (Server.latency_ms o)
+        else None)
+      !outcomes
+    |> Array.of_list
+  in
+  Array.sort compare lat;
+  let n = Array.length lat in
+  let p95 =
+    lat.(min (n - 1) (int_of_float ((0.95 *. float_of_int (n - 1)) +. 0.5)))
+  in
+  (List.length !outcomes, p95)
+
+let test_head_of_line () =
+  let n_inf, p95_inf = hol_run ~quantum_ms:infinity in
+  let n_fin, p95_fin = hol_run ~quantum_ms:0.5 in
+  Alcotest.(check int) "same number of outcomes at both quanta" n_inf n_fin;
+  Alcotest.(check bool)
+    (Printf.sprintf "short p95 %.2f ms at quantum 0.5 < %.2f ms at inf"
+       p95_fin p95_inf)
+    true (p95_fin < p95_inf)
+
 let () =
   Alcotest.run "scheduler"
     [
@@ -389,6 +476,8 @@ let () =
             test_deterministic_replay;
           Alcotest.test_case "a checkpoint inside a task allocates nothing"
             `Quick test_tick_allocation;
+          Alcotest.test_case "a finite quantum cuts head-of-line blocking"
+            `Quick test_head_of_line;
         ] );
       ( "backoff",
         [
