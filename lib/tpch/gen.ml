@@ -39,11 +39,23 @@ let nation_names =
     "SAUDI ARABIA"; "VIETNAM"; "RUSSIA"; "UNITED KINGDOM"; "UNITED STATES";
   |]
 
+(* Shared cells.  Every repeated value is boxed once, in one of the
+   tables below, and every row that holds it points at that copy;
+   values are immutable, so the engine cannot tell.  A lookup makes the
+   same PRNG draws in the same order as the expression it stands for:
+   ocamlopt evaluates the arguments of [Printf.sprintf] right to left,
+   so "%s %s %s" drew its last argument first. *)
+
+let vf f = Value.Float f
+let vs s = Value.String s
+
 let priorities =
-  [| "1-URGENT"; "2-HIGH"; "3-MEDIUM"; "4-NOT SPECIFIED"; "5-LOW" |]
+  Array.map vs
+    [| "1-URGENT"; "2-HIGH"; "3-MEDIUM"; "4-NOT SPECIFIED"; "5-LOW" |]
 
 let segments =
-  [| "AUTOMOBILE"; "BUILDING"; "FURNITURE"; "MACHINERY"; "HOUSEHOLD" |]
+  Array.map vs
+    [| "AUTOMOBILE"; "BUILDING"; "FURNITURE"; "MACHINERY"; "HOUSEHOLD" |]
 
 let part_adjectives =
   [|
@@ -57,23 +69,87 @@ let part_types =
 
 let part_materials = [| "TIN"; "NICKEL"; "BRASS"; "STEEL"; "COPPER" |]
 
-let containers = [| "SM CASE"; "LG BOX"; "MED BAG"; "JUMBO JAR"; "WRAP PKG" |]
+let containers =
+  Array.map vs [| "SM CASE"; "LG BOX"; "MED BAG"; "JUMBO JAR"; "WRAP PKG" |]
 
-let ship_modes = [| "REG AIR"; "AIR"; "RAIL"; "SHIP"; "TRUCK"; "MAIL"; "FOB" |]
+let ship_modes =
+  Array.map vs [| "REG AIR"; "AIR"; "RAIL"; "SHIP"; "TRUCK"; "MAIL"; "FOB" |]
 
 let instructs =
-  [| "DELIVER IN PERSON"; "COLLECT COD"; "NONE"; "TAKE BACK RETURN" |]
+  Array.map vs
+    [| "DELIVER IN PERSON"; "COLLECT COD"; "NONE"; "TAKE BACK RETURN" |]
 
-let comment rng =
-  Printf.sprintf "%s %s %s"
-    (Prng.pick rng part_adjectives)
-    (Prng.pick rng part_types)
-    (Prng.pick rng part_materials)
+let order_statuses = Array.map vs [| "O"; "F"; "P" |]
+let return_flags = Array.map vs [| "R"; "A"; "N" |]
+let line_statuses = Array.map vs [| "O"; "F" |]
 
-let vi i = Value.Int i
-let vf f = Value.Float f
-let vs s = Value.String s
-let vd d = Value.Date d
+(* one cell per int in [0, 9999]: sizes, quantities, line numbers,
+   available quantities and nation keys.  A primary key of part,
+   supplier, customer or orders gets a cell of its own, which every
+   foreign key that references it shares. *)
+let ints = Array.init 10_000 (fun i -> Value.Int i)
+let vi i = ints.(i)
+
+(* ship dates lie up to 121 days after the order date, receipts up to
+   30 days after the ship date *)
+let last_date = orderdate_hi + 121 + 30
+let dates =
+  Array.init (last_date - orderdate_lo + 1) (fun i ->
+      Value.Date (orderdate_lo + i))
+let vd d = dates.(d - orderdate_lo)
+
+(* [phrase lists] boxes every "w1 w2 ..." with one word from each list
+   once, and returns a draw of one of them that picks the words as
+   [Printf.sprintf "%s %s ..."] over [Prng.pick]s did: the last word
+   first. *)
+let phrase lists =
+  let last = Array.length lists - 1 in
+  let n = Array.fold_left (fun n ws -> n * Array.length ws) 1 lists in
+  (* a phrase sits at the mixed-radix index of its words, the last
+     list least significant *)
+  let cells =
+    Array.init n (fun i ->
+        let words = ref [] and rest = ref i in
+        for k = last downto 0 do
+          let ws = lists.(k) in
+          words := ws.(!rest mod Array.length ws) :: !words;
+          rest := !rest / Array.length ws
+        done;
+        vs (String.concat " " !words))
+  in
+  fun rng ->
+    let i = ref 0 and radix = ref 1 in
+    for k = last downto 0 do
+      let len = Array.length lists.(k) in
+      i := !i + (!radix * Prng.int rng len);
+      radix := !radix * len
+    done;
+    cells.(!i)
+
+let comment = phrase [| part_adjectives; part_types; part_materials |]
+let part_name = phrase [| part_adjectives; part_materials |]
+let part_type = phrase [| part_types; part_materials |]
+
+let mfgrs =
+  Array.init 5 (fun i -> vs (Printf.sprintf "Manufacturer#%d" (i + 1)))
+let mfgr rng = mfgrs.(Prng.in_range rng 1 5 - 1)
+
+(* "Brand#d1d2", at [(d1 - 1) * 5 + d2 - 1]; d2 is drawn first *)
+let brands =
+  Array.init 25 (fun i ->
+      vs (Printf.sprintf "Brand#%d%d" ((i / 5) + 1) ((i mod 5) + 1)))
+
+let brand rng =
+  let d2 = Prng.in_range rng 1 5 in
+  let d1 = Prng.in_range rng 1 5 in
+  brands.(((d1 - 1) * 5) + d2 - 1)
+
+let clerks =
+  Array.init 1000 (fun i -> vs (Printf.sprintf "Clerk#%09d" (i + 1)))
+let clerk rng = clerks.(Prng.in_range rng 1 1000 - 1)
+
+(* discount and tax: hundredths in [0.00, 0.10] *)
+let hundredths = Array.init 11 (fun i -> vf (float_of_int i /. 100.0))
 
 let money rng lo hi =
   vf (float_of_int (Prng.in_range rng (lo * 100) (hi * 100)) /. 100.0)
@@ -101,7 +177,7 @@ let generate cfg =
         col "r_comment" Ttype.String;
       ]
       (Array.init 5 (fun i ->
-           [| vi i; vs region_names.(i); vs (comment rng) |]))
+           [| vi i; vs region_names.(i); comment rng |]))
   in
   Catalog.register cat region;
 
@@ -115,11 +191,25 @@ let generate cfg =
         col "n_comment" Ttype.String;
       ]
       (Array.init 25 (fun i ->
-           [| vi i; vs nation_names.(i); vi (i mod 5); vs (comment rng) |]))
+           [| vi i; vs nation_names.(i); vi (i mod 5); comment rng |]))
   in
   Catalog.register cat nation;
 
   (* supplier *)
+  let supplier_rows =
+    Array.init n_suppliers (fun i ->
+        let k = i + 1 in
+        [|
+          Value.Int k;
+          vs (Printf.sprintf "Supplier#%09d" k);
+          comment rng;
+          vi (Prng.int rng 25);
+          vs (Printf.sprintf "%02d-%07d" (Prng.in_range rng 10 34)
+                (Prng.int rng 10_000_000));
+          money rng (-999) 9999;
+          comment rng;
+        |])
+  in
   let supplier =
     Table.create ~name:"supplier" ~key:[ "s_suppkey" ]
       [
@@ -131,22 +221,26 @@ let generate cfg =
         col "s_acctbal" Ttype.Float;
         col "s_comment" Ttype.String;
       ]
-      (Array.init n_suppliers (fun i ->
-           let k = i + 1 in
-           [|
-             vi k;
-             vs (Printf.sprintf "Supplier#%09d" k);
-             vs (comment rng);
-             vi (Prng.int rng 25);
-             vs (Printf.sprintf "%02d-%07d" (Prng.in_range rng 10 34)
-                   (Prng.int rng 10_000_000));
-             money rng (-999) 9999;
-             vs (comment rng);
-           |]))
+      supplier_rows
   in
   Catalog.register cat supplier;
 
   (* customer *)
+  let customer_rows =
+    Array.init n_customers (fun i ->
+        let k = i + 1 in
+        [|
+          Value.Int k;
+          vs (Printf.sprintf "Customer#%09d" k);
+          comment rng;
+          vi (Prng.int rng 25);
+          vs (Printf.sprintf "%02d-%07d" (Prng.in_range rng 10 34)
+                (Prng.int rng 10_000_000));
+          money rng (-999) 9999;
+          Prng.pick rng segments;
+          comment rng;
+        |])
+  in
   let customer =
     Table.create ~name:"customer" ~key:[ "c_custkey" ]
       [
@@ -159,23 +253,25 @@ let generate cfg =
         col ~not_null:true "c_mktsegment" Ttype.String;
         col "c_comment" Ttype.String;
       ]
-      (Array.init n_customers (fun i ->
-           let k = i + 1 in
-           [|
-             vi k;
-             vs (Printf.sprintf "Customer#%09d" k);
-             vs (comment rng);
-             vi (Prng.int rng 25);
-             vs (Printf.sprintf "%02d-%07d" (Prng.in_range rng 10 34)
-                   (Prng.int rng 10_000_000));
-             money rng (-999) 9999;
-             vs (Prng.pick rng segments);
-             vs (comment rng);
-           |]))
+      customer_rows
   in
   Catalog.register cat customer;
 
   (* part *)
+  let part_rows =
+    Array.init n_parts (fun i ->
+        [|
+          Value.Int (i + 1);
+          part_name rng;
+          mfgr rng;
+          brand rng;
+          part_type rng;
+          vi (Prng.in_range rng 1 50);
+          Prng.pick rng containers;
+          money rng 500 1500;
+          comment rng;
+        |])
+  in
   let part =
     Table.create ~name:"part" ~key:[ "p_partkey" ]
       [
@@ -189,49 +285,38 @@ let generate cfg =
         col ~not_null:true "p_retailprice" Ttype.Float;
         col "p_comment" Ttype.String;
       ]
-      (Array.init n_parts (fun i ->
-           let k = i + 1 in
-           [|
-             vi k;
-             vs
-               (Printf.sprintf "%s %s"
-                  (Prng.pick rng part_adjectives)
-                  (Prng.pick rng part_materials));
-             vs (Printf.sprintf "Manufacturer#%d" (Prng.in_range rng 1 5));
-             vs (Printf.sprintf "Brand#%d%d" (Prng.in_range rng 1 5)
-                   (Prng.in_range rng 1 5));
-             vs
-               (Printf.sprintf "%s %s"
-                  (Prng.pick rng part_types)
-                  (Prng.pick rng part_materials));
-             vi (Prng.in_range rng 1 50);
-             vs (Prng.pick rng containers);
-             money rng 500 1500;
-             vs (comment rng);
-           |]))
+      part_rows
   in
   Catalog.register cat part;
 
-  (* partsupp: 4 suppliers per part, TPC-H-style spreading *)
-  let suppliers_of_part p =
-    List.init 4 (fun k ->
-        1 + ((p + (k * ((n_suppliers / 4) + 1))) mod n_suppliers))
-    |> List.sort_uniq compare
+  (* The key cells of part, supplier and customer, for the columns
+     that reference them. *)
+  let part_key p = part_rows.(p - 1).(0) in
+  let supplier_key s = supplier_rows.(s - 1).(0) in
+  let customer_key c = customer_rows.(c - 1).(0) in
+
+  (* partsupp: 4 suppliers per part, TPC-H-style spreading; the
+     suppliers of part [p], ascending, are [suppliers_of_part.(p - 1)] *)
+  let suppliers_of_part =
+    Array.init n_parts (fun i ->
+        List.init 4 (fun k ->
+            1 + ((i + 1 + (k * ((n_suppliers / 4) + 1))) mod n_suppliers))
+        |> List.sort_uniq compare |> Array.of_list)
   in
   let partsupp_rows = ref [] in
   for p = n_parts downto 1 do
-    List.iter
+    Array.iter
       (fun s ->
         partsupp_rows :=
           [|
-            vi p;
-            vi s;
+            part_key p;
+            supplier_key s;
             vi (Prng.in_range rng 1 9999);
             nullable_money rng cfg 1 1000;
-            vs (comment rng);
+            comment rng;
           |]
           :: !partsupp_rows)
-      (suppliers_of_part p)
+      suppliers_of_part.(p - 1)
   done;
   let partsupp =
     Table.create ~name:"partsupp" ~key:[ "ps_partkey"; "ps_suppkey" ]
@@ -251,45 +336,46 @@ let generate cfg =
   let line_rows = ref [] in
   for o = n_orders downto 1 do
     let odate = Prng.in_range rng orderdate_lo orderdate_hi in
+    let order_key = Value.Int o in
     order_rows :=
       [|
-        vi o;
-        vi (1 + Prng.int rng n_customers);
-        vs (Prng.pick rng [| "O"; "F"; "P" |]);
+        order_key;
+        customer_key (1 + Prng.int rng n_customers);
+        Prng.pick rng order_statuses;
         money rng 1000 500_000;
         vd odate;
-        vs (Prng.pick rng priorities);
-        vs (Printf.sprintf "Clerk#%09d" (Prng.in_range rng 1 1000));
+        Prng.pick rng priorities;
+        clerk rng;
         vi 0;
-        vs (comment rng);
+        comment rng;
       |]
       :: !order_rows;
     let n_lines = Prng.in_range rng 1 7 in
     for l = n_lines downto 1 do
       let p = 1 + Prng.int rng n_parts in
-      let ss = suppliers_of_part p in
-      let s = List.nth ss (Prng.int rng (List.length ss)) in
+      let ss = suppliers_of_part.(p - 1) in
+      let s = ss.(Prng.int rng (Array.length ss)) in
       let ship = odate + Prng.in_range rng 1 121 in
       let commit = odate + Prng.in_range rng 30 90 in
       let receipt = ship + Prng.in_range rng 1 30 in
       line_rows :=
         [|
-          vi o;
-          vi p;
-          vi s;
+          order_key;
+          part_key p;
+          supplier_key s;
           vi l;
           vi (Prng.in_range rng 1 50);
           nullable_money rng cfg 900 104_000;
-          vf (float_of_int (Prng.int rng 11) /. 100.0);
-          vf (float_of_int (Prng.int rng 9) /. 100.0);
-          vs (Prng.pick rng [| "R"; "A"; "N" |]);
-          vs (Prng.pick rng [| "O"; "F" |]);
+          hundredths.(Prng.int rng 11);
+          hundredths.(Prng.int rng 9);
+          Prng.pick rng return_flags;
+          Prng.pick rng line_statuses;
           vd ship;
           vd commit;
           vd receipt;
-          vs (Prng.pick rng instructs);
-          vs (Prng.pick rng ship_modes);
-          vs (comment rng);
+          Prng.pick rng instructs;
+          Prng.pick rng ship_modes;
+          comment rng;
         |]
         :: !line_rows
     done

@@ -31,7 +31,9 @@ val default : config
     paper's "general case"). *)
 
 val generate : config -> Catalog.t
-(** Build and register all eight tables. *)
+(** Build and register all eight tables.  A repeated value is boxed
+    once and shared by every row that holds it; a foreign key is the
+    cell of the key it references. *)
 
 val add_benchmark_indexes : Catalog.t -> unit
 (** The secondary indexes Section 5.1 creates manually: sorted indexes

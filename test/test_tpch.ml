@@ -101,6 +101,90 @@ let test_null_injection () =
   in
   Alcotest.(check int) "constraint wins" 0 (Relation.cardinality nulls)
 
+(* Every cell of every table, fed to one digest: the constructor, the
+   int payload, the float's bit pattern and the string's bytes.  Two
+   runs of the same code always agree ([test_determinism]); this pins
+   the generator against a fixed digest, so a reordered PRNG draw or a
+   cell that changes constructor or bits fails here.  The digests were
+   recorded before the generator shared its cells. *)
+let fingerprint cat =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun t ->
+      Buffer.add_string b (Table.name t);
+      Array.iter
+        (fun row ->
+          Array.iter
+            (fun (v : Value.t) ->
+              match v with
+              | Null -> Buffer.add_char b 'N'
+              | Bool x -> Buffer.add_string b (if x then "B1" else "B0")
+              | Int i -> Printf.bprintf b "I%d;" i
+              | Float f -> Printf.bprintf b "F%Lx;" (Int64.bits_of_float f)
+              | String s -> Printf.bprintf b "S%d:%s" (String.length s) s
+              | Date d -> Printf.bprintf b "D%d;" d)
+            row;
+          Buffer.add_char b '\n')
+        (Relation.rows (Table.relation t)))
+    (Catalog.tables cat);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_fingerprint () =
+  let check what digest cfg =
+    Alcotest.(check string) what digest (fingerprint (G.generate cfg))
+  in
+  check "default at scale 0.002" "aa1a630205f4a005f8b48fb677962556" small;
+  (* seed 7 at rate 0.1 draws NULLs in both nullable money columns *)
+  check "scale 0.01, seed 7, null_rate 0.1"
+    "9222588d140b0e5dd734b5b67d49e500"
+    { G.default with G.scale = 0.01; seed = 7L; null_rate = 0.1 }
+
+(* The generator boxes each repeated value once and points every row at
+   that cell: lineitem's rows stay small, a foreign key is the cell of
+   the key it references, and a categorical column holds one physical
+   cell per value of its domain. *)
+let test_shared_cells () =
+  let cat = G.generate small in
+  let table t =
+    let r = Table.relation (Catalog.table cat t) in
+    let pos c = Schema.find (Relation.schema r) c in
+    (Relation.rows r, pos)
+  in
+  let lineitem, l_pos = table "lineitem" in
+  let words = Obj.reachable_words (Obj.repr lineitem) in
+  let per_row = float_of_int words /. float_of_int (Array.length lineitem) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per lineitem row <= 30" per_row)
+    true (per_row <= 30.0);
+  let orders, o_pos = table "orders" in
+  let order_key = Hashtbl.create (Array.length orders) in
+  Array.iter
+    (fun o ->
+      let k = o.(o_pos "o_orderkey") in
+      Hashtbl.replace order_key k k)
+    orders;
+  Array.iter
+    (fun l ->
+      let k = l.(l_pos "l_orderkey") in
+      if not (Hashtbl.find order_key k == k) then
+        Alcotest.failf "l_orderkey %s is not its order's cell"
+          (Value.to_string k))
+    lineitem;
+  let distinct_cells c =
+    let i = l_pos c in
+    Array.fold_left
+      (fun seen l -> if List.memq l.(i) seen then seen else l.(i) :: seen)
+      [] lineitem
+    |> List.length
+  in
+  List.iter
+    (fun (c, domain) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: at most %d cells" c domain)
+        true
+        (distinct_cells c <= domain))
+    [ ("l_shipmode", 7); ("l_returnflag", 3); ("l_discount", 11) ]
+
 let test_benchmark_indexes () =
   let cat = G.generate small in
   G.add_benchmark_indexes cat;
@@ -169,6 +253,8 @@ let () =
           Alcotest.test_case "date invariants" `Quick test_date_invariants;
           Alcotest.test_case "null injection" `Quick test_null_injection;
           Alcotest.test_case "benchmark indexes" `Quick test_benchmark_indexes;
+          Alcotest.test_case "fingerprint" `Quick test_fingerprint;
+          Alcotest.test_case "shared cells" `Quick test_shared_cells;
         ] );
       ( "queries",
         [
