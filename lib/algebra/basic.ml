@@ -8,10 +8,10 @@ module Pool = Nra_pool.Pool
 
    When the columnar core is on and the predicate compiles to the
    vectorizable subset, each morsel evaluates typed column loops and
-   returns a selection vector; the owner splices the vectors in chunk
-   order and gathers the original rows.  Otherwise morsels fall back
-   to [Expr.holds] row-at-a-time.  Both paths emit the same physical
-   rows in the same order. *)
+   returns a bitmap; the owner lists the positions in chunk order into
+   a borrowed buffer and gathers the original rows once.  Otherwise
+   morsels fall back to [Expr.holds] row-at-a-time.  Both paths emit
+   the same physical rows in the same order. *)
 
 (* Filter a morsel row-at-a-time into a row array (no list rebuild on
    the owner: each morsel packs its survivors once, backwards). *)
@@ -36,21 +36,40 @@ let filter_morsel pred rows ~lo ~hi =
     out
   end
 
+(* [select]'s columnar path without the gather: the surviving rows'
+   count, and their positions written into a buffer the caller owns.
+   Morsels return bitmaps (a bit per row), which the owner lists in
+   chunk order; the morsel split is [select]'s, so the checkpoints are
+   too. *)
+let selection pred rel =
+  let n = Relation.cardinality rel in
+  Option.map
+    (fun bits ->
+      let parts =
+        if not (Pool.use_parallel n) then [| (0, bits ~lo:0 ~hi:n) |]
+        else Pool.parallel_chunks ~n (fun _ledger ~lo ~hi -> (lo, bits ~lo ~hi))
+      in
+      let count =
+        Array.fold_left (fun c (_, b) -> c + Batch.Bitset.popcount b) 0 parts
+      in
+      let write sel =
+        ignore
+          (Array.fold_left
+             (fun at (lo, b) -> Batch.Bitset.indices_into ~base:lo b sel at)
+             0 parts)
+      in
+      (count, write))
+    (Batch.filter_bits pred rel)
+
 let select pred rel =
   let rows = Relation.rows rel in
   let n = Array.length rows in
-  match Batch.filter_plan pred rel with
-  | Some plan ->
-      let gather sel = Array.map (fun i -> Array.unsafe_get rows i) sel in
-      let picked =
-        if not (Pool.use_parallel n) then gather (plan ~lo:0 ~hi:n)
-        else
-          Array.concat
-            (Array.to_list
-               (Pool.parallel_chunks ~n (fun _ledger ~lo ~hi ->
-                    gather (plan ~lo ~hi))))
-      in
-      Relation.make (Relation.schema rel) picked
+  match selection pred rel with
+  | Some (count, write) ->
+      Relation.make (Relation.schema rel)
+        (Scratch.with_ints count (fun sel ->
+             write sel;
+             Array.init count (fun k -> Array.unsafe_get rows sel.(k))))
   | None ->
       if not (Pool.use_parallel n) then
         Relation.filter (Expr.holds pred) rel

@@ -5,6 +5,16 @@ open Nra_relational
 val select : Expr.pred -> Relation.t -> Relation.t
 (** σ — keeps rows whose predicate is [True] (3VL). *)
 
+val selection :
+  Expr.pred -> Relation.t -> (int * (int array -> unit)) option
+(** [select]'s columnar path as positions.  [Some (count, write)] when
+    the predicate compiles to the columnar subset
+    ({!Batch.filter_bits}): [count] rows pass, and [write sel] writes
+    their positions, ascending, into [sel.(0)] ... [sel.(count - 1)],
+    gathering no row.  The predicate is evaluated once, before
+    [selection] returns, with the same morsel split (so the same
+    checkpoints) as [select]. *)
+
 val project_cols : int list -> Relation.t -> Relation.t
 (** π over column positions (duplicates preserved — SQL bag π). *)
 

@@ -26,18 +26,37 @@ val join : kind -> on:Expr.pred -> Relation.t -> Relation.t -> Relation.t
 (** [on] is over the concatenated frame (left columns then right
     columns), even for [Semi]/[Anti]. *)
 
-val matches : on:Expr.pred -> Relation.t -> Relation.t -> Row.t list array
-(** The probe primitive every variant shares: for each left row (by
-    position), the right rows that satisfy [on], in right (build)
-    order.  [join kind] is exactly this, emitted per left row in left
-    order.  Picks the same physical variant as [join] (nested loop,
-    serial or parallel hash, grace/hybrid under a frame budget), with
-    the same charges, ticks and spill traffic. *)
+type matches = { off : int array; len : int array; pos : int array }
+(** Group-offset vectors: left row [i]'s matches are the right rows at
+    positions [pos.(off.(i))] ... [pos.(off.(i) + len.(i) - 1)], in
+    right (build) order.  The arrays are borrowed buffers and may be
+    longer than the rows they describe; every left row of a Cartesian
+    site points at one shared range. *)
+
+val with_matches :
+  on:Expr.pred -> ?sel:int array * int -> Relation.t -> Relation.t ->
+  (matches -> 'a) -> 'a
+(** [with_matches ~on left right f] runs the probe primitive every
+    variant shares and hands [f] its vectors: for each left row (by
+    position), the right rows that satisfy [on].  [join kind] is
+    exactly this, emitted per left row in left order.  Picks the same
+    physical variant as [join] (nested loop, serial or parallel hash,
+    grace/hybrid under a frame budget), with the same charges, spill
+    traffic, and one checkpoint per probed left row.
+
+    With [~sel:(sel, count)] the build side is the [count] rows of
+    [right] at positions [sel.(0)] ... [sel.(count - 1)] (ascending),
+    as if [right] had been gathered through them; [pos] then holds
+    positions into [right] itself.
+
+    The vectors are borrowed from {!Nra_relational.Scratch} for the
+    extent of [f] and returned however [f] ends: [f] must not keep
+    them. *)
 
 val nested_loop : kind -> on:Expr.pred -> Relation.t -> Relation.t ->
   Relation.t
-(** Reference implementation; used by tests to validate [join] and by
-    the baseline executor when no index applies. *)
+(** Reference implementation, a plain nested loop independent of the
+    chained table: tests hold [join] and [with_matches] to it. *)
 
 val stats_probes : int ref
 (** Total hash probes since program start — a cheap cost counter used by

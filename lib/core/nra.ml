@@ -6,6 +6,7 @@ module Row = Nra_relational.Row
 module Relation = Nra_relational.Relation
 module Expr = Nra_relational.Expr
 module Batch = Nra_relational.Batch
+module Scratch = Nra_relational.Scratch
 
 module Table = Nra_storage.Table
 module Catalog = Nra_storage.Catalog

@@ -31,6 +31,10 @@ module Batch = Nra_relational.Batch
     hot kernels ([--columnar] / [NRA_COLUMNAR], default on) — see
     docs/PERF.md. *)
 
+module Scratch = Nra_relational.Scratch
+(** The borrowed int buffers behind the hash join's table and offset
+    vectors and a scan's selection vector — see docs/PERF.md. *)
+
 module Table = Nra_storage.Table
 module Catalog = Nra_storage.Catalog
 module Hash_index = Nra_storage.Hash_index

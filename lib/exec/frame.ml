@@ -58,7 +58,9 @@ let charge_scan_chunked ?table n =
       in
       go n
 
-let block_relation ?(charge = true) (b : Analyze.block) =
+(* The scan every block input starts with: one checkpoint, one charged
+   scan per base table, and the tables' columnar batches primed. *)
+let scan ~charge (b : Analyze.block) =
   Nra_guard.Guard.tick ();
   if charge then
     List.iter
@@ -73,7 +75,9 @@ let block_relation ?(charge = true) (b : Analyze.block) =
   List.iter
     (fun (bd : Analyze.binding) ->
       Batch.prime (Table.relation bd.Analyze.table))
-    b.Analyze.bindings;
+    b.Analyze.bindings
+
+let join_bindings (b : Analyze.block) =
   let pending = ref b.Analyze.local in
   let take uids =
     let now, later = List.partition (applicable ~uids) !pending in
@@ -104,6 +108,27 @@ let block_relation ?(charge = true) (b : Analyze.block) =
         rest;
       assert (!pending = []);
       !rel
+
+let block_relation ?(charge = true) b =
+  scan ~charge b;
+  join_bindings b
+
+let with_block_input (b : Analyze.block) f =
+  scan ~charge:true b;
+  match (b.Analyze.bindings, b.Analyze.local) with
+  | [ bd ], _ :: _ -> (
+      let base = Table.relation bd.Analyze.table in
+      match
+        Nra_algebra.Basic.selection
+          (to_pred (Relation.schema base) b.Analyze.local)
+          base
+      with
+      | Some (count, write) ->
+          Scratch.with_ints count (fun sel ->
+              write sel;
+              f base (Some (sel, count)))
+      | None -> f (join_bindings b) None)
+  | _ -> f (join_bindings b) None
 
 let single_binding (b : Analyze.block) =
   match b.Analyze.bindings with [ bd ] -> Some bd | _ -> None

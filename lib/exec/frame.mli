@@ -35,5 +35,16 @@ val block_relation : ?charge:bool -> Analyze.block -> Relation.t
     Unless [~charge:false], one sequential scan per base table is
     charged to {!Nra_storage.Iosim}. *)
 
+val with_block_input :
+  Analyze.block -> (Relation.t -> (int array * int) option -> 'a) -> 'a
+(** [block_relation b] handed to [f], with the same charges and
+    checkpoints, except that a one-table block whose local conjuncts
+    compile to the columnar subset ({!Nra_algebra.Basic.selection}) is
+    handed as its base relation plus [Some (sel, count)]: the first
+    [count] entries of [sel] are the positions of the rows that pass,
+    ascending, and no row is gathered.  [sel] is borrowed from
+    {!Nra_relational.Scratch} and valid only inside [f].  Every other
+    block is handed [block_relation b] and [None]. *)
+
 val single_binding : Analyze.block -> Analyze.binding option
 (** The block's binding when it has exactly one table. *)

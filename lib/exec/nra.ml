@@ -54,17 +54,17 @@ let block_positions schema (blk : A.block) =
 
 type mode = Discard | Pad of int array
 
+let padded pad key =
+  let row = Array.copy key in
+  Array.iter (fun i -> row.(i) <- Value.Null) pad;
+  row
+
 (* σ keeps a group's key when its verdict is True; σ̄ keeps every key,
    NULL-padding the owning block's positions of a failed one *)
 let emit mode verdict key out =
   if T3.to_bool verdict then key :: out
   else
-    match mode with
-    | Discard -> out
-    | Pad pad ->
-        let padded = Array.copy key in
-        Array.iter (fun i -> padded.(i) <- Value.Null) pad;
-        padded :: out
+    match mode with Discard -> out | Pad pad -> padded pad key :: out
 
 (* a fused nest ([assume_sorted] confirmed by the runtime [sorted]
    flag) takes the single-pass run scan, which on key-sorted input
@@ -163,10 +163,12 @@ let in_key_order rows =
 
 (* The fused probe–nest–select of a pipelined site whose wide frame
    feeds no grandchild: the nest groups the join's per-outer-row match
-   lists directly and the linking selection folds over them as it
-   goes, so neither the wide product, a staging copy, nor an element
-   row is built, and only the (narrow) outer rows are sorted — unless
-   they are already in key order.
+   ranges ([Join.with_matches]' offset vectors) directly and the
+   linking selection folds over them as it goes, so neither the wide
+   product, a staging copy, nor an element row is built, and only the
+   (narrow) outer rows are sorted — unless they are already in key
+   order.  The output is listed as outer positions in a borrowed
+   buffer and gathered once.
 
    Byte-identical to joining, staging, stably sorting the staging on
    the outer columns and scanning runs: the staging row of outer row
@@ -181,8 +183,9 @@ let in_key_order rows =
    frame; only one that reads an outer column evaluates on the
    concatenated row. *)
 let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted rel
-    child_rel matches =
+    child_rel (m : J.matches) =
   let t0 = now () in
+  let crows = Relation.rows child_rel in
   let key_arity = Schema.arity key_schema in
   let right_nulls = Row.nulls (Schema.arity (Relation.schema child_rel)) in
   let reader pos =
@@ -209,14 +212,6 @@ let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted rel
     if not (padding lrow rrow || LP.decided f) then
       LP.step f (linked lrow rrow)
   in
-  (* a named recursion: [List.iter (step_one lrow)] would allocate a
-     closure per outer row *)
-  let rec step_matches lrow = function
-    | [] -> ()
-    | rrow :: rest ->
-        step_one lrow rrow;
-        step_matches lrow rest
-  in
   let outer = Relation.rows rel in
   let n = Array.length outer in
   let pos =
@@ -227,23 +222,49 @@ let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted rel
       Array.get order
     end
   in
-  let out = ref [] in
+  (* the output, as outer positions into a borrowed buffer: [i] keeps
+     outer row [i], [-i - 1] keeps it padded *)
+  Scratch.with_ints n @@ fun out ->
+  let kept = ref 0 in
   let k = ref 0 in
   while !k < n do
     Nra_guard.Guard.tick ();
-    let key = outer.(pos !k) in
+    let first = pos !k in
+    let key = outer.(first) in
     LP.start f ~outer:key;
     while !k < n && Row.equal key outer.(pos !k) do
-      let lrow = outer.(pos !k) in
-      (match matches.(pos !k) with
-      | [] -> step_one lrow right_nulls
-      | ms -> step_matches lrow ms);
+      let i = pos !k in
+      let lrow = outer.(i) in
+      if m.len.(i) = 0 then step_one lrow right_nulls
+      else
+        for q = m.off.(i) to m.off.(i) + m.len.(i) - 1 do
+          step_one lrow crows.(m.pos.(q))
+        done;
       incr k
     done;
-    out := emit mode (LP.finish f) key !out
+    if T3.to_bool (LP.finish f) then begin
+      out.(!kept) <- first;
+      incr kept
+    end
+    else begin
+      match mode with
+      | Discard -> ()
+      | Pad _ ->
+          out.(!kept) <- -first - 1;
+          incr kept
+    end
   done;
+  let rows =
+    Array.init !kept (fun k ->
+        let i = out.(k) in
+        if i >= 0 then outer.(i)
+        else
+          match mode with
+          | Pad pad -> padded pad outer.(-i - 1)
+          | Discard -> assert false)
+  in
   st.nest_select_seconds <- st.nest_select_seconds +. (now () -. t0);
-  Relation.of_rows key_schema (List.rev !out)
+  Relation.make key_schema rows
 
 (* ---------- the recursive driver ---------- *)
 
@@ -403,34 +424,47 @@ and apply_child st ~parent (rel, sorted_prefix) (n : Plan.node) =
          and one nest+selection at this level *)
       let child_red = reduce_standalone st n in
       join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel n
-        child_red ~recurse:false
+        (`Reduced child_red)
   | Plan.Top_down nest ->
       (* Algorithm 1, general top-down case *)
-      let child_rel = Frame.block_relation b in
       join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel n
-        child_rel ~recurse:true
+        (`Block b)
 
 and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel
-    (n : Plan.node) child_rel ~recurse =
+    (n : Plan.node) child =
   let c = n.Plan.child in
   let b = c.A.block in
   let key_schema = Relation.schema rel in
   let key_arity = Schema.arity key_schema in
-  let concat = Schema.append key_schema (Relation.schema child_rel) in
   (* uncorrelated at this level (correlated deeper down) is a genuine
      Cartesian product: [on] is then TRUE *)
-  let on = Frame.to_pred concat b.A.correlated in
+  let concat_on child_rel =
+    let concat = Schema.append key_schema (Relation.schema child_rel) in
+    (concat, Frame.to_pred concat b.A.correlated)
+  in
+  let recurse = match child with `Block _ -> true | `Reduced _ -> false in
   let feeds_grandchildren = recurse && n.Plan.sub <> [] in
   let sorted = sorted_prefix >= key_arity in
   if (not feeds_grandchildren) && nest_pipelined nest ~sorted then begin
+    (* a one-table child block with a columnar filter is probed as its
+       base rows through the filter's selection vector *)
+    let with_input f =
+      match child with
+      | `Reduced r -> f r None
+      | `Block b -> Frame.with_block_input b f
+    in
+    with_input @@ fun child_rel sel ->
+    let concat, on = concat_on child_rel in
     let t0 = now () in
-    let matches = J.matches ~on rel child_rel in
+    J.with_matches ~on ?sel rel child_rel @@ fun m ->
     st.join_seconds <- st.join_seconds +. (now () -. t0);
     (* the logical wide cardinality: one row per match, one padded row
        per unmatched outer row *)
-    let wide_rows =
-      Array.fold_left (fun acc ms -> acc + max 1 (List.length ms)) 0 matches
-    in
+    let wide_rows = ref 0 in
+    for i = 0 to Relation.cardinality rel - 1 do
+      wide_rows := !wide_rows + max 1 m.J.len.(i)
+    done;
+    let wide_rows = !wide_rows in
     record_intermediate st wide_rows;
     let lk =
       Linkeval.compile ~key_schema ~wide_schema:concat ~with_marker:true c
@@ -438,13 +472,16 @@ and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel
     let rel' =
       Nra_storage.Governor.with_charged ~rows:wide_rows
         ~width:(Schema.arity concat) (fun () ->
-          fused_nest_select st ~key_schema ~lk ~mode ~sorted rel child_rel
-            matches)
+          fused_nest_select st ~key_schema ~lk ~mode ~sorted rel child_rel m)
     in
     st.fused_sites <- st.fused_sites + 1;
     (rel', sp_after_select)
   end
   else begin
+    let child_rel =
+      match child with `Reduced r -> r | `Block b -> Frame.block_relation b
+    in
+    let _, on = concat_on child_rel in
     let t0 = now () in
     let wide = J.join J.Left_outer ~on rel child_rel in
     st.join_seconds <- st.join_seconds +. (now () -. t0);

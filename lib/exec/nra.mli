@@ -18,7 +18,7 @@
       order, so re-sorts are skipped) and the linking selection
       evaluated during the group scan, in a single pass.  At a site
       whose wide frame feeds no grandchild, the nest groups the join's
-      per-outer-row match lists as the probe emits them (the fused
+      per-outer-row match ranges as the probe emits them (the fused
       probe–nest–select), so the wide product is never materialized;
     - {b bottom-up for linear correlation} (§4.2.3): a self-contained
       subquery is reduced standalone so only qualifying tuples join
@@ -66,7 +66,7 @@ type stats = {
   mutable fused_sites : int;
       (** sites evaluated by the fused probe–nest–select: pipelined
           sites whose wide frame feeds no grandchild, which group the
-          join's match lists directly instead of materializing,
+          join's match ranges directly instead of materializing,
           staging and sorting the wide product *)
 }
 

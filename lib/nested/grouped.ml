@@ -213,9 +213,9 @@ let nest_hash ~by ~keep rel =
      to the row path's [Row.hash], so partition layout, spill page
      counts and group order are unchanged *)
   let khash =
-    (* cached batches only (see Join.key_vectors): nesting usually runs
-       over a joined intermediate, where building a transient batch of
-       the group-key columns would cost more than inline row hashing *)
+    (* cached batches only: nesting usually runs over a joined
+       intermediate, where building a transient batch of the group-key
+       columns would cost more than inline row hashing *)
     if Batch.enabled () && not (Relation.is_empty rel) then
       match Batch.find rel with
       | Some b -> Some (fst (Batch.hash_on b by))

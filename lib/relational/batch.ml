@@ -1,11 +1,11 @@
 (* Columnar batches: structure-of-arrays mirrors of flat relations.
 
    A batch holds one typed, unboxed array per column plus a per-column
-   null bitmap.  The hot kernels (morsel filter, hash-join build and
-   probe, nest partitioning) run over these flat arrays — no Value.t
-   variant dispatch or pointer chase per cell — while rows stay the
-   carrier at operator boundaries: kernels gather *original* rows by
-   index, so the columnar path is bit-identical to row-at-a-time.
+   null bitmap.  The hot kernels (morsel filter, nest partitioning)
+   run over these flat arrays — no Value.t variant dispatch or pointer
+   chase per cell — while rows stay the carrier at operator
+   boundaries: kernels gather *original* rows by index, so the
+   columnar path is bit-identical to row-at-a-time.
 
    Columns are built lazily and forced on the owning domain only
    (compilation of a filter plan or a hash vector forces what it
@@ -85,20 +85,25 @@ module Bitset = struct
     done;
     !n
 
-  (* Indices of set bits, offset by [base], ascending. *)
-  let indices ~base b =
-    let out = Array.make (popcount b) 0 in
-    let k = ref 0 in
+  (* Write the indices of set bits, offset by [base], ascending, into
+     [dst] from [at]; returns the next free slot. *)
+  let indices_into ~base b dst at =
+    let k = ref at in
     for j = 0 to Bytes.length b - 1 do
       let c = Char.code (Bytes.unsafe_get b j) in
       if c <> 0 then
         for bit = 0 to 7 do
           if c land (1 lsl bit) <> 0 then begin
-            out.(!k) <- base + (j lsl 3) + bit;
+            dst.(!k) <- base + (j lsl 3) + bit;
             incr k
           end
         done
     done;
+    !k
+
+  let indices ~base b =
+    let out = Array.make (popcount b) 0 in
+    ignore (indices_into ~base b out 0);
     out
 end
 
@@ -273,7 +278,7 @@ let for_relation rel =
   match find rel with Some b -> b | None -> of_relation rel
 
 (* ------------------------------------------------------------------ *)
-(* Key-hash vectors for hash join and nest.
+(* Key-hash vectors for the nest.
 
    [hash_on t idxs] returns the per-row [Row.hash_on idxs] value (bit
    for bit the same fold, computed column-at-a-time over unboxed cells
@@ -551,12 +556,12 @@ let rec compile b (p : Expr.pred) : producer option =
       compile b (Expr.And (Expr.Cmp (T3.Ge, x, lo), Expr.Cmp (T3.Le, x, hi)))
   | _ -> None
 
-let filter_plan pred rel =
+let filter_bits pred rel =
   if not (enabled ()) then None
   else if Relation.is_empty rel then None
-  else
-    let b = for_relation rel in
-    match compile b pred with
-    | None -> None
-    | Some producer ->
-        Some (fun ~lo ~hi -> Bitset.indices ~base:lo (producer ~lo ~hi))
+  else compile (for_relation rel) pred
+
+let filter_plan pred rel =
+  Option.map
+    (fun producer ~lo ~hi -> Bitset.indices ~base:lo (producer ~lo ~hi))
+    (filter_bits pred rel)

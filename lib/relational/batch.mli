@@ -2,17 +2,17 @@
 
     A batch stores one unboxed array per column ([int array],
     [float array], [string array], bools in [Bytes]) plus a per-column
-    null bitmap, so the hot kernels — morsel filter, hash-join build
-    and probe, nest partitioning — run column-at-a-time over flat
-    memory instead of chasing a [Value.t] pointer and matching a
-    variant tag per cell.  Rows remain the engine's carrier: kernels
-    use batches to {e decide} (selection vectors, key-hash vectors)
-    and then gather the {e original} rows by index, which is what
-    makes the columnar path bit-identical to row-at-a-time execution
-    at every pool size and frame budget.
+    null bitmap, so the hot kernels — morsel filter and nest
+    partitioning — run column-at-a-time over flat memory instead of
+    chasing a [Value.t] pointer and matching a variant tag per cell.
+    Rows remain the engine's carrier: kernels use batches to {e decide}
+    (selection vectors, key-hash vectors) and then gather the
+    {e original} rows by index, which is what makes the columnar path
+    bit-identical to row-at-a-time execution at every pool size and
+    frame budget.
 
     Columns are built lazily.  Forcing happens on the owning domain
-    only — {!filter_plan} and {!hash_on} force the columns they need
+    only — {!filter_bits} and {!hash_on} force the columns they need
     at compile time, before any [Pool.parallel_chunks] region starts;
     worker domains only ever see plain arrays.  A column is typed only
     when all its non-null cells share one constructor; mixed columns
@@ -42,6 +42,14 @@ module Bitset : sig
 
   val set : t -> int -> unit
   val get : t -> int -> bool
+
+  val popcount : t -> int
+  (** Set bits. *)
+
+  val indices_into : base:int -> t -> int array -> int -> int
+  (** [indices_into ~base b dst at] writes the indices of [b]'s set
+      bits, plus [base], ascending, into [dst] from [at]; returns the
+      next free slot. *)
 end
 
 (** {1 Batches} *)
@@ -96,6 +104,13 @@ val hash_on : t -> int array -> int array * Bitset.t
     column-at-a-time through [Value.hash_int]/[hash_float] on unboxed
     cells), and the bitmap flags rows with a NULL in any key position
     ([Row.has_null_on]).  Forces the key columns; call owner-side. *)
+
+val filter_bits :
+  Expr.pred -> Relation.t -> (lo:int -> hi:int -> Bitset.t) option
+(** {!filter_plan}'s evaluator before it lists positions: [plan ~lo
+    ~hi] returns a bitmap of [hi - lo] bits, bit [k] set when row
+    [lo + k] satisfies the predicate.  Lets a caller write the
+    selection into a buffer it owns ({!Bitset.indices_into}). *)
 
 val filter_plan :
   Expr.pred -> Relation.t -> (lo:int -> hi:int -> int array) option

@@ -195,19 +195,24 @@ module Spill = struct
     tag : string;
     per_page : int;
     mutable pos : int array;
+    base : int;  (* the partition's positions are [pos.(base) ...] *)
+    slice : bool;  (* [pos] is the caller's buffer: never grown *)
     mutable len : int;
     mutable n_pages : int;
   }
 
   let seq = ref 0
 
-  let create label =
+  let create ?slice label =
     incr seq;
     let per_page = max 1 (Iosim.config ()).Iosim.rows_per_page in
+    let pos, base = Option.value slice ~default:([||], 0) in
     {
       tag = Printf.sprintf "spill:%s#%d" label !seq;
       per_page;
-      pos = [||];
+      pos;
+      base;
+      slice = Option.is_some slice;
       len = 0;
       n_pages = 0;
     }
@@ -225,12 +230,12 @@ module Spill = struct
     end
 
   let add t i =
-    if t.len = Array.length t.pos then begin
+    if (not t.slice) && t.len = Array.length t.pos then begin
       let grown = Array.make (max t.per_page (2 * t.len)) 0 in
       Array.blit t.pos 0 grown 0 t.len;
       t.pos <- grown
     end;
-    t.pos.(t.len) <- i;
+    t.pos.(t.base + t.len) <- i;
     t.len <- t.len + 1;
     if t.len mod t.per_page = 0 then flush_page t
 
@@ -238,7 +243,7 @@ module Spill = struct
 
   let iter_page t p f =
     for j = p * t.per_page to min t.len ((p + 1) * t.per_page) - 1 do
-      f (Array.unsafe_get t.pos j)
+      f (Array.unsafe_get t.pos (t.base + j))
     done
 
   let iter t f =

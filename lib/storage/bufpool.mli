@@ -84,9 +84,12 @@ val resident : string * int -> bool
 module Spill : sig
   type t
 
-  val create : string -> t
+  val create : ?slice:int array * int -> string -> t
   (** [create label] — a fresh empty partition; the label only
-      namespaces page identities for debugging. *)
+      namespaces page identities for debugging.  Positions are kept in
+      an array the partition grows, or, with [~slice:(buf, base)], in
+      [buf] from [base] on: the caller reserves room there for every
+      position it adds, and keeps ownership of [buf]. *)
 
   val add : t -> int -> unit
   (** Append a row position; completing a page writes it. *)

@@ -267,6 +267,256 @@ let test_sort () =
   let last = (Relation.rows s).(2) in
   Alcotest.(check bool) "null last on desc" true (Value.is_null last.(0))
 
+(* ---------- group-offset vectors ----------
+
+   Every physical variant of [Join.with_matches] must hand back the same
+   per-left-row position sequences.  The variants are forced by
+   configuration: the nested loop by hiding the equi-conjunct behind
+   [OR FALSE] (same 3VL truth, no equi key), the serial hash table at
+   the default serial pool, the parallel one at pool 2 with the
+   threshold forced low, the grace path at 8 frames of 2 rows. *)
+
+let irel t cols rows =
+  Relation.make
+    (Schema.of_columns
+       (List.map (fun c -> Schema.column ~table:t c Ttype.Int) cols))
+    (Array.map (Array.map (function None -> vnull | Some i -> vi i)) rows)
+
+(* NULL keys and duplicate keys on both sides *)
+let off_left =
+  irel "l" [ "a"; "b" ]
+    (Array.init 40 (fun i ->
+         [| (if i mod 9 = 4 then None else Some (i mod 7)); Some i |]))
+
+let off_right =
+  irel "r" [ "c"; "d" ]
+    (Array.init 60 (fun i ->
+         [|
+           (if i mod 11 = 3 then None else Some (i mod 5)); Some (i mod 13);
+         |]))
+
+let empty_of rel = Relation.make (Relation.schema rel) [||]
+
+(* over l(a, b) ++ r(c, d) *)
+let off_preds =
+  [
+    ("equi", Expr.Cmp (T.Eq, Expr.Col 0, Expr.Col 2));
+    ( "equi + residual",
+      Expr.And
+        ( Expr.Cmp (T.Eq, Expr.Col 0, Expr.Col 2),
+          Expr.Cmp (T.Lt, Expr.Col 3, Expr.Col 1) ) );
+    ("trivially true", Expr.Lit3 T.True);
+    ("theta only", Expr.Cmp (T.Gt, Expr.Col 1, Expr.Col 3));
+  ]
+
+let off_inputs =
+  [
+    ("both", off_left, off_right);
+    ("empty left", empty_of off_left, off_right);
+    ("empty right", off_left, empty_of off_right);
+  ]
+
+let check_rows_exact what expected got =
+  if Relation.rows expected <> Relation.rows got then
+    Alcotest.fail
+      (Format.asprintf "%s:@.expected@.%a@.got@.%a" what Relation.pp expected
+         Relation.pp got)
+
+let positions ?sel ~on left right =
+  J.with_matches ~on ?sel left right (fun m ->
+      Array.init (Relation.cardinality left) (fun i ->
+          Array.sub m.J.pos m.J.off.(i) m.J.len.(i)))
+
+let with_variant variant f =
+  let io = Iosim.config () and domains = Pool.size ()
+  and threshold = Pool.parallel_threshold () and frames = Bufpool.frames () in
+  let set ~domains ~threshold ~frames ~io =
+    Pool.set_size domains;
+    Pool.set_parallel_threshold threshold;
+    Bufpool.set_frames frames;
+    Iosim.set_config io;
+    Iosim.reset ()
+  in
+  Fun.protect ~finally:(fun () -> set ~domains ~threshold ~frames ~io)
+  @@ fun () ->
+  (match variant with
+  | `Serial | `Nested_loop -> set ~domains:0 ~threshold ~frames:None ~io
+  | `Parallel -> set ~domains:2 ~threshold:2 ~frames:None ~io
+  | `Grace ->
+      set ~domains:0 ~threshold ~frames:(Some 8)
+        ~io:{ io with Iosim.rows_per_page = 2 });
+  f ()
+
+let variants =
+  [ ("nested loop", `Nested_loop); ("serial", `Serial);
+    ("parallel", `Parallel); ("grace", `Grace) ]
+
+let on_for variant on =
+  match variant with
+  | `Nested_loop -> Expr.Or (on, Expr.Lit3 T.False)
+  | _ -> on
+
+(* what every variant must produce: right positions in build order *)
+let reference_positions ~on left right =
+  Array.map
+    (fun lrow ->
+      let acc = ref [] in
+      Array.iteri
+        (fun j rrow ->
+          if Expr.holds on (Row.concat lrow rrow) then acc := j :: !acc)
+        (Relation.rows right);
+      Array.of_list (List.rev !acc))
+    (Relation.rows left)
+
+let test_offset_variants () =
+  List.iter
+    (fun (iname, left, right) ->
+      List.iter
+        (fun (pname, on) ->
+          let expected = reference_positions ~on left right in
+          List.iter
+            (fun (vname, variant) ->
+              let what = Printf.sprintf "%s, %s, %s" iname pname vname in
+              with_variant variant (fun () ->
+                  let on = on_for variant on in
+                  Alcotest.(check (array (array int)))
+                    (what ^ ": positions") expected
+                    (positions ~on left right);
+                  List.iter
+                    (fun (kname, kind) ->
+                      check_rows_exact (what ^ ": " ^ kname)
+                        (J.nested_loop kind ~on left right)
+                        (J.join kind ~on left right))
+                    [ ("inner", J.Inner); ("left outer", J.Left_outer);
+                      ("semi", J.Semi); ("anti", J.Anti) ]))
+            variants)
+        off_preds)
+    off_inputs
+
+(* Probing the base relation through a selection vector equals probing
+   the gathered relation, with positions mapped through the selection. *)
+let test_offset_selection () =
+  let sels =
+    [
+      ("odd rows", Array.init 30 (fun k -> (2 * k) + 1));
+      ("with NULL keys", [| 0; 3; 14; 25; 36; 47; 58; 59 |]);
+      ("none", [||]);
+    ]
+  in
+  List.iter
+    (fun (sname, sel) ->
+      let count = Array.length sel in
+      (* a longer, borrowed-style buffer: only the first [count] count *)
+      let buf = Array.append sel (Array.make 7 (-1)) in
+      let gathered =
+        Relation.make (Relation.schema off_right)
+          (Array.map (fun p -> (Relation.rows off_right).(p)) sel)
+      in
+      List.iter
+        (fun (pname, on) ->
+          List.iter
+            (fun (vname, variant) ->
+              with_variant variant (fun () ->
+                  let on = on_for variant on in
+                  Alcotest.(check (array (array int)))
+                    (Printf.sprintf "%s, %s, %s" sname pname vname)
+                    (Array.map (Array.map (fun p -> sel.(p)))
+                       (positions ~on off_left gathered))
+                    (positions ~on ~sel:(buf, count) off_left off_right)))
+            variants)
+        off_preds)
+    sels
+
+(* ---------- borrowed buffers ----------
+
+   Each case runs in a fresh domain, whose free list starts empty. *)
+
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+let test_scratch_nested () =
+  in_fresh_domain @@ fun () ->
+  Scratch.with_ints 10 (fun a ->
+      Scratch.with_ints 10 (fun b ->
+          Alcotest.(check bool) "nested borrows are distinct" true (a != b);
+          Alcotest.(check int) "two live" 2 (Scratch.live ())));
+  Alcotest.(check int) "none live" 0 (Scratch.live ())
+
+let test_scratch_reuse () =
+  in_fresh_domain @@ fun () ->
+  let a = Scratch.borrow 1000 in
+  Scratch.release a;
+  let b = Scratch.borrow 600 in
+  Alcotest.(check bool) "a smaller borrow reuses the released buffer" true
+    (a == b);
+  Scratch.release b;
+  let c = Scratch.borrow 5000 in
+  Alcotest.(check bool) "a larger one does not" true (c != a);
+  Alcotest.(check bool) "it is long enough" true (Array.length c >= 5000);
+  Scratch.release c
+
+let test_scratch_cap () =
+  in_fresh_domain @@ fun () ->
+  let bufs = List.init 20 (fun i -> Scratch.borrow (16 * (i + 1))) in
+  List.iter Scratch.release bufs;
+  Alcotest.(check int) "free list at its cap" Scratch.cap
+    (Scratch.free_count ());
+  (* the longest ones were kept *)
+  let b = Scratch.borrow (16 * 20) in
+  Alcotest.(check bool) "the longest is reused" true
+    (List.exists (fun c -> c == b) bufs);
+  Scratch.release b
+
+let test_scratch_exception () =
+  in_fresh_domain @@ fun () ->
+  (try Scratch.with_ints 10 (fun _ -> failwith "boom") with Failure _ -> ());
+  Alcotest.(check int) "released on raise" 0 (Scratch.live ());
+  Alcotest.(check int) "back on the free list" 1 (Scratch.free_count ())
+
+(* ---------- allocation pin ---------- *)
+
+let allocated_words f =
+  let minor, promoted, major = Gc.counters () in
+  f ();
+  let minor', promoted', major' = Gc.counters () in
+  minor' -. minor +. (major' -. major) -. (promoted' -. promoted)
+
+(* After a warm-up at the larger size, a serial equi-join probe
+   allocates the same words at 10 K and at 40 K build rows: nothing per
+   row, and every O(rows) array is a reused buffer. *)
+let test_offset_allocation () =
+  with_variant `Serial @@ fun () ->
+  (* one match per left row; a NULL key every 100 rows *)
+  let keyed n =
+    irel "k" [ "k"; "v" ]
+      (Array.init n (fun i ->
+           [| (if i mod 100 = 7 then None else Some i); Some i |]))
+  in
+  let on = Expr.Cmp (T.Eq, Expr.Col 0, Expr.Col 2) in
+  let probe n =
+    let left = keyed n and right = keyed n in
+    allocated_words (fun () ->
+        ignore (J.with_matches ~on left right (fun m -> m.J.len.(0))))
+  in
+  ignore (probe 40_000);
+  let small = probe 10_000 and large = probe 40_000 in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "words at 10 K (%.0f) = at 40 K (%.0f)" small large)
+    small large
+
+let test_offset_cartesian () =
+  with_variant `Serial @@ fun () ->
+  in_fresh_domain @@ fun () ->
+  let n = 1000 in
+  let rel t = irel t [ "x" ] (Array.init n (fun i -> [| Some i |])) in
+  J.with_matches ~on:(Expr.Lit3 T.True) (rel "l") (rel "r") (fun m ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d positions for %d x %d" (Array.length m.J.pos) n n)
+        true
+        (Array.length m.J.pos <= 2 * (n + n));
+      Alcotest.(check bool) "every row shares one range" true
+        (Array.for_all (fun o -> o = m.J.off.(0)) (Array.sub m.J.off 0 n)
+        && Array.for_all (fun l -> l = n) (Array.sub m.J.len 0 n)))
+
 let () =
   Alcotest.run "algebra"
     [
@@ -297,6 +547,28 @@ let () =
           Alcotest.test_case "avg" `Quick test_avg;
         ] );
       ("sort", [ Alcotest.test_case "directions" `Quick test_sort ]);
+      ( "offsets",
+        [
+          Alcotest.test_case "variants give identical positions" `Quick
+            test_offset_variants;
+          Alcotest.test_case "selection = gathered" `Quick
+            test_offset_selection;
+          Alcotest.test_case "serial probe allocates per join, not per row"
+            `Quick test_offset_allocation;
+          Alcotest.test_case "cartesian shares one range" `Quick
+            test_offset_cartesian;
+        ] );
+      ( "scratch",
+        [
+          Alcotest.test_case "nested borrows are distinct" `Quick
+            test_scratch_nested;
+          Alcotest.test_case "a released buffer is reused" `Quick
+            test_scratch_reuse;
+          Alcotest.test_case "the free list is capped" `Quick
+            test_scratch_cap;
+          Alcotest.test_case "an exception releases" `Quick
+            test_scratch_exception;
+        ] );
       ( "properties",
         [
           qtest prop_hash_eq_nested_loop;

@@ -1,5 +1,5 @@
 (* The fused probe–nest–select (a pipelined site whose wide frame feeds
-   no grandchild groups the join's match lists as the probe emits them)
+   no grandchild groups the join's match ranges as the probe emits them)
    against the materialized nest of the original variant: byte-identical
    CSV and identical fetched-row charges at every pool size and frame
    budget, faults on.  The corpus covers the Figure 4–9 queries, the

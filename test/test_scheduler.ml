@@ -120,6 +120,62 @@ let test_interleaving_equivalence () =
     (Printf.sprintf "schedules interleaved (%d yields)" !total_yields)
     true (!total_yields > 0)
 
+(* ---------- statements suspended mid-probe ----------
+
+   The four Query 1-JA statements at a zero quantum: every guard
+   checkpoint yields, the one per probed row included, so several
+   statements sit suspended inside their probes at once, each holding
+   its borrowed buffers (the join's table and offset vectors, the
+   child's selection vector).  Results must equal the serial ones under
+   every strategy, and for the strategies that probe, the high-water
+   count of live borrows must exceed what the statements reach one at a
+   time — the proof that the probes overlapped. *)
+
+let ja_cat =
+  lazy (Tpch.Gen.generate { Tpch.Gen.default with Tpch.Gen.scale = 0.002 })
+
+let ja_sqls =
+  let module Q = Tpch.Queries in
+  let lo, hi = Q.q1_window ~outer_fraction:0.3 in
+  Array.of_list
+    (List.map
+       (fun link -> Q.q1_ja ~link ~date_lo:lo ~date_hi:hi)
+       [ Q.Ja_in; Q.Ja_not_in; Q.Ja_gt_all; Q.Ja_scalar_eq ])
+
+let test_mid_probe_interleaving () =
+  let cat = Lazy.force ja_cat in
+  (* serial kernels (a parallel region is a no-yield critical
+     section) and no rewrites, so both NRA strategies probe per row *)
+  let domains = Pool.size () and rules = Nra.rewrite_rules () in
+  Pool.set_size 0;
+  Nra.set_rewrite_rules [];
+  Fun.protect ~finally:(fun () ->
+      Pool.set_size domains;
+      Nra.set_rewrite_rules rules)
+  @@ fun () ->
+  List.iteri
+    (fun seed strategy ->
+      let name = Nra.strategy_to_string strategy in
+      Scratch.reset_high_water ();
+      let serial = Array.map (Nra.query ~strategy cat) ja_sqls in
+      let alone = Scratch.high_water () in
+      Scratch.reset_high_water ();
+      let interleaved =
+        interleaved_results ~seed ~quantum_ms:0.0 ~strategy cat ja_sqls
+      in
+      let together = Scratch.high_water () in
+      check_matches_serial ~what:name serial interleaved ja_sqls;
+      if List.mem strategy [ Nra.Nra_original; Nra.Nra_optimized ] then
+        Alcotest.(check bool)
+          (Printf.sprintf
+             "%s: probes overlapped (%d live borrows at once, %d alone)" name
+             together alone)
+          true
+          (alone > 0 && together >= 2 * alone);
+      Alcotest.(check int) (name ^ ": every buffer returned") 0
+        (Scratch.live ()))
+    all_strategies
+
 (* ---------- virtual-clock monotonicity ---------- *)
 
 let test_clock_monotone () =
@@ -463,6 +519,8 @@ let () =
         [
           Alcotest.test_case "randomized interleavings match serial" `Quick
             test_interleaving_equivalence;
+          Alcotest.test_case "Query 1-JA suspended mid-probe" `Quick
+            test_mid_probe_interleaving;
         ] );
       ( "properties",
         [
