@@ -11,6 +11,13 @@ let make schema rows =
     rows;
   { schema; rows }
 
+let rename t schema =
+  if Schema.arity schema <> Schema.arity t.schema then
+    invalid_arg
+      (Printf.sprintf "Relation.rename: schema arity %d <> %d"
+         (Schema.arity schema) (Schema.arity t.schema));
+  { t with schema }
+
 let of_rows schema rows = make schema (Array.of_list rows)
 let schema t = t.schema
 let rows t = t.rows

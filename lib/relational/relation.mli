@@ -9,6 +9,12 @@ type t
 val make : Schema.t -> Row.t array -> t
 (** @raise Invalid_argument if any row's arity differs from the schema's. *)
 
+val rename : t -> Schema.t -> t
+(** [rename t s] is [t]'s rows (shared, not copied or re-checked) under
+    schema [s], which must have the same arity: O(1), where {!make}
+    checks every row.
+    @raise Invalid_argument if the arities differ. *)
+
 val of_rows : Schema.t -> Row.t list -> t
 val schema : t -> Schema.t
 val rows : t -> Row.t array

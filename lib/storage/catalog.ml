@@ -49,29 +49,32 @@ let entry t name =
   | Some e -> e
   | None -> raise Not_found
 
-let check_key_unique table =
-  let keys = Table.key_positions table in
-  let rows = Relation.rows (Table.relation table) in
-  let seen = Hashtbl.create (Array.length rows) in
-  Array.iter
-    (fun row ->
-      let k = Row.project_arr row keys in
-      let h = Row.hash k in
-      if Hashtbl.find_all seen h |> List.exists (Row.equal k) then
-        invalid_arg
-          (Printf.sprintf "table %s: duplicate primary key %s"
-             (Table.name table)
-             (Format.asprintf "%a" Row.pp k));
-      Hashtbl.add seen h k)
-    rows
+(* [pk] is the primary-key index over [table]'s rows: the first row
+   whose key repeats an earlier row's is the one reported. *)
+let check_key_unique table pk =
+  match Hash_index.first_duplicate pk with
+  | None -> ()
+  | Some id ->
+      let row = (Relation.rows (Table.relation table)).(id) in
+      invalid_arg
+        (Printf.sprintf "table %s: duplicate primary key %s"
+           (Table.name table)
+           (Format.asprintf "%a" Row.pp
+              (Row.project_arr row (Table.key_positions table))))
 
 let update_rows t name rows =
   let e = entry t name in
   let table = Table.with_rows e.table rows in
-  check_key_unique table;
   let rel = Table.relation table in
+  let pk = Hash_index.build rel (Table.key_positions table) in
+  check_key_unique table pk;
+  let key_cols = Table.key_columns table in
   let hash =
-    List.map (fun (cols, _) -> (cols, Hash_index.build rel (positions_of table cols)))
+    List.map
+      (fun (cols, _) ->
+        ( cols,
+          if cols = key_cols then pk
+          else Hash_index.build rel (positions_of table cols) ))
       e.idx.hash
   in
   let sorted =

@@ -1,27 +1,33 @@
 (** Equality indexes: key projection of a relation → row ids.
 
-    Rows whose key contains a NULL are not indexed (an equality probe can
-    never match them — SQL equi-semantics).  Used by the nested-iteration
-    baseline to model "System A accesses the inner table by index rowid",
-    and by hash joins. *)
+    An index is int arrays over the row ids of the relation it was built
+    from, plus a shared reference to that relation's rows: keys are read
+    in place, never copied.  Rows whose key contains a NULL are not
+    indexed (an equality probe can never match them — SQL
+    equi-semantics).  Used by the nested-iteration baseline to model
+    "System A accesses the inner table by index rowid", and by
+    {!Catalog.update_rows} to check primary-key uniqueness.  Hash joins
+    do not use it: they build their own table ([Join.with_matches]). *)
 
 open Nra_relational
 
 type t
 
 val build : Relation.t -> int array -> t
-(** [build rel positions] indexes [rel] on the given column positions. *)
+(** [build rel positions] indexes [rel] on the given column positions.
+    The index refers to [rel]'s rows array, which must not be mutated
+    afterwards. *)
 
 val positions : t -> int array
 
 val probe : t -> Row.t -> int list
-(** [probe idx key_row] returns ids of rows whose key equals [key_row]
-    (a row containing exactly the key values, in index position order).
-    A probe containing NULL returns []. *)
+(** [probe idx key_row] returns, in ascending order, the ids of rows
+    whose key equals [key_row] (a row containing exactly the key values,
+    in index position order) under {!Value.compare}.  A probe containing
+    NULL, or of another arity than the key, returns []. *)
 
-val probe_rows : t -> Relation.t -> Row.t -> Row.t list
-(** Convenience: probe and materialize the matching rows of [rel] (which
-    must be the indexed relation). *)
+val first_duplicate : t -> int option
+(** The smallest id whose key equals that of a smaller id, if any. *)
 
 val cardinality : t -> int
-(** Number of indexed entries. *)
+(** Number of indexed (non-NULL-keyed) rows. *)

@@ -1,73 +1,93 @@
 open Nra_relational
 
+(* [perm] holds the ids of the non-NULL-keyed rows, stably sorted by
+   key: (key, id) order.  Keys are read in place through [rows]. *)
 type t = {
   positions : int array;
-  entries : (Row.t * int) array; (* sorted by key, then id for stability *)
+  rows : Row.t array; (* the indexed relation's rows, shared *)
+  perm : int array;
 }
 
 type bound = Unbounded | Incl of Value.t | Excl of Value.t
 
 let build rel positions =
   let rows = Relation.rows rel in
-  let acc = ref [] in
+  let n = ref 0 in
+  Array.iter
+    (fun row -> if not (Row.has_null_on positions row) then incr n)
+    rows;
+  let perm = Array.make !n 0 in
+  let k = ref 0 in
   Array.iteri
     (fun id row ->
-      if not (Row.has_null_on positions row) then
-        acc := (Row.project_arr row positions, id) :: !acc)
+      if not (Row.has_null_on positions row) then begin
+        perm.(!k) <- id;
+        incr k
+      end)
     rows;
-  let entries = Array.of_list !acc in
-  Array.sort
-    (fun (k1, id1) (k2, id2) ->
-      let c = Row.compare k1 k2 in
-      if c <> 0 then c else Int.compare id1 id2)
-    entries;
-  { positions; entries }
+  Array.stable_sort
+    (fun a b -> Row.compare_on positions rows.(a) rows.(b))
+    perm;
+  { positions; rows; perm }
 
 let positions t = t.positions
-let cardinality t = Array.length t.entries
+let cardinality t = Array.length t.perm
 
-(* First index whose entry satisfies [above]; entries are sorted so the
-   predicate is monotone (a run of false then a run of true). *)
+(* First index of [perm] whose row satisfies [above]; [perm] is sorted
+   so the predicate is monotone (a run of false then a run of true). *)
 let lower_bound t above =
-  let lo = ref 0 and hi = ref (Array.length t.entries) in
+  let lo = ref 0 and hi = ref (Array.length t.perm) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if above (fst t.entries.(mid)) then hi := mid else lo := mid + 1
+    if above t.rows.(t.perm.(mid)) then hi := mid else lo := mid + 1
   done;
   !lo
 
-let first_key_cmp key v = Value.compare key.(0) v
-
-let range t ~lo ~hi =
-  let n = Array.length t.entries in
-  let start =
-    match lo with
-    | Unbounded -> 0
-    | Incl v -> lower_bound t (fun k -> first_key_cmp k v >= 0)
-    | Excl v -> lower_bound t (fun k -> first_key_cmp k v > 0)
-  in
-  let stop =
-    match hi with
-    | Unbounded -> n
-    | Incl v -> lower_bound t (fun k -> first_key_cmp k v > 0)
-    | Excl v -> lower_bound t (fun k -> first_key_cmp k v >= 0)
-  in
+(* ids [perm.(start)] .. [perm.(stop - 1)], in perm order *)
+let ids t start stop =
   let acc = ref [] in
   for i = stop - 1 downto start do
-    acc := snd t.entries.(i) :: !acc
+    acc := t.perm.(i) :: !acc
   done;
   !acc
 
+let range t ~lo ~hi =
+  let first_cmp row v = Value.compare row.(t.positions.(0)) v in
+  let start =
+    match lo with
+    | Unbounded -> 0
+    | Incl v -> lower_bound t (fun row -> first_cmp row v >= 0)
+    | Excl v -> lower_bound t (fun row -> first_cmp row v > 0)
+  in
+  let stop =
+    match hi with
+    | Unbounded -> Array.length t.perm
+    | Incl v -> lower_bound t (fun row -> first_cmp row v > 0)
+    | Excl v -> lower_bound t (fun row -> first_cmp row v >= 0)
+  in
+  ids t start stop
+
+(* compare row's first [Array.length key] key cells with [key] *)
+let rec prefix_cmp t key row i =
+  if i >= Array.length key then 0
+  else
+    let c = Value.compare row.(t.positions.(i)) key.(i) in
+    if c <> 0 then c else prefix_cmp t key row (i + 1)
+
 let probe t key_row =
-  if Array.exists Value.is_null key_row then []
+  let k = Array.length key_row in
+  if k = 0 || k > Array.length t.positions
+     || Array.exists Value.is_null key_row
+  then []
   else begin
-    let start = lower_bound t (fun k -> Row.compare k key_row >= 0) in
-    let acc = ref [] in
-    let i = ref start in
-    let n = Array.length t.entries in
-    while !i < n && Row.equal (fst t.entries.(!i)) key_row do
-      acc := snd t.entries.(!i) :: !acc;
-      incr i
-    done;
-    List.rev !acc
+    let start = lower_bound t (fun row -> prefix_cmp t key_row row 0 >= 0) in
+    let stop = lower_bound t (fun row -> prefix_cmp t key_row row 0 > 0) in
+    (* a full key's run is already in id order; a prefix's is in
+       (remaining key, id) order *)
+    if k = Array.length t.positions then ids t start stop
+    else begin
+      let run = Array.sub t.perm start (stop - start) in
+      Array.sort Int.compare run;
+      Array.to_list run
+    end
   end

@@ -55,7 +55,7 @@ let with_rows t rows =
 
 let alias t a =
   let s = Schema.rename_table a (schema t) in
-  { t with name = a; relation = Relation.make s (Relation.rows t.relation) }
+  { t with name = a; relation = Relation.rename t.relation s }
 
 let pp ppf t =
   Format.fprintf ppf "table %s %a@.%a" t.name Schema.pp (schema t)

@@ -51,7 +51,16 @@ let test_alias () =
   let t = Table.alias (mk_table ()) "x" in
   Alcotest.(check string) "renamed" "x.id"
     (Schema.qualified_name (Schema.col (Table.schema t) 0));
-  Alcotest.(check int) "same rows" 100 (Table.cardinality t)
+  Alcotest.(check int) "same rows" 100 (Table.cardinality t);
+  let base = mk_table () in
+  Alcotest.(check bool) "alias shares the rows array" true
+    (Relation.rows (Table.relation (Table.alias base "y"))
+    == Relation.rows (Table.relation base));
+  Alcotest.check_raises "rename checks the schema's arity"
+    (Invalid_argument "Relation.rename: schema arity 1 <> 3") (fun () ->
+      ignore
+        (Relation.rename (Table.relation base)
+           (Schema.of_columns [ col "a" Ttype.Int ])))
 
 let test_hash_index () =
   let t = mk_table () in
@@ -131,34 +140,197 @@ let test_catalog () =
   Alcotest.(check bool) "pk survives" true
     (Catalog.hash_index cat ~table:"t" [ "id" ] <> None)
 
+(* Nested iteration's last index fallback picks a sorted index by its
+   first column and probes it with that one column's value: the probe
+   is on a key prefix. *)
+let test_naive_sorted_prefix () =
+  let cat = Catalog.create () in
+  Catalog.register cat
+    (Table.create ~name:"s" ~key:[ "x" ]
+       [ col "x" Ttype.Int ]
+       [| [| vi 1 |]; [| vi 2 |]; [| vi 3 |] |]);
+  Catalog.register cat
+    (Table.create ~name:"t" ~key:[ "c" ]
+       [ col "a" Ttype.Int; col "b" Ttype.Int; col "c" Ttype.Int ]
+       [|
+         [| vi 1; vi 10; vi 100 |];
+         [| vi 2; vi 20; vi 200 |];
+         [| vi 2; vi 21; vi 201 |];
+       |]);
+  Catalog.create_sorted_index cat ~table:"t" [ "a"; "b" ];
+  (* naive is the first strategy, so the others are held to it *)
+  let rel =
+    check_equivalent cat
+      "select x from s where exists (select * from t where t.a = s.x)"
+  in
+  check_rows "naive finds both" [ [ Some 1 ]; [ Some 2 ] ] rel
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+let test_duplicate_key () =
+  let cat = Catalog.create () in
+  Catalog.register cat
+    (Table.create ~name:"d" ~key:[ "k1"; "k2" ]
+       [ col "k1" Ttype.Int; col "k2" Ttype.Int; col "v" Ttype.Int ]
+       [| [| vi 1; vi 1; vi 0 |] |]);
+  let rows =
+    [|
+      [| vi 1; vi 1; vi 0 |];
+      [| vi 2; vi 1; vi 0 |];
+      [| vi 1; vi 2; vi 0 |];
+      [| vi 2; vi 1; vi 5 |];
+      [| vi 1; vi 1; vi 9 |];
+    |]
+  in
+  (* ids 3 and 4 both repeat an earlier key; id 3 comes first *)
+  Alcotest.check_raises "first duplicate reported"
+    (Invalid_argument "table d: duplicate primary key (2, 1)") (fun () ->
+      Catalog.update_rows cat "d" rows);
+  Alcotest.(check int) "table unchanged" 1
+    (Table.cardinality (Catalog.table cat "d"));
+  Catalog.update_rows cat "d" (Array.sub rows 0 3);
+  Alcotest.(check int) "distinct keys accepted" 3
+    (Table.cardinality (Catalog.table cat "d"));
+  match Nra.exec cat "insert into d values (1, 2, 7)" with
+  | Ok _ -> Alcotest.fail "duplicate insert accepted"
+  | Error m ->
+      Alcotest.(check bool) "insert error names the key" true
+        (contains m "duplicate primary key (1, 2)")
+
+(* The words an index holds beyond the rows of its relation, which it
+   shares: two int arrays plus the buckets for a hash index, one for a
+   sorted index — no per-row key copy, tuple or bucket cell. *)
+let test_index_footprint () =
+  let n = 1000 in
+  let rel =
+    Relation.make
+      (Schema.of_columns
+         [ col "a" Ttype.Int; col "b" Ttype.Int; col "c" Ttype.String ])
+      (Array.init n (fun i ->
+           [| vi (i mod 37); vi i; vs (string_of_int i) |]))
+  in
+  let rows = Relation.rows rel in
+  (* the pair's words less the rows' and the pair's own three *)
+  let own idx =
+    Obj.reachable_words (Obj.repr (idx, rows))
+    - Obj.reachable_words (Obj.repr rows)
+    - 3
+  in
+  let rec pow2 k = if k >= n then k else pow2 (2 * k) in
+  List.iter
+    (fun positions ->
+      let h = own (Hash_index.build rel positions) in
+      let bound = (3 * n) + pow2 1 + 1 in
+      if h > bound then
+        Alcotest.failf "hash index holds %d words (bound %d)" h bound;
+      let s = own (Sorted_index.build rel positions) in
+      let bound = n + 16 in
+      if s > bound then
+        Alcotest.failf "sorted index holds %d words (bound %d)" s bound)
+    [ [| 0 |]; [| 0; 1 |]; [| 2; 0 |] ]
+
 let qtest = QCheck_alcotest.to_alcotest
 
-(* indexes agree with a full scan *)
+(* Every probe of both index kinds against a linear scan.  Column 0 is
+   declared Float and column 1 Int, and both hold Int, Float (integral
+   or not) and NULL cells, so keys cross the Int/Float line; positions
+   cover one and two columns in either order; probe keys may hold NULL
+   or have the wrong arity; range bounds are drawn from all three
+   constructors. *)
+let gen_cell =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Value.Null);
+        (3, map (fun i -> Value.Int i) (int_bound 3));
+        (2, map (fun i -> Value.Float (float_of_int i)) (int_bound 3));
+        (1, map (fun i -> Value.Float (float_of_int i +. 0.5)) (int_bound 3));
+      ])
+
+let gen_bound =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Sorted_index.Unbounded);
+        (2, map (fun v -> Sorted_index.Incl v) gen_cell);
+        (2, map (fun v -> Sorted_index.Excl v) gen_cell);
+      ])
+
+let pp_bound = function
+  | Sorted_index.Unbounded -> "unbounded"
+  | Sorted_index.Incl v -> "incl " ^ Value.to_string v
+  | Sorted_index.Excl v -> "excl " ^ Value.to_string v
+
+let pp_cells r = Format.asprintf "%a" Row.pp r
+
+let arb_index_case =
+  QCheck.make
+    ~print:(fun (rows, positions, key, (lo, hi)) ->
+      Printf.sprintf "rows=[%s] positions=[%s] key=%s lo=%s hi=%s"
+        (String.concat "; " (List.map pp_cells rows))
+        (String.concat ";" (Array.to_list (Array.map string_of_int positions)))
+        (pp_cells key) (pp_bound lo) (pp_bound hi))
+    QCheck.Gen.(
+      quad
+        (list_size (int_bound 30) (array_repeat 2 gen_cell))
+        (oneofl [ [| 0 |]; [| 1 |]; [| 0; 1 |]; [| 1; 0 |] ])
+        (array_size (int_bound 3) gen_cell)
+        (pair gen_bound gen_bound))
+
 let prop_index_vs_scan =
-  QCheck.Test.make ~name:"hash and sorted probes agree with scans"
-    QCheck.(pair (small_list (option (int_bound 10))) (option (int_bound 10)))
-    (fun (vals, probe_v) ->
-      let to_v = function None -> Value.Null | Some i -> Value.Int i in
+  QCheck.Test.make ~count:500 ~name:"hash and sorted probes agree with scans"
+    arb_index_case (fun (rows, positions, key, (lo, hi)) ->
       let rel =
         Relation.make
-          (Schema.of_columns [ Schema.column "a" Ttype.Int ])
-          (Array.of_list (List.map (fun v -> [| to_v v |]) vals))
+          (Schema.of_columns [ col "f" Ttype.Float; col "i" Ttype.Int ])
+          (Array.of_list rows)
       in
-      let probe = [| to_v probe_v |] in
-      let expect =
-        if Value.is_null probe.(0) then []
-        else
-          List.filteri (fun _ v -> v = probe_v) vals |> List.length
-          |> fun n -> List.init n Fun.id
+      let rows = Relation.rows rel in
+      let ids = List.init (Array.length rows) Fun.id in
+      let keyed =
+        List.filter (fun id -> not (Row.has_null_on positions rows.(id))) ids
       in
-      let hash_hits =
-        Hash_index.probe (Hash_index.build rel [| 0 |]) probe
+      let npos = Array.length positions and k = Array.length key in
+      let prefix_equal id =
+        List.for_all
+          (fun i -> Value.compare rows.(id).(positions.(i)) key.(i) = 0)
+          (List.init k Fun.id)
       in
-      let sorted_hits =
-        Sorted_index.probe (Sorted_index.build rel [| 0 |]) probe
+      let no_null = not (Array.exists Value.is_null key) in
+      let hash_expect =
+        if k = npos && no_null then List.filter prefix_equal keyed else []
       in
-      List.length hash_hits = List.length expect
-      && List.length sorted_hits = List.length expect)
+      let sorted_expect =
+        if k >= 1 && k <= npos && no_null then List.filter prefix_equal keyed
+        else []
+      in
+      let first id = rows.(id).(positions.(0)) in
+      let within id =
+        (match lo with
+        | Sorted_index.Unbounded -> true
+        | Incl v -> Value.compare (first id) v >= 0
+        | Excl v -> Value.compare (first id) v > 0)
+        &&
+        match hi with
+        | Sorted_index.Unbounded -> true
+        | Incl v -> Value.compare (first id) v <= 0
+        | Excl v -> Value.compare (first id) v < 0
+      in
+      let range_expect =
+        List.filter within keyed
+        |> List.stable_sort (fun a b ->
+               Row.compare_on positions rows.(a) rows.(b))
+      in
+      let h = Hash_index.build rel positions in
+      let s = Sorted_index.build rel positions in
+      Hash_index.probe h key = hash_expect
+      && Sorted_index.probe s key = sorted_expect
+      && Sorted_index.range s ~lo ~hi = range_expect
+      && Hash_index.cardinality h = List.length keyed
+      && Sorted_index.cardinality s = List.length keyed)
 
 let () =
   Alcotest.run "storage"
@@ -176,7 +348,14 @@ let () =
             test_hash_index_skips_null_keys;
           Alcotest.test_case "sorted" `Quick test_sorted_index;
           Alcotest.test_case "sorted composite" `Quick test_sorted_index_multi;
+          Alcotest.test_case "footprint" `Quick test_index_footprint;
         ] );
-      ("catalog", [ Alcotest.test_case "registry" `Quick test_catalog ]);
+      ( "catalog",
+        [
+          Alcotest.test_case "registry" `Quick test_catalog;
+          Alcotest.test_case "duplicate primary key" `Quick test_duplicate_key;
+          Alcotest.test_case "naive probes a sorted index prefix" `Quick
+            test_naive_sorted_prefix;
+        ] );
       ("properties", [ qtest prop_index_vs_scan ]);
     ]
