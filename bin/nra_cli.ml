@@ -73,18 +73,6 @@ let rewrite_arg =
   Arg.(
     value & opt (some rules_conv) None & info [ "rewrite" ] ~docv:"RULES" ~doc)
 
-let columnar_arg =
-  let doc =
-    "Columnar execution core: vectorized filters, columnar hash-join \
-     key vectors, columnar nest partitioning, and packed spill pages \
-     over typed batches with null bitmaps.  On by default; results \
-     are bit-identical either way.  Overrides the NRA_COLUMNAR \
-     environment variable."
-  in
-  Arg.(value & opt (some bool) None & info [ "columnar" ] ~docv:"BOOL" ~doc)
-
-let install_columnar v = Option.iter Nra.set_columnar v
-
 let install_rewrite spec =
   Option.iter
     (fun s ->
@@ -295,12 +283,11 @@ let print_robustness_report () =
 
 (* ---------- commands ---------- *)
 
-let run_query strategy rewrite columnar domains scale seed null_rate
+let run_query strategy rewrite domains scale seed null_rate
     not_null csv timing timeout_ms io_budget_ms max_rows faults fault_seed
     psize bpages bmb sql =
   Option.iter Nra_pool.Pool.set_size domains;
   install_rewrite rewrite;
-  install_columnar columnar;
   install_storage psize bpages bmb;
   let cat = make_catalog scale seed null_rate not_null in
   (* a torn WAL (e.g. a crash fault in a prior in-process run) is
@@ -389,7 +376,7 @@ let query_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run_query $ strategy $ rewrite_arg $ columnar_arg
+        (const run_query $ strategy $ rewrite_arg
        $ domains_arg $ scale
        $ seed $ null_rate $ not_null $ csv $ timing $ timeout_ms
        $ io_budget_ms $ max_rows $ faults $ fault_seed $ page_size_kb
@@ -456,8 +443,12 @@ let run_analyze scale seed null_rate not_null table =
   match Nra.exec cat sql with
   | Ok (Nra.Done msg) ->
       print_endline msg;
-      let store = Nra.Stats.Stats_store.of_catalog cat in
-      Format.printf "%a@." Nra.Stats.Stats_store.pp store;
+      List.iter
+        (fun t ->
+          Option.iter
+            (Format.printf "%a@." Nra.Stats.Table_stats.pp)
+            (Nra.Catalog.stats cat (Nra.Table.name t)))
+        (Nra.Catalog.tables cat);
       `Ok ()
   | Ok _ -> `Error (false, "unexpected result")
   | Error m -> `Error (false, m)
@@ -475,12 +466,11 @@ let analyze_cmd =
       ret
         (const run_analyze $ scale $ seed $ null_rate $ not_null $ table_arg))
 
-let run_repl strategy rewrite columnar domains scale seed null_rate
+let run_repl strategy rewrite domains scale seed null_rate
     not_null timeout_ms io_budget_ms max_rows faults fault_seed psize bpages
     bmb session_wall_ms session_io_ms session_rows max_concurrent queue_len
     quantum_ms =
   install_rewrite rewrite;
-  install_columnar columnar;
   install_storage psize bpages bmb;
   let cat = make_catalog scale seed null_rate not_null in
   install_faults faults fault_seed;
@@ -553,7 +543,7 @@ let repl_cmd =
   in
   Cmd.v info
     Term.(
-      const run_repl $ strategy $ rewrite_arg $ columnar_arg
+      const run_repl $ strategy $ rewrite_arg
       $ domains_arg $ scale $ seed
       $ null_rate $ not_null $ timeout_ms $ io_budget_ms $ max_rows $ faults
       $ fault_seed $ page_size_kb $ buffer_pages $ buffer_mb

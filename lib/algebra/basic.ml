@@ -6,12 +6,13 @@ module Pool = Nra_pool.Pool
    Morsels keep their relative order, so the output row order is the
    serial one.
 
-   When the columnar core is on and the predicate compiles to the
-   vectorizable subset, each morsel evaluates typed column loops and
-   returns a bitmap; the owner lists the positions in chunk order into
-   a borrowed buffer and gathers the original rows once.  Otherwise
-   morsels fall back to [Expr.holds] row-at-a-time.  Both paths emit
-   the same physical rows in the same order. *)
+   When the predicate compiles to the vectorizable subset, each morsel
+   evaluates typed column loops over the relation's batch (a base
+   table's own, or a transient one) and returns a bitmap; the owner
+   lists the positions in chunk order into a borrowed buffer and
+   gathers the original rows once.  Otherwise morsels fall back to
+   [Expr.holds] row-at-a-time.  Both paths emit the same physical rows
+   in the same order. *)
 
 (* Filter a morsel row-at-a-time into a row array (no list rebuild on
    the owner: each morsel packs its survivors once, backwards). *)
@@ -41,8 +42,11 @@ let filter_morsel pred rows ~lo ~hi =
    Morsels return bitmaps (a bit per row), which the owner lists in
    chunk order; the morsel split is [select]'s, so the checkpoints are
    too. *)
-let selection pred rel =
+let selection ?batch pred rel =
   let n = Relation.cardinality rel in
+  let batch =
+    match batch with Some b -> b | None -> Batch.of_relation rel
+  in
   Option.map
     (fun bits ->
       let parts =
@@ -59,12 +63,12 @@ let selection pred rel =
              0 parts)
       in
       (count, write))
-    (Batch.filter_bits pred rel)
+    (Batch.filter_bits pred batch)
 
-let select pred rel =
+let select ?batch pred rel =
   let rows = Relation.rows rel in
   let n = Array.length rows in
-  match selection pred rel with
+  match selection ?batch pred rel with
   | Some (count, write) ->
       Relation.make (Relation.schema rel)
         (Scratch.with_ints count (fun sel ->

@@ -2,11 +2,14 @@
 
 open Nra_relational
 
-val select : Expr.pred -> Relation.t -> Relation.t
-(** σ — keeps rows whose predicate is [True] (3VL). *)
+val select : ?batch:Batch.t -> Expr.pred -> Relation.t -> Relation.t
+(** σ — keeps rows whose predicate is [True] (3VL).  [batch] holds the
+    relation's typed columns (a base table's {!Nra_storage.Table.batch});
+    without it a transient batch is wrapped around the rows. *)
 
 val selection :
-  Expr.pred -> Relation.t -> (int * (int array -> unit)) option
+  ?batch:Batch.t -> Expr.pred -> Relation.t ->
+  (int * (int array -> unit)) option
 (** [select]'s columnar path as positions.  [Some (count, write)] when
     the predicate compiles to the columnar subset
     ({!Batch.filter_bits}): [count] rows pass, and [write sel] writes

@@ -64,10 +64,9 @@ module Tpch = struct
 end
 
 module Stats = struct
-  module Histogram = Nra_stats.Histogram
-  module Col_stats = Nra_stats.Col_stats
-  module Table_stats = Nra_stats.Table_stats
-  module Stats_store = Nra_stats.Stats_store
+  module Histogram = Nra_storage.Histogram
+  module Col_stats = Nra_storage.Col_stats
+  module Table_stats = Nra_storage.Table_stats
   module Cardinality = Nra_stats.Cardinality
   module Cost = Nra_stats.Cost
 end
@@ -177,8 +176,6 @@ let of_cost_strategy = function
 let rewrite_rules = Nra_opt.Config.rules
 let set_rewrite_rules = Nra_opt.Config.set
 let set_rewrite_spec = Nra_opt.Config.set_spec
-let columnar_enabled = Nra_relational.Batch.enabled
-let set_columnar = Nra_relational.Batch.set_enabled
 let rewrite_epoch = Nra_opt.Config.current_epoch
 let rewrite_signature = Nra_opt.Config.signature
 
@@ -740,18 +737,20 @@ let run_command strategy cat = function
       do_update strategy cat table assigns where
   | Ast.Analyze target ->
       trap (fun () ->
-          let store = Nra_stats.Stats_store.of_catalog cat in
           match target with
           | Some name ->
               if Catalog.mem cat name then begin
-                ignore (Nra_stats.Stats_store.analyze cat store name);
+                ignore (Catalog.analyze cat name);
                 Ok (Done (Printf.sprintf "analyzed %s" name))
               end
               else invalidf "unknown table %s" name
           | None ->
-              let all = Nra_stats.Stats_store.analyze_all cat store in
+              let tables = Catalog.tables cat in
+              List.iter
+                (fun t -> ignore (Catalog.analyze cat (Table.name t)))
+                tables;
               Ok (Done (Printf.sprintf "analyzed %d table(s)"
-                          (List.length all))))
+                          (List.length tables))))
 
 (* ---------- the public entry points ---------- *)
 

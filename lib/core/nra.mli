@@ -28,7 +28,7 @@ module Expr = Nra_relational.Expr
 
 module Batch = Nra_relational.Batch
 (** Columnar batches: typed unboxed columns + null bitmaps behind the
-    hot kernels ([--columnar] / [NRA_COLUMNAR], default on) — see
+    morsel filter; each base table owns one ({!Table.batch}) — see
     docs/PERF.md. *)
 
 module Scratch = Nra_relational.Scratch
@@ -114,10 +114,9 @@ module Tpch : sig
 end
 
 module Stats : sig
-  module Histogram = Nra_stats.Histogram
-  module Col_stats = Nra_stats.Col_stats
-  module Table_stats = Nra_stats.Table_stats
-  module Stats_store = Nra_stats.Stats_store
+  module Histogram = Nra_storage.Histogram
+  module Col_stats = Nra_storage.Col_stats
+  module Table_stats = Nra_storage.Table_stats
   module Cardinality = Nra_stats.Cardinality
   module Cost = Nra_stats.Cost
 end
@@ -230,7 +229,8 @@ val exec :
     point, so a budget kill, fault, or type error mid-DML leaves the
     table, its indexes, and the catalog generation untouched.
     [ANALYZE [t]] collects optimizer statistics (see {!Stats}) for one
-    table or the whole catalog. *)
+    table or the whole catalog into the catalog entries
+    ({!Catalog.analyze}). *)
 
 val run :
   ?strategy:strategy ->
@@ -348,16 +348,6 @@ val set_rewrite_rules : Nra_opt.Config.rule list -> unit
 val set_rewrite_spec : string -> (unit, string) result
 (** Parse ["all"], ["none"], or a comma list of rule names, then
     {!set_rewrite_rules}. *)
-
-(** {1 The columnar execution core}
-
-    On by default; [--columnar false] / [NRA_COLUMNAR=0] fall back to
-    row-at-a-time kernels.  Results are byte-identical either way at
-    every pool size and frame budget — the toggle exists so the bench
-    sweep can measure both sides (see docs/PERF.md). *)
-
-val columnar_enabled : unit -> bool
-val set_columnar : bool -> unit
 
 val rewrite_epoch : unit -> int
 val rewrite_signature : unit -> string

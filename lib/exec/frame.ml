@@ -58,8 +58,8 @@ let charge_scan_chunked ?table n =
       in
       go n
 
-(* The scan every block input starts with: one checkpoint, one charged
-   scan per base table, and the tables' columnar batches primed. *)
+(* The scan every block input starts with: one checkpoint and one
+   charged scan per base table. *)
 let scan ~charge (b : Analyze.block) =
   Nra_guard.Guard.tick ();
   if charge then
@@ -68,14 +68,7 @@ let scan ~charge (b : Analyze.block) =
         charge_scan_chunked
           ~table:(Table.name bd.Analyze.table)
           (Table.cardinality bd.Analyze.table))
-      b.Analyze.bindings;
-  (* columnar batches are built once per base relation, at scan time;
-     the kernels downstream pick them up from the cache (columns fill
-     lazily, on the owning domain, as kernels force them) *)
-  List.iter
-    (fun (bd : Analyze.binding) ->
-      Batch.prime (Table.relation bd.Analyze.table))
-    b.Analyze.bindings
+      b.Analyze.bindings
 
 let join_bindings (b : Analyze.block) =
   let pending = ref b.Analyze.local in
@@ -91,7 +84,11 @@ let join_bindings (b : Analyze.block) =
       let uids = ref [ first.Analyze.uid ] in
       let conds = take !uids in
       if conds <> [] then
-        rel := Nra_algebra.Basic.select (to_pred (Relation.schema !rel) conds) !rel;
+        rel :=
+          Nra_algebra.Basic.select
+            ~batch:(Table.batch first.Analyze.table)
+            (to_pred (Relation.schema !rel) conds)
+            !rel;
       List.iter
         (fun (bd : Analyze.binding) ->
           uids := bd.Analyze.uid :: !uids;
@@ -120,6 +117,7 @@ let with_block_input (b : Analyze.block) f =
       let base = Table.relation bd.Analyze.table in
       match
         Nra_algebra.Basic.selection
+          ~batch:(Table.batch bd.Analyze.table)
           (to_pred (Relation.schema base) b.Analyze.local)
           base
       with

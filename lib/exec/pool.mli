@@ -63,7 +63,7 @@ module Ledger : sig
 
   val consumed_spill : t -> Nra_storage.Bufpool.Spill.t -> unit
   (** Record a partition consumed by this chunk.  This is how the
-      grace/hybrid join and the spillable nest run {e under} the pool:
+      grace/hybrid join runs {e under} the pool:
       workers read spill data without touching the (single-threaded)
       buffer pool, and the owner settles residency, charges, and fault
       draws deterministically at the barrier. *)

@@ -7,9 +7,11 @@
     set-vs-bag distinction of {!Nested_relation} is immaterial here and
     skipping deduplication is the cheaper choice).
 
-    Both physical [nest] algorithms of the paper's Section 5.1 are
-    provided: sort-based (sort then cut runs — the one the paper's
-    stored procedures simulate) and hash-based. *)
+    [nest_sort] is the paper's sort-based nest (Section 5.1: sort then
+    cut runs — the one its stored procedures simulate).  The hash-based
+    nest is the fused probe's per-row match ranges
+    ([Nra_algebra.Join.with_matches]), which never materialize a
+    [t]. *)
 
 open Nra_relational
 
@@ -20,9 +22,7 @@ type t = {
 }
 
 val nest_sort : by:int array -> keep:int array -> Relation.t -> t
-val nest_hash : by:int array -> keep:int array -> Relation.t -> t
-(** Groups appear in key order ([nest_sort]) or first-occurrence order
-    ([nest_hash]); both produce the same set of groups. *)
+(** Groups appear in key order. *)
 
 val cardinality : t -> int
 

@@ -1,35 +1,20 @@
 (* Columnar batches: structure-of-arrays mirrors of flat relations.
 
    A batch holds one typed, unboxed array per column plus a per-column
-   null bitmap.  The hot kernels (morsel filter, nest partitioning)
-   run over these flat arrays — no Value.t variant dispatch or pointer
-   chase per cell — while rows stay the carrier at operator
-   boundaries: kernels gather *original* rows by index, so the
-   columnar path is bit-identical to row-at-a-time.
+   null bitmap.  The morsel filter runs over these flat arrays — no
+   Value.t variant dispatch or pointer chase per cell — while rows stay
+   the carrier at operator boundaries: the filter gathers *original*
+   rows by index, so the columnar path is bit-identical to
+   row-at-a-time.
 
    Columns are built lazily and forced on the owning domain only
-   (compilation of a filter plan or a hash vector forces what it
-   needs *before* entering [Pool.parallel_chunks]); worker domains see
-   only plain arrays.  A column is typed only when every non-null cell
-   shares one Value constructor — mixed Int/Float columns fall back to
-   [Boxed], which keeps [to_relation (of_relation r)] structurally
-   exact. *)
+   (compilation of a filter plan forces what it needs *before*
+   entering [Pool.parallel_chunks]); worker domains see only plain
+   arrays.  A column is typed only when every non-null cell shares one
+   Value constructor — mixed Int/Float columns fall back to [Boxed],
+   which keeps [to_relation (of_relation r)] structurally exact. *)
 
 module T3 = Three_valued
-
-(* ------------------------------------------------------------------ *)
-(* Toggle                                                              *)
-
-let env_enabled () =
-  match Sys.getenv_opt "NRA_COLUMNAR" with
-  | None -> true
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "0" | "false" | "off" | "no" -> false
-      | _ -> true)
-
-let enabled_flag = ref (env_enabled ())
-let enabled () = !enabled_flag
 
 (* ------------------------------------------------------------------ *)
 (* Null bitmaps (bit set = NULL) and selection bitmaps (bit set = keep) *)
@@ -244,125 +229,6 @@ let to_relation t =
          Array.init arity (fun c -> value_at cols.(c) i)))
 
 (* ------------------------------------------------------------------ *)
-(* Scan-time cache, keyed on the rows array's physical identity.
-   Relations are immutable (DML builds fresh arrays; [Table.alias]
-   shares them), so identity is a sound key.  Owner-domain only. *)
-
-let cache : (Row.t array * t) list ref = ref []
-let cache_limit = 32
-
-let find rel =
-  let rows = Relation.rows rel in
-  List.find_map (fun (k, b) -> if k == rows then Some b else None) !cache
-
-let prime rel =
-  if enabled () && not (Relation.is_empty rel) then
-    match find rel with
-    | Some _ -> ()
-    | None ->
-        let b = of_relation rel in
-        let trimmed =
-          if List.length !cache >= cache_limit then
-            List.filteri (fun i _ -> i < cache_limit - 1) !cache
-          else !cache
-        in
-        cache := (Relation.rows rel, b) :: trimmed
-
-let drop_cache () = cache := []
-
-let set_enabled b =
-  enabled_flag := b;
-  if not b then drop_cache ()
-
-let for_relation rel =
-  match find rel with Some b -> b | None -> of_relation rel
-
-(* ------------------------------------------------------------------ *)
-(* Key-hash vectors for the nest.
-
-   [hash_on t idxs] returns the per-row [Row.hash_on idxs] value (bit
-   for bit the same fold, computed column-at-a-time over unboxed cells
-   via [Value.hash_int]/[hash_float]) plus a bitmap of rows with a
-   NULL in any key position ([Row.has_null_on]).  Null cells still
-   contribute [Value.hash Null] to the fold, exactly like the row
-   path, because nest keys legitimately contain NULLs. *)
-
-let null_hash = 0x9e3779b9
-
-let hash_on t idxs =
-  let n = t.length in
-  let h = Array.make n 17 in
-  let anynull = Bitset.create n in
-  Array.iter
-    (fun ci ->
-      let col, nulls = column t ci in
-      match col with
-      | Ints a ->
-          for i = 0 to n - 1 do
-            let hv =
-              if Bitset.get nulls i then begin
-                Bitset.set anynull i;
-                null_hash
-              end
-              else Value.hash_int (Array.unsafe_get a i)
-            in
-            h.(i) <- (h.(i) * 31) + hv
-          done
-      | Floats a ->
-          for i = 0 to n - 1 do
-            let hv =
-              if Bitset.get nulls i then begin
-                Bitset.set anynull i;
-                null_hash
-              end
-              else Value.hash_float (Array.unsafe_get a i)
-            in
-            h.(i) <- (h.(i) * 31) + hv
-          done
-      | Strings a ->
-          for i = 0 to n - 1 do
-            let hv =
-              if Bitset.get nulls i then begin
-                Bitset.set anynull i;
-                null_hash
-              end
-              else Hashtbl.hash (Array.unsafe_get a i)
-            in
-            h.(i) <- (h.(i) * 31) + hv
-          done
-      | Bools a ->
-          for i = 0 to n - 1 do
-            let hv =
-              if Bitset.get nulls i then begin
-                Bitset.set anynull i;
-                null_hash
-              end
-              else if Bytes.unsafe_get a i = '\001' then 3
-              else 5
-            in
-            h.(i) <- (h.(i) * 31) + hv
-          done
-      | Dates a ->
-          for i = 0 to n - 1 do
-            let hv =
-              if Bitset.get nulls i then begin
-                Bitset.set anynull i;
-                null_hash
-              end
-              else 7 * Hashtbl.hash (Array.unsafe_get a i)
-            in
-            h.(i) <- (h.(i) * 31) + hv
-          done
-      | Boxed a ->
-          for i = 0 to n - 1 do
-            let v = a.(i) in
-            if Value.is_null v then Bitset.set anynull i;
-            h.(i) <- (h.(i) * 31) + Value.hash v
-          done)
-    idxs;
-  (h, anynull)
-
-(* ------------------------------------------------------------------ *)
 (* Vectorized predicates.
 
    [filter_plan] compiles the simple conjunctive/comparison forms —
@@ -556,12 +422,9 @@ let rec compile b (p : Expr.pred) : producer option =
       compile b (Expr.And (Expr.Cmp (T3.Ge, x, lo), Expr.Cmp (T3.Le, x, hi)))
   | _ -> None
 
-let filter_bits pred rel =
-  if not (enabled ()) then None
-  else if Relation.is_empty rel then None
-  else compile (for_relation rel) pred
+let filter_bits pred b = if b.length = 0 then None else compile b pred
 
-let filter_plan pred rel =
+let filter_plan pred b =
   Option.map
     (fun producer ~lo ~hi -> Bitset.indices ~base:lo (producer ~lo ~hi))
-    (filter_bits pred rel)
+    (filter_bits pred b)

@@ -30,8 +30,7 @@ val hash : t -> int
 val hash_int : int -> int
 (** [hash_int i = hash (Int i)] without constructing the value — and,
     for [|i| < 2^53], without the intermediate float the boxed path
-    used to allocate.  The columnar kernels ({!Batch}) hash unboxed
-    column cells through these. *)
+    used to allocate. *)
 
 val hash_float : float -> int
 (** [hash_float f = hash (Float f)]; agrees with {!hash_int} on every

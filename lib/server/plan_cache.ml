@@ -12,7 +12,6 @@ let zero_stats =
 type entry = {
   prep : Nra.prepared;
   cat_gen : int;
-  stats_epoch : int;
   mutable used : int;  (* lookup tick of last use, for LRU *)
 }
 
@@ -86,9 +85,7 @@ let normalize sql =
   in
   String.trim s
 
-let stamps t =
-  ( Nra.Catalog.global_generation t.cat,
-    Nra_stats.Stats_store.epoch_for t.cat )
+let stamp t = Nra.Catalog.global_generation t.cat
 
 let evict_lru t =
   let victim =
@@ -113,10 +110,10 @@ let find_or_prepare t ~strategy sql =
       Nra.strategy_to_string strategy,
       Nra.rewrite_signature () )
   in
-  let cat_gen, stats_epoch = stamps t in
+  let cat_gen = stamp t in
   let stale =
     match Hashtbl.find_opt t.tbl key with
-    | Some e when e.cat_gen = cat_gen && e.stats_epoch = stats_epoch ->
+    | Some e when e.cat_gen = cat_gen ->
         e.used <- t.tick;
         bump t ~hits:1;
         Some (Ok e.prep)
@@ -136,7 +133,7 @@ let find_or_prepare t ~strategy sql =
           if Nra.prepared_is_query prep then begin
             if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
             Hashtbl.replace t.tbl key
-              { prep; cat_gen; stats_epoch; used = t.tick }
+              { prep; cat_gen; used = t.tick }
           end;
           Ok prep)
 

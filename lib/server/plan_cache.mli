@@ -5,12 +5,10 @@
     aggregate-linking (type-JA) subqueries from lookalike non-aggregate
     ones — strategy, rewrite signature — see {!Nra.rewrite_signature})
     and stamped with the catalog's global generation
-    ([Catalog.global_generation]) and the statistics epoch
-    ([Stats_store.epoch_for]) at preparation time.  A lookup whose
-    stamps no longer match discards the entry and re-prepares: any DML
-    or DDL bumps the catalog generation, any [ANALYZE] bumps the stats
-    epoch, so a cached plan can never be replayed against a world it
-    was not priced for.
+    ([Catalog.global_generation]) at preparation time.  A lookup whose
+    stamp no longer matches discards the entry and re-prepares: any
+    DML, DDL or [ANALYZE] bumps that generation, so a cached plan can
+    never be replayed against a world it was not priced for.
 
     Normalization collapses whitespace and case {e outside} quoted
     literals, so ["SELECT * FROM emp"] and ["select *  from emp"] share
@@ -27,9 +25,8 @@
 type t
 
 val create : ?capacity:int -> Nra.Catalog.t -> t
-(** A cache bound to one catalog (and its statistics store, via the
-    epoch registry).  [capacity] defaults to 128 and is clamped to
-    [>= 1]. *)
+(** A cache bound to one catalog.  [capacity] defaults to 128 and is
+    clamped to [>= 1]. *)
 
 val normalize : string -> string
 (** The cache key's text component: lowercased, whitespace-collapsed,

@@ -15,7 +15,7 @@ let third = 1.0 /. 3.0
 let col_stats env (c : R.rcol) =
   match A.binding_of_col env.analysis c with
   | None -> None
-  | Some bd -> Stats_store.find_for env.cat bd.A.source
+  | Some bd -> Catalog.stats env.cat bd.A.source
                |> Fun.flip Option.bind (fun ts -> Table_stats.col ts c.R.col)
 
 let table_rows (bd : A.binding) =
@@ -167,7 +167,7 @@ let probe_fanout env (b : A.block) cols =
 
 let pages_per_value env (bd : A.binding) col ~fallback =
   match
-    Stats_store.find_for env.cat bd.A.source
+    Catalog.stats env.cat bd.A.source
     |> Fun.flip Option.bind (fun ts -> Table_stats.col ts col)
   with
   | Some cs when cs.Col_stats.pages_per_value > 0.0 ->

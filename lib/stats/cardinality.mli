@@ -6,9 +6,10 @@
     the usual independence assumptions by the 3VL truth tables — so
     [NOT] and the negative linking operators price the NULL mass
     correctly instead of folding it into [false].  Statistics come from
-    {!Stats_store} when the table was ANALYZEd; otherwise the classic
-    System-R defaults apply (1/10 for equality, 1/3 for ranges, NDV
-    heuristics from the key declaration). *)
+    the catalog ({!Nra_storage.Catalog.stats}) when the table was
+    ANALYZEd; otherwise the classic System-R defaults apply (1/10 for
+    equality, 1/3 for ranges, NDV heuristics from the key
+    declaration). *)
 
 open Nra_storage
 open Nra_planner

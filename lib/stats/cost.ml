@@ -230,7 +230,7 @@ let pick ~remaining_io_ms ~remaining_rows = function
 let analyzed_tables cat (t : A.t) =
   List.sort_uniq String.compare
     (List.map (fun (_, bd) -> bd.A.source) t.A.by_uid)
-  |> List.map (fun name -> (name, Stats_store.find_for cat name <> None))
+  |> List.map (fun name -> (name, Catalog.stats cat name <> None))
 
 let report cat t =
   let es = estimates cat t in

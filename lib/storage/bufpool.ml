@@ -177,8 +177,8 @@ let drop key =
 (* ---------- spill partitions ----------
 
    A spill partition is an append-only run of pages holding the rows
-   that exceeded the frame budget — the unit the grace hash join, the
-   spillable nest and the governor's over-budget stagings write out and
+   that exceeded the frame budget — the unit the grace hash join and
+   the governor's over-budget stagings write out and
    later consume partition-at-a-time.  The rows themselves stay on the
    OCaml heap, in the array the operator already holds (this is a
    simulation): a partition records only their positions in that

@@ -68,8 +68,8 @@ val drop : string * int -> unit
 val resident : string * int -> bool
 (** Residency test without promoting or charging (for tests). *)
 
-(** Append-only spilled partitions — the unit the grace hash join, the
-    spillable nest and the governor's over-budget stagings write when
+(** Append-only spilled partitions — the unit the grace hash join and
+    the governor's over-budget stagings write when
     their input exceeds the frame budget.  The rows stay where the
     caller already holds them: a partition is a paged list of {e row
     positions} into the caller's array, and [iter] hands the positions

@@ -6,10 +6,18 @@ type indexes = {
   mutable sorted : (string list * Sorted_index.t) list;
 }
 
-type entry = { table : Table.t; idx : indexes; gen : int }
+(* [stats] is the table's last ANALYZE snapshot, derived from its rows
+   like an index: a new entry (register, DML) starts without one, and a
+   drop removes it with the entry. *)
+type entry = {
+  table : Table.t;
+  idx : indexes;
+  gen : int;
+  mutable stats : Table_stats.t option;
+}
 
-(* [gen] is the catalog-wide content version: bumped on every register,
-   DML row replacement, and drop.  Consumers that cache whole-query
+(* [gen] is the catalog-wide version: bumped on every register, DML row
+   replacement, drop and ANALYZE.  Consumers that cache whole-query
    derived data (the nra.server plan cache) compare it instead of
    tracking every table they touched. *)
 type t = { tbl : (string, entry) Hashtbl.t; mutable gen : int }
@@ -40,7 +48,7 @@ let register t table =
   let gen =
     match Hashtbl.find_opt t.tbl name with Some e -> e.gen + 1 | None -> 0
   in
-  Hashtbl.replace t.tbl name { table; idx; gen }
+  Hashtbl.replace t.tbl name { table; idx; gen; stats = None }
 
 (* exposed below, used by DML *)
 
@@ -83,7 +91,8 @@ let update_rows t name rows =
       e.idx.sorted
   in
   t.gen <- t.gen + 1;
-  Hashtbl.replace t.tbl name { table; idx = { hash; sorted }; gen = e.gen + 1 }
+  Hashtbl.replace t.tbl name
+    { table; idx = { hash; sorted }; gen = e.gen + 1; stats = None }
 
 let drop_table t name =
   if not (Hashtbl.mem t.tbl name) then raise Not_found;
@@ -94,6 +103,16 @@ let generation t name =
   match Hashtbl.find_opt t.tbl name with Some e -> e.gen | None -> -1
 
 let global_generation t = t.gen
+
+let analyze ?buckets t name =
+  let e = entry t name in
+  let ts = Table_stats.collect ?buckets e.table in
+  e.stats <- Some ts;
+  t.gen <- t.gen + 1;
+  ts
+
+let stats t name =
+  Option.bind (Hashtbl.find_opt t.tbl name) (fun e -> e.stats)
 
 let table t name = (entry t name).table
 let table_opt t name = Option.map (fun e -> e.table) (Hashtbl.find_opt t.tbl name)

@@ -1,4 +1,5 @@
-(** The catalog: a mutable registry of tables and their indexes.
+(** The catalog: a mutable registry of tables, their indexes and their
+    statistics.
 
     Indexes are named by the table and column list they cover; the
     executors look indexes up by coverage, mirroring how the paper's
@@ -35,17 +36,31 @@ val tables : t -> Table.t list
 val mem : t -> string -> bool
 
 val generation : t -> string -> int
-(** Monotonic per-table content version: 0 on first registration,
-    bumped every time the table is re-registered or its rows are
-    replaced by DML; [-1] if the table is absent.  Consumers that cache
-    derived data (e.g. [nra.stats] statistics) compare generations to
-    detect staleness. *)
+(** Per-table content version: 0 on first registration, bumped every
+    time the table is re-registered or its rows are replaced by DML;
+    [-1] if the table is absent.  It restarts at 0 when a dropped table
+    is created again. *)
 
 val global_generation : t -> int
-(** Monotonic catalog-wide content version: bumped on every table
-    registration, DML row replacement, and drop.  Whole-query caches
-    (the [nra.server] plan cache) key on this instead of enumerating the
+(** Monotonic catalog-wide version: bumped on every table registration,
+    DML row replacement, drop and {!analyze}.  Whole-query caches (the
+    [nra.server] plan cache) key on this instead of enumerating the
     tables a plan touches. *)
+
+(** {1 Statistics}
+
+    A table's statistics live in its catalog entry, next to its
+    indexes.  {!register} and {!update_rows} start the table without
+    any, and {!drop_table} removes them with the table, so a snapshot
+    never outlives the rows it describes. *)
+
+val analyze : ?buckets:int -> t -> string -> Table_stats.t
+(** Collect and keep statistics for one table (ANALYZE).
+    @raise Not_found if the table is absent. *)
+
+val stats : t -> string -> Table_stats.t option
+(** The table's statistics; [None] when it was never analyzed since it
+    was registered or its rows last changed, or when it is absent. *)
 
 (** {1 Indexes} *)
 

@@ -3,6 +3,7 @@ open Nra_relational
 type t = {
   name : string;
   relation : Relation.t;
+  batch : Batch.t;  (* typed columns over [relation]'s rows *)
   key : int array;
   key_names : string list;
 }
@@ -37,11 +38,18 @@ let create ~name ~key cols rows =
   (match Relation.typecheck relation with
   | Ok () -> ()
   | Error msg -> invalid_arg (Printf.sprintf "table %s: %s" name msg));
-  { name; relation; key = Array.of_list key_positions; key_names = key }
+  {
+    name;
+    relation;
+    batch = Batch.of_relation relation;
+    key = Array.of_list key_positions;
+    key_names = key;
+  }
 
 let name t = t.name
 let schema t = Relation.schema t.relation
 let relation t = t.relation
+let batch t = t.batch
 let cardinality t = Relation.cardinality t.relation
 let key_positions t = t.key
 let key_columns t = t.key_names
@@ -51,8 +59,9 @@ let with_rows t rows =
   (match Relation.typecheck relation with
   | Ok () -> ()
   | Error msg -> invalid_arg (Printf.sprintf "table %s: %s" t.name msg));
-  { t with relation }
+  { t with relation; batch = Batch.of_relation relation }
 
+(* the record copy shares [batch]: an alias never rebuilds columns *)
 let alias t a =
   let s = Schema.rename_table a (schema t) in
   { t with name = a; relation = Relation.rename t.relation s }

@@ -22,16 +22,22 @@ val create : name:string -> key:string list -> Schema.column list ->
 val name : t -> string
 val schema : t -> Schema.t
 val relation : t -> Relation.t
+
+val batch : t -> Batch.t
+(** Typed columns over {!relation}'s rows, built with the table; each
+    column fills on first use, on the owning domain. *)
+
 val cardinality : t -> int
 
 val key_positions : t -> int array
 val key_columns : t -> string list
 
 val with_rows : t -> Row.t array -> t
-(** Same name/schema/key, new contents (revalidated). *)
+(** Same name/schema/key, new contents (revalidated) and a fresh
+    {!batch}. *)
 
 val alias : t -> string -> t
 (** [alias t a] is table [t] seen under alias [a]: schema requalified,
-    same rows.  Implements [FROM t AS a]. *)
+    same rows, same {!batch}.  Implements [FROM t AS a]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,18 +1,17 @@
-(* The columnar batch layer: round-trip exactness and kernel-service
-   equivalence with the row-at-a-time primitives.
+(* The columnar batch layer: round-trip exactness, the filter's
+   equivalence with the row-at-a-time predicate, and the batch a base
+   table owns.
 
    The properties here are what the bit-identity argument in
    docs/PERF.md rests on: [to_relation (of_relation r) = r]
-   structurally (constructors preserved, NULLs included),
-   [Batch.hash_on] computes exactly [Row.hash_on]/[Row.has_null_on],
-   and a compiled [filter_plan] agrees with [Expr.holds] on every row
-   and every morsel split. *)
+   structurally (constructors preserved, NULLs included), and a
+   compiled [filter_plan] agrees with [Expr.holds] on every row and
+   every morsel split — the columnar-vs-row check. *)
 
 open Nra
 open Test_support
 
 let qtest = QCheck_alcotest.to_alcotest
-let () = Batch.set_enabled true
 
 (* ---------- generators ---------- *)
 
@@ -136,23 +135,6 @@ let prop_roundtrip =
       Schema.equal_names (Relation.schema rel) (Relation.schema rel')
       && rows_identical (Relation.rows rel) (Relation.rows rel'))
 
-let prop_hash_on =
-  QCheck.Test.make ~count:500 ~name:"hash_on matches Row.hash_on exactly"
-    arb_relation (fun rel ->
-      let rows = Relation.rows rel in
-      let arity = Schema.arity (Relation.schema rel) in
-      let idx_sets = [ Array.init arity Fun.id; [| 0 |] ] in
-      List.for_all
-        (fun idxs ->
-          let h, nulls = Batch.hash_on (Batch.of_relation rel) idxs in
-          Array.length h = Array.length rows
-          && Array.for_all
-               (fun i ->
-                 h.(i) = Row.hash_on idxs rows.(i)
-                 && Batch.Bitset.get nulls i = Row.has_null_on idxs rows.(i))
-               (Array.init (Array.length rows) Fun.id))
-        idx_sets)
-
 let prop_filter_plan =
   QCheck.Test.make ~count:1000
     ~name:"filter_plan agrees with Expr.holds on every morsel split"
@@ -162,7 +144,7 @@ let prop_filter_plan =
       let expect =
         List.filter (fun i -> Expr.holds pred rows.(i)) (List.init n Fun.id)
       in
-      match Batch.filter_plan pred rel with
+      match Batch.filter_plan pred (Batch.of_relation rel) with
       | None -> n = 0 (* the generated subset must always compile *)
       | Some plan ->
           let whole = Array.to_list (plan ~lo:0 ~hi:n) in
@@ -206,38 +188,37 @@ let test_all_null_column () =
     "all-null column survives" true
     (rows_identical (Relation.rows rel) (Relation.rows rel'))
 
-let test_cache_identity () =
-  let rel =
-    mk [ Schema.column "a" Ttype.Int ] [| [| vi 1 |]; [| vi 2 |] |]
-  in
-  Batch.prime rel;
-  (match Batch.find rel with
-  | Some b -> Alcotest.(check int) "cached batch length" 2 (Batch.length b)
-  | None -> Alcotest.fail "primed relation not found in cache");
-  (* same rows, different relation wrapper: keyed on rows identity *)
-  let alias = Relation.make (Relation.schema rel) (Relation.rows rel) in
+(* A base table owns its batch: an alias shares it, a row replacement
+   installs a fresh one, and the filter over it sees the new rows. *)
+let test_table_columns () =
+  let cat = emp_dept_catalog () in
+  let emp () = Catalog.table cat "emp" in
+  let before = Table.batch (emp ()) in
   Alcotest.(check bool) "alias shares the batch" true
-    (Batch.find alias <> None);
-  Batch.drop_cache ();
-  Alcotest.(check bool) "dropped" true (Batch.find rel = None)
-
-let test_disabled_falls_back () =
-  let rel =
-    mk [ Schema.column "a" Ttype.Int ] [| [| vi 1 |]; [| vi 2 |] |]
+    (Table.batch (Table.alias (emp ()) "e") == before);
+  Catalog.update_rows cat "emp" (Relation.rows (Table.relation (emp ())));
+  let fresh = Table.batch (emp ()) in
+  Alcotest.(check bool) "update_rows installs a fresh batch" true
+    (fresh != before);
+  Alcotest.(check int) "fresh batch covers the rows" 6 (Batch.length fresh);
+  let ok sql =
+    match Nra.exec cat sql with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m
   in
-  Batch.set_enabled false;
-  Alcotest.(check bool)
-    "no plan when disabled" true
-    (Batch.filter_plan Expr.(Cmp (Three_valued.Gt, Col 0, Const (vi 1))) rel
-    = None);
-  Batch.set_enabled true;
-  match
-    Batch.filter_plan Expr.(Cmp (Three_valued.Gt, Col 0, Const (vi 1))) rel
-  with
-  | Some plan ->
-      Alcotest.(check (list int)) "plan selects" [ 1 ]
-        (Array.to_list (plan ~lo:0 ~hi:2))
-  | None -> Alcotest.fail "vectorizable predicate did not compile"
+  ok "insert into emp values (7, 'gil', 1, 95, null)";
+  ok "delete from emp where emp_id = 1";
+  match Nra.exec cat "select emp_id from emp where salary > 75" with
+  | Ok (Rows rel) ->
+      Alcotest.(check (list int)) "filtered SELECT sees the new rows"
+        [ 5; 7 ]
+        (List.sort compare
+           (List.map
+              (fun row ->
+                match row.(0) with Value.Int i -> i | _ -> -1)
+              (Array.to_list (Relation.rows rel))))
+  | Ok _ -> Alcotest.fail "expected rows"
+  | Error m -> Alcotest.fail m
 
 let test_unvectorizable () =
   let rel =
@@ -247,7 +228,7 @@ let test_unvectorizable () =
     (fun pred ->
       Alcotest.(check bool)
         "outside the subset" true
-        (Batch.filter_plan pred rel = None))
+        (Batch.filter_plan pred (Batch.of_relation rel) = None))
     Expr.
       [
         Not (Is_null (Col 0));
@@ -264,16 +245,13 @@ let () =
           Alcotest.test_case "mixed int/float column" `Quick
             test_mixed_column_preserved;
           Alcotest.test_case "all-null column" `Quick test_all_null_column;
-          Alcotest.test_case "scan cache identity" `Quick test_cache_identity;
-          Alcotest.test_case "toggle fallback" `Quick
-            test_disabled_falls_back;
+          Alcotest.test_case "table columns" `Quick test_table_columns;
           Alcotest.test_case "unvectorizable forms" `Quick
             test_unvectorizable;
         ] );
       ( "properties",
         [
           qtest prop_roundtrip;
-          qtest prop_hash_on;
           qtest prop_filter_plan;
         ] );
     ]

@@ -88,13 +88,6 @@ let test_equal_set_semantics () =
 
 (* ---------- grouped representation ---------- *)
 
-let test_sort_vs_hash_nest () =
-  let r = sample () in
-  let s = G.nest_sort ~by:[| 0 |] ~keep:[| 1; 2 |] r in
-  let h = G.nest_hash ~by:[| 0 |] ~keep:[| 1; 2 |] r in
-  Alcotest.(check bool) "same groups" true (G.equal s h);
-  Alcotest.(check int) "cardinality" 4 (G.cardinality s)
-
 let test_grouped_unnest () =
   let r = sample () in
   let g = G.nest_sort ~by:[| 0 |] ~keep:[| 1; 2 |] r in
@@ -309,13 +302,6 @@ let arb_rows =
          (map (fun i -> Value.Int i) (int_bound 9))
          (map (fun i -> Value.Int i) small_int)))
 
-let prop_sort_hash_agree =
-  QCheck.Test.make ~name:"sort-nest = hash-nest" arb_rows (fun rows ->
-      let r = flat rows in
-      G.equal
-        (G.nest_sort ~by:[| 0 |] ~keep:[| 1; 2 |] r)
-        (G.nest_hash ~by:[| 0 |] ~keep:[| 1; 2 |] r))
-
 let prop_nest_partitions =
   QCheck.Test.make ~name:"nest partitions the rows" arb_rows (fun rows ->
       let r = flat rows in
@@ -363,7 +349,6 @@ let () =
         ] );
       ( "grouped",
         [
-          Alcotest.test_case "sort vs hash" `Quick test_sort_vs_hash_nest;
           Alcotest.test_case "unnest" `Quick test_grouped_unnest;
           Alcotest.test_case "to_nested" `Quick test_grouped_to_nested;
         ] );
@@ -384,7 +369,6 @@ let () =
         ] );
       ( "properties",
         [
-          qtest prop_sort_hash_agree;
           qtest prop_nest_partitions;
           qtest prop_quant_vs_bruteforce;
         ] );

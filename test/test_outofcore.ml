@@ -3,7 +3,7 @@
 
    The matrix is the PR's acceptance bar: every strategy, over the
    whole subquery corpus, must return byte-identical CSV at a tiny
-   frame budget (grace join / spilled nest engaged), at the paper's
+   frame budget (grace join engaged), at the paper's
    32 MB working-memory point, and unbounded — all with fault
    injection on, against a pool-disabled reference.  The page size is
    shrunk so the six-row fixtures genuinely overflow the tiny budget. *)
@@ -138,17 +138,6 @@ let int_rel names rows =
        (Array.map (function None -> Value.Null | Some i -> Value.Int i))
        rows)
 
-(* run [f] with the columnar core on, key-hash vectors cached for
-   [rels], then off (no vectors) *)
-let columnar_on_and_off rels f =
-  let saved = Batch.enabled () in
-  Fun.protect ~finally:(fun () -> Nra.set_columnar saved) @@ fun () ->
-  Nra.set_columnar true;
-  List.iter Batch.prime rels;
-  f "columnar on";
-  Nra.set_columnar false;
-  f "columnar off"
-
 (* each left row's match positions, copied out of the borrowed
    vectors *)
 let match_positions ~on left right =
@@ -169,21 +158,17 @@ let test_grace_matches () =
            [| (if i = 3 then None else Some (i mod 4)); Some (100 + i) |]))
   in
   let on = Expr.Cmp (Three_valued.Eq, Expr.Col 0, Expr.Col 2) in
-  columnar_on_and_off [ left; right ] (fun mode ->
-      let reference = match_positions ~on left right in
-      with_pool (Some 2) (fun () ->
-          let got = match_positions ~on left right in
-          Alcotest.(check bool)
-            (mode ^ ": grace path spilled") true
-            ((B.stats ()).B.spilled_partitions > 0);
-          Alcotest.(check (array (array int)))
-            (mode ^ ": same positions as in memory") reference got;
-          Alcotest.(check bool)
-            (mode ^ ": every position is a right row") true
-            (Array.for_all
-               (Array.for_all (fun p ->
-                    p >= 0 && p < Relation.cardinality right))
-               got)))
+  let reference = match_positions ~on left right in
+  with_pool (Some 2) (fun () ->
+      let got = match_positions ~on left right in
+      Alcotest.(check bool) "grace path spilled" true
+        ((B.stats ()).B.spilled_partitions > 0);
+      Alcotest.(check (array (array int)))
+        "same positions as in memory" reference got;
+      Alcotest.(check bool) "every position is a right row" true
+        (Array.for_all
+           (Array.for_all (fun p -> p >= 0 && p < Relation.cardinality right))
+           got))
 
 let test_staged_no_copy () =
   let rel = int_rel [ "a" ] (Array.init 12 (fun i -> [| Some i |])) in
@@ -196,25 +181,6 @@ let test_staged_no_copy () =
       Alcotest.(check int) "six pages written" 6 (B.stats ()).B.spilled_pages;
       Alcotest.(check bool) "f sees the input rows themselves" true
         (Array.for_all2 ( == ) staged (Relation.rows rel)))
-
-let test_spilled_nest_hash () =
-  let rel =
-    int_rel [ "k"; "v" ]
-      (Array.init 40 (fun i ->
-           [| (if i mod 11 = 0 then None else Some (i mod 7)); Some i |]))
-  in
-  let nest () = Nra.Nested.Grouped.nest_hash ~by:[| 0 |] ~keep:[| 1 |] rel in
-  columnar_on_and_off [ rel ] (fun mode ->
-      let reference = nest () in
-      with_pool (Some 2) (fun () ->
-          let got = nest () in
-          Alcotest.(check bool)
-            (mode ^ ": nest spilled") true
-            ((B.stats ()).B.spilled_partitions > 0);
-          Alcotest.(check bool)
-            (mode ^ ": same groups in the same order") true
-            (got.Nra.Nested.Grouped.groups
-            = reference.Nra.Nested.Grouped.groups)))
 
 (* ---------- the spill-equivalence matrix ---------- *)
 
@@ -285,8 +251,6 @@ let () =
             test_grace_matches;
           Alcotest.test_case "spilled staging passes its rows" `Quick
             test_staged_no_copy;
-          Alcotest.test_case "spilled nest_hash = in-memory" `Quick
-            test_spilled_nest_hash;
         ] );
       ( "equivalence",
         [

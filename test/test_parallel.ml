@@ -104,82 +104,70 @@ let test_tpch_identity () =
   let cat = tpch_catalog () in
   check_identical ~faults:true (fun () -> cat) tpch_corpus
 
-(* ---------- the columnar axis ----------
+(* ---------- the frame-budget axis ----------
 
-   The batch kernels promise bit-identity with row-at-a-time execution
-   at every pool size and frame budget.  One reference run — columnar
-   off, serial, unbounded memory — and every combination of
-   columnar {off,on} × domains {0,2,4} × frames {8,∞}, faults on, must
-   serialize to the same bytes.  The tpch corpus at 8 frames is the
-   spill leg: grace join and spillable nest run over columnar-packed
-   spill pages there. *)
-
-let with_columnar c f =
-  let prev = Nra.columnar_enabled () in
-  Nra.set_columnar c;
-  Fun.protect ~finally:(fun () -> Nra.set_columnar prev) f
+   Every combination of domains {0,2,4} × frames {8,∞}, faults on,
+   must serialize to the same bytes as the serial, unbounded run.  The
+   tpch corpus at 8 frames is the spill leg: grace join and governed
+   staging spill there. *)
 
 let with_frames fr f =
   Nra.Bufpool.set_frames fr;
   Fun.protect ~finally:(fun () -> Nra.Bufpool.set_frames None) f
 
-let check_columnar_matrix mk_cat corpus =
+let check_frames_matrix mk_cat corpus =
   List.iter
     (fun sql ->
       List.iter
         (fun strategy ->
           let reference =
-            with_columnar false (fun () ->
+            with_frames None (fun () ->
                 with_domains 0 (fun () ->
                     run_csv ~faults:true (mk_cat ()) sql strategy))
           in
           List.iter
-            (fun columnar ->
+            (fun frames ->
               List.iter
-                (fun frames ->
-                  List.iter
-                    (fun d ->
-                      let got =
-                        with_columnar columnar (fun () ->
-                            with_frames frames (fun () ->
-                                with_domains d (fun () ->
-                                    run_csv ~faults:true (mk_cat ()) sql
-                                      strategy)))
-                      in
-                      if got <> reference then
-                        Alcotest.fail
-                          (Printf.sprintf
-                             "columnar=%b frames=%s domains=%d diverges for \
-                              %s on: %s"
-                             columnar
-                             (match frames with
-                             | None -> "inf"
-                             | Some n -> string_of_int n)
-                             d
-                             (Nra.strategy_to_string strategy)
-                             sql))
-                    [ 0; 2; 4 ])
-                [ None; Some 8 ])
-            [ false; true ])
+                (fun d ->
+                  let got =
+                    with_frames frames (fun () ->
+                        with_domains d (fun () ->
+                            run_csv ~faults:true (mk_cat ()) sql strategy))
+                  in
+                  if got <> reference then
+                    Alcotest.fail
+                      (Printf.sprintf
+                         "frames=%s domains=%d diverges for %s on: %s"
+                         (match frames with
+                         | None -> "inf"
+                         | Some n -> string_of_int n)
+                         d
+                         (Nra.strategy_to_string strategy)
+                         sql))
+                [ 0; 2; 4 ])
+            [ None; Some 8 ])
         all_strategies)
     corpus
 
-let test_columnar_matrix_emp_dept () =
+let test_frames_matrix_emp_dept () =
   (* a slice of the corpus: one flat filter, one join, one correlated
-     EXISTS, one quantified comparison — the four kernel shapes *)
+     EXISTS, one quantified comparison — the four kernel shapes — plus
+     a LIKE filter, outside the columnar subset, so the row-at-a-time
+     morsel filter runs at every pool size *)
   let slice =
     [
       List.nth subquery_corpus 0;
       List.nth subquery_corpus 1;
       List.nth subquery_corpus 2;
       List.nth subquery_corpus 8;
+      "select ename, salary from emp where ename like '%a%'";
     ]
   in
-  check_columnar_matrix (fun () -> emp_dept_catalog ()) slice
+  check_frames_matrix (fun () -> emp_dept_catalog ()) slice
 
-let test_columnar_matrix_tpch () =
+let test_frames_matrix_tpch () =
   let cat = tpch_catalog () in
-  check_columnar_matrix (fun () -> cat) tpch_corpus
+  check_frames_matrix (fun () -> cat) tpch_corpus
 
 (* ---------- the pool primitive itself ---------- *)
 
@@ -298,14 +286,12 @@ let () =
           Alcotest.test_case "tpch corpus, all strategies, faults on"
             `Quick test_tpch_identity;
         ] );
-      ( "columnar",
+      ( "frames",
         [
-          Alcotest.test_case
-            "emp/dept slice, columnar x domains x frames, faults on" `Quick
-            test_columnar_matrix_emp_dept;
-          Alcotest.test_case
-            "tpch corpus, columnar x domains x frames (spill), faults on"
-            `Quick test_columnar_matrix_tpch;
+          Alcotest.test_case "emp/dept slice, domains x frames" `Quick
+            test_frames_matrix_emp_dept;
+          Alcotest.test_case "tpch corpus, domains x frames" `Quick
+            test_frames_matrix_tpch;
         ] );
       ( "pool",
         [

@@ -95,8 +95,8 @@ let prop_row_compare_consistent_hash =
     (QCheck.pair arb_row arb_row)
     (fun (a, b) -> if Row.equal a b then Row.hash a = Row.hash b else true)
 
-(* partition layouts, spill page counts and the columnar hash vectors
-   all depend on these exact values *)
+(* partition layouts and spill page counts depend on these exact
+   values *)
 let prop_hash_is_the_fold =
   QCheck.Test.make ~name:"hash and hash_on are the 31-fold from 17"
     arb_row (fun row ->

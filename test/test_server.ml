@@ -274,7 +274,7 @@ let test_cache_invalidation_on_dml_and_analyze () =
   (* re-warmed... *)
   Alcotest.(check int) "re-warmed" 5 (ok_rows (Server.exec srv s nested_sql));
   Alcotest.(check int) "re-warmed hit" 2 (cache_stats srv).Plan_cache.hits;
-  (* ...until ANALYZE bumps the statistics epoch *)
+  (* ...until ANALYZE bumps the catalog generation too *)
   (match Server.exec srv s "analyze" with
   | Ok (Nra.Done _) -> ()
   | _ -> Alcotest.fail "analyze failed");

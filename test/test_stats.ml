@@ -1,5 +1,5 @@
-(* The statistics subsystem: histograms, per-column statistics, the
-   generation-checked store, selectivity arithmetic, and the auto
+(* The statistics subsystem: histograms, per-column statistics,
+   statistics in the catalog entry, selectivity arithmetic, and the auto
    strategy's cost-based choice pinned at both ends of the Figure 4
    sweep. *)
 
@@ -133,7 +133,7 @@ let test_analyze_command () =
       Alcotest.(check bool) "names the table" true
         (String.length m > 0 && String.sub m 0 7 = "unknown")
   | Ok _ -> Alcotest.fail "ANALYZE of a missing table must fail");
-  match Stats.Stats_store.find_for cat "emp" with
+  match Catalog.stats cat "emp" with
   | None -> Alcotest.fail "statistics absent after ANALYZE"
   | Some ts ->
       Alcotest.(check int) "row count" 6 ts.Stats.Table_stats.rows;
@@ -149,20 +149,68 @@ let test_staleness () =
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
   Alcotest.(check bool) "fresh after ANALYZE" true
-    (Stats.Stats_store.find_for cat "emp" <> None);
+    (Catalog.stats cat "emp" <> None);
   (match
      Nra.exec cat "insert into emp values (7, 'gil', 1, 55, null)"
    with
   | Ok (Count 1) -> ()
   | Ok _ | Error _ -> Alcotest.fail "insert failed");
   Alcotest.(check bool) "stale after the table changed" true
-    (Stats.Stats_store.find_for cat "emp" = None);
+    (Catalog.stats cat "emp" = None);
   (match Nra.exec cat "analyze emp" with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
-  match Stats.Stats_store.find_for cat "emp" with
+  match Catalog.stats cat "emp" with
   | None -> Alcotest.fail "re-ANALYZE did not refresh"
   | Some ts -> Alcotest.(check int) "new row count" 7 ts.Stats.Table_stats.rows
+
+let test_drop_recreate () =
+  let cat = Catalog.create () in
+  let ok sql =
+    match Nra.exec cat sql with Ok _ -> () | Error m -> Alcotest.fail m
+  in
+  ok "create table t (a int, primary key (a))";
+  ok "insert into t values (1), (2), (3)";
+  ok "analyze t";
+  Alcotest.(check bool) "analyzed" true (Catalog.stats cat "t" <> None);
+  ok "drop table t";
+  ok "create table t (a int, primary key (a))";
+  ok "insert into t values (1)";
+  (* the per-table generation restarts after a drop and catches up with
+     the dropped table's: the old snapshot must still be gone *)
+  Alcotest.(check bool) "no statistics for the new table" true
+    (Catalog.stats cat "t" = None)
+
+(* One set-up as a benchmark makes it: a catalog, ANALYZE, a filtered
+   SELECT.  Nothing of it may stay reachable once the caller lets go. *)
+let setup_and_drop seed =
+  let cat =
+    Tpch.Gen.generate
+      { Tpch.Gen.default with Tpch.Gen.scale = 0.01; seed = Int64.of_int seed }
+  in
+  (match Nra.exec cat "analyze" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  match
+    Nra.exec cat "select l_orderkey from lineitem where l_quantity < 5"
+  with
+  | Ok (Rows rel) ->
+      Alcotest.(check bool) "the filter keeps rows" true
+        (Relation.cardinality rel > 0)
+  | Ok _ -> Alcotest.fail "expected rows"
+  | Error m -> Alcotest.fail m
+
+let live_bytes () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+
+let test_catalog_lifetime () =
+  let baseline = live_bytes () in
+  List.iter setup_and_drop [ 1; 2; 3 ];
+  let grown = live_bytes () - baseline in
+  if grown > 2 * 1024 * 1024 then
+    Alcotest.failf "three dropped set-ups still hold %.1f MB"
+      (float_of_int grown /. 1048576.0)
 
 (* ---------- EXPLAIN COSTS ---------- *)
 
@@ -394,6 +442,8 @@ let () =
         [
           Alcotest.test_case "command" `Quick test_analyze_command;
           Alcotest.test_case "staleness" `Quick test_staleness;
+          Alcotest.test_case "drop and recreate" `Quick test_drop_recreate;
+          Alcotest.test_case "catalog lifetime" `Quick test_catalog_lifetime;
           Alcotest.test_case "explain costs" `Quick test_explain_costs;
         ] );
       ( "estimates",

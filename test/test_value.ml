@@ -38,8 +38,7 @@ let test_hash_consistent_with_equal () =
   (* the int fast path (no intermediate float) must keep the invariant
      hash (Int n) = hash (Float (float_of_int n)) for every n — pin it
      across the 2^53 exactness boundary where the two paths diverge
-     internally, and for the raw hash_int/hash_float entry points the
-     columnar kernels use *)
+     internally, and for the raw hash_int/hash_float entry points *)
   List.iter
     (fun n ->
       Alcotest.(check int)
