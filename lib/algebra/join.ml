@@ -318,16 +318,16 @@ let probe_grace t ~nparts left_rows ~off ~len cur =
       end)
     left_rows;
   let spilled = ref 0 in
-  let spill label sizes =
+  let spill sizes =
     Array.init (nparts - 1) (fun k ->
         let base = !spilled in
         spilled := !spilled + sizes.(k + 1);
-        (Printf.sprintf "%s%d" label k, base))
+        base)
   in
-  let rslices = spill "jr" psize in
-  let lslices = spill "jl" lsize in
+  let rslices = spill psize in
+  let lslices = spill lsize in
   Scratch.with_ints !spilled @@ fun buf ->
-  let create (label, base) = B.Spill.create ~slice:(buf, base) label in
+  let create base = B.Spill.create buf ~base in
   let rspills = Array.map create rslices in
   let lspills = Array.map create lslices in
   let free_all () =

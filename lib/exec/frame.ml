@@ -39,9 +39,9 @@ let charge_scan_chunked ?table n =
   match (Bufpool.frames (), table) with
   | Some _, Some name ->
       let npages = Iosim.pages n in
-      let owner = "t:" ^ name in
+      let owner = Bufpool.owner name in
       for p = 0 to npages - 1 do
-        Bufpool.read (owner, p);
+        Bufpool.read owner p;
         if p mod scan_chunk_pages = scan_chunk_pages - 1 then
           Nra_guard.Guard.tick ()
       done;

@@ -95,7 +95,7 @@ let nest_select nest st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted wide =
      ledger and routed through a spill partition when it would not fit
      the frame budget (byte-identical either way) *)
   let result =
-    Nra_storage.Governor.with_staged ~label:"nest-staging" staging
+    Nra_storage.Governor.with_staged staging
     @@ fun staging ->
     if not pipelined then begin
       (* original: materialize the nested relation, then select *)

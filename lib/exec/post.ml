@@ -91,7 +91,7 @@ let project_sort_limit ~to_scalar ~(output : A.output) rel =
   (* the post-processing projection buffer (select + hidden ORDER BY
      keys) is governed: charged to the memory ledger, spilled through
      the pool when it exceeds the frame budget *)
-  Nra_storage.Governor.with_staged ~label:"post-project" projected
+  Nra_storage.Governor.with_staged projected
   @@ fun projected ->
   let projected =
     if output.A.distinct then
@@ -181,7 +181,7 @@ let apply_grouped (output : A.output) rel =
   in
   (* the aggregation staging (group keys + identity frame) is governed
      like every other staged intermediate *)
-  Nra_storage.Governor.with_staged ~label:"agg-staging" staged
+  Nra_storage.Governor.with_staged staged
   @@ fun staged ->
   let nkeys = List.length key_exprs in
   let to_spec i (a : A.agg_call) =

@@ -70,35 +70,57 @@ let is_unlimited b =
    The active scopes form an explicit stack (innermost first): the whole
    stack IS the task's guard context, detached wholesale on suspend. *)
 
-type state = {
-  b : budget;
+(* A scope's clocks, all floats: a flat record stores them unboxed,
+   so folding and rebasing at a context switch allocates nothing. *)
+type clocks = {
   mutable wall_acc_ms : float;  (* spent in finished run slices *)
   mutable io_acc_ms : float;
   mutable wall_base : float;  (* where the current slice began *)
   mutable io_base_ms : float;
+}
+
+type state = {
+  b : budget;
+  c : clocks;
   mutable rows : int;
   mutable ticks : int;
 }
 
 let stack : state list ref = ref []
 
-let io_now_ms () = Nra_storage.Iosim.simulated_seconds () *. 1000.0
+(* clock readings land in these flat float records, not in a returned
+   (boxed) float *)
+let io_now = { Nra_storage.Iosim.ms = 0.0 }
+let wall_now = { Nra_storage.Iosim.ms = 0.0 }
+
+let io_now_ms () =
+  Nra_storage.Iosim.sample_ms io_now;
+  io_now.ms
 
 let install b =
   {
     b;
-    wall_acc_ms = 0.0;
-    io_acc_ms = 0.0;
-    wall_base = Unix.gettimeofday ();
-    io_base_ms = io_now_ms ();
+    c =
+      {
+        wall_acc_ms = 0.0;
+        io_acc_ms = 0.0;
+        wall_base = Unix.gettimeofday ();
+        io_base_ms = io_now_ms ();
+      };
     rows = 0;
     ticks = 0;
   }
 
 let wall_spent s =
-  s.wall_acc_ms +. ((Unix.gettimeofday () -. s.wall_base) *. 1000.0)
+  s.c.wall_acc_ms +. ((Unix.gettimeofday () -. s.c.wall_base) *. 1000.0)
 
-let io_spent s = s.io_acc_ms +. (io_now_ms () -. s.io_base_ms)
+let io_spent s = s.c.io_acc_ms +. (io_now_ms () -. s.c.io_base_ms)
+
+(* [io_spent s > limit] without returning a float: checked at every
+   checkpoint under a simulated-I/O budget *)
+let io_over s limit =
+  Nra_storage.Iosim.sample_ms io_now;
+  s.c.io_acc_ms +. (io_now.ms -. s.c.io_base_ms) > limit
 
 let active () = match !stack with [] -> None | s :: _ -> Some s.b
 
@@ -139,26 +161,52 @@ type ctx = { scopes : state list; io : Nra_storage.Iosim.task_io }
 let empty_ctx : ctx =
   { scopes = []; io = Nra_storage.Iosim.empty_task }
 
+(* the loops over the scopes read the clocks from [wall_now] and
+   [io_now]: recursive functions, not [List.iter] closures over the
+   readings *)
+let rec fold_slices = function
+  | [] -> ()
+  | s :: rest ->
+      let c = s.c in
+      c.wall_acc_ms <-
+        c.wall_acc_ms +. ((wall_now.ms -. c.wall_base) *. 1000.0);
+      c.io_acc_ms <- c.io_acc_ms +. (io_now.ms -. c.io_base_ms);
+      c.wall_base <- wall_now.ms;
+      c.io_base_ms <- io_now.ms;
+      fold_slices rest
+
+let rec rebase = function
+  | [] -> ()
+  | s :: rest ->
+      s.c.wall_base <- wall_now.ms;
+      s.c.io_base_ms <- io_now.ms;
+      rebase rest
+
+let sample_clocks () =
+  wall_now.ms <- Unix.gettimeofday ();
+  Nra_storage.Iosim.sample_ms io_now
+
+(* With no scope and no ledger installed (the host around a slice, a
+   task that runs unbudgeted) there is nothing to detach: the shared
+   [empty_ctx] stands for it. *)
 let save_ctx () =
-  let now = Unix.gettimeofday () and io = io_now_ms () in
-  List.iter
-    (fun s ->
-      s.wall_acc_ms <- s.wall_acc_ms +. ((now -. s.wall_base) *. 1000.0);
-      s.io_acc_ms <- s.io_acc_ms +. (io -. s.io_base_ms);
-      s.wall_base <- now;
-      s.io_base_ms <- io)
-    !stack;
-  let c = { scopes = !stack; io = Nra_storage.Iosim.save_task () } in
-  stack := [];
-  c
+  match (!stack, Nra_storage.Iosim.save_task ()) with
+  | [], io when io == Nra_storage.Iosim.empty_task -> empty_ctx
+  | scopes, io ->
+      (match scopes with
+      | [] -> ()
+      | _ ->
+          sample_clocks ();
+          fold_slices scopes);
+      stack := [];
+      { scopes; io }
 
 let restore_ctx c =
-  let now = Unix.gettimeofday () and io = io_now_ms () in
-  List.iter
-    (fun s ->
-      s.wall_base <- now;
-      s.io_base_ms <- io)
-    c.scopes;
+  (match c.scopes with
+  | [] -> ()
+  | scopes ->
+      sample_clocks ();
+      rebase scopes);
   stack := c.scopes;
   Nra_storage.Iosim.restore_task c.io
 
@@ -189,7 +237,7 @@ let check s =
   | Some t when !t -> raise (Killed Cancelled)
   | _ -> ());
   (match s.b.sim_io_ms with
-  | Some limit when io_spent s > limit ->
+  | Some limit when io_over s limit ->
       raise (Killed (Budget_exceeded Sim_io))
   | _ -> ());
   (* the wall clock moves slowly relative to row production; sample it
@@ -216,7 +264,7 @@ let recheck () =
       | Some t when !t -> raise (Killed Cancelled)
       | _ -> ());
       (match s.b.sim_io_ms with
-      | Some limit when io_spent s > limit ->
+      | Some limit when io_over s limit ->
           raise (Killed (Budget_exceeded Sim_io))
       | _ -> ());
       (match s.b.wall_ms with

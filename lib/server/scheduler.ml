@@ -1,4 +1,5 @@
 module Guard = Nra_guard.Guard
+module Iosim = Nra_storage.Iosim
 
 type _ Effect.t += Yield : unit Effect.t
 type _ Effect.t += Sleep : float -> unit Effect.t
@@ -8,15 +9,23 @@ type task_status =
   | Suspended of (unit, unit) Effect.Deep.continuation
   | Finished
 
+(* A slice allocates nothing of its own: the clocks live in flat float
+   records ([Iosim.mark], [clock]), the counters are mutable ints, each
+   task carries its [Some] and its yield handler from birth, and no
+   closure is built per slice.  What remains is what [perform] itself
+   needs, plus the [Suspended] box of the captured continuation. *)
+
 type task = {
   id : int;
   label : string;
   prio : unit -> int;
+  quantum_ms : float;  (* the scheduler's, read by the yield hook *)
   mutable status : task_status;
   mutable wake_at : float option;  (* sleeping until this virtual ms *)
   mutable gctx : Guard.ctx;  (* detached guard context while suspended *)
-  mutable slice_start_io : float;  (* io_now_ms when last scheduled in *)
+  slice_start : Iosim.mark;  (* io_now_ms when last scheduled in *)
   mutable last_run : int;  (* scheduling seqno, for round-robin *)
+  mutable self : task option;  (* [Some] of this task, built once *)
 }
 
 type stats = {
@@ -30,32 +39,33 @@ type stats = {
   max_live : int;
 }
 
-let zero_stats =
-  {
-    spawned = 0;
-    finished = 0;
-    slices = 0;
-    yields = 0;
-    sleeps = 0;
-    woken = 0;
-    idle_jumped_ms = 0.0;
-    max_live = 0;
-  }
+type clock = {
+  mutable vclock : float;  (* ms; sampled at the last sync *)
+  mutable io_mark : float;  (* io_now_ms at that sync *)
+  mutable idle_jumped : float;
+}
 
 type t = {
   q_ms : float;
   chooser : (now:float -> int list -> int) option;
-  mutable vclock : float;  (* ms; sampled at the last sync *)
-  mutable io_mark : float;  (* io_now_ms at that sync *)
+  clk : clock;
+  io : Iosim.mark;  (* the latest io_now_ms reading *)
   mutable tasks : task list;  (* live tasks, oldest first *)
   mutable seq : int;
   mutable next_id : int;
-  mutable st : stats;
+  mutable n_spawned : int;
+  mutable n_finished : int;
+  mutable n_slices : int;
+  mutable n_yields : int;
+  mutable n_sleeps : int;
+  mutable n_woken : int;
+  mutable max_live : int;
 }
 
 let default_quantum_ms = 0.5
 
-let io_now_ms () = Nra_storage.Iosim.simulated_seconds () *. 1000.0
+(* [Float.max 0.0 d], bit for bit, without a call that boxes [d] *)
+let[@inline] clamp0 d = if d > 0.0 || d <> d then d else 0.0
 
 (* The clock between syncs: whatever the disk ledger accrued since the
    last sync belongs to virtual time.  The clamp matters: an Auto
@@ -63,35 +73,59 @@ let io_now_ms () = Nra_storage.Iosim.simulated_seconds () *. 1000.0
    (possibly across yields, since Auto statements interleave), which
    can pull the ledger below the mark — the clock freezes over such a
    stretch rather than rewinding, staying monotone. *)
-let now t = t.vclock +. Float.max 0.0 (io_now_ms () -. t.io_mark)
+let now t =
+  Iosim.sample_ms t.io;
+  t.clk.vclock +. clamp0 (t.io.ms -. t.clk.io_mark)
+
+(* [now t >= target], without returning a float *)
+let reached t target =
+  Iosim.sample_ms t.io;
+  t.clk.vclock +. clamp0 (t.io.ms -. t.clk.io_mark) >= target
 
 let sync t =
-  t.vclock <- now t;
-  t.io_mark <- io_now_ms ()
+  Iosim.sample_ms t.io;
+  let c = t.clk in
+  c.vclock <- c.vclock +. clamp0 (t.io.ms -. c.io_mark);
+  c.io_mark <- t.io.ms
 
 let quantum_ms t = t.q_ms
-let stats t = t.st
+
+let stats t =
+  {
+    spawned = t.n_spawned;
+    finished = t.n_finished;
+    slices = t.n_slices;
+    yields = t.n_yields;
+    sleeps = t.n_sleeps;
+    woken = t.n_woken;
+    idle_jumped_ms = t.clk.idle_jumped;
+    max_live = t.max_live;
+  }
+
+let finished tk = match tk.status with Finished -> true | _ -> false
+
 let alive t =
-  List.length (List.filter (fun tk -> tk.status <> Finished) t.tasks)
+  List.fold_left (fun n tk -> if finished tk then n else n + 1) 0 t.tasks
 
 (* ---------- the global dispatch point ----------
 
    One task runs at a time, engine-wide; the guard yield hook and the
    fault backoff sleeper are process globals, so they dispatch on
-   whichever scheduler/task is currently in a slice. *)
+   whichever task is currently in a slice. *)
 
-let current : (t * task) option ref = ref None
+let current : task option ref = ref None
+let checkpoint_io = { Iosim.ms = 0.0 }
 
 let hook () =
   match !current with
   | None -> ()
-  | Some (t, tk) ->
-      (* runs at every guard checkpoint: the slice test compares the
-         simulated clock in place, so a checkpoint allocates nothing *)
-      if
-        Nra_storage.Iosim.elapsed_ms_reached ~since_ms:tk.slice_start_io
-          t.q_ms
-      then Effect.perform Yield
+  | Some tk ->
+      (* runs at every guard checkpoint: the slice test reads the
+         simulated clock into a flat record, so a checkpoint allocates
+         nothing *)
+      Iosim.sample_ms checkpoint_io;
+      if checkpoint_io.ms -. tk.slice_start.ms >= tk.quantum_ms then
+        Effect.perform Yield
 
 let sleeper ms =
   match !current with
@@ -121,15 +155,23 @@ let install_hooks () =
 
 let create ?(quantum_ms = default_quantum_ms) ?chooser () =
   install_hooks ();
+  let io = { Iosim.ms = 0.0 } in
+  Iosim.sample_ms io;
   {
     q_ms = Float.max 0.0 quantum_ms;
     chooser;
-    vclock = 0.0;
-    io_mark = io_now_ms ();
+    clk = { vclock = 0.0; io_mark = io.ms; idle_jumped = 0.0 };
+    io;
     tasks = [];
     seq = 0;
     next_id = 0;
-    st = zero_stats;
+    n_spawned = 0;
+    n_finished = 0;
+    n_slices = 0;
+    n_yields = 0;
+    n_sleeps = 0;
+    n_woken = 0;
+    max_live = 0;
   }
 
 let spawn t ?(prio = fun () -> 1) ?label body =
@@ -140,58 +182,75 @@ let spawn t ?(prio = fun () -> 1) ?label body =
       id;
       label = (match label with Some l -> l | None -> Printf.sprintf "task-%d" id);
       prio;
+      quantum_ms = t.q_ms;
       status = Ready body;
       wake_at = None;
       gctx = Guard.empty_ctx;
-      slice_start_io = 0.0;
+      slice_start = { Iosim.ms = 0.0 };
       last_run = 0;
+      self = None;
     }
   in
+  tk.self <- Some tk;
   t.tasks <- t.tasks @ [ tk ];
-  let live = alive t in
-  t.st <-
-    {
-      t.st with
-      spawned = t.st.spawned + 1;
-      max_live = Int.max t.st.max_live live;
-    };
+  t.n_spawned <- t.n_spawned + 1;
+  t.max_live <- Int.max t.max_live (alive t);
   id
 
 (* ---------- one slice ---------- *)
 
+(* Built once per task, when its body first runs; a yield returns the
+   handler's own [Some], so handling one builds nothing. *)
 let handler t tk : (unit, unit) Effect.Deep.handler =
+  let on_yield =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        tk.status <- Suspended k;
+        tk.gctx <- Guard.save_ctx ();
+        t.n_yields <- t.n_yields + 1)
+  in
   {
     Effect.Deep.retc =
       (fun () ->
         tk.status <- Finished;
         tk.gctx <- Guard.empty_ctx;
-        t.st <- { t.st with finished = t.st.finished + 1 });
+        t.n_finished <- t.n_finished + 1);
     exnc =
       (fun e ->
         (* task bodies trap their own errors into outcomes; anything
            escaping is a scheduler bug — mark the task dead so the run
            loop cannot spin on it, then let the caller see the raise *)
         tk.status <- Finished;
-        t.st <- { t.st with finished = t.st.finished + 1 };
+        t.n_finished <- t.n_finished + 1;
         raise e);
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
         match eff with
-        | Yield ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                tk.status <- Suspended k;
-                tk.gctx <- Guard.save_ctx ();
-                t.st <- { t.st with yields = t.st.yields + 1 })
+        | Yield -> on_yield
         | Sleep ms ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 tk.status <- Suspended k;
                 tk.wake_at <- Some (now t +. ms);
                 tk.gctx <- Guard.save_ctx ();
-                t.st <- { t.st with sleeps = t.st.sleeps + 1 })
+                t.n_sleeps <- t.n_sleeps + 1)
         | _ -> None);
   }
+
+let run_slice t tk =
+  match tk.status with
+  | Ready body -> Effect.Deep.match_with body () (handler t tk)
+  | Suspended k ->
+      tk.status <- Finished;
+      (* resumes under the original handler *)
+      Effect.Deep.continue k ()
+  | Finished -> ()
+
+let end_slice t saved host_ctx =
+  current := saved;
+  Guard.restore_ctx host_ctx;
+  sync t
 
 (* Run [tk] until it yields, sleeps, or finishes.  The slice happens
    inside the task's own guard context; the host's ambient context (if
@@ -199,31 +258,24 @@ let handler t tk : (unit, unit) Effect.Deep.handler =
 let step t tk =
   t.seq <- t.seq + 1;
   tk.last_run <- t.seq;
-  t.st <- { t.st with slices = t.st.slices + 1 };
+  t.n_slices <- t.n_slices + 1;
   (match tk.wake_at with
   | Some _ ->
       tk.wake_at <- None;
-      t.st <- { t.st with woken = t.st.woken + 1 }
+      t.n_woken <- t.n_woken + 1
   | None -> ());
   let host_ctx = Guard.save_ctx () in
   let saved = !current in
-  current := Some (t, tk);
+  current := tk.self;
   Guard.restore_ctx tk.gctx;
   tk.gctx <- Guard.empty_ctx;
-  tk.slice_start_io <- io_now_ms ();
-  Fun.protect
-    ~finally:(fun () ->
-      current := saved;
-      Guard.restore_ctx host_ctx;
-      sync t)
-    (fun () ->
-      match tk.status with
-      | Ready body -> Effect.Deep.match_with body () (handler t tk)
-      | Suspended k ->
-          tk.status <- Finished;
-          (* resumes under the original handler *)
-          Effect.Deep.continue k ()
-      | Finished -> ())
+  Iosim.sample_ms tk.slice_start;
+  match run_slice t tk with
+  | () -> end_slice t saved host_ctx
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      end_slice t saved host_ctx;
+      Printexc.raise_with_backtrace e bt
 
 (* ---------- the run loop ---------- *)
 
@@ -231,20 +283,39 @@ let runnable t tk =
   match tk.status with
   | Finished -> false
   | Ready _ | Suspended _ -> (
-      match tk.wake_at with None -> true | Some w -> w <= now t)
+      match tk.wake_at with None -> true | Some w -> reached t w)
 
 let prune t =
-  if List.exists (fun tk -> tk.status = Finished) t.tasks then
-    t.tasks <- List.filter (fun tk -> tk.status <> Finished) t.tasks
+  if List.exists finished t.tasks then
+    t.tasks <- List.filter (fun tk -> not (finished tk)) t.tasks
+
+(* the round-robin order: the smallest (priority class, last-run
+   seqno, id) wins — round-robin within a class, urgent class first *)
+let before a b =
+  let pa = a.prio () and pb = b.prio () in
+  pa < pb
+  || pa = pb
+     && (a.last_run < b.last_run || (a.last_run = b.last_run && a.id < b.id))
+
+(* the first runnable task that no later one is [before]; a lone
+   candidate is taken without consulting its priority *)
+let rec first_in_order t best = function
+  | [] -> best
+  | tk :: rest ->
+      if not (runnable t tk) then first_in_order t best rest
+      else (
+        match best with
+        | Some b when not (before tk b) -> first_in_order t best rest
+        | _ -> first_in_order t tk.self rest)
 
 let pick t =
   prune t;
-  let candidates = List.filter (runnable t) t.tasks in
-  match candidates with
-  | [] -> None
-  | _ -> (
-      match t.chooser with
-      | Some choose ->
+  match t.chooser with
+  | None -> first_in_order t None t.tasks
+  | Some choose -> (
+      match List.filter (runnable t) t.tasks with
+      | [] -> None
+      | candidates ->
           let id =
             choose ~now:(now t)
               (List.sort compare (List.map (fun tk -> tk.id) candidates))
@@ -252,16 +323,7 @@ let pick t =
           Some
             (match List.find_opt (fun tk -> tk.id = id) candidates with
             | Some tk -> tk
-            | None -> List.hd candidates)
-      | None ->
-          (* deterministic: the smallest (priority class, last-run
-             seqno, id) wins — round-robin within a class, urgent
-             class first *)
-          let key tk = (tk.prio (), tk.last_run, tk.id) in
-          Some
-            (List.fold_left
-               (fun best tk -> if key tk < key best then tk else best)
-               (List.hd candidates) (List.tl candidates)))
+            | None -> List.hd candidates))
 
 let earliest_wake t =
   List.fold_left
@@ -275,14 +337,15 @@ let earliest_wake t =
 let jump_to t target =
   let n = now t in
   if target > n then begin
-    t.st <- { t.st with idle_jumped_ms = t.st.idle_jumped_ms +. (target -. n) };
-    t.vclock <- target;
-    t.io_mark <- io_now_ms ()
+    t.clk.idle_jumped <- t.clk.idle_jumped +. (target -. n);
+    t.clk.vclock <- target;
+    Iosim.sample_ms t.io;
+    t.clk.io_mark <- t.io.ms
   end
 
 let advance_to t target =
   let rec drive () =
-    if now t >= target then ()
+    if reached t target then ()
     else
       match pick t with
       | Some tk ->

@@ -42,22 +42,37 @@ let writebacks = ref 0
 let spilled_partitions = ref 0
 let spilled_pages = ref 0
 
-type meta = {
-  key : string * int;
-  mutable dirty : bool;
-  mutable pins : int;
-}
-
 let frame_budget : int option ref = ref None
 
-(* page identity: (owner, page number) interned to a dense int for the
-   Lru recency list *)
-let ids : (string * int, int) Hashtbl.t = Hashtbl.create 256
-let next_id = ref 0
-let metas : (int, meta) Hashtbl.t = Hashtbl.create 256
-let lru = ref (Lru.create ~capacity:max_int)
+(* Page identity: an int owner (a table interned by name with [owner],
+   or a spill partition's fresh number) plus a page number, packed into
+   one int key for the recency list.  A page number takes the low 31
+   bits. *)
+let owners : (string, int) Hashtbl.t = Hashtbl.create 16
+let last_owner = ref 0
 
-let enabled () = !frame_budget <> None
+let fresh_owner () =
+  incr last_owner;
+  !last_owner
+
+let owner name =
+  match Hashtbl.find_opt owners name with
+  | Some o -> o
+  | None ->
+      let o = fresh_owner () in
+      Hashtbl.add owners name o;
+      o
+
+let page_key owner page = (owner lsl 31) lor page
+
+(* The resident frames are exactly the entries of [lru], and a frame's
+   state sits in arrays indexed by its Lru slot, so a hit, a miss and
+   an eviction allocate nothing. *)
+let lru = Lru.create ~capacity:max_int
+let dirty = ref [||]
+let pins = ref [||]
+
+let enabled () = match !frame_budget with Some _ -> true | None -> false
 let frames () = !frame_budget
 
 let stats () =
@@ -71,108 +86,126 @@ let stats () =
   }
 
 let reset () =
-  Hashtbl.reset ids;
-  Hashtbl.reset metas;
-  next_id := 0;
-  lru := Lru.create ~capacity:max_int;
-  List.iter
-    (fun r -> r := 0)
-    [ hits; misses; evictions; writebacks; spilled_partitions; spilled_pages ]
+  Lru.clear lru;
+  hits := 0;
+  misses := 0;
+  evictions := 0;
+  writebacks := 0;
+  spilled_partitions := 0;
+  spilled_pages := 0
 
 let set_frames n =
   reset ();
   frame_budget := Option.map (max 1) n
 
-let id_of key =
-  match Hashtbl.find_opt ids key with
-  | Some i -> i
-  | None ->
-      let i = !next_id in
-      incr next_id;
-      Hashtbl.add ids key i;
-      i
+let resident owner page = Lru.find lru (page_key owner page) >= 0
 
-let resident key =
-  match Hashtbl.find_opt ids key with
-  | None -> false
-  | Some i -> Hashtbl.mem metas i
+(* the charges retried on a fault: top-level, so passing them to
+   [Fault.with_retries] builds no closure *)
+let page_in () = Iosim.charge_page_in 1
+let page_out () = Iosim.charge_page_out 1
+let unpinned s = !pins.(s) = 0
 
 (* Evict down to the frame budget: least-recently-used unpinned frames
    go first; a dirty victim is written back (one charged page) before
    the frame is reused.  If every frame is pinned the pool over-commits
    rather than deadlocking — pins here are short (one spill page while
    its rows are consumed), so this is the pragmatic choice a
-   simulation can make where a real pool would block. *)
+   simulation can make where a real pool would block.
+
+   A charge may suspend the task: a fault's backoff is a scheduler
+   sleep, and other tasks use the pool meanwhile.  So no slot is held
+   across a charge; the page is looked up again by its key after it. *)
 let rec enforce () =
   match !frame_budget with
   | None -> ()
   | Some f ->
-      if Hashtbl.length metas > f then begin
-        match
-          Lru.find_victim !lru (fun i -> (Hashtbl.find metas i).pins = 0)
-        with
-        | None -> ()
-        | Some i ->
-            let m = Hashtbl.find metas i in
-            if m.dirty then begin
-              Fault.with_retries (fun () -> Iosim.charge_page_out 1);
-              incr writebacks
-            end;
-            Lru.remove !lru i;
-            Hashtbl.remove metas i;
-            incr evictions;
-            enforce ()
+      if Lru.size lru > f then begin
+        let s = Lru.victim lru unpinned in
+        if s >= 0 then begin
+          if !dirty.(s) then begin
+            let key = Lru.key lru s in
+            Fault.with_retries page_out;
+            incr writebacks;
+            Lru.remove lru key
+          end
+          else Lru.remove_slot lru s;
+          incr evictions;
+          enforce ()
+        end
       end
 
-(* make [key] resident and most-recent; [dirty] marks the frame,
+(* the frame of a page just paged in, most recent; another task may
+   have brought the page in while this one slept in the charge, and
+   then its frame is taken over *)
+let install key ~is_dirty ~pinned =
+  let s = Lru.find lru key in
+  let s =
+    if s >= 0 then begin
+      Lru.promote lru s;
+      s
+    end
+    else Lru.add lru key
+  in
+  let n = Lru.slots lru in
+  if n > Array.length !dirty then begin
+    let d = Array.make n false and p = Array.make n 0 in
+    Array.blit !dirty 0 d 0 (Array.length !dirty);
+    Array.blit !pins 0 p 0 (Array.length !pins);
+    dirty := d;
+    pins := p
+  end;
+  !dirty.(s) <- is_dirty;
+  !pins.(s) <- pinned
+
+(* make the page resident and most-recent; [is_dirty] marks the frame,
    [charge] pays for the page-in on a miss *)
-let touch ~dirty ~charge key =
+let touch ~is_dirty ~charge owner page =
   if enabled () then begin
-    let i = id_of key in
-    match Hashtbl.find_opt metas i with
-    | Some m ->
-        incr hits;
-        ignore (Lru.touch !lru i);
-        if dirty then m.dirty <- true
-    | None ->
-        incr misses;
-        if charge then Fault.with_retries (fun () -> Iosim.charge_page_in 1);
-        ignore (Lru.touch !lru i);
-        Hashtbl.replace metas i { key; dirty; pins = 0 };
-        enforce ()
+    let key = page_key owner page in
+    let s = Lru.find lru key in
+    if s >= 0 then begin
+      incr hits;
+      Lru.promote lru s;
+      if is_dirty then !dirty.(s) <- true
+    end
+    else begin
+      incr misses;
+      if charge then Fault.with_retries page_in;
+      install key ~is_dirty ~pinned:0;
+      enforce ()
+    end
   end
 
-let read key = touch ~dirty:false ~charge:true key
+let read owner page = touch ~is_dirty:false ~charge:true owner page
 
 (* a blind write allocates the frame dirty without reading the old
    contents back in — the cost is deferred to the writeback *)
-let write key = touch ~dirty:true ~charge:false key
+let write owner page = touch ~is_dirty:true ~charge:false owner page
 
-let pin key =
+(* pinning a resident page does not promote it; a missing page is read
+   in already pinned, so when every other frame is pinned too the pool
+   over-commits instead of evicting the page it just read *)
+let pin owner page =
   if enabled () then begin
-    if not (resident key) then read key;
-    let m = Hashtbl.find metas (id_of key) in
-    m.pins <- m.pins + 1
+    let key = page_key owner page in
+    let s = Lru.find lru key in
+    if s >= 0 then !pins.(s) <- !pins.(s) + 1
+    else begin
+      incr misses;
+      Fault.with_retries page_in;
+      install key ~is_dirty:false ~pinned:1;
+      enforce ()
+    end
   end
 
-let unpin key =
-  if enabled () then
-    match Hashtbl.find_opt ids key with
-    | None -> ()
-    | Some i -> (
-        match Hashtbl.find_opt metas i with
-        | Some m -> m.pins <- max 0 (m.pins - 1)
-        | None -> ())
+let unpin owner page =
+  let s = Lru.find lru (page_key owner page) in
+  if s >= 0 then !pins.(s) <- max 0 (!pins.(s) - 1)
 
 (* free a page whose data is dead: no writeback, the frame just
    becomes available *)
-let drop key =
-  match Hashtbl.find_opt ids key with
-  | None -> ()
-  | Some i ->
-      Lru.remove !lru i;
-      Hashtbl.remove metas i;
-      Hashtbl.remove ids key
+let drop owner page = Lru.remove lru (page_key owner page)
 
 (* ---------- spill partitions ----------
 
@@ -192,27 +225,20 @@ let drop key =
 
 module Spill = struct
   type t = {
-    tag : string;
+    owner : int;
     per_page : int;
-    mutable pos : int array;
+    pos : int array;  (* the caller's buffer *)
     base : int;  (* the partition's positions are [pos.(base) ...] *)
-    slice : bool;  (* [pos] is the caller's buffer: never grown *)
     mutable len : int;
     mutable n_pages : int;
   }
 
-  let seq = ref 0
-
-  let create ?slice label =
-    incr seq;
-    let per_page = max 1 (Iosim.config ()).Iosim.rows_per_page in
-    let pos, base = Option.value slice ~default:([||], 0) in
+  let create pos ~base =
     {
-      tag = Printf.sprintf "spill:%s#%d" label !seq;
-      per_page;
+      owner = fresh_owner ();
+      per_page = max 1 (Iosim.config ()).Iosim.rows_per_page;
       pos;
       base;
-      slice = Option.is_some slice;
       len = 0;
       n_pages = 0;
     }
@@ -224,17 +250,12 @@ module Spill = struct
   let flush_page t =
     if t.len > t.n_pages * t.per_page then begin
       if t.n_pages = 0 then incr spilled_partitions;
-      write (t.tag, t.n_pages);
+      write t.owner t.n_pages;
       t.n_pages <- t.n_pages + 1;
       incr spilled_pages
     end
 
   let add t i =
-    if (not t.slice) && t.len = Array.length t.pos then begin
-      let grown = Array.make (max t.per_page (2 * t.len)) 0 in
-      Array.blit t.pos 0 grown 0 t.len;
-      t.pos <- grown
-    end;
     t.pos.(t.base + t.len) <- i;
     t.len <- t.len + 1;
     if t.len mod t.per_page = 0 then flush_page t
@@ -248,9 +269,13 @@ module Spill = struct
 
   let iter t f =
     for p = 0 to t.n_pages - 1 do
-      let key = (t.tag, p) in
-      pin key;
-      Fun.protect ~finally:(fun () -> unpin key) (fun () -> iter_page t p f)
+      pin t.owner p;
+      match iter_page t p f with
+      | () -> unpin t.owner p
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          unpin t.owner p;
+          Printexc.raise_with_backtrace e bt
     done
 
   (* pure data walk for worker domains: no pool residency, no charges,
@@ -263,11 +288,10 @@ module Spill = struct
 
   let free t =
     for p = 0 to t.n_pages - 1 do
-      drop (t.tag, p)
+      drop t.owner p
     done;
     t.n_pages <- 0;
-    t.len <- 0;
-    t.pos <- [||]
+    t.len <- 0
 
   (* owner-side replay of a partition a worker consumed with
      [iter_raw]: pin/unpin every page in order (hits if resident,
@@ -277,9 +301,8 @@ module Spill = struct
      same sequence at every pool size. *)
   let account_consumed t =
     for p = 0 to t.n_pages - 1 do
-      let key = (t.tag, p) in
-      pin key;
-      unpin key
+      pin t.owner p;
+      unpin t.owner p
     done;
     free t
 end

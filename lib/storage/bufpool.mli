@@ -1,8 +1,10 @@
 (** A paged buffer pool with a fixed frame budget.
 
-    Simulates bounded buffer memory over the in-heap engine: pages are
-    identified as [(owner, page_number)] pairs, residency is tracked in
-    an LRU list ({!Lru}), and only the {e charging} is real — a miss
+    Simulates bounded buffer memory over the in-heap engine: a page is
+    an int owner ({!owner} interns a table's name; each spill partition
+    takes a fresh one) plus a page number, residency is tracked in an
+    LRU list ({!Lru}) whose slots index the frames' dirty bits and pin
+    counts, and only the {e charging} is real — a miss
     pays one sequential page through {!Iosim.charge_page_in}, evicting
     a dirty frame pays {!Iosim.charge_page_out}, and hits are free.
     Both charge sites draw from the fault injector, so out-of-core
@@ -46,26 +48,33 @@ val reset : unit -> unit
     Also runs automatically on every {!Iosim.reset} so cold
     measurements stay cold. *)
 
-val read : string * int -> unit
-(** Access a page for reading: free on a hit, one charged page-in on a
-    miss (possibly preceded by a dirty writeback to free a frame). *)
+val owner : string -> int
+(** The owner id of a named page run (a table): the same name always
+    maps to the same id.  Intern once per scan, not per page. *)
 
-val write : string * int -> unit
+val read : int -> int -> unit
+(** [read owner page] accesses a page for reading: free on a hit, one
+    charged page-in on a miss (possibly preceded by a dirty writeback
+    to free a frame). *)
+
+val write : int -> int -> unit
 (** Access a page for writing: the frame is marked dirty and the cost
     is deferred to its eventual writeback (write-behind).  A miss does
     not read the old contents back in (blind write). *)
 
-val pin : string * int -> unit
+val pin : int -> int -> unit
 (** Make the page resident (charging as {!read} if absent) and exempt
-    it from eviction until {!unpin}.  Pins nest. *)
+    it from eviction until {!unpin}.  Pins nest.  Pinning a resident
+    page does not promote it.  When every other frame is pinned too,
+    the pool over-commits rather than evicting the page just read. *)
 
-val unpin : string * int -> unit
+val unpin : int -> int -> unit
 
-val drop : string * int -> unit
+val drop : int -> int -> unit
 (** Discard a page whose data is dead: the frame is freed with no
     writeback, even if dirty. *)
 
-val resident : string * int -> bool
+val resident : int -> int -> bool
 (** Residency test without promoting or charging (for tests). *)
 
 (** Append-only spilled partitions — the unit the grace hash join and
@@ -84,12 +93,11 @@ val resident : string * int -> bool
 module Spill : sig
   type t
 
-  val create : ?slice:int array * int -> string -> t
-  (** [create label] — a fresh empty partition; the label only
-      namespaces page identities for debugging.  Positions are kept in
-      an array the partition grows, or, with [~slice:(buf, base)], in
-      [buf] from [base] on: the caller reserves room there for every
-      position it adds, and keeps ownership of [buf]. *)
+  val create : int array -> base:int -> t
+  (** [create buf ~base] — a fresh empty partition, its pages under a
+      fresh owner id, keeping its positions in [buf] from [base] on.
+      The caller reserves room there for every position it adds, and
+      keeps ownership of [buf]. *)
 
   val add : t -> int -> unit
   (** Append a row position; completing a page writes it. *)
@@ -113,8 +121,8 @@ module Spill : sig
       {!account_consumed}. *)
 
   val free : t -> unit
-  (** Drop every page of the partition from the pool (no writebacks)
-      and release the position storage. *)
+  (** Drop every page of the partition from the pool (no
+      writebacks) and empty it. *)
 
   val account_consumed : t -> unit
   (** Owner-side replay for a partition consumed via {!iter_raw}:

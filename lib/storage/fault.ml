@@ -158,28 +158,29 @@ let default_sleeper (_ms : float) = ()
 let sleeper = ref default_sleeper
 let set_sleeper f = sleeper := f
 
+(* attempt [attempt] just raised [e]: give up, or back off and run
+   again.  Only a fault gets here, so the first attempt, the one that
+   almost always succeeds, sets up nothing but its handler. *)
+let rec retry c f attempt e =
+  if attempt >= c.max_retries then begin
+    st := { !st with escaped = !st.escaped + 1 };
+    raise e
+  end
+  else begin
+    let pause = c.backoff_ms *. (2.0 ** float_of_int attempt) in
+    st :=
+      {
+        !st with
+        retried = !st.retried + 1;
+        backoff_ms_total = !st.backoff_ms_total +. pause;
+      };
+    !sleeper pause;
+    try f () with Io_fault _ as e -> retry c f (attempt + 1) e
+  end
+
 let with_retries f =
   let c = !current in
-  let rec go attempt =
-    try f ()
-    with Io_fault _ as e ->
-      if attempt >= c.max_retries then begin
-        st := { !st with escaped = !st.escaped + 1 };
-        raise e
-      end
-      else begin
-        let pause = c.backoff_ms *. (2.0 ** float_of_int attempt) in
-        st :=
-          {
-            !st with
-            retried = !st.retried + 1;
-            backoff_ms_total = !st.backoff_ms_total +. pause;
-          };
-        !sleeper pause;
-        go (attempt + 1)
-      end
-  in
-  go 0
+  try f () with Io_fault _ as e -> retry c f 0 e
 
 (* CI enables injection for a whole `dune runtest` via the environment:
    NRA_FAULT_INJECT="p", "p:seed", "p:seed:retries", or

@@ -82,8 +82,9 @@ let over_budget rows =
    are charged (write-behind flushes, then one pinned read per page)
    while the rows stay where they are — the partition holds only their
    positions *)
-let spill_roundtrip ~label rows =
-  let sp = Bufpool.Spill.create label in
+let spill_roundtrip rows =
+  Scratch.with_ints rows @@ fun buf ->
+  let sp = Bufpool.Spill.create buf ~base:0 in
   Fun.protect
     ~finally:(fun () -> Bufpool.Spill.free sp)
     (fun () ->
@@ -93,7 +94,7 @@ let spill_roundtrip ~label rows =
       Bufpool.Spill.finish sp;
       Bufpool.Spill.iter sp ignore)
 
-let with_staged ~label rel f =
+let with_staged rel f =
   let rows = Relation.cardinality rel in
   let width = Schema.arity (Relation.schema rel) in
   if rows > 0 && over_budget rows then begin
@@ -108,7 +109,7 @@ let with_staged ~label rel f =
         spilled_stagings = !st.spilled_stagings + 1;
         spilled_rows = !st.spilled_rows + rows;
       };
-    spill_roundtrip ~label rows;
+    spill_roundtrip rows;
     f rel
   end
   else begin

@@ -47,11 +47,10 @@ val with_charged : rows:int -> width:int -> (unit -> 'a) -> 'a
     nested). *)
 
 val with_staged :
-  label:string ->
   Nra_relational.Relation.t ->
   (Nra_relational.Relation.t -> 'a) ->
   'a
-(** [with_staged ~label rel f] — charge the staged relation and hand
+(** [with_staged rel f] — charge the staged relation and hand
     [f] [rel] itself, counted resident when it fits the budget, or
     after its spill round-trip when it does not (its row positions
     written to a spill partition and read back, page traffic

@@ -41,7 +41,11 @@ type counters = {
   fetched_rows : int;
 }
 
-let state = ref { seq_pages = 0; rand_pages = 0; fetched_rows = 0 }
+(* the live counters, bumped in place by every charge; [counters]
+   takes a snapshot *)
+let seq = ref 0
+let rand = ref 0
+let fetched = ref 0
 
 (* Consumers above this module (the nra.storage buffer pool) register
    here so [reset] clears their residency and counters too: suites that
@@ -51,7 +55,9 @@ let reset_hooks : (unit -> unit) list ref = ref []
 let on_reset f = reset_hooks := f :: !reset_hooks
 
 let reset () =
-  state := { seq_pages = 0; rand_pages = 0; fetched_rows = 0 };
+  seq := 0;
+  rand := 0;
+  fetched := 0;
   Lru.clear !cache;
   hits := 0;
   misses := 0;
@@ -79,16 +85,18 @@ type ledger = {
 
 let ledgers : ledger list ref = ref []
 
-let tally ~seq ~rand ~fetched =
-  match !ledgers with
+(* a loop, not [List.iter]: a closure over the three amounts would be
+   allocated on every charge made with a ledger open *)
+let rec tally_into ls ~seq ~rand ~fetched =
+  match ls with
   | [] -> ()
-  | ls ->
-      List.iter
-        (fun l ->
-          l.l_seq <- l.l_seq + seq;
-          l.l_rand <- l.l_rand + rand;
-          l.l_fetched <- l.l_fetched + fetched)
-        ls
+  | l :: rest ->
+      l.l_seq <- l.l_seq + seq;
+      l.l_rand <- l.l_rand + rand;
+      l.l_fetched <- l.l_fetched + fetched;
+      tally_into rest ~seq ~rand ~fetched
+
+let tally ~seq ~rand ~fetched = tally_into !ledgers ~seq ~rand ~fetched
 
 let push_ledger () =
   let l = { l_seq = 0; l_rand = 0; l_fetched = 0; l_hits = 0; l_misses = 0 } in
@@ -105,12 +113,9 @@ let pop_ledger l =
   ledgers := drop !ledgers
 
 let uncharge l =
-  state :=
-    {
-      seq_pages = !state.seq_pages - l.l_seq;
-      rand_pages = !state.rand_pages - l.l_rand;
-      fetched_rows = !state.fetched_rows - l.l_fetched;
-    };
+  seq := !seq - l.l_seq;
+  rand := !rand - l.l_rand;
+  fetched := !fetched - l.l_fetched;
   hits := !hits - l.l_hits;
   misses := !misses - l.l_misses;
   (* enclosing ledgers (a nested Auto attempt) drop them too, so an
@@ -146,30 +151,39 @@ let frames_for_mb mb =
    counter or cache mutation, so a Fault.with_retries re-run never
    double-charges *)
 
+let add_seq n =
+  tally ~seq:n ~rand:0 ~fetched:0;
+  seq := !seq + n
+
 let add_rand n =
   tally ~seq:0 ~rand:n ~fetched:0;
-  state := { !state with rand_pages = !state.rand_pages + n }
+  rand := !rand + n
 
 let charge_scan_rows rows =
   Fault.inject "scan";
-  let n = pages rows in
-  tally ~seq:n ~rand:0 ~fetched:0;
-  state := { !state with seq_pages = !state.seq_pages + n }
+  add_seq (pages rows)
 
 let charge_probe ~matches =
   Fault.inject "probe";
-  tally ~seq:0 ~rand:(1 + matches) ~fetched:0;
-  state := { !state with rand_pages = !state.rand_pages + 1 + matches }
+  add_rand (1 + matches)
 
 let charge_random_pages n =
   Fault.inject "read";
   add_rand n
 
+(* A fetched row's page is [Hashtbl.hash (table, row_id / rows_per_page)].
+   A record of two fields hashes exactly like a pair (the hash reads the
+   block's tag, size and fields), so one reused mutable record stands in
+   for the pair and a fetch builds nothing. *)
+type page_of = { mutable p_table : string; mutable p_page : int }
+
+let page_of = { p_table = ""; p_page = 0 }
+
 let charge_row_fetch ~table ~row_id =
   Fault.inject "fetch";
-  let page =
-    Hashtbl.hash (table, row_id / !current.rows_per_page)
-  in
+  page_of.p_table <- table;
+  page_of.p_page <- row_id / !current.rows_per_page;
+  let page = Hashtbl.hash page_of in
   if Lru.touch !cache page then begin
     incr hits;
     List.iter (fun l -> l.l_hits <- l.l_hits + 1) !ledgers
@@ -186,7 +200,7 @@ let cache_misses () = !misses
 let charge_fetch_rows rows =
   Fault.inject "transfer";
   tally ~seq:0 ~rand:0 ~fetched:rows;
-  state := { !state with fetched_rows = !state.fetched_rows + rows }
+  fetched := !fetched + rows
 
 (* Buffer-pool page traffic (nra.storage Bufpool) and WAL appends.
    All three are sequential-page charges: a page-in reads a spill
@@ -197,20 +211,18 @@ let charge_fetch_rows rows =
 
 let charge_page_in n =
   Fault.inject "page-in";
-  tally ~seq:n ~rand:0 ~fetched:0;
-  state := { !state with seq_pages = !state.seq_pages + n }
+  add_seq n
 
 let charge_page_out n =
   Fault.inject "page-out";
-  tally ~seq:n ~rand:0 ~fetched:0;
-  state := { !state with seq_pages = !state.seq_pages + n }
+  add_seq n
 
 let charge_wal_append ~pages:n =
   Fault.inject "wal";
-  tally ~seq:n ~rand:0 ~fetched:0;
-  state := { !state with seq_pages = !state.seq_pages + n }
+  add_seq n
 
-let counters () = !state
+let counters () =
+  { seq_pages = !seq; rand_pages = !rand; fetched_rows = !fetched }
 
 (* Parallel-region ledger merge (nra.pool): workers tally would-be
    charges locally and the owner deposits the sum here at the join
@@ -219,12 +231,9 @@ let counters () = !state
    sequence depend on the domain count. *)
 let absorb (c : counters) =
   tally ~seq:c.seq_pages ~rand:c.rand_pages ~fetched:c.fetched_rows;
-  state :=
-    {
-      seq_pages = !state.seq_pages + c.seq_pages;
-      rand_pages = !state.rand_pages + c.rand_pages;
-      fetched_rows = !state.fetched_rows + c.fetched_rows;
-    }
+  seq := !seq + c.seq_pages;
+  rand := !rand + c.rand_pages;
+  fetched := !fetched + c.fetched_rows
 
 (* aborted-attempt rollback: Auto's kill-and-fallback undoes the killed
    plan's charges so the simulation reflects only work that produced the
@@ -233,30 +242,34 @@ let absorb (c : counters) =
 
 type checkpoint = { cp_state : counters; cp_hits : int; cp_misses : int }
 
-let checkpoint () = { cp_state = !state; cp_hits = !hits; cp_misses = !misses }
+let checkpoint () =
+  { cp_state = counters (); cp_hits = !hits; cp_misses = !misses }
 
 let rollback cp =
-  state := cp.cp_state;
+  seq := cp.cp_state.seq_pages;
+  rand := cp.cp_state.rand_pages;
+  fetched := cp.cp_state.fetched_rows;
   hits := cp.cp_hits;
   misses := cp.cp_misses
 
 let simulated_seconds () =
-  let c = !current and s = !state in
-  (float_of_int s.seq_pages *. c.t_seq_ms
-  +. (float_of_int s.rand_pages *. c.t_rand_ms)
-  +. (float_of_int s.fetched_rows *. c.t_fetch_ms))
+  let c = !current in
+  (float_of_int !seq *. c.t_seq_ms
+  +. (float_of_int !rand *. c.t_rand_ms)
+  +. (float_of_int !fetched *. c.t_fetch_ms))
   /. 1000.0
 
-(* [simulated_seconds () *. 1000.0 -. since_ms >= ms], the same
-   arithmetic in the same order, computed in place: a float returned
-   across a module boundary is boxed, and the scheduler asks this at
-   every guard checkpoint *)
-let elapsed_ms_reached ~since_ms ms =
-  let c = !current and s = !state in
-  let secs =
-    (float_of_int s.seq_pages *. c.t_seq_ms
-    +. (float_of_int s.rand_pages *. c.t_rand_ms)
-    +. (float_of_int s.fetched_rows *. c.t_fetch_ms))
-    /. 1000.0
-  in
-  (secs *. 1000.0) -. since_ms >= ms
+(* The clock reading the guard and the scheduler take at every context
+   switch and checkpoint.  A float returned across a module boundary is
+   boxed, so this stores into a flat float record instead, with
+   [simulated_seconds () *. 1000.0]'s arithmetic in the same order: the
+   same bits, nothing allocated. *)
+type mark = { mutable ms : float }
+
+let sample_ms m =
+  let c = !current in
+  m.ms <-
+    (float_of_int !seq *. c.t_seq_ms
+    +. (float_of_int !rand *. c.t_rand_ms)
+    +. (float_of_int !fetched *. c.t_fetch_ms))
+    /. 1000.0 *. 1000.0

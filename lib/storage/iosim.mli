@@ -169,7 +169,12 @@ val restore_task : task_io -> unit
 val simulated_seconds : unit -> float
 (** Simulated elapsed I/O time since the last [reset]. *)
 
-val elapsed_ms_reached : since_ms:float -> float -> bool
-(** [elapsed_ms_reached ~since_ms ms] is
-    [simulated_seconds () *. 1000.0 -. since_ms >= ms], bit for bit,
-    without allocating. *)
+type mark = { mutable ms : float }
+(** A clock reading.  A float returned from a function is boxed; the
+    guard and the scheduler read the clock at every context switch and
+    checkpoint, so they keep their readings in this flat float record
+    instead. *)
+
+val sample_ms : mark -> unit
+(** [sample_ms m] sets [m.ms] to [simulated_seconds () *. 1000.0], bit
+    for bit, without allocating. *)

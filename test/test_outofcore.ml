@@ -31,15 +31,17 @@ let with_pool ?(rows_per_page = 2) frames f =
 
 let test_lru_eviction () =
   with_pool (Some 2) (fun () ->
-      B.read ("t", 0);
-      B.read ("t", 1);
-      B.read ("t", 0);
+      B.read (B.owner "t") 0;
+      B.read (B.owner "t") 1;
+      B.read (B.owner "t") 0;
       (* miss: the budget is full, page 1 is the cold victim *)
-      B.read ("t", 2);
-      Alcotest.(check bool) "recent page resident" true (B.resident ("t", 0));
-      Alcotest.(check bool) "cold page evicted" false (B.resident ("t", 1));
-      B.read ("t", 0);
-      B.read ("t", 1);
+      B.read (B.owner "t") 2;
+      Alcotest.(check bool) "recent page resident" true
+        (B.resident (B.owner "t") 0);
+      Alcotest.(check bool) "cold page evicted" false
+        (B.resident (B.owner "t") 1);
+      B.read (B.owner "t") 0;
+      B.read (B.owner "t") 1;
       let s = B.stats () in
       Alcotest.(check int) "hits" 2 s.B.hits;
       Alcotest.(check int) "misses" 4 s.B.misses;
@@ -50,39 +52,43 @@ let test_lru_eviction () =
 
 let test_pin_blocks_eviction () =
   with_pool (Some 2) (fun () ->
-      B.pin ("t", 0);
-      B.read ("t", 1);
+      B.pin (B.owner "t") 0;
+      B.read (B.owner "t") 1;
       (* page 0 is the LRU victim but pinned: 1 must go instead *)
-      B.read ("t", 2);
-      Alcotest.(check bool) "pinned page survives" true (B.resident ("t", 0));
-      Alcotest.(check bool) "unpinned page evicted" false (B.resident ("t", 1));
-      B.unpin ("t", 0);
-      B.read ("t", 3);
+      B.read (B.owner "t") 2;
+      Alcotest.(check bool) "pinned page survives" true
+        (B.resident (B.owner "t") 0);
+      Alcotest.(check bool) "unpinned page evicted" false
+        (B.resident (B.owner "t") 1);
+      B.unpin (B.owner "t") 0;
+      B.read (B.owner "t") 3;
       Alcotest.(check bool) "unpinned page evictable" false
-        (B.resident ("t", 0)))
+        (B.resident (B.owner "t") 0))
 
 let test_dirty_writeback () =
   with_pool (Some 1) (fun () ->
       (* write-behind: the write itself is free... *)
-      B.write ("t", 0);
-      Alcotest.(check int) "blind write uncharged" 0 (I.counters ()).I.seq_pages;
+      B.write (B.owner "t") 0;
+      Alcotest.(check int) "blind write uncharged" 0
+        (I.counters ()).I.seq_pages;
       (* ...until eviction flushes it: one page out + one page in *)
-      B.read ("t", 1);
+      B.read (B.owner "t") 1;
       let s = B.stats () in
       Alcotest.(check int) "dirty victim written back" 1 s.B.writebacks;
       Alcotest.(check int) "writeback + miss charged" 2
         (I.counters ()).I.seq_pages;
       (* dropping a dead dirty page costs nothing *)
-      B.write ("t", 2);
-      B.drop ("t", 2);
+      B.write (B.owner "t") 2;
+      B.drop (B.owner "t") 2;
       Alcotest.(check int) "drop skips the writeback" 2
         (I.counters ()).I.seq_pages;
-      Alcotest.(check bool) "dropped page gone" false (B.resident ("t", 2)))
+      Alcotest.(check bool) "dropped page gone" false
+        (B.resident (B.owner "t") 2))
 
 let test_spill_roundtrip () =
   with_pool ~rows_per_page:3 (Some 2) (fun () ->
-      let sp = B.Spill.create "unit" in
       let positions = [| 5; 0; 7; 2; 2; 6; 1; 3 |] in
+      let sp = B.Spill.create (Array.make 8 0) ~base:0 in
       Array.iter (B.Spill.add sp) positions;
       B.Spill.finish sp;
       Alcotest.(check int) "length" 8 (B.Spill.length sp);
@@ -104,25 +110,94 @@ let test_spill_roundtrip () =
 
 let test_reset_hooks () =
   with_pool (Some 4) (fun () ->
-      B.read ("t", 0);
-      Alcotest.(check bool) "resident before reset" true (B.resident ("t", 0));
+      B.read (B.owner "t") 0;
+      Alcotest.(check bool) "resident before reset" true
+        (B.resident (B.owner "t") 0);
       (* cold measurements reset the I/O model; residency must go too *)
       I.reset ();
       Alcotest.(check bool) "Iosim.reset clears residency" false
-        (B.resident ("t", 0));
+        (B.resident (B.owner "t") 0);
       Alcotest.(check int) "stats cleared" 0 (B.stats ()).B.misses;
       Alcotest.(check bool) "budget survives" true (B.frames () = Some 4))
 
 let test_disabled_is_free () =
   B.set_frames None;
   I.reset ();
-  B.read ("t", 0);
-  B.write ("t", 1);
-  B.pin ("t", 2);
-  B.unpin ("t", 2);
+  B.read (B.owner "t") 0;
+  B.write (B.owner "t") 1;
+  B.pin (B.owner "t") 2;
+  B.unpin (B.owner "t") 2;
   Alcotest.(check int) "disabled pool never charges" 0
     (I.counters ()).I.seq_pages;
   Alcotest.(check int) "disabled pool never counts" 0 (B.stats ()).B.misses
+
+(* the page a pin reads in is pinned before the pool enforces its
+   budget: with every other frame pinned it over-commits instead of
+   evicting that page *)
+let test_pin_overcommit () =
+  with_pool (Some 1) (fun () ->
+      let t = B.owner "t" in
+      B.pin t 0;
+      B.pin t 1;
+      Alcotest.(check bool) "first pinned page resident" true (B.resident t 0);
+      Alcotest.(check bool) "second pinned page resident" true
+        (B.resident t 1);
+      let s = B.stats () in
+      Alcotest.(check int) "two misses" 2 s.B.misses;
+      Alcotest.(check int) "nothing evicted" 0 s.B.evictions;
+      (* unpinned, both are evictable again: the next miss evicts down
+         to the budget, least recent first *)
+      B.unpin t 0;
+      B.unpin t 1;
+      B.read t 2;
+      Alcotest.(check int) "back to the budget" 2 (B.stats ()).B.evictions;
+      Alcotest.(check bool) "newest page kept" true (B.resident t 2))
+
+(* ---------- the bookkeeping allocates nothing ----------
+
+   Every page access of an out-of-core run goes through these paths.
+   Each case sets its own frame budget and turns faults off, so it
+   holds at every CI stress point; a warm-up round first grows the
+   frame arrays to their working size. *)
+
+let minor_words_per n f =
+  f 0;
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_no_alloc name per_op =
+  Alcotest.(check bool) (name ^ " allocates nothing") true (per_op < 0.01)
+
+let test_bufpool_no_alloc () =
+  with_pool (Some 4) (fun () ->
+      Fault.disable ();
+      let t = B.owner "t" and n = 100_000 in
+      B.read t 0;
+      check_no_alloc "a hit" (minor_words_per n (fun _ -> B.read t 0));
+      (* 64 pages cycled through 4 frames: every access misses *)
+      check_no_alloc "a miss"
+        (minor_words_per n (fun i -> B.read t (1 + (i mod 64))));
+      check_no_alloc "a dirty writeback"
+        (minor_words_per n (fun i -> B.write t (100 + (i mod 64))));
+      check_no_alloc "a pin/unpin pair"
+        (minor_words_per n (fun i ->
+             let p = 200 + (i mod 64) in
+             B.pin t p;
+             B.unpin t p));
+      let s = B.stats () in
+      Alcotest.(check bool) "misses, evictions, writebacks all ran" true
+        (s.B.misses >= 3 * n && s.B.evictions >= 2 * n
+        && s.B.writebacks >= n / 2);
+      let buf = Array.make (n + 1) 0 in
+      let sp = B.Spill.create buf ~base:0 in
+      check_no_alloc "Spill.add"
+        (minor_words_per n (fun i -> B.Spill.add sp i));
+      Alcotest.(check bool) "spill pages written" true
+        ((B.stats ()).B.spilled_pages >= n / 2);
+      B.Spill.free sp)
 
 (* ---------- spills hold positions, not copies ----------
 
@@ -173,9 +248,7 @@ let test_grace_matches () =
 let test_staged_no_copy () =
   let rel = int_rel [ "a" ] (Array.init 12 (fun i -> [| Some i |])) in
   with_pool (Some 2) (fun () ->
-      let staged =
-        Governor.with_staged ~label:"unit" rel (fun r -> Relation.rows r)
-      in
+      let staged = Governor.with_staged rel (fun r -> Relation.rows r) in
       Alcotest.(check int) "staging spilled" 1
         (Governor.stats ()).Governor.spilled_stagings;
       Alcotest.(check int) "six pages written" 6 (B.stats ()).B.spilled_pages;
@@ -244,6 +317,10 @@ let () =
           Alcotest.test_case "spill round-trip" `Quick test_spill_roundtrip;
           Alcotest.test_case "reset hooks" `Quick test_reset_hooks;
           Alcotest.test_case "disabled is free" `Quick test_disabled_is_free;
+          Alcotest.test_case "pin over-commits when all else is pinned"
+            `Quick test_pin_overcommit;
+          Alcotest.test_case "bookkeeping allocates nothing" `Quick
+            test_bufpool_no_alloc;
         ] );
       ( "no copy",
         [
