@@ -70,10 +70,9 @@ let select ?batch pred rel =
   let n = Array.length rows in
   match selection ?batch pred rel with
   | Some (count, write) ->
-      Relation.make (Relation.schema rel)
-        (Scratch.with_ints count (fun sel ->
-             write sel;
-             Array.init count (fun k -> Array.unsafe_get rows sel.(k))))
+      Scratch.with_ints count (fun sel ->
+          write sel;
+          Relation.gather rel sel count)
   | None ->
       if not (Pool.use_parallel n) then
         Relation.filter (Expr.holds pred) rel
@@ -89,8 +88,16 @@ let project_cols idxs rel = Relation.project rel idxs
 let project_exprs items rel =
   let schema = Schema.of_columns (List.map snd items) in
   let exprs = Array.of_list (List.map fst items) in
+  let n = Array.length exprs in
+  (* each output row is filled in place, in expression order, without a
+     partially applied [eval_scalar] per row *)
   Relation.map_rows schema
-    (fun row -> Array.map (Expr.eval_scalar row) exprs)
+    (fun row ->
+      let out = Array.make n Value.Null in
+      for j = 0 to n - 1 do
+        out.(j) <- Expr.eval_scalar row exprs.(j)
+      done;
+      out)
     rel
 
 (* The output cardinality is known exactly, so fill a pre-sized array

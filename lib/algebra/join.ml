@@ -100,12 +100,14 @@ let nested_loop kind ~on left right =
 
    The build side is the right relation's rows, or the [m] of them a
    selection vector names; build entry [j] is row [entry t j].  The
-   table is flat: [rhash.(j)] is entry [j]'s key hash and [next.(j)]
-   the next entry of its bucket chain, and partition [p]'s buckets are
-   [head.(hbase.(p) + b)] for [b <= hmask.(p)].  A partition is the
-   key hash mod [nparts] (one, except on the grace path), so a key's
-   entries all live in one partition.  NULL-keyed entries are never
-   linked.
+   probe side is likewise the left relation's rows or the [n] of them a
+   left selection names; left row [i] is [left t i], and the offset
+   vectors are indexed by [i].  The table is flat: [rhash.(j)] is
+   entry [j]'s key hash and [next.(j)] the next entry of its bucket
+   chain, and partition [p]'s buckets are [head.(hbase.(p) + b)] for
+   [b <= hmask.(p)].  A partition is the key hash mod [nparts] (one,
+   except on the grace path), so a key's entries all live in one
+   partition.  NULL-keyed entries are never linked.
 
    An entry matches left row [lrow] of hash [h] when its stored hash
    is [h] and its keys and the residual agree, so a chain walk visits
@@ -122,6 +124,9 @@ type table = {
   rows : Row.t array;
   sel : int array option;
   m : int;
+  lrows : Row.t array;
+  lsel : int array option;
+  n : int;
   lpos : int array;
   rpos : int array;
   residual : Expr.pred;
@@ -135,6 +140,12 @@ type table = {
 }
 
 let entry t j = match t.sel with None -> j | Some s -> Array.unsafe_get s j
+
+let left t i =
+  match t.lsel with
+  | None -> t.lrows.(i)
+  | Some s -> t.lrows.(Array.unsafe_get s i)
+
 let part t h = h land max_int mod t.nparts
 
 let slot t h =
@@ -216,19 +227,19 @@ let link_all t =
 let probes t n =
   if Array.length t.lpos > 0 then stats_probes := !stats_probes + n
 
-let probe_serial t left_rows ~off ~len cur =
+let probe_serial t ~off ~len cur =
   link_all t;
-  Array.iteri
-    (fun i lrow ->
-      Nra_guard.Guard.tick ();
-      probes t 1;
-      off.(i) <- cur.fill;
-      if not (Row.has_null_on t.lpos lrow) then begin
-        let h = Row.hash_on t.lpos lrow in
-        push_chain t lrow h t.head.(slot t h) cur
-      end;
-      len.(i) <- cur.fill - off.(i))
-    left_rows
+  for i = 0 to t.n - 1 do
+    Nra_guard.Guard.tick ();
+    probes t 1;
+    let lrow = left t i in
+    off.(i) <- cur.fill;
+    if not (Row.has_null_on t.lpos lrow) then begin
+      let h = Row.hash_on t.lpos lrow in
+      push_chain t lrow h t.head.(slot t h) cur
+    end;
+    len.(i) <- cur.fill - off.(i)
+  done
 
 (* Parallel variant: the owner links the table; left morsels count
    their rows' matches (the checkpoints accrue to the morsel's ledger,
@@ -236,14 +247,14 @@ let probe_serial t left_rows ~off ~len cur =
    into offsets and sizes [pos]; a second pass over the same morsels
    writes each row's matches into its own slice.  Bit-identical to the
    serial probe. *)
-let probe_parallel t left_rows ~off ~len cur =
+let probe_parallel t ~off ~len cur =
   link_all t;
-  let n = Array.length left_rows in
+  let n = t.n in
   ignore
     (Pool.parallel_chunks ~n (fun ledger ~lo ~hi ->
          for i = lo to hi - 1 do
            Pool.Ledger.tick ledger;
-           let lrow = left_rows.(i) in
+           let lrow = left t i in
            len.(i) <-
              (if Row.has_null_on t.lpos lrow then 0
               else
@@ -262,7 +273,7 @@ let probe_parallel t left_rows ~off ~len cur =
     (Pool.parallel_chunks ~n (fun _ledger ~lo ~hi ->
          for i = lo to hi - 1 do
            if len.(i) > 0 then begin
-             let lrow = left_rows.(i) in
+             let lrow = left t i in
              let h = Row.hash_on t.lpos lrow in
              fill_chain t lrow h t.head.(slot t h) dst off.(i)
            end
@@ -294,7 +305,7 @@ let probe_parallel t left_rows ~off ~len cur =
    identical at every pool size.  Bit-identical to the serial probe:
    partition [p]'s chains hold exactly the entries of hash [h] with
    [h mod nparts = p], in build order once reversed. *)
-let probe_grace t ~nparts left_rows ~off ~len cur =
+let probe_grace t ~nparts ~off ~len cur =
   let module B = Nra_storage.Bufpool in
   (* hash the build entries ([next] marks a NULL-keyed one -2 until
      partition 0 is linked) and size every partition on both sides, so
@@ -310,13 +321,13 @@ let probe_grace t ~nparts left_rows ~off ~len cur =
       psize.(part t h) <- psize.(part t h) + 1
     end
   done;
-  Array.iter
-    (fun lrow ->
-      if not (Row.has_null_on t.lpos lrow) then begin
-        let p = part t (Row.hash_on t.lpos lrow) in
-        lsize.(p) <- lsize.(p) + 1
-      end)
-    left_rows;
+  for i = 0 to t.n - 1 do
+    let lrow = left t i in
+    if not (Row.has_null_on t.lpos lrow) then begin
+      let p = part t (Row.hash_on t.lpos lrow) in
+      lsize.(p) <- lsize.(p) + 1
+    end
+  done;
   let spilled = ref 0 in
   let spill sizes =
     Array.init (nparts - 1) (fun k ->
@@ -361,22 +372,21 @@ let probe_grace t ~nparts left_rows ~off ~len cur =
     end
   done;
   (* probe pass: partition 0 resolved immediately, the rest deferred *)
-  let n = Array.length left_rows in
-  Array.iteri
-    (fun i lrow ->
-      Nra_guard.Guard.tick ();
-      off.(i) <- cur.fill;
-      len.(i) <- 0;
-      if not (Row.has_null_on t.lpos lrow) then begin
-        let h = Row.hash_on t.lpos lrow in
-        let p = part t h in
-        if p = 0 then begin
-          push_chain t lrow h t.head.(slot t h) cur;
-          len.(i) <- cur.fill - off.(i)
-        end
-        else B.Spill.add lspills.(p - 1) i
-      end)
-    left_rows;
+  for i = 0 to t.n - 1 do
+    Nra_guard.Guard.tick ();
+    let lrow = left t i in
+    off.(i) <- cur.fill;
+    len.(i) <- 0;
+    if not (Row.has_null_on t.lpos lrow) then begin
+      let h = Row.hash_on t.lpos lrow in
+      let p = part t h in
+      if p = 0 then begin
+        push_chain t lrow h t.head.(slot t h) cur;
+        len.(i) <- cur.fill - off.(i)
+      end
+      else B.Spill.add lspills.(p - 1) i
+    end
+  done;
   Array.iter B.Spill.finish lspills;
   (* [start.(p)]: partition p's match count, then its slice start *)
   let start = Array.make nparts 0 in
@@ -391,7 +401,7 @@ let probe_grace t ~nparts left_rows ~off ~len cur =
                t.head.(s) <- j);
            B.Spill.iter_raw lspills.(k) (fun i ->
                Pool.Ledger.tick ledger;
-               let lrow = left_rows.(i) in
+               let lrow = left t i in
                let h = Row.hash_on t.lpos lrow in
                let c = count_chain t lrow h t.head.(slot t h) 0 in
                len.(i) <- c;
@@ -412,7 +422,7 @@ let probe_grace t ~nparts left_rows ~off ~len cur =
          for k = lo to hi - 1 do
            let at = ref start.(k + 1) in
            B.Spill.iter_raw lspills.(k) (fun i ->
-               let lrow = left_rows.(i) in
+               let lrow = left t i in
                let h = Row.hash_on t.lpos lrow in
                off.(i) <- !at;
                at := !at + len.(i);
@@ -420,18 +430,17 @@ let probe_grace t ~nparts left_rows ~off ~len cur =
            Pool.Ledger.consumed_spill ledger rspills.(k);
            Pool.Ledger.consumed_spill ledger lspills.(k)
          done));
-  probes t n
+  probes t t.n
 
 (* A Cartesian site (no equi-conjunct, trivially-true [on]): every left
    row points at one shared range of all the build entries, so memory
    stays O(left + right). *)
-let probe_cartesian ~m ~sel left_rows ~off ~len cur =
+let probe_cartesian ~m ~sel ~n ~off ~len cur =
   cur.buf <- Scratch.grow cur.buf ~keep:0 m;
   for j = 0 to m - 1 do
     cur.buf.(j) <- (match sel with None -> j | Some s -> s.(j))
   done;
   cur.fill <- m;
-  let n = Array.length left_rows in
   let point ~lo ~hi =
     for i = lo to hi - 1 do
       off.(i) <- 0;
@@ -451,12 +460,16 @@ let probe_cartesian ~m ~sel left_rows ~off ~len cur =
       point ~lo:i ~hi:(i + 1)
     done
 
-let with_matches ~on ?sel left right f =
+let with_matches ~on ?left_sel ?sel left right f =
   let left_arity = Schema.arity (Relation.schema left) in
   let equi, residual = Expr.split_equi ~left_arity on in
-  let left_rows = Relation.rows left in
+  let lrows = Relation.rows left in
   let rows = Relation.rows right in
-  let n = Array.length left_rows in
+  let lsel, n =
+    match left_sel with
+    | Some (s, count) -> (Some s, count)
+    | None -> (None, Array.length lrows)
+  in
   let sel, m =
     match sel with
     | Some (s, count) -> (Some s, count)
@@ -467,7 +480,7 @@ let with_matches ~on ?sel left right f =
   let cur = { buf = Scratch.borrow (max n m); fill = 0 } in
   Fun.protect ~finally:(fun () -> Scratch.release cur.buf) @@ fun () ->
   if equi = [] && trivially_true on then
-    probe_cartesian ~m ~sel left_rows ~off ~len cur
+    probe_cartesian ~m ~sel ~n ~off ~len cur
   else begin
     let grace =
       let build_pages = Nra_storage.Iosim.pages m in
@@ -487,6 +500,9 @@ let with_matches ~on ?sel left right f =
         rows;
         sel;
         m;
+        lrows;
+        lsel;
+        n;
         lpos = Array.of_list (List.map fst equi);
         rpos = Array.of_list (List.map snd equi);
         residual = (if equi = [] then on else Expr.conj residual);
@@ -505,13 +521,13 @@ let with_matches ~on ?sel left right f =
         (* the grace/hybrid path runs its spilled partitions under the
            Domain pool itself (iter_raw workers + owner-side ledger
            replay), so out-of-core and parallel compose *)
-        probe_grace t ~nparts left_rows ~off ~len cur
+        probe_grace t ~nparts ~off ~len cur
     | None ->
         let parallel =
           Pool.use_parallel (if equi = [] then n else max n m)
         in
-        if parallel then probe_parallel t left_rows ~off ~len cur
-        else probe_serial t left_rows ~off ~len cur
+        if parallel then probe_parallel t ~off ~len cur
+        else probe_serial t ~off ~len cur
   end;
   f { off; len; pos = cur.buf }
 

@@ -34,8 +34,8 @@ type matches = { off : int array; len : int array; pos : int array }
     site points at one shared range. *)
 
 val with_matches :
-  on:Expr.pred -> ?sel:int array * int -> Relation.t -> Relation.t ->
-  (matches -> 'a) -> 'a
+  on:Expr.pred -> ?left_sel:int array * int -> ?sel:int array * int ->
+  Relation.t -> Relation.t -> (matches -> 'a) -> 'a
 (** [with_matches ~on left right f] runs the probe primitive every
     variant shares and hands [f] its vectors: for each left row (by
     position), the right rows that satisfy [on].  [join kind] is
@@ -47,7 +47,9 @@ val with_matches :
     With [~sel:(sel, count)] the build side is the [count] rows of
     [right] at positions [sel.(0)] ... [sel.(count - 1)] (ascending),
     as if [right] had been gathered through them; [pos] then holds
-    positions into [right] itself.
+    positions into [right] itself.  [~left_sel:(lsel, n)] does the same
+    for the probe side: left row [i] is row [lsel.(i)] of [left], for
+    [i < n], and [off]/[len] are indexed by [i].
 
     The vectors are borrowed from {!Nra_relational.Scratch} for the
     extent of [f] and returned however [f] ends: [f] must not keep

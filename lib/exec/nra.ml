@@ -152,12 +152,19 @@ let nest_select nest st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted wide =
   st.nest_select_seconds <- st.nest_select_seconds +. (now () -. t0);
   result
 
-(* Is the relation already in [Row.compare] order?  Then a stable sort
-   of its positions is the identity. *)
-let in_key_order rows =
-  let n = Array.length rows in
+(* An outer frame handed on as a one-table block's base rows plus the
+   selection vector of its columnar filter ({!Frame.with_block_input}),
+   or as a relation ([None]); a consumer that cannot read through the
+   selection gathers the rows [block_relation] would have built. *)
+let gathered rel = function
+  | None -> rel
+  | Some (sel, count) -> Relation.gather rel sel count
+
+(* Are the [n] rows [row 0] ... [row (n - 1)] already in [Row.compare]
+   order?  Then a stable sort of their positions is the identity. *)
+let in_key_order n row =
   let rec go i =
-    i >= n || (Row.compare rows.(i - 1) rows.(i) <= 0 && go (i + 1))
+    i >= n || (Row.compare (row (i - 1)) (row i) <= 0 && go (i + 1))
   in
   go 1
 
@@ -168,7 +175,10 @@ let in_key_order rows =
    product, a staging copy, nor an element row is built, and only the
    (narrow) outer rows are sorted — unless they are already in key
    order.  The output is listed as outer positions in a borrowed
-   buffer and gathered once.
+   buffer and gathered once.  An outer frame that arrives as base rows
+   plus a selection vector ([osel]) is read through it throughout: the
+   offset vectors, the sort and the output list are indexed by selected
+   position, and only the kept rows are ever gathered.
 
    Byte-identical to joining, staging, stably sorting the staging on
    the outer columns and scanning runs: the staging row of outer row
@@ -182,8 +192,8 @@ let in_key_order rows =
    the right row through keep expressions remapped into the right
    frame; only one that reads an outer column evaluates on the
    concatenated row. *)
-let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted rel
-    child_rel (m : J.matches) =
+let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted ?osel
+    rel child_rel (m : J.matches) =
   let t0 = now () in
   let crows = Relation.rows child_rel in
   let key_arity = Schema.arity key_schema in
@@ -213,12 +223,16 @@ let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted rel
       LP.step f (linked lrow rrow)
   in
   let outer = Relation.rows rel in
-  let n = Array.length outer in
+  let n, row =
+    match osel with
+    | None -> (Array.length outer, Array.get outer)
+    | Some (sel, count) -> (count, fun i -> outer.(Array.unsafe_get sel i))
+  in
   let pos =
-    if sorted || in_key_order outer then Fun.id
+    if sorted || in_key_order n row then Fun.id
     else begin
       let order = Array.init n Fun.id in
-      Array.stable_sort (fun i j -> Row.compare outer.(i) outer.(j)) order;
+      Array.stable_sort (fun i j -> Row.compare (row i) (row j)) order;
       Array.get order
     end
   in
@@ -230,11 +244,11 @@ let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted rel
   while !k < n do
     Nra_guard.Guard.tick ();
     let first = pos !k in
-    let key = outer.(first) in
+    let key = row first in
     LP.start f ~outer:key;
-    while !k < n && Row.equal key outer.(pos !k) do
+    while !k < n && Row.equal key (row (pos !k)) do
       let i = pos !k in
-      let lrow = outer.(i) in
+      let lrow = row i in
       if m.len.(i) = 0 then step_one lrow right_nulls
       else
         for q = m.off.(i) to m.off.(i) + m.len.(i) - 1 do
@@ -257,10 +271,10 @@ let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted rel
   let rows =
     Array.init !kept (fun k ->
         let i = out.(k) in
-        if i >= 0 then outer.(i)
+        if i >= 0 then row i
         else
           match mode with
-          | Pad pad -> padded pad outer.(-i - 1)
+          | Pad pad -> padded pad (row (-i - 1))
           | Discard -> assert false)
   in
   st.nest_select_seconds <- st.nest_select_seconds +. (now () -. t0);
@@ -327,10 +341,14 @@ let check_plan (p : Plan.t) =
     (Plan.nodes p)
     (Plan.nodes (Plan.renormalize p))
 
-let rec process st (rel, sorted_prefix) (p : A.block) nodes =
-  List.fold_left
-    (fun acc n -> apply_child st ~parent:p acc n)
-    (rel, sorted_prefix) nodes
+(* [?sel]: the block's outer frame arrives as base rows plus a
+   selection ([gathered]); only the first site sees it, since every site
+   hands the next one a relation *)
+let rec process st ?sel (rel, sorted_prefix) (p : A.block) nodes =
+  match nodes with
+  | [] -> (gathered rel sel, sorted_prefix)
+  | n :: rest ->
+      process st (apply_child st ~parent:p ?sel (rel, sorted_prefix) n) p rest
 
 and reduce_standalone st (n : Plan.node) : Relation.t =
   let b = n.Plan.child.A.block in
@@ -338,7 +356,7 @@ and reduce_standalone st (n : Plan.node) : Relation.t =
   let rel', _ = process st (rel, 0) b n.Plan.sub in
   rel'
 
-and apply_child st ~parent (rel, sorted_prefix) (n : Plan.node) =
+and apply_child st ~parent ?sel (rel, sorted_prefix) (n : Plan.node) =
   let c = n.Plan.child in
   let b = c.A.block in
   let key_schema = Relation.schema rel in
@@ -354,6 +372,7 @@ and apply_child st ~parent (rel, sorted_prefix) (n : Plan.node) =
       (* virtual Cartesian product: the subquery is evaluated once and
          its value set — one set, under the empty key — shared by every
          outer tuple *)
+      let rel = gathered rel sel in
       let child_red = reduce_standalone st n in
       let lk =
         Linkeval.compile ~key_schema
@@ -369,6 +388,7 @@ and apply_child st ~parent (rel, sorted_prefix) (n : Plan.node) =
   | Plan.Push_down ->
       (* §4.2.4: group the reduced child by its correlation key once;
          probe per outer tuple *)
+      let rel = gathered rel sel in
       let pairs = Option.get (A.equi_correlation b) in
       let child_red = reduce_standalone st n in
       let cschema = Relation.schema child_red in
@@ -397,6 +417,7 @@ and apply_child st ~parent (rel, sorted_prefix) (n : Plan.node) =
       (rel', min sorted_prefix sp_after_select)
   | Plan.Semijoin ->
       (* §4.2.5: σ_{AθSOME{B}}(υ(R ⟕_C S)) = R ⋉_{C ∧ AθB} S *)
+      let rel = gathered rel sel in
       let child_rel = Frame.block_relation b in
       let concat = Schema.append key_schema (Relation.schema child_rel) in
       let corr = Frame.to_pred concat b.A.correlated in
@@ -423,14 +444,14 @@ and apply_child st ~parent (rel, sorted_prefix) (n : Plan.node) =
       (* §4.2.3: reduce the subquery standalone, then one outer join
          and one nest+selection at this level *)
       let child_red = reduce_standalone st n in
-      join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel n
-        (`Reduced child_red)
+      join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select ?sel rel
+        n (`Reduced child_red)
   | Plan.Top_down nest ->
       (* Algorithm 1, general top-down case *)
-      join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel n
-        (`Block b)
+      join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select ?sel rel
+        n (`Block b)
 
-and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel
+and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select ?sel rel
     (n : Plan.node) child =
   let c = n.Plan.child in
   let b = c.A.block in
@@ -447,21 +468,25 @@ and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel
   let sorted = sorted_prefix >= key_arity in
   if (not feeds_grandchildren) && nest_pipelined nest ~sorted then begin
     (* a one-table child block with a columnar filter is probed as its
-       base rows through the filter's selection vector *)
+       base rows through the filter's selection vector, and so is an
+       outer frame handed on that way *)
     let with_input f =
       match child with
       | `Reduced r -> f r None
       | `Block b -> Frame.with_block_input b f
     in
-    with_input @@ fun child_rel sel ->
+    with_input @@ fun child_rel csel ->
     let concat, on = concat_on child_rel in
     let t0 = now () in
-    J.with_matches ~on ?sel rel child_rel @@ fun m ->
+    J.with_matches ~on ?left_sel:sel ?sel:csel rel child_rel @@ fun m ->
     st.join_seconds <- st.join_seconds +. (now () -. t0);
     (* the logical wide cardinality: one row per match, one padded row
        per unmatched outer row *)
+    let nouter =
+      match sel with Some (_, c) -> c | None -> Relation.cardinality rel
+    in
     let wide_rows = ref 0 in
-    for i = 0 to Relation.cardinality rel - 1 do
+    for i = 0 to nouter - 1 do
       wide_rows := !wide_rows + max 1 m.J.len.(i)
     done;
     let wide_rows = !wide_rows in
@@ -472,12 +497,14 @@ and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select rel
     let rel' =
       Nra_storage.Governor.with_charged ~rows:wide_rows
         ~width:(Schema.arity concat) (fun () ->
-          fused_nest_select st ~key_schema ~lk ~mode ~sorted rel child_rel m)
+          fused_nest_select st ~key_schema ~lk ~mode ~sorted ?osel:sel rel
+            child_rel m)
     in
     st.fused_sites <- st.fused_sites + 1;
     (rel', sp_after_select)
   end
   else begin
+    let rel = gathered rel sel in
     let child_rel =
       match child with `Reduced r -> r | `Block b -> Frame.block_relation b
     in
@@ -530,8 +557,11 @@ let run_where ?(options = optimized) ?directives _cat (t : A.t) =
       fused_sites = 0;
     }
   in
-  let rel = Frame.block_relation t.A.root in
-  let rel', _ = process st (rel, 0) t.A.root plan.Plan.roots in
+  (* the root frame as base rows plus a selection where its filter
+     compiles to the columnar subset: a fused site reads through it, any
+     other consumer gathers exactly the rows [block_relation] builds *)
+  Frame.with_block_input t.A.root @@ fun rel sel ->
+  let rel', _ = process st ?sel (rel, 0) t.A.root plan.Plan.roots in
   (rel', st)
 
 let run ?options ?directives cat t =

@@ -53,6 +53,9 @@ let filter p t = { t with rows = Array.of_list (List.filter p (Array.to_list t.r
 
 let map_rows schema f t = make schema (Array.map f t.rows)
 
+let gather t sel count =
+  { t with rows = Array.init count (fun k -> t.rows.(Array.unsafe_get sel k)) }
+
 let project t idxs =
   {
     schema = Schema.project t.schema idxs;

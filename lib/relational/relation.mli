@@ -29,6 +29,12 @@ val typecheck : t -> (unit, string) result
 
 val filter : (Row.t -> bool) -> t -> t
 val map_rows : Schema.t -> (Row.t -> Row.t) -> t -> t
+
+val gather : t -> int array -> int -> t
+(** [gather t sel count]: the rows of [t] at positions [sel.(0)] ...
+    [sel.(count - 1)], in that order, under [t]'s schema.  [sel] may be
+    longer than [count]. *)
+
 val project : t -> int list -> t
 val append : t -> t -> t
 

@@ -1,4 +1,4 @@
-let cap = 8
+let cap = 16
 
 (* [free] has [cap] slots; an empty slot holds [[||]].  Borrowing and
    releasing scan the slots in place, so they allocate nothing. *)

@@ -20,7 +20,7 @@
     starts; workers only write disjoint slices of it. *)
 
 val cap : int
-(** The most buffers the free list keeps (8). *)
+(** The most buffers the free list keeps (16). *)
 
 val borrow : int -> int array
 (** A buffer of length at least [n]: the shortest free buffer that

@@ -52,10 +52,12 @@ let flip_op = function
   | Gt -> Lt
   | Ge -> Le
 
+(* NULL first, then a plain comparison: no [int option] per call *)
 let cmp op a b =
-  match Value.cmp3 a b with
-  | None -> Unknown
-  | Some c ->
+  match (a, b) with
+  | Value.Null, _ | _, Value.Null -> Unknown
+  | _ ->
+      let c = Value.compare a b in
       of_bool
         (match op with
         | Eq -> c = 0

@@ -72,6 +72,11 @@ let lru = Lru.create ~capacity:max_int
 let dirty = ref [||]
 let pins = ref [||]
 
+(* Frames whose writeback charge is running.  Each one is pinned, so no
+   other task picks it as a victim and writes it back again, and it
+   already counts as gone, so the budget needs no other frame for it. *)
+let leaving = ref 0
+
 let enabled () = match !frame_budget with Some _ -> true | None -> false
 let frames () = !frame_budget
 
@@ -87,6 +92,7 @@ let stats () =
 
 let reset () =
   Lru.clear lru;
+  leaving := 0;
   hits := 0;
   misses := 0;
   evictions := 0;
@@ -106,6 +112,13 @@ let page_in () = Iosim.charge_page_in 1
 let page_out () = Iosim.charge_page_out 1
 let unpinned s = !pins.(s) = 0
 
+(* the end of a writeback charge, however it ends ([reset] may have
+   cleared the pool meanwhile) *)
+let written_back key =
+  if !leaving > 0 then decr leaving;
+  let s = Lru.find lru key in
+  if s >= 0 then !pins.(s) <- max 0 (!pins.(s) - 1)
+
 (* Evict down to the frame budget: least-recently-used unpinned frames
    go first; a dirty victim is written back (one charged page) before
    the frame is reused.  If every frame is pinned the pool over-commits
@@ -114,21 +127,29 @@ let unpinned s = !pins.(s) = 0
    simulation can make where a real pool would block.
 
    A charge may suspend the task: a fault's backoff is a scheduler
-   sleep, and other tasks use the pool meanwhile.  So no slot is held
-   across a charge; the page is looked up again by its key after it. *)
+   sleep, and other tasks use the pool meanwhile.  So a victim is
+   pinned and counted in [leaving] for the length of its writeback, and
+   removed by its key after it. *)
+let write_back key s =
+  !pins.(s) <- !pins.(s) + 1;
+  incr leaving;
+  (match Fault.with_retries page_out with
+  | () -> ()
+  | exception e ->
+      written_back key;
+      raise e);
+  written_back key;
+  incr writebacks;
+  Lru.remove lru key
+
 let rec enforce () =
   match !frame_budget with
   | None -> ()
   | Some f ->
-      if Lru.size lru > f then begin
+      if Lru.size lru - !leaving > f then begin
         let s = Lru.victim lru unpinned in
         if s >= 0 then begin
-          if !dirty.(s) then begin
-            let key = Lru.key lru s in
-            Fault.with_retries page_out;
-            incr writebacks;
-            Lru.remove lru key
-          end
+          if !dirty.(s) then write_back (Lru.key lru s) s
           else Lru.remove_slot lru s;
           incr evictions;
           enforce ()

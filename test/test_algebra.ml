@@ -45,6 +45,35 @@ let test_project_exprs () =
     ]
     r
 
+(* The output rows and their array are all a projection allocates per
+   row: no closure per row.  Column and constant expressions allocate
+   nothing when evaluated, so the rest is per call. *)
+let test_project_exprs_alloc () =
+  let n = 10_000 in
+  let rel =
+    Relation.make
+      (Schema.of_columns
+         [ Schema.column "a" Ttype.Int; Schema.column "b" Ttype.Int ])
+      (Array.init n (fun i -> [| vi i; vi (2 * i) |]))
+  in
+  let items =
+    [
+      (Expr.Col 1, Schema.column "b" Ttype.Int);
+      (Expr.Const (vi 7), Schema.column "k" Ttype.Int);
+      (Expr.Col 0, Schema.column "a" Ttype.Int);
+    ]
+  in
+  let words =
+    words_per 5 (fun _ ->
+        ignore (Sys.opaque_identity (B.project_exprs items rel)))
+  in
+  (* a header and three fields per row, a header and a slot per row for
+     the array *)
+  let rows_and_array = float_of_int ((n * 4) + n + 1) in
+  if words > rows_and_array +. 1000.0 then
+    Alcotest.failf "project_exprs allocated %.0f words for %.0f of output"
+      words rows_and_array
+
 let test_product_limit_distinct () =
   let p = B.product (left ()) (right ()) in
   Alcotest.(check int) "product" 16 (Relation.cardinality p);
@@ -322,10 +351,14 @@ let check_rows_exact what expected got =
       (Format.asprintf "%s:@.expected@.%a@.got@.%a" what Relation.pp expected
          Relation.pp got)
 
-let positions ?sel ~on left right =
-  J.with_matches ~on ?sel left right (fun m ->
-      Array.init (Relation.cardinality left) (fun i ->
-          Array.sub m.J.pos m.J.off.(i) m.J.len.(i)))
+let positions ?left_sel ?sel ~on left right =
+  let n =
+    match left_sel with
+    | Some (_, count) -> count
+    | None -> Relation.cardinality left
+  in
+  J.with_matches ~on ?left_sel ?sel left right (fun m ->
+      Array.init n (fun i -> Array.sub m.J.pos m.J.off.(i) m.J.len.(i)))
 
 let with_variant variant f =
   let io = Iosim.config () and domains = Pool.size ()
@@ -393,25 +426,23 @@ let test_offset_variants () =
         off_preds)
     off_inputs
 
+let off_sels =
+  [
+    ("odd rows", Array.init 30 (fun k -> (2 * k) + 1));
+    ("with NULL keys", [| 0; 3; 14; 25; 36; 47; 58; 59 |]);
+    ("none", [||]);
+  ]
+
+(* a longer, borrowed-style buffer: only the first [count] count *)
+let borrowed sel = (Array.append sel (Array.make 7 (-1)), Array.length sel)
+
 (* Probing the base relation through a selection vector equals probing
    the gathered relation, with positions mapped through the selection. *)
 let test_offset_selection () =
-  let sels =
-    [
-      ("odd rows", Array.init 30 (fun k -> (2 * k) + 1));
-      ("with NULL keys", [| 0; 3; 14; 25; 36; 47; 58; 59 |]);
-      ("none", [||]);
-    ]
-  in
   List.iter
     (fun (sname, sel) ->
-      let count = Array.length sel in
-      (* a longer, borrowed-style buffer: only the first [count] count *)
-      let buf = Array.append sel (Array.make 7 (-1)) in
-      let gathered =
-        Relation.make (Relation.schema off_right)
-          (Array.map (fun p -> (Relation.rows off_right).(p)) sel)
-      in
+      let buf, count = borrowed sel in
+      let gathered = Relation.gather off_right sel count in
       List.iter
         (fun (pname, on) ->
           List.iter
@@ -425,7 +456,42 @@ let test_offset_selection () =
                     (positions ~on ~sel:(buf, count) off_left off_right)))
             variants)
         off_preds)
-    sels
+    off_sels
+
+(* The same on the probe side: left row [i] is row [lsel.(i)] of the
+   base relation, and the offsets are indexed by [i].  The left rows
+   kept are those of the first 40 positions of each selection. *)
+let test_offset_left_selection () =
+  List.iter
+    (fun (sname, sel) ->
+      let sel =
+        Array.of_list (List.filter (fun p -> p < 40) (Array.to_list sel))
+      in
+      let lbuf, lcount = borrowed sel in
+      let rbuf, rcount = borrowed [| 1; 2; 3; 5; 8; 13; 21; 34; 55 |] in
+      let gathered = Relation.gather off_left sel lcount in
+      let rgathered = Relation.gather off_right rbuf rcount in
+      List.iter
+        (fun (pname, on) ->
+          List.iter
+            (fun (vname, variant) ->
+              with_variant variant (fun () ->
+                  let on = on_for variant on in
+                  let what = Printf.sprintf "%s, %s, %s" sname pname vname in
+                  Alcotest.(check (array (array int)))
+                    (what ^ ": left")
+                    (positions ~on gathered off_right)
+                    (positions ~on ~left_sel:(lbuf, lcount) off_left
+                       off_right);
+                  Alcotest.(check (array (array int)))
+                    (what ^ ": both")
+                    (Array.map (Array.map (fun p -> rbuf.(p)))
+                       (positions ~on gathered rgathered))
+                    (positions ~on ~left_sel:(lbuf, lcount)
+                       ~sel:(rbuf, rcount) off_left off_right)))
+            variants)
+        off_preds)
+    off_sels
 
 (* ---------- borrowed buffers ----------
 
@@ -472,13 +538,7 @@ let test_scratch_exception () =
   Alcotest.(check int) "released on raise" 0 (Scratch.live ());
   Alcotest.(check int) "back on the free list" 1 (Scratch.free_count ())
 
-(* ---------- allocation pin ---------- *)
-
-let allocated_words f =
-  let minor, promoted, major = Gc.counters () in
-  f ();
-  let minor', promoted', major' = Gc.counters () in
-  minor' -. minor +. (major' -. major) -. (promoted' -. promoted)
+(* ---------- allocation pins ---------- *)
 
 (* After a warm-up at the larger size, a serial equi-join probe
    allocates the same words at 10 K and at 40 K build rows: nothing per
@@ -494,7 +554,7 @@ let test_offset_allocation () =
   let on = Expr.Cmp (T.Eq, Expr.Col 0, Expr.Col 2) in
   let probe n =
     let left = keyed n and right = keyed n in
-    allocated_words (fun () ->
+    words_per 1 (fun _ ->
         ignore (J.with_matches ~on left right (fun m -> m.J.len.(0))))
   in
   ignore (probe 40_000);
@@ -524,6 +584,8 @@ let () =
         [
           Alcotest.test_case "select (3VL)" `Quick test_select;
           Alcotest.test_case "project_exprs" `Quick test_project_exprs;
+          Alcotest.test_case "project_exprs allocates only its output"
+            `Quick test_project_exprs_alloc;
           Alcotest.test_case "product/limit/distinct" `Quick
             test_product_limit_distinct;
         ] );
@@ -553,6 +615,8 @@ let () =
             test_offset_variants;
           Alcotest.test_case "selection = gathered" `Quick
             test_offset_selection;
+          Alcotest.test_case "left selection = gathered" `Quick
+            test_offset_left_selection;
           Alcotest.test_case "serial probe allocates per join, not per row"
             `Quick test_offset_allocation;
           Alcotest.test_case "cartesian shares one range" `Quick

@@ -3,11 +3,12 @@
    against the materialized nest of the original variant: byte-identical
    CSV and identical fetched-row charges at every pool size and frame
    budget, faults on.  The corpus covers the Figure 4–9 queries, the
-   Query 1-JA links, the emp/dept subquery corpus, and the cases the
-   fusion argument rests on: runs of equal outer rows left by σ̄
-   padding, element order within a group, keep expressions that read an
-   outer column, and outer relations that arrive key-sorted or out of
-   key order. *)
+   Query 1-JA links over an outer block read through its filter's
+   selection vector, gathered, or unfiltered, the emp/dept subquery
+   corpus, and the cases the fusion argument rests on: runs of equal
+   outer rows left by σ̄ padding, element order within a group, keep
+   expressions that read an outer column, and outer relations that
+   arrive key-sorted or out of key order. *)
 
 open Nra
 open Test_support
@@ -103,18 +104,69 @@ let figure_corpus =
         [ q3 Q.Any true variant; q3 Q.All false variant ])
       [ Q.A; Q.B; Q.C ]
 
+let ja_links = [ Q.Ja_in; Q.Ja_not_in; Q.Ja_gt_all; Q.Ja_scalar_eq ]
+
 let ja_corpus =
   let lo, hi = Q.q1_window ~outer_fraction:0.2 in
-  List.map
-    (fun link -> Q.q1_ja ~link ~date_lo:lo ~date_hi:hi)
-    [ Q.Ja_in; Q.Ja_not_in; Q.Ja_gt_all; Q.Ja_scalar_eq ]
+  List.map (fun link -> Q.q1_ja ~link ~date_lo:lo ~date_hi:hi) ja_links
+
+(* The same links over the two other shapes of the outer block: a
+   filter the columnar path cannot compile (a LIKE), so the site gathers
+   the outer rows, and no filter at all, so the outer frame is the base
+   table itself.  The corpus above reads its outer rows through the
+   filter's selection vector. *)
+let ja_over ~outer link =
+  Printf.sprintf
+    "select o_orderkey, o_orderpriority from orders where %s o_totalprice \
+     %s (select max(l_extendedprice) from lineitem where l_orderkey = \
+     o_orderkey and l_commitdate < l_receiptdate and l_shipdate < \
+     l_commitdate)"
+    outer (Q.ja_link_str link)
+
+let ja_like_corpus =
+  let lo, hi = Q.q1_window ~outer_fraction:0.2 in
+  let outer =
+    Printf.sprintf
+      "o_orderdate >= date '%s' and o_orderdate < date '%s' and o_comment \
+       like '%%E%%' and"
+      lo hi
+  in
+  List.map (ja_over ~outer) ja_links
+
+let ja_unfiltered_corpus = List.map (ja_over ~outer:"") ja_links
+
+(* does the root block's filter compile to a selection vector? *)
+let columnar_root cat sql =
+  match A.analyze_string cat sql with
+  | Error m -> Alcotest.fail m
+  | Ok t -> (
+      let root = t.A.root in
+      match (Exec.Frame.single_binding root, root.A.local) with
+      | Some bd, _ :: _ ->
+          let base = Table.relation bd.A.table in
+          Option.is_some
+            (Algebra.Basic.selection ~batch:(Table.batch bd.A.table)
+               (Exec.Frame.to_pred (Relation.schema base) root.A.local)
+               base)
+      | _ -> false)
 
 (* every one of them has a leaf site *)
 let test_figures () =
   check_matrix ~must_fuse:figure_corpus (Lazy.force tpch_cat) figure_corpus
 
-let test_ja () =
-  check_matrix ~must_fuse:ja_corpus (Lazy.force tpch_cat) ja_corpus
+let check_outer_shape ~columnar corpus =
+  let cat = Lazy.force tpch_cat in
+  List.iter
+    (fun sql ->
+      Alcotest.(check bool) ("columnar outer filter: " ^ sql) columnar
+        (columnar_root cat sql))
+    corpus;
+  check_matrix ~must_fuse:corpus cat corpus
+
+let test_ja () = check_outer_shape ~columnar:true ja_corpus
+
+let test_ja_outer_shapes () =
+  check_outer_shape ~columnar:false (ja_like_corpus @ ja_unfiltered_corpus)
 
 (* ---------- the cases the byte-identity argument rests on ---------- *)
 
@@ -197,11 +249,17 @@ let outer_keep =
 
 (* the second site of the root block sees the first site's key-sorted
    output, so the fused path skips its outer sort; a site over e must
-   sort, or its groups come out in storage order *)
+   sort, or its groups come out in storage order, also when it reads e
+   through its filter's selection vector; a filtered root whose first
+   site feeds a grandchild gathers its rows instead *)
 let outer_order =
   [
     "select eid from e where not exists (select * from p where p.eref = \
      e.eid and p.h > 100)";
+    "select eid from e where s > 5 and not exists (select * from p where \
+     p.eref = e.eid and p.h > 100)";
+    "select did from d where v > 5 and not exists (select * from e where \
+     e.did = d.did and s not in (select h from p where p.eref = e.eid))";
     "select did from d where exists (select * from e where e.did = d.did) \
      and v not in (select h from p where p.did = d.did)";
     "select did from d where not exists (select * from e where e.did = \
@@ -215,6 +273,45 @@ let test_edge_cases () =
 let test_subquery_corpus () =
   check_matrix (emp_dept_catalog ()) subquery_corpus
 
+(* ---------- the fused Query 1-JA site allocates little ----------
+
+   The IN link never holds (no order's total price is the maximum of its
+   own line items' prices), so the site returns no rows, and what a
+   statement allocates is per statement, not per outer row: the outer
+   block is read through its filter's selection vector, the probe and
+   the nest through borrowed buffers, and the verdicts box nothing.  The
+   test sets its own pool size, frame budget and faults. *)
+let test_ja_alloc () =
+  let cat = Lazy.force tpch_cat in
+  let lo, hi = Q.q1_window ~outer_fraction:0.6 in
+  let t =
+    match A.analyze_string cat (Q.q1_ja ~link:Q.Ja_in ~date_lo:lo ~date_hi:hi)
+    with
+    | Ok t -> t
+    | Error m -> Alcotest.fail m
+  in
+  let frames = B.frames () and domains = Pool.size () in
+  Fun.protect
+    ~finally:(fun () ->
+      B.set_frames frames;
+      Pool.set_size domains)
+  @@ fun () ->
+  B.set_frames None;
+  Pool.set_size 0;
+  Fault.disable ();
+  let outer =
+    Relation.cardinality (Exec.Frame.block_relation ~charge:false t.A.root)
+  in
+  let out = ref 0 in
+  let words =
+    words_per 3 (fun _ ->
+        let rel, _ = N.run_where ~options:N.optimized cat t in
+        out := Relation.cardinality rel)
+  in
+  Alcotest.(check int) "no output rows" 0 !out;
+  if words >= float_of_int outer /. 2.0 then
+    Alcotest.failf "%.0f words per statement over %d outer rows" words outer
+
 let () =
   Alcotest.run "fused"
     [
@@ -222,8 +319,15 @@ let () =
         [
           Alcotest.test_case "figure 4-9 queries" `Quick test_figures;
           Alcotest.test_case "query 1-JA links" `Quick test_ja;
+          Alcotest.test_case "query 1-JA, gathered and unfiltered outer"
+            `Quick test_ja_outer_shapes;
           Alcotest.test_case "padded runs, outer keep, presorted" `Quick
             test_edge_cases;
           Alcotest.test_case "subquery corpus" `Quick test_subquery_corpus;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "a Query 1-JA site allocates per statement"
+            `Quick test_ja_alloc;
         ] );
     ]

@@ -232,14 +232,6 @@ let test_cache_disabled () =
    them off itself), so [Fault.with_retries] takes its first-attempt
    path. *)
 
-let minor_words_per n f =
-  f 0;
-  let before = Gc.minor_words () in
-  for i = 1 to n do
-    f i
-  done;
-  (Gc.minor_words () -. before) /. float_of_int n
-
 let page_in () = I.charge_page_in 1
 
 let test_charges_no_alloc () =
@@ -249,7 +241,7 @@ let test_charges_no_alloc () =
       let check name f =
         Alcotest.(check bool)
           (name ^ " allocates nothing") true
-          (minor_words_per n f < 0.01)
+          (Test_support.words_per n f < 0.01)
       in
       let charges () =
         check "charge_scan_rows" (fun i -> I.charge_scan_rows (i land 255));

@@ -160,14 +160,6 @@ let test_pin_overcommit () =
    holds at every CI stress point; a warm-up round first grows the
    frame arrays to their working size. *)
 
-let minor_words_per n f =
-  f 0;
-  let before = Gc.minor_words () in
-  for i = 1 to n do
-    f i
-  done;
-  (Gc.minor_words () -. before) /. float_of_int n
-
 let check_no_alloc name per_op =
   Alcotest.(check bool) (name ^ " allocates nothing") true (per_op < 0.01)
 
@@ -176,14 +168,16 @@ let test_bufpool_no_alloc () =
       Fault.disable ();
       let t = B.owner "t" and n = 100_000 in
       B.read t 0;
-      check_no_alloc "a hit" (minor_words_per n (fun _ -> B.read t 0));
+      check_no_alloc "a hit"
+        (Test_support.words_per n (fun _ -> B.read t 0));
       (* 64 pages cycled through 4 frames: every access misses *)
       check_no_alloc "a miss"
-        (minor_words_per n (fun i -> B.read t (1 + (i mod 64))));
+        (Test_support.words_per n (fun i -> B.read t (1 + (i mod 64))));
       check_no_alloc "a dirty writeback"
-        (minor_words_per n (fun i -> B.write t (100 + (i mod 64))));
+        (Test_support.words_per n (fun i ->
+             B.write t (100 + (i mod 64))));
       check_no_alloc "a pin/unpin pair"
-        (minor_words_per n (fun i ->
+        (Test_support.words_per n (fun i ->
              let p = 200 + (i mod 64) in
              B.pin t p;
              B.unpin t p));
@@ -194,7 +188,7 @@ let test_bufpool_no_alloc () =
       let buf = Array.make (n + 1) 0 in
       let sp = B.Spill.create buf ~base:0 in
       check_no_alloc "Spill.add"
-        (minor_words_per n (fun i -> B.Spill.add sp i));
+        (Test_support.words_per n (fun i -> B.Spill.add sp i));
       Alcotest.(check bool) "spill pages written" true
         ((B.stats ()).B.spilled_pages >= n / 2);
       B.Spill.free sp)

@@ -553,10 +553,12 @@ let test_head_of_line () =
 (* ---------- a pool charge that sleeps ----------
 
    A fault's backoff suspends the task inside the buffer pool: here in
-   the writeback of the frame it is evicting.  The other task evicts
-   that same frame meanwhile and takes a frame of its own, which may
-   reuse the victim's slot.  When the first task resumes, it must drop
-   its victim by page, not by the slot it held before the sleep. *)
+   the writeback of the frame it is evicting.  The frame is pinned for
+   the length of the charge and already counts as gone, so the other
+   task neither writes it back a second time nor evicts the page it
+   just read: it evicts the first task's page instead.  When the first
+   task resumes, it drops its victim by page, not by the slot it held
+   before the sleep. *)
 let test_pool_charge_sleeps () =
   let fault = Nra.Fault.config () and frames = Bufpool.frames () in
   Nra.Fault.disable ();
@@ -583,6 +585,8 @@ let test_pool_charge_sleeps () =
     (Bufpool.resident b 0);
   Alcotest.(check bool) "a0 evicted" false (Bufpool.resident a 0);
   Alcotest.(check bool) "a1 evicted" false (Bufpool.resident a 1);
+  Alcotest.(check int) "a0 written back once" 1
+    (Bufpool.stats ()).Bufpool.writebacks;
   Bufpool.read b 0;
   Alcotest.(check int) "b0 is a hit" 1 (Bufpool.stats ()).Bufpool.hits
 

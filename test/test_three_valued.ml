@@ -63,6 +63,63 @@ let test_cmp () =
   Alcotest.check t3 "int vs float" T.True (T.cmp T.Le (vi 3) (vf 3.0));
   Alcotest.check t3 "neq" T.True (T.cmp T.Neq (vs "a") (vs "b"))
 
+(* one value of every constructor, NULL included, and an Int/Float pair
+   that compares equal across the two *)
+let cmp_values =
+  [|
+    Value.Null; Value.Bool true; vi 3; vf 3.0; vf 2.5; vs "x"; Value.Date 100;
+  |]
+
+let cmp_ops = [| T.Eq; T.Neq; T.Lt; T.Le; T.Gt; T.Ge |]
+
+(* the truth table: Unknown with a NULL side, else the sign of
+   [Value.compare] *)
+let test_cmp_table () =
+  Array.iter
+    (fun op ->
+      Array.iter
+        (fun a ->
+          Array.iter
+            (fun b ->
+              let expected =
+                match Value.cmp3 a b with
+                | None -> T.Unknown
+                | Some c ->
+                    T.of_bool
+                      (match op with
+                      | T.Eq -> c = 0
+                      | T.Neq -> c <> 0
+                      | T.Lt -> c < 0
+                      | T.Le -> c <= 0
+                      | T.Gt -> c > 0
+                      | T.Ge -> c >= 0)
+              in
+              Alcotest.check t3
+                (Format.asprintf "%a %s %a" Value.pp a (T.cmpop_to_string op)
+                   Value.pp b)
+                expected (T.cmp op a b))
+            cmp_values)
+        cmp_values)
+    cmp_ops
+
+(* every fold verdict and row-at-a-time comparison goes through
+   [T.cmp]: it must not box the comparison's sign *)
+let test_cmp_no_alloc () =
+  Array.iter
+    (fun a ->
+      Array.iter
+        (fun b ->
+          let words =
+            words_per 10_000 (fun i ->
+                ignore
+                  (Sys.opaque_identity (T.cmp cmp_ops.(i mod 6) a b)))
+          in
+          if words >= 0.01 then
+            Alcotest.failf "cmp %a %a allocates %.2f words per call" Value.pp
+              a Value.pp b words)
+        cmp_values)
+    cmp_values
+
 let test_negate_flip () =
   let ops = [ T.Eq; T.Neq; T.Lt; T.Le; T.Gt; T.Ge ] in
   List.iter
@@ -122,6 +179,9 @@ let () =
           Alcotest.test_case "conj/disj" `Quick test_conj_disj;
           Alcotest.test_case "to_bool" `Quick test_to_bool;
           Alcotest.test_case "cmp" `Quick test_cmp;
+          Alcotest.test_case "cmp over every constructor pair" `Quick
+            test_cmp_table;
+          Alcotest.test_case "cmp allocates nothing" `Quick test_cmp_no_alloc;
           Alcotest.test_case "negate/flip" `Quick test_negate_flip;
         ] );
       ( "properties",
