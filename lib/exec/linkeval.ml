@@ -83,75 +83,179 @@ let linked_of lk =
       | Expr.Col j -> fun row -> row.(j)
       | e -> fun row -> Expr.eval_scalar row e)
 
-(* ---------- keyed sets ---------- *)
+(* ---------- keyed sets ----------
 
-type keyed =
-  | Folds of LP.fold Row.Tbl.t * LP.fold  (* one per key; the empty set *)
-  | Values of Value.t list Row.Tbl.t * LP.fold
-      (* each key's linked values in order; a scratch fold *)
+   A chained table over the inner rows, or over the [m] of them a
+   selection vector names: entry [j] is row [row_at t j].  [head.(b)] is
+   bucket [b]'s first entry and [next.(j)] the next entry of [j]'s
+   chain; linking from the last entry to the first leaves every chain in
+   row order, so the entries of one key are visited in the order the
+   rows arrive.  Entries with a NULL key component are never linked.
+   Both arrays are borrowed from [Scratch] for the extent of the scope,
+   and the key columns are hashed and compared in place: building and
+   probing allocate nothing per row. *)
 
-let key_of keys row = Array.map (Expr.eval_scalar row) keys
+type table = {
+  rows : Row.t array;
+  sel : int array option;
+  pos : int array;  (** the key columns of an inner row *)
+  head : int array;
+  mask : int;
+  next : int array;
+}
 
-let group lk ~keys ~tick rows =
-  let linked = linked_of lk in
-  (* no key columns: one shared set *)
-  let n = if keys = [||] then 1 else max 16 (Array.length rows) in
-  let each f =
-    Array.iter
-      (fun row ->
-        if tick then Nra_guard.Guard.tick ();
-        let key = key_of keys row in
-        if not (Array.exists Value.is_null key) then f key row)
-      rows
+let row_at t j =
+  match t.sel with None -> t.rows.(j) | Some s -> t.rows.(Array.unsafe_get s j)
+
+let rec pow2_at_least k n = if k >= n then k else pow2_at_least (2 * k) n
+
+let with_table ?sel ?buckets ~pos ~tick rows f =
+  let m = match sel with None -> Array.length rows | Some (_, c) -> c in
+  let nb =
+    match buckets with
+    | Some b -> pow2_at_least 1 b
+    | None -> if Array.length pos = 0 then 1 else pow2_at_least 16 m
   in
-  if LP.outer_free lk.pred then begin
-    let tbl = Row.Tbl.create n in
-    each (fun key row ->
-        let f =
-          match Row.Tbl.find_opt tbl key with
-          | Some f -> f
-          | None ->
-              let f = LP.fold lk.pred in
-              LP.clear f;
-              Row.Tbl.add tbl key f;
-              f
-        in
-        LP.step f (linked row));
-    let empty = LP.fold lk.pred in
-    LP.clear empty;
-    Folds (tbl, empty)
+  Scratch.with_ints nb @@ fun head ->
+  Scratch.with_ints m @@ fun next ->
+  let t = { rows; sel = Option.map fst sel; pos; head; mask = nb - 1; next } in
+  Array.fill head 0 nb (-1);
+  for j = m - 1 downto 0 do
+    if tick then Nra_guard.Guard.tick ();
+    let row = row_at t j in
+    if not (Row.has_null_on pos row) then begin
+      let b = Row.hash_on pos row land t.mask in
+      next.(j) <- head.(b);
+      head.(b) <- j
+    end
+  done;
+  f t
+
+(* The chain walks are top-level recursions, so a probe allocates
+   nothing: [seek] is the first entry from [j] on whose key equals the
+   probe row's at [ppos], or -1. *)
+let rec keys_equal pos row ppos prow i =
+  i >= Array.length pos
+  || Value.compare row.(pos.(i)) prow.(ppos.(i)) = 0
+     && keys_equal pos row ppos prow (i + 1)
+
+let rec seek t ppos prow j =
+  if j < 0 || keys_equal t.pos (row_at t j) ppos prow 0 then j
+  else seek t ppos prow t.next.(j)
+
+let first t ppos prow =
+  if Row.has_null_on ppos prow then -1
+  else seek t ppos prow t.head.(Row.hash_on ppos prow land t.mask)
+
+(* An outer row's probe key: the row itself, read at the key columns'
+   positions, or — when a key is computed — one buffer per scope the
+   keys are evaluated into. *)
+type prober = { ppos : int array; exprs : Expr.scalar array; pkey : Row.t }
+
+let prober probe =
+  let k = Array.length probe in
+  if Array.for_all (function Expr.Col _ -> true | _ -> false) probe then
+    {
+      ppos = Array.map (function Expr.Col i -> i | _ -> assert false) probe;
+      exprs = [||];
+      pkey = [||];
+    }
+  else
+    { ppos = Array.init k Fun.id; exprs = probe; pkey = Row.nulls k }
+
+let probe_row p outer =
+  if Array.length p.exprs = 0 then outer
+  else begin
+    for i = 0 to Array.length p.exprs - 1 do
+      p.pkey.(i) <- Expr.eval_scalar outer p.exprs.(i)
+    done;
+    p.pkey
+  end
+
+let inner_keys inner_schema pairs =
+  Array.of_list
+    (List.map
+       (fun (col, _) ->
+         match Frame.to_scalar inner_schema (R.RCol col) with
+         | Expr.Col j -> j
+         | _ -> assert false)
+       pairs)
+
+let outer_keys key_schema pairs =
+  Array.of_list (List.map (fun (_, e) -> Frame.to_scalar key_schema e) pairs)
+
+type group = {
+  table : table;
+  prober : prober;
+  linked : Row.t -> Value.t;
+  f : LP.fold;
+  outer_free : bool;
+  mutable memo : int;
+      (** outer-free only: the key whose fold [f] holds, as the key's
+          first entry; -1 the empty set, -2 none *)
+}
+
+let with_group ?sel ?buckets lk ~keys ~probe ~tick rows f =
+  with_table ?sel ?buckets ~pos:keys ~tick rows @@ fun table ->
+  f
+    {
+      table;
+      prober = prober probe;
+      linked = linked_of lk;
+      f = LP.fold lk.pred;
+      outer_free = LP.outer_free lk.pred;
+      memo = -2;
+    }
+
+(* step the probe key's entries from [j] on, in row order, until the
+   verdict is decided *)
+let rec fold_from g prow j =
+  if j >= 0 then begin
+    LP.step g.f (g.linked (row_at g.table j));
+    if not (LP.decided g.f) then
+      fold_from g prow (seek g.table g.prober.ppos prow g.table.next.(j))
+  end
+
+let decide g outer =
+  let prow = probe_row g.prober outer in
+  let j = first g.table g.prober.ppos prow in
+  if g.outer_free then begin
+    (* the set does not depend on [outer]: fold each probed key once
+       while it is probed in a run (a shared set: once) *)
+    if j <> g.memo then begin
+      g.memo <- -2;
+      LP.clear g.f;
+      fold_from g prow j;
+      g.memo <- j
+    end;
+    LP.verdict g.f ~outer
   end
   else begin
-    let tbl = Row.Tbl.create n in
-    each (fun key row ->
-        let v = linked row in
-        match Row.Tbl.find_opt tbl key with
-        | Some vs -> Row.Tbl.replace tbl key (v :: vs)
-        | None -> Row.Tbl.add tbl key [ v ]);
-    Row.Tbl.filter_map_inplace (fun _ vs -> Some (List.rev vs)) tbl;
-    Values (tbl, LP.fold lk.pred)
+    LP.start g.f ~outer;
+    fold_from g prow j;
+    LP.finish g.f
   end
 
-let decide keyed ~key ~outer =
-  let null_key = Array.exists Value.is_null key in
-  match keyed with
-  | Folds (tbl, empty) ->
-      let f =
-        if null_key then empty
-        else Option.value (Row.Tbl.find_opt tbl key) ~default:empty
-      in
-      LP.verdict f ~outer
-  | Values (tbl, f) ->
-      LP.start f ~outer;
-      (if not null_key then
-         match Row.Tbl.find_opt tbl key with
-         | Some vs ->
-             let rec go = function
-               | [] -> ()
-               | v :: rest ->
-                   LP.step f v;
-                   if not (LP.decided f) then go rest
-             in
-             go vs
-         | None -> ());
-      LP.finish f
+type magic = table
+
+let with_magic_set ~probe outer f =
+  let p = prober probe in
+  let rows =
+    if Array.length p.exprs = 0 then outer
+    else Array.map (fun row -> Array.copy (probe_row p row)) outer
+  in
+  with_table ~pos:p.ppos ~tick:true rows f
+
+let restrict magic ~keys rel =
+  let rows = Relation.rows rel in
+  let m = Array.length rows in
+  Scratch.with_ints m @@ fun kept ->
+  let count = ref 0 in
+  for j = 0 to m - 1 do
+    Nra_guard.Guard.tick ();
+    if first magic keys rows.(j) >= 0 then begin
+      kept.(!count) <- j;
+      incr count
+    end
+  done;
+  Relation.gather rel kept !count

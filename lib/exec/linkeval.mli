@@ -40,19 +40,62 @@ val linked_of : t -> Row.t -> Value.t
 
 (** {1 Keyed sets}
 
-    An inner relation's linking sets grouped by correlation key, built
-    once and probed per outer tuple (the push-down site and the magic
-    baseline).  A predicate whose stepping never reads the outer tuple
-    (the EXISTS forms, aggregates) keeps one fold per key, stepped as
-    the inner rows arrive; a quantified or scalar one keeps each key's
-    linked values, in order, and folds over them per outer tuple.  An
-    inner row with a NULL key component joins no set, and an outer
-    tuple with one meets the empty set. *)
+    An inner relation's linking sets by correlation key, probed per
+    outer tuple (the push-down site, the shared set and the magic
+    baseline).  The inner rows are chained by key in a table whose
+    bucket-head and next-row arrays are borrowed from {!Scratch} for
+    the extent of a scope, so building and probing allocate nothing per
+    inner row.  A probe steps its key's rows in row order, stopping as
+    soon as the verdict is decided.  A predicate whose stepping never
+    reads the outer tuple (the EXISTS forms, aggregates) keeps the fold
+    of the key it last probed, so a run of probes of one key — every
+    probe of a shared set — folds it once.  An inner row with a NULL key
+    component joins no set, and an outer tuple with one meets the empty
+    set. *)
 
-type keyed
+val inner_keys :
+  Schema.t -> (Resolved.rcol * Resolved.rexpr) list -> int array
+(** An equi-correlation's ({!Analyze.equi_correlation}) inner key
+    columns, as positions in the inner frame. *)
 
-val group : t -> keys:Expr.scalar array -> tick:bool -> Row.t array -> keyed
-(** [keys] are evaluated on the inner rows ([wide_schema]'s frame);
-    with [tick], each inner row is a guard checkpoint. *)
+val outer_keys :
+  Schema.t -> (Resolved.rcol * Resolved.rexpr) list -> Expr.scalar array
+(** Its outer keys, as expressions over the outer frame. *)
 
-val decide : keyed -> key:Row.t -> outer:Row.t -> Three_valued.t
+type group
+
+val with_group :
+  ?sel:int array * int ->
+  ?buckets:int ->
+  t ->
+  keys:int array ->
+  probe:Expr.scalar array ->
+  tick:bool ->
+  Row.t array ->
+  (group -> 'a) ->
+  'a
+(** [with_group lk ~keys ~probe ~tick rows f] chains [rows] (or the
+    [count] of them [?sel = (sel, count)] names, [rows.(sel.(i))]) by
+    their [keys] columns and runs [f] on the table; [probe] computes
+    the matching key from an outer tuple.  [keys = [||]] is one shared
+    set.  With [tick], each inner row is a guard checkpoint.
+    [?buckets] (rounded up to a power of two) overrides the bucket
+    count, which otherwise is the least power of two at least the row
+    count, and 16; tests force collisions with it. *)
+
+val decide : group -> Row.t -> Three_valued.t
+(** The verdict for one outer tuple. *)
+
+(** {2 The magic set} *)
+
+type magic
+
+val with_magic_set :
+  probe:Expr.scalar array -> Row.t array -> (magic -> 'a) -> 'a
+(** The outer rows chained by their [probe] key, for the extent of the
+    scope; one guard checkpoint per outer row. *)
+
+val restrict : magic -> keys:int array -> Relation.t -> Relation.t
+(** The rows of a relation, in order, whose [keys] columns (no NULL
+    among them) equal some outer row's probe key; one guard checkpoint
+    per row. *)

@@ -19,52 +19,29 @@ and apply_child cat t rel (c : A.child) =
   let key_schema = Relation.schema rel in
   match (magic_applicable c, A.equi_correlation b) with
   | true, Some pairs ->
-      let outer_keys =
-        Array.of_list
-          (List.map (fun (_, e) -> Frame.to_scalar key_schema e) pairs)
-      in
-      (* 1. the magic set: distinct correlation keys of the outer *)
-      let magic = Row.Tbl.create (max 16 (Relation.cardinality rel)) in
-      Array.iter
-        (fun row ->
-          Nra_guard.Guard.tick ();
-          let key = Array.map (Expr.eval_scalar row) outer_keys in
-          if not (Array.exists Value.is_null key) then
-            Row.Tbl.replace magic key ())
-        (Relation.rows rel);
-      (* 2. restrict the inner block by the magic set, then reduce its
-         own subqueries on the restricted relation *)
-      let child_rel = Frame.block_relation b in
-      let cschema = Relation.schema child_rel in
-      let child_keys =
-        Array.of_list
-          (List.map
-             (fun ((col : Resolved.rcol), _) ->
-               Frame.to_scalar cschema (Resolved.RCol col))
-             pairs)
-      in
-      let restricted =
-        Relation.filter
-          (fun row ->
-            Nra_guard.Guard.tick ();
-            let key = Array.map (Expr.eval_scalar row) child_keys in
-            (not (Array.exists Value.is_null key)) && Row.Tbl.mem magic key)
-          child_rel
+      let probe = Linkeval.outer_keys key_schema pairs in
+      (* 1. the magic set: the outer rows by correlation key; 2.
+         restrict the inner block to its keys, then reduce the inner
+         block's own subqueries on the restricted relation *)
+      let cschema, keys, restricted =
+        Linkeval.with_magic_set ~probe (Relation.rows rel) @@ fun magic ->
+        let child_rel = Frame.block_relation b in
+        let cschema = Relation.schema child_rel in
+        let keys = Linkeval.inner_keys cschema pairs in
+        (cschema, keys, Linkeval.restrict magic ~keys child_rel)
       in
       let reduced = apply_children cat t restricted b in
-      (* 3. group by the correlation key and decide per outer tuple *)
+      (* 3. chain by the correlation key and decide per outer tuple *)
       let lk =
         Linkeval.compile ~key_schema ~wide_schema:cschema ~with_marker:false
           c
       in
-      let groups =
-        Linkeval.group lk ~keys:child_keys ~tick:true (Relation.rows reduced)
-      in
+      Linkeval.with_group lk ~keys ~probe ~tick:true (Relation.rows reduced)
+      @@ fun groups ->
       Relation.filter
         (fun row ->
           Nra_guard.Guard.tick ();
-          let key = Array.map (Expr.eval_scalar row) outer_keys in
-          T3.to_bool (Linkeval.decide groups ~key ~outer:row))
+          T3.to_bool (Linkeval.decide groups row))
         rel
   | _ ->
       (* no equality correlation (or an escaping reference): nested

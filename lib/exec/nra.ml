@@ -312,14 +312,21 @@ let record_intermediate st n =
 
 (* Per-row application of a linking predicate whose sets are keyed
    apart from the outer relation (virtual-cartesian-product and
-   push-down paths). *)
-let rowwise mode decide rel =
+   push-down paths).  An outer frame handed on as base rows plus a
+   selection ([?sel]) is read through it. *)
+let rowwise mode decide ?sel rel =
+  let rows = Relation.rows rel in
   let out = ref [] in
-  Array.iter
-    (fun row ->
-      Nra_guard.Guard.tick ();
-      out := emit mode (decide row) row !out)
-    (Relation.rows rel);
+  let visit row =
+    Nra_guard.Guard.tick ();
+    out := emit mode (decide row) row !out
+  in
+  (match sel with
+  | None -> Array.iter visit rows
+  | Some (s, count) ->
+      for i = 0 to count - 1 do
+        visit rows.(s.(i))
+      done);
   Relation.of_rows (Relation.schema rel) (List.rev !out)
 
 (* The executor runs the plan as given: each node's [impl] picks one of
@@ -356,6 +363,13 @@ and reduce_standalone st (n : Plan.node) : Relation.t =
   let rel', _ = process st (rel, 0) b n.Plan.sub in
   rel'
 
+(* a standalone child reduced, handed to [f]; a leaf child block with a
+   columnar filter is handed on as its base rows plus the filter's
+   selection vector ({!Frame.with_block_input}) *)
+and with_reduced st (n : Plan.node) f =
+  if n.Plan.sub = [] then Frame.with_block_input n.Plan.child.A.block f
+  else f (reduce_standalone st n) None
+
 and apply_child st ~parent ?sel (rel, sorted_prefix) (n : Plan.node) =
   let c = n.Plan.child in
   let b = c.A.block in
@@ -372,49 +386,34 @@ and apply_child st ~parent ?sel (rel, sorted_prefix) (n : Plan.node) =
       (* virtual Cartesian product: the subquery is evaluated once and
          its value set — one set, under the empty key — shared by every
          outer tuple *)
-      let rel = gathered rel sel in
-      let child_red = reduce_standalone st n in
+      with_reduced st n @@ fun child_rel csel ->
       let lk =
-        Linkeval.compile ~key_schema
-          ~wide_schema:(Relation.schema child_red) ~with_marker:false c
+        Linkeval.compile ~key_schema ~wide_schema:(Relation.schema child_rel)
+          ~with_marker:false c
       in
-      let set =
-        Linkeval.group lk ~keys:[||] ~tick:false (Relation.rows child_red)
-      in
-      let rel' =
-        rowwise mode (fun row -> Linkeval.decide set ~key:[||] ~outer:row) rel
-      in
-      (rel', min sorted_prefix sp_after_select)
+      Linkeval.with_group ?sel:csel lk ~keys:[||] ~probe:[||] ~tick:false
+        (Relation.rows child_rel)
+      @@ fun set ->
+      (rowwise mode (Linkeval.decide set) ?sel rel,
+       min sorted_prefix sp_after_select)
   | Plan.Push_down ->
-      (* §4.2.4: group the reduced child by its correlation key once;
+      (* §4.2.4: chain the reduced child by its correlation key once;
          probe per outer tuple *)
-      let rel = gathered rel sel in
       let pairs = Option.get (A.equi_correlation b) in
-      let child_red = reduce_standalone st n in
-      let cschema = Relation.schema child_red in
+      with_reduced st n @@ fun child_rel csel ->
+      let cschema = Relation.schema child_rel in
       let lk =
         Linkeval.compile ~key_schema ~wide_schema:cschema ~with_marker:false
           c
       in
-      let child_keys =
-        Array.of_list
-          (List.map (fun (col, _) -> Frame.to_scalar cschema (R.RCol col))
-             pairs)
-      in
-      let outer_keys =
-        Array.of_list
-          (List.map (fun (_, e) -> Frame.to_scalar key_schema e) pairs)
-      in
-      let groups =
-        Linkeval.group lk ~keys:child_keys ~tick:false
-          (Relation.rows child_red)
-      in
-      let decide row =
-        let key = Array.map (Expr.eval_scalar row) outer_keys in
-        Linkeval.decide groups ~key ~outer:row
-      in
-      let rel' = rowwise mode decide rel in
-      (rel', min sorted_prefix sp_after_select)
+      Linkeval.with_group ?sel:csel lk
+        ~keys:(Linkeval.inner_keys cschema pairs)
+        ~probe:(Linkeval.outer_keys key_schema pairs)
+        ~tick:false
+        (Relation.rows child_rel)
+      @@ fun groups ->
+      (rowwise mode (Linkeval.decide groups) ?sel rel,
+       min sorted_prefix sp_after_select)
   | Plan.Semijoin ->
       (* §4.2.5: σ_{AθSOME{B}}(υ(R ⟕_C S)) = R ⋉_{C ∧ AθB} S *)
       let rel = gathered rel sel in

@@ -246,6 +246,21 @@ let agg_name = function
 
 type want = W_exists | W_one | W_scalar
 
+let rec ast_has_agg = function
+  | Ast.Agg _ -> true
+  | Ast.Binop (_, a, b) -> ast_has_agg a || ast_has_agg b
+  | Ast.Neg a -> ast_has_agg a
+  | Ast.Col _ | Ast.Lit _ -> false
+
+(* An aggregate without GROUP BY or HAVING returns exactly one row, even
+   over an empty group: EXISTS over it holds and NOT EXISTS fails,
+   whatever its FROM and WHERE select. *)
+let one_row_aggregate (q : Ast.query) =
+  q.Ast.group_by = [] && q.Ast.having = None
+  && List.exists
+       (function Ast.Sel_expr (e, _) -> ast_has_agg e | _ -> false)
+       q.Ast.select
+
 let rec build bld scopes (q : Ast.query) ~want : block =
   bld.next_id <- bld.next_id + 1;
   let id = bld.next_id in
@@ -286,9 +301,19 @@ let rec build bld scopes (q : Ast.query) ~want : block =
     let b = build bld scopes' sub ~want in
     children := { link; block = b } :: !children
   in
+  (* decided here; the block is still built, so its names resolve as
+     they would anywhere *)
+  let add_constant sub holds =
+    check_subquery_shape sub;
+    ignore (build bld scopes' sub ~want:W_exists);
+    if not holds then add_plain (Ast.Not Ast.True_)
+  in
   List.iter
     (fun c ->
       match c with
+      | Ast.Exists sub when one_row_aggregate sub -> add_constant sub true
+      | Ast.Not_exists sub when one_row_aggregate sub ->
+          add_constant sub false
       | Ast.Exists sub ->
           check_subquery_shape sub;
           add_child L_exists sub ~want:W_exists
@@ -334,12 +359,6 @@ let rec build bld scopes (q : Ast.query) ~want : block =
   }
 
 (* ---------- outer output ---------- *)
-
-let rec ast_has_agg = function
-  | Ast.Agg _ -> true
-  | Ast.Binop (_, a, b) -> ast_has_agg a || ast_has_agg b
-  | Ast.Neg a -> ast_has_agg a
-  | Ast.Col _ | Ast.Lit _ -> false
 
 (* Keep aggregate-free subtrees whole (a single [O_expr]), so that the
    grouped-output rewriter can match them against GROUP BY keys

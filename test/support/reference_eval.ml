@@ -11,7 +11,8 @@
 
    Semantics implemented, matching the engine's documented behavior:
    - WHERE under 3VL; a tuple qualifies iff the condition is True.
-   - EXISTS / NOT EXISTS never yield Unknown.
+   - EXISTS / NOT EXISTS never yield Unknown; EXISTS over an
+     aggregate subquery always holds (its one row exists).
    - IN ≡ (= ANY), NOT IN ≡ (<> ALL); ANY is a 3VL disjunction, ALL a
      3VL conjunction over the subquery's value set.
    - An aggregate subquery yields exactly one value, even for the
@@ -183,8 +184,8 @@ let rec eval_cond cat (env : env) = function
       | Value.Null -> T3.Unknown
       | Value.String s -> T3.of_bool (Expr.like_match ~pattern s)
       | v -> eval_error "LIKE on a non-string value: %s" (Value.to_string v))
-  | Ast.Exists q -> T3.of_bool (sub_envs cat env q <> [])
-  | Ast.Not_exists q -> T3.of_bool (sub_envs cat env q = [])
+  | Ast.Exists q -> T3.of_bool (has_rows cat env q)
+  | Ast.Not_exists q -> T3.of_bool (not (has_rows cat env q))
   | Ast.In_query (e, q) ->
       let x = eval_expr env e in
       T3.disj (List.map (fun v -> T3.cmp T3.Eq x v) (sub_values cat env q))
@@ -221,6 +222,15 @@ and sub_envs cat (outer : env) (q : Ast.query) : env list =
          | None -> Some env
          | Some c ->
              if T3.to_bool (eval_cond cat env c) then Some env else None)
+
+(* an aggregate subquery without GROUP BY or HAVING returns its one row
+   even over an empty group *)
+and has_rows cat outer (q : Ast.query) =
+  match q.Ast.select with
+  | [ Ast.Sel_expr (Ast.Agg _, _) ]
+    when q.Ast.group_by = [] && q.Ast.having = None ->
+      true
+  | _ -> sub_envs cat outer q <> []
 
 (* a subquery's value set: one value per qualifying tuple, or the
    one-row aggregate (COUNT of an empty group is 0; the rest NULL) *)

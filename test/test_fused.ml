@@ -279,17 +279,12 @@ let test_subquery_corpus () =
    own line items' prices), so the site returns no rows, and what a
    statement allocates is per statement, not per outer row: the outer
    block is read through its filter's selection vector, the probe and
-   the nest through borrowed buffers, and the verdicts box nothing.  The
+   the nest through borrowed buffers, and the verdicts box nothing.  So
+   a statement allocates the same words at two outer fractions (~600
+   and ~1,800 outer rows at scale 0.002), and under 2,000 of them.  The
    test sets its own pool size, frame budget and faults. *)
 let test_ja_alloc () =
   let cat = Lazy.force tpch_cat in
-  let lo, hi = Q.q1_window ~outer_fraction:0.6 in
-  let t =
-    match A.analyze_string cat (Q.q1_ja ~link:Q.Ja_in ~date_lo:lo ~date_hi:hi)
-    with
-    | Ok t -> t
-    | Error m -> Alcotest.fail m
-  in
   let frames = B.frames () and domains = Pool.size () in
   Fun.protect
     ~finally:(fun () ->
@@ -299,18 +294,35 @@ let test_ja_alloc () =
   B.set_frames None;
   Pool.set_size 0;
   Fault.disable ();
-  let outer =
-    Relation.cardinality (Exec.Frame.block_relation ~charge:false t.A.root)
+  let at outer_fraction =
+    let lo, hi = Q.q1_window ~outer_fraction in
+    let t =
+      match
+        A.analyze_string cat (Q.q1_ja ~link:Q.Ja_in ~date_lo:lo ~date_hi:hi)
+      with
+      | Ok t -> t
+      | Error m -> Alcotest.fail m
+    in
+    let outer =
+      Relation.cardinality (Exec.Frame.block_relation ~charge:false t.A.root)
+    in
+    let out = ref 0 in
+    let words =
+      words_per 3 (fun _ ->
+          let rel, _ = N.run_where ~options:N.optimized cat t in
+          out := Relation.cardinality rel)
+    in
+    Alcotest.(check int) "no output rows" 0 !out;
+    (outer, words)
   in
-  let out = ref 0 in
-  let words =
-    words_per 3 (fun _ ->
-        let rel, _ = N.run_where ~options:N.optimized cat t in
-        out := Relation.cardinality rel)
-  in
-  Alcotest.(check int) "no output rows" 0 !out;
-  if words >= float_of_int outer /. 2.0 then
-    Alcotest.failf "%.0f words per statement over %d outer rows" words outer
+  let outer_lo, words_lo = at 0.2 and outer_hi, words_hi = at 0.6 in
+  if outer_hi < 2 * outer_lo then
+    Alcotest.failf "outer rows %d and %d are too close" outer_lo outer_hi;
+  if words_lo <> words_hi then
+    Alcotest.failf "%.0f words per statement over %d outer rows, %.0f over %d"
+      words_lo outer_lo words_hi outer_hi;
+  if words_hi >= 2000.0 then
+    Alcotest.failf "%.0f words per statement" words_hi
 
 let () =
   Alcotest.run "fused"

@@ -10,9 +10,9 @@
    an all-NULL group, a group whose float sum depends on element order,
    a one-row group and a NULL correlation key.
 
-   EXISTS over an aggregate subquery is read, by the engine and the
-   reference alike, as "the group has rows" (not SQL's always-true
-   one-row result); the cases pin that agreement. *)
+   EXISTS over an aggregate subquery gets SQL's answer from the engine
+   and the reference alike: the aggregate's one row always exists, so
+   EXISTS holds and NOT EXISTS fails, empty group or not. *)
 
 open Nra
 open Test_support
@@ -227,6 +227,34 @@ let test_scalar_error () =
        i1.oref))";
     ]
 
+(* SQL's answer, pinned: every oo row for EXISTS over an aggregate
+   (group 2, 6 and the NULL-keyed rows included), none for NOT EXISTS *)
+let test_exists_aggregate () =
+  let cat = catalog () in
+  let all = "0\n1\n2\n3\n4\n5\n6" in
+  List.iter
+    (fun (sql, expect) ->
+      (match Ref.sorted_csv cat sql with
+      | Ok csv -> Alcotest.(check string) ("reference: " ^ sql) expect csv
+      | Error m -> Alcotest.fail (sql ^ ": reference: " ^ m));
+      List.iter
+        (fun s ->
+          match Nra.query ~strategy:s cat sql with
+          | Ok rel ->
+              Alcotest.(check string)
+                (Nra.strategy_to_string s ^ ": " ^ sql)
+                expect (Ref.relation_csv rel)
+          | Error m -> Alcotest.fail (sql ^ ": " ^ m))
+        all_strategies)
+    [
+      ("select oid from oo where exists (select max(c) from ii where \
+        ii.oref = oo.oid)", all);
+      ("select oid from oo where exists (select count(*) from ii where \
+        ii.oref = oo.oid and ii.c > 100)", all);
+      ("select oid from oo where not exists (select sum(g) from ii where \
+        ii.oref = oo.oid)", "");
+    ]
+
 let () =
   Alcotest.run "link_fold"
     [
@@ -235,5 +263,7 @@ let () =
           Alcotest.test_case "every link op x every aggregate" `Quick
             test_differential;
           Alcotest.test_case "scalar two-row error" `Quick test_scalar_error;
+          Alcotest.test_case "EXISTS over an aggregate is TRUE" `Quick
+            test_exists_aggregate;
         ] );
     ]
