@@ -210,6 +210,15 @@ let of_relation rel =
           lazy (build_column (fun i -> rows.(i).(ci)) n));
   }
 
+let column_of_values a = build_column (Array.get a) (Array.length a)
+
+let col_length = function
+  | Ints a | Dates a -> Array.length a
+  | Floats a -> Array.length a
+  | Strings a -> Array.length a
+  | Bools a -> Bytes.length a
+  | Boxed a -> Array.length a
+
 let value_at (col, nulls) i =
   if Bitset.get nulls i then Value.Null
   else

@@ -31,6 +31,9 @@
 module Bitset : sig
   type t = Bytes.t
 
+  val get : t -> int -> bool
+  (** Bit [i]. *)
+
   val popcount : t -> int
   (** Set bits. *)
 
@@ -55,6 +58,14 @@ type t
 
 val of_relation : Relation.t -> t
 (** Wrap a relation; columns build lazily on first access. *)
+
+val column_of_values : Value.t array -> col * Bitset.t
+(** One column built from its values, typed by the same rule as a
+    relation's columns (used where a column is not part of a
+    relation, e.g. statistics over a value list). *)
+
+val col_length : col -> int
+(** Cells in a column. *)
 
 val to_relation : t -> Relation.t
 (** Rebuild rows.  [to_relation (of_relation r)] is structurally

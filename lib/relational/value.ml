@@ -62,12 +62,14 @@ let hash_int i =
   if i > -max_exact_int && i < max_exact_int then Hashtbl.hash i
   else hash_float (float_of_int i)
 
+let hash_string (s : string) = Hashtbl.hash s
+
 let hash = function
   | Null -> 0x9e3779b9
   | Bool b -> if b then 3 else 5
   | Int i -> hash_int i
   | Float f -> hash_float f
-  | String s -> Hashtbl.hash s
+  | String s -> hash_string s
   | Date d -> 7 * Hashtbl.hash d
 
 let cmp3 a b =

@@ -36,6 +36,9 @@ val hash_float : float -> int
 (** [hash_float f = hash (Float f)]; agrees with {!hash_int} on every
     int/float pair that {!compare} makes equal. *)
 
+val hash_string : string -> int
+(** [hash_string s = hash (String s)] without constructing the value. *)
+
 (** {1 Three-valued comparison}
 
     [cmp3 a b] is [None] when either side is [Null] (SQL Unknown),

@@ -11,48 +11,207 @@ type t = {
   hist : Histogram.t option;
 }
 
-let collect ?buckets values =
-  let rows = Array.length values in
-  let rpp = max 1 (Iosim.config ()).Iosim.rows_per_page in
-  (* one pass: per distinct value remember the last page seen and how
-     many distinct pages it spans (rows arrive in physical order, so a
-     new page for a value is exactly a change of page) *)
-  let seen : (Value.t, int * int) Hashtbl.t = Hashtbl.create 1024 in
-  let nulls = ref 0 in
-  let min_v = ref None and max_v = ref None in
-  Array.iteri
-    (fun i v ->
-      if Value.is_null v then incr nulls
-      else begin
-        (match !min_v with
-        | None -> min_v := Some v
-        | Some m -> if Value.compare v m < 0 then min_v := Some v);
-        (match !max_v with
-        | None -> max_v := Some v
-        | Some m -> if Value.compare v m > 0 then max_v := Some v);
+(* A column's keys, read in place by row position.  [hash] and [same]
+   are the engine's equality on the column's kind ([Value.equal]:
+   -0.0 = 0.0 and NaN = NaN on floats, Int 1 = Float 1.0 on a mixed
+   column), [order] is [Value.compare], and [value] boxes one key. *)
+type keys = {
+  hash : int -> int;
+  same : int -> int -> bool;
+  order : int -> int -> int;
+  value : int -> Value.t;
+}
+
+(* agrees with [Float.compare _ _ = 0]: both zeros hash alike, and so
+   does every NaN *)
+let hash_float f =
+  if f = 0.0 then 0
+  else if Float.is_nan f then 1
+  else Int64.to_int (Int64.bits_of_float f)
+
+let keys_of : Batch.col -> keys = function
+  | Batch.Ints a ->
+      {
+        hash = (fun i -> a.(i));
+        same = (fun i j -> a.(i) = a.(j));
+        order = (fun i j -> Int.compare a.(i) a.(j));
+        value = (fun i -> Value.Int a.(i));
+      }
+  | Batch.Dates a ->
+      {
+        hash = (fun i -> a.(i));
+        same = (fun i j -> a.(i) = a.(j));
+        order = (fun i j -> Int.compare a.(i) a.(j));
+        value = (fun i -> Value.Date a.(i));
+      }
+  | Batch.Floats a ->
+      {
+        hash = (fun i -> hash_float a.(i));
+        same = (fun i j -> Float.compare a.(i) a.(j) = 0);
+        order = (fun i j -> Float.compare a.(i) a.(j));
+        value = (fun i -> Value.Float a.(i));
+      }
+  | Batch.Strings a ->
+      {
+        hash = (fun i -> Value.hash_string a.(i));
+        same = (fun i j -> String.equal a.(i) a.(j));
+        order = (fun i j -> String.compare a.(i) a.(j));
+        value = (fun i -> Value.String a.(i));
+      }
+  | Batch.Bools a ->
+      {
+        hash = (fun i -> Char.code (Bytes.get a i));
+        same = (fun i j -> Bytes.get a i = Bytes.get a j);
+        order = (fun i j -> Char.compare (Bytes.get a i) (Bytes.get a j));
+        value = (fun i -> Value.Bool (Bytes.get a i = '\001'));
+      }
+  | Batch.Boxed a ->
+      {
+        hash = (fun i -> Value.hash a.(i));
+        same = (fun i j -> Value.equal a.(i) a.(j));
+        order = (fun i j -> Value.compare a.(i) a.(j));
+        value = (fun i -> a.(i));
+      }
+
+(* Groups live in one int buffer, three slots each: the group's first
+   row, its row count, and the last page it was seen on. *)
+let first gs g = gs.(3 * g)
+let count gs g = gs.((3 * g) + 1)
+
+(* [index] is an open-addressing table (linear probing, power-of-two
+   size [mask + 1], at most half full; the buffer may be longer, left
+   from a wider column) from a key to its group, -1 marking an empty
+   cell.  [slot] is the cell holding row [i]'s group, or the empty cell
+   where it goes. *)
+let rec slot k gs index mask i c =
+  let g = index.(c) in
+  if g < 0 || k.same (first gs g) i then c
+  else slot k gs index mask i ((c + 1) land mask)
+
+let rec pow2_at_least b n = if 1 lsl b >= n then b else pow2_at_least (b + 1) n
+
+(* Bottom-up merge sort of [a.(0 .. n-1)] by [cmp], with
+   [a.(n .. 2n-1)] as the other half of each pass: [merge] merges the
+   runs [lo, mid) and [mid, hi) of one half into the other. *)
+let merge cmp a ~src ~lo ~mid ~hi ~dst =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if !i < mid && (!j >= hi || cmp a.(src + !i) a.(src + !j) <= 0) then begin
+      a.(dst + k) <- a.(src + !i);
+      incr i
+    end
+    else begin
+      a.(dst + k) <- a.(src + !j);
+      incr j
+    end
+  done
+
+let sort_prefix cmp a n =
+  let src = ref 0 and dst = ref n and width = ref 1 in
+  while !width < n do
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + !width) and hi = min n (!lo + (2 * !width)) in
+      merge cmp a ~src:!src ~lo:!lo ~mid ~hi ~dst:!dst;
+      lo := hi
+    done;
+    let s = !src in
+    src := !dst;
+    dst := s;
+    width := 2 * !width
+  done;
+  if !src <> 0 then Array.blit a n a 0 n
+
+(* The pass's two int buffers, kept across the columns of one table
+   and dropped with it: borrowing them from [Scratch] instead would
+   keep the longest pair in its free list for the rest of the run. *)
+type work = { mutable groups : int array; mutable cells : int array }
+
+let work () = { groups = [||]; cells = [||] }
+
+let of_column ?buckets work (col, nulls) =
+  let rows = Batch.col_length col in
+  let nulls_n = Batch.Bitset.popcount nulls in
+  let live = rows - nulls_n in
+  if live = 0 then
+    {
+      rows;
+      nulls = nulls_n;
+      ndv = 0;
+      min_v = None;
+      max_v = None;
+      pages_per_value = 0.0;
+      hist = None;
+    }
+  else begin
+    let rpp = max 1 (Iosim.config ()).Iosim.rows_per_page in
+    let k = keys_of col in
+    let bits = pow2_at_least 1 (2 * live) in
+    let size = 1 lsl bits in
+    if Array.length work.groups < 3 * live then
+      work.groups <- Array.make (3 * live) 0;
+    if Array.length work.cells < size then work.cells <- Array.make size 0;
+    let gs = work.groups and index = work.cells in
+    Array.fill index 0 size (-1);
+    (* one pass in physical order: a group spans one more distinct
+       page exactly when its row lands on a page other than its last *)
+    let ndv = ref 0 and total_pages = ref 0 in
+    for i = 0 to rows - 1 do
+      if not (Batch.Bitset.get nulls i) then begin
         let page = i / rpp in
-        match Hashtbl.find_opt seen v with
-        | None -> Hashtbl.add seen v (page, 1)
-        | Some (last, n) ->
-            if last <> page then Hashtbl.replace seen v (page, n + 1)
-      end)
-    values;
-  let ndv = Hashtbl.length seen in
-  let total_pages =
-    Hashtbl.fold (fun _ (_, n) acc -> acc + n) seen 0
-  in
-  let pages_per_value =
-    if ndv = 0 then 0.0 else float_of_int total_pages /. float_of_int ndv
-  in
-  {
-    rows;
-    nulls = !nulls;
-    ndv;
-    min_v = !min_v;
-    max_v = !max_v;
-    pages_per_value;
-    hist = Histogram.build ?buckets values;
-  }
+        let c =
+          slot k gs index (size - 1) i
+            ((k.hash i * 0x2545F4914F6CDD1D) lsr (63 - bits))
+        in
+        let g = index.(c) in
+        if g < 0 then begin
+          let g = !ndv in
+          index.(c) <- g;
+          gs.(3 * g) <- i;
+          gs.((3 * g) + 1) <- 1;
+          gs.((3 * g) + 2) <- page;
+          incr ndv;
+          incr total_pages
+        end
+        else begin
+          gs.((3 * g) + 1) <- gs.((3 * g) + 1) + 1;
+          if gs.((3 * g) + 2) <> page then begin
+            gs.((3 * g) + 2) <- page;
+            incr total_pages
+          end
+        end
+      end
+    done;
+    (* the table is spent: its first [2 * ndv] cells sort the groups
+       by key *)
+    let ndv = !ndv in
+    for g = 0 to ndv - 1 do
+      index.(g) <- g
+    done;
+    sort_prefix (fun g h -> k.order (first gs g) (first gs h)) index ndv;
+    (* the sorted values, run-length: group [index.(!at)] covers the
+       positions below [!upto] not covered by earlier groups *)
+    let at = ref 0 and upto = ref (count gs index.(0)) in
+    let nth p =
+      while p >= !upto do
+        incr at;
+        upto := !upto + count gs index.(!at)
+      done;
+      k.value (first gs index.(!at))
+    in
+    {
+      rows;
+      nulls = nulls_n;
+      ndv;
+      min_v = Some (k.value (first gs index.(0)));
+      max_v = Some (k.value (first gs index.(ndv - 1)));
+      pages_per_value = float_of_int !total_pages /. float_of_int ndv;
+      hist = Histogram.equi_depth ?buckets live nth;
+    }
+  end
+
+let collect ?buckets values =
+  of_column ?buckets (work ()) (Batch.column_of_values values)
 
 let null_frac t =
   if t.rows = 0 then 0.0 else float_of_int t.nulls /. float_of_int t.rows
@@ -66,15 +225,7 @@ let clamp x = min 1.0 (max 0.0 x)
 let frac_le t v =
   match t.hist with
   | Some h -> Histogram.frac_below h v
-  | None -> (
-      (* no histogram (un-analyzed path never builds t, so this is the
-         all-NULL case or a degenerate build): interpolate on min/max *)
-      match (t.min_v, t.max_v) with
-      | Some lo, Some hi -> (
-          match (Histogram.build ~buckets:1 [| lo; hi |], v) with
-          | Some h, v -> Histogram.frac_below h v
-          | None, _ -> 0.5)
-      | _ -> 0.5)
+  | None -> 0.5 (* all NULL: nothing to place [v] against *)
 
 let sel_cmp t op v =
   if Value.is_null v then (0.0, 1.0)

@@ -16,16 +16,30 @@ open Nra_relational
 type t = {
   rows : int;  (** total rows, NULLs included *)
   nulls : int;
-  ndv : int;  (** distinct non-NULL values *)
+  ndv : int;  (** distinct non-NULL values under [Value.equal] *)
   min_v : Value.t option;  (** None iff all values are NULL *)
   max_v : Value.t option;
   pages_per_value : float;  (** see above; 0 when the column is all NULL *)
   hist : Histogram.t option;
 }
 
+type work
+(** Buffers {!of_column} fills, reused across the calls given the same
+    [work]: one per table, so a table's columns share them and they are
+    garbage once the table is analyzed. *)
+
+val work : unit -> work
+
+val of_column : ?buckets:int -> work -> Batch.col * Batch.Bitset.t -> t
+(** From a typed column and its null bitmap ({!Batch.column}), cells in
+    physical row order (position = rowid, which is what gives
+    [pages_per_value] its meaning).  One pass groups the non-NULL rows
+    by the engine's equality ([Value.equal]); only the distinct keys are
+    then sorted, and min/max and the histogram's bounds are read off
+    the sorted groups. *)
+
 val collect : ?buckets:int -> Value.t array -> t
-(** From the column's values in physical row order (position = rowid,
-    which is what gives [pages_per_value] its meaning). *)
+(** {!of_column} over a column given as its values. *)
 
 val null_frac : t -> float
 

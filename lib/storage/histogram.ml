@@ -2,18 +2,14 @@ open Nra_relational
 
 type t = { bounds : Value.t array }
 
-let build ?(buckets = 32) values =
-  let vs = Array.of_seq (Seq.filter (fun v -> not (Value.is_null v))
-                           (Array.to_seq values)) in
-  if Array.length vs = 0 then None
+let equi_depth ?(buckets = 32) len nth =
+  if len = 0 then None
   else begin
-    Array.sort Value.compare vs;
-    let len = Array.length vs in
     let n = max 1 (min buckets len) in
     (* boundary i sits after ~i/n of the sorted values: equi-depth *)
     let bounds =
       Array.init (n + 1) (fun i ->
-          if i = 0 then vs.(0) else vs.(min (len - 1) ((i * len / n) - 1)))
+          nth (if i = 0 then 0 else min (len - 1) ((i * len / n) - 1)))
     in
     Some { bounds }
   end

@@ -1,8 +1,9 @@
 (** Equi-depth histograms over {!Nra_relational.Value} columns.
 
-    Built from the non-NULL values of a column: the sorted values are
-    cut into [buckets] ranges holding (as nearly as possible) the same
-    number of rows, and only the bucket boundaries are retained.  Range
+    Built from the non-NULL values of a column ({!Col_stats.of_column}):
+    the sorted values are cut into [buckets] ranges holding (as nearly
+    as possible) the same number of rows, and only the bucket
+    boundaries are retained.  Range
     selectivities interpolate linearly inside a bucket for numeric-like
     values (ints, floats, dates, bools) and fall back to the bucket
     midpoint for strings — equi-depth boundaries carry most of the
@@ -12,10 +13,12 @@ open Nra_relational
 
 type t
 
-val build : ?buckets:int -> Value.t array -> t option
-(** [build vs] over the {e non-NULL} values of a column (NULLs are
-    filtered out here for convenience); [None] when no non-NULL value
-    exists.  Default 32 buckets; never more than the number of values. *)
+val equi_depth : ?buckets:int -> int -> (int -> Value.t) -> t option
+(** [equi_depth len nth] over a column's [len] non-NULL values in
+    ascending order, [nth p] being the value at position [p]; [None]
+    when [len = 0].  [nth] is called at ascending positions, once per
+    boundary, so it may walk a run-length form of the sorted values.
+    Default 32 buckets; never more than [len]. *)
 
 val buckets : t -> int
 

@@ -8,15 +8,18 @@ type t = {
 
 let collect ?buckets table =
   let rel = Table.relation table in
-  let rows = Relation.rows rel in
-  let schema = Table.schema table in
+  let work = Col_stats.work () in
   let cols =
-    Array.to_list (Schema.columns schema)
+    Array.to_list (Schema.columns (Table.schema table))
     |> List.mapi (fun i (c : Schema.column) ->
-           let values = Array.map (fun row -> row.(i)) rows in
-           (c.Schema.name, Col_stats.collect ?buckets values))
+           (* a transient batch per column: its typed copy is garbage
+              once the column's statistics are read, where the table's
+              own batch would keep every column forced for good *)
+           ( c.Schema.name,
+             Col_stats.of_column ?buckets work
+               (Batch.column (Batch.of_relation rel) i) ))
   in
-  { table = Table.name table; rows = Array.length rows; cols }
+  { table = Table.name table; rows = Relation.cardinality rel; cols }
 
 let col t name = List.assoc_opt name t.cols
 

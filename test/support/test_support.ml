@@ -6,6 +6,9 @@ open Nra
    module; re-export it so suites can say Test_support.Reference_eval *)
 module Reference_eval = Reference_eval
 
+(* ANALYZE's original boxed collector, the reference for Col_stats *)
+module Reference_stats = Reference_stats
+
 let vi i = Value.Int i
 let vf f = Value.Float f
 let vs s = Value.String s

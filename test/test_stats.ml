@@ -18,9 +18,12 @@ let approx = Alcotest.float 0.05
 
 (* ---------- histograms ---------- *)
 
+(* histograms are built by ANALYZE's per-column pass *)
+let build vs = (CS.collect vs).CS.hist
+
 let test_histogram_uniform () =
   let vs = Array.init 1_000 (fun i -> vi (i + 1)) in
-  match H.build vs with
+  match build vs with
   | None -> Alcotest.fail "histogram over non-empty values"
   | Some h ->
       Alcotest.(check int) "buckets" 32 (H.buckets h);
@@ -43,16 +46,16 @@ let test_histogram_skewed () =
   let vs =
     Array.init 1_000 (fun i -> if i < 900 then vi 1 else vi (i - 799))
   in
-  match H.build vs with
+  match build vs with
   | None -> Alcotest.fail "histogram over non-empty values"
   | Some h ->
       Alcotest.check approx "mass at the spike" 0.9 (H.frac_below h (vi 1));
       Alcotest.check approx "tail midpoint" 0.95 (H.frac_below h (vi 150))
 
 let test_histogram_degenerate () =
-  Alcotest.(check bool) "all NULL" true (H.build [| Value.Null |] = None);
-  Alcotest.(check bool) "empty" true (H.build [||] = None);
-  match H.build [| vi 7; Value.Null; vi 7 |] with
+  Alcotest.(check bool) "all NULL" true (build [| Value.Null |] = None);
+  Alcotest.(check bool) "empty" true (build [||] = None);
+  match build [| vi 7; Value.Null; vi 7 |] with
   | None -> Alcotest.fail "constant column still has a histogram"
   | Some h ->
       Alcotest.check approx "everything at the constant" 1.0
@@ -99,6 +102,136 @@ let test_pages_per_value_clustering () =
   let c = CS.collect clustered and s = CS.collect scattered in
   Alcotest.check approx "clustered ppv" 1.0 c.CS.pages_per_value;
   Alcotest.check approx "scattered ppv" 10.0 s.CS.pages_per_value
+
+(* The typed grouping pass against the boxed reference collector,
+   over the column shapes that stress it: empty, all-NULL and
+   NULL-heavy columns, heavy duplicates, ints beyond 2^53, dates,
+   floats with both zeros, NaN and infinities, strings with "" and
+   shared prefixes, bools, and mixed Int/Float.  Mixed columns keep
+   their ints below 2^53, where [Value.equal] is transitive.  Above it
+   two distinct ints can both equal the float they round to, so a
+   grouping depends on row order and no collector is a reference.
+   On a typed column every field must agree structurally.  On a mixed
+   column a boundary or min/max may be either of two equal values
+   (the reference's sort is not stable), so values there agree under
+   [Value.compare]. *)
+
+module Ref = Test_support.Reference_stats
+
+let big = 1 lsl 53
+
+let cell_gen kind =
+  let open QCheck.Gen in
+  match kind with
+  | `Int ->
+      map vi
+        (frequency
+           [
+             (4, int_range (-4) 4);
+             ( 1,
+               oneofl
+                 [
+                   max_int; min_int; big; big + 1; big - 1; -big; -big - 1;
+                   (big * 4) + 3; (big * 4) + 4;
+                 ] );
+             (1, int);
+           ])
+  | `Date -> map (fun d -> Value.Date d) (int_range 9_000 9_020)
+  | `Float ->
+      map
+        (fun f -> Value.Float f)
+        (frequency
+           [
+             ( 2,
+               oneofl
+                 [ 0.0; -0.0; Float.nan; infinity; neg_infinity; 1e300; -1.5 ]
+             );
+             (3, map (fun i -> float_of_int i /. 4.0) (int_range (-8) 8));
+           ])
+  | `String ->
+      map
+        (fun s -> Value.String s)
+        (frequency
+           [
+             (2, oneofl [ ""; "a"; "ab"; "abc"; "abd"; "abcd"; "b"; "ba" ]);
+             (1, string_size ~gen:(char_range 'a' 'c') (int_range 0 4));
+           ])
+  | `Bool -> map (fun b -> Value.Bool b) bool
+  | `Mixed ->
+      oneof
+        [
+          map vi (int_range (-3) 3);
+          map
+            (fun f -> Value.Float f)
+            (oneofl [ 0.0; -0.0; 1.0; 2.0; 1.5; -3.0; Float.nan; infinity ]);
+        ]
+
+type case = {
+  kind : string;
+  rpp : int;
+  buckets : int;
+  values : Value.t array;
+}
+
+let case_gen =
+  let open QCheck.Gen in
+  let* kind, name =
+    oneofl
+      [
+        (`Int, "int"); (`Date, "date"); (`Float, "float");
+        (`String, "string"); (`Bool, "bool"); (`Mixed, "mixed");
+      ]
+  in
+  let* null_rate = oneofl [ 0.0; 0.0; 0.1; 0.8; 1.0 ] in
+  let* n = frequency [ (1, return 0); (8, int_range 1 250) ] in
+  let* values =
+    array_repeat n
+      (let* p = float_bound_exclusive 1.0 in
+       if p < null_rate then return Value.Null else cell_gen kind)
+  in
+  let* rpp = oneofl [ 1; 2; 7; I.default_config.I.rows_per_page ] in
+  let+ buckets = oneofl [ 1; 2; 32; n + 5 ] in
+  { kind = name; rpp; buckets; values }
+
+let print_case c =
+  Printf.sprintf "%s column, %d rows/page, %d buckets: [%s]" c.kind c.rpp
+    c.buckets
+    (String.concat "; " (Array.to_list (Array.map Value.to_string c.values)))
+
+let same_stats ~mixed (cs : CS.t) (r : Ref.t) =
+  let value a b = if mixed then Value.compare a b = 0 else compare a b = 0 in
+  let opt a b =
+    match (a, b) with
+    | None, None -> true
+    | Some a, Some b -> value a b
+    | _ -> false
+  in
+  cs.CS.rows = r.Ref.rows && cs.CS.nulls = r.Ref.nulls
+  && cs.CS.ndv = r.Ref.ndv
+  && Float.equal cs.CS.pages_per_value r.Ref.pages_per_value
+  && opt cs.CS.min_v r.Ref.min_v
+  && opt cs.CS.max_v r.Ref.max_v
+  &&
+  match (Option.map H.bounds cs.CS.hist, r.Ref.bounds) with
+  | None, None -> true
+  | Some a, Some b -> Array.length a = Array.length b && Array.for_all2 value a b
+  | _ -> false
+
+let prop_matches_reference =
+  QCheck.Test.make ~count:600 ~name:"matches the reference collector"
+    (QCheck.make ~print:print_case case_gen)
+    (fun c ->
+      let saved = I.config () in
+      Fun.protect ~finally:(fun () -> I.set_config saved) @@ fun () ->
+      I.set_config { saved with I.rows_per_page = c.rpp };
+      let mixed =
+        match fst (Batch.column_of_values c.values) with
+        | Batch.Boxed _ -> true
+        | _ -> false
+      in
+      same_stats ~mixed
+        (CS.collect ~buckets:c.buckets c.values)
+        (Ref.collect ~buckets:c.buckets ~rows_per_page:c.rpp c.values))
 
 (* ---------- 3VL selectivity algebra ---------- *)
 
@@ -180,6 +313,28 @@ let test_drop_recreate () =
      the dropped table's: the old snapshot must still be gone *)
   Alcotest.(check bool) "no statistics for the new table" true
     (Catalog.stats cat "t" = None)
+
+(* [ndv] counts values under the engine's equality: Int 1 and
+   Float 1.0 are one value to SELECT DISTINCT, so they are one to
+   ANALYZE too, and equality selects half the rows, not a quarter. *)
+let test_ndv_follows_equality () =
+  let cat = Catalog.create () in
+  let ok sql =
+    match Nra.exec cat sql with Ok _ -> () | Error m -> Alcotest.fail m
+  in
+  ok "create table m (k int, x float, primary key (k))";
+  ok "insert into m values (1, 1), (2, 1.0), (3, 2), (4, 2.0)";
+  (match Nra.exec cat "select distinct x from m" with
+  | Ok (Rows rel) ->
+      Alcotest.(check int) "distinct values" 2 (Relation.cardinality rel)
+  | Ok _ -> Alcotest.fail "expected rows"
+  | Error m -> Alcotest.fail m);
+  ok "analyze m";
+  match Option.bind (Catalog.stats cat "m") (fun ts -> Stats.Table_stats.col ts "x") with
+  | None -> Alcotest.fail "no statistics for m.x"
+  | Some cs ->
+      Alcotest.(check int) "ndv" 2 cs.CS.ndv;
+      Alcotest.check approx "equality selectivity" 0.5 (CS.eq_sel cs)
 
 (* One set-up as a benchmark makes it: a catalog, ANALYZE, a filtered
    SELECT.  Nothing of it may stay reachable once the caller lets go. *)
@@ -437,6 +592,7 @@ let () =
           Alcotest.test_case "pages per value" `Quick
             test_pages_per_value_clustering;
           Alcotest.test_case "3VL algebra" `Quick test_three_valued_algebra;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
         ] );
       ( "analyze",
         [
@@ -444,6 +600,8 @@ let () =
           Alcotest.test_case "staleness" `Quick test_staleness;
           Alcotest.test_case "drop and recreate" `Quick test_drop_recreate;
           Alcotest.test_case "catalog lifetime" `Quick test_catalog_lifetime;
+          Alcotest.test_case "ndv follows equality" `Quick
+            test_ndv_follows_equality;
           Alcotest.test_case "explain costs" `Quick test_explain_costs;
         ] );
       ( "estimates",
