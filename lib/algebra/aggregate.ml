@@ -87,37 +87,37 @@ let out_schema input_schema ~keys specs =
   Schema.of_columns (key_cols @ agg_cols)
 
 let group_by ~keys specs rel =
-  let kpos = Array.of_list keys in
+  let kpos = Array.of_list keys and rows = Relation.rows rel in
   let funcs = Array.of_list (List.map (fun (s : spec) -> s.func) specs) in
-  (* order-of-first-occurrence grouping via hash on the key projection;
-     each group steps one accumulator per aggregate as its rows arrive *)
-  let groups : (int, Row.t * acc array) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  Array.iter
-    (fun row ->
-      let key = Row.project_arr row kpos in
-      let h = Row.hash key in
-      let accs =
-        match
-          Hashtbl.find_all groups h
-          |> List.find_opt (fun (k, _) -> Row.equal k key)
-        with
-        | Some (_, accs) -> accs
-        | None ->
-            let accs = Array.map start funcs in
-            Hashtbl.add groups h (key, accs);
-            order := (key, accs) :: !order;
-            accs
-      in
-      Array.iter (fun acc -> step_row acc row) accs)
-    (Relation.rows rel);
+  (* groups are numbered by their first rows, in order of first
+     occurrence: [group.(j)] is the number of first row [j]'s group and
+     [firsts.(g)] group [g]'s first row; each group steps one
+     accumulator per aggregate as its rows arrive *)
+  Keyed.with_scratch ~nulls:`Group ~pos:kpos rows @@ fun keyed ->
+  let n = Array.length rows in
+  Scratch.with_ints n @@ fun group ->
+  Scratch.with_ints n @@ fun firsts ->
+  let count = ref 0 in
+  for j = 0 to n - 1 do
+    let f = Keyed.first_entry keyed j in
+    if f = j then begin
+      group.(j) <- !count;
+      firsts.(!count) <- j;
+      incr count
+    end
+    else group.(j) <- group.(f)
+  done;
+  let accs = Array.init !count (fun _ -> Array.map start funcs) in
+  Array.iteri
+    (fun j row -> Array.iter (fun acc -> step_row acc row) accs.(group.(j)))
+    rows;
   let schema = out_schema (Relation.schema rel) ~keys specs in
-  let out =
-    List.rev_map
-      (fun (key, accs) -> Array.append key (Array.map finish accs))
-      !order
-  in
-  Relation.of_rows schema out
+  Relation.make schema
+    (Array.mapi
+       (fun g accs ->
+         Array.append (Row.project_arr rows.(firsts.(g)) kpos)
+           (Array.map finish accs))
+       accs)
 
 let global specs rel =
   let accs =

@@ -4,29 +4,31 @@ let check_arity a b =
   if Schema.arity (Relation.schema a) <> Schema.arity (Relation.schema b)
   then invalid_arg "set operation: arity mismatch"
 
-(* Multiset of rows: row -> multiplicity, with collision-safe lookup. *)
-module Bag = struct
-  type t = (int, Row.t * int ref) Hashtbl.t
+(* [f probe count] over a table of [b]'s rows keyed on every column:
+   [probe r] is the first of [b]'s rows equal to [r] (NULL equal to
+   NULL), or -1, and [count.(e)] starts as the number of [b]'s rows
+   equal to first row [e] *)
+let with_bag a b f =
+  check_arity a b;
+  let pos = Array.init (Schema.arity (Relation.schema a)) Fun.id in
+  Keyed.with_scratch ~nulls:`Group ~pos (Relation.rows b) @@ fun keyed ->
+  let m = Keyed.length keyed in
+  Scratch.with_ints m @@ fun count ->
+  Array.fill count 0 m 0;
+  for j = 0 to m - 1 do
+    let e = Keyed.first_entry keyed j in
+    count.(e) <- count.(e) + 1
+  done;
+  f (Keyed.first keyed pos) count
 
-  let create n : t = Hashtbl.create (max 16 n)
-
-  let find_ref (t : t) row =
-    Hashtbl.find_all t (Row.hash row)
-    |> List.find_map (fun (r, c) -> if Row.equal r row then Some c else None)
-
-  let add (t : t) row =
-    match find_ref t row with
-    | Some c -> incr c
-    | None -> Hashtbl.add t (Row.hash row) (row, ref 1)
-
-  let count (t : t) row =
-    match find_ref t row with Some c -> !c | None -> 0
-
-  let of_relation rel =
-    let t = create (Relation.cardinality rel) in
-    Array.iter (add t) (Relation.rows rel);
-    t
-end
+(* take one of [r]'s copies out of the bag, if one is left *)
+let take probe count r =
+  let e = probe r in
+  e >= 0
+  && count.(e) > 0
+  &&
+  (count.(e) <- count.(e) - 1;
+   true)
 
 let union a b =
   check_arity a b;
@@ -37,28 +39,15 @@ let union_all a b =
   Relation.append a (Relation.make (Relation.schema a) (Relation.rows b))
 
 let intersect a b =
-  check_arity a b;
-  let bag_b = Bag.of_relation b in
-  Relation.dedup (Relation.filter (fun r -> Bag.count bag_b r > 0) a)
+  with_bag a b @@ fun probe _ ->
+  Relation.dedup (Relation.filter (fun r -> probe r >= 0) a)
 
 let intersect_all a b =
-  check_arity a b;
-  let bag_b = Bag.of_relation b in
-  let taken = Bag.create 16 in
-  Relation.filter
-    (fun r ->
-      let available = Bag.count bag_b r - Bag.count taken r in
-      if available > 0 then begin
-        Bag.add taken r;
-        true
-      end
-      else false)
-    a
+  with_bag a b @@ fun probe count -> Relation.filter (take probe count) a
 
 let except a b =
-  check_arity a b;
-  let bag_b = Bag.of_relation b in
-  Relation.dedup (Relation.filter (fun r -> Bag.count bag_b r = 0) a)
+  with_bag a b @@ fun probe _ ->
+  Relation.dedup (Relation.filter (fun r -> probe r < 0) a)
 
 let divide r ~by ~on =
   if on = [] then invalid_arg "divide: empty column mapping";
@@ -70,65 +59,44 @@ let divide r ~by ~on =
     |> List.filter (fun i -> not (Array.mem i yr))
   in
   let x_arr = Array.of_list x_positions in
-  let divisor =
-    (* the distinct y-tuples that every group must cover *)
-    List.sort_uniq Row.compare
-      (List.map
-         (fun row -> Row.project_arr row ys)
-         (Array.to_list (Relation.rows by)))
-  in
-  let needed = List.length divisor in
-  (* group r by its x part, collecting the distinct covered y-tuples *)
-  let groups : (int, Row.t * Row.t list ref) Hashtbl.t = Hashtbl.create 64 in
+  let rows = Relation.rows r in
+  let n = Array.length rows in
+  (* the distinct y-tuples that every group must cover *)
+  Keyed.with_scratch ~nulls:`Group ~pos:ys (Relation.rows by)
+  @@ fun divisor ->
+  let needed = Keyed.distinct divisor in
+  (* r's rows by their x part, and by their (x, y) pair: a row covers a
+     new y-tuple of its group when it is the first of its pair *)
+  Keyed.with_scratch ~nulls:`Group ~pos:x_arr rows @@ fun xs ->
+  Keyed.with_scratch ~nulls:`Group ~pos:(Array.append x_arr yr) rows
+  @@ fun xys ->
+  (* [covered.(g)]: the divisor tuples group [g] (its first row) covers,
+     -1 until the group is made; a group is made at its first row whose
+     y-tuple is in the divisor, or at its first row when the divisor is
+     empty (∀ over ∅) *)
+  Scratch.with_ints n @@ fun covered ->
+  Array.fill covered 0 n (-1);
   let order = ref [] in
-  Array.iter
-    (fun row ->
-      let x = Row.project_arr row x_arr in
-      let y = Row.project_arr row yr in
-      if List.exists (Row.equal y) divisor then begin
-        let h = Row.hash x in
-        match
-          Hashtbl.find_all groups h
-          |> List.find_opt (fun (k, _) -> Row.equal k x)
-        with
-        | Some (_, cell) ->
-            if not (List.exists (Row.equal y) !cell) then cell := y :: !cell
-        | None ->
-            let cell = ref [ y ] in
-            Hashtbl.add groups h (x, cell);
-            order := (x, cell) :: !order
-      end
-      else if needed = 0 then begin
-        (* ∀ over the empty divisor: every x qualifies *)
-        let h = Row.hash x in
-        if
-          Hashtbl.find_all groups h
-          |> List.find_opt (fun (k, _) -> Row.equal k x)
-          = None
-        then begin
-          let cell = ref [] in
-          Hashtbl.add groups h (x, cell);
-          order := (x, cell) :: !order
-        end
-      end)
-    (Relation.rows r);
+  for j = 0 to n - 1 do
+    let covers = Keyed.first divisor yr rows.(j) >= 0 in
+    if covers || needed = 0 then begin
+      let g = Keyed.first_entry xs j in
+      if covered.(g) < 0 then begin
+        covered.(g) <- 0;
+        order := g :: !order
+      end;
+      if covers && Keyed.first_entry xys j = j then
+        covered.(g) <- covered.(g) + 1
+    end
+  done;
   let out =
     List.rev !order
-    |> List.filter_map (fun (x, cell) ->
-           if List.length !cell >= needed then Some x else None)
+    |> List.filter_map (fun g ->
+           if covered.(g) >= needed then Some (Row.project_arr rows.(g) x_arr)
+           else None)
   in
   Relation.of_rows (Schema.project r_schema x_positions) out
 
 let except_all a b =
-  check_arity a b;
-  let bag_b = Bag.of_relation b in
-  let removed = Bag.create 16 in
-  Relation.filter
-    (fun r ->
-      let to_remove = Bag.count bag_b r - Bag.count removed r in
-      if to_remove > 0 then begin
-        Bag.add removed r;
-        false
-      end
-      else true)
-    a
+  with_bag a b @@ fun probe count ->
+  Relation.filter (fun r -> not (take probe count r)) a

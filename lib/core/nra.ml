@@ -7,6 +7,7 @@ module Relation = Nra_relational.Relation
 module Expr = Nra_relational.Expr
 module Batch = Nra_relational.Batch
 module Scratch = Nra_relational.Scratch
+module Keyed = Nra_relational.Keyed
 
 module Table = Nra_storage.Table
 module Catalog = Nra_storage.Catalog
@@ -610,23 +611,14 @@ let do_delete strategy cat table where =
           | Ok matching ->
               (* identify doomed rows by primary key *)
               let keys = Table.key_positions t in
-              let doomed = Hashtbl.create 64 in
-              Array.iter
-                (fun row ->
-                  let k = Row.project_arr row keys in
-                  Hashtbl.replace doomed (Row.hash k) k)
-                (Relation.rows matching);
-              let is_doomed row =
-                let k = Row.project_arr row keys in
-                match Hashtbl.find_opt doomed (Row.hash k) with
-                | Some k2 -> Row.equal k k2
-                | None -> false
-              in
               let before_rows = Relation.rows (Table.relation t) in
               let survivors =
+                Keyed.with_scratch ~nulls:`Group ~pos:keys
+                  (Relation.rows matching)
+                @@ fun doomed ->
                 Array.of_list
                   (List.filter
-                     (fun r -> not (is_doomed r))
+                     (fun r -> Keyed.first doomed keys r < 0)
                      (Array.to_list before_rows))
               in
               wal_mutate cat
@@ -671,32 +663,28 @@ let do_update strategy cat table assigns where =
           match run_select strategy cat probe with
           | Error m -> Error m
           | Ok matching ->
+              (* a matching row holds the key, then the new values *)
               let nkeys = List.length (Table.key_columns t) in
-              let updates = Hashtbl.create 64 in
-              Array.iter
-                (fun row ->
-                  let k = Array.sub row 0 nkeys in
-                  let vs =
-                    Array.sub row nkeys (Array.length row - nkeys)
-                  in
-                  Hashtbl.replace updates (Row.hash k) (k, vs))
-                (Relation.rows matching);
+              let found = Relation.rows matching in
               let keys = Table.key_positions t in
               let changed = ref 0 in
               let before = Relation.rows (Table.relation t) in
               let rows =
+                Keyed.with_scratch ~nulls:`Group
+                  ~pos:(Array.init nkeys Fun.id) found
+                @@ fun updates ->
                 Array.map
                   (fun row ->
-                    let k = Row.project_arr row keys in
-                    match Hashtbl.find_opt updates (Row.hash k) with
-                    | Some (k2, vs) when Row.equal k k2 ->
-                        incr changed;
-                        let row' = Array.copy row in
-                        List.iteri
-                          (fun i pos -> row'.(pos) <- vs.(i))
-                          positions;
-                        row'
-                    | _ -> row)
+                    let e = Keyed.first updates keys row in
+                    if e < 0 then row
+                    else begin
+                      incr changed;
+                      let row' = Array.copy row in
+                      List.iteri
+                        (fun i pos -> row'.(pos) <- found.(e).(nkeys + i))
+                        positions;
+                      row'
+                    end)
                   before
               in
               wal_mutate cat

@@ -33,7 +33,13 @@ module Batch = Nra_relational.Batch
 
 module Scratch = Nra_relational.Scratch
 (** The borrowed int buffers behind the hash join's table and offset
-    vectors and a scan's selection vector — see docs/PERF.md. *)
+    vectors, the keyed tables and a scan's selection vector — see
+    docs/PERF.md. *)
+
+module Keyed = Nra_relational.Keyed
+(** Rows by key columns: the one chained table behind grouping,
+    DISTINCT, the set operations, the equality index and the keyed
+    linking sets — see docs/INTERNALS.md. *)
 
 module Table = Nra_storage.Table
 module Catalog = Nra_storage.Catalog

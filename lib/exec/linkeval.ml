@@ -85,67 +85,9 @@ let linked_of lk =
 
 (* ---------- keyed sets ----------
 
-   A chained table over the inner rows, or over the [m] of them a
-   selection vector names: entry [j] is row [row_at t j].  [head.(b)] is
-   bucket [b]'s first entry and [next.(j)] the next entry of [j]'s
-   chain; linking from the last entry to the first leaves every chain in
-   row order, so the entries of one key are visited in the order the
-   rows arrive.  Entries with a NULL key component are never linked.
-   Both arrays are borrowed from [Scratch] for the extent of the scope,
-   and the key columns are hashed and compared in place: building and
-   probing allocate nothing per row. *)
-
-type table = {
-  rows : Row.t array;
-  sel : int array option;
-  pos : int array;  (** the key columns of an inner row *)
-  head : int array;
-  mask : int;
-  next : int array;
-}
-
-let row_at t j =
-  match t.sel with None -> t.rows.(j) | Some s -> t.rows.(Array.unsafe_get s j)
-
-let rec pow2_at_least k n = if k >= n then k else pow2_at_least (2 * k) n
-
-let with_table ?sel ?buckets ~pos ~tick rows f =
-  let m = match sel with None -> Array.length rows | Some (_, c) -> c in
-  let nb =
-    match buckets with
-    | Some b -> pow2_at_least 1 b
-    | None -> if Array.length pos = 0 then 1 else pow2_at_least 16 m
-  in
-  Scratch.with_ints nb @@ fun head ->
-  Scratch.with_ints m @@ fun next ->
-  let t = { rows; sel = Option.map fst sel; pos; head; mask = nb - 1; next } in
-  Array.fill head 0 nb (-1);
-  for j = m - 1 downto 0 do
-    if tick then Nra_guard.Guard.tick ();
-    let row = row_at t j in
-    if not (Row.has_null_on pos row) then begin
-      let b = Row.hash_on pos row land t.mask in
-      next.(j) <- head.(b);
-      head.(b) <- j
-    end
-  done;
-  f t
-
-(* The chain walks are top-level recursions, so a probe allocates
-   nothing: [seek] is the first entry from [j] on whose key equals the
-   probe row's at [ppos], or -1. *)
-let rec keys_equal pos row ppos prow i =
-  i >= Array.length pos
-  || Value.compare row.(pos.(i)) prow.(ppos.(i)) = 0
-     && keys_equal pos row ppos prow (i + 1)
-
-let rec seek t ppos prow j =
-  if j < 0 || keys_equal t.pos (row_at t j) ppos prow 0 then j
-  else seek t ppos prow t.next.(j)
-
-let first t ppos prow =
-  if Row.has_null_on ppos prow then -1
-  else seek t ppos prow t.head.(Row.hash_on ppos prow land t.mask)
+   A {!Keyed} table over the inner rows, or over the ones a selection
+   vector names, under the equi-probe NULL rule; its arrays are
+   borrowed from [Scratch] for the extent of the scope. *)
 
 (* An outer row's probe key: the row itself, read at the key columns'
    positions, or — when a key is computed — one buffer per scope the
@@ -185,7 +127,7 @@ let outer_keys key_schema pairs =
   Array.of_list (List.map (fun (_, e) -> Frame.to_scalar key_schema e) pairs)
 
 type group = {
-  table : table;
+  table : Keyed.t;
   prober : prober;
   linked : Row.t -> Value.t;
   f : LP.fold;
@@ -196,7 +138,9 @@ type group = {
 }
 
 let with_group ?sel ?buckets lk ~keys ~probe ~tick rows f =
-  with_table ?sel ?buckets ~pos:keys ~tick rows @@ fun table ->
+  let tick = if tick then Some Nra_guard.Guard.tick else None in
+  Keyed.with_scratch ~nulls:`Skip ?sel ?buckets ?tick ~pos:keys rows
+  @@ fun table ->
   f
     {
       table;
@@ -211,14 +155,14 @@ let with_group ?sel ?buckets lk ~keys ~probe ~tick rows f =
    verdict is decided *)
 let rec fold_from g prow j =
   if j >= 0 then begin
-    LP.step g.f (g.linked (row_at g.table j));
+    LP.step g.f (g.linked (Keyed.row g.table j));
     if not (LP.decided g.f) then
-      fold_from g prow (seek g.table g.prober.ppos prow g.table.next.(j))
+      fold_from g prow (Keyed.next_equal g.table g.prober.ppos prow j)
   end
 
 let decide g outer =
   let prow = probe_row g.prober outer in
-  let j = first g.table g.prober.ppos prow in
+  let j = Keyed.first g.table g.prober.ppos prow in
   if g.outer_free then begin
     (* the set does not depend on [outer]: fold each probed key once
        while it is probed in a run (a shared set: once) *)
@@ -236,7 +180,7 @@ let decide g outer =
     LP.finish g.f
   end
 
-type magic = table
+type magic = Keyed.t
 
 let with_magic_set ~probe outer f =
   let p = prober probe in
@@ -244,7 +188,8 @@ let with_magic_set ~probe outer f =
     if Array.length p.exprs = 0 then outer
     else Array.map (fun row -> Array.copy (probe_row p row)) outer
   in
-  with_table ~pos:p.ppos ~tick:true rows f
+  Keyed.with_scratch ~nulls:`Skip ~tick:Nra_guard.Guard.tick ~pos:p.ppos
+    rows f
 
 let restrict magic ~keys rel =
   let rows = Relation.rows rel in
@@ -253,7 +198,7 @@ let restrict magic ~keys rel =
   let count = ref 0 in
   for j = 0 to m - 1 do
     Nra_guard.Guard.tick ();
-    if first magic keys rows.(j) >= 0 then begin
+    if Keyed.first magic keys rows.(j) >= 0 then begin
       kept.(!count) <- j;
       incr count
     end

@@ -42,16 +42,16 @@ val linked_of : t -> Row.t -> Value.t
 
     An inner relation's linking sets by correlation key, probed per
     outer tuple (the push-down site, the shared set and the magic
-    baseline).  The inner rows are chained by key in a table whose
-    bucket-head and next-row arrays are borrowed from {!Scratch} for
-    the extent of a scope, so building and probing allocate nothing per
-    inner row.  A probe steps its key's rows in row order, stopping as
-    soon as the verdict is decided.  A predicate whose stepping never
-    reads the outer tuple (the EXISTS forms, aggregates) keeps the fold
-    of the key it last probed, so a run of probes of one key — every
-    probe of a shared set — folds it once.  An inner row with a NULL key
-    component joins no set, and an outer tuple with one meets the empty
-    set. *)
+    baseline).  The inner rows are chained by key in a {!Keyed} table
+    under the equi-probe NULL rule ([`Skip]), its arrays borrowed from
+    {!Scratch} for the extent of a scope, so building and probing
+    allocate nothing per inner row.  A probe steps its key's rows in
+    row order, stopping as soon as the verdict is decided.  A predicate
+    whose stepping never reads the outer tuple (the EXISTS forms,
+    aggregates) keeps the fold of the key it last probed, so a run of
+    probes of one key — every probe of a shared set — folds it once.
+    An inner row with a NULL key component joins no set, and an outer
+    tuple with one meets the empty set. *)
 
 val inner_keys :
   Schema.t -> (Resolved.rcol * Resolved.rexpr) list -> int array

@@ -67,14 +67,16 @@ let magic_set_sizes _cat (t : A.t) =
               Array.of_list
                 (List.map (fun (_, e) -> Frame.to_scalar key_schema e) pairs)
             in
-            let magic = Row.Tbl.create 64 in
-            Array.iter
-              (fun row ->
-                let key = Array.map (Expr.eval_scalar row) outer_keys in
-                if not (Array.exists Value.is_null key) then
-                  Row.Tbl.replace magic key ())
-              (Relation.rows rel);
-            acc := (b.A.id, Row.Tbl.length magic) :: !acc;
+            let keys =
+              Array.map
+                (fun row -> Array.map (Expr.eval_scalar row) outer_keys)
+                (Relation.rows rel)
+            in
+            let pos = Array.init (Array.length outer_keys) Fun.id in
+            let size =
+              Keyed.with_scratch ~nulls:`Skip ~pos keys Keyed.distinct
+            in
+            acc := (b.A.id, size) :: !acc;
             go (Frame.block_relation ~charge:false b) b
         | _ -> ())
       p.A.children

@@ -286,13 +286,14 @@ let cmp_ints op (a : int array) nulls c : producer =
     done;
     out
 
-let cmp_floats op (get : int -> float) nulls (c : float) : producer =
+(* [cmp i]: row [i]'s cell against the constant, as a sign *)
+let cmp_numbers op (cmp : int -> int) nulls : producer =
   let ltk, eqk, gtk = keep_of op in
   fun ~lo ~hi ->
     let out = Bitset.create (hi - lo) in
     for i = lo to hi - 1 do
       if not (Bitset.get nulls i) then begin
-        let r = fcmp (get i) c in
+        let r = cmp i in
         if (if r < 0 then ltk else if r = 0 then eqk else gtk) then
           Bitset.set out (i - lo)
       end
@@ -328,10 +329,15 @@ let cmp_col_const b op ci v : producer =
   | _, Value.Null -> const_plan false
   | Ints a, Value.Int c -> cmp_ints op a nulls c
   | Ints a, Value.Float c ->
-      cmp_floats op (fun i -> float_of_int (Array.unsafe_get a i)) nulls c
-  | Floats a, Value.Float c -> cmp_floats op (fun i -> Array.unsafe_get a i) nulls c
+      cmp_numbers op
+        (fun i -> Value.compare_int_float (Array.unsafe_get a i) c)
+        nulls
+  | Floats a, Value.Float c ->
+      cmp_numbers op (fun i -> fcmp (Array.unsafe_get a i) c) nulls
   | Floats a, Value.Int c ->
-      cmp_floats op (fun i -> Array.unsafe_get a i) nulls (float_of_int c)
+      cmp_numbers op
+        (fun i -> -Value.compare_int_float c (Array.unsafe_get a i))
+        nulls
   | Dates a, Value.Date c -> cmp_ints op a nulls c
   | Strings a, Value.String c -> cmp_strings op a nulls c
   | Bools a, Value.Bool c ->
@@ -368,8 +374,9 @@ let cmp_col_col b op ci cj : producer =
   | Ints a, Ints c -> masked (fun i -> Int.compare a.(i) c.(i))
   | Dates a, Dates c -> masked (fun i -> Int.compare a.(i) c.(i))
   | Floats a, Floats c -> masked (fun i -> fcmp a.(i) c.(i))
-  | Ints a, Floats c -> masked (fun i -> fcmp (float_of_int a.(i)) c.(i))
-  | Floats a, Ints c -> masked (fun i -> fcmp a.(i) (float_of_int c.(i)))
+  | Ints a, Floats c -> masked (fun i -> Value.compare_int_float a.(i) c.(i))
+  | Floats a, Ints c ->
+      masked (fun i -> -Value.compare_int_float c.(i) a.(i))
   | Strings a, Strings c -> masked (fun i -> String.compare a.(i) c.(i))
   | _ ->
       fun ~lo ~hi ->

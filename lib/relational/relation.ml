@@ -75,18 +75,17 @@ let sort_by idxs t =
   { t with rows }
 
 let dedup t =
-  let seen = Hashtbl.create (Array.length t.rows) in
-  let keep = ref [] in
-  Array.iter
-    (fun r ->
-      let key = Row.hash r in
-      let bucket = Hashtbl.find_all seen key in
-      if not (List.exists (Row.equal r) bucket) then begin
-        Hashtbl.add seen key r;
-        keep := r :: !keep
-      end)
-    t.rows;
-  { t with rows = Array.of_list (List.rev !keep) }
+  let pos = Array.init (Schema.arity t.schema) Fun.id in
+  Keyed.with_scratch ~nulls:`Group ~pos t.rows @@ fun keyed ->
+  Scratch.with_ints (Array.length t.rows) @@ fun kept ->
+  let count = ref 0 in
+  for j = 0 to Array.length t.rows - 1 do
+    if Keyed.first_entry keyed j = j then begin
+      kept.(!count) <- j;
+      incr count
+    end
+  done;
+  gather t kept !count
 
 let sorted_rows t = List.sort Row.compare (Array.to_list t.rows)
 

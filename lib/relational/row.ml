@@ -35,16 +35,6 @@ let hash row =
   done;
   !h
 
-(* A keyed hash table over whole rows: grouping and duplicate-style
-   lookups index by projected key rows, and a keyed table beats the
-   (hash, assoc-scan) encoding it replaces. *)
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash r = hash r land max_int
-end)
-
 let rec compare_on_from idxs a b i =
   if i >= Array.length idxs then 0
   else

@@ -14,10 +14,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
-module Tbl : Hashtbl.S with type key = t
-(** Hash table keyed by whole rows (total order: NULL = NULL), for
-    group-by and keyed lookups. *)
-
 (** {1 Keyed operations} — over a projection of positions *)
 
 val compare_on : int array -> t -> t -> int

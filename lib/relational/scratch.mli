@@ -1,7 +1,7 @@
 (** Borrowed int buffers.
 
-    The hash join's chained table, its per-row offset vectors, the
-    keyed linking sets' chained tables and a scan's selection vector
+    The hash join's chained table and per-row offset vectors, the
+    {!Keyed} tables built for one scope and a scan's selection vector
     are int arrays of O(rows) length.  Arrays
     that long are allocated directly in the major heap, and a dead one
     waits for a whole major cycle to be swept, so allocating them
@@ -22,6 +22,9 @@
 
 val cap : int
 (** The most buffers the free list keeps (16). *)
+
+val pow2_at_least : int -> int -> int
+(** [pow2_at_least k n] doubles [k] until it is at least [n]. *)
 
 val borrow : int -> int array
 (** A buffer of length at least [n]: the shortest free buffer that

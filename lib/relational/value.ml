@@ -28,14 +28,28 @@ let type_name = function
   | String _ -> "string"
   | Date _ -> "date"
 
+(* An int against a float by their exact values, so numeric equality
+   is an equivalence: through [float_of_int], 2^53 + 1 would equal the
+   float 2^53, which equals the int 2^53.  NaN sorts below every number,
+   as [Float.compare] puts it. *)
+let two_62 = 4.611686018427387904e18 (* [max_int] < 2^62 = -[min_int] *)
+
+let compare_int_float x y =
+  if Float.is_nan y || y < -.two_62 then 1
+  else if y >= two_62 then -1
+  else
+    (* -2^62 <= y < 2^62: its integral part is an exact int *)
+    let i = Float.to_int y in
+    if x <> i then Int.compare x i else Float.compare (Float.of_int i) y
+
 let compare a b =
   match (a, b) with
   | Null, Null -> 0
   | Bool x, Bool y -> Bool.compare x y
   | Int x, Int y -> Int.compare x y
   | Float x, Float y -> Float.compare x y
-  | Int x, Float y -> Float.compare (float_of_int x) y
-  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> -compare_int_float y x
   | String x, String y -> String.compare x y
   | Date x, Date y -> Int.compare x y
   | _ -> Int.compare (type_rank a) (type_rank b)

@@ -21,11 +21,16 @@ val is_null : t -> bool
     Used for sorting, grouping and set operations.  [Null] sorts first and
     is equal to itself.  Values of distinct runtime types are ordered by an
     arbitrary but fixed type rank; well-typed plans never compare values of
-    different types, but the total order keeps sorting robust. *)
+    different types, but the total order keeps sorting robust.  [Int] and
+    [Float] compare by their exact values (NaN below every number), so
+    {!equal} is an equivalence and equal values {!hash} alike. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
+
+val compare_int_float : int -> float -> int
+(** [compare_int_float i f = compare (Int i) (Float f)]. *)
 
 val hash_int : int -> int
 (** [hash_int i = hash (Int i)] without constructing the value — and,

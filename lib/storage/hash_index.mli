@@ -1,8 +1,9 @@
 (** Equality indexes: key projection of a relation → row ids.
 
-    An index is int arrays over the row ids of the relation it was built
-    from, plus a shared reference to that relation's rows: keys are read
-    in place, never copied.  Rows whose key contains a NULL are not
+    An index is a {!Nra_relational.Keyed} table that owns its arrays, over
+    the row ids of the relation it was built from: keys are read in
+    place from that relation's rows (shared), never copied.  Rows whose
+    key contains a NULL are not
     indexed (an equality probe can never match them — SQL
     equi-semantics).  Used by the nested-iteration baseline to model
     "System A accesses the inner table by index rowid", and by

@@ -264,6 +264,49 @@ let test_aggregates () =
       [ Some 2; Some 2; Some 2; Some 12; Some 5; Some 7 ];
     ]
     g;
+  (* against a list scan: the distinct keys in first-seen order, each
+     with the aggregates over its rows; keys that repeat, NULL keys (a
+     group of their own) and Int against Float keys (1 = 1.0), on one
+     column and on both *)
+  let specs =
+    [
+      { Agg.func = Agg.Count_star; as_name = "n" };
+      { Agg.func = Agg.Sum (Expr.Col 1); as_name = "s" };
+      { Agg.func = Agg.Max (Expr.Col 0); as_name = "mx" };
+    ]
+  in
+  let list_group_by keys r =
+    let kpos = Array.of_list keys in
+    let key row = Row.project_arr row kpos in
+    let distinct =
+      Array.fold_left
+        (fun seen row ->
+          if List.exists (Row.equal (key row)) seen then seen
+          else key row :: seen)
+        [] (Relation.rows r)
+    in
+    List.rev_map
+      (fun k ->
+        Array.append k
+          (Relation.rows
+             (Agg.global specs
+                (Relation.filter (fun row -> Row.equal (key row) k) r))).(0))
+      distinct
+  in
+  let r2 =
+    rel "x"
+      [
+        (vnull, vi 1); (vi 1, vi 2); (vnull, vnull); (vf 1.0, vi 4);
+        (vi 2, vnull); (vi 1, vnull); (vnull, vi 1); (vi 2, vi 5);
+        (vi 1, vi 2);
+      ]
+  in
+  List.iter
+    (fun (r, keys) ->
+      let got = Array.to_list (Relation.rows (Agg.group_by ~keys specs r)) in
+      Alcotest.(check bool) "group_by = list scan" true
+        (List.equal Row.equal (list_group_by keys r) got))
+    [ (r, [ 0 ]); (r2, [ 0 ]); (r2, [ 1 ]); (r2, [ 0; 1 ]); (r2, [ 1; 0 ]) ];
   let empty = rel "x" [] in
   let glob =
     Agg.global

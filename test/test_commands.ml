@@ -72,7 +72,18 @@ let test_delete () =
   check_rows "survivor" [ [ Some 1 ] ] r;
   (* unconditional delete *)
   let n = count (exec cat "delete from books") in
-  Alcotest.(check int) "cleared" 1 n
+  Alcotest.(check int) "cleared" 1 n;
+  (* the keys (29, 568) and (272, 629) hash alike under Row.hash: both
+     rows go *)
+  ignore
+    (exec cat
+       "create table duo (a int, b int, v int, primary key (a, b))");
+  ignore
+    (exec cat "insert into duo values (29, 568, 1), (272, 629, 2), (1, 1, 3)");
+  let n = count (exec cat "delete from duo where v < 3") in
+  Alcotest.(check int) "keys that hash alike" 2 n;
+  check_rows "the other key survives" [ [ Some 3 ] ]
+    (rows (exec cat "select v from duo"))
 
 let test_delete_with_subquery () =
   let cat = fresh () in
@@ -159,7 +170,18 @@ let test_update () =
   Alcotest.(check int) "one via subquery" 1 n;
   let r = rows (exec cat "select title from books where id = 1") in
   Alcotest.check value_testable "retitled" (vs "HOT")
-    (Relation.rows r).(0).(0)
+    (Relation.rows r).(0).(0);
+  (* the keys (29, 568) and (272, 629) hash alike under Row.hash: both
+     rows change *)
+  ignore
+    (exec cat
+       "create table duo (a int, b int, v int, primary key (a, b))");
+  ignore
+    (exec cat "insert into duo values (29, 568, 1), (272, 629, 2), (1, 1, 3)");
+  let n = count (exec cat "update duo set v = v + 10 where v < 3") in
+  Alcotest.(check int) "keys that hash alike" 2 n;
+  check_rows "both changed" [ [ Some 3 ]; [ Some 11 ]; [ Some 12 ] ]
+    (rows (exec cat "select v from duo"))
 
 let test_update_constraints () =
   let cat = fresh () in

@@ -15,10 +15,11 @@
      filter, and a child reduced over its own subquery.
 
    The table itself is checked with every key forced into one bucket
-   and with the inner rows read through a selection vector; the scalar
-   two-row error, statements interleaved on the scheduler with their
-   buffers borrowed, and what a push-down site allocates per inner row
-   are checked last. *)
+   and with the inner rows read through a selection vector, and
+   {!Keyed}'s walks against a linear scan under both NULL rules; the
+   scalar two-row error, statements interleaved on the scheduler with
+   their buffers borrowed, and what a push-down site allocates per
+   inner row are checked last. *)
 
 open Nra
 open Test_support
@@ -333,6 +334,108 @@ let test_table () =
       | _ -> ())
     (List.filter snd (queries ()))
 
+(* ---------- the shared table against a linear scan ----------
+
+   Random rows whose two key cells repeat, hold NULL, and cross the
+   Int/Float line (Int 1 = Float 1.0); keyed on one column, two in
+   either order, or none; read whole or through a random selection
+   vector; one bucket (every entry on one chain) or the default count;
+   under both NULL rules.  For every probe — a random row, and each
+   entry's own — [first]/[next_equal] visit exactly the entries a scan
+   finds equal, in row order, and [first_entry], [linked] and
+   [distinct] agree with the scan. *)
+let gen_cell =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return vnull);
+        (5, map vi (int_range 0 3));
+        (1, return (vf 1.0));
+        (1, return (vf 2.5));
+      ])
+
+let gen_row =
+  QCheck.Gen.(map (fun (a, b) -> [| a; b |]) (pair gen_cell gen_cell))
+
+let arb_table =
+  QCheck.make
+    ~print:(fun (rows, sel, pos, probes) ->
+      let row r = Format.asprintf "%a" Row.pp r in
+      Printf.sprintf "rows [%s] sel %s pos [%s] probes [%s]"
+        (String.concat "; " (List.map row rows))
+        (match sel with
+        | None -> "none"
+        | Some s -> String.concat "," (List.map string_of_int s))
+        (String.concat "," (Array.to_list (Array.map string_of_int pos)))
+        (String.concat "; " (List.map row probes)))
+    QCheck.Gen.(
+      list_size (int_range 0 40) gen_row >>= fun rows ->
+      let n = List.length rows in
+      opt (list_size (int_range 0 40) (int_range 0 (max 0 (n - 1))))
+      >>= fun sel ->
+      (* ascending ids, as a filter's selection vector holds *)
+      let sel =
+        Option.map
+          (fun s -> List.sort_uniq compare (List.filter (fun i -> i < n) s))
+          sel
+      in
+      oneofl [ [| 0 |]; [| 1 |]; [| 0; 1 |]; [| 1; 0 |]; [||] ] >>= fun pos ->
+      list_size (int_range 0 10) gen_row >|= fun probes ->
+      (rows, sel, pos, probes))
+
+let prop_keyed_vs_scan =
+  QCheck.Test.make ~count:500 ~name:"Keyed walks equal a linear scan"
+    arb_table (fun (rows, sel, pos, probes) ->
+      let rows = Array.of_list rows in
+      let sel = Option.map Array.of_list sel in
+      let entries =
+        match sel with None -> rows | Some s -> Array.map (Array.get rows) s
+      in
+      let m = Array.length entries in
+      let has_null r = Row.has_null_on pos r in
+      let ok = ref true in
+      List.iter
+        (fun nulls ->
+          let skip = nulls = `Skip in
+          let equal r p =
+            (not (skip && (has_null r || has_null p)))
+            && Row.equal_on pos r p
+          in
+          let ids = List.init m Fun.id in
+          let scan p = List.filter (fun j -> equal entries.(j) p) ids in
+          List.iter
+            (fun buckets ->
+              Keyed.with_scratch ~nulls
+                ?sel:(Option.map (fun s -> (s, Array.length s)) sel)
+                ?buckets ~pos rows
+              @@ fun t ->
+              let rec walk p j =
+                if j < 0 then [] else j :: walk p (Keyed.next_equal t pos p j)
+              in
+              let check p =
+                ok := !ok && walk p (Keyed.first t pos p) = scan p
+              in
+              List.iter check probes;
+              Array.iter check entries;
+              Array.iteri
+                (fun j r ->
+                  let expect = match scan r with f :: _ -> f | [] -> -1 in
+                  ok := !ok && Keyed.first_entry t j = expect)
+                entries;
+              let linked = List.filter (fun j -> scan entries.(j) <> []) ids in
+              ok :=
+                !ok
+                && Keyed.length t = m
+                && Keyed.linked t = List.length linked
+                && Keyed.distinct t
+                   = List.length
+                       (List.filter
+                          (fun j -> List.hd (scan entries.(j)) = j)
+                          linked))
+            [ Some 1; None ])
+        [ `Group; `Skip ];
+      !ok)
+
 (* ---------- the scalar two-row error ---------- *)
 
 let test_scalar_error () =
@@ -471,6 +574,11 @@ let () =
           Alcotest.test_case "every link x key x child input" `Quick
             test_differential;
           Alcotest.test_case "one bucket, selection vector" `Quick test_table;
+          (* a fixed seed: the keyed-sets stress point runs this suite
+             twice and diffs the logs *)
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 25 |])
+            prop_keyed_vs_scan;
           Alcotest.test_case "scalar two-row error" `Quick test_scalar_error;
           Alcotest.test_case "interleaved on the scheduler" `Quick
             test_interleaved;

@@ -56,7 +56,36 @@ let test_sort_dedup () =
   let first = (Relation.rows s).(0) in
   Alcotest.(check bool) "nulls first" true (Value.is_null first.(0));
   let d = Relation.dedup r in
-  Alcotest.(check int) "dedup" 3 (Relation.cardinality d)
+  Alcotest.(check int) "dedup" 3 (Relation.cardinality d);
+  (* against first occurrences kept by a list scan, in order: rows that
+     repeat, NULLs in every column (NULL equals NULL), Int against Float
+     cells (3 = 3.0) *)
+  let list_dedup rows =
+    List.rev
+      (List.fold_left
+         (fun seen r ->
+           if List.exists (Row.equal r) seen then seen else r :: seen)
+         [] rows)
+  in
+  List.iter
+    (fun rows ->
+      let got = Array.to_list (Relation.rows (Relation.dedup (rel rows))) in
+      Alcotest.(check bool) "dedup = list scan" true
+        (List.equal Row.equal (list_dedup rows) got))
+    [
+      Array.to_list (Relation.rows r);
+      [];
+      [
+        [| vnull; vs "a"; vnull; vnull |];
+        [| vi 1; vs "a"; Value.Date 1; vi 3 |];
+        [| vnull; vs "a"; vnull; vnull |];
+        [| vi 1; vs "a"; Value.Date 1; vf 3.0 |];
+        [| vi 1; vs "b"; Value.Date 1; vf 3.0 |];
+        [| vnull; vs "a"; Value.Date 1; vnull |];
+        [| vi 1; vs "a"; Value.Date 1; vi 3 |];
+        [| vnull; vs "a"; vnull; vnull |];
+      ];
+    ]
 
 let test_bag_set_equality () =
   let r = sample () in

@@ -33,7 +33,65 @@ let test_intersect_except () =
     q (cat ())
       "select dept_id from dept except select dept_id from emp"
   in
-  check_rows "except" [ [ Some 4 ] ] rel
+  check_rows "except" [ [ Some 4 ] ] rel;
+  (* with and without ALL, against a list scan, row for row in order:
+     sides whose rows repeat and hold NULLs (NULL equals NULL) *)
+  let rows sql = Array.to_list (Relation.rows (q (cat ()) sql)) in
+  let rec remove_first r = function
+    | [] -> []
+    | x :: xs -> if Row.equal x r then xs else x :: remove_first r xs
+  in
+  let distinct l =
+    List.rev
+      (List.fold_left
+         (fun seen r ->
+           if List.exists (Row.equal r) seen then seen else r :: seen)
+         [] l)
+  in
+  let list_setop op a b =
+    let mem r l = List.exists (Row.equal r) l in
+    let bag = ref b in
+    (* take one of [r]'s copies out of [b], if one is left *)
+    let take r =
+      mem r !bag
+      &&
+      (bag := remove_first r !bag;
+       true)
+    in
+    match op with
+    | "intersect" -> distinct (List.filter (fun r -> mem r b) a)
+    | "except" -> distinct (List.filter (fun r -> not (mem r b)) a)
+    | "intersect all" -> List.filter take a
+    | _ (* except all *) -> List.filter (fun r -> not (take r)) a
+  in
+  let sides =
+    [
+      ("select dept_id from emp", 1);
+      ("select owner_dept from project", 1);
+      ("select manager_id from emp", 1);
+      ("select lead_emp from project", 1);
+      ("select dept_id, manager_id from emp", 2);
+      ("select owner_dept, lead_emp from project", 2);
+      ("select dept_id, manager_id from emp where emp_id > 2", 2);
+    ]
+  in
+  List.iter
+    (fun (a, arity) ->
+      List.iter
+        (fun (b, arity') ->
+          if arity = arity' then
+            List.iter
+              (fun op ->
+                let sql = Printf.sprintf "%s %s %s" a op b in
+                if
+                  not
+                    (List.equal Row.equal
+                       (list_setop op (rows a) (rows b))
+                       (Array.to_list (Relation.rows (q (cat ()) sql))))
+                then Alcotest.failf "%s differs from a list scan" sql)
+              [ "intersect"; "intersect all"; "except"; "except all" ])
+        sides)
+    sides
 
 let test_precedence () =
   (* INTERSECT binds tighter: A union (B intersect C) *)

@@ -223,7 +223,8 @@ let test_index_footprint () =
   List.iter
     (fun positions ->
       let h = own (Hash_index.build rel positions) in
-      let bound = (3 * n) + pow2 1 + 1 in
+      (* head and next arrays, plus the two records and key positions *)
+      let bound = n + pow2 1 + 32 in
       if h > bound then
         Alcotest.failf "hash index holds %d words (bound %d)" h bound;
       let s = own (Sorted_index.build rel positions) in
@@ -324,9 +325,20 @@ let prop_index_vs_scan =
         |> List.stable_sort (fun a b ->
                Row.compare_on positions rows.(a) rows.(b))
       in
+      (* the first keyed id whose key an earlier keyed id holds *)
+      let duplicate_expect =
+        List.find_opt
+          (fun id ->
+            List.exists
+              (fun id' ->
+                id' < id && Row.equal_on positions rows.(id') rows.(id))
+              keyed)
+          keyed
+      in
       let h = Hash_index.build rel positions in
       let s = Sorted_index.build rel positions in
       Hash_index.probe h key = hash_expect
+      && Hash_index.first_duplicate h = duplicate_expect
       && Sorted_index.probe s key = sorted_expect
       && Sorted_index.range s ~lo ~hi = range_expect
       && Hash_index.cardinality h = List.length keyed

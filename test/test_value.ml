@@ -68,6 +68,101 @@ let test_hash_consistent_with_equal () =
     (Value.hash (vf 0.5))
     (Value.hash_float 0.5)
 
+(* Int against Float by exact value: around 2^53, where [float_of_int]
+   rounds, and around 2^62, the edge of the int range, the order is a
+   total preorder whose equality is an equivalence that hashes alike. *)
+let p53 = 0x20_0000_0000_0000 and p62f = 4.611686018427387904e18
+
+let boundary_values =
+  List.concat_map
+    (fun sign ->
+      List.map (fun i -> vi (sign * i)) [ p53 - 1; p53; p53 + 1; p53 + 2 ]
+      @ List.map
+          (fun f -> vf (float_of_int sign *. f))
+          [ 9007199254740992.; 9007199254740994.; p62f; p62f /. 2. ])
+    [ 1; -1 ]
+  @ [
+      vi max_int;
+      vi min_int;
+      vi (max_int - 1);
+      vf 4611686018427387392. (* the float below 2^62 *);
+      vf nan;
+      vf infinity;
+      vf neg_infinity;
+      vf 0.5;
+      vf (-0.5);
+      vi 0;
+      vf (-0.0);
+    ]
+
+let test_exact_numeric_order () =
+  let c = Value.compare in
+  Alcotest.(check bool) "2^53 + 1 > the float 2^53" true
+    (c (vi (p53 + 1)) (vf 9007199254740992.) > 0);
+  Alcotest.(check bool) "the float 2^53 < 2^53 + 1" true
+    (c (vf 9007199254740992.) (vi (p53 + 1)) < 0);
+  Alcotest.(check int) "2^53 = the float 2^53" 0
+    (c (vi p53) (vf 9007199254740992.));
+  Alcotest.(check int) "min_int = the float -2^62" 0
+    (c (vi min_int) (vf (-.p62f)));
+  Alcotest.(check bool) "max_int < the float 2^62" true
+    (c (vi max_int) (vf p62f) < 0);
+  Alcotest.(check bool) "NaN below min_int" true
+    (c (vf nan) (vi min_int) < 0);
+  Alcotest.(check bool) "-0.5 < 0 < 0.5" true
+    (c (vf (-0.5)) (vi 0) < 0 && c (vi 0) (vf 0.5) < 0);
+  Alcotest.(check bool) "-1 < -0.5" true (c (vi (-1)) (vf (-0.5)) < 0);
+  let vs = boundary_values in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let ab = c a b and ba = c b a in
+          if (ab = 0) <> (ba = 0) || (ab > 0) <> (ba < 0) then
+            Alcotest.failf "%s vs %s: not antisymmetric" (Value.to_string a)
+              (Value.to_string b);
+          if ab = 0 && Value.hash a <> Value.hash b then
+            Alcotest.failf "%s = %s hash apart" (Value.to_string a)
+              (Value.to_string b);
+          List.iter
+            (fun d ->
+              if c a b <= 0 && c b d <= 0 && c a d > 0 then
+                Alcotest.failf "%s <= %s <= %s, yet %s > %s"
+                  (Value.to_string a) (Value.to_string b) (Value.to_string d)
+                  (Value.to_string a) (Value.to_string d);
+              if c a b = 0 && c b d = 0 && c a d <> 0 then
+                Alcotest.failf "%s = %s = %s, yet %s <> %s"
+                  (Value.to_string a) (Value.to_string b) (Value.to_string d)
+                  (Value.to_string a) (Value.to_string d))
+            vs)
+        vs)
+    vs
+
+(* SELECT DISTINCT over 2^53, the float 2^53 and 2^53 + 1 keeps the same
+   rows whichever of the first two is inserted first *)
+let test_distinct_order () =
+  let distinct first second =
+    let cat = Catalog.create () in
+    let exec sql =
+      match Nra.exec cat sql with
+      | Ok r -> r
+      | Error m -> Alcotest.fail (sql ^ ": " ^ m)
+    in
+    ignore (exec "create table t (id int, x float, primary key (id))");
+    ignore
+      (exec
+         (Printf.sprintf "insert into t values (1, %s), (2, %s), (3, %s)"
+            first second "9007199254740993"));
+    match exec "select distinct x from t" with
+    | Nra.Rows r -> Relation.sorted_rows r
+    | _ -> Alcotest.fail "expected rows"
+  in
+  let a = distinct "9007199254740992" "9007199254740992.0"
+  and b = distinct "9007199254740992.0" "9007199254740992" in
+  Alcotest.(check int) "two rows" 2 (List.length a);
+  Alcotest.(check bool) "same rows in both orders" true
+    (List.equal Row.equal a b)
+
 let test_cmp3 () =
   Alcotest.(check (option int)) "null lhs" None (Value.cmp3 Value.Null (vi 1));
   Alcotest.(check (option int)) "null rhs" None (Value.cmp3 (vi 1) Value.Null);
@@ -153,6 +248,10 @@ let () =
           Alcotest.test_case "compare" `Quick test_compare_basics;
           Alcotest.test_case "hash/equal" `Quick
             test_hash_consistent_with_equal;
+          Alcotest.test_case "exact int/float order" `Quick
+            test_exact_numeric_order;
+          Alcotest.test_case "distinct across 2^53" `Quick
+            test_distinct_order;
           Alcotest.test_case "cmp3" `Quick test_cmp3;
           Alcotest.test_case "arithmetic" `Quick test_arith;
           Alcotest.test_case "dates" `Quick test_dates;
