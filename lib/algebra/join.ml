@@ -5,8 +5,6 @@ type kind = Inner | Left_outer | Semi | Anti
 
 type matches = { off : int array; len : int array; pos : int array }
 
-let stats_probes = ref 0
-
 let out_schema kind left right =
   match kind with
   | Inner | Left_outer ->
@@ -223,15 +221,10 @@ let link_all t =
     end
   done
 
-(* the nested loop (no key) never counted as hash probes *)
-let probes t n =
-  if Array.length t.lpos > 0 then stats_probes := !stats_probes + n
-
 let probe_serial t ~off ~len cur =
   link_all t;
   for i = 0 to t.n - 1 do
     Nra_guard.Guard.tick ();
-    probes t 1;
     let lrow = left t i in
     off.(i) <- cur.fill;
     if not (Row.has_null_on t.lpos lrow) then begin
@@ -277,8 +270,7 @@ let probe_parallel t ~off ~len cur =
              let h = Row.hash_on t.lpos lrow in
              fill_chain t lrow h t.head.(slot t h) dst off.(i)
            end
-         done));
-  probes t n
+         done))
 
 (* Grace/hybrid variant: when the build side exceeds the buffer pool's
    frame budget, partition both inputs by key hash into [nparts]
@@ -429,8 +421,7 @@ let probe_grace t ~nparts ~off ~len cur =
                fill_chain_rev t lrow h t.head.(slot t h) dst (!at - 1));
            Pool.Ledger.consumed_spill ledger rspills.(k);
            Pool.Ledger.consumed_spill ledger lspills.(k)
-         done));
-  probes t t.n
+         done))
 
 (* A Cartesian site (no equi-conjunct, trivially-true [on]): every left
    row points at one shared range of all the build entries, so memory

@@ -59,7 +59,3 @@ val nested_loop : kind -> on:Expr.pred -> Relation.t -> Relation.t ->
   Relation.t
 (** Reference implementation, a plain nested loop independent of the
     chained table: tests hold [join] and [with_matches] to it. *)
-
-val stats_probes : int ref
-(** Total hash probes since program start — a cheap cost counter used by
-    benchmark sanity checks. *)

@@ -251,48 +251,42 @@ val run :
 
 type prepared
 (** A statement carried past its per-execution costs: parsed, and — for
-    a plain SELECT — analyzed into the block tree, with [Auto]'s cost
-    estimation already paid.  The [nra.server] plan cache stores these
-    keyed on (normalized text, strategy, catalog + statistics
-    generation), so repeated statements skip parse/plan/estimate. *)
+    a plain SELECT — analyzed into the block tree and priced: [Auto]'s
+    estimates and every NRA strategy's rewrite, or an NRA-family
+    strategy's one rewrite.  The [nra.server] plan cache stores these
+    keyed on (normalized text, strategy, rewrite signature) and stamped
+    with the catalog generation, so repeated statements skip
+    parse/plan/estimate/rewrite. *)
 
 val prepare :
   ?strategy:strategy ->
   Catalog.t ->
   string ->
   (prepared, Exec_error.t) result
-(** Parse [sql]; analyze it when it is a plain SELECT; when [strategy]
-    is [Auto], additionally price every strategy once.  Set operations,
-    WITH and DML prepare to their parsed command only (execution
-    analyzes per component, as {!run} does). *)
+(** Parse [sql]; analyze it when it is a plain SELECT, and price it:
+    when [strategy] is [Auto], every strategy and every NRA strategy's
+    rewrite once, in one cardinality context; when it is an NRA-family
+    strategy, that strategy's rewrite under the rules enabled now.  Set
+    operations, WITH and DML prepare to their parsed command only
+    (execution analyzes per component, as {!run} does). *)
 
 val run_prepared :
   ?guard:Guard.budget ->
   Catalog.t ->
   prepared ->
   (exec_result, Exec_error.t) result
-(** Execute without re-parsing, re-analyzing or re-estimating.  An
-    [Auto] preparation replays its stored estimates through the same
-    budget-aware pick and kill-and-fallback protocol as {!run}; the
-    pick still consults [Guard.remaining ()] at {e execution} time, so
-    a cached plan adapts to the caller's current budget.  The caller is
-    responsible for staleness: a prepared statement must not outlive a
-    change to its catalog or statistics (the plan cache enforces this
-    with generation checks). *)
+(** Execute without re-parsing, re-analyzing, re-estimating or
+    re-rewriting.  An [Auto] preparation replays its stored estimates
+    through the same budget-aware pick and kill-and-fallback protocol
+    as {!run}, and the pick and the fallback run the rewrites they were
+    priced with; the pick still consults [Guard.remaining ()] at
+    {e execution} time, so a cached plan adapts to the caller's current
+    budget.  The caller is responsible for staleness: a prepared
+    statement must not outlive a change to its catalog, indexes,
+    statistics or rewrite rules (the plan cache enforces this with
+    generation checks and the rewrite signature in its key). *)
 
-val prepared_sql : prepared -> string
 val prepared_strategy : prepared -> strategy
-
-val query_shape : string -> string
-(** A structural fingerprint of the statement's subquery links from the
-    parse tree alone: one letter per linking operator in traversal
-    order ([e]/[E] EXISTS, [i]/[I] IN, [q]/[Q] θ SOME/ALL, [s] scalar),
-    suffixed with [!agg] when the subquery's single select item is an
-    aggregate (type JA) — so ["i!max"] is [IN (SELECT MAX…)].  Empty
-    for unparsable or subquery-free statements.  The plan cache adds
-    this to its key: an aggregate-linking query can never share a slot
-    with a lookalike non-aggregate one regardless of text
-    normalization. *)
 
 val prepared_is_query : prepared -> bool
 (** [true] for SELECT / set-operation statements — the only ones the
@@ -376,7 +370,8 @@ val estimates_with_rewrites :
   Catalog.t -> Nra_planner.Analyze.t -> Nra_stats.Cost.estimate list
 (** {!Stats.Cost.estimates} with each NRA strategy's estimate adjusted
     by its rewrite's estimated delta and re-ranked — the estimate list
-    [Auto] actually picks over. *)
+    [Auto] actually picks over.  The estimates and the rewrites share
+    one cardinality context and one lifted plan per NRA strategy. *)
 
 (** {1 Statement footprints} *)
 

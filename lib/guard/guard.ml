@@ -9,11 +9,6 @@ type kill = Budget_exceeded of resource | Cancelled
 
 exception Killed of kill
 
-let kill_to_string = function
-  | Budget_exceeded r ->
-      Printf.sprintf "budget exceeded (%s)" (resource_to_string r)
-  | Cancelled -> "cancelled"
-
 (* ---------- cancellation ---------- *)
 
 type token = bool ref

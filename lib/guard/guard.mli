@@ -38,8 +38,6 @@ type kill = Budget_exceeded of resource | Cancelled
 exception Killed of kill
 (** Raised by {!tick} / {!add_rows}; unwinds the evaluator. *)
 
-val kill_to_string : kill -> string
-
 (** {1 Cancellation tokens} *)
 
 type token

@@ -17,7 +17,6 @@ open Nra_planner
 module A = Analyze
 module Cost = Nra_stats.Cost
 module Plan = Nra_exec.Plan
-module Nx = Nra_exec.Nra
 
 type costline = { seq : float; rand : float; fetch : float; ms : float }
 
@@ -61,14 +60,14 @@ let nest_pages (nest : Plan.nest) ~sorted ~rows =
        selection pass *)
     2.0 *. p2
 
-let cost_of cat (p : Plan.t) =
+let cost_of env (p : Plan.t) =
   let sorted = presorted p in
   let nest_seq = ref 0.0 in
   let nest (n : Plan.node) nf ~rows =
     let sorted = List.mem n.Plan.child.A.block.A.id sorted in
     nest_seq := !nest_seq +. nest_pages nf ~sorted ~rows
   in
-  let bd = Cost.plan_breakdown ~nest cat p in
+  let bd = Cost.plan_breakdown ~nest env p in
   let bd = { bd with Cost.seq_pages = bd.Cost.seq_pages +. !nest_seq } in
   {
     seq = bd.Cost.seq_pages;
@@ -111,7 +110,8 @@ type verdict = Fired | Skipped of string
 type trace_entry = {
   rule : Config.rule;
   block_id : int;
-  site : string;
+  impl_before : Plan.impl;
+  impl_after : Plan.impl;
   cost_before : costline;
   cost_after : costline;
   verdict : verdict;
@@ -133,13 +133,13 @@ let rule_order =
 let max_passes = 4
 let eps = 1e-9
 
-let rewrite ?rules cat (analyzed : A.t) ~(base : Nx.options) : result =
+let rewrite ?rules env (start : Plan.t) : result =
   let rules =
     match rules with Some rs -> rs | None -> Config.rules ()
   in
   let active = List.filter (fun r -> List.mem r rules) rule_order in
-  let plan = ref (Plan.lift ~base analyzed) in
-  let cost = ref (cost_of cat !plan) in
+  let plan = ref start in
+  let cost = ref (cost_of env !plan) in
   let before = !cost in
   let trace = ref [] in
   let changed = ref false in
@@ -156,21 +156,17 @@ let rewrite ?rules cat (analyzed : A.t) ~(base : Nx.options) : result =
             | None -> ()
             | Some impl ->
                 let id = n.Plan.child.A.block.A.id in
-                let site =
-                  Printf.sprintf "block %d: %s → %s" id
-                    (Plan.impl_to_string n.Plan.impl)
-                    (Plan.impl_to_string impl)
-                in
                 let candidate =
                   Plan.renormalize (Plan.replace !plan ~id ~impl)
                 in
-                let cost' = cost_of cat candidate in
+                let cost' = cost_of env candidate in
                 let record verdict =
                   trace :=
                     {
                       rule;
                       block_id = id;
-                      site;
+                      impl_before = n.Plan.impl;
+                      impl_after = impl;
                       cost_before = !cost;
                       cost_after = cost';
                       verdict;
@@ -200,6 +196,11 @@ let rewrite ?rules cat (analyzed : A.t) ~(base : Nx.options) : result =
 
 (* ---------- rendering for explain --costs ---------- *)
 
+let site (e : trace_entry) =
+  Printf.sprintf "block %d: %s → %s" e.block_id
+    (Plan.impl_to_string e.impl_before)
+    (Plan.impl_to_string e.impl_after)
+
 let trace_lines (r : result) =
   let line (e : trace_entry) =
     let verdict =
@@ -209,6 +210,6 @@ let trace_lines (r : result) =
     in
     Printf.sprintf "  %-10s %-45s %8.1f → %8.1f ms  %s"
       (Config.rule_to_string e.rule)
-      e.site e.cost_before.ms e.cost_after.ms verdict
+      (site e) e.cost_before.ms e.cost_after.ms verdict
   in
   List.map line r.trace

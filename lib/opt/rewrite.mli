@@ -2,21 +2,16 @@
 
     Each enabled rule proposes [impl] edits node by node; an edit is
     applied only when the whole-plan Iosim estimate strictly improves.
-    The engine iterates to a bounded fixpoint and returns the rewritten
-    plan, which {!Nra_exec.Nra.run_where} runs as given, and the fired /
-    skipped trace for [explain --costs]. *)
+    The estimate is {!Nra_stats.Cost.plan_breakdown} plus the nest
+    materialize / sort / pipeline passes, so two plans that differ only
+    in a nest's shape still cost differently.  The engine iterates to a
+    bounded fixpoint and returns the rewritten plan, which
+    {!Nra_exec.Nra.run_where} runs as given, and the fired / skipped
+    trace for [explain --costs]. *)
 
-open Nra_storage
-open Nra_planner
-module Nx := Nra_exec.Nra
 module Plan := Nra_exec.Plan
 
 type costline = { seq : float; rand : float; fetch : float; ms : float }
-
-val cost_of : Catalog.t -> Plan.t -> costline
-(** The plan's Iosim estimate: {!Nra_stats.Cost.plan_breakdown} plus
-    the nest materialize / sort / pipeline passes, so two plans that
-    differ only in a nest's shape still cost differently. *)
 
 val propose : Config.rule -> Plan.node -> Plan.impl option
 (** The rule's edit at this node (before any costing): [Some impl] only
@@ -28,7 +23,8 @@ type verdict = Fired | Skipped of string
 type trace_entry = {
   rule : Config.rule;
   block_id : int;
-  site : string;
+  impl_before : Plan.impl;
+  impl_after : Plan.impl;  (** the rule's proposal at the block *)
   cost_before : costline;
   cost_after : costline;
   verdict : verdict;
@@ -45,11 +41,12 @@ type result = {
 }
 
 val rewrite :
-  ?rules:Config.rule list ->
-  Catalog.t ->
-  Analyze.t ->
-  base:Nx.options ->
-  result
-(** Rules default to {!Config.rules} (the global toggle state). *)
+  ?rules:Config.rule list -> Nra_stats.Cardinality.env -> Plan.t -> result
+(** Rewrite [start], a plan of the context's statement, pricing it and
+    every candidate in that one cardinality context.  Rules default to
+    {!Config.rules} (the global toggle state). *)
+
+val site : trace_entry -> string
+(** ["block N: before → after"], formatted when called. *)
 
 val trace_lines : result -> string list

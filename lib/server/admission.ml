@@ -49,7 +49,6 @@ let create cfg =
 
 let config t = t.cfg
 let running t = t.running
-let queue_length t = List.length t.queue
 let stats t = t.st
 
 type 'a waiter = { payload : 'a; enqueued_at : float; at : float }

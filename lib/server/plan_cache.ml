@@ -18,14 +18,11 @@ type entry = {
 type t = {
   capacity : int;
   cat : Nra.Catalog.t;
-  tbl : (string * string * string * string, entry) Hashtbl.t;
-      (* (normalized SQL, subquery-link shape, strategy, rewrite
-         signature) — the rewrite mask+epoch in the key means toggling
-         rules via CLI/env can never serve a plan prepared under a
-         different configuration, and the shape fingerprint
-         ([Nra.query_shape]) means an aggregate-linking (type-JA)
-         statement can never share a slot with a lookalike
-         non-aggregate one whatever [normalize] collapses *)
+  tbl : (string * string * string, entry) Hashtbl.t;
+      (* (normalized SQL, strategy, rewrite signature) — equal
+         normalized text lexes to equal tokens, and the rewrite
+         mask+epoch in the key means toggling rules via CLI/env can
+         never serve a plan prepared under a different configuration *)
   mutable tick : int;
   mutable st : stats;
 }
@@ -71,6 +68,15 @@ let normalize sql =
       else
         match c with
         | ' ' | '\t' | '\n' | '\r' -> go (i + 1) ~in_lit ~pending_ws:true
+        | '-' when i + 1 < n && sql.[i + 1] = '-' ->
+            (* a line comment separates tokens as whitespace does; the
+               newline that ends it is whitespace too *)
+            let eol =
+              match String.index_from_opt sql i '\n' with
+              | Some j -> j
+              | None -> n
+            in
+            go eol ~in_lit ~pending_ws:true
         | _ ->
             if pending_ws && Buffer.length b > 0 then Buffer.add_char b ' ';
             Buffer.add_char b (Char.lowercase_ascii c);
@@ -106,7 +112,6 @@ let find_or_prepare t ~strategy sql =
   t.tick <- t.tick + 1;
   let key =
     ( normalize sql,
-      Nra.query_shape sql,
       Nra.strategy_to_string strategy,
       Nra.rewrite_signature () )
   in

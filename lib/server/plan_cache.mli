@@ -1,18 +1,20 @@
 (** A generation-checked plan cache over {!Nra.prepared} statements.
 
-    Entries are keyed on (normalized statement text, subquery-link
-    shape — see {!Nra.query_shape}, which distinguishes
-    aggregate-linking (type-JA) subqueries from lookalike non-aggregate
-    ones — strategy, rewrite signature — see {!Nra.rewrite_signature})
-    and stamped with the catalog's global generation
-    ([Catalog.global_generation]) at preparation time.  A lookup whose
-    stamp no longer matches discards the entry and re-prepares: any
-    DML, DDL or [ANALYZE] bumps that generation, so a cached plan can
-    never be replayed against a world it was not priced for.
+    Entries are keyed on (normalized statement text, strategy, rewrite
+    signature — see {!Nra.rewrite_signature}) and stamped with the
+    catalog's global generation ([Catalog.global_generation]) at
+    preparation time.  A lookup whose stamp no longer matches discards
+    the entry and re-prepares: any DML, DDL, index change or [ANALYZE]
+    bumps that generation, so a cached plan can never be replayed
+    against a world it was not priced for.
 
-    Normalization collapses whitespace and case {e outside} quoted
-    literals, so ["SELECT * FROM emp"] and ["select *  from emp"] share
-    an entry while ["… where name = 'Ann'"] and ["… = 'ANN'"] do not.
+    Normalization collapses whitespace and case and drops [--] line
+    comments, all {e outside} quoted literals, so ["SELECT * FROM emp"]
+    and ["select *  from emp -- all"] share an entry while
+    ["… where name = 'Ann'"] and ["… = 'ANN'"] do not.  Two texts with
+    equal normalizations lex to equal token streams, so the key needs
+    nothing from the parser: a hit lexes and parses nothing, and a
+    miss parses once.
 
     Only queries are cached ({!Nra.prepared_is_query}); DML/DDL pass
     through uncached — caching them would be self-defeating, since they
@@ -30,7 +32,8 @@ val create : ?capacity:int -> Nra.Catalog.t -> t
 
 val normalize : string -> string
 (** The cache key's text component: lowercased, whitespace-collapsed,
-    with single-quoted literals preserved byte-for-byte. *)
+    [--] comments dropped, with single-quoted literals preserved
+    byte-for-byte and a trailing [;] removed. *)
 
 val find_or_prepare :
   t ->

@@ -674,7 +674,6 @@ let raising f src =
     raise (Parse_error (Printf.sprintf "%s at offset %d" m pos))
 
 let parse src = raising (fun src -> with_state src query) src
-let parse_expr src = raising (fun src -> with_state src expr) src
 let parse_statement src = raising (fun src -> with_state src statement) src
 let parse_command src = raising (fun src -> with_state src command) src
 
@@ -688,5 +687,4 @@ let parse_command_located src = located (fun src -> with_state src command) src
 let errors_to_result f src = Result.map_error render_error (f src)
 
 let parse_result src = errors_to_result parse_located src
-let parse_statement_result src = errors_to_result parse_statement_located src
 let parse_command_result src = errors_to_result parse_command_located src

@@ -33,8 +33,6 @@ val parse_statement : string -> Ast.statement
     [UNION / INTERSECT / EXCEPT [ALL]] (INTERSECT binds tighter;
     parentheses override).  Subqueries remain plain SELECTs. *)
 
-val parse_statement_result : string -> (Ast.statement, string) result
-
 val parse_command : string -> Ast.command
 (** A statement, or DDL/DML:
     [CREATE TABLE t (c TYPE [NOT NULL] …, PRIMARY KEY (c, …))] with
@@ -44,6 +42,3 @@ val parse_command : string -> Ast.command
     [DELETE FROM t [WHERE …]]. *)
 
 val parse_command_result : string -> (Ast.command, string) result
-
-val parse_expr : string -> Ast.expr
-(** Parse a standalone scalar expression (used by tests). *)

@@ -5,9 +5,29 @@ module A = Analyze
 module R = Resolved
 module T3 = Three_valued
 
-type env = { cat : Catalog.t; analysis : A.t }
+(* One statement's cardinality context.  [card] and [fanout] memoise
+   [block_card] and [fanout] per block, indexed by the block's id
+   (dense from 1, see [Analyze]); NaN marks a slot not yet computed. *)
+type env = {
+  cat : Catalog.t;
+  analysis : A.t;
+  card : float array;
+  fan : float array;
+}
 
-let make_env cat analysis = { cat; analysis }
+let make_env cat (analysis : A.t) =
+  let slots =
+    1 + List.fold_left (fun m (b : A.block) -> max m b.A.id) 0 analysis.A.blocks
+  in
+  {
+    cat;
+    analysis;
+    card = Array.make slots Float.nan;
+    fan = Array.make slots Float.nan;
+  }
+
+let catalog env = env.cat
+let analysis env = env.analysis
 
 let clamp x = min 1.0 (max 0.0 x)
 let third = 1.0 /. 3.0
@@ -128,7 +148,23 @@ let local_sel env (b : A.block) =
 let block_base_rows _env (b : A.block) =
   List.fold_left (fun acc bd -> acc *. table_rows bd) 1.0 b.A.bindings
 
-let block_card env b = block_base_rows env b *. local_sel env b
+(* [memo] is [block_card]'s or [fanout]'s table: the value kept for
+   [b], or [compute env b] kept for the next call (a block outside the
+   context's analysis is computed every time) *)
+let memo memo compute env (b : A.block) =
+  let id = b.A.id in
+  if id >= Array.length memo then compute env b
+  else
+    let v = memo.(id) in
+    if Float.is_nan v then begin
+      let v = compute env b in
+      memo.(id) <- v;
+      v
+    end
+    else v
+
+let block_card env b =
+  memo env.card (fun env b -> block_base_rows env b *. local_sel env b) env b
 
 (* per-outer-tuple selectivity of one correlated conjunct: the inner
    side fixed to the block's column, the outer side a constant for the
@@ -155,7 +191,8 @@ let corr_sel env (b : A.block) =
     (fun acc rc -> acc *. corr_conjunct_sel env b rc)
     1.0 b.A.correlated
 
-let fanout env b = block_card env b *. corr_sel env b
+let fanout env b =
+  memo env.fan (fun env b -> block_card env b *. corr_sel env b) env b
 
 let probe_fanout env (b : A.block) cols =
   let per_col acc col =

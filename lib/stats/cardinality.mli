@@ -15,8 +15,16 @@ open Nra_storage
 open Nra_planner
 
 type env
+(** One statement's cardinality context: the catalog, the statement's
+    analysis, and [block_card] and [fanout] memoised per block.  Build
+    it once per statement and hand it to every estimate and rewrite
+    candidate priced for that statement; it holds no state beyond the
+    statement, so concurrently planned statements each hold their
+    own. *)
 
 val make_env : Catalog.t -> Analyze.t -> env
+val catalog : env -> Catalog.t
+val analysis : env -> Analyze.t
 
 val col_stats : env -> Resolved.rcol -> Col_stats.t option
 (** Fresh ANALYZE output for the column's base table, if any. *)
@@ -49,7 +57,8 @@ val block_base_rows : env -> Analyze.block -> float
 
 val block_card : env -> Analyze.block -> float
 (** [block_base_rows × local_sel] — the block relation's size after
-    pushed-down local selections. *)
+    pushed-down local selections.  Computed once per block and
+    context. *)
 
 val corr_sel : env -> Analyze.block -> float
 (** Per-outer-tuple selectivity of the block's correlated conjuncts:
@@ -58,7 +67,7 @@ val corr_sel : env -> Analyze.block -> float
 
 val fanout : env -> Analyze.block -> float
 (** Expected matching inner tuples per outer tuple:
-    [block_card × corr_sel]. *)
+    [block_card × corr_sel].  Computed once per block and context. *)
 
 val probe_fanout : env -> Analyze.block -> string list -> float
 (** Candidate rows returned by an index probe on the given inner equi

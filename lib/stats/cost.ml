@@ -176,34 +176,44 @@ let price (bd : breakdown) =
   +. (bd.rand_pages *. c.Iosim.t_rand_ms)
   +. (bd.fetched_rows *. c.Iosim.t_fetch_ms)
 
-let plan_breakdown ?nest cat (p : Plan.t) =
+let plan_breakdown ?nest env (p : Plan.t) =
   let acc = { seq = 0.0; rand = 0.0; fetch = 0.0 } in
-  nra_walk ?nest (C.make_env cat p.Plan.analyzed) acc p;
+  nra_walk ?nest env acc p;
   { seq_pages = acc.seq; rand_pages = acc.rand; fetched_rows = acc.fetch }
 
-let estimate cat (t : A.t) strategy =
-  let env = C.make_env cat t in
+let nra_base = function
+  | Nra_original -> Some Nx.original
+  | Nra_optimized -> Some Nx.optimized
+  | Nra_full -> Some Nx.full
+  | Naive | Classical | Magic -> None
+
+(* [plan] is the NRA strategy's lifted plan when the caller holds it *)
+let estimate_in env ?plan strategy =
+  let cat = C.catalog env and t = C.analysis env in
   let acc = { seq = 0.0; rand = 0.0; fetch = 0.0 } in
+  let nra base =
+    nra_walk env acc (match plan with Some p -> p | None -> Plan.lift ~base t)
+  in
   (match strategy with
   | Naive -> naive_cost env cat t acc
   | Classical -> classical_cost env cat t acc
   | Magic -> magic_cost env cat t acc
-  | Nra_original -> nra_walk env acc (Plan.lift ~base:Nx.original t)
-  | Nra_optimized -> nra_walk env acc (Plan.lift ~base:Nx.optimized t)
-  | Nra_full -> nra_walk env acc (Plan.lift ~base:Nx.full t));
+  | Nra_original -> nra Nx.original
+  | Nra_optimized -> nra Nx.optimized
+  | Nra_full -> nra Nx.full);
   let breakdown =
     { seq_pages = acc.seq; rand_pages = acc.rand; fetched_rows = acc.fetch }
   in
   { strategy; cost_ms = price breakdown; breakdown }
 
-let estimates cat t =
-  List.map (estimate cat t) all
+let estimate cat t strategy = estimate_in (C.make_env cat t) strategy
+
+let estimates ?(plans = []) env =
+  List.map (fun s -> estimate_in env ?plan:(List.assoc_opt s plans) s) all
   |> List.stable_sort (fun a b ->
          match Float.compare a.cost_ms b.cost_ms with
          | 0 -> Int.compare (preference a.strategy) (preference b.strategy)
          | n -> n)
-
-let choose cat t = (List.hd (estimates cat t)).strategy
 
 (* ---------- budget-aware selection ---------- *)
 
@@ -232,8 +242,9 @@ let analyzed_tables cat (t : A.t) =
     (List.map (fun (_, bd) -> bd.A.source) t.A.by_uid)
   |> List.map (fun name -> (name, Catalog.stats cat name <> None))
 
-let report cat t =
-  let es = estimates cat t in
+let report env =
+  let cat = C.catalog env and t = C.analysis env in
+  let es = estimates env in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf "%-14s %12s %12s %12s %12s\n" "strategy" "est(ms)"

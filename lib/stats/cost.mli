@@ -56,6 +56,11 @@ type estimate = {
 }
 
 val estimate : Catalog.t -> Analyze.t -> strategy -> estimate
+(** One strategy's estimate, in a cardinality context of its own. *)
+
+val nra_base : strategy -> Nra_exec.Nra.options option
+(** The options an NRA strategy lifts its plan under ([None] for Naive,
+    Classical and Magic). *)
 
 val pages : float -> float
 (** Pages that many rows occupy (at least one). *)
@@ -65,16 +70,18 @@ val price : breakdown -> float
 
 val plan_breakdown :
   ?nest:(Nra_exec.Plan.node -> Nra_exec.Plan.nest -> rows:float -> unit) ->
-  Catalog.t -> Nra_exec.Plan.t -> breakdown
-(** The scan and fetch charges of an NRA plan, as {!estimate} prices
-    the NRA strategies.  [nest] sees every join+nest site, its nest and
-    its estimated wide row count. *)
+  Cardinality.env -> Nra_exec.Plan.t -> breakdown
+(** The scan and fetch charges of an NRA plan of the context's
+    statement, as {!estimates} prices the NRA strategies.  [nest] sees
+    every join+nest site, its nest and its estimated wide row count. *)
 
-val estimates : Catalog.t -> Analyze.t -> estimate list
-(** All six, cheapest first (ties in preference order). *)
-
-val choose : Catalog.t -> Analyze.t -> strategy
-(** The head of {!estimates}. *)
+val estimates :
+  ?plans:(strategy * Nra_exec.Plan.t) list -> Cardinality.env -> estimate list
+(** All six for the context's statement, cheapest first (ties in
+    preference order), priced in that one context.  An NRA strategy
+    listed in [plans] is priced on that plan, which must be
+    [Plan.lift ~base:(nra_base s)] of the statement; the others lift
+    their own. *)
 
 val fits :
   remaining_io_ms:float option -> remaining_rows:int option ->
@@ -96,6 +103,7 @@ val pick :
     plans toward scan-shaped ones even when the latter price higher.
     @raise Invalid_argument on an empty list. *)
 
-val report : Catalog.t -> Analyze.t -> string
-(** The EXPLAIN COSTS table: per-strategy breakdowns and the choice,
-    with a note when some table lacks fresh statistics. *)
+val report : Cardinality.env -> string
+(** The EXPLAIN COSTS table for the context's statement: per-strategy
+    breakdowns and the choice, with a note when some table lacks fresh
+    statistics. *)

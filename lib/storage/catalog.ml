@@ -17,7 +17,7 @@ type entry = {
 }
 
 (* [gen] is the catalog-wide version: bumped on every register, DML row
-   replacement, drop and ANALYZE.  Consumers that cache whole-query
+   replacement, drop, index change and ANALYZE.  Consumers that cache whole-query
    derived data (the nra.server plan cache) compare it instead of
    tracking every table they touched. *)
 type t = { tbl : (string, entry) Hashtbl.t; mutable gen : int }
@@ -122,21 +122,27 @@ let tables t =
   Hashtbl.fold (fun _ e acc -> e.table :: acc) t.tbl []
   |> List.sort (fun a b -> String.compare (Table.name a) (Table.name b))
 
+(* an index changes the access paths a plan was priced with, so index
+   changes bump [gen] like DML does *)
 let create_hash_index t ~table:name cols =
   let e = entry t name in
-  if not (List.mem_assoc cols e.idx.hash) then
+  if not (List.mem_assoc cols e.idx.hash) then begin
     e.idx.hash <-
       (cols, Hash_index.build (Table.relation e.table)
                (positions_of e.table cols))
-      :: e.idx.hash
+      :: e.idx.hash;
+    t.gen <- t.gen + 1
+  end
 
 let create_sorted_index t ~table:name cols =
   let e = entry t name in
-  if not (List.mem_assoc cols e.idx.sorted) then
+  if not (List.mem_assoc cols e.idx.sorted) then begin
     e.idx.sorted <-
       (cols, Sorted_index.build (Table.relation e.table)
                (positions_of e.table cols))
-      :: e.idx.sorted
+      :: e.idx.sorted;
+    t.gen <- t.gen + 1
+  end
 
 let same_set a b =
   List.sort String.compare a = List.sort String.compare b
@@ -173,8 +179,12 @@ let sorted_index_on t ~table:name col =
 let drop_indexes t ~table:name =
   let e = entry t name in
   let key_cols = Table.key_columns e.table in
-  e.idx.hash <- List.filter (fun (ic, _) -> same_set ic key_cols) e.idx.hash;
-  e.idx.sorted <- []
+  let hash = List.filter (fun (ic, _) -> same_set ic key_cols) e.idx.hash in
+  if List.compare_lengths hash e.idx.hash <> 0 || e.idx.sorted <> [] then begin
+    e.idx.hash <- hash;
+    e.idx.sorted <- [];
+    t.gen <- t.gen + 1
+  end
 
 let pp ppf t =
   let ts = tables t in

@@ -43,7 +43,7 @@ val generation : t -> string -> int
 
 val global_generation : t -> int
 (** Monotonic catalog-wide version: bumped on every table registration,
-    DML row replacement, drop and {!analyze}.  Whole-query caches (the
+    DML row replacement, drop, index creation or drop, and {!analyze}.  Whole-query caches (the
     [nra.server] plan cache) key on this instead of enumerating the
     tables a plan touches. *)
 
@@ -66,6 +66,8 @@ val stats : t -> string -> Table_stats.t option
 
 val create_hash_index : t -> table:string -> string list -> unit
 val create_sorted_index : t -> table:string -> string list -> unit
+(** Build a secondary index on these columns, unless one exists; a new
+    index bumps {!global_generation}. *)
 
 val hash_index : t -> table:string -> string list -> Hash_index.t option
 (** Look up a hash index on exactly these columns (order-insensitive). *)
@@ -81,6 +83,7 @@ val sorted_index_on : t -> table:string -> string -> Sorted_index.t option
 (** A sorted index whose first column is the given one. *)
 
 val drop_indexes : t -> table:string -> unit
-(** Drop secondary indexes (keeps the automatic primary-key index). *)
+(** Drop secondary indexes (keeps the automatic primary-key index);
+    bumps {!global_generation} when any was dropped. *)
 
 val pp : Format.formatter -> t -> unit

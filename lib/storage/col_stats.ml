@@ -14,11 +14,10 @@ type t = {
 (* A column's keys, read in place by row position.  [hash] and [same]
    are the engine's equality on the column's kind ([Value.equal]:
    -0.0 = 0.0 and NaN = NaN on floats, Int 1 = Float 1.0 on a mixed
-   column), [order] is [Value.compare], and [value] boxes one key. *)
+   column), and [value] boxes one key. *)
 type keys = {
   hash : int -> int;
   same : int -> int -> bool;
-  order : int -> int -> int;
   value : int -> Value.t;
 }
 
@@ -34,42 +33,36 @@ let keys_of : Batch.col -> keys = function
       {
         hash = (fun i -> a.(i));
         same = (fun i j -> a.(i) = a.(j));
-        order = (fun i j -> Int.compare a.(i) a.(j));
         value = (fun i -> Value.Int a.(i));
       }
   | Batch.Dates a ->
       {
         hash = (fun i -> a.(i));
         same = (fun i j -> a.(i) = a.(j));
-        order = (fun i j -> Int.compare a.(i) a.(j));
         value = (fun i -> Value.Date a.(i));
       }
   | Batch.Floats a ->
       {
         hash = (fun i -> hash_float a.(i));
         same = (fun i j -> Float.compare a.(i) a.(j) = 0);
-        order = (fun i j -> Float.compare a.(i) a.(j));
         value = (fun i -> Value.Float a.(i));
       }
   | Batch.Strings a ->
       {
         hash = (fun i -> Value.hash_string a.(i));
         same = (fun i j -> String.equal a.(i) a.(j));
-        order = (fun i j -> String.compare a.(i) a.(j));
         value = (fun i -> Value.String a.(i));
       }
   | Batch.Bools a ->
       {
         hash = (fun i -> Char.code (Bytes.get a i));
         same = (fun i j -> Bytes.get a i = Bytes.get a j);
-        order = (fun i j -> Char.compare (Bytes.get a i) (Bytes.get a j));
         value = (fun i -> Value.Bool (Bytes.get a i = '\001'));
       }
   | Batch.Boxed a ->
       {
         hash = (fun i -> Value.hash a.(i));
         same = (fun i j -> Value.equal a.(i) a.(j));
-        order = (fun i j -> Value.compare a.(i) a.(j));
         value = (fun i -> a.(i));
       }
 
@@ -90,29 +83,27 @@ let rec slot k gs index mask i c =
 
 let rec pow2_at_least b n = if 1 lsl b >= n then b else pow2_at_least (b + 1) n
 
-(* Bottom-up merge sort of [a.(0 .. n-1)] by [cmp], with
-   [a.(n .. 2n-1)] as the other half of each pass: [merge] merges the
-   runs [lo, mid) and [mid, hi) of one half into the other. *)
-let merge cmp a ~src ~lo ~mid ~hi ~dst =
-  let i = ref lo and j = ref mid in
-  for k = lo to hi - 1 do
-    if !i < mid && (!j >= hi || cmp a.(src + !i) a.(src + !j) <= 0) then begin
-      a.(dst + k) <- a.(src + !i);
-      incr i
-    end
-    else begin
-      a.(dst + k) <- a.(src + !j);
-      incr j
-    end
-  done
-
-let sort_prefix cmp a n =
+(* Stable bottom-up merge sort of the slots [0, n) of a buffer of
+   [2n] slots, the other half taking each pass's output: [le i j]
+   compares the keys in slots [i] and [j], and [move i j] copies slot
+   [i] to slot [j].  Returns the half (0 or [n]) holding the result. *)
+let merge_sort ~le ~move n =
   let src = ref 0 and dst = ref n and width = ref 1 in
   while !width < n do
     let lo = ref 0 in
     while !lo < n do
       let mid = min n (!lo + !width) and hi = min n (!lo + (2 * !width)) in
-      merge cmp a ~src:!src ~lo:!lo ~mid ~hi ~dst:!dst;
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || le (!src + !i) (!src + !j)) then begin
+          move (!src + !i) (!dst + k);
+          incr i
+        end
+        else begin
+          move (!src + !j) (!dst + k);
+          incr j
+        end
+      done;
       lo := hi
     done;
     let s = !src in
@@ -120,7 +111,55 @@ let sort_prefix cmp a n =
     dst := s;
     width := 2 * !width
   done;
-  if !src <> 0 then Array.blit a n a 0 n
+  !src
+
+(* Group ids [0, ndv) in key order, into [ids.(0 .. ndv-1)] ([ids]
+   holds at least [2 * ndv] cells).  Each group's key is copied next
+   to its id, so the merges read keys in sequence rather than through
+   the group's first row into the column.  Floats get their own copy
+   loop and move, so their keys stay unboxed in a float array. *)
+let sort_groups col gs ndv ids =
+  for g = 0 to ndv - 1 do
+    ids.(g) <- g
+  done;
+  let sort ~le ~move =
+    let half = merge_sort ~le ~move ndv in
+    if half <> 0 then Array.blit ids half ids 0 ndv
+  in
+  let gather key dummy =
+    let keys = Array.make (2 * ndv) dummy in
+    for g = 0 to ndv - 1 do
+      keys.(g) <- key (first gs g)
+    done;
+    keys
+  in
+  let move keys i j =
+    keys.(j) <- keys.(i);
+    ids.(j) <- ids.(i)
+  in
+  match col with
+  | Batch.Ints a | Batch.Dates a ->
+      let keys = gather (Array.get a) 0 in
+      sort ~le:(fun i j -> keys.(i) <= keys.(j)) ~move:(move keys)
+  | Batch.Floats a ->
+      let keys = Array.make (2 * ndv) 0.0 in
+      for g = 0 to ndv - 1 do
+        keys.(g) <- a.(first gs g)
+      done;
+      sort
+        ~le:(fun i j -> Float.compare keys.(i) keys.(j) <= 0)
+        ~move:(fun i j ->
+          keys.(j) <- keys.(i);
+          ids.(j) <- ids.(i))
+  | Batch.Strings a ->
+      let keys = gather (Array.get a) "" in
+      sort ~le:(fun i j -> String.compare keys.(i) keys.(j) <= 0) ~move:(move keys)
+  | Batch.Bools a ->
+      let keys = gather (Bytes.get a) '\000' in
+      sort ~le:(fun i j -> Char.compare keys.(i) keys.(j) <= 0) ~move:(move keys)
+  | Batch.Boxed a ->
+      let keys = gather (Array.get a) Value.Null in
+      sort ~le:(fun i j -> Value.compare keys.(i) keys.(j) <= 0) ~move:(move keys)
 
 (* The pass's two int buffers, kept across the columns of one table
    and dropped with it: borrowing them from [Scratch] instead would
@@ -185,10 +224,7 @@ let of_column ?buckets work (col, nulls) =
     (* the table is spent: its first [2 * ndv] cells sort the groups
        by key *)
     let ndv = !ndv in
-    for g = 0 to ndv - 1 do
-      index.(g) <- g
-    done;
-    sort_prefix (fun g h -> k.order (first gs g) (first gs h)) index ndv;
+    sort_groups col gs ndv index;
     (* the sorted values, run-length: group [index.(!at)] covers the
        positions below [!upto] not covered by earlier groups *)
     let at = ref 0 and upto = ref (count gs index.(0)) in

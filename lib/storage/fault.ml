@@ -93,7 +93,6 @@ let disable () =
   current := { !current with probability = 0.0; alloc_probability = 0.0 }
 
 let stats () = !st
-let reset_stats () = st := zero_stats
 
 (* ---------- the deterministic kill-at-fault-point harness ----------
 

@@ -133,4 +133,3 @@ type stats = {
 }
 
 val stats : unit -> stats
-val reset_stats : unit -> unit

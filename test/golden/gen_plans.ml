@@ -6,17 +6,23 @@
    - [Nra.estimates_with_rewrites] for the same queries under rewrite
      rules {none, all}: the strategy order, and every estimate's cost,
      sequential pages, random pages and fetched rows as exact ([%h])
-     floats.
+     floats;
+   - the rewriter's trace from each NRA variant's plan under every
+     rule: per proposal the rule, the site, the verdict and the
+     whole-plan cost before and after, as exact ([%h]) floats.
 
    Catalogs are generated and ANALYZEd deterministically, so the output
    depends only on the planner, the executor's plan and the cost
-   model. *)
+   model.  The TPC-H catalog is at scale 0.01 unless the first argument
+   gives another; the runtest rule diffs the 0.01 output against
+   [plans.expected], and at scale 0.05 CI compares the output's MD5
+   with [plans_0.05.md5]. *)
 
 open Nra
 module A = Planner.Analyze
 module N = Exec.Nra_exec
-module Q = Tpch.Queries
 module Cost = Stats.Cost
+module Rw = Opt.Rewrite
 
 let variants =
   [ ("original", N.original); ("optimized", N.optimized); ("full", N.full) ]
@@ -33,25 +39,30 @@ let analyzed_catalog cat =
   | Error m -> failwith ("analyze: " ^ m));
   cat
 
-let tpch_corpus =
-  let lo, hi = Q.q1_window ~outer_fraction:0.2 in
-  let q2 quant =
-    Q.q2 ~quant ~size_lo:1 ~size_hi:12 ~availqty_max:2000 ~quantity:25
-  in
-  let q3 quant exists variant =
-    Q.q3 ~quant ~exists ~variant ~size_lo:1 ~size_hi:12 ~availqty_max:2000
-      ~quantity:25
-  in
-  [ Q.q1 ~date_lo:lo ~date_hi:hi; q2 Q.Any; q2 Q.All ]
-  @ List.concat_map
-      (fun variant ->
-        List.concat_map
-          (fun quant -> [ q3 quant true variant; q3 quant false variant ])
-          [ Q.Any; Q.All ])
-      [ Q.A; Q.B; Q.C ]
-  @ List.map
-      (fun link -> Q.q1_ja ~link ~date_lo:lo ~date_hi:hi)
-      [ Q.Ja_in; Q.Ja_not_in; Q.Ja_gt_all; Q.Ja_scalar_eq ]
+let costline (c : Rw.costline) =
+  Printf.sprintf "ms=%h seq=%h rand=%h fetch=%h" c.Rw.ms c.Rw.seq c.Rw.rand
+    c.Rw.fetch
+
+let pin_rewrite cat t (name, base) =
+  Printf.printf "--- rewrite trace %s\n" name;
+  match
+    Rw.rewrite ~rules:Opt.Config.all
+      (Stats.Cardinality.make_env cat t)
+      (Exec.Plan.lift ~base t)
+  with
+  | r ->
+      Printf.printf "before %s\nafter  %s\n" (costline r.Rw.before)
+        (costline r.Rw.after);
+      List.iter
+        (fun (e : Rw.trace_entry) ->
+          Printf.printf "%s %s: %s\n  %s\n  %s\n"
+            (Opt.Config.rule_to_string e.Rw.rule)
+            (match e.Rw.verdict with
+            | Rw.Fired -> "fired"
+            | Rw.Skipped why -> "skipped (" ^ why ^ ")")
+            (Rw.site e) (costline e.Rw.cost_before) (costline e.Rw.cost_after))
+        r.Rw.trace
+  | exception e -> Printf.printf "error: %s\n" (Printexc.to_string e)
 
 let pin cat sql =
   Printf.printf "=== %s\n" (one_line sql);
@@ -79,13 +90,17 @@ let pin cat sql =
                 es
           | exception e -> Printf.printf "error: %s\n" (Printexc.to_string e))
         [ ("none", []); ("all", Opt.Config.all) ];
-      Nra.set_rewrite_rules []
+      Nra.set_rewrite_rules [];
+      List.iter (pin_rewrite cat t) variants
 
 let () =
+  let scale =
+    if Array.length Sys.argv > 1 then float_of_string Sys.argv.(1) else 0.01
+  in
   let emp_dept = analyzed_catalog (Test_support.emp_dept_catalog ()) in
   List.iter (pin emp_dept) Test_support.subquery_corpus;
   let tpch =
     analyzed_catalog
-      (Tpch.Gen.generate { Tpch.Gen.default with Tpch.Gen.scale = 0.01 })
+      (Tpch.Gen.generate { Tpch.Gen.default with Tpch.Gen.scale = scale })
   in
-  List.iter (pin tpch) tpch_corpus
+  List.iter (pin tpch) Test_support.tpch_plan_corpus

@@ -246,6 +246,30 @@ let subquery_corpus =
      order by salary desc limit 3";
   ]
 
+(* The TPC-H queries the plan goldens pin: Query 1, Query 2 ANY/ALL,
+   Query 3 a/b/c with EXISTS and NOT EXISTS under ANY/ALL, and the four
+   Query 1-JA links, with fixed parameters. *)
+let tpch_plan_corpus =
+  let module Q = Nra.Tpch.Queries in
+  let lo, hi = Q.q1_window ~outer_fraction:0.2 in
+  let q2 quant =
+    Q.q2 ~quant ~size_lo:1 ~size_hi:12 ~availqty_max:2000 ~quantity:25
+  in
+  let q3 quant exists variant =
+    Q.q3 ~quant ~exists ~variant ~size_lo:1 ~size_hi:12 ~availqty_max:2000
+      ~quantity:25
+  in
+  [ Q.q1 ~date_lo:lo ~date_hi:hi; q2 Q.Any; q2 Q.All ]
+  @ List.concat_map
+      (fun variant ->
+        List.concat_map
+          (fun quant -> [ q3 quant true variant; q3 quant false variant ])
+          [ Q.Any; Q.All ])
+      [ Q.A; Q.B; Q.C ]
+  @ List.map
+      (fun link -> Q.q1_ja ~link ~date_lo:lo ~date_hi:hi)
+      [ Q.Ja_in; Q.Ja_not_in; Q.Ja_gt_all; Q.Ja_scalar_eq ]
+
 (* ---------- executor comparison ---------- *)
 
 let all_strategies = List.map snd Nra.strategies

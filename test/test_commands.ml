@@ -85,6 +85,37 @@ let test_delete () =
   check_rows "the other key survives" [ [ Some 3 ] ]
     (rows (exec cat "select v from duo"))
 
+(* DELETE keeps the survivors in table order: 10,000 rows whose keys
+   are a permutation, a fifth of them deleted (all, then none, of the
+   rest on the two follow-up statements). *)
+let test_delete_keeps_order () =
+  let cat = Catalog.create () in
+  let n = 10_000 in
+  let original =
+    Array.init n (fun i -> [| vi (i * 7919 mod n); vi (i mod 10) |])
+  in
+  Catalog.register cat
+    (Table.create ~name:"big" ~key:[ "k" ]
+       [ col "k" Ttype.Int; col "v" Ttype.Int ]
+       original);
+  let table_rows () = Relation.rows (Table.relation (Catalog.table cat "big")) in
+  Alcotest.(check int) "deleted" (n / 5)
+    (count (exec cat "delete from big where v = 3 or v = 7"));
+  let expected =
+    List.filter
+      (fun r -> r.(1) <> vi 3 && r.(1) <> vi 7)
+      (Array.to_list original)
+  in
+  Alcotest.(check bool) "survivors in table order" true
+    (Array.to_list (table_rows ()) = expected);
+  Alcotest.(check int) "nothing left to delete" 0
+    (count (exec cat "delete from big where v = 3"));
+  Alcotest.(check bool) "a delete of nothing keeps every row" true
+    (Array.to_list (table_rows ()) = expected);
+  Alcotest.(check int) "delete everything" (n - (n / 5))
+    (count (exec cat "delete from big"));
+  Alcotest.(check int) "empty" 0 (Array.length (table_rows ()))
+
 let test_delete_with_subquery () =
   let cat = fresh () in
   ignore (exec cat "insert into books values (1, 'a', 10), (2, 'b', 20)");
@@ -217,6 +248,8 @@ let () =
           Alcotest.test_case "create + insert" `Quick test_create_and_insert;
           Alcotest.test_case "insert-select" `Quick test_insert_select;
           Alcotest.test_case "delete" `Quick test_delete;
+          Alcotest.test_case "delete keeps table order" `Quick
+            test_delete_keeps_order;
           Alcotest.test_case "delete with subquery" `Quick
             test_delete_with_subquery;
           Alcotest.test_case "update" `Quick test_update;

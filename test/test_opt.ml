@@ -31,6 +31,13 @@ let analyze cat sql =
 
 let lift ?(base = Nx.original) cat sql = Plan.lift ~base (analyze cat sql)
 
+(* the rewriter over one statement's lifted plan, in its own context *)
+let rewrite ~rules cat sql =
+  let t = analyze cat sql in
+  Rw.rewrite ~rules
+    (Nra.Stats.Cardinality.make_env cat t)
+    (Plan.lift ~base:Nx.original t)
+
 (* the node for block [id], preorder *)
 let node_of plan id =
   match Plan.find plan id with
@@ -162,7 +169,7 @@ let test_fuse_rule () =
 
 let test_gate_no_rules () =
   let cat = emp_dept_catalog () in
-  let r = Rw.rewrite ~rules:[] cat (analyze cat exists_equi) ~base:Nx.original in
+  let r = rewrite ~rules:[] cat exists_equi in
   Alcotest.(check bool) "no rules, no change" false r.Rw.changed;
   Alcotest.(check int) "no trace" 0 (List.length r.Rw.trace);
   (* the compiled directives of an unchanged plan just restate the
@@ -174,9 +181,7 @@ let test_gate_monotone () =
   let cat = emp_dept_catalog () in
   List.iter
     (fun sql ->
-      let r =
-        Rw.rewrite ~rules:Cfg.all cat (analyze cat sql) ~base:Nx.original
-      in
+      let r = rewrite ~rules:Cfg.all cat sql in
       Alcotest.(check bool)
         (Printf.sprintf "estimate never worsens (%s)" sql)
         true
@@ -222,6 +227,57 @@ let test_proposals_admissible () =
             (Plan.nodes (Plan.lift ~base (analyze cat sql))))
         [ Nx.original; Nx.optimized; Nx.full ])
     subquery_corpus
+
+(* ---------- the plan Auto priced is the plan it runs ----------
+
+   Over the plan goldens' corpus (emp/dept and TPC-H at scale 0.01,
+   both ANALYZEd) under rules {none, all}: a statement prepared once
+   and run twice returns the rows and charges the simulated I/O of
+   [Nra.run ~strategy:Auto], which prices and runs in one call. *)
+
+let io_after f =
+  let c0 = Nra.Iosim.counters () in
+  let r = f () in
+  let c1 = Nra.Iosim.counters () in
+  ( r,
+    ( c1.Nra.Iosim.seq_pages - c0.Nra.Iosim.seq_pages,
+      c1.Nra.Iosim.rand_pages - c0.Nra.Iosim.rand_pages,
+      c1.Nra.Iosim.fetched_rows - c0.Nra.Iosim.fetched_rows ) )
+
+let test_prepared_runs_priced () =
+  reset ();
+  let analyzed cat =
+    ignore (Nra.exec cat "analyze");
+    cat
+  in
+  let rows = function
+    | Ok (Nra.Rows rel) -> Relation.rows rel
+    | Ok _ -> Alcotest.fail "expected rows"
+    | Error e -> Alcotest.fail (Nra.Exec_error.to_string e)
+  in
+  let check cat sql =
+    let direct, io = io_after (fun () -> rows (Nra.run ~strategy:Nra.Auto cat sql)) in
+    match Nra.prepare ~strategy:Nra.Auto cat sql with
+    | Error e -> Alcotest.fail (Nra.Exec_error.to_string e)
+    | Ok p ->
+        for run = 1 to 2 do
+          let prepared, io' = io_after (fun () -> rows (Nra.run_prepared cat p)) in
+          let what = Printf.sprintf "%s (run %d, rules %s)" sql run (Nra.rewrite_signature ()) in
+          Alcotest.(check bool) ("rows: " ^ what) true (prepared = direct);
+          Alcotest.(check (triple int int int)) ("seq/rand/fetched: " ^ what) io io'
+        done
+  in
+  let emp_dept = analyzed (emp_dept_catalog ()) in
+  let tpch =
+    analyzed (Nra.Tpch.Gen.generate { Nra.Tpch.Gen.default with Nra.Tpch.Gen.scale = 0.01 })
+  in
+  List.iter
+    (fun rules ->
+      Nra.set_rewrite_rules rules;
+      List.iter (check emp_dept) subquery_corpus;
+      List.iter (check tpch) tpch_plan_corpus)
+    [ []; Cfg.all ];
+  reset ()
 
 (* ---------- the executor runs the plan as given ----------
 
@@ -462,6 +518,8 @@ let () =
             test_proposals_admissible;
           Alcotest.test_case "inadmissible plan raises" `Quick
             test_inadmissible_plan_raises;
+          Alcotest.test_case "prepared runs what Auto priced" `Quick
+            test_prepared_runs_priced;
         ] );
       ( "identity",
         [ Alcotest.test_case "rewritten = unrewritten" `Slow
