@@ -46,6 +46,22 @@ let tokenize_loc src =
         incr pos
       done
     end
+    else if c = ';' then begin
+      (* a statement terminator: only whitespace and comments may
+         follow it *)
+      let rec rest i =
+        if i >= n then true
+        else
+          match src.[i] with
+          | ' ' | '\t' | '\n' | '\r' -> rest (i + 1)
+          | '-' when i + 1 < n && src.[i + 1] = '-' -> (
+              match String.index_from_opt src i '\n' with
+              | Some j -> rest j
+              | None -> true)
+          | _ -> false
+      in
+      if rest (!pos + 1) then pos := n else fail "unexpected character ';'"
+    end
     else if is_ident_start c then begin
       let start = !pos in
       while !pos < n && is_ident_char src.[!pos] do

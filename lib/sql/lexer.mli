@@ -2,7 +2,8 @@
 
     Keywords are case-insensitive; identifiers are lower-cased.  String
     literals use single quotes with [''] escaping.  [--] starts a
-    line comment. *)
+    line comment.  A [;] may end the statement: only whitespace and
+    comments may follow it. *)
 
 type token =
   | IDENT of string

@@ -15,17 +15,26 @@ let test_lexer_basics () =
     :: Lexer.FLOAT 150.0 :: Lexer.OP "<=" :: [ Lexer.EOF ] ->
       ()
   | _ -> Alcotest.fail "unexpected token stream");
-  match Lexer.tokenize "!=" with
+  (match Lexer.tokenize "!=" with
   | [ Lexer.OP "<>"; Lexer.EOF ] -> ()
-  | _ -> Alcotest.fail "!= should normalize to <>"
+  | _ -> Alcotest.fail "!= should normalize to <>");
+  (* a trailing ';' ends the statement, before whitespace and comments *)
+  List.iter
+    (fun src ->
+      Alcotest.(check bool) src true
+        (Lexer.tokenize src = Lexer.tokenize "select 1"))
+    [ "select 1;"; "select 1 ;\n"; "select 1; -- end"; "select 1;\n-- x\n" ]
 
 let test_lexer_errors () =
   (match Lexer.tokenize "'unterminated" with
   | exception Lexer.Lex_error _ -> ()
   | _ -> Alcotest.fail "accepted unterminated string");
-  match Lexer.tokenize "a ; b" with
-  | exception Lexer.Lex_error _ -> ()
-  | _ -> Alcotest.fail "accepted unknown character"
+  List.iter
+    (fun src ->
+      match Lexer.tokenize src with
+      | exception Lexer.Lex_error _ -> ()
+      | _ -> Alcotest.fail ("accepted: " ^ src))
+    [ "a ; b"; "select 1;;"; "select 1; -- x\nselect 2" ]
 
 let roundtrip sql =
   let q = parse sql in
