@@ -499,7 +499,7 @@ let run_statement strategy cat stmt =
    leak a temp table into the catalog. *)
 let run_with strategy cat ctes stmt =
   trap @@ fun () ->
-  let wal = Wal.begin_stmt () in
+  let wal = Wal.begin_stmt cat in
   let registered = ref [] in
   (* newest-first Table.t list *)
   let rec go = function
@@ -547,17 +547,17 @@ let run_with strategy cat ctes stmt =
         ok
     | exception (Fault.Crash _ as e) -> raise e
     | exception e ->
-        Wal.abort ~applied:true cat wal;
+        Wal.abort wal;
         raise e
   in
   match go ctes with
   | Ok _ as ok -> finish ok
   | Error _ as err ->
-      Wal.abort ~applied:true cat wal;
+      Wal.abort wal;
       err
   | exception (Fault.Crash _ as e) -> raise e
   | exception e ->
-      Wal.abort ~applied:true cat wal;
+      Wal.abort wal;
       raise e
 
 (* ---------- commands ---------- *)
@@ -566,15 +566,16 @@ type exec_result = Rows of Relation.t | Count of int | Done of string
 
 let invalidf fmt = Format.kasprintf (fun m -> Error (Exec_error.Invalid m)) fmt
 
-(* All DML below is atomic: matching rows are computed, new contents are
-   validated (types, NOT NULL, key uniqueness) and the indexes rebuilt
+(* All DML below is atomic: matching rows are computed, the rows a
+   write introduces are validated (types, NOT NULL; the kept rows passed
+   when they entered), key uniqueness is checked and the indexes rebuilt
    BEFORE [Catalog.update_rows]'s single commit point.  A budget kill,
    injected I/O fault, or type error anywhere in between surfaces as an
    [Error] with the table, its indexes, and the catalog generation
    untouched. *)
 
-(* Every DML mutation runs through the write-ahead log: Begin, the
-   op's before/after images (log-before-write), the mutation, Commit.
+(* Every DML mutation runs through the catalog's write-ahead log:
+   Begin, the op's delta (log-before-write), the mutation, Commit.
    [mutate] must be one of the catalog's atomic entry points — it
    either applies fully or raises having applied nothing
    ([Catalog.update_rows] validates before its single commit point) —
@@ -585,7 +586,7 @@ let invalidf fmt = Format.kasprintf (fun m -> Error (Exec_error.Invalid m)) fmt
    design and escapes raw — [Wal.recover] repairs the catalog on
    restart. *)
 let wal_mutate cat ~log ~mutate =
-  let stmt = Wal.begin_stmt () in
+  let stmt = Wal.begin_stmt cat in
   let applied = ref false in
   try
     log stmt;
@@ -595,7 +596,7 @@ let wal_mutate cat ~log ~mutate =
   with
   | Fault.Crash _ as e -> raise e
   | e ->
-      Wal.abort ~applied:!applied cat stmt;
+      Wal.abort ~applied:!applied stmt;
       raise e
 
 let do_create cat ~table ~columns ~key =
@@ -636,11 +637,14 @@ let do_insert_rows cat table new_rows =
                 table (Array.length r) arity
           | None ->
               let before = Relation.rows (Table.relation t) in
-              let rows = Array.append before (Array.of_list new_rows) in
+              let added = Array.of_list new_rows in
+              let at = Array.length before in
+              let rows = Array.append before added in
+              (* only the appended rows are new to the table *)
+              let fresh = Array.init (Array.length added) (fun i -> at + i) in
               wal_mutate cat
-                ~log:(fun stmt ->
-                  Wal.log_update stmt ~table ~before ~after:rows)
-                ~mutate:(fun () -> Catalog.update_rows cat table rows);
+                ~log:(fun stmt -> Wal.log_insert stmt ~table ~at added)
+                ~mutate:(fun () -> Catalog.update_rows ~fresh cat table rows);
               Ok (Count (List.length new_rows))))
 
 let do_delete strategy cat table where =
@@ -656,32 +660,47 @@ let do_delete strategy cat table where =
           match run_select strategy cat probe with
           | Error m -> Error m
           | Ok matching ->
-              (* identify doomed rows by primary key *)
+              (* mark the doomed rows by primary key, then split the
+                 table into exact-size survivors and deleted rows *)
               let keys = Table.key_positions t in
-              let before_rows = Relation.rows (Table.relation t) in
-              let survivors =
+              let before = Relation.rows (Table.relation t) in
+              let n = Array.length before in
+              let doomed = Bytes.make n '\000' in
+              let d =
                 Keyed.with_scratch ~nulls:`Group ~pos:keys
                   (Relation.rows matching)
-                @@ fun doomed ->
-                (* one pass in table order, into an array trimmed once *)
-                let kept = Array.make (Array.length before_rows) [||] in
-                let n = ref 0 in
-                Array.iter
-                  (fun r ->
-                    if Keyed.first doomed keys r < 0 then begin
-                      kept.(!n) <- r;
-                      incr n
+                @@ fun matches ->
+                let d = ref 0 in
+                Array.iteri
+                  (fun i r ->
+                    if Keyed.first matches keys r >= 0 then begin
+                      Bytes.unsafe_set doomed i '\001';
+                      incr d
                     end)
-                  before_rows;
-                if !n = Array.length kept then kept else Array.sub kept 0 !n
+                  before;
+                !d
               in
+              let survivors = Array.make (n - d) [||] in
+              let positions = Array.make d 0 and deleted = Array.make d [||] in
+              let s = ref 0 and k = ref 0 in
+              Array.iteri
+                (fun i r ->
+                  if Bytes.unsafe_get doomed i = '\000' then begin
+                    survivors.(!s) <- r;
+                    incr s
+                  end
+                  else begin
+                    positions.(!k) <- i;
+                    deleted.(!k) <- r;
+                    incr k
+                  end)
+                before;
               wal_mutate cat
                 ~log:(fun stmt ->
-                  Wal.log_update stmt ~table ~before:before_rows
-                    ~after:survivors)
-                ~mutate:(fun () -> Catalog.update_rows cat table survivors);
-              Ok
-                (Count (Array.length before_rows - Array.length survivors))))
+                  Wal.log_delete stmt ~table ~len:n ~positions deleted)
+                ~mutate:(fun () ->
+                  Catalog.update_rows ~fresh:[||] cat table survivors);
+              Ok (Count d)))
 
 let do_update strategy cat table assigns where =
   trap (fun () ->
@@ -721,30 +740,40 @@ let do_update strategy cat table assigns where =
               let nkeys = List.length (Table.key_columns t) in
               let found = Relation.rows matching in
               let keys = Table.key_positions t in
-              let changed = ref 0 in
               let before = Relation.rows (Table.relation t) in
+              (* each found key names at most one row *)
+              let m = Array.length found in
+              let ids = Array.make m 0 in
+              let olds = Array.make m [||] and news = Array.make m [||] in
+              let changed = ref 0 in
               let rows =
                 Keyed.with_scratch ~nulls:`Group
                   ~pos:(Array.init nkeys Fun.id) found
                 @@ fun updates ->
-                Array.map
-                  (fun row ->
+                Array.mapi
+                  (fun i row ->
                     let e = Keyed.first updates keys row in
                     if e < 0 then row
                     else begin
-                      incr changed;
                       let row' = Array.copy row in
                       List.iteri
                         (fun i pos -> row'.(pos) <- found.(e).(nkeys + i))
                         positions;
+                      ids.(!changed) <- i;
+                      olds.(!changed) <- row;
+                      news.(!changed) <- row';
+                      incr changed;
                       row'
                     end)
                   before
               in
+              let trim a = if !changed = m then a else Array.sub a 0 !changed in
+              let fresh = trim ids in
               wal_mutate cat
                 ~log:(fun stmt ->
-                  Wal.log_update stmt ~table ~before ~after:rows)
-                ~mutate:(fun () -> Catalog.update_rows cat table rows);
+                  Wal.log_update stmt ~table ~positions:fresh
+                    ~before:(trim olds) ~after:(trim news))
+                ~mutate:(fun () -> Catalog.update_rows ~fresh cat table rows);
               Ok (Count !changed)))
 
 let run_command strategy cat = function

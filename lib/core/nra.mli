@@ -64,9 +64,9 @@ module Governor = Nra_storage.Governor
     budget spill through {!Bufpool} — see docs/STORAGE.md. *)
 
 module Wal = Nra_storage.Wal
-(** The write-ahead log wrapping every DML mutation {e and} CTE
-    materialization; [Wal.recover] repairs the catalog after a
-    {!Fault.Crash} — see docs/STORAGE.md. *)
+(** The catalog's write-ahead log of row deltas, wrapping every DML
+    mutation {e and} CTE materialization; [Wal.recover] repairs the
+    catalog after a {!Fault.Crash} — see docs/STORAGE.md. *)
 
 module Guard = Nra_guard.Guard
 (** Resource budgets and cooperative cancellation; pass a
@@ -230,10 +230,11 @@ val exec :
     [DROP TABLE], [INSERT INTO t VALUES (…), …],
     [INSERT INTO t SELECT …], or [DELETE FROM t [WHERE …]] (the WHERE
     may contain subqueries and runs under the chosen strategy).
-    Modifications revalidate the schema, enforce key uniqueness and
-    rebuild the table's indexes — all {e before} the single commit
-    point, so a budget kill, fault, or type error mid-DML leaves the
-    table, its indexes, and the catalog generation untouched.
+    Modifications validate the rows they introduce against the schema,
+    enforce key uniqueness and rebuild the table's indexes — all {e
+    before} the single commit point, so a budget kill, fault, or type
+    error mid-DML leaves the table, its indexes, and the catalog
+    generation untouched.
     [ANALYZE [t]] collects optimizer statistics (see {!Stats}) for one
     table or the whole catalog into the catalog entries
     ({!Catalog.analyze}). *)

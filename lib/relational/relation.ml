@@ -24,30 +24,36 @@ let rows t = t.rows
 let cardinality t = Array.length t.rows
 let is_empty t = Array.length t.rows = 0
 
-let typecheck t =
-  let cols = Schema.columns t.schema in
-  let bad = ref None in
-  Array.iteri
-    (fun ri row ->
-      if !bad = None then
-        Array.iteri
-          (fun ci (c : Schema.column) ->
-            let v = row.(ci) in
-            if (not (Ttype.admits c.ty v)) && !bad = None then
-              bad :=
-                Some
-                  (Printf.sprintf "row %d, column %s: %s does not admit %s" ri
-                     (Schema.qualified_name c) (Ttype.to_string c.ty)
-                     (Value.to_string v))
-            else if c.not_null && Value.is_null v && !bad = None then
-              bad :=
-                Some
-                  (Printf.sprintf "row %d, column %s: NULL violates NOT NULL"
-                     ri
-                     (Schema.qualified_name c)))
-          cols)
-    t.rows;
-  match !bad with None -> Ok () | Some msg -> Error msg
+(* The first violation in row [ri], in column order; [None] allocates
+   nothing, so a clean pass over the rows allocates nothing either. *)
+let rec row_violation (cols : Schema.column array) ri (row : Row.t) ci =
+  if ci = Array.length cols then None
+  else
+    let c = cols.(ci) and v = row.(ci) in
+    if not (Ttype.admits c.ty v) then
+      Some
+        (Printf.sprintf "row %d, column %s: %s does not admit %s" ri
+           (Schema.qualified_name c) (Ttype.to_string c.ty)
+           (Value.to_string v))
+    else if c.not_null && Value.is_null v then
+      Some
+        (Printf.sprintf "row %d, column %s: NULL violates NOT NULL" ri
+           (Schema.qualified_name c))
+    else row_violation cols ri row (ci + 1)
+
+let rec first_violation cols rows only n k =
+  if k = n then Ok ()
+  else
+    let ri = match only with None -> k | Some ids -> ids.(k) in
+    match row_violation cols ri rows.(ri) 0 with
+    | Some msg -> Error msg
+    | None -> first_violation cols rows only n (k + 1)
+
+let typecheck ?only t =
+  let n =
+    match only with None -> Array.length t.rows | Some ids -> Array.length ids
+  in
+  first_violation (Schema.columns t.schema) t.rows only n 0
 
 let filter p t = { t with rows = Array.of_list (List.filter p (Array.to_list t.rows)) }
 

@@ -21,9 +21,13 @@ val rows : t -> Row.t array
 val cardinality : t -> int
 val is_empty : t -> bool
 
-val typecheck : t -> (unit, string) result
+val typecheck : ?only:int array -> t -> (unit, string) result
 (** Verify every value inhabits its declared column type and that
-    NOT NULL columns hold no NULL.  Used by tests and the CSV loader. *)
+    NOT NULL columns hold no NULL.  [?only] (ascending row positions)
+    restricts the check to those rows, as a write that keeps the other
+    rows wants; the error names the first violation as
+    ["row %d, column %s: ..."] with the row's position in [t].  A
+    passing check allocates nothing. *)
 
 (** {1 Bulk operations} — order-preserving where meaningful *)
 

@@ -88,6 +88,8 @@ let tokenize_loc src =
         if !pos < n && (src.[!pos] = 'e' || src.[!pos] = 'E') then begin
           incr pos;
           if !pos < n && (src.[!pos] = '+' || src.[!pos] = '-') then incr pos;
+          if not (!pos < n && is_digit src.[!pos]) then
+            fail "exponent without digits";
           while !pos < n && is_digit src.[!pos] do
             incr pos
           done

@@ -19,10 +19,12 @@ type entry = {
 (* [gen] is the catalog-wide version: bumped on every register, DML row
    replacement, drop, index change and ANALYZE.  Consumers that cache whole-query
    derived data (the nra.server plan cache) compare it instead of
-   tracking every table they touched. *)
-type t = { tbl : (string, entry) Hashtbl.t; mutable gen : int }
+   tracking every table they touched.  [wal] is this catalog's
+   write-ahead log (see Wal). *)
+type t = { tbl : (string, entry) Hashtbl.t; mutable gen : int; wal : Wal_log.t }
 
-let create () = { tbl = Hashtbl.create 16; gen = 0 }
+let create () = { tbl = Hashtbl.create 16; gen = 0; wal = Wal_log.create () }
+let wal t = t.wal
 
 let positions_of table cols =
   let schema = Table.schema table in
@@ -70,9 +72,9 @@ let check_key_unique table pk =
            (Format.asprintf "%a" Row.pp
               (Row.project_arr row (Table.key_positions table))))
 
-let update_rows t name rows =
+let update_rows ?fresh t name rows =
   let e = entry t name in
-  let table = Table.with_rows e.table rows in
+  let table = Table.with_rows ?fresh e.table rows in
   let rel = Table.relation table in
   let pk = Hash_index.build rel (Table.key_positions table) in
   check_key_unique table pk;

@@ -13,14 +13,20 @@ type t
 
 val create : unit -> t
 
+val wal : t -> Wal_log.t
+(** The catalog's write-ahead log: only {!Wal} reads and appends it. *)
+
 val register : t -> Table.t -> unit
 (** Add (or replace) a table; builds its primary-key hash index.
     Existing secondary indexes of a replaced table are dropped. *)
 
-val update_rows : t -> string -> Row.t array -> unit
-(** Replace a table's contents (revalidating types, NOT NULL and key
+val update_rows : ?fresh:int array -> t -> string -> Row.t array -> unit
+(** Replace a table's contents (validating types, NOT NULL and key
     uniqueness) and rebuild {e all} its indexes, secondary ones
-    included.  The DML path.
+    included.  The DML path.  Types and NOT NULL are checked on the
+    rows [?fresh] names (ascending positions in the new contents; see
+    {!Table.with_rows}), every row when it is absent; key uniqueness
+    is always checked over the whole table.
     @raise Not_found if the table is absent
     @raise Invalid_argument if the rows violate the schema or duplicate
     a primary key. *)

@@ -54,9 +54,9 @@ let cardinality t = Relation.cardinality t.relation
 let key_positions t = t.key
 let key_columns t = t.key_names
 
-let with_rows t rows =
+let with_rows ?fresh t rows =
   let relation = Relation.make (schema t) rows in
-  (match Relation.typecheck relation with
+  (match Relation.typecheck ?only:fresh relation with
   | Ok () -> ()
   | Error msg -> invalid_arg (Printf.sprintf "table %s: %s" t.name msg));
   { t with relation; batch = Batch.of_relation relation }

@@ -32,9 +32,14 @@ val cardinality : t -> int
 val key_positions : t -> int array
 val key_columns : t -> string list
 
-val with_rows : t -> Row.t array -> t
-(** Same name/schema/key, new contents (revalidated) and a fresh
-    {!batch}. *)
+val with_rows : ?fresh:int array -> t -> Row.t array -> t
+(** Same name/schema/key, new contents and a fresh {!batch}.  The rows
+    are validated (type, NOT NULL); [?fresh] (ascending positions in
+    the new contents) names the rows a write introduces, and only
+    those are checked — the others were checked when they entered the
+    table.  Default: every row.
+    @raise Invalid_argument on a violation, naming the row by its
+    position in the new contents. *)
 
 val alias : t -> string -> t
 (** [alias t a] is table [t] seen under alias [a]: schema requalified,

@@ -167,7 +167,7 @@ let test_with_leaves_no_trace () =
   | Error m -> Alcotest.fail m);
   Alcotest.(check string) "catalog unchanged" before (fingerprint cat);
   Alcotest.(check bool) "WAL has no torn statement" false
-    (Wal.needs_recovery ())
+    (Wal.needs_recovery cat)
 
 (* startup repair: a torn WAL is healed by recover_if_needed, and a
    clean WAL reports nothing to do *)
@@ -187,7 +187,7 @@ let test_startup_recovery () =
   | exception Fault.Crash _ -> ()
   | _ -> Alcotest.fail "crash did not fire");
   Fault.disarm ();
-  Alcotest.(check bool) "torn WAL detected" true (Wal.needs_recovery ());
+  Alcotest.(check bool) "torn WAL detected" true (Wal.needs_recovery cat);
   (match Wal.recover_if_needed cat with
   | Some _ -> ()
   | None -> Alcotest.fail "startup recovery did not run");
@@ -327,7 +327,7 @@ let test_with_under_interleaving () =
       serial;
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: no torn WAL statement left" seed)
-      false (Wal.needs_recovery ())
+      false (Wal.needs_recovery cat)
   done
 
 (* ---------- 3. Auto statements genuinely interleave ---------- *)

@@ -148,6 +148,37 @@ let test_constraints () =
   let r = rows (exec cat "select count(*) from books") in
   check_rows "unchanged" [ [ Some 1 ] ] r
 
+(* A write checks only the rows it introduces; the error still names
+   the first bad row by its position in the new table, as a check of
+   every row would. *)
+let test_error_texts () =
+  let cat = fresh () in
+  ignore
+    (exec cat "insert into books values (1, 'a', 10), (2, 'b', 20), (3, 'c', 30)");
+  List.iter
+    (fun (sql, want) ->
+      match Nra.exec cat sql with
+      | Error m -> Alcotest.(check string) sql want m
+      | Ok _ -> Alcotest.fail ("accepted: " ^ sql))
+    [
+      ( "insert into books values (4, 'd', 'x')",
+        "table books: row 3, column books.pages: int does not admit 'x'" );
+      ( "insert into books values (4, null, 1)",
+        "table books: row 3, column books.title: NULL violates NOT NULL" );
+      ( "insert into books values (2, 'dup', 0)",
+        "table books: duplicate primary key (2)" );
+      ( "insert into books values (4, 'd', 1), (5, null, 1)",
+        "table books: row 4, column books.title: NULL violates NOT NULL" );
+      ( "update books set pages = 'x' where id = 2",
+        "table books: row 1, column books.pages: int does not admit 'x'" );
+      ( "update books set title = null where id >= 2",
+        "table books: row 1, column books.title: NULL violates NOT NULL" );
+      ( "update books set id = 1 where id = 3",
+        "table books: duplicate primary key (1)" );
+    ];
+  let r = rows (exec cat "select count(*) from books") in
+  check_rows "unchanged" [ [ Some 3 ] ] r
+
 let test_ddl_errors () =
   let cat = fresh () in
   expect_error cat "create table books (id int, primary key (id))";
@@ -259,6 +290,7 @@ let () =
       ( "invariants",
         [
           Alcotest.test_case "constraints" `Quick test_constraints;
+          Alcotest.test_case "error texts" `Quick test_error_texts;
           Alcotest.test_case "ddl errors" `Quick test_ddl_errors;
           Alcotest.test_case "indexes rebuilt" `Quick test_indexes_rebuilt;
           Alcotest.test_case "types" `Quick test_varchar_and_types;

@@ -34,12 +34,24 @@ let test_typecheck () =
   (match Relation.typecheck bad_type with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "accepted wrong type");
-  let bad_null = rel [ [| vi 1; vnull; Value.Date 0; vf 0.0 |] ] in
-  match Relation.typecheck bad_null with
+  (* a passing check allocates nothing, whichever rows it reads *)
+  let r = sample () in
+  let only = Some [| 0; Relation.cardinality r - 1 |] in
+  Alcotest.(check bool) "a passing check allocates nothing" true
+    (Test_support.words_per 1000 (fun _ ->
+         ignore (Relation.typecheck r);
+         ignore (Relation.typecheck ?only r))
+    < 0.05);
+  let bad_null =
+    rel [ [| vi 1; vs "a"; Value.Date 0; vf 0.0 |]; [| vi 1; vnull; Value.Date 0; vf 0.0 |] ]
+  in
+  (match Relation.typecheck ~only:[| 0 |] bad_null with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("checked a row outside ?only: " ^ m));
+  match Relation.typecheck ~only:[| 1 |] bad_null with
   | Error m ->
-      Alcotest.(check bool) "mentions NOT NULL" true
-        (String.length m > 0
-        && String.index_opt m 'N' <> None)
+      Alcotest.(check string) "names the row by its position"
+        "row 1, column t.b: NULL violates NOT NULL" m
   | Ok () -> Alcotest.fail "accepted NULL in NOT NULL column"
 
 let test_filter_map_project () =

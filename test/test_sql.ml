@@ -36,6 +36,28 @@ let test_lexer_errors () =
       | _ -> Alcotest.fail ("accepted: " ^ src))
     [ "a ; b"; "select 1;;"; "select 1; -- x\nselect 2" ]
 
+(* an exponent with no digits is a lex error, and it surfaces as a
+   structured parse error through both entry points *)
+let test_exponent_without_digits () =
+  let cat = Test_support.emp_dept_catalog () in
+  let srv = Nra_server.Server.create cat in
+  let session = Nra_server.Server.session srv () in
+  List.iter
+    (fun src ->
+      (match Lexer.tokenize src with
+      | exception Lexer.Lex_error _ -> ()
+      | _ -> Alcotest.fail ("accepted: " ^ src));
+      let sql = "select emp_id from emp where salary > " ^ src in
+      let is_parse what = function
+        | Error (Exec_error.Parse _) -> ()
+        | Error e ->
+            Alcotest.failf "%s %S: %s" what sql (Exec_error.to_string e)
+        | Ok _ -> Alcotest.failf "%s accepted %S" what sql
+      in
+      is_parse "Nra.run" (Nra.run cat sql);
+      is_parse "Server.exec" (Nra_server.Server.exec srv session sql))
+    [ "1.5e"; "1.5e+"; "1.5E-"; "2.0e " ]
+
 let roundtrip sql =
   let q = parse sql in
   let q2 = parse (Ast.to_string q) in
@@ -246,6 +268,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_lexer_basics;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
+          Alcotest.test_case "exponent without digits" `Quick
+            test_exponent_without_digits;
         ] );
       ( "parser",
         [

@@ -176,27 +176,32 @@ let test_multi_statement_recovery () =
   done
 
 let test_redo_restores_lost_writes () =
-  (* physical redo: even if the committed statement's effects are lost
-     after the crash (we clobber the table behind the WAL's back),
-     replay re-applies the committed after-image *)
-  let cat = fresh () in
-  exec_ok cat "insert into emp values (7, 'gil', 2, 55, 1)";
-  let committed = fingerprint cat in
-  let d0 = Fault.draws () in
-  exec_ok cat "delete from emp where salary < 65";
-  let n = Fault.draws () - d0 in
-  let cat = fresh () in
-  exec_ok cat "insert into emp values (7, 'gil', 2, 55, 1)";
-  Fault.arm_crash ~at:(Fault.draws () + n);
-  (match Nra.exec cat "delete from emp where salary < 65" with
-  | exception Fault.Crash _ -> ()
-  | _ -> Alcotest.fail "crash at the last point did not fire");
-  Fault.disarm ();
-  (* simulate the volatile state being lost with the crash *)
-  Catalog.update_rows cat "emp" [||];
-  ignore (Wal.recover cat);
-  Alcotest.(check string) "redo rebuilt the committed insert" committed
-    (fingerprint cat)
+  (* physical redo: a statement that commits while another statement
+     of the catalog is still running keeps its delta in the log; if
+     its effect is lost with a crash (we put the table back behind the
+     WAL's back), replay re-applies the committed delta *)
+  List.iter
+    (fun sql ->
+      let cat = fresh () in
+      let lost = Relation.rows (Table.relation (Catalog.table cat "emp")) in
+      let running = Wal.begin_stmt cat in
+      (* left running: the crash kills it *)
+      exec_ok cat sql;
+      let committed = fingerprint cat in
+      Catalog.update_rows cat "emp" lost;
+      Alcotest.(check bool) (sql ^ ": torn log") true (Wal.needs_recovery cat);
+      let r = Wal.recover cat in
+      Alcotest.(check int) (sql ^ ": redone") 1 r.Wal.redone;
+      Alcotest.(check string) (sql ^ ": redo rebuilt the committed write")
+        committed (fingerprint cat);
+      (* the running statement was rolled back and the log emptied *)
+      Alcotest.(check bool) (sql ^ ": healed") false (Wal.needs_recovery cat);
+      ignore running)
+    [
+      "insert into emp values (7, 'gil', 2, 55, 1)";
+      "delete from emp where salary < 65";
+      "update emp set salary = salary + 10 where dept_id = 1";
+    ]
 
 let test_wal_counters () =
   let cat = fresh () in
@@ -210,6 +215,101 @@ let test_wal_counters () =
   Alcotest.(check int) "queries do not log" 3 (Wal.records ());
   Wal.reset ();
   Alcotest.(check int) "reset empties the counter" 0 (Wal.records ())
+
+(* ---------- one log per catalog ---------- *)
+
+let test_two_catalogs () =
+  (* two catalogs each hold a table [t], of 1 and 3 rows; a crash
+     leaves a statement on the first unfinished.  Recovering the first
+     reads only its own log: the second catalog's committed writes stay
+     where they are *)
+  let setup rows =
+    let cat = Catalog.create () in
+    exec_ok cat "create table t (id int, primary key (id))";
+    List.iter
+      (fun i -> exec_ok cat (Printf.sprintf "insert into t values (%d)" i))
+      rows;
+    cat
+  in
+  ignore (fresh ());
+  let one = setup [ 1 ] in
+  let three = setup [ 1; 2; 3 ] in
+  let before_one = fingerprint one and before_three = fingerprint three in
+  let sql = "insert into t values (9)" in
+  let dry = setup [ 1 ] in
+  let d0 = Fault.draws () in
+  exec_ok dry sql;
+  let n = Fault.draws () - d0 in
+  Fault.arm_crash ~at:(Fault.draws () + n);
+  (match Nra.exec one sql with
+  | exception Fault.Crash _ -> ()
+  | _ -> Alcotest.fail "crash at the commit did not fire");
+  Fault.disarm ();
+  Alcotest.(check bool) "first log torn" true (Wal.needs_recovery one);
+  Alcotest.(check bool) "second log clean" false (Wal.needs_recovery three);
+  (match Wal.recover_if_needed one with
+  | Some r -> Alcotest.(check int) "the insert undone" 1 r.Wal.undone
+  | None -> Alcotest.fail "recovery did not run");
+  Alcotest.(check string) "first catalog restored" before_one
+    (fingerprint one);
+  Alcotest.(check string) "second catalog untouched" before_three
+    (fingerprint three)
+
+(* ---------- writes cost what they change ---------- *)
+
+let wide = 5_000
+
+(* a [wide]-row table [w (id, v)], registered without the WAL *)
+let wide_catalog () =
+  let cat = Catalog.create () in
+  Catalog.register cat
+    (Table.create ~name:"w" ~key:[ "id" ]
+       [ Schema.column "id" Ttype.Int; Schema.column "v" Ttype.Int ]
+       (Array.init wide (fun i -> [| Value.Int i; Value.Int (i mod 97) |])));
+  cat
+
+(* one single-row INSERT and the DELETE of that row *)
+let insert_delete cat i =
+  exec_ok cat (Printf.sprintf "insert into w values (%d, 1)" (wide + i));
+  exec_ok cat (Printf.sprintf "delete from w where id = %d" (wide + i))
+
+let test_log_stays_flat () =
+  (* the log holds the statements in flight, not the statements run:
+     1,000 INSERT + DELETE pairs leave the live heap where 100 did *)
+  ignore (fresh ());
+  let cat = wide_catalog () in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  for i = 0 to 99 do
+    insert_delete cat i
+  done;
+  let l100 = live () in
+  for i = 100 to 999 do
+    insert_delete cat i
+  done;
+  let l1000 = live () in
+  Alcotest.(check int) "table back to its rows" wide
+    (Table.cardinality (Catalog.table cat "w"));
+  (* a delta log that leaked would keep 900 pairs of rows and records
+     (about 27 K words), a full-image one 900 pairs of tables (9 M) *)
+  if l1000 - l100 > 10_000 then
+    Alcotest.failf "live words grew by %d over 900 write pairs"
+      (l1000 - l100)
+
+let test_words_per_existing_row () =
+  (* a one-row write allocates a few words per row it keeps: the new
+     row array and the primary-key index are rebuilt (about 9 words per
+     row for the pair).  Revalidating every row and logging full images
+     cost about 24. *)
+  ignore (fresh ());
+  let cat = wide_catalog () in
+  let per_pair = Test_support.words_per 20 (insert_delete cat) in
+  let per_row = per_pair /. float_of_int wide in
+  if per_row > 12.0 then
+    Alcotest.failf "%.2f words per existing row for an INSERT + DELETE"
+      per_row
 
 let () =
   Alcotest.run "wal"
@@ -231,5 +331,11 @@ let () =
             test_transient_fault_absorbed;
         ] );
       ( "accounting",
-        [ Alcotest.test_case "record counters" `Quick test_wal_counters ] );
+        [
+          Alcotest.test_case "record counters" `Quick test_wal_counters;
+          Alcotest.test_case "one log per catalog" `Quick test_two_catalogs;
+          Alcotest.test_case "log stays flat" `Quick test_log_stays_flat;
+          Alcotest.test_case "words per existing row" `Quick
+            test_words_per_existing_row;
+        ] );
     ]
