@@ -3,85 +3,60 @@ module Pool = Nra_pool.Pool
 
 (* Scan+filter is the third parallel kernel (after hash join and nest):
    Exec.Frame funnels every block's local predicates through here.
-   Morsels keep their relative order, so the output row order is the
-   serial one.
 
-   When the predicate compiles to the vectorizable subset, each morsel
-   evaluates typed column loops over the relation's batch (a base
-   table's own, or a transient one) and returns a bitmap; the owner
-   lists the positions in chunk order into a borrowed buffer and
-   gathers the original rows once.  Otherwise morsels fall back to
-   [Expr.holds] row-at-a-time.  Both paths emit the same physical rows
-   in the same order. *)
+   A filter writes the positions of the rows that pass, ascending, into
+   one buffer borrowed from [Scratch] and hands it on; [select] gathers
+   the original rows once.  When the predicate compiles to the
+   vectorizable subset ([Batch.filter]) the positions come from typed
+   column loops over the relation's batch (a base table's own, or a
+   transient one); otherwise each row is tested with [Expr.holds], in
+   position order.  Under the pool each morsel writes only its own
+   [lo, hi) region of the buffer, and the owner compacts the regions in
+   chunk order, so every pool size lists the same positions. *)
 
-(* Filter a morsel row-at-a-time into a row array (no list rebuild on
-   the owner: each morsel packs its survivors once, backwards). *)
-let filter_morsel pred rows ~lo ~hi =
-  let acc = ref [] and cnt = ref 0 in
+(* the positions in [lo, hi) whose row satisfies [pred], ascending,
+   written into [sel] from [lo]; returns the end *)
+let select_rows pred rows sel ~lo ~hi =
+  let k = ref lo in
   for i = lo to hi - 1 do
-    if Expr.holds pred rows.(i) then begin
-      acc := rows.(i) :: !acc;
-      incr cnt
+    if Expr.holds pred (Array.unsafe_get rows i) then begin
+      Array.unsafe_set sel !k i;
+      incr k
     end
   done;
-  if !cnt = 0 then [||]
-  else begin
-    let out = Array.make !cnt rows.(lo) in
-    let rec fill i = function
-      | [] -> ()
-      | r :: tl ->
-          out.(i) <- r;
-          fill (i - 1) tl
-    in
-    fill (!cnt - 1) !acc;
-    out
-  end
+  !k
 
-(* [select]'s columnar path without the gather: the surviving rows'
-   count, and their positions written into a buffer the caller owns.
-   Morsels return bitmaps (a bit per row), which the owner lists in
-   chunk order; the morsel split is [select]'s, so the checkpoints are
-   too. *)
-let selection ?batch pred rel =
-  let n = Relation.cardinality rel in
-  let batch =
-    match batch with Some b -> b | None -> Batch.of_relation rel
-  in
-  Option.map
-    (fun bits ->
-      let parts =
-        if not (Pool.use_parallel n) then [| (0, bits ~lo:0 ~hi:n) |]
-        else Pool.parallel_chunks ~n (fun _ledger ~lo ~hi -> (lo, bits ~lo ~hi))
-      in
-      let count =
-        Array.fold_left (fun c (_, b) -> c + Batch.Bitset.popcount b) 0 parts
-      in
-      let write sel =
-        ignore
-          (Array.fold_left
-             (fun at (lo, b) -> Batch.Bitset.indices_into ~base:lo b sel at)
-             0 parts)
-      in
-      (count, write))
-    (Batch.filter_bits pred batch)
-
-let select ?batch pred rel =
+let selection ?batch pred rel f =
   let rows = Relation.rows rel in
   let n = Array.length rows in
-  match selection ?batch pred rel with
-  | Some (count, write) ->
-      Scratch.with_ints count (fun sel ->
-          write sel;
-          Relation.gather rel sel count)
-  | None ->
-      if not (Pool.use_parallel n) then
-        Relation.filter (Expr.holds pred) rel
+  if n = 0 then f [||] 0
+  else
+    let batch =
+      match batch with Some b -> b | None -> Batch.of_relation rel
+    in
+    let select =
+      match Batch.filter pred batch with
+      | Some select -> select
+      | None -> select_rows pred rows
+    in
+    Scratch.with_ints n @@ fun sel ->
+    let count =
+      if not (Pool.use_parallel n) then select sel ~lo:0 ~hi:n
       else
-        Relation.make (Relation.schema rel)
-          (Array.concat
-             (Array.to_list
-                (Pool.parallel_chunks ~n (fun _ledger ~lo ~hi ->
-                     filter_morsel pred rows ~lo ~hi))))
+        Array.fold_left
+          (fun w (lo, stop) ->
+            for j = lo to stop - 1 do
+              Array.unsafe_set sel (w + j - lo) (Array.unsafe_get sel j)
+            done;
+            w + stop - lo)
+          0
+          (Pool.parallel_chunks ~n (fun _ledger ~lo ~hi ->
+               (lo, select sel ~lo ~hi)))
+    in
+    f sel count
+
+let select ?batch pred rel =
+  selection ?batch pred rel (fun sel count -> Relation.gather rel sel count)
 
 let project_cols idxs rel = Relation.project rel idxs
 

@@ -3,20 +3,22 @@
 open Nra_relational
 
 val select : ?batch:Batch.t -> Expr.pred -> Relation.t -> Relation.t
-(** σ — keeps rows whose predicate is [True] (3VL).  [batch] holds the
-    relation's typed columns (a base table's {!Nra_storage.Table.batch});
-    without it a transient batch is wrapped around the rows. *)
+(** σ — keeps rows whose predicate is [True] (3VL): {!selection}'s
+    rows, gathered. *)
 
 val selection :
-  ?batch:Batch.t -> Expr.pred -> Relation.t ->
-  (int * (int array -> unit)) option
-(** [select]'s columnar path as positions.  [Some (count, write)] when
-    the predicate compiles to the columnar subset
-    ({!Batch.filter_bits}): [count] rows pass, and [write sel] writes
-    their positions, ascending, into [sel.(0)] ... [sel.(count - 1)],
-    gathering no row.  The predicate is evaluated once, before
-    [selection] returns, with the same morsel split (so the same
-    checkpoints) as [select]. *)
+  ?batch:Batch.t -> Expr.pred -> Relation.t -> (int array -> int -> 'a) ->
+  'a
+(** [selection pred rel f] evaluates the predicate once and calls
+    [f sel count]: [count] rows pass, and [sel.(0)] ... [sel.(count - 1)]
+    are their positions, ascending.  [sel] is borrowed from
+    {!Nra_relational.Scratch} and valid only inside [f]; no row is
+    gathered.  [batch] holds the relation's typed columns (a base
+    table's {!Nra_storage.Table.batch}); without it a transient batch is
+    wrapped around the rows.  The whole predicate runs through the
+    typed loops of {!Batch.filter} when it compiles to that subset, and
+    otherwise through [Expr.holds] row by row in position order, so the
+    first error raised is the one a serial scan meets first. *)
 
 val project_cols : int list -> Relation.t -> Relation.t
 (** π over column positions (duplicates preserved — SQL bag π). *)

@@ -48,15 +48,12 @@ let charge_scan_chunked ?table n =
       Nra_guard.Guard.tick ()
   | _ ->
       let per = scan_chunk_pages * (Iosim.config ()).Iosim.rows_per_page in
-      let rec go remaining =
-        if remaining > 0 then begin
-          Fault.with_retries (fun () ->
-              Iosim.charge_scan_rows (min per remaining));
-          Nra_guard.Guard.tick ();
-          go (remaining - per)
-        end
-      in
-      go n
+      let remaining = ref n in
+      while !remaining > 0 do
+        Fault.retrying Iosim.charge_scan_rows (min per !remaining);
+        Nra_guard.Guard.tick ();
+        remaining := !remaining - per
+      done
 
 (* The scan every block input starts with: one checkpoint and one
    charged scan per base table. *)
@@ -113,19 +110,13 @@ let block_relation ?(charge = true) b =
 let with_block_input (b : Analyze.block) f =
   scan ~charge:true b;
   match (b.Analyze.bindings, b.Analyze.local) with
-  | [ bd ], _ :: _ -> (
+  | [ bd ], _ :: _ ->
       let base = Table.relation bd.Analyze.table in
-      match
-        Nra_algebra.Basic.selection
-          ~batch:(Table.batch bd.Analyze.table)
-          (to_pred (Relation.schema base) b.Analyze.local)
-          base
-      with
-      | Some (count, write) ->
-          Scratch.with_ints count (fun sel ->
-              write sel;
-              f base (Some (sel, count)))
-      | None -> f (join_bindings b) None)
+      Nra_algebra.Basic.selection
+        ~batch:(Table.batch bd.Analyze.table)
+        (to_pred (Relation.schema base) b.Analyze.local)
+        base
+        (fun sel count -> f base (Some (sel, count)))
   | _ -> f (join_bindings b) None
 
 let single_binding (b : Analyze.block) =

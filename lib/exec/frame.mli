@@ -38,11 +38,11 @@ val block_relation : ?charge:bool -> Analyze.block -> Relation.t
 val with_block_input :
   Analyze.block -> (Relation.t -> (int array * int) option -> 'a) -> 'a
 (** [block_relation b] handed to [f], with the same charges and
-    checkpoints, except that a one-table block whose local conjuncts
-    compile to the columnar subset ({!Nra_algebra.Basic.selection}) is
-    handed as its base relation plus [Some (sel, count)]: the first
-    [count] entries of [sel] are the positions of the rows that pass,
-    ascending, and no row is gathered.  [sel] is borrowed from
+    checkpoints, except that a one-table block with local conjuncts is
+    handed as its base relation plus [Some (sel, count)]
+    ({!Nra_algebra.Basic.selection}): the first [count] entries of
+    [sel] are the positions of the rows that pass, ascending, and no
+    row is gathered.  [sel] is borrowed from
     {!Nra_relational.Scratch} and valid only inside [f].  Every other
     block is handed [block_relation b] and [None]. *)
 

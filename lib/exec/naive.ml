@@ -59,6 +59,8 @@ let index_choice cat (bd : A.binding) cols =
                     (Catalog.sorted_index_on cat ~table:base_name c))
                 cols))
 
+let probe_charge matches = Iosim.charge_probe ~matches
+
 (* A probe function from the outer row to candidate base-table rows
    through [index_choice]'s index, or [None] when there is none. *)
 let index_access cat (bd : A.binding) outer_schema equis =
@@ -72,6 +74,7 @@ let index_access cat (bd : A.binding) outer_schema equis =
         |> Array.of_list
       in
       let rows = Relation.rows (Table.relation bd.A.table) in
+      let fetch row_id = Iosim.charge_row_fetch ~table:bd.A.source ~row_id in
       (* the index descent is charged at probe time; each rowid fetch
          is charged lazily as the row is actually examined — through
          the buffer cache, and only if the evaluation gets that far
@@ -79,12 +82,11 @@ let index_access cat (bd : A.binding) outer_schema equis =
       Some
         (fun outer_row ->
           stats.index_probes <- stats.index_probes + 1;
-          Fault.with_retries (fun () -> Iosim.charge_probe ~matches:0);
+          Fault.retrying probe_charge 0;
           let key = Array.map (Expr.eval_scalar outer_row) scalars in
           Seq.map
             (fun id ->
-              Fault.with_retries (fun () ->
-                  Iosim.charge_row_fetch ~table:bd.A.source ~row_id:id);
+              Fault.retrying fetch id;
               rows.(id))
             (List.to_seq (ids_of key)))
 
@@ -153,8 +155,8 @@ let rec compile ?(use_indexes = true) cat (t : A.t) outer_schema
               if Nra_storage.Bufpool.enabled () then
                 Frame.charge_scan_chunked ~table:name n
               else
-                Nra_storage.Fault.with_retries (fun () ->
-                    Nra_storage.Iosim.charge_scan_rows n))
+                Nra_storage.Fault.retrying Nra_storage.Iosim.charge_scan_rows
+                  n)
             scan_charges;
           Array.to_seq scan_rows
     in

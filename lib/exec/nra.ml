@@ -153,7 +153,7 @@ let nest_select nest st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted wide =
   result
 
 (* An outer frame handed on as a one-table block's base rows plus the
-   selection vector of its columnar filter ({!Frame.with_block_input}),
+   selection vector of its filter ({!Frame.with_block_input}),
    or as a relation ([None]); a consumer that cannot read through the
    selection gathers the rows [block_relation] would have built. *)
 let gathered rel = function
@@ -307,8 +307,7 @@ let record_intermediate st n =
   Nra_guard.Guard.add_rows n;
   (* the stored-procedure setting of the paper's Section 5.1 pays a
      per-tuple cost to fetch the intermediate result from the engine *)
-  Nra_storage.Fault.with_retries (fun () ->
-      Nra_storage.Iosim.charge_fetch_rows n)
+  Nra_storage.Fault.retrying Nra_storage.Iosim.charge_fetch_rows n
 
 (* Per-row application of a linking predicate whose sets are keyed
    apart from the outer relation (virtual-cartesian-product and
@@ -363,9 +362,9 @@ and reduce_standalone st (n : Plan.node) : Relation.t =
   let rel', _ = process st (rel, 0) b n.Plan.sub in
   rel'
 
-(* a standalone child reduced, handed to [f]; a leaf child block with a
-   columnar filter is handed on as its base rows plus the filter's
-   selection vector ({!Frame.with_block_input}) *)
+(* a standalone child reduced, handed to [f]; a leaf child block that
+   is one filtered table is handed on as its base rows plus the
+   filter's selection vector ({!Frame.with_block_input}) *)
 and with_reduced st (n : Plan.node) f =
   if n.Plan.sub = [] then Frame.with_block_input n.Plan.child.A.block f
   else f (reduce_standalone st n) None
@@ -466,9 +465,9 @@ and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select ?sel rel
   let feeds_grandchildren = recurse && n.Plan.sub <> [] in
   let sorted = sorted_prefix >= key_arity in
   if (not feeds_grandchildren) && nest_pipelined nest ~sorted then begin
-    (* a one-table child block with a columnar filter is probed as its
-       base rows through the filter's selection vector, and so is an
-       outer frame handed on that way *)
+    (* a one-table child block with a filter is probed as its base rows
+       through the filter's selection vector, and so is an outer frame
+       handed on that way *)
     let with_input f =
       match child with
       | `Reduced r -> f r None
@@ -556,9 +555,9 @@ let run_where ?(options = optimized) ?directives _cat (t : A.t) =
       fused_sites = 0;
     }
   in
-  (* the root frame as base rows plus a selection where its filter
-     compiles to the columnar subset: a fused site reads through it, any
-     other consumer gathers exactly the rows [block_relation] builds *)
+  (* the root frame as base rows plus a selection where it is one
+     filtered table: a fused site reads through it, any other consumer
+     gathers exactly the rows [block_relation] builds *)
   Frame.with_block_input t.A.root @@ fun rel sel ->
   let rel', _ = process st ?sel (rel, 0) t.A.root plan.Plan.roots in
   (rel', st)

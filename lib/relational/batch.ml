@@ -17,7 +17,7 @@
 module T3 = Three_valued
 
 (* ------------------------------------------------------------------ *)
-(* Null bitmaps (bit set = NULL) and selection bitmaps (bit set = keep) *)
+(* Null bitmaps (bit set = NULL)                                      *)
 
 module Bitset = struct
   type t = Bytes.t
@@ -32,33 +32,6 @@ module Bitset = struct
   let get b i =
     Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-  let full n =
-    let b = Bytes.make ((n + 7) / 8) '\255' in
-    (* zero the tail bits past [n] so unions stay exact *)
-    for i = n to (Bytes.length b * 8) - 1 do
-      let j = i lsr 3 in
-      Bytes.unsafe_set b j
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get b j) land lnot (1 lsl (i land 7))))
-    done;
-    b
-
-  let inter_into ~into b =
-    for j = 0 to Bytes.length into - 1 do
-      Bytes.unsafe_set into j
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get into j)
-           land Char.code (Bytes.unsafe_get b j)))
-    done
-
-  let union_into ~into b =
-    for j = 0 to Bytes.length into - 1 do
-      Bytes.unsafe_set into j
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get into j)
-           lor Char.code (Bytes.unsafe_get b j)))
-    done
-
   let popcount b =
     let n = ref 0 in
     for j = 0 to Bytes.length b - 1 do
@@ -69,27 +42,6 @@ module Bitset = struct
       done
     done;
     !n
-
-  (* Write the indices of set bits, offset by [base], ascending, into
-     [dst] from [at]; returns the next free slot. *)
-  let indices_into ~base b dst at =
-    let k = ref at in
-    for j = 0 to Bytes.length b - 1 do
-      let c = Char.code (Bytes.unsafe_get b j) in
-      if c <> 0 then
-        for bit = 0 to 7 do
-          if c land (1 lsl bit) <> 0 then begin
-            dst.(!k) <- base + (j lsl 3) + bit;
-            incr k
-          end
-        done
-    done;
-    !k
-
-  let indices ~base b =
-    let out = Array.make (popcount b) 0 in
-    ignore (indices_into ~base b out 0);
-    out
 end
 
 (* ------------------------------------------------------------------ *)
@@ -238,16 +190,44 @@ let to_relation t =
          Array.init arity (fun c -> value_at cols.(c) i)))
 
 (* ------------------------------------------------------------------ *)
-(* Vectorized predicates.
+(* Vectorized predicates: selection-vector refinement.
 
-   [filter_plan] compiles the simple conjunctive/comparison forms —
-   Lit3 | Cmp over Col/Const | Is_(not_)null | In_list | Between |
-   And | Or — into bitmap loops over typed columns, and returns None
-   for anything else (Not does not decompose under WHERE-semantics
-   [holds], Like and arithmetic scalars can raise), in which case the
-   caller falls back to [Expr.holds] on materialized rows.  Within the
-   subset, evaluation is total, so vectorized and row-at-a-time
-   results coincide exactly, error behavior included. *)
+   [filter] compiles the simple conjunctive/comparison forms — Lit3 |
+   Cmp over Col/Const | Is_(not_)null | In_list | Between | And | Or —
+   into loops over typed columns, and returns None for anything else
+   (Not does not decompose under WHERE-semantics [holds], Like and
+   arithmetic scalars can raise), in which case the caller evaluates
+   the whole predicate with [Expr.holds] row by row.  Within the subset,
+   evaluation is total, so vectorized and row-at-a-time results
+   coincide exactly, error behavior included.
+
+   The selection lives in one int buffer the caller owns.  A range
+   starts as every position in it; each conjunct then compacts the
+   surviving positions in place, so [And] is two passes over shrinking
+   lists and nothing but the buffer is written.  [Or] (and [In_list],
+   its disjunction of equalities) tests each candidate position. *)
+
+(* A compiled predicate: [test i] says whether row [i] passes, and
+   [refine sel lo k] keeps the passing positions among [sel.(lo)] ...
+   [sel.(k - 1)], compacted in place from [lo] in their order, and
+   returns the new end. *)
+type kernel = { test : int -> bool; refine : int array -> int -> int -> int }
+
+let refine_by test sel lo k =
+  let w = ref lo in
+  for j = lo to k - 1 do
+    let i = Array.unsafe_get sel j in
+    if test i then begin
+      Array.unsafe_set sel !w i;
+      incr w
+    end
+  done;
+  !w
+
+let of_test test = { test; refine = refine_by test }
+let always = { test = (fun _ -> true); refine = (fun _ _ k -> k) }
+let never = { test = (fun _ -> false); refine = (fun _ lo _ -> lo) }
+let const b = if b then always else never
 
 (* Comparison results are classified once into keep-on-{lt,eq,gt}
    booleans so each typed loop is monomorphic with the op hoisted. *)
@@ -269,165 +249,140 @@ let fcmp (x : float) (c : float) =
   else if x = x then 1 (* c is NaN *)
   else 0
 
-type producer = lo:int -> hi:int -> Bitset.t
-
-let const_plan b ~lo ~hi = if b then Bitset.full (hi - lo) else Bitset.create (hi - lo)
-
-let cmp_ints op (a : int array) nulls c : producer =
+(* Int and date cells against a constant, and against another int
+   column: the scan-heavy forms (TPC-H date windows, lineitem's
+   commit/receipt/ship comparisons) get loops with no call per row. *)
+let cmp_ints op (a : int array) nulls c =
   let ltk, eqk, gtk = keep_of op in
-  fun ~lo ~hi ->
-    let out = Bitset.create (hi - lo) in
-    for i = lo to hi - 1 do
+  let test i =
+    (not (Bitset.get nulls i))
+    &&
+    let x = Array.unsafe_get a i in
+    if x < c then ltk else if x = c then eqk else gtk
+  in
+  let refine sel lo k =
+    let w = ref lo in
+    for j = lo to k - 1 do
+      let i = Array.unsafe_get sel j in
       if not (Bitset.get nulls i) then begin
         let x = Array.unsafe_get a i in
-        if (if x < c then ltk else if x = c then eqk else gtk) then
-          Bitset.set out (i - lo)
+        if if x < c then ltk else if x = c then eqk else gtk then begin
+          Array.unsafe_set sel !w i;
+          incr w
+        end
       end
     done;
-    out
+    !w
+  in
+  { test; refine }
 
-(* [cmp i]: row [i]'s cell against the constant, as a sign *)
-let cmp_numbers op (cmp : int -> int) nulls : producer =
+let cmp_int_cols op (a : int array) na (b : int array) nb =
   let ltk, eqk, gtk = keep_of op in
-  fun ~lo ~hi ->
-    let out = Bitset.create (hi - lo) in
-    for i = lo to hi - 1 do
-      if not (Bitset.get nulls i) then begin
-        let r = cmp i in
-        if (if r < 0 then ltk else if r = 0 then eqk else gtk) then
-          Bitset.set out (i - lo)
+  let test i =
+    (not (Bitset.get na i || Bitset.get nb i))
+    &&
+    let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+    if x < y then ltk else if x = y then eqk else gtk
+  in
+  let refine sel lo k =
+    let w = ref lo in
+    for j = lo to k - 1 do
+      let i = Array.unsafe_get sel j in
+      if not (Bitset.get na i || Bitset.get nb i) then begin
+        let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+        if if x < y then ltk else if x = y then eqk else gtk then begin
+          Array.unsafe_set sel !w i;
+          incr w
+        end
       end
     done;
-    out
+    !w
+  in
+  { test; refine }
 
-let cmp_strings op (a : string array) nulls c : producer =
+(* [cmp i]: row [i]'s non-null cells compared, as a sign *)
+let cmp_signs op (cmp : int -> int) nulls_at =
   let ltk, eqk, gtk = keep_of op in
-  fun ~lo ~hi ->
-    let out = Bitset.create (hi - lo) in
-    for i = lo to hi - 1 do
-      if not (Bitset.get nulls i) then begin
-        let r = String.compare (Array.unsafe_get a i) c in
-        if (if r < 0 then ltk else if r = 0 then eqk else gtk) then
-          Bitset.set out (i - lo)
-      end
-    done;
-    out
+  of_test (fun i ->
+      (not (nulls_at i))
+      &&
+      let r = cmp i in
+      if r < 0 then ltk else if r = 0 then eqk else gtk)
 
 (* Mismatched runtime types, Boxed columns: per-row Value semantics
    (still a flat loop, just with reconstructed cells). *)
-let cmp_generic op colpair (c : Value.t) : producer =
- fun ~lo ~hi ->
-  let out = Bitset.create (hi - lo) in
-  for i = lo to hi - 1 do
-    if T3.cmp op (value_at colpair i) c = T3.True then Bitset.set out (i - lo)
-  done;
-  out
+let cmp_generic op x y =
+  of_test (fun i -> T3.cmp op (x i) (y i) = T3.True)
 
-let cmp_col_const b op ci v : producer =
+let cmp_col_const b op ci v =
   let ((col, nulls) as pair) = column b ci in
+  let signs cmp = cmp_signs op cmp (Bitset.get nulls) in
   match (col, v) with
-  | _, Value.Null -> const_plan false
-  | Ints a, Value.Int c -> cmp_ints op a nulls c
+  | _, Value.Null -> never
+  | Ints a, Value.Int c | Dates a, Value.Date c -> cmp_ints op a nulls c
   | Ints a, Value.Float c ->
-      cmp_numbers op
-        (fun i -> Value.compare_int_float (Array.unsafe_get a i) c)
-        nulls
-  | Floats a, Value.Float c ->
-      cmp_numbers op (fun i -> fcmp (Array.unsafe_get a i) c) nulls
+      signs (fun i -> Value.compare_int_float (Array.unsafe_get a i) c)
+  | Floats a, Value.Float c -> signs (fun i -> fcmp (Array.unsafe_get a i) c)
   | Floats a, Value.Int c ->
-      cmp_numbers op
-        (fun i -> -Value.compare_int_float c (Array.unsafe_get a i))
-        nulls
-  | Dates a, Value.Date c -> cmp_ints op a nulls c
-  | Strings a, Value.String c -> cmp_strings op a nulls c
+      signs (fun i -> -Value.compare_int_float c (Array.unsafe_get a i))
+  | Strings a, Value.String c ->
+      signs (fun i -> String.compare (Array.unsafe_get a i) c)
   | Bools a, Value.Bool c ->
-      let ltk, eqk, gtk = keep_of op in
-      fun ~lo ~hi ->
-        let out = Bitset.create (hi - lo) in
-        for i = lo to hi - 1 do
-          if not (Bitset.get nulls i) then begin
-            let r = Bool.compare (Bytes.unsafe_get a i = '\001') c in
-            if (if r < 0 then ltk else if r = 0 then eqk else gtk) then
-              Bitset.set out (i - lo)
-          end
-        done;
-        out
-  | _ -> cmp_generic op pair v
+      signs (fun i -> Bool.compare (Bytes.unsafe_get a i = '\001') c)
+  | _ -> cmp_generic op (value_at pair) (fun _ -> v)
 
-let cmp_col_col b op ci cj : producer =
+let cmp_col_col b op ci cj =
   let ((coli, nullsi) as pi) = column b ci in
   let ((colj, nullsj) as pj) = column b cj in
-  let ltk, eqk, gtk = keep_of op in
-  let masked body : producer =
-   fun ~lo ~hi ->
-    let out = Bitset.create (hi - lo) in
-    for i = lo to hi - 1 do
-      if not (Bitset.get nullsi i || Bitset.get nullsj i) then begin
-        let r : int = body i in
-        if (if r < 0 then ltk else if r = 0 then eqk else gtk) then
-          Bitset.set out (i - lo)
-      end
-    done;
-    out
+  let signs cmp =
+    cmp_signs op cmp (fun i -> Bitset.get nullsi i || Bitset.get nullsj i)
   in
   match (coli, colj) with
-  | Ints a, Ints c -> masked (fun i -> Int.compare a.(i) c.(i))
-  | Dates a, Dates c -> masked (fun i -> Int.compare a.(i) c.(i))
-  | Floats a, Floats c -> masked (fun i -> fcmp a.(i) c.(i))
-  | Ints a, Floats c -> masked (fun i -> Value.compare_int_float a.(i) c.(i))
-  | Floats a, Ints c ->
-      masked (fun i -> -Value.compare_int_float c.(i) a.(i))
-  | Strings a, Strings c -> masked (fun i -> String.compare a.(i) c.(i))
-  | _ ->
-      fun ~lo ~hi ->
-        let out = Bitset.create (hi - lo) in
-        for i = lo to hi - 1 do
-          if T3.cmp op (value_at pi i) (value_at pj i) = T3.True then
-            Bitset.set out (i - lo)
-        done;
-        out
+  | Ints a, Ints c | Dates a, Dates c -> cmp_int_cols op a nullsi c nullsj
+  | Floats a, Floats c -> signs (fun i -> fcmp a.(i) c.(i))
+  | Ints a, Floats c -> signs (fun i -> Value.compare_int_float a.(i) c.(i))
+  | Floats a, Ints c -> signs (fun i -> -Value.compare_int_float c.(i) a.(i))
+  | Strings a, Strings c -> signs (fun i -> String.compare a.(i) c.(i))
+  | _ -> cmp_generic op (value_at pi) (value_at pj)
 
-let null_plan b ci ~want_null : producer =
+let null_test b ci ~want_null =
   let _, nulls = column b ci in
-  fun ~lo ~hi ->
-    let out = Bitset.create (hi - lo) in
-    for i = lo to hi - 1 do
-      if Bitset.get nulls i = want_null then Bitset.set out (i - lo)
-    done;
-    out
+  of_test (fun i -> Bitset.get nulls i = want_null)
 
-let rec compile b (p : Expr.pred) : producer option =
+let operand = function Expr.Col _ | Expr.Const _ -> true | _ -> false
+
+(* the subset, decided before any column is forced *)
+let rec vectorizable (p : Expr.pred) =
   match p with
-  | Expr.Lit3 t -> Some (const_plan (t = T3.True))
-  | Expr.And (p, q) -> (
-      match (compile b p, compile b q) with
-      | Some f, Some g ->
-          Some
-            (fun ~lo ~hi ->
-              let m = f ~lo ~hi in
-              Bitset.inter_into ~into:m (g ~lo ~hi);
-              m)
-      | _ -> None)
-  | Expr.Or (p, q) -> (
-      match (compile b p, compile b q) with
-      | Some f, Some g ->
-          Some
-            (fun ~lo ~hi ->
-              let m = f ~lo ~hi in
-              Bitset.union_into ~into:m (g ~lo ~hi);
-              m)
-      | _ -> None)
-  | Expr.Cmp (op, Expr.Col i, Expr.Const v) -> Some (cmp_col_const b op i v)
+  | Expr.Lit3 _ -> true
+  | Expr.And (p, q) | Expr.Or (p, q) -> vectorizable p && vectorizable q
+  | Expr.Cmp (_, x, y) -> operand x && operand y
+  | Expr.Is_null x | Expr.Is_not_null x | Expr.In_list (x, _) -> operand x
+  | Expr.Between (x, lo, hi) -> operand x && operand lo && operand hi
+  | Expr.Not _ | Expr.Like _ -> false
+
+let rec compile b (p : Expr.pred) =
+  match p with
+  | Expr.Lit3 t -> const (t = T3.True)
+  | Expr.And (p, q) ->
+      let p = compile b p and q = compile b q in
+      {
+        test = (fun i -> p.test i && q.test i);
+        refine = (fun sel lo k -> q.refine sel lo (p.refine sel lo k));
+      }
+  | Expr.Or (p, q) ->
+      let p = compile b p and q = compile b q in
+      of_test (fun i -> p.test i || q.test i)
+  | Expr.Cmp (op, Expr.Col i, Expr.Const v) -> cmp_col_const b op i v
   | Expr.Cmp (op, Expr.Const v, Expr.Col i) ->
-      Some (cmp_col_const b (T3.flip_op op) i v)
-  | Expr.Cmp (op, Expr.Col i, Expr.Col j) -> Some (cmp_col_col b op i j)
+      cmp_col_const b (T3.flip_op op) i v
+  | Expr.Cmp (op, Expr.Col i, Expr.Col j) -> cmp_col_col b op i j
   | Expr.Cmp (op, Expr.Const u, Expr.Const v) ->
-      Some (const_plan (T3.cmp op u v = T3.True))
-  | Expr.Is_null (Expr.Col i) -> Some (null_plan b i ~want_null:true)
-  | Expr.Is_not_null (Expr.Col i) -> Some (null_plan b i ~want_null:false)
-  | Expr.Is_null (Expr.Const v) -> Some (const_plan (Value.is_null v))
-  | Expr.Is_not_null (Expr.Const v) ->
-      Some (const_plan (not (Value.is_null v)))
+      const (T3.cmp op u v = T3.True)
+  | Expr.Is_null (Expr.Col i) -> null_test b i ~want_null:true
+  | Expr.Is_not_null (Expr.Col i) -> null_test b i ~want_null:false
+  | Expr.Is_null (Expr.Const v) -> const (Value.is_null v)
+  | Expr.Is_not_null (Expr.Const v) -> const (not (Value.is_null v))
   | Expr.In_list (x, vs) ->
       (* IN over literals is exactly a disjunction of equalities *)
       compile b
@@ -436,11 +391,15 @@ let rec compile b (p : Expr.pred) : producer option =
            (Expr.Lit3 T3.False) vs)
   | Expr.Between (x, lo, hi) ->
       compile b (Expr.And (Expr.Cmp (T3.Ge, x, lo), Expr.Cmp (T3.Le, x, hi)))
-  | _ -> None
+  | _ -> invalid_arg "Batch.compile: outside the vectorizable subset"
 
-let filter_bits pred b = if b.length = 0 then None else compile b pred
-
-let filter_plan pred b =
-  Option.map
-    (fun producer ~lo ~hi -> Bitset.indices ~base:lo (producer ~lo ~hi))
-    (filter_bits pred b)
+let filter pred b =
+  if not (vectorizable pred) then None
+  else
+    let k = compile b pred in
+    Some
+      (fun sel ~lo ~hi ->
+        for i = lo to hi - 1 do
+          Array.unsafe_set sel i i
+        done;
+        k.refine sel lo hi)

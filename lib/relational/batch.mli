@@ -13,8 +13,8 @@
     Every base table owns one batch over its rows
     ([Nra_storage.Table.batch]); any other relation is wrapped in a
     transient one where it is filtered.  Columns are built lazily.
-    Forcing happens on the owning domain only — {!filter_bits} forces
-    the columns it needs at compile time, before any
+    Forcing happens on the owning domain only — {!filter} forces the
+    columns it needs at compile time, before any
     [Pool.parallel_chunks] region starts; worker domains only ever see
     plain arrays.  A column is typed only when all its non-null cells
     share one constructor; mixed columns (legal under [Ttype.Float]
@@ -26,7 +26,7 @@
     vectorizable predicate subset.  Predicates outside that subset
     run row-at-a-time through [Expr.holds]. *)
 
-(** {1 Null and selection bitmaps} *)
+(** {1 Null bitmaps} *)
 
 module Bitset : sig
   type t = Bytes.t
@@ -36,11 +36,6 @@ module Bitset : sig
 
   val popcount : t -> int
   (** Set bits. *)
-
-  val indices_into : base:int -> t -> int array -> int -> int
-  (** [indices_into ~base b dst at] writes the indices of [b]'s set
-      bits, plus [base], ascending, into [dst] from [at]; returns the
-      next free slot. *)
 end
 
 (** {1 Batches} *)
@@ -80,21 +75,18 @@ val column : t -> int -> col * Bitset.t
 
 (** {1 Kernel services} *)
 
-val filter_bits : Expr.pred -> t -> (lo:int -> hi:int -> Bitset.t) option
-(** {!filter_plan}'s evaluator before it lists positions: [plan ~lo
-    ~hi] returns a bitmap of [hi - lo] bits, bit [k] set when row
-    [lo + k] satisfies the predicate.  Lets a caller write the
-    selection into a buffer it owns ({!Bitset.indices_into}). *)
-
-val filter_plan : Expr.pred -> t -> (lo:int -> hi:int -> int array) option
-(** Compile a predicate to a vectorized evaluator.  [Some plan] when
+val filter :
+  Expr.pred -> t -> (int array -> lo:int -> hi:int -> int) option
+(** Compile a predicate to a vectorized selection.  [Some select] when
     the whole predicate falls in the vectorizable subset — [Lit3],
     [Cmp] over [Col]/[Const], [Is_null]/[Is_not_null], [In_list],
     [Between], closed under [And]/[Or] — where evaluation is total and
-    agrees with [Expr.holds] on every row.  [plan ~lo ~hi] returns the
-    ascending indices in [\[lo, hi)] satisfying the predicate (a
-    selection vector); safe to call from worker domains once compiled.
-    [None] on an empty batch, or when any part of the predicate is
-    outside the subset ([Not] does not decompose under WHERE
-    semantics; [Like] and arithmetic can raise) — callers then fall
-    back to [Expr.holds] rows. *)
+    agrees with [Expr.holds] on every row.  [select sel ~lo ~hi] writes
+    the positions in [\[lo, hi)] that satisfy the predicate, ascending,
+    into [sel.(lo)], [sel.(lo + 1)], ... and returns the end of that
+    list.  It writes no slot of [sel] outside [\[lo, hi)], so chunks
+    of one buffer can be selected from worker domains once compiled.  Compiling forces the columns the predicate
+    reads (owner domain only).  [None] when any part of the predicate
+    is outside the subset ([Not] does not decompose under WHERE
+    semantics; [Like] and arithmetic can raise): the caller then
+    evaluates the whole predicate with [Expr.holds]. *)

@@ -157,10 +157,10 @@ let default_sleeper (_ms : float) = ()
 let sleeper = ref default_sleeper
 let set_sleeper f = sleeper := f
 
-(* attempt [attempt] just raised [e]: give up, or back off and run
-   again.  Only a fault gets here, so the first attempt, the one that
-   almost always succeeds, sets up nothing but its handler. *)
-let rec retry c f attempt e =
+(* attempt [attempt] of [f x] just raised [e]: give up, or back off and
+   run again.  Only a fault gets here, so the first attempt, the one
+   that almost always succeeds, sets up nothing but its handler. *)
+let rec retry c f x attempt e =
   if attempt >= c.max_retries then begin
     st := { !st with escaped = !st.escaped + 1 };
     raise e
@@ -174,12 +174,14 @@ let rec retry c f attempt e =
         backoff_ms_total = !st.backoff_ms_total +. pause;
       };
     !sleeper pause;
-    try f () with Io_fault _ as e -> retry c f (attempt + 1) e
+    try f x with Io_fault _ as e -> retry c f x (attempt + 1) e
   end
 
-let with_retries f =
+let retrying f x =
   let c = !current in
-  try f () with Io_fault _ as e -> retry c f 0 e
+  try f x with Io_fault _ as e -> retry c f x 0 e
+
+let with_retries f = retrying f ()
 
 (* CI enables injection for a whole `dune runtest` via the environment:
    NRA_FAULT_INJECT="p", "p:seed", "p:seed:retries", or

@@ -99,6 +99,12 @@ val with_retries : (unit -> 'a) -> 'a
     between attempts (through the pluggable sleeper).  The final
     attempt's fault propagates. *)
 
+val retrying : ('a -> 'b) -> 'a -> 'b
+(** [retrying f x] is [with_retries (fun () -> f x)] without the
+    closure: a per-chunk or per-row charge passes a top-level charge
+    function and its argument, so a fault-free call allocates
+    nothing. *)
+
 val alloc_should_fail : unit -> bool
 (** Allocation-pressure injection: with probability
     [alloc_probability], decide that the caller's row budget just

@@ -54,12 +54,13 @@ let push log r =
   log.records <- r :: log.records;
   incr appended
 
+let charge_pages pages = Iosim.charge_wal_append ~pages
+
 (* Charge first, append second: if the charge faults (or the crash
    harness fires there), the record was never written — the torn-log
    prefix discipline recovery relies on. *)
 let append s ~rows r =
-  Fault.with_retries (fun () ->
-      Iosim.charge_wal_append ~pages:(max 1 (Iosim.pages rows)));
+  Fault.retrying charge_pages (max 1 (Iosim.pages rows));
   push (Catalog.wal s.cat) r
 
 let begin_stmt cat =
@@ -91,7 +92,7 @@ let finish log r =
   if log.running = 0 then log.records <- []
 
 let commit s =
-  Fault.with_retries (fun () -> Iosim.charge_wal_append ~pages:1);
+  Fault.retrying charge_pages 1;
   finish (Catalog.wal s.cat) (Commit s.id)
 
 (* ---------- applying a delta ---------- *)

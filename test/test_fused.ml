@@ -135,7 +135,7 @@ let ja_like_corpus =
 
 let ja_unfiltered_corpus = List.map (ja_over ~outer:"") ja_links
 
-(* does the root block's filter compile to a selection vector? *)
+(* does the root block's filter compile to the columnar subset? *)
 let columnar_root cat sql =
   match A.analyze_string cat sql with
   | Error m -> Alcotest.fail m
@@ -145,9 +145,9 @@ let columnar_root cat sql =
       | Some bd, _ :: _ ->
           let base = Table.relation bd.A.table in
           Option.is_some
-            (Algebra.Basic.selection ~batch:(Table.batch bd.A.table)
+            (Batch.filter
                (Exec.Frame.to_pred (Relation.schema base) root.A.local)
-               base)
+               (Table.batch bd.A.table))
       | _ -> false)
 
 (* every one of them has a leaf site *)

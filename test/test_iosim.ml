@@ -263,6 +263,21 @@ let test_charges_no_alloc () =
       Alcotest.(check bool) "the row-fetch cache both hit and missed" true
         (I.cache_hits () > 0 && I.cache_misses () > 0))
 
+(* A scan is charged 8 pages at a time with a checkpoint between
+   chunks, and each chunk's charge is retried through
+   [Fault.retrying], so no chunk builds a closure.  300,000 rows is
+   lineitem at scale 0.05: about 375 chunks at the default page size,
+   where a closure per chunk came to about 1,900 words.  (The
+   measurement itself reads 2 words for an empty thunk.) *)
+let test_scan_charge_no_alloc () =
+  Fault.disable ();
+  let words =
+    Test_support.words_per 5 (fun _ ->
+        Exec.Frame.charge_scan_chunked 300_000)
+  in
+  if words >= 16.0 then
+    Alcotest.failf "a 300,000-row scan charge allocated %.0f words" words
+
 (* [charge_row_fetch] names a page by hashing a reused two-field record
    in place of a [(table, page)] pair: the two must hash alike *)
 type fetch_page = { mutable table : string; mutable page : int }
@@ -293,6 +308,8 @@ let () =
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "a charge allocates nothing" `Quick
             test_charges_no_alloc;
+          Alcotest.test_case "a chunked scan charge allocates nothing" `Quick
+            test_scan_charge_no_alloc;
         ] );
       ( "integration",
         [
