@@ -204,8 +204,8 @@ let unpriced = { estimates = []; rewrites = [] }
 (* rewriting is advisory, so any estimation failure (e.g. an executor
    planner raising on an exotic shape) silently yields the unrewritten
    plan *)
-let rewrite_in env plan =
-  match Nra_opt.Rewrite.rewrite env plan with
+let rewrite_in ctx plan =
+  match Nra_opt.Rewrite.rewrite ctx plan with
   | r -> Some r
   | exception _ -> None
 
@@ -216,7 +216,7 @@ let rewrite_for cat t base =
   else
     match
       rewrite_in
-        (Nra_stats.Cardinality.make_env cat t)
+        (Nra_opt.Rewrite.context (Nra_stats.Cardinality.make_env cat t))
         (Nra_exec.Plan.lift ~base t)
     with
     | Some r when r.Nra_opt.Rewrite.changed -> Some r
@@ -235,9 +235,11 @@ let run_nra priced s options cat t =
   let directives = Option.map (fun r -> r.Nra_opt.Rewrite.dirs) rewrite in
   Nra_exec.Nra.run ~options ?directives cat t
 
-(* Auto over strategies × rewritten plans, in one cardinality context.
-   Each NRA strategy's plan is lifted once: its estimate prices it and
-   the rewriter starts from it.  The rewriter only fires cost-improving
+(* Auto over strategies × rewritten plans, in one pricing context.
+   Each NRA strategy's plan is lifted once: the rewriter starts from it,
+   and its walk, priced once in the context, is the strategy's
+   estimate.  The three searches share the context, so a plan two of
+   them reach is walked once.  The rewriter only fires cost-improving
    edits and execution runs the rewrite kept here, so the
    cross-product collapses to adjusting each NRA strategy's estimate by
    its rewrite's estimated delta (never below zero) and re-ranking. *)
@@ -245,6 +247,7 @@ let price_in env =
   let module Cost = Nra_stats.Cost in
   let module Rw = Nra_opt.Rewrite in
   let t = Nra_stats.Cardinality.analysis env in
+  let ctx = Rw.context env in
   let plans =
     List.filter_map
       (fun s ->
@@ -257,9 +260,10 @@ let price_in env =
   let rewrites =
     List.map
       (fun (s, plan) ->
-        (of_cost_strategy s, if rules_on then rewrite_in env plan else None))
+        (of_cost_strategy s, if rules_on then rewrite_in ctx plan else None))
       plans
   in
+  let walks = List.map (fun (s, plan) -> (s, Rw.walk ctx plan)) plans in
   let adjust (e : Cost.estimate) =
     match List.assoc_opt (of_cost_strategy e.Cost.strategy) rewrites with
     | Some (Some r) when r.Rw.changed ->
@@ -278,7 +282,7 @@ let price_in env =
     | _ -> e
   in
   let estimates =
-    List.map adjust (Cost.estimates ~plans env)
+    List.map adjust (Cost.estimates ~walks env)
     (* the input is (cost, preference)-sorted; a stable re-sort on cost
        alone keeps the preference tiebreak *)
     |> List.stable_sort (fun (x : Cost.estimate) y ->
@@ -840,6 +844,61 @@ let run ?(strategy = Nra_optimized) ?guard cat sql =
   let* cmd = parse_command sql in
   with_guard guard (fun () -> run_command strategy cat cmd)
 
+(* ---------- statement footprints ---------- *)
+
+(* Which tables a command reads and writes, by name — the serving
+   layer's table-level locks are granted from this, so DML on disjoint
+   tables can interleave under the scheduler while conflicting
+   statements still serialize.  [All_tables] is the conservative
+   answer for statements whose reach cannot be named up front
+   (catalog-wide ANALYZE). *)
+type footprint =
+  | All_tables
+  | Tables of { read : string list; write : string list }
+
+let rec query_tables (q : Ast.query) =
+  let own = List.map fst q.Ast.from in
+  let conds = Option.to_list q.Ast.where @ Option.to_list q.Ast.having in
+  own
+  @ List.concat_map query_tables (List.concat_map Ast.subqueries conds)
+
+let rec statement_tables = function
+  | Ast.Select q -> query_tables q
+  | Ast.Setop (_, l, r) -> statement_tables l @ statement_tables r
+
+let cond_tables c =
+  match c with
+  | None -> []
+  | Some c -> List.concat_map query_tables (Ast.subqueries c)
+
+let dedup names = List.sort_uniq String.compare names
+
+let command_footprint = function
+  | Ast.Cmd_query stmt -> Tables { read = dedup (statement_tables stmt); write = [] }
+  | Ast.Create_table { table; _ } -> Tables { read = []; write = [ table ] }
+  | Ast.Drop_table table -> Tables { read = []; write = [ table ] }
+  | Ast.Insert_values (table, _) -> Tables { read = []; write = [ table ] }
+  | Ast.Insert_select (table, stmt) ->
+      Tables { read = dedup (statement_tables stmt); write = [ table ] }
+  | Ast.Delete (table, where) ->
+      (* the probe query scans the target too; listing it under [write]
+         already excludes concurrent readers *)
+      Tables { read = dedup (cond_tables where); write = [ table ] }
+  | Ast.Update (table, _, where) ->
+      Tables { read = dedup (cond_tables where); write = [ table ] }
+  | Ast.With_query (ctes, stmt) ->
+      (* each CTE registers (and later drops) a temp catalog table *)
+      Tables
+        {
+          read =
+            dedup
+              (statement_tables stmt
+              @ List.concat_map (fun (_, s) -> statement_tables s) ctes);
+          write = dedup (List.map fst ctes);
+        }
+  | Ast.Analyze (Some table) -> Tables { read = [ table ]; write = [ table ] }
+  | Ast.Analyze None -> All_tables
+
 (* ---------- prepared statements ---------- *)
 
 (* The compile-once-execute-many contract behind the nra.server plan
@@ -855,15 +914,25 @@ type prepared = {
   p_strategy : strategy;
   p_analyzed : Nra_planner.Analyze.t option;
   p_priced : priced;  (* a plain SELECT only; [unpriced] otherwise *)
+  p_footprint : footprint;
 }
 
 let prepared_strategy p = p.p_strategy
+let prepared_estimates p = p.p_priced.estimates
 
 let prepared_is_query p =
   match p.p_cmd with Ast.Cmd_query _ -> true | _ -> false
 
-let prepare ?(strategy = Nra_optimized) cat sql =
-  let* cmd = parse_command sql in
+let prepare_command ~strategy ~footprint cat cmd =
+  let prepared p_analyzed p_priced =
+    {
+      p_cmd = cmd;
+      p_strategy = strategy;
+      p_analyzed;
+      p_priced;
+      p_footprint = footprint;
+    }
+  in
   match cmd with
   | Ast.Cmd_query (Ast.Select q) ->
       trap (fun () ->
@@ -876,21 +945,15 @@ let prepare ?(strategy = Nra_optimized) cat sql =
                 { unpriced with rewrites = [ (s, rewrite_for cat t options) ] }
             | _, None -> unpriced
           in
-          Ok
-            {
-              p_cmd = cmd;
-              p_strategy = strategy;
-              p_analyzed = Some t;
-              p_priced = priced;
-            })
-  | _ ->
-      Ok
-        {
-          p_cmd = cmd;
-          p_strategy = strategy;
-          p_analyzed = None;
-          p_priced = unpriced;
-        }
+          Ok (prepared (Some t) priced))
+  | _ -> Ok (prepared None unpriced)
+
+let prepare ?(strategy = Nra_optimized) cat sql =
+  let* cmd = parse_command sql in
+  prepare_command ~strategy ~footprint:(command_footprint cmd) cat cmd
+
+let reprepare cat p =
+  prepare_command ~strategy:p.p_strategy ~footprint:p.p_footprint cat p.p_cmd
 
 let run_prepared ?guard cat p =
   with_guard guard (fun () ->
@@ -1067,59 +1130,4 @@ let auto_choice cat sql =
   | Error m -> Error m
   | Ok t -> Ok (auto_pick cat t)
 
-(* ---------- statement footprints ---------- *)
-
-(* Which tables a command reads and writes, by name — the serving
-   layer's table-level locks are granted from this, so DML on disjoint
-   tables can interleave under the scheduler while conflicting
-   statements still serialize.  [All_tables] is the conservative
-   answer for statements whose reach cannot be named up front
-   (catalog-wide ANALYZE). *)
-type footprint =
-  | All_tables
-  | Tables of { read : string list; write : string list }
-
-let rec query_tables (q : Ast.query) =
-  let own = List.map fst q.Ast.from in
-  let conds = Option.to_list q.Ast.where @ Option.to_list q.Ast.having in
-  own
-  @ List.concat_map query_tables (List.concat_map Ast.subqueries conds)
-
-let rec statement_tables = function
-  | Ast.Select q -> query_tables q
-  | Ast.Setop (_, l, r) -> statement_tables l @ statement_tables r
-
-let cond_tables c =
-  match c with
-  | None -> []
-  | Some c -> List.concat_map query_tables (Ast.subqueries c)
-
-let dedup names = List.sort_uniq String.compare names
-
-let command_footprint = function
-  | Ast.Cmd_query stmt -> Tables { read = dedup (statement_tables stmt); write = [] }
-  | Ast.Create_table { table; _ } -> Tables { read = []; write = [ table ] }
-  | Ast.Drop_table table -> Tables { read = []; write = [ table ] }
-  | Ast.Insert_values (table, _) -> Tables { read = []; write = [ table ] }
-  | Ast.Insert_select (table, stmt) ->
-      Tables { read = dedup (statement_tables stmt); write = [ table ] }
-  | Ast.Delete (table, where) ->
-      (* the probe query scans the target too; listing it under [write]
-         already excludes concurrent readers *)
-      Tables { read = dedup (cond_tables where); write = [ table ] }
-  | Ast.Update (table, _, where) ->
-      Tables { read = dedup (cond_tables where); write = [ table ] }
-  | Ast.With_query (ctes, stmt) ->
-      (* each CTE registers (and later drops) a temp catalog table *)
-      Tables
-        {
-          read =
-            dedup
-              (statement_tables stmt
-              @ List.concat_map (fun (_, s) -> statement_tables s) ctes);
-          write = dedup (List.map fst ctes);
-        }
-  | Ast.Analyze (Some table) -> Tables { read = [ table ]; write = [ table ] }
-  | Ast.Analyze None -> All_tables
-
-let prepared_footprint p = command_footprint p.p_cmd
+let prepared_footprint p = p.p_footprint

@@ -271,6 +271,11 @@ val prepare :
     operations, WITH and DML prepare to their parsed command only
     (execution analyzes per component, as {!run} does). *)
 
+val reprepare : Catalog.t -> prepared -> (prepared, Exec_error.t) result
+(** Prepare the statement again from its kept parse, against the
+    catalog as it is now: the same analysis, pricing and errors as
+    {!prepare} of its text, without lexing or parsing it again. *)
+
 val run_prepared :
   ?guard:Guard.budget ->
   Catalog.t ->
@@ -288,6 +293,11 @@ val run_prepared :
     generation checks and the rewrite signature in its key). *)
 
 val prepared_strategy : prepared -> strategy
+
+val prepared_estimates : prepared -> Nra_stats.Cost.estimate list
+(** The ranked estimates an [Auto] preparation priced, as
+    {!estimates_with_rewrites} gives them; [[]] when the statement was
+    not priced for [Auto]. *)
 
 val prepared_is_query : prepared -> bool
 (** [true] for SELECT / set-operation statements — the only ones the
@@ -384,4 +394,6 @@ type footprint =
   | Tables of { read : string list; write : string list }
 
 val command_footprint : Sql.Ast.command -> footprint
+
 val prepared_footprint : prepared -> footprint
+(** The command's footprint, computed once when it was prepared. *)

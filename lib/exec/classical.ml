@@ -12,31 +12,9 @@ let strategy_to_string = function
   | Antijoin -> "antijoin"
   | Iterate -> "nested-iteration"
 
-(* A subtree is reducible to a derived relation when every block in it
-   correlates only to its immediate parent inside the subtree, except
-   the root whose correlation must target exactly [parent_id]. *)
-let reducible ~parent_id (b : A.block) =
-  let ok_cond ~self ~allowed rc =
-    List.for_all
-      (fun i -> i = self || List.mem i allowed)
-      (R.cond_blocks rc)
-  in
-  let rec inner (blk : A.block) ~parent =
-    List.for_all (ok_cond ~self:blk.A.id ~allowed:[ parent ]) blk.A.correlated
-    && (match blk.A.linked_attr with
-       | None -> true
-       | Some e -> List.for_all (fun i -> i = blk.A.id) (R.expr_blocks e))
-    && List.for_all (fun c -> inner c.A.block ~parent:blk.A.id) blk.A.children
-  in
-  List.for_all (ok_cond ~self:b.A.id ~allowed:[ parent_id ]) b.A.correlated
-  && (match b.A.linked_attr with
-     | None -> true
-     | Some e -> List.for_all (fun i -> i = b.A.id) (R.expr_blocks e))
-  && List.for_all (fun c -> inner c.A.block ~parent:b.A.id) b.A.children
-
-let choose t ~parent_id (c : A.child) : strategy =
+let choose t (c : A.child) : strategy =
   let b = c.A.block in
-  if not (reducible ~parent_id b) then Iterate
+  if not b.A.reducible then Iterate
   else if b.A.scalar_agg <> None then
     (* type JA: the link compares against a per-group aggregate, and an
        empty group still produces a value (COUNT → 0, others → NULL) —
@@ -55,15 +33,14 @@ let choose t ~parent_id (c : A.child) : strategy =
         if A.expr_not_nullable t a && linked_ok then Antijoin else Iterate
     | A.L_scalar _ -> Iterate
 
+(* in pre-order, reversed *)
 let rec plan_block t acc (b : A.block) =
   List.fold_left
     (fun acc (c : A.child) ->
-      let s = choose t ~parent_id:b.A.id c in
-      let acc = acc @ [ (c.A.block.A.id, s) ] in
-      plan_block t acc c.A.block)
+      plan_block t ((c.A.block.A.id, choose t c) :: acc) c.A.block)
     acc b.A.children
 
-let plan _cat t = plan_block t [] t.A.root
+let plan _cat t = List.rev (plan_block t [] t.A.root)
 
 (* Join condition for the (anti/semi)join of [rel] (parent side) with the
    reduced child: correlated conjuncts plus the linking comparison. *)
@@ -98,12 +75,12 @@ let join_condition concat_schema (c : A.child) =
 
 let rec reduce cat t (b : A.block) : Relation.t =
   let rel = Frame.block_relation b in
-  List.fold_left (fun rel c -> apply_child cat t ~parent:b rel c) rel
+  List.fold_left (fun rel c -> apply_child cat t rel c) rel
     b.A.children
 
-and apply_child cat t ~parent rel (c : A.child) : Relation.t =
+and apply_child cat t rel (c : A.child) : Relation.t =
   let b = c.A.block in
-  match choose t ~parent_id:parent.A.id c with
+  match choose t c with
   | Iterate ->
       let k = Naive.compile cat t (Relation.schema rel) c in
       Relation.filter

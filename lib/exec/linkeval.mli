@@ -55,7 +55,7 @@ val linked_of : t -> Row.t -> Value.t
 
 val inner_keys :
   Schema.t -> (Resolved.rcol * Resolved.rexpr) list -> int array
-(** An equi-correlation's ({!Analyze.equi_correlation}) inner key
+(** An equi-correlation's ([Analyze.block]'s [equi_correlation]) inner key
     columns, as positions in the inner frame. *)
 
 val outer_keys :

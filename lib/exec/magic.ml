@@ -5,7 +5,7 @@ module T3 = Three_valued
 
 let magic_applicable (c : A.child) =
   let b = c.A.block in
-  A.self_contained b && A.equi_correlation b <> None
+  b.A.self_contained && b.A.equi_correlation <> None
 
 (* Decide the children of block [p] over relation [rel] (whose schema is
    [p]'s frame).  Failing rows are discarded: this executor evaluates
@@ -17,7 +17,7 @@ let rec apply_children cat t rel (p : A.block) =
 and apply_child cat t rel (c : A.child) =
   let b = c.A.block in
   let key_schema = Relation.schema rel in
-  match (magic_applicable c, A.equi_correlation b) with
+  match (magic_applicable c, b.A.equi_correlation) with
   | true, Some pairs ->
       let probe = Linkeval.outer_keys key_schema pairs in
       (* 1. the magic set: the outer rows by correlation key; 2.
@@ -60,7 +60,7 @@ let magic_set_sizes _cat (t : A.t) =
     List.iter
       (fun (c : A.child) ->
         let b = c.A.block in
-        match (magic_applicable c, A.equi_correlation b) with
+        match (magic_applicable c, b.A.equi_correlation) with
         | true, Some pairs ->
             let key_schema = Relation.schema rel in
             let outer_keys =

@@ -12,7 +12,7 @@ let stats = { inner_loops = 0; index_probes = 0 }
 (* Correlated equi-conjuncts of block [b]: (inner column name, outer
    expression), for index probing. *)
 let equi_probes (b : A.block) =
-  List.map (fun (c, e) -> (c.R.col, e)) (A.equi_conjuncts b)
+  List.map (fun ((c : R.rcol), e) -> (c.R.col, e)) b.A.equi
 
 (* The index nested iteration probes for the equi columns [cols] of the
    inner table: an exact sorted index on all of them (in some order),
@@ -90,22 +90,6 @@ let index_access cat (bd : A.binding) outer_schema equis =
               rows.(id))
             (List.to_seq (ids_of key)))
 
-(* A subtree whose result cannot depend on the outer tuple: no
-   correlation anywhere inside, and the output attribute references only
-   the subtree's own blocks.  A DBMS evaluates such a subquery once; so
-   do we (one scan charge, one computation). *)
-let static_subtree (b : A.block) =
-  let ids = List.map (fun blk -> blk.A.id) (A.collect_blocks b) in
-  let expr_ok e = List.for_all (fun i -> List.mem i ids) (R.expr_blocks e) in
-  List.for_all
-    (fun (blk : A.block) ->
-      blk.A.correlated = []
-      && (match blk.A.linked_attr with None -> true | Some e -> expr_ok e)
-      && match blk.A.scalar_agg with
-         | Some (_, Some e) -> expr_ok e
-         | _ -> true)
-    (A.collect_blocks b)
-
 let rec compile ?(use_indexes = true) cat (t : A.t) outer_schema
     (c : A.child) : Row.t -> T3.t =
   let b = c.A.block in
@@ -171,7 +155,7 @@ let rec compile ?(use_indexes = true) cat (t : A.t) outer_schema
         else None)
       candidates
   in
-  let static = static_subtree b in
+  let static = b.A.static in
   let static_memo =
     lazy
       (Seq.memoize (qualifying_seq (Row.nulls (Schema.arity outer_schema))))

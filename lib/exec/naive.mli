@@ -21,10 +21,6 @@ val stats : stats
 
 (** {1 The access path}, shared with the cost model *)
 
-val equi_probes : Analyze.block -> (string * Resolved.rexpr) list
-(** The block's correlated equality conjuncts, as (inner column name,
-    outer expression): what an index probe can key on. *)
-
 val index_choice :
   Catalog.t ->
   Analyze.binding ->
@@ -35,12 +31,6 @@ val index_choice :
     a hash index covering a subset, else a sorted index on one — as the
     columns it keys on and its probe; [None] when the inner block is
     rescanned instead. *)
-
-val static_subtree : Analyze.block -> bool
-(** No correlation anywhere inside, and the linked attribute and
-    aggregate argument read only the subtree's own blocks: the result
-    cannot depend on the outer tuple, so it is evaluated (and charged)
-    once. *)
 
 val compile :
   ?use_indexes:bool ->

@@ -398,7 +398,7 @@ and apply_child st ~parent ?sel (rel, sorted_prefix) (n : Plan.node) =
   | Plan.Push_down ->
       (* §4.2.4: chain the reduced child by its correlation key once;
          probe per outer tuple *)
-      let pairs = Option.get (A.equi_correlation b) in
+      let pairs = Option.get b.A.equi_correlation in
       with_reduced st n @@ fun child_rel csel ->
       let cschema = Relation.schema child_rel in
       let lk =

@@ -40,17 +40,20 @@ type t = { analyzed : A.t; roots : node list }
 
 (* ---------- structural preconditions ---------- *)
 
-let admissible n =
-  let b = n.child.A.block in
-  match n.impl with
-  | Shared_set -> A.self_contained b && b.A.correlated = []
-  | Push_down -> A.self_contained b && A.equi_correlation b <> None
+let admits_at (c : A.child) ~discard_ok impl =
+  let b = c.A.block in
+  match impl with
+  | Shared_set -> b.A.self_contained && b.A.correlated = []
+  | Push_down -> b.A.self_contained && b.A.equi_correlation <> None
   | Semijoin ->
-      b.A.children = [] && n.discard_ok
-      && A.child_positive n.child
+      b.A.children = [] && discard_ok
+      && A.child_positive c
       && b.A.correlated <> []
-  | Bottom_up _ -> A.self_contained b
+  | Bottom_up _ -> b.A.self_contained
   | Top_down _ -> true
+
+let admits n impl = admits_at n.child ~discard_ok:n.discard_ok impl
+let admissible n = admits n n.impl
 
 (* a site rewritten away from Top_down reduces its subtree standalone,
    where the subtree is outermost and discarding is always allowed *)
@@ -64,25 +67,25 @@ let sub_discard ~discard_ok impl (c : A.child) =
 (* each site takes the first admissible implementation, in this order,
    among those the options enable; Top_down is always admissible *)
 let rec lift_child (base : options) ~discard_ok (c : A.child) =
-  let b = c.A.block in
-  let nest = { pipelined = base.pipelined; assume_sorted = false } in
-  let node impl = { child = c; impl; sub = []; discard_ok } in
-  let enabled =
-    [
-      (true, Shared_set);
-      (base.push_down_nest, Push_down);
-      (base.positive_simplify, Semijoin);
-      (base.bottom_up_linear, Bottom_up nest);
-      (true, Top_down nest);
-    ]
-  in
-  let _, impl =
-    List.find (fun (on, impl) -> on && admissible (node impl)) enabled
+  let ok = admits_at c ~discard_ok in
+  let impl =
+    if ok Shared_set then Shared_set
+    else if base.push_down_nest && ok Push_down then Push_down
+    else if base.positive_simplify && ok Semijoin then Semijoin
+    else
+      let nest = { pipelined = base.pipelined; assume_sorted = false } in
+      if base.bottom_up_linear && ok (Bottom_up nest) then Bottom_up nest
+      else Top_down nest
   in
   let sub_discard = sub_discard ~discard_ok impl c in
   {
-    (node impl) with
-    sub = List.map (lift_child base ~discard_ok:sub_discard) b.A.children;
+    child = c;
+    impl;
+    sub =
+      List.map
+        (lift_child base ~discard_ok:sub_discard)
+        c.A.block.A.children;
+    discard_ok;
   }
 
 let lift ~base (analyzed : A.t) =

@@ -53,7 +53,12 @@ val admissible : node -> bool
     [Shared_set] needs a self-contained uncorrelated block, [Push_down] a
     self-contained block with equality correlation, [Semijoin] a
     correlated leaf with a positive link where discarding is allowed,
-    [Bottom_up] a self-contained block; [Top_down] always applies. *)
+    [Bottom_up] a self-contained block; [Top_down] always applies.
+    They read the facts {!Analyze} recorded in the block. *)
+
+val admits : node -> impl -> bool
+(** [admits n impl]: would [impl] be admissible at [n]'s site, in [n]'s
+    discard context? *)
 
 val lift : base:options -> Analyze.t -> t
 (** Each site takes the first admissible implementation among those

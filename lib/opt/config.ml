@@ -58,9 +58,24 @@ let epoch = ref 0
 let rules () = !enabled
 let current_epoch () = !epoch
 
+let mask () =
+  match !enabled with
+  | [] -> "none"
+  | rs -> String.concat "," (List.map rule_to_string rs)
+
+(* plan-cache key component: the rule mask alone is not enough, because
+   a cache entry stored under mask M, invalidated by toggling away and
+   back to M, must not resurrect — the epoch makes each [set] distinct.
+   Every statement's cache lookup reads it, so it is formatted once per
+   [set]. *)
+let format_signature () = Printf.sprintf "%s@%d" (mask ()) !epoch
+let current_signature = ref (format_signature ())
+let signature () = !current_signature
+
 let set rs =
   enabled := canonical rs;
-  incr epoch
+  incr epoch;
+  current_signature := format_signature ()
 
 let set_spec spec =
   match parse spec with
@@ -69,12 +84,3 @@ let set_spec spec =
       Ok ()
   | Error e -> Error e
 
-let mask () =
-  match !enabled with
-  | [] -> "none"
-  | rs -> String.concat "," (List.map rule_to_string rs)
-
-(* plan-cache key component: the rule mask alone is not enough, because
-   a cache entry stored under mask M, invalidated by toggling away and
-   back to M, must not resurrect — the epoch makes each [set] distinct *)
-let signature () = Printf.sprintf "%s@%d" (mask ()) !epoch

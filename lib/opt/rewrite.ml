@@ -60,21 +60,70 @@ let nest_pages (nest : Plan.nest) ~sorted ~rows =
        selection pass *)
     2.0 *. p2
 
-let cost_of env (p : Plan.t) =
+(* ---------- one statement's pricing context ---------- *)
+
+(* Plans of one statement share their sites, and a normalized plan is
+   determined by its sites' impls, so a plan's signature is one byte per
+   site, in [Plan.nodes] order.  [priced] keeps each signature's
+   estimate: its costline and the cost model's walk, which is the NRA
+   strategy's estimate. *)
+type priced = { line : costline; walk : Cost.breakdown }
+type ctx = {
+  env : Nra_stats.Cardinality.env;
+  priced : (string, priced) Hashtbl.t;
+}
+
+let context env = { env; priced = Hashtbl.create 32 }
+
+let impl_code = function
+  | Plan.Shared_set -> '\000'
+  | Plan.Push_down -> '\001'
+  | Plan.Semijoin -> '\002'
+  | Plan.Bottom_up nf | Plan.Top_down nf as impl ->
+      Char.unsafe_chr
+        ((match impl with Plan.Bottom_up _ -> 3 | _ -> 7)
+        + (if nf.Plan.pipelined then 1 else 0)
+        + if nf.Plan.assume_sorted then 2 else 0)
+
+let signature sites =
+  let sg = Bytes.create (List.length sites) in
+  List.iteri
+    (fun i (n : Plan.node) -> Bytes.set sg i (impl_code n.Plan.impl))
+    sites;
+  sg
+
+let walk_plan env (p : Plan.t) =
   let sorted = presorted p in
   let nest_seq = ref 0.0 in
   let nest (n : Plan.node) nf ~rows =
     let sorted = List.mem n.Plan.child.A.block.A.id sorted in
     nest_seq := !nest_seq +. nest_pages nf ~sorted ~rows
   in
-  let bd = Cost.plan_breakdown ~nest env p in
-  let bd = { bd with Cost.seq_pages = bd.Cost.seq_pages +. !nest_seq } in
+  let walk = Cost.plan_breakdown ~nest env p in
+  let bd = { walk with Cost.seq_pages = walk.Cost.seq_pages +. !nest_seq } in
   {
-    seq = bd.Cost.seq_pages;
-    rand = bd.Cost.rand_pages;
-    fetch = bd.Cost.fetched_rows;
-    ms = Cost.price bd;
+    line =
+      {
+        seq = bd.Cost.seq_pages;
+        rand = bd.Cost.rand_pages;
+        fetch = bd.Cost.fetched_rows;
+        ms = Cost.price bd;
+      };
+    walk;
   }
+
+(* The estimate of [sg]'s plan, which is [plan ()]: the kept one, or a
+   walk kept under a copy of [sg].  Looking up reads [sg] in place, so
+   a caller may reuse its bytes afterwards. *)
+let price ctx sg plan =
+  match Hashtbl.find ctx.priced (Bytes.unsafe_to_string sg) with
+  | pr -> pr
+  | exception Not_found ->
+      let pr = walk_plan ctx.env (plan ()) in
+      Hashtbl.add ctx.priced (Bytes.to_string sg) pr;
+      pr
+
+let walk ctx p = (price ctx (signature (Plan.nodes p)) (fun () -> p)).walk
 
 (* ---------- rules ---------- *)
 
@@ -100,8 +149,9 @@ let propose (rule : Config.rule) (n : Plan.node) : Plan.impl option =
         Some (Plan.Top_down { nf with Plan.assume_sorted = true })
     | _ -> None
   in
-  Option.bind candidate (fun impl ->
-      if Plan.admissible { n with Plan.impl } then Some impl else None)
+  match candidate with
+  | Some impl when Plan.admits n impl -> candidate
+  | _ -> None
 
 (* ---------- the engine ---------- *)
 
@@ -133,65 +183,100 @@ let rule_order =
 let max_passes = 4
 let eps = 1e-9
 
-let rewrite ?rules env (start : Plan.t) : result =
+(* One search's state.  [sites] and [sg] are [plan]'s nodes and
+   signature. *)
+type search = {
+  ctx : ctx;
+  mutable plan : Plan.t;
+  mutable sites : Plan.node list;
+  sg : Bytes.t;
+  mutable cost : costline;
+  mutable trace : trace_entry list;
+  mutable changed : bool;
+  mutable progressed : bool;
+  mutable pass_no : int;
+}
+
+let edit (p : Plan.t) ~id ~impl = Plan.renormalize (Plan.replace p ~id ~impl)
+
+(* Propose [rule] at site [i], [n] as the sweep began, and price the
+   edit on the current plan: the signature is the current one with
+   site [i] replaced, so a plan already priced is not built. *)
+let try_site s rule i (n : Plan.node) =
+  match propose rule n with
+  | None -> ()
+  | Some impl ->
+      let id = n.Plan.child.A.block.A.id in
+      let code = Bytes.get s.sg i in
+      Bytes.set s.sg i (impl_code impl);
+      let cost' = (price s.ctx s.sg (fun () -> edit s.plan ~id ~impl)).line in
+      Bytes.set s.sg i code;
+      let record verdict =
+        s.trace <-
+          {
+            rule;
+            block_id = id;
+            impl_before = n.Plan.impl;
+            impl_after = impl;
+            cost_before = s.cost;
+            cost_after = cost';
+            verdict;
+          }
+          :: s.trace
+      in
+      if cost'.ms < s.cost.ms -. eps then begin
+        record Fired;
+        s.plan <- edit s.plan ~id ~impl;
+        s.sites <- Plan.nodes s.plan;
+        Bytes.set s.sg i (impl_code impl);
+        s.cost <- cost';
+        s.changed <- true;
+        s.progressed <- true
+      end
+      else if s.pass_no = 1 then
+        (* record the gate's refusals once, for explain *)
+        record (Skipped "no estimated improvement")
+
+(* a rule's sweep runs over the sites as it began: a fired edit changes
+   [s.plan], not the proposals still to come *)
+let rec sweep s rule i = function
+  | [] -> ()
+  | n :: rest ->
+      try_site s rule i n;
+      sweep s rule (i + 1) rest
+
+let rewrite ?rules ctx (start : Plan.t) : result =
   let rules =
     match rules with Some rs -> rs | None -> Config.rules ()
   in
   let active = List.filter (fun r -> List.mem r rules) rule_order in
-  let plan = ref start in
-  let cost = ref (cost_of env !plan) in
-  let before = !cost in
-  let trace = ref [] in
-  let changed = ref false in
-  let pass_no = ref 0 in
-  let progressed = ref true in
-  while !progressed && !pass_no < max_passes do
-    progressed := false;
-    incr pass_no;
-    List.iter
-      (fun rule ->
-        List.iter
-          (fun (n : Plan.node) ->
-            match propose rule n with
-            | None -> ()
-            | Some impl ->
-                let id = n.Plan.child.A.block.A.id in
-                let candidate =
-                  Plan.renormalize (Plan.replace !plan ~id ~impl)
-                in
-                let cost' = cost_of env candidate in
-                let record verdict =
-                  trace :=
-                    {
-                      rule;
-                      block_id = id;
-                      impl_before = n.Plan.impl;
-                      impl_after = impl;
-                      cost_before = !cost;
-                      cost_after = cost';
-                      verdict;
-                    }
-                    :: !trace
-                in
-                if cost'.ms < !cost.ms -. eps then begin
-                  record Fired;
-                  plan := candidate;
-                  cost := cost';
-                  changed := true;
-                  progressed := true
-                end
-                else if !pass_no = 1 then
-                  (* record the gate's refusals once, for explain *)
-                  record (Skipped "no estimated improvement"))
-          (Plan.nodes !plan))
-      active
+  let sites = Plan.nodes start in
+  let sg = signature sites in
+  let before = (price ctx sg (fun () -> start)).line in
+  let s =
+    {
+      ctx;
+      plan = start;
+      sites;
+      sg;
+      cost = before;
+      trace = [];
+      changed = false;
+      progressed = true;
+      pass_no = 0;
+    }
+  in
+  while s.progressed && s.pass_no < max_passes do
+    s.progressed <- false;
+    s.pass_no <- s.pass_no + 1;
+    List.iter (fun rule -> sweep s rule 0 s.sites) active
   done;
   {
-    dirs = !plan;
-    changed = !changed;
-    trace = List.rev !trace;
+    dirs = s.plan;
+    changed = s.changed;
+    trace = List.rev s.trace;
     before;
-    after = !cost;
+    after = s.cost;
   }
 
 (* ---------- rendering for explain --costs ---------- *)

@@ -40,10 +40,23 @@ type result = {
   after : costline;
 }
 
-val rewrite :
-  ?rules:Config.rule list -> Nra_stats.Cardinality.env -> Plan.t -> result
+type ctx
+(** One statement's pricing context: its cardinality context and every
+    plan priced in it so far.  Each distinct plan is walked once per
+    context, however many searches or estimates ask for it.  Plans are
+    told apart by their sites' impls, so every plan priced in a context
+    must have its discard contexts normalized, as {!Plan.lift} and
+    {!Plan.renormalize} leave them. *)
+
+val context : Nra_stats.Cardinality.env -> ctx
+
+val walk : ctx -> Plan.t -> Nra_stats.Cost.breakdown
+(** {!Nra_stats.Cost.plan_breakdown} of a plan of the context's
+    statement: for a lifted plan, its NRA strategy's estimate. *)
+
+val rewrite : ?rules:Config.rule list -> ctx -> Plan.t -> result
 (** Rewrite [start], a plan of the context's statement, pricing it and
-    every candidate in that one cardinality context.  Rules default to
+    every candidate in that one context.  Rules default to
     {!Config.rules} (the global toggle state). *)
 
 val site : trace_entry -> string

@@ -32,6 +32,11 @@ type block = {
   scalar_agg : (Ast.agg_func * R.rexpr option) option;
   marker : R.rcol;
   children : child list;
+  self_contained : bool;
+  static : bool;
+  reducible : bool;
+  equi : (R.rcol * R.rexpr) list;
+  equi_correlation : (R.rcol * R.rexpr) list option;
 }
 
 and child = { link : link_op; block : block }
@@ -127,14 +132,28 @@ type scope = { block_id : int; sbindings : binding list }
 
 let binding_has_col bd name = Schema.mem (Table.schema bd.table) name
 
+let rec with_alias t = function
+  | [] -> None
+  | bd :: rest -> if String.equal bd.alias t then Some bd else with_alias t rest
+
+let rec any_with_col name = function
+  | [] -> false
+  | bd :: rest -> binding_has_col bd name || any_with_col name rest
+
+(* the one binding of a scope with the column, if any *)
+let rec unique_with_col name = function
+  | [] -> None
+  | bd :: rest when binding_has_col bd name ->
+      if any_with_col name rest then error "ambiguous column %s" name
+      else Some bd
+  | _ :: rest -> unique_with_col name rest
+
 let resolve_col scopes ?table name : R.rcol =
   let qualified t =
     let rec go = function
       | [] -> error "unknown table or alias %s (for column %s.%s)" t t name
       | sc :: rest -> (
-          match
-            List.find_opt (fun bd -> String.equal bd.alias t) sc.sbindings
-          with
+          match with_alias t sc.sbindings with
           | Some bd ->
               if binding_has_col bd name then
                 { R.uid = bd.uid; col = name; block_id = sc.block_id }
@@ -147,11 +166,9 @@ let resolve_col scopes ?table name : R.rcol =
     let rec go = function
       | [] -> error "unknown column %s" name
       | sc :: rest -> (
-          match List.filter (fun bd -> binding_has_col bd name) sc.sbindings
-          with
-          | [ bd ] -> { R.uid = bd.uid; col = name; block_id = sc.block_id }
-          | [] -> go rest
-          | _ :: _ :: _ -> error "ambiguous column %s" name)
+          match unique_with_col name sc.sbindings with
+          | Some bd -> { R.uid = bd.uid; col = name; block_id = sc.block_id }
+          | None -> go rest)
     in
     go scopes
   in
@@ -261,7 +278,34 @@ let one_row_aggregate (q : Ast.query) =
        (function Ast.Sel_expr (e, _) -> ast_has_agg e | _ -> false)
        q.Ast.select
 
-let rec build bld scopes (q : Ast.query) ~want : block =
+(* The least block id the subtree references through linked attributes
+   and aggregate arguments ([attr]) and through correlated predicates
+   ([corr]); [max_int] when there is none.  A column resolves only to
+   its own block or an enclosing one, and ids are numbered in pre-order,
+   so a reference from inside the subtree of block [b] leaves it exactly
+   when its id is below [b.id]. *)
+type reach = { attr : int; corr : int }
+
+let rec mentions id = function
+  | R.RCol c -> c.R.block_id = id
+  | R.RLit _ -> false
+  | R.RBin (_, a, b) -> mentions id a || mentions id b
+  | R.RNeg a -> mentions id a
+
+(* The correlated predicates of the shape [inner_column =
+   outer_expression] of block [id], as (inner column, outer expression)
+   pairs *)
+let rec equi_of id = function
+  | [] -> []
+  | R.RCmp (T3.Eq, R.RCol c, e) :: rest
+    when c.R.block_id = id && not (mentions id e) ->
+      (c, e) :: equi_of id rest
+  | R.RCmp (T3.Eq, e, R.RCol c) :: rest
+    when c.R.block_id = id && not (mentions id e) ->
+      (c, e) :: equi_of id rest
+  | _ :: rest -> equi_of id rest
+
+let rec build bld scopes (q : Ast.query) ~want : block * reach =
   bld.next_id <- bld.next_id + 1;
   let id = bld.next_id in
   let bindings = make_bindings bld ~block_id:id q.Ast.from in
@@ -293,19 +337,20 @@ let rec build bld scopes (q : Ast.query) ~want : block =
   let local = ref [] and correlated = ref [] and children = ref [] in
   let add_plain c =
     let rc = resolve_cond scopes' c in
-    let outer_refs = List.filter (fun b -> b <> id) (R.cond_blocks rc) in
-    if outer_refs = [] then local := rc :: !local
+    (* a column resolves to this block or an enclosing one, whose ids
+       are below [id] *)
+    if R.cond_least_block rc >= id then local := rc :: !local
     else correlated := rc :: !correlated
   in
   let add_child link sub ~want =
-    let b = build bld scopes' sub ~want in
-    children := { link; block = b } :: !children
+    let b, reach = build bld scopes' sub ~want in
+    children := ({ link; block = b }, reach) :: !children
   in
   (* decided here; the block is still built, so its names resolve as
      they would anywhere *)
   let add_constant sub holds =
     check_subquery_shape sub;
-    ignore (build bld scopes' sub ~want:W_exists);
+    ignore (build bld scopes' sub ~want:W_exists : block * reach);
     if not holds then add_plain (Ast.Not Ast.True_)
   in
   List.iter
@@ -347,16 +392,56 @@ let rec build bld scopes (q : Ast.query) ~want : block =
     | k :: _ -> k
     | [] -> error "table %s has no primary key" first.alias
   in
-  {
-    id;
-    bindings;
-    local = List.rev !local;
-    correlated = List.rev !correlated;
-    linked_attr;
-    scalar_agg;
-    marker = { R.uid = first.uid; col = marker_col; block_id = id };
-    children = List.rev !children;
-  }
+  let correlated = List.rev !correlated and kids = List.rev !children in
+  let parent = match scopes with sc :: _ -> sc.block_id | [] -> 0 in
+  let attr =
+    let of_expr = function
+      | Some e -> R.expr_least_block e
+      | None -> max_int
+    in
+    min (of_expr linked_attr)
+      (match scalar_agg with Some (_, arg) -> of_expr arg | None -> max_int)
+  in
+  let corr =
+    List.fold_left (fun m rc -> min m (R.cond_least_block rc)) max_int
+      correlated
+  in
+  (* everything below the block, its own correlated predicates aside *)
+  let below =
+    List.fold_left (fun m (_, r) -> min m (min r.attr r.corr)) attr kids
+  in
+  let reach =
+    List.fold_left
+      (fun r (_, k) -> { attr = min r.attr k.attr; corr = min r.corr k.corr })
+      { attr; corr } kids
+  in
+  let equi = equi_of id correlated in
+  ( {
+      id;
+      bindings;
+      local = List.rev !local;
+      correlated;
+      linked_attr;
+      scalar_agg;
+      marker = { R.uid = first.uid; col = marker_col; block_id = id };
+      children = List.map fst kids;
+      self_contained = below >= id;
+      static = reach.corr = max_int && reach.attr >= id;
+      (* correlated predicates may read this block and its parent only,
+         and every other ancestor's id is below the parent's *)
+      reducible =
+        corr >= parent
+        && (match linked_attr with
+           | Some e -> R.expr_least_block e >= id
+           | None -> true)
+        && List.for_all (fun (c, _) -> c.block.reducible) kids;
+      equi;
+      equi_correlation =
+        (if equi <> [] && List.compare_lengths equi correlated = 0 then
+           Some equi
+         else None);
+    },
+    reach )
 
 (* ---------- outer output ---------- *)
 
@@ -466,45 +551,9 @@ let linear_of root =
   List.length root.children <= 1
   && List.for_all (fun c -> go c.block root.id) root.children
 
-let self_contained (b : block) =
-  let ids = List.map (fun blk -> blk.id) (collect_blocks b) in
-  let inside i = List.mem i ids in
-  let expr_ok e = List.for_all inside (R.expr_blocks e) in
-  let block_ok ~own (blk : block) =
-    (own
-    || List.for_all
-         (fun rc -> List.for_all inside (R.cond_blocks rc))
-         blk.correlated)
-    && (match blk.linked_attr with None -> true | Some e -> expr_ok e)
-    &&
-    match blk.scalar_agg with
-    | Some (_, Some e) -> expr_ok e
-    | _ -> true
-  in
-  block_ok ~own:true b
-  && List.for_all (fun blk -> block_ok ~own:false blk)
-       (List.tl (collect_blocks b))
-
-let equi_conjuncts (b : block) =
-  let inner (c : R.rcol) e =
-    c.R.block_id = b.id && not (List.mem b.id (R.expr_blocks e))
-  in
-  List.filter_map
-    (function
-      | R.RCmp (T3.Eq, R.RCol c, e) when inner c e -> Some (c, e)
-      | R.RCmp (T3.Eq, e, R.RCol c) when inner c e -> Some (c, e)
-      | _ -> None)
-    b.correlated
-
-let equi_correlation (b : block) =
-  let pairs = equi_conjuncts b in
-  if pairs <> [] && List.length pairs = List.length b.correlated then
-    Some pairs
-  else None
-
 let analyze catalog (q : Ast.query) : t =
   let bld = { catalog; next_id = 0; uids = []; all_bindings = [] } in
-  let root = build bld [] q ~want:W_exists in
+  let root, _ = build bld [] q ~want:W_exists in
   let root_scope = { block_id = root.id; sbindings = root.bindings } in
   let output = output_of bld [ root_scope ] q root.bindings in
   let blocks = collect_blocks root in

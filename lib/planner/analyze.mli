@@ -53,6 +53,30 @@ type block = {
       (** a primary-key column of the block's first table — NULL after
           outer-join padding iff the block produced no tuple *)
   children : child list;
+  (* Structural facts, settled when the block is built: *)
+  self_contained : bool;
+      (** No block inside the subtree references anything outside it,
+          except the block's own correlated predicates.  A
+          self-contained subtree can be reduced standalone (the paper's
+          §4.2.3/4.2.4, and the precondition of magic
+          decorrelation). *)
+  static : bool;
+      (** The subtree's result cannot depend on the outer tuple: no
+          correlated predicate anywhere inside, and the output
+          attributes reference only the subtree's own blocks.  A DBMS
+          evaluates such a subquery once. *)
+  reducible : bool;
+      (** Every block in the subtree correlates only to its immediate
+          parent, and its linked attribute reads only its own columns:
+          the subtree reduces to a derived relation joined to the
+          parent (classical unnesting's precondition). *)
+  equi : (Resolved.rcol * Resolved.rexpr) list;
+      (** The correlated predicates of the shape
+          [inner_column = outer_expression], as (inner column, outer
+          expression) pairs. *)
+  equi_correlation : (Resolved.rcol * Resolved.rexpr) list option;
+      (** [Some equi] when every correlated predicate has that shape;
+          [None] otherwise, including the uncorrelated case. *)
 }
 
 and child = { link : link_op; block : block }
@@ -123,22 +147,6 @@ val block_uids : block -> string list
 
 val collect_blocks : block -> block list
 (** The subtree's blocks in pre-order (the block itself first). *)
-
-val self_contained : block -> bool
-(** No block inside the subtree references anything outside it, except
-    the subtree root's own correlated predicates.  A self-contained
-    subtree can be reduced standalone (the paper's §4.2.3/4.2.4, and the
-    precondition of magic decorrelation). *)
-
-val equi_conjuncts : block -> (Resolved.rcol * Resolved.rexpr) list
-(** The block's correlated predicates of the shape
-    [inner_column = outer_expression], as (inner column, outer
-    expression) pairs. *)
-
-val equi_correlation : block -> (Resolved.rcol * Resolved.rexpr) list option
-(** When every correlated predicate of the block has the shape
-    [inner_column = outer_expression], the list of those pairs
-    (and [None] otherwise, including the uncorrelated case). *)
 
 val is_positive : link_op -> bool
 

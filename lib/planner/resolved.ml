@@ -37,6 +37,22 @@ let rec cond_cols_acc acc = function
   | RBetween (a, lo, hi) ->
       expr_cols_acc (expr_cols_acc (expr_cols_acc acc a) lo) hi
 
+let rec expr_least_block = function
+  | RCol c -> c.block_id
+  | RLit _ -> max_int
+  | RBin (_, a, b) -> min (expr_least_block a) (expr_least_block b)
+  | RNeg a -> expr_least_block a
+
+let rec cond_least_block = function
+  | RTrue -> max_int
+  | RCmp (_, a, b) -> min (expr_least_block a) (expr_least_block b)
+  | RAnd (a, b) | ROr (a, b) -> min (cond_least_block a) (cond_least_block b)
+  | RNot a -> cond_least_block a
+  | RIs_null a | RIs_not_null a | RIn_list (a, _) | RLike (a, _) ->
+      expr_least_block a
+  | RBetween (a, lo, hi) ->
+      min (expr_least_block a) (min (expr_least_block lo) (expr_least_block hi))
+
 let expr_cols e = List.rev (expr_cols_acc [] e)
 let cond_cols c = List.rev (cond_cols_acc [] c)
 

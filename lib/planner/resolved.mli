@@ -38,6 +38,11 @@ val expr_blocks : rexpr -> int list
 val cond_blocks : rcond -> int list
 (** Distinct block ids referenced, ascending. *)
 
+val expr_least_block : rexpr -> int
+val cond_least_block : rcond -> int
+(** The least block id referenced ([max_int] when none): the head of
+    [expr_blocks] / [cond_blocks], without building the list. *)
+
 val conj : rcond list -> rcond
 val conjuncts : rcond -> rcond list
 

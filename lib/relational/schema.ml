@@ -30,24 +30,28 @@ let matches ?table name c =
   String.equal c.name name
   && match table with None -> true | Some t -> String.equal c.table t
 
-let find_all s ?table name =
-  let acc = ref [] in
-  Array.iteri (fun i c -> if matches ?table name c then acc := i :: !acc) s;
-  List.rev !acc
-
 let ref_name ?table name =
   match table with None -> name | Some t -> t ^ "." ^ name
 
+(* the first column from [i] on that matches, or -1: lookups build no
+   list *)
+let rec first_match s table name i =
+  if i >= Array.length s then -1
+  else if matches ?table name s.(i) then i
+  else first_match s table name (i + 1)
+
 let find s ?table name =
-  match find_all s ?table name with
-  | [ i ] -> i
-  | [] -> raise (Not_found_col (ref_name ?table name))
-  | _ :: _ -> raise (Ambiguous (ref_name ?table name))
+  let i = first_match s table name 0 in
+  if i < 0 then raise (Not_found_col (ref_name ?table name))
+  else if first_match s table name (i + 1) >= 0 then
+    raise (Ambiguous (ref_name ?table name))
+  else i
 
 let find_opt s ?table name =
-  match find_all s ?table name with [ i ] -> Some i | _ -> None
+  let i = first_match s table name 0 in
+  if i >= 0 && first_match s table name (i + 1) < 0 then Some i else None
 
-let mem s ?table name = find_all s ?table name <> []
+let mem s ?table name = first_match s table name 0 >= 0
 
 let equal_names a b =
   arity a = arity b

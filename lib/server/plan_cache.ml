@@ -116,23 +116,26 @@ let find_or_prepare t ~strategy sql =
       Nra.rewrite_signature () )
   in
   let cat_gen = stamp t in
-  let stale =
-    match Hashtbl.find_opt t.tbl key with
-    | Some e when e.cat_gen = cat_gen ->
-        e.used <- t.tick;
-        bump t ~hits:1;
-        Some (Ok e.prep)
-    | Some _ ->
+  match Hashtbl.find_opt t.tbl key with
+  | Some e when e.cat_gen = cat_gen ->
+      e.used <- t.tick;
+      bump t ~hits:1;
+      Ok e.prep
+  | stale -> (
+      if Option.is_some stale then begin
         Hashtbl.remove t.tbl key;
-        bump t ~invalidations:1;
-        None
-    | None -> None
-  in
-  match stale with
-  | Some hit -> hit
-  | None -> (
+        bump t ~invalidations:1
+      end;
       bump t ~misses:1;
-      match Nra.prepare ~strategy t.cat sql with
+      let prepared =
+        match stale with
+        | Some e ->
+            (* the parse of a normalized text cannot go stale; its
+               analysis and pricing can *)
+            Nra.reprepare t.cat e.prep
+        | None -> Nra.prepare ~strategy t.cat sql
+      in
+      match prepared with
       | Error _ as e -> e
       | Ok prep ->
           if Nra.prepared_is_query prep then begin

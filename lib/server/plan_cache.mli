@@ -4,17 +4,20 @@
     signature — see {!Nra.rewrite_signature}) and stamped with the
     catalog's global generation ([Catalog.global_generation]) at
     preparation time.  A lookup whose stamp no longer matches discards
-    the entry and re-prepares: any DML, DDL, index change or [ANALYZE]
-    bumps that generation, so a cached plan can never be replayed
-    against a world it was not priced for.
+    the entry's plan and re-prepares: any DML, DDL, index change or
+    [ANALYZE] bumps that generation, so a cached plan can never be
+    replayed against a world it was not priced for.  A stale entry
+    keeps its parse: the re-preparation analyzes and prices the kept
+    command ({!Nra.reprepare}) without lexing or parsing the text
+    again, since the parse of a normalized text cannot go stale.
 
     Normalization collapses whitespace and case and drops [--] line
     comments, all {e outside} quoted literals, so ["SELECT * FROM emp"]
     and ["select *  from emp -- all"] share an entry while
     ["… where name = 'Ann'"] and ["… = 'ANN'"] do not.  Two texts with
     equal normalizations lex to equal token streams, so the key needs
-    nothing from the parser: a hit lexes and parses nothing, and a
-    miss parses once.
+    nothing from the parser: a hit lexes and parses nothing, a first
+    miss parses once, and a miss on a stale entry parses nothing.
 
     Only queries are cached ({!Nra.prepared_is_query}); DML/DDL pass
     through uncached — caching them would be self-defeating, since they
@@ -43,7 +46,10 @@ val find_or_prepare :
 (** The cached plan when its generation stamps are current (a {e hit});
     otherwise prepare, cache (queries only, when preparation succeeds),
     and return (a {e miss}, additionally an {e invalidation} when a
-    stale entry was displaced).  Preparation failures are not cached. *)
+    stale entry was displaced; that entry's kept parse is re-prepared).
+    Preparation failures are not cached, and a stale entry whose
+    re-preparation fails (its table was dropped, say) is gone, with the
+    error a fresh {!Nra.prepare} gives. *)
 
 type stats = {
   hits : int;

@@ -10,11 +10,12 @@ exception Parse_error_at of string * int
 type state = {
   tokens : Lexer.token array;
   offsets : int array;
+  count : int;  (* tokens past [count] are not the statement's *)
   mutable cursor : int;
 }
 
 let fail st msg =
-  let i = min st.cursor (Array.length st.tokens - 1) in
+  let i = min st.cursor (st.count - 1) in
   raise
     (Parse_error_at
        ( Format.asprintf "%s (got %a)" msg Lexer.pp_token st.tokens.(i),
@@ -22,7 +23,7 @@ let fail st msg =
 
 let peek st = st.tokens.(st.cursor)
 let peek2 st =
-  if st.cursor + 1 < Array.length st.tokens then st.tokens.(st.cursor + 1)
+  if st.cursor + 1 < st.count then st.tokens.(st.cursor + 1)
   else Lexer.EOF
 
 let advance st = st.cursor <- st.cursor + 1
@@ -656,10 +657,8 @@ let located f src =
         }
 
 let with_state src f =
-  let toks = Lexer.tokenize_loc src in
-  let tokens = Array.of_list (List.map fst toks) in
-  let offsets = Array.of_list (List.map snd toks) in
-  let st = { tokens; offsets; cursor = 0 } in
+  let { Lexer.tokens; offsets; count } = Lexer.lex src in
+  let st = { tokens; offsets; count; cursor = 0 } in
   let result = f st in
   (match peek st with
   | Lexer.EOF -> ()
@@ -678,9 +677,6 @@ let parse_statement src = raising (fun src -> with_state src statement) src
 let parse_command src = raising (fun src -> with_state src command) src
 
 let parse_located src = located (fun src -> with_state src query) src
-
-let parse_statement_located src =
-  located (fun src -> with_state src statement) src
 
 let parse_command_located src = located (fun src -> with_state src command) src
 

@@ -18,7 +18,6 @@ val render_error : located_error -> string
 (** ["<message> at offset <n>\n  <query excerpt>\n  ^"]. *)
 
 val parse_located : string -> (Ast.query, located_error) result
-val parse_statement_located : string -> (Ast.statement, located_error) result
 val parse_command_located : string -> (Ast.command, located_error) result
 
 val parse : string -> Ast.query

@@ -5,14 +5,18 @@ module A = Analyze
 module R = Resolved
 module T3 = Three_valued
 
+type index = Unknown | Rescan | Probe of string list
+
 (* One statement's cardinality context.  [card] and [fanout] memoise
-   [block_card] and [fanout] per block, indexed by the block's id
-   (dense from 1, see [Analyze]); NaN marks a slot not yet computed. *)
+   [block_card] and [fanout] per block, and [index] the catalog's
+   [index_cols], indexed by the block's id (dense from 1, see
+   [Analyze]); NaN and [Unknown] mark a slot not yet computed. *)
 type env = {
   cat : Catalog.t;
   analysis : A.t;
   card : float array;
   fan : float array;
+  index : index array;
 }
 
 let make_env cat (analysis : A.t) =
@@ -24,6 +28,7 @@ let make_env cat (analysis : A.t) =
     analysis;
     card = Array.make slots Float.nan;
     fan = Array.make slots Float.nan;
+    index = Array.make slots Unknown;
   }
 
 let catalog env = env.cat
@@ -210,3 +215,28 @@ let pages_per_value env (bd : A.binding) col ~fallback =
   | Some cs when cs.Col_stats.pages_per_value > 0.0 ->
       cs.Col_stats.pages_per_value
   | _ -> fallback
+
+let index_cols env (b : A.block) =
+  let choose () =
+    match (b.A.bindings, b.A.equi) with
+    | [ bd ], (_ :: _ as equi) -> (
+        match
+          Nra_exec.Naive.index_choice env.cat bd
+            (List.map (fun ((c : R.rcol), _) -> c.R.col) equi)
+        with
+        | Some (cols, _) -> Probe cols
+        | None -> Rescan)
+    | _ -> Rescan
+  in
+  let id = b.A.id in
+  let slot =
+    if id >= Array.length env.index then choose ()
+    else
+      match env.index.(id) with
+      | Unknown ->
+          let v = choose () in
+          env.index.(id) <- v;
+          v
+      | v -> v
+  in
+  match slot with Probe cols -> Some cols | Rescan | Unknown -> None

@@ -16,7 +16,8 @@ open Nra_planner
 
 type env
 (** One statement's cardinality context: the catalog, the statement's
-    analysis, and [block_card] and [fanout] memoised per block.  Build
+    analysis, and [block_card], [fanout] and [index_cols] memoised per
+    block.  Build
     it once per statement and hand it to every estimate and rewrite
     candidate priced for that statement; it holds no state beyond the
     statement, so concurrently planned statements each hold their
@@ -78,3 +79,10 @@ val pages_per_value : env -> Analyze.binding -> string -> fallback:float ->
   float
 (** Clustering of the binding's base-table column: distinct pages per
     probed value (see {!Col_stats}); [fallback] when not analyzed. *)
+
+val index_cols : env -> Analyze.block -> string list option
+(** The columns nested iteration probes the block's index on
+    ({!Nra_exec.Naive.index_choice} over its equi-correlation columns),
+    or [None] when the block is rescanned per probe: several bindings,
+    no equi conjunct, or no usable index.  Looked up once per block and
+    context. *)

@@ -64,38 +64,31 @@ let block_scan_pages (b : A.block) =
 
 (* ---------- nested iteration (Naive; Classical/Magic fallback) ---- *)
 
-let rec naive_child env cat acc ~outer (c : A.child) =
+let rec naive_child env acc ~outer (c : A.child) =
   let b = c.A.block in
-  let probes = if Nra_exec.Naive.static_subtree b then 1.0 else outer in
-  (match (b.A.bindings, List.map fst (Nra_exec.Naive.equi_probes b)) with
-  | [ bd ], (_ :: _ as cols) -> (
-      match Nra_exec.Naive.index_choice cat bd cols with
-      | Some (ic, _) ->
-          let raw = C.probe_fanout env b ic in
-          let table_pages =
-            pages (float_of_int (Table.cardinality bd.A.table))
-          in
-          (* page misses per probe: the probed rows live on about
-             pages_per_value distinct pages (clustering statistic),
-             never more than the rows themselves or the whole table *)
-          let ppv =
-            C.pages_per_value env bd (List.hd ic) ~fallback:table_pages
-          in
-          let misses = Float.min raw (Float.min ppv table_pages) in
-          acc.rand <- acc.rand +. (probes *. (1.0 +. misses))
-      | None ->
-          (* equi correlation but no usable index: rescan per probe *)
-          acc.seq <- acc.seq +. (probes *. block_scan_pages b))
-  | _ ->
-      (* no single binding or no equi conjunct: rescan per probe *)
+  let probes = if b.A.static then 1.0 else outer in
+  (match C.index_cols env b with
+  | Some ic ->
+      let bd = List.hd b.A.bindings in
+      let raw = C.probe_fanout env b ic in
+      let table_pages = pages (float_of_int (Table.cardinality bd.A.table)) in
+      (* page misses per probe: the probed rows live on about
+         pages_per_value distinct pages (clustering statistic), never
+         more than the rows themselves or the whole table *)
+      let ppv = C.pages_per_value env bd (List.hd ic) ~fallback:table_pages in
+      let misses = Float.min raw (Float.min ppv table_pages) in
+      acc.rand <- acc.rand +. (probes *. (1.0 +. misses))
+  | None ->
+      (* several bindings, no equi conjunct or no usable index: rescan
+         per probe *)
       acc.seq <- acc.seq +. (probes *. block_scan_pages b));
   let qualifying = probes *. C.fanout env b in
-  List.iter (naive_child env cat acc ~outer:qualifying) b.A.children
+  List.iter (naive_child env acc ~outer:qualifying) b.A.children
 
-let naive_cost env cat (t : A.t) acc =
+let naive_cost env (t : A.t) acc =
   acc.seq <- acc.seq +. block_scan_pages t.A.root;
   let outer = C.block_card env t.A.root in
-  List.iter (naive_child env cat acc ~outer) t.A.root.A.children
+  List.iter (naive_child env acc ~outer) t.A.root.A.children
 
 (* ---------- classical unnesting ---------- *)
 
@@ -108,7 +101,7 @@ let classical_cost env cat (t : A.t) acc =
     match List.assoc_opt b.A.id plan with
     | Some Nra_exec.Classical.Iterate | None ->
         (* the whole subtree degenerates to nested iteration *)
-        naive_child env cat acc ~outer c
+        naive_child env acc ~outer c
     | Some (Nra_exec.Classical.Semijoin | Nra_exec.Classical.Antijoin) ->
         (* bottom-up reduction: scan once, join in memory *)
         acc.seq <- acc.seq +. block_scan_pages b;
@@ -118,17 +111,17 @@ let classical_cost env cat (t : A.t) acc =
 
 (* ---------- magic decorrelation ---------- *)
 
-let magic_cost env cat (t : A.t) acc =
+let magic_cost env (t : A.t) acc =
   acc.seq <- acc.seq +. block_scan_pages t.A.root;
   let outer = C.block_card env t.A.root in
   let rec go ~outer (c : A.child) =
     let b = c.A.block in
-    if A.self_contained b && A.equi_correlation b <> None then begin
+    if b.A.self_contained && b.A.equi_correlation <> None then begin
       (* magic set + pushed selection: scans and in-memory hashing *)
       acc.seq <- acc.seq +. block_scan_pages b;
       List.iter (go ~outer:(C.block_card env b)) b.A.children
     end
-    else naive_child env cat acc ~outer c
+    else naive_child env acc ~outer c
   in
   List.iter (go ~outer) t.A.root.A.children
 
@@ -187,29 +180,32 @@ let nra_base = function
   | Nra_full -> Some Nx.full
   | Naive | Classical | Magic -> None
 
-(* [plan] is the NRA strategy's lifted plan when the caller holds it *)
-let estimate_in env ?plan strategy =
-  let cat = C.catalog env and t = C.analysis env in
-  let acc = { seq = 0.0; rand = 0.0; fetch = 0.0 } in
-  let nra base =
-    nra_walk env acc (match plan with Some p -> p | None -> Plan.lift ~base t)
-  in
-  (match strategy with
-  | Naive -> naive_cost env cat t acc
-  | Classical -> classical_cost env cat t acc
-  | Magic -> magic_cost env cat t acc
-  | Nra_original -> nra Nx.original
-  | Nra_optimized -> nra Nx.optimized
-  | Nra_full -> nra Nx.full);
-  let breakdown =
-    { seq_pages = acc.seq; rand_pages = acc.rand; fetched_rows = acc.fetch }
-  in
+let of_breakdown strategy breakdown =
   { strategy; cost_ms = price breakdown; breakdown }
+
+(* [walk] is the NRA strategy's walk when the caller holds it *)
+let estimate_in env ?walk strategy =
+  let cat = C.catalog env and t = C.analysis env in
+  match (strategy, walk) with
+  | (Nra_original | Nra_optimized | Nra_full), Some bd ->
+      of_breakdown strategy bd
+  | _ ->
+      let acc = { seq = 0.0; rand = 0.0; fetch = 0.0 } in
+      let nra base = nra_walk env acc (Plan.lift ~base t) in
+      (match strategy with
+      | Naive -> naive_cost env t acc
+      | Classical -> classical_cost env cat t acc
+      | Magic -> magic_cost env t acc
+      | Nra_original -> nra Nx.original
+      | Nra_optimized -> nra Nx.optimized
+      | Nra_full -> nra Nx.full);
+      of_breakdown strategy
+        { seq_pages = acc.seq; rand_pages = acc.rand; fetched_rows = acc.fetch }
 
 let estimate cat t strategy = estimate_in (C.make_env cat t) strategy
 
-let estimates ?(plans = []) env =
-  List.map (fun s -> estimate_in env ?plan:(List.assoc_opt s plans) s) all
+let estimates ?(walks = []) env =
+  List.map (fun s -> estimate_in env ?walk:(List.assoc_opt s walks) s) all
   |> List.stable_sort (fun a b ->
          match Float.compare a.cost_ms b.cost_ms with
          | 0 -> Int.compare (preference a.strategy) (preference b.strategy)

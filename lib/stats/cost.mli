@@ -76,12 +76,12 @@ val plan_breakdown :
     every join+nest site, its nest and its estimated wide row count. *)
 
 val estimates :
-  ?plans:(strategy * Nra_exec.Plan.t) list -> Cardinality.env -> estimate list
+  ?walks:(strategy * breakdown) list -> Cardinality.env -> estimate list
 (** All six for the context's statement, cheapest first (ties in
     preference order), priced in that one context.  An NRA strategy
-    listed in [plans] is priced on that plan, which must be
-    [Plan.lift ~base:(nra_base s)] of the statement; the others lift
-    their own. *)
+    listed in [walks] takes that breakdown, which must be
+    {!plan_breakdown} of [Plan.lift ~base:(nra_base s)] of the
+    statement; the others lift and walk their own. *)
 
 val fits :
   remaining_io_ms:float option -> remaining_rows:int option ->

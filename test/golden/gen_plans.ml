@@ -47,7 +47,7 @@ let pin_rewrite cat t (name, base) =
   Printf.printf "--- rewrite trace %s\n" name;
   match
     Rw.rewrite ~rules:Opt.Config.all
-      (Stats.Cardinality.make_env cat t)
+      (Rw.context (Stats.Cardinality.make_env cat t))
       (Exec.Plan.lift ~base t)
   with
   | r ->

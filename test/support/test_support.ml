@@ -326,22 +326,32 @@ let t3 = Alcotest.testable Three_valued.pp Three_valued.equal
    long for the minor heap).  Minor words come from [Gc.minor_words],
    which counts exactly; the minor count of [Gc.counters] undercounts
    the words allocated since the last minor collection on OCaml 5.1.
-   Reading the counters allocates a few words of its own, under 0.001
-   per call at [n = 100_000].  The calls run with the Domain pool at
+   Reading the counters allocates words of its own (the boxed floats
+   and the tuple they come back in), some of which land between the
+   two readings; a calibration pass makes the same two readings with
+   nothing between them, and its count is subtracted, so an empty
+   thunk reads 0 whatever [n].  The calls run with the Domain pool at
    size 0: the counters read only the calling domain, so words a worker
    allocated would be lost.  The pool's size is restored afterwards. *)
+let counted_words g =
+  let minor = Gc.minor_words () and _, promoted, major = Gc.counters () in
+  g ();
+  let minor' = Gc.minor_words () and _, promoted', major' = Gc.counters () in
+  minor' -. minor +. (major' -. major) -. (promoted' -. promoted)
+
 let words_per n f =
   let size = Nra.Pool.size () in
   Nra.Pool.set_size 0;
   Fun.protect ~finally:(fun () -> Nra.Pool.set_size size) @@ fun () ->
   f 0;
-  let minor = Gc.minor_words () and _, promoted, major = Gc.counters () in
-  for i = 1 to n do
-    f i
-  done;
-  let minor' = Gc.minor_words () and _, promoted', major' = Gc.counters () in
-  (minor' -. minor +. (major' -. major) -. (promoted' -. promoted))
-  /. float_of_int n
+  let own = counted_words ignore in
+  let words =
+    counted_words (fun () ->
+        for i = 1 to n do
+          f i
+        done)
+  in
+  (words -. own) /. float_of_int n
 
 let rows_of rel = Relation.sorted_rows rel
 

@@ -246,6 +246,114 @@ let test_outer_scope_column_in_inner_select () =
   | Some (R.RCol c) -> Alcotest.(check int) "resolves to outer" 1 c.R.block_id
   | _ -> Alcotest.fail "linked attr"
 
+(* ---------- the recorded block facts ----------
+
+   Each fact as it was computed on demand before analysis recorded it,
+   from the subtree's block list; the recorded fields must agree on
+   every block of every corpus query. *)
+
+let ref_self_contained (b : A.block) =
+  let ids = List.map (fun blk -> blk.A.id) (A.collect_blocks b) in
+  let inside i = List.mem i ids in
+  let expr_ok e = List.for_all inside (R.expr_blocks e) in
+  let block_ok ~own (blk : A.block) =
+    (own
+    || List.for_all
+         (fun rc -> List.for_all inside (R.cond_blocks rc))
+         blk.A.correlated)
+    && (match blk.A.linked_attr with None -> true | Some e -> expr_ok e)
+    && match blk.A.scalar_agg with Some (_, Some e) -> expr_ok e | _ -> true
+  in
+  block_ok ~own:true b
+  && List.for_all (block_ok ~own:false) (List.tl (A.collect_blocks b))
+
+let ref_static (b : A.block) =
+  let ids = List.map (fun blk -> blk.A.id) (A.collect_blocks b) in
+  let expr_ok e = List.for_all (fun i -> List.mem i ids) (R.expr_blocks e) in
+  List.for_all
+    (fun (blk : A.block) ->
+      blk.A.correlated = []
+      && (match blk.A.linked_attr with None -> true | Some e -> expr_ok e)
+      && match blk.A.scalar_agg with Some (_, Some e) -> expr_ok e | _ -> true)
+    (A.collect_blocks b)
+
+let ref_reducible ~parent_id (b : A.block) =
+  let ok_cond ~self ~allowed rc =
+    List.for_all (fun i -> i = self || List.mem i allowed) (R.cond_blocks rc)
+  in
+  let rec go (blk : A.block) ~parent =
+    List.for_all (ok_cond ~self:blk.A.id ~allowed:[ parent ]) blk.A.correlated
+    && (match blk.A.linked_attr with
+       | None -> true
+       | Some e -> List.for_all (fun i -> i = blk.A.id) (R.expr_blocks e))
+    && List.for_all (fun c -> go c.A.block ~parent:blk.A.id) blk.A.children
+  in
+  go b ~parent:parent_id
+
+let ref_equi (b : A.block) =
+  let inner (c : R.rcol) e =
+    c.R.block_id = b.A.id && not (List.mem b.A.id (R.expr_blocks e))
+  in
+  List.filter_map
+    (function
+      | R.RCmp (Three_valued.Eq, R.RCol c, e) when inner c e -> Some (c, e)
+      | R.RCmp (Three_valued.Eq, e, R.RCol c) when inner c e -> Some (c, e)
+      | _ -> None)
+    b.A.correlated
+
+let check_facts sql (t : A.t) =
+  let rec walk (b : A.block) =
+    List.iter
+      (fun (c : A.child) ->
+        let k = c.A.block in
+        let name fact = Printf.sprintf "%s: block %d %s" sql k.A.id fact in
+        Alcotest.(check bool) (name "self_contained") (ref_self_contained k)
+          k.A.self_contained;
+        Alcotest.(check bool) (name "static") (ref_static k) k.A.static;
+        Alcotest.(check bool) (name "reducible")
+          (ref_reducible ~parent_id:b.A.id k)
+          k.A.reducible;
+        let pairs = ref_equi k in
+        Alcotest.(check bool) (name "equi") true (k.A.equi = pairs);
+        Alcotest.(check bool) (name "equi_correlation") true
+          (k.A.equi_correlation
+          = if pairs <> [] && List.length pairs = List.length k.A.correlated
+            then Some pairs
+            else None);
+        walk k)
+      b.A.children
+  in
+  walk t.A.root
+
+let test_recorded_facts () =
+  let emp = emp_dept_catalog () and paper = paper_catalog () in
+  List.iter (fun sql -> check_facts sql (analyze emp sql)) subquery_corpus;
+  List.iter
+    (fun sql -> check_facts sql (analyze paper sql))
+    [
+      (* non-adjacent correlation, a tree, a linked attribute reading
+         the parent, and a constant EXISTS whose block is numbered but
+         dropped *)
+      {|select r.b from r
+        where r.b not in (select s.e from s where r.d = s.g and s.h > all
+          (select t.j from t where t.k = r.c))|};
+      {|select r.b from r
+        where exists (select * from s where s.g = r.d)
+          and r.c in (select t.j from t where t.k > 2)|};
+      {|select r.b from r
+        where r.b in (select r.c from s where s.g = r.d)|};
+      {|select r.b from r
+        where exists (select count( * ) from s where s.g = r.d)
+          and not exists (select * from t where t.k = r.c
+            and t.j in (select s.e from s where s.h = t.k and s.g = r.d))|};
+      {|select r.b from r
+        where r.c = (select max(t.j) from t where t.k = r.b)
+          and exists (select * from s where s.e > 1
+            and exists (select * from t where t.j = s.h))|};
+    ];
+  let tpch = Tpch.Gen.generate { Tpch.Gen.default with scale = 0.002 } in
+  List.iter (fun sql -> check_facts sql (analyze tpch sql)) tpch_plan_corpus
+
 let () =
   Alcotest.run "analyze"
     [
@@ -277,4 +385,9 @@ let () =
           Alcotest.test_case "JA subqueries" `Quick test_ja_subquery_forms;
         ] );
       ("errors", [ Alcotest.test_case "all rejected" `Quick test_errors ]);
+      ( "facts",
+        [
+          Alcotest.test_case "recorded = recomputed" `Quick
+            test_recorded_facts;
+        ] );
     ]

@@ -267,8 +267,7 @@ let test_charges_no_alloc () =
    chunks, and each chunk's charge is retried through
    [Fault.retrying], so no chunk builds a closure.  300,000 rows is
    lineitem at scale 0.05: about 375 chunks at the default page size,
-   where a closure per chunk came to about 1,900 words.  (The
-   measurement itself reads 2 words for an empty thunk.) *)
+   where a closure per chunk came to about 1,900 words. *)
 let test_scan_charge_no_alloc () =
   Fault.disable ();
   let words =
@@ -277,6 +276,17 @@ let test_scan_charge_no_alloc () =
   in
   if words >= 16.0 then
     Alcotest.failf "a 300,000-row scan charge allocated %.0f words" words
+
+(* The measurement subtracts its own reads: an empty thunk reads no
+   words, at one call as at several. *)
+let test_words_per_empty () =
+  List.iter
+    (fun n ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "an empty thunk at n = %d" n)
+        0.0
+        (Test_support.words_per n ignore))
+    [ 1; 5 ]
 
 (* [charge_row_fetch] names a page by hashing a reused two-field record
    in place of a [(table, page)] pair: the two must hash alike *)
@@ -306,6 +316,8 @@ let () =
           Alcotest.test_case "probe" `Quick test_probe;
           Alcotest.test_case "fetch and time" `Quick test_fetch_and_time;
           Alcotest.test_case "reset" `Quick test_reset;
+          Alcotest.test_case "words_per reads nothing of its own" `Quick
+            test_words_per_empty;
           Alcotest.test_case "a charge allocates nothing" `Quick
             test_charges_no_alloc;
           Alcotest.test_case "a chunked scan charge allocates nothing" `Quick

@@ -308,8 +308,8 @@ let test_table () =
     (fun (sql, _) ->
       let t = analyze cat sql in
       match t.A.root.A.children with
-      | [ c ] when A.equi_correlation c.A.block <> None ->
-          let pairs = Option.get (A.equi_correlation c.A.block) in
+      | [ c ] when c.A.block.A.equi_correlation <> None ->
+          let pairs = Option.get c.A.block.A.equi_correlation in
           let outer = Exec.Frame.block_relation ~charge:false t.A.root in
           let lk =
             L.compile ~key_schema:(Relation.schema outer)

@@ -343,6 +343,191 @@ let test_cache_lru_eviction () =
   Alcotest.(check int) "emp survived as recently used" 2
     (Plan_cache.stats pc).Plan_cache.hits
 
+(* ---------- a stale entry keeps its parse ---------- *)
+
+(* The counters over a scripted sequence of reads, writes, DDL, a parse
+   error, an analysis error and LRU pressure, pinned as the cache
+   counted them when a stale entry was discarded whole: keeping its
+   parse moves no hit, miss, invalidation or eviction.  Each line is
+   (hits, misses, invalidations, evictions, entries) after the
+   statement. *)
+let cache_script =
+  let q1 =
+    "select ename from emp where dept_id in (select dept_id from dept \
+     where budget > 40)"
+  and q2 = "select * from emp where ename = 'ada'"
+  and q3 =
+    "select dname from dept where exists (select * from emp where \
+     emp.dept_id = dept.dept_id)"
+  and q4 =
+    "select dname from dept where not exists (select * from emp where \
+     emp.dept_id = dept.dept_id)"
+  and t2 col =
+    Printf.sprintf "select %s from t2 where a in (select dept_id from dept)"
+      col
+  in
+  [
+    (q1, (0, 1, 0, 0, 1));
+    ("SELECT ename FROM emp WHERE dept_id IN (select dept_id from dept \
+      where budget > 40);", (1, 1, 0, 0, 1));
+    (q2, (1, 2, 0, 0, 2));
+    ("insert into emp values (7, 'gil', 1, 55, null)", (1, 3, 0, 0, 2));
+    (q1, (1, 4, 1, 0, 2));
+    (q2, (1, 5, 2, 0, 2));
+    (q2, (2, 5, 2, 0, 2));
+    ("selec ename from emp", (2, 6, 2, 0, 2));
+    ("select nosuch from emp", (2, 7, 2, 0, 2));
+    (q3, (2, 8, 2, 0, 3));
+    (q4, (2, 9, 2, 1, 3));
+    ("analyze", (2, 10, 2, 1, 3));
+    (q1, (2, 11, 2, 2, 3));
+    (q4, (2, 12, 3, 2, 3));
+    ("create table t2 (a int, b int, primary key (a))", (2, 13, 3, 2, 3));
+    ("insert into t2 values (1, 10), (2, 20)", (2, 14, 3, 2, 3));
+    (t2 "b", (2, 15, 3, 3, 3));
+    (t2 "b", (3, 15, 3, 3, 3));
+    ("drop table t2", (3, 16, 3, 3, 3));
+    (t2 "b", (3, 17, 4, 3, 2));
+    ("create table t2 (a int, c int, primary key (a))", (3, 18, 4, 3, 2));
+    (t2 "b", (3, 19, 4, 3, 2));
+    (t2 "c", (3, 20, 4, 3, 3));
+    ("delete from emp where emp_id = 7", (3, 21, 4, 3, 3));
+    (t2 "c", (3, 22, 5, 3, 3));
+    (t2 "c", (4, 22, 5, 3, 3));
+    ("drop table t2", (4, 23, 5, 3, 3));
+    ("create table t2 (a int, d int, primary key (a))", (4, 24, 5, 3, 3));
+    (t2 "c", (4, 25, 6, 3, 2));
+    (t2 "d", (4, 26, 6, 3, 3));
+  ]
+
+let test_cache_script_counts () =
+  List.iter
+    (fun strategy ->
+      let config =
+        { Server.default_config with Server.cache_capacity = 3; strategy }
+      in
+      let srv = server ~config () in
+      let s = Server.session srv () in
+      List.iteri
+        (fun i (sql, expected) ->
+          ignore (Server.exec srv s sql);
+          let c = cache_stats srv in
+          let got =
+            Plan_cache.
+              (c.hits, c.misses, c.invalidations, c.evictions, c.entries)
+          in
+          Alcotest.(check (pair int (pair int (pair int (pair int int)))))
+            (Printf.sprintf "%s, step %d: %s" (Nra.strategy_to_string strategy)
+               i sql)
+            (let h, m, inv, ev, en = expected in (h, (m, (inv, (ev, en)))))
+            (let h, m, inv, ev, en = got in (h, (m, (inv, (ev, en))))))
+        cache_script)
+    [ Nra.Auto; Nra.Nra_optimized ]
+
+(* After a write, an Auto entry re-prepared from its kept parse returns
+   the rows and the rewrite-adjusted estimates a cold preparation
+   gives. *)
+let test_cache_reprepare_matches_cold () =
+  Fun.protect ~finally:(fun () -> Nra.set_rewrite_rules []) @@ fun () ->
+  Nra.set_rewrite_rules Nra.Opt.Config.all;
+  let cat = Test_support.emp_dept_catalog () in
+  ignore (Nra.run cat "analyze");
+  let pc = Plan_cache.create cat in
+  let get sql =
+    match Plan_cache.find_or_prepare pc ~strategy:Nra.Auto sql with
+    | Ok p -> p
+    | Error e -> Alcotest.fail (Exec_error.to_string e)
+  in
+  let rows p =
+    match Nra.run_prepared cat p with
+    | Ok (Nra.Rows rel) -> Test_support.rows_of rel
+    | Ok _ -> Alcotest.fail "expected rows"
+    | Error e -> Alcotest.fail (Exec_error.to_string e)
+  in
+  let reads =
+    List.filter
+      (fun sql ->
+        match Nra.Sql.Parser.parse_command sql with
+        | Nra.Sql.Ast.Cmd_query (Nra.Sql.Ast.Select _) -> true
+        | _ -> false)
+      Test_support.subquery_corpus
+  in
+  List.iter (fun sql -> ignore (get sql)) reads;
+  (match Nra.run cat "insert into emp values (7, 'gil', 1, 55, null)" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Exec_error.to_string e));
+  let before = Plan_cache.stats pc in
+  List.iter
+    (fun sql ->
+      let kept = get sql in
+      let cold =
+        match Nra.prepare ~strategy:Nra.Auto cat sql with
+        | Ok p -> p
+        | Error e -> Alcotest.fail (Exec_error.to_string e)
+      in
+      let t =
+        match Nra.Planner.Analyze.analyze_string cat sql with
+        | Ok t -> t
+        | Error m -> Alcotest.fail m
+      in
+      Alcotest.(check bool) (sql ^ ": priced") true
+        (Nra.prepared_estimates kept <> []);
+      Alcotest.(check bool) (sql ^ ": estimates as cold") true
+        (Nra.prepared_estimates kept = Nra.prepared_estimates cold);
+      Alcotest.(check bool) (sql ^ ": estimates_with_rewrites") true
+        (Nra.prepared_estimates kept = Nra.estimates_with_rewrites cat t);
+      Alcotest.check Alcotest.(list (array Test_support.value_testable))
+        (sql ^ ": rows as cold") (rows cold) (rows kept))
+    reads;
+  let after = Plan_cache.stats pc in
+  let n = List.length reads in
+  Alcotest.(check int) "every read invalidated once" n
+    (after.Plan_cache.invalidations - before.Plan_cache.invalidations);
+  Alcotest.(check int) "and missed once" n
+    (after.Plan_cache.misses - before.Plan_cache.misses)
+
+(* A stale entry whose table was dropped, or dropped and re-created
+   with other columns, fails as a fresh preparation of its text does,
+   and is not kept. *)
+let test_cache_reprepare_errors () =
+  let cat = Test_support.emp_dept_catalog () in
+  let pc = Plan_cache.create cat in
+  let exec sql =
+    match Nra.run cat sql with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Exec_error.to_string e)
+  in
+  let sql = "select b from t2 where a in (select dept_id from dept)" in
+  let cached () =
+    match Plan_cache.find_or_prepare pc ~strategy:Nra.Auto sql with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Exec_error.to_string e)
+  in
+  let fails_as_fresh what =
+    let fresh =
+      match Nra.prepare ~strategy:Nra.Auto cat sql with
+      | Ok _ -> Alcotest.fail (what ^ ": a fresh prepare succeeded")
+      | Error e -> e
+    in
+    (match Plan_cache.find_or_prepare pc ~strategy:Nra.Auto sql with
+    | Ok _ -> Alcotest.fail (what ^ ": the stale entry prepared")
+    | Error e ->
+        Alcotest.(check string) what (Exec_error.to_string fresh)
+          (Exec_error.to_string e);
+        Alcotest.(check bool) (what ^ ": same error") true (e = fresh));
+    Alcotest.(check int) (what ^ ": not kept") 0
+      (Plan_cache.stats pc).Plan_cache.entries
+  in
+  exec "create table t2 (a int, b int, primary key (a))";
+  cached ();
+  exec "drop table t2";
+  fails_as_fresh "dropped";
+  exec "create table t2 (a int, b int, primary key (a))";
+  cached ();
+  exec "drop table t2";
+  exec "create table t2 (a int, c int, primary key (a))";
+  fails_as_fresh "re-created with other columns"
+
 (* A [--] comment runs to the end of its line: the newline ends it, and
    without one it swallows the rest of the statement.  Texts that only
    differ there must not share a cache slot. *)
@@ -571,6 +756,12 @@ let () =
             test_cache_invalidation_on_index_change;
           Alcotest.test_case "equal keys lex alike" `Quick
             test_normalize_sound;
+          Alcotest.test_case "counts over a script" `Quick
+            test_cache_script_counts;
+          Alcotest.test_case "a stale entry re-prepares as cold" `Quick
+            test_cache_reprepare_matches_cold;
+          Alcotest.test_case "a stale entry fails as fresh" `Quick
+            test_cache_reprepare_errors;
         ] );
       ( "faults",
         [

@@ -25,6 +25,32 @@ let test_lexer_basics () =
         (Lexer.tokenize src = Lexer.tokenize "select 1"))
     [ "select 1;"; "select 1 ;\n"; "select 1; -- end"; "select 1;\n-- x\n" ]
 
+(* tokens and their byte offsets, pinned on one statement with mixed
+   case, a [--] comment, a [''] quote, [!=], a float exponent and a
+   trailing [;] *)
+let test_lexer_offsets () =
+  let src =
+    "SELECT Name, 'it''s' FROM Emp -- note\nWHERE x != 1.5E2 AND Y<=3;"
+  in
+  let l = Lexer.lex src in
+  let got =
+    List.init l.Lexer.count (fun i -> (l.Lexer.tokens.(i), l.Lexer.offsets.(i)))
+  in
+  let expected =
+    Lexer.
+      [
+        (KW "select", 0); (IDENT "name", 7); (OP ",", 11); (STRING "it's", 13);
+        (KW "from", 21); (IDENT "emp", 26); (KW "where", 38); (IDENT "x", 44);
+        (OP "<>", 46); (FLOAT 150.0, 49); (KW "and", 55); (IDENT "y", 59);
+        (OP "<=", 60); (INT 3, 62); (EOF, 64);
+      ]
+  in
+  let show (t, o) = Format.asprintf "%a@%d" Lexer.pp_token t o in
+  Alcotest.(check (list string)) "tokens and offsets"
+    (List.map show expected) (List.map show got);
+  Alcotest.(check bool) "tokenize agrees" true
+    (Lexer.tokenize src = List.map fst expected)
+
 let test_lexer_errors () =
   (match Lexer.tokenize "'unterminated" with
   | exception Lexer.Lex_error _ -> ()
@@ -267,6 +293,7 @@ let () =
       ( "lexer",
         [
           Alcotest.test_case "basics" `Quick test_lexer_basics;
+          Alcotest.test_case "offsets" `Quick test_lexer_offsets;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
           Alcotest.test_case "exponent without digits" `Quick
             test_exponent_without_digits;
