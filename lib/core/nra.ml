@@ -570,13 +570,12 @@ type exec_result = Rows of Relation.t | Count of int | Done of string
 
 let invalidf fmt = Format.kasprintf (fun m -> Error (Exec_error.Invalid m)) fmt
 
-(* All DML below is atomic: matching rows are computed, the rows a
-   write introduces are validated (types, NOT NULL; the kept rows passed
-   when they entered), key uniqueness is checked and the indexes rebuilt
-   BEFORE [Catalog.update_rows]'s single commit point.  A budget kill,
-   injected I/O fault, or type error anywhere in between surfaces as an
-   [Error] with the table, its indexes, and the catalog generation
-   untouched. *)
+(* All DML below is atomic: matching rows are computed, and the rows a
+   write introduces are validated (types, NOT NULL, key uniqueness; the
+   kept rows passed when they entered) BEFORE [Catalog.update_rows]'s
+   single commit point.  A budget kill, injected I/O fault, or type
+   error anywhere in between surfaces as an [Error] with the table, its
+   indexes, and the catalog generation untouched. *)
 
 (* Every DML mutation runs through the catalog's write-ahead log:
    Begin, the op's delta (log-before-write), the mutation, Commit.

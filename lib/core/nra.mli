@@ -230,11 +230,11 @@ val exec :
     [DROP TABLE], [INSERT INTO t VALUES (…), …],
     [INSERT INTO t SELECT …], or [DELETE FROM t [WHERE …]] (the WHERE
     may contain subqueries and runs under the chosen strategy).
-    Modifications validate the rows they introduce against the schema,
-    enforce key uniqueness and rebuild the table's indexes — all {e
-    before} the single commit point, so a budget kill, fault, or type
-    error mid-DML leaves the table, its indexes, and the catalog
-    generation untouched.
+    Modifications validate the rows they introduce against the schema
+    and enforce key uniqueness — all {e before} the single commit
+    point, so a budget kill, fault, or type error mid-DML leaves the
+    table, its indexes, and the catalog generation untouched.  The
+    table's indexes are built again when a query next probes them.
     [ANALYZE [t]] collects optimizer statistics (see {!Stats}) for one
     table or the whole catalog into the catalog entries
     ({!Catalog.analyze}). *)

@@ -14,12 +14,17 @@ let stats = { inner_loops = 0; index_probes = 0 }
 let equi_probes (b : A.block) =
   List.map (fun ((c : R.rcol), e) -> (c.R.col, e)) b.A.equi
 
+type access =
+  | Hash of Hash_index.t Catalog.index
+  | Sorted of Sorted_index.t Catalog.index
+
 (* The index nested iteration probes for the equi columns [cols] of the
    inner table: an exact sorted index on all of them (in some order),
    else a hash index on a subset, else a sorted index on one of them —
    the paper's System A prefers the sorted (B-tree-like) index.  Returns
-   the columns the chosen index probes on, and its probe. *)
-let index_choice cat (bd : A.binding) cols =
+   the columns the chosen index probes on, and the index, unbuilt: the
+   choice reads only the catalog's index columns. *)
+let choose cat (bd : A.binding) cols =
   match Catalog.table_opt cat bd.A.source with
   | None -> None
   | Some base_table -> (
@@ -30,18 +35,12 @@ let index_choice cat (bd : A.binding) cols =
             match
               Catalog.sorted_index_on cat ~table:base_name (List.hd perm)
             with
+            (* the index covers exactly these columns *)
             | Some idx
-              when Array.length (Sorted_index.positions idx)
-                   = List.length perm ->
-                (* verify the index covers exactly these columns *)
-                let idx_cols =
-                  Array.to_list (Sorted_index.positions idx)
-                  |> List.map (fun p ->
-                         (Schema.col (Table.schema base_table) p).Schema.name)
-                in
-                if List.sort compare idx_cols = List.sort compare cols then
-                  Some (idx_cols, Sorted_index.probe idx)
-                else None
+              when List.compare_lengths (Catalog.columns idx) perm = 0
+                   && List.sort compare (Catalog.columns idx)
+                      = List.sort compare cols ->
+                Some (Catalog.columns idx, Sorted idx)
             | _ -> None)
           (List.map (fun c -> [ c ]) cols
           @ if List.length cols > 1 then [ cols; List.rev cols ] else [])
@@ -50,23 +49,31 @@ let index_choice cat (bd : A.binding) cols =
       | Some _ -> sorted_exact
       | None -> (
           match Catalog.hash_index_covering cat ~table:base_name cols with
-          | Some (idx, idx_cols) -> Some (idx_cols, Hash_index.probe idx)
+          | Some idx -> Some (Catalog.columns idx, Hash idx)
           | None ->
               List.find_map
                 (fun c ->
                   Option.map
-                    (fun i -> ([ c ], Sorted_index.probe i))
+                    (fun i -> ([ c ], Sorted i))
                     (Catalog.sorted_index_on cat ~table:base_name c))
                 cols))
+
+let index_choice cat bd cols = Option.map fst (choose cat bd cols)
 
 let probe_charge matches = Iosim.charge_probe ~matches
 
 (* A probe function from the outer row to candidate base-table rows
-   through [index_choice]'s index, or [None] when there is none. *)
+   through [choose]'s index, built here on its first use, or [None] when
+   there is none. *)
 let index_access cat (bd : A.binding) outer_schema equis =
-  match index_choice cat bd (List.map fst equis) with
+  match choose cat bd (List.map fst equis) with
   | None -> None
-  | Some (idx_cols, ids_of) ->
+  | Some (idx_cols, access) ->
+      let ids_of =
+        match access with
+        | Hash i -> Hash_index.probe (Catalog.force i)
+        | Sorted i -> Sorted_index.probe (Catalog.force i)
+      in
       let scalars =
         List.map
           (fun c -> Resolved.to_scalar outer_schema (List.assoc c equis))

@@ -22,15 +22,14 @@ val stats : stats
 (** {1 The access path}, shared with the cost model *)
 
 val index_choice :
-  Catalog.t ->
-  Analyze.binding ->
-  string list ->
-  (string list * (Row.t -> int list)) option
+  Catalog.t -> Analyze.binding -> string list -> string list option
 (** The index nested iteration probes the binding's base table through
     for these equi columns — an exact sorted index on all of them, else
     a hash index covering a subset, else a sorted index on one — as the
-    columns it keys on and its probe; [None] when the inner block is
-    rescanned instead. *)
+    columns it keys on; [None] when the inner block is rescanned
+    instead.  Reads only the catalog's index columns: choosing (and so
+    pricing) builds no index, and execution builds the chosen one on
+    its first probe ({!Catalog.force}). *)
 
 val compile :
   ?use_indexes:bool ->

@@ -70,14 +70,17 @@ let use_parallel n = executors () > 1 && n >= !threshold
 
    Workers live across regions: they block on a condition variable
    until the owner publishes a region, drain its chunk cursor, and go
-   back to sleep.  A region is a fresh heap object, so "have I already
-   drained this one?" is physical equality on the worker's last-seen
-   region.  Publication of the region (and of the input arrays the
+   back to sleep.  Regions are numbered, so "have I already drained
+   this one?" compares the worker's last-seen number: a worker keeps no
+   reference to a finished region, whose closure holds the region's
+   inputs and results (a table version a write has replaced, say).
+   Publication of the region (and of the input arrays the
    chunk closure captured) is ordered by the mutex; the owner reads the
    result slots only after the completion count says every chunk
    finished, which it observes under the same mutex. *)
 
 type region = {
+  seq : int;
   count : int;
   run : int -> unit;  (* must not raise: errors land in the caller's slots *)
   cursor : int Atomic.t;
@@ -88,6 +91,7 @@ let lock = Mutex.create ()
 let work_cv = Condition.create ()
 let done_cv = Condition.create ()
 let current_region : region option ref = ref None
+let regions = ref 0 (* regions published so far, owner-side *)
 let stopping = ref false
 let workers : unit Domain.t list ref = ref []
 let exit_hook = ref false
@@ -109,15 +113,14 @@ let drain r =
   go ()
 
 let worker_body () =
-  let last : region option ref = ref None in
+  let last = ref 0 in
   let rec loop () =
     Mutex.lock lock;
     let rec await () =
       if !stopping then None
       else
         match !current_region with
-        | Some r when (match !last with Some l -> l != r | None -> true) ->
-            Some r
+        | Some r when r.seq <> !last -> Some r
         | _ ->
             Condition.wait work_cv lock;
             await ()
@@ -127,7 +130,7 @@ let worker_body () =
     match job with
     | None -> ()
     | Some r ->
-        last := Some r;
+        last := r.seq;
         drain r;
         loop ()
   in
@@ -242,8 +245,10 @@ let parallel_chunks ?min_chunk ~n f =
             run i
           done
         else begin
+          incr regions;
           let r =
             {
+              seq = !regions;
               count = chunks;
               run;
               cursor = Atomic.make 0;

@@ -184,11 +184,10 @@ let acquire t fp =
 (* Budget-aware priority: a statement whose session is nearly out of
    simulated-I/O allowance runs ahead of bulk work, so it can finish
    (or be killed by the guard) instead of queueing behind statements
-   with time to spare.  Re-read by the scheduler at every switch. *)
+   with time to spare.  Re-read by the scheduler at every pick
+   comparison, so it allocates nothing. *)
 let priority t p () =
-  match (Session.remaining p.pd_session).Guard.sim_io_ms with
-  | Some left when left <= t.cfg.urgent_ms -> 0
-  | _ -> 1
+  if Session.urgent p.pd_session ~within:t.cfg.urgent_ms then 0 else 1
 
 (* Spawn one admitted statement as a scheduler task whose slot starts
    at [start].  The task interleaves with every other in-flight

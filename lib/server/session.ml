@@ -49,6 +49,14 @@ let remaining t =
     ?max_rows:(Option.map (fun l -> Int.max 0 (l - t.spent_rows)) t.rows)
     ~cancel_on:t.token ()
 
+(* read in place: the scheduler asks at every pick comparison *)
+let urgent t ~within =
+  match t.sim_io_ms with
+  | None -> false
+  | Some l ->
+      let left = l -. t.spent_sim_io_ms in
+      (if left < 0.0 then 0.0 else left) <= within
+
 let charge t (s : Guard.spend) =
   t.spent_wall_ms <- t.spent_wall_ms +. s.Guard.wall_ms;
   t.spent_sim_io_ms <- t.spent_sim_io_ms +. s.Guard.sim_io_ms;

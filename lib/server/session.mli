@@ -42,6 +42,12 @@ val remaining : t -> Nra_guard.Guard.budget
     zero allowance, which kills the next statement at its first
     checkpoint rather than silently unbounding it. *)
 
+val urgent : t -> within:float -> bool
+(** Whether the session's simulated-I/O allowance left ({!remaining}'s
+    [sim_io_ms]) is at most [within] ms; [false] when it is unlimited.
+    Reads the session in place and allocates nothing, so a scheduler
+    priority may call it at every pick. *)
+
 val charge : t -> Nra_guard.Guard.spend -> unit
 (** Debit one statement's consumption (from [Guard.last_spend]) and
     count the statement. *)

@@ -224,7 +224,7 @@ let index_cols env (b : A.block) =
           Nra_exec.Naive.index_choice env.cat bd
             (List.map (fun ((c : R.rcol), _) -> c.R.col) equi)
         with
-        | Some (cols, _) -> Probe cols
+        | Some cols -> Probe cols
         | None -> Rescan)
     | _ -> Rescan
   in

@@ -1,9 +1,20 @@
 open Nra_relational
 
+(* An index is recorded by its columns and built the first time it is
+   read ({!force}): a write installs its entry with every index unbuilt,
+   so a write pays for no index it does not read.  [rel] is the entry's
+   relation the arrays index. *)
+type 'i index = {
+  columns : string list; (* index order *)
+  positions : int array;
+  rel : Relation.t;
+  build : Relation.t -> int array -> 'i;
+  mutable built : 'i option;
+}
+
 type indexes = {
-  mutable hash : (string list * Hash_index.t) list;
-      (* column names (index order) * index *)
-  mutable sorted : (string list * Sorted_index.t) list;
+  mutable hash : Hash_index.t index list;
+  mutable sorted : Sorted_index.t index list;
 }
 
 (* [stats] is the table's last ANALYZE snapshot, derived from its rows
@@ -39,14 +50,32 @@ let positions_of table cols =
     cols
   |> Array.of_list
 
+let index build table columns =
+  { columns; positions = positions_of table columns;
+    rel = Table.relation table; build; built = None }
+
+(* the same index over [table]'s rows, unbuilt *)
+let reindex table ix = { ix with rel = Table.relation table; built = None }
+
+(* Built on the calling domain, with no guard checkpoint inside the
+   build, so no other fiber can see the slot half filled. *)
+let force ix =
+  match ix.built with
+  | Some i -> i
+  | None ->
+      let i = ix.build ix.rel ix.positions in
+      ix.built <- Some i;
+      i
+
+let columns ix = ix.columns
+
 let register t table =
   let name = Table.name table in
   t.gen <- t.gen + 1;
-  let idx = { hash = []; sorted = [] } in
-  let key_cols = Table.key_columns table in
-  idx.hash <-
-    [ (key_cols, Hash_index.build (Table.relation table)
-                   (Table.key_positions table)) ];
+  let idx =
+    { hash = [ index Hash_index.build table (Table.key_columns table) ];
+      sorted = [] }
+  in
   let gen =
     match Hashtbl.find_opt t.tbl name with Some e -> e.gen + 1 | None -> 0
   in
@@ -59,42 +88,60 @@ let entry t name =
   | Some e -> e
   | None -> raise Not_found
 
-(* [pk] is the primary-key index over [table]'s rows: the first row
-   whose key repeats an earlier row's is the one reported. *)
-let check_key_unique table pk =
-  match Hash_index.first_duplicate pk with
-  | None -> ()
-  | Some id ->
-      let row = (Relation.rows (Table.relation table)).(id) in
-      invalid_arg
-        (Printf.sprintf "table %s: duplicate primary key %s"
-           (Table.name table)
-           (Format.asprintf "%a" Row.pp
-              (Row.project_arr row (Table.key_positions table))))
+(* Key uniqueness over the rows a write introduces ([fresh], every row
+   when absent).  The other rows held distinct keys before the write,
+   so any repeat involves a fresh row: the fresh rows are chained by key
+   in borrowed buffers, and each other row probes them once.  The row
+   reported is the least id whose key a smaller id holds, as a scan of
+   the whole table reports: for one key, the second least of its ids. *)
+let check_keys ?fresh table =
+  let rows = Relation.rows (Table.relation table) in
+  let pos = Table.key_positions table in
+  let m = match fresh with Some f -> Array.length f | None -> Array.length rows in
+  let id j = match fresh with Some f -> f.(j) | None -> j in
+  let dup =
+    if m = 0 then max_int
+    else
+      Keyed.with_scratch ~nulls:`Skip
+        ?sel:(Option.map (fun f -> (f, m)) fresh)
+        ~pos rows
+      @@ fun keyed ->
+      (* the least fresh row keyed like an earlier fresh row *)
+      let dup = ref max_int and j = ref 0 in
+      while !dup = max_int && !j < m do
+        let f = Keyed.first_entry keyed !j in
+        if f >= 0 && f < !j then dup := id !j;
+        incr j
+      done;
+      (* an other row [i] keyed like the fresh row [a]: the later one
+         repeats the earlier *)
+      (match fresh with
+      | None -> ()
+      | Some f ->
+          let p = ref 0 in
+          for i = 0 to Array.length rows - 1 do
+            if !p < m && f.(!p) = i then incr p
+            else
+              let e = Keyed.first keyed pos rows.(i) in
+              if e >= 0 then dup := min !dup (max i f.(e))
+          done);
+      !dup
+  in
+  if dup < max_int then
+    invalid_arg
+      (Printf.sprintf "table %s: duplicate primary key %s" (Table.name table)
+         (Format.asprintf "%a" Row.pp (Row.project_arr rows.(dup) pos)))
 
 let update_rows ?fresh t name rows =
   let e = entry t name in
   let table = Table.with_rows ?fresh e.table rows in
-  let rel = Table.relation table in
-  let pk = Hash_index.build rel (Table.key_positions table) in
-  check_key_unique table pk;
-  let key_cols = Table.key_columns table in
-  let hash =
-    List.map
-      (fun (cols, _) ->
-        ( cols,
-          if cols = key_cols then pk
-          else Hash_index.build rel (positions_of table cols) ))
-      e.idx.hash
-  in
-  let sorted =
-    List.map
-      (fun (cols, _) -> (cols, Sorted_index.build rel (positions_of table cols)))
-      e.idx.sorted
+  check_keys ?fresh table;
+  let idx =
+    { hash = List.map (reindex table) e.idx.hash;
+      sorted = List.map (reindex table) e.idx.sorted }
   in
   t.gen <- t.gen + 1;
-  Hashtbl.replace t.tbl name
-    { table; idx = { hash; sorted }; gen = e.gen + 1; stats = None }
+  Hashtbl.replace t.tbl name { table; idx; gen = e.gen + 1; stats = None }
 
 let drop_table t name =
   if not (Hashtbl.mem t.tbl name) then raise Not_found;
@@ -128,60 +175,51 @@ let tables t =
    changes bump [gen] like DML does *)
 let create_hash_index t ~table:name cols =
   let e = entry t name in
-  if not (List.mem_assoc cols e.idx.hash) then begin
-    e.idx.hash <-
-      (cols, Hash_index.build (Table.relation e.table)
-               (positions_of e.table cols))
-      :: e.idx.hash;
+  if not (List.exists (fun ix -> ix.columns = cols) e.idx.hash) then begin
+    e.idx.hash <- index Hash_index.build e.table cols :: e.idx.hash;
     t.gen <- t.gen + 1
   end
 
 let create_sorted_index t ~table:name cols =
   let e = entry t name in
-  if not (List.mem_assoc cols e.idx.sorted) then begin
-    e.idx.sorted <-
-      (cols, Sorted_index.build (Table.relation e.table)
-               (positions_of e.table cols))
-      :: e.idx.sorted;
+  if not (List.exists (fun ix -> ix.columns = cols) e.idx.sorted) then begin
+    e.idx.sorted <- index Sorted_index.build e.table cols :: e.idx.sorted;
     t.gen <- t.gen + 1
   end
 
 let same_set a b =
   List.sort String.compare a = List.sort String.compare b
 
+let indexes t name =
+  Option.map (fun e -> e.idx) (Hashtbl.find_opt t.tbl name)
+
 let hash_index t ~table:name cols =
-  match Hashtbl.find_opt t.tbl name with
-  | None -> None
-  | Some e ->
-      List.find_opt (fun (ic, _) -> same_set ic cols) e.idx.hash
-      |> Option.map snd
+  Option.bind (indexes t name) (fun idx ->
+      List.find_opt (fun ix -> same_set ix.columns cols) idx.hash)
 
 let hash_index_covering t ~table:name cols =
-  match Hashtbl.find_opt t.tbl name with
-  | None -> None
-  | Some e ->
-      let subset ic = ic <> [] && List.for_all (fun c -> List.mem c cols) ic in
-      e.idx.hash
-      |> List.filter (fun (ic, _) -> subset ic)
-      |> List.sort (fun (a, _) (b, _) ->
-             Int.compare (List.length b) (List.length a))
-      |> (function
-           | [] -> None
-           | (ic, i) :: _ -> Some (i, ic))
+  Option.bind (indexes t name) (fun idx ->
+      let subset ix =
+        ix.columns <> [] && List.for_all (fun c -> List.mem c cols) ix.columns
+      in
+      idx.hash
+      |> List.filter subset
+      |> List.sort (fun a b ->
+             Int.compare (List.length b.columns) (List.length a.columns))
+      |> function
+      | [] -> None
+      | ix :: _ -> Some ix)
 
 let sorted_index_on t ~table:name col =
-  match Hashtbl.find_opt t.tbl name with
-  | None -> None
-  | Some e ->
+  Option.bind (indexes t name) (fun idx ->
       List.find_opt
-        (fun (ic, _) -> match ic with c :: _ -> c = col | [] -> false)
-        e.idx.sorted
-      |> Option.map snd
+        (fun ix -> match ix.columns with c :: _ -> c = col | [] -> false)
+        idx.sorted)
 
 let drop_indexes t ~table:name =
   let e = entry t name in
   let key_cols = Table.key_columns e.table in
-  let hash = List.filter (fun (ic, _) -> same_set ic key_cols) e.idx.hash in
+  let hash = List.filter (fun ix -> same_set ix.columns key_cols) e.idx.hash in
   if List.compare_lengths hash e.idx.hash <> 0 || e.idx.sorted <> [] then begin
     e.idx.hash <- hash;
     e.idx.sorted <- [];

@@ -4,8 +4,10 @@
     Indexes are named by the table and column list they cover; the
     executors look indexes up by coverage, mirroring how the paper's
     "System A" picks an index on the correlated/linked attributes when
-    one exists.  Primary-key hash indexes are built automatically on
-    registration. *)
+    one exists.  Every table has a primary-key hash index from its
+    registration.  An index is recorded by its columns and its arrays
+    are built the first time it is read ({!force}), so registering a
+    table, writing to it or creating an index builds nothing. *)
 
 open Nra_relational
 
@@ -17,16 +19,23 @@ val wal : t -> Wal_log.t
 (** The catalog's write-ahead log: only {!Wal} reads and appends it. *)
 
 val register : t -> Table.t -> unit
-(** Add (or replace) a table; builds its primary-key hash index.
-    Existing secondary indexes of a replaced table are dropped. *)
+(** Add (or replace) a table with its primary-key hash index.
+    Existing secondary indexes of a replaced table are dropped.  Key
+    uniqueness is not checked here (see {!update_rows}). *)
 
 val update_rows : ?fresh:int array -> t -> string -> Row.t array -> unit
-(** Replace a table's contents (validating types, NOT NULL and key
-    uniqueness) and rebuild {e all} its indexes, secondary ones
-    included.  The DML path.  Types and NOT NULL are checked on the
-    rows [?fresh] names (ascending positions in the new contents; see
-    {!Table.with_rows}), every row when it is absent; key uniqueness
-    is always checked over the whole table.
+(** Replace a table's contents, validating types, NOT NULL and key
+    uniqueness; its indexes, secondary ones included, are kept unbuilt
+    over the new rows.  The DML path.  [?fresh] names the rows the
+    write introduces (ascending positions in the new contents; see
+    {!Table.with_rows}), every row when it is absent.  Only those rows
+    are checked: the others held valid rows and distinct keys before
+    the write.  Their keys are chained in borrowed buffers, and every
+    other row is probed against them once, so the check costs a hash
+    per row and allocates nothing per row.  A duplicate key is reported
+    at the least position whose key a smaller position holds, as a
+    scan of the whole table would report it.  [~fresh:[||]] (DELETE, WAL
+    undo and redo) checks nothing.
     @raise Not_found if the table is absent
     @raise Invalid_argument if the rows violate the schema or duplicate
     a primary key. *)
@@ -70,22 +79,37 @@ val stats : t -> string -> Table_stats.t option
 
 (** {1 Indexes} *)
 
+type 'i index
+(** An index of a table's current rows, recorded by its columns. *)
+
+val columns : _ index -> string list
+(** The index's columns, in index position order. *)
+
+val force : 'i index -> 'i
+(** The index's arrays, built on the first call.  The build runs on
+    the calling domain with no guard checkpoint inside it, so call it
+    from the owning domain (as the executors do when they compile a
+    plan), never from a pool worker. *)
+
 val create_hash_index : t -> table:string -> string list -> unit
 val create_sorted_index : t -> table:string -> string list -> unit
-(** Build a secondary index on these columns, unless one exists; a new
-    index bumps {!global_generation}. *)
+(** Record a secondary index on these columns, unless one exists; a new
+    index bumps {!global_generation}.  Its arrays are built on first
+    {!force}.
+    @raise Invalid_argument if a column is unknown. *)
 
-val hash_index : t -> table:string -> string list -> Hash_index.t option
-(** Look up a hash index on exactly these columns (order-insensitive). *)
+val hash_index :
+  t -> table:string -> string list -> Hash_index.t index option
+(** The hash index on exactly these columns (order-insensitive). *)
 
-val hash_index_covering : t -> table:string -> string list ->
-  (Hash_index.t * string list) option
+val hash_index_covering :
+  t -> table:string -> string list -> Hash_index.t index option
 (** A hash index whose column set is a non-empty subset of the given
     columns — usable for a partial-key probe followed by a residual
-    filter.  Prefers the widest such index.  Returns the index and its
-    column list in index position order. *)
+    filter.  Prefers the widest such index. *)
 
-val sorted_index_on : t -> table:string -> string -> Sorted_index.t option
+val sorted_index_on :
+  t -> table:string -> string -> Sorted_index.t index option
 (** A sorted index whose first column is the given one. *)
 
 val drop_indexes : t -> table:string -> unit

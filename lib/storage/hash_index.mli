@@ -6,9 +6,10 @@
     key contains a NULL are not
     indexed (an equality probe can never match them — SQL
     equi-semantics).  Used by the nested-iteration baseline to model
-    "System A accesses the inner table by index rowid", and by
-    {!Catalog.update_rows} to check primary-key uniqueness.  Hash joins
-    do not use it: they build their own table ([Join.with_matches]). *)
+    "System A accesses the inner table by index rowid"; the catalog
+    builds a table's index the first time that baseline probes it
+    ({!Catalog.force}).  Hash joins do not use it: they build their own
+    table ([Join.with_matches]). *)
 
 open Nra_relational
 
@@ -28,7 +29,9 @@ val probe : t -> Row.t -> int list
     NULL, or of another arity than the key, returns []. *)
 
 val first_duplicate : t -> int option
-(** The smallest id whose key equals that of a smaller id, if any. *)
+(** The smallest id whose key equals that of a smaller id, if any: the
+    row a scan of the whole relation reports as a duplicate key, which
+    {!Catalog.update_rows} reports from the rows a write introduces. *)
 
 val cardinality : t -> int
 (** Number of indexed (non-NULL-keyed) rows. *)

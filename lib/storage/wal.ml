@@ -100,7 +100,8 @@ let commit s =
 let rows_of cat table = Relation.rows (Table.relation (Catalog.table cat table))
 
 (* the rows came out of the table, so they were checked when they
-   entered it: nothing is revalidated *)
+   entered it: neither types nor keys are revalidated, and no index is
+   built until a probe reads it *)
 let install cat table rows = Catalog.update_rows ~fresh:[||] cat table rows
 
 (* [rows] without the entries at [positions] *)

@@ -463,6 +463,37 @@ let test_slice_allocation () =
        budgeted)
     true (budgeted <= 10.0)
 
+(* Once two tasks are runnable, every pick compares their priorities.
+   The server's priority asks whether the task's session is nearly out
+   of simulated I/O ([Session.urgent], as [Server] does), so two
+   interleaved tasks under session budgets allocate per yield no more
+   than one plain task does.  One session is urgent and one is not, so
+   both classes are read at every comparison. *)
+let test_priority_allocation () =
+  let sch = Scheduler.create ~quantum_ms:0.0 () in
+  let n = 50_000 in
+  let task session =
+    ignore
+      (Scheduler.spawn sch
+         ~prio:(fun () -> if Session.urgent session ~within:5.0 then 0 else 1)
+         (fun () ->
+           for _ = 1 to n do
+             Guard.tick ()
+           done))
+  in
+  task (Session.create ~sim_io_ms:1.0 ());
+  task (Session.create ~sim_io_ms:1e9 ());
+  let before = Gc.minor_words () in
+  Scheduler.run_until_idle sch;
+  let words = Gc.minor_words () -. before in
+  let s = Scheduler.stats sch in
+  Alcotest.(check int) "one yield per checkpoint" (2 * n) s.Scheduler.yields;
+  let per_yield = words /. float_of_int s.Scheduler.yields in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per yield with two prioritized tasks"
+       per_yield)
+    true (per_yield <= 6.0)
+
 (* ---------- head-of-line blocking ----------
 
    A few long statements (the paper's Query 1 over a wide window)
@@ -614,6 +645,8 @@ let () =
             `Quick test_tick_allocation;
           Alcotest.test_case "a slice allocates only what perform needs"
             `Quick test_slice_allocation;
+          Alcotest.test_case "two prioritized tasks allocate as one"
+            `Quick test_priority_allocation;
           Alcotest.test_case "a finite quantum cuts head-of-line blocking"
             `Quick test_head_of_line;
         ] );

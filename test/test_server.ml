@@ -701,6 +701,11 @@ let test_alloc_fault_unwind_keeps_state () =
       ()
   in
   let s = Server.session srv ~rows:1_000_000 () in
+  (* the test owns the fault stream from here on, as the [finally]
+     below leaves it: injection from the environment would fire
+     allocation-pressure faults under the session's finite row budget
+     before the pressure is armed *)
+  Fault.disable ();
   Alcotest.(check int) "healthy first" 5
     (ok_rows (Server.exec srv s correlated));
   Fault.configure ~alloc_probability:1.0 0.0;

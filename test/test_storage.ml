@@ -122,7 +122,7 @@ let test_catalog () =
   Alcotest.(check bool) "not mem" false (Catalog.mem cat "u");
   Alcotest.(check int) "pk index auto-built" 1
     (match Catalog.hash_index cat ~table:"t" [ "id" ] with
-    | Some idx -> List.length (Hash_index.probe idx [| vi 5 |])
+    | Some idx -> List.length (Hash_index.probe (Catalog.force idx) [| vi 5 |])
     | None -> -1);
   Catalog.create_hash_index cat ~table:"t" [ "grp" ];
   Catalog.create_sorted_index cat ~table:"t" [ "v" ];
@@ -130,7 +130,7 @@ let test_catalog () =
     (Catalog.hash_index cat ~table:"t" [ "grp" ] <> None);
   Alcotest.(check bool) "covering prefers widest" true
     (match Catalog.hash_index_covering cat ~table:"t" [ "grp"; "id" ] with
-    | Some (_, cols) -> List.length cols = 1
+    | Some idx -> List.length (Catalog.columns idx) = 1
     | None -> false);
   Alcotest.(check bool) "sorted_index_on" true
     (Catalog.sorted_index_on cat ~table:"t" "v" <> None);
@@ -164,6 +164,43 @@ let test_naive_sorted_prefix () =
       "select x from s where exists (select * from t where t.a = s.x)"
   in
   check_rows "naive finds both" [ [ Some 1 ]; [ Some 2 ] ] rel
+
+(* A write leaves the table's indexes unbuilt; nested iteration builds
+   the one it probes on demand, over the rows of the table's current
+   version, and finds what a scan finds. *)
+let test_naive_index_on_demand () =
+  let cat = Catalog.create () in
+  let exec sql =
+    match Nra.exec cat sql with
+    | Ok _ -> ()
+    | Error m -> Alcotest.failf "%s: %s" sql m
+  in
+  exec "create table s (x int, primary key (x))";
+  exec "insert into s values (1), (2), (3), (4)";
+  exec "create table t (c int, a int, primary key (c))";
+  Catalog.create_hash_index cat ~table:"t" [ "a" ];
+  exec "insert into t values (100, 1), (101, 2), (102, 2), (103, 5)";
+  let sql = "select x from s where exists (select * from t where t.a = s.x)" in
+  let naive () =
+    let rel = Nra.query_exn ~strategy:Nra.Naive cat sql in
+    Alcotest.(check bool) "naive probed the index" true
+      (Exec.Naive.stats.Exec.Naive.index_probes > 0);
+    rel
+  in
+  check_rows "built on the first probe" [ [ Some 1 ]; [ Some 2 ] ] (naive ());
+  ignore (check_equivalent cat sql);
+  exec "insert into t values (104, 3)";
+  exec "delete from t where c = 100";
+  check_rows "rebuilt over the written rows" [ [ Some 2 ]; [ Some 3 ] ]
+    (naive ());
+  ignore (check_equivalent cat sql);
+  match Catalog.hash_index cat ~table:"t" [ "a" ] with
+  | None -> Alcotest.fail "secondary index lost by the writes"
+  | Some ix ->
+      Alcotest.(check bool) "built once per table version" true
+        (Catalog.force ix == Catalog.force ix);
+      Alcotest.(check int) "over the current rows" 4
+        (Hash_index.cardinality (Catalog.force ix))
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -203,6 +240,52 @@ let test_duplicate_key () =
 (* The words an index holds beyond the rows of its relation, which it
    shares: two int arrays plus the buckets for a hash index, one for a
    sorted index — no per-row key copy, tuple or bucket cell. *)
+(* An UPDATE's changed rows are the fresh ones, so a key can move onto
+   a kept row before or after it, two changed rows can meet on one key,
+   or two can trade keys.  Each case sets [id] to [v] where [v > 0]; the
+   error names the key of the row a scan of the whole table names
+   first: the least position whose key a smaller position holds. *)
+let test_update_moves_keys () =
+  let cat = Catalog.create () in
+  List.iter
+    (fun (vs, want) ->
+      ignore (Nra.exec cat "drop table k");
+      ignore (Nra.exec cat "create table k (id int, v int, primary key (id))");
+      ignore
+        (Nra.exec cat
+           ("insert into k values "
+           ^ String.concat ", "
+               (List.mapi (fun i v -> Printf.sprintf "(%d, %d)" (i + 1) v) vs)
+           ));
+      let sql = "update k set id = v where v > 0" in
+      match (Nra.exec cat sql, want) with
+      | Error m, Some w -> Alcotest.(check string) sql w m
+      | Ok _, None -> ()
+      | Error m, None -> Alcotest.failf "%s: %s" sql m
+      | Ok _, Some w -> Alcotest.failf "accepted, expected %s" w)
+    [
+      (* onto earlier kept rows: positions 2 and 4 repeat 1 and 3 *)
+      ([ 0; 0; 2; 0; 4 ], Some "table k: duplicate primary key (2)");
+      (* onto later kept rows: position 1 repeats 0, 3 repeats 2 *)
+      ([ 2; 0; 4; 0; 0 ], Some "table k: duplicate primary key (2)");
+      (* one later, one earlier: kept position 2 repeats position 0
+         before position 3 repeats kept position 1 *)
+      ([ 3; 0; 0; 2; 0 ], Some "table k: duplicate primary key (3)");
+      (* two changed rows on one key *)
+      ([ 0; 9; 0; 9; 0 ], Some "table k: duplicate primary key (9)");
+      (* two changed rows meeting (position 3) before one lands on an
+         earlier kept row (position 4) *)
+      ([ 0; 7; 0; 7; 3 ], Some "table k: duplicate primary key (7)");
+      (* and after one lands on a later kept row (position 2) *)
+      ([ 0; 3; 0; 7; 7 ], Some "table k: duplicate primary key (3)");
+      (* two changed rows trading keys *)
+      ([ 0; 4; 0; 2; 0 ], None);
+    ];
+  check_rows "traded" [ [ Some 2; Some 2 ]; [ Some 4; Some 4 ] ]
+    (Nra.query_exn cat "select id, v from k where v > 0");
+  check_rows "kept" [ [ Some 1 ]; [ Some 3 ]; [ Some 5 ] ]
+    (Nra.query_exn cat "select id from k where v = 0")
+
 let test_index_footprint () =
   let n = 1000 in
   let rel =
@@ -344,6 +427,69 @@ let prop_index_vs_scan =
       && Hash_index.cardinality h = List.length keyed
       && Sorted_index.cardinality s = List.length keyed)
 
+(* The write's key check against a full scan.  A table of small
+   two-column keys is written with a random set of fresh rows (or none
+   named: every row fresh).  The kept rows held distinct keys before
+   the write, so a kept row whose key an earlier kept row holds is made
+   fresh.  The check raises exactly when the whole table holds a
+   repeated key, naming the key at [Hash_index.first_duplicate]. *)
+let arb_write =
+  QCheck.make
+    ~print:(fun (rows, fresh) ->
+      Printf.sprintf "rows=[%s] fresh=%s"
+        (String.concat "; "
+           (List.map (fun (a, b) -> Printf.sprintf "(%d, %d)" a b) rows))
+        (match fresh with
+        | None -> "all"
+        | Some f -> String.concat "" (List.map (fun b -> if b then "1" else "0") f)))
+    QCheck.Gen.(
+      list_size (int_bound 24) (pair (int_bound 3) (int_bound 2)) >>= fun rows ->
+      let n = List.length rows in
+      opt ~ratio:0.8 (list_repeat n (frequency [ (1, return true); (3, return false) ]))
+      >|= fun fresh -> (rows, fresh))
+
+let prop_delta_key_check =
+  QCheck.Test.make ~count:1000 ~name:"delta key check matches a full scan"
+    arb_write (fun (keys, fresh) ->
+      let rows =
+        Array.of_list
+          (List.mapi (fun i (a, b) -> [| vi a; vi b; vi i |]) keys)
+      in
+      (* a kept row repeating an earlier kept row's key is fresh *)
+      let fresh =
+        Option.map
+          (fun marks ->
+            let seen = Hashtbl.create 16 in
+            List.combine keys marks
+            |> List.mapi (fun i (k, m) ->
+                   if m || Hashtbl.mem seen k then Some i
+                   else (Hashtbl.add seen k (); None))
+            |> List.filter_map Fun.id |> Array.of_list)
+          fresh
+      in
+      let cat = Catalog.create () in
+      Catalog.register cat
+        (Table.create ~name:"w" ~key:[ "a"; "b" ]
+           [ col "a" Ttype.Int; col "b" Ttype.Int; col "v" Ttype.Int ]
+           [||]);
+      let rel =
+        Relation.make (Table.schema (Catalog.table cat "w")) rows
+      in
+      let expect =
+        Hash_index.first_duplicate (Hash_index.build rel [| 0; 1 |])
+        |> Option.map (fun id ->
+               Format.asprintf "table w: duplicate primary key %a" Row.pp
+                 (Row.project_arr rows.(id) [| 0; 1 |]))
+      in
+      let got =
+        match Catalog.update_rows ?fresh cat "w" rows with
+        | () -> None
+        | exception Invalid_argument m -> Some m
+      in
+      got = expect
+      && Table.cardinality (Catalog.table cat "w")
+         = if expect = None then Array.length rows else 0)
+
 let () =
   Alcotest.run "storage"
     [
@@ -368,6 +514,10 @@ let () =
           Alcotest.test_case "duplicate primary key" `Quick test_duplicate_key;
           Alcotest.test_case "naive probes a sorted index prefix" `Quick
             test_naive_sorted_prefix;
+          Alcotest.test_case "UPDATE moves keys" `Quick test_update_moves_keys;
+          Alcotest.test_case "naive builds an index on demand" `Quick
+            test_naive_index_on_demand;
         ] );
-      ("properties", [ qtest prop_index_vs_scan ]);
+      ( "properties",
+        [ qtest prop_index_vs_scan; qtest prop_delta_key_check ] );
     ]
