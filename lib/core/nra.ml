@@ -398,9 +398,9 @@ and run_auto_estimates cat t priced =
 let ( let* ) = Result.bind
 module Ast = Nra_sql.Ast
 
-let run_select strategy cat q =
+let run_select ?ctes strategy cat q =
   trap (fun () ->
-      let t = Nra_planner.Analyze.analyze cat q in
+      let t = Nra_planner.Analyze.analyze ?ctes cat q in
       Ok (run_analyzed strategy cat t))
 
 (* An ORDER BY / LIMIT written after the last component of a set
@@ -447,11 +447,11 @@ let setop_sort_keys schema order_by =
       Ok (keys @ [ k ]))
     (Ok []) order_by
 
-let rec combine strategy cat = function
-  | Ast.Select q -> run_select strategy cat q
+let rec combine ?ctes strategy cat = function
+  | Ast.Select q -> run_select ?ctes strategy cat q
   | Ast.Setop (op, l, r) ->
-      let* lrel = combine strategy cat l in
-      let* rrel = combine strategy cat r in
+      let* lrel = combine ?ctes strategy cat l in
+      let* rrel = combine ?ctes strategy cat r in
       if
         Nra_relational.Schema.arity (Relation.schema lrel)
         <> Nra_relational.Schema.arity (Relation.schema rrel)
@@ -474,12 +474,12 @@ let rec combine strategy cat = function
         in
         Ok (f lrel rrel)
 
-let run_statement strategy cat stmt =
+let run_statement ?ctes strategy cat stmt =
   match stmt with
-  | Ast.Select q -> run_select strategy cat q
+  | Ast.Select q -> run_select ?ctes strategy cat q
   | Ast.Setop _ ->
       let body, order_by, limit = strip_rightmost stmt in
-      let* rel = combine strategy cat body in
+      let* rel = combine ?ctes strategy cat body in
       let* rel =
         if order_by = [] then Ok rel
         else
@@ -491,78 +491,35 @@ let run_statement strategy cat stmt =
         | Some n -> Nra_algebra.Basic.limit n rel
         | None -> rel)
 
-(* Materialize common table expressions, in order, as temporary catalog
-   tables carrying a synthetic __rowid primary key (the engine's
-   carried-key discipline needs one).  The materialization is
-   WAL-protected like DML: Begin, a Create record before each temp
-   table registers (log-before-write), Drop records as the temps are
-   dismantled after the body, Commit.  An ordinary error or escaped
-   fault aborts inline — the undo re-drops whatever was registered —
-   and a simulated power loss escapes raw, leaving [Wal.recover] to
-   undo the unfinished statement: a mid-statement crash can no longer
-   leak a temp table into the catalog. *)
+(* Common table expressions bind statement-local relations, as a [let]
+   does in the nested relational calculus: each body runs, in order,
+   with the CTEs before it in scope (not itself), and its rows become an
+   unregistered table that Analyze resolves before the catalog, so a CTE
+   may shadow a base table.  The synthetic __rowid key is the primary
+   key Analyze's block marker needs.  The catalog and its log are never
+   touched: a WITH is a read. *)
 let run_with strategy cat ctes stmt =
   trap @@ fun () ->
-  let wal = Wal.begin_stmt cat in
-  let registered = ref [] in
-  (* newest-first Table.t list *)
-  let rec go = function
-    | [] -> run_statement strategy cat stmt
+  let rec go scope = function
+    | [] -> run_statement ~ctes:scope strategy cat stmt
     | (name, cstmt) :: rest ->
-        if Catalog.mem cat name then
-          Error
-            (Exec_error.Invalid
-               (Printf.sprintf "relation %s already exists" name))
-        else
-          let* rel = run_statement strategy cat cstmt in
-          let cols =
-            Nra_relational.Schema.column "__rowid" Ttype.Int
-            :: (Array.to_list
-                  (Nra_relational.Schema.columns (Relation.schema rel))
-               |> List.map (fun (c : Nra_relational.Schema.column) ->
-                      { c with Nra_relational.Schema.table = "" }))
-          in
-          let rows =
-            Array.mapi
-              (fun i row -> Row.concat [| Value.Int i |] row)
-              (Relation.rows rel)
-          in
-          (match Table.create ~name ~key:[ "__rowid" ] cols rows with
-          | table ->
-              Wal.log_create wal table;
-              Catalog.register cat table;
-              registered := table :: !registered;
-              go rest
-          | exception Invalid_argument m -> Error (Exec_error.Invalid m))
+        let* rel = run_statement ~ctes:scope strategy cat cstmt in
+        let cols =
+          Nra_relational.Schema.column "__rowid" Ttype.Int
+          :: (Array.to_list
+                (Nra_relational.Schema.columns (Relation.schema rel))
+             |> List.map (fun (c : Nra_relational.Schema.column) ->
+                    { c with Nra_relational.Schema.table = "" }))
+        in
+        let rows =
+          Array.mapi
+            (fun i row -> Row.concat [| Value.Int i |] row)
+            (Relation.rows rel)
+        in
+        let table = Table.create ~name ~key:[ "__rowid" ] cols rows in
+        go ((name, table) :: scope) rest
   in
-  (* dismantle the temps under the log, then commit; a fault in the
-     dismantling itself aborts (undo drops the stragglers and
-     re-drops the already-dropped via their Create images) *)
-  let finish ok =
-    match
-      List.iter
-        (fun tb ->
-          Wal.log_drop wal tb;
-          Catalog.drop_table cat (Table.name tb))
-        !registered
-    with
-    | () ->
-        Wal.commit wal;
-        ok
-    | exception (Fault.Crash _ as e) -> raise e
-    | exception e ->
-        Wal.abort wal;
-        raise e
-  in
-  match go ctes with
-  | Ok _ as ok -> finish ok
-  | Error _ as err ->
-      Wal.abort wal;
-      err
-  | exception (Fault.Crash _ as e) -> raise e
-  | exception e ->
-      Wal.abort wal;
-      raise e
+  go [] ctes
 
 (* ---------- commands ---------- *)
 
@@ -886,15 +843,17 @@ let command_footprint = function
   | Ast.Update (table, _, where) ->
       Tables { read = dedup (cond_tables where); write = [ table ] }
   | Ast.With_query (ctes, stmt) ->
-      (* each CTE registers (and later drops) a temp catalog table *)
-      Tables
-        {
-          read =
-            dedup
-              (statement_tables stmt
-              @ List.concat_map (fun (_, s) -> statement_tables s) ctes);
-          write = dedup (List.map fst ctes);
-        }
+      (* a read of base tables only: a name is a CTE where one is in
+         scope, and a CTE body sees only the CTEs before it *)
+      let base scope s =
+        List.filter (fun n -> not (List.mem n scope)) (statement_tables s)
+      in
+      let scope, read =
+        List.fold_left
+          (fun (scope, read) (name, s) -> (name :: scope, base scope s @ read))
+          ([], []) ctes
+      in
+      Tables { read = dedup (base scope stmt @ read); write = [] }
   | Ast.Analyze (Some table) -> Tables { read = [ table ]; write = [ table ] }
   | Ast.Analyze None -> All_tables
 

@@ -64,9 +64,9 @@ module Governor = Nra_storage.Governor
     budget spill through {!Bufpool} — see docs/STORAGE.md. *)
 
 module Wal = Nra_storage.Wal
-(** The catalog's write-ahead log of row deltas, wrapping every DML
-    mutation {e and} CTE materialization; [Wal.recover] repairs the
-    catalog after a {!Fault.Crash} — see docs/STORAGE.md. *)
+(** The catalog's write-ahead log of row deltas, wrapping every DDL and
+    DML mutation; [Wal.recover] repairs the catalog after a
+    {!Fault.Crash} — see docs/STORAGE.md. *)
 
 module Guard = Nra_guard.Guard
 (** Resource budgets and cooperative cancellation; pass a
@@ -205,7 +205,10 @@ val query :
 (** Parse, analyze and run a SQL statement — a SELECT query, or several
     combined with [UNION / INTERSECT / EXCEPT [ALL]] (an ORDER BY /
     LIMIT after the last component applies to the combined result and
-    must use output column names or 1-based positions).  Defaults to
+    must use output column names or 1-based positions), optionally
+    under [WITH name AS (…), …]: each CTE is a statement-local
+    relation that sees the CTEs before it, may shadow a table, and
+    touches neither the catalog nor its log.  Defaults to
     [Nra_optimized].  When [guard] is given, evaluation runs under that
     budget and a crossed limit returns an [Error] instead of running
     unbounded. *)

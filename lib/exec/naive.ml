@@ -23,12 +23,12 @@ type access =
    else a hash index on a subset, else a sorted index on one of them —
    the paper's System A prefers the sorted (B-tree-like) index.  Returns
    the columns the chosen index probes on, and the index, unbuilt: the
-   choice reads only the catalog's index columns. *)
+   choice reads only the catalog's index columns.  A statement-local
+   relation has none. *)
 let choose cat (bd : A.binding) cols =
-  match Catalog.table_opt cat bd.A.source with
+  match bd.A.source with
   | None -> None
-  | Some base_table -> (
-      let base_name = Table.name base_table in
+  | Some base_name -> (
       let sorted_exact =
         List.find_map
           (fun perm ->
@@ -66,9 +66,8 @@ let probe_charge matches = Iosim.charge_probe ~matches
    through [choose]'s index, built here on its first use, or [None] when
    there is none. *)
 let index_access cat (bd : A.binding) outer_schema equis =
-  match choose cat bd (List.map fst equis) with
-  | None -> None
-  | Some (idx_cols, access) ->
+  match (bd.A.source, choose cat bd (List.map fst equis)) with
+  | Some source, Some (idx_cols, access) ->
       let ids_of =
         match access with
         | Hash i -> Hash_index.probe (Catalog.force i)
@@ -81,7 +80,7 @@ let index_access cat (bd : A.binding) outer_schema equis =
         |> Array.of_list
       in
       let rows = Relation.rows (Table.relation bd.A.table) in
-      let fetch row_id = Iosim.charge_row_fetch ~table:bd.A.source ~row_id in
+      let fetch row_id = Iosim.charge_row_fetch ~table:source ~row_id in
       (* the index descent is charged at probe time; each rowid fetch
          is charged lazily as the row is actually examined — through
          the buffer cache, and only if the evaluation gets that far
@@ -96,6 +95,7 @@ let index_access cat (bd : A.binding) outer_schema equis =
               Fault.retrying fetch id;
               rows.(id))
             (List.to_seq (ids_of key)))
+  | _ -> None
 
 let rec compile ?(use_indexes = true) cat (t : A.t) outer_schema
     (c : A.child) : Row.t -> T3.t =

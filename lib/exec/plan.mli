@@ -65,7 +65,6 @@ val lift : base:options -> Analyze.t -> t
     [base] enables, in the order shared set, push-down, semijoin,
     bottom-up, top-down. *)
 
-val fold : ('a -> node -> 'a) -> 'a -> t -> 'a
 val nodes : t -> node list
 val find : t -> int -> node option
 val replace : t -> id:int -> impl:impl -> t

@@ -69,14 +69,11 @@ module Ledger : sig
       draws deterministically at the barrier. *)
 end
 
-val default_size : unit -> int
-(** [Domain.recommended_domain_count () - 1] (the owner participates in
-    every region, so the pool adds one worker less than the core
-    count), clamped at 0. *)
-
 val size : unit -> int
 (** Worker-domain count currently in effect: the last {!set_size}, else
-    [NRA_DOMAINS] from the environment, else {!default_size}.  [0]
+    [NRA_DOMAINS] from the environment, else one less than
+    [Domain.recommended_domain_count ()] (the owner participates in
+    every region), clamped at 0.  [0]
     means strictly serial — no domain is ever spawned and every kernel
     takes its pre-existing serial path. *)
 
@@ -121,7 +118,3 @@ val parallel_chunks :
     (e.g. one chunk per hash partition).  Runs inline — same semantics,
     same ledger merge — when the pool is serial or the caller is
     already inside a region. *)
-
-val shutdown : unit -> unit
-(** Join all worker domains (registered [at_exit]; also used by
-    {!set_size}).  Must not be called from inside a parallel region. *)

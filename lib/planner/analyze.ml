@@ -11,7 +11,7 @@ let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 type binding = {
   uid : string;
   alias : string;
-  source : string;
+  source : string option;
   table : Table.t;
 }
 
@@ -207,6 +207,7 @@ let rec resolve_cond scopes (c : Ast.cond) : R.rcond =
 
 type builder = {
   catalog : Catalog.t;
+  ctes : (string * Table.t) list;
   mutable next_id : int;
   mutable uids : string list;
   mutable all_bindings : (string * binding) list;
@@ -230,10 +231,14 @@ let make_bindings bld ~block_id (from : (string * string option) list) =
   let seen = ref [] in
   List.map
     (fun (tname, alias_opt) ->
-      let table =
-        match Catalog.table_opt bld.catalog tname with
-        | Some t -> t
-        | None -> error "unknown table %s" tname
+      (* a statement-local relation shadows the catalog table *)
+      let table, source =
+        match List.assoc_opt tname bld.ctes with
+        | Some t -> (t, None)
+        | None -> (
+            match Catalog.table_opt bld.catalog tname with
+            | Some t -> (t, Some tname)
+            | None -> error "unknown table %s" tname)
       in
       let alias = Option.value ~default:tname alias_opt in
       if List.mem alias !seen then
@@ -241,7 +246,7 @@ let make_bindings bld ~block_id (from : (string * string option) list) =
       seen := alias :: !seen;
       let uid = fresh_uid bld ~alias ~block_id in
       let binding =
-        { uid; alias; source = tname; table = Table.alias table uid }
+        { uid; alias; source; table = Table.alias table uid }
       in
       bld.all_bindings <- (uid, binding) :: bld.all_bindings;
       binding)
@@ -551,8 +556,8 @@ let linear_of root =
   List.length root.children <= 1
   && List.for_all (fun c -> go c.block root.id) root.children
 
-let analyze catalog (q : Ast.query) : t =
-  let bld = { catalog; next_id = 0; uids = []; all_bindings = [] } in
+let analyze ?(ctes = []) catalog (q : Ast.query) : t =
+  let bld = { catalog; ctes; next_id = 0; uids = []; all_bindings = [] } in
   let root, _ = build bld [] q ~want:W_exists in
   let root_scope = { block_id = root.id; sbindings = root.bindings } in
   let output = output_of bld [ root_scope ] q root.bindings in

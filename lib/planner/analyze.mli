@@ -23,7 +23,10 @@ exception Error of string
 type binding = {
   uid : string;  (** unique frame qualifier *)
   alias : string;  (** SQL-visible name *)
-  source : string;  (** the catalog table this binding refers to *)
+  source : string option;
+      (** the catalog table this binding refers to; [None] for a
+          statement-local relation (a CTE), which has no statistics
+          and no index *)
   table : Table.t;  (** already re-qualified with [uid] *)
 }
 
@@ -123,8 +126,11 @@ type t = {
   by_uid : (string * binding) list;
 }
 
-val analyze : Catalog.t -> Nra_sql.Ast.query -> t
-(** @raise Error on unknown tables/columns, ambiguity, or an
+val analyze :
+  ?ctes:(string * Table.t) list -> Catalog.t -> Nra_sql.Ast.query -> t
+(** [ctes] binds statement-local relations by name; a FROM name is
+    looked up there before the catalog, so a CTE shadows a table.
+    @raise Error on unknown tables/columns, ambiguity, or an
     unsupported shape. *)
 
 val analyze_string : Catalog.t -> string -> (t, string) result

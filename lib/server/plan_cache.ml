@@ -159,12 +159,6 @@ let pp_stats ppf s =
     (if s.misses = 1 then "" else "es")
     (rate *. 100.0) s.invalidations s.evictions s.entries
 
-let hit_rate s =
-  let looked = s.hits + s.misses in
-  if looked = 0 then 0.0 else float_of_int s.hits /. float_of_int looked
-
-let clear t = Hashtbl.reset t.tbl
-
 let note () =
   let s = !global in
   let looked = s.hits + s.misses in

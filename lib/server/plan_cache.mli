@@ -62,12 +62,6 @@ type stats = {
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
-val hit_rate : stats -> float
-(** [hits / (hits + misses)], or [0.] before any lookup. *)
-
-val clear : t -> unit
-(** Drop every entry (counters are kept). *)
-
 val note : unit -> string option
 (** The [explain --costs] status line aggregated over every cache
     created so far, or [None] when no lookups have happened — wired

@@ -103,8 +103,8 @@ type command =
           subqueries *)
   | With_query of (string * statement) list * statement
       (** WITH n AS (…), … SELECT …: each common table expression is
-          materialized once, in order, and visible to later ones and to
-          the main statement *)
+          evaluated once, in order, and visible to later ones and to
+          the main statement; the parser rejects a repeated name *)
   | Update of string * (string * expr) list * cond option
       (** UPDATE t SET c = e, … [WHERE …]; assignments see the
           pre-update row, the WHERE may contain subqueries *)

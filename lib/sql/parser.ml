@@ -563,7 +563,10 @@ let with_query st =
   in
   let ctes = ref [ cte () ] in
   while try_op st "," do
-    ctes := cte () :: !ctes
+    let (name, _) as c = cte () in
+    if List.mem_assoc name !ctes then
+      fail st (Printf.sprintf "WITH name %s specified more than once" name);
+    ctes := c :: !ctes
   done;
   Ast.With_query (List.rev !ctes, statement st)
 

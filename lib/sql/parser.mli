@@ -17,7 +17,6 @@ val excerpt : string -> int -> string
 val render_error : located_error -> string
 (** ["<message> at offset <n>\n  <query excerpt>\n  ^"]. *)
 
-val parse_located : string -> (Ast.query, located_error) result
 val parse_command_located : string -> (Ast.command, located_error) result
 
 val parse : string -> Ast.query

@@ -37,10 +37,14 @@ let analysis env = env.analysis
 let clamp x = min 1.0 (max 0.0 x)
 let third = 1.0 /. 3.0
 
+(* a statement-local relation has no ANALYZE snapshot *)
+let table_stats env (bd : A.binding) =
+  match bd.A.source with Some name -> Catalog.stats env.cat name | None -> None
+
 let col_stats env (c : R.rcol) =
   match A.binding_of_col env.analysis c with
   | None -> None
-  | Some bd -> Catalog.stats env.cat bd.A.source
+  | Some bd -> table_stats env bd
                |> Fun.flip Option.bind (fun ts -> Table_stats.col ts c.R.col)
 
 let table_rows (bd : A.binding) =
@@ -209,7 +213,7 @@ let probe_fanout env (b : A.block) cols =
 
 let pages_per_value env (bd : A.binding) col ~fallback =
   match
-    Catalog.stats env.cat bd.A.source
+    table_stats env bd
     |> Fun.flip Option.bind (fun ts -> Table_stats.col ts col)
   with
   | Some cs when cs.Col_stats.pages_per_value > 0.0 ->

@@ -235,7 +235,7 @@ let pick ~remaining_io_ms ~remaining_rows = function
 
 let analyzed_tables cat (t : A.t) =
   List.sort_uniq String.compare
-    (List.map (fun (_, bd) -> bd.A.source) t.A.by_uid)
+    (List.filter_map (fun (_, bd) -> bd.A.source) t.A.by_uid)
   |> List.map (fun name -> (name, Catalog.stats cat name <> None))
 
 let report env =

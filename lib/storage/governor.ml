@@ -59,7 +59,6 @@ let reset () =
 
 let () = Iosim.on_reset reset
 let stats () = !st
-let live_bytes () = !live
 let bytes ~rows ~width = rows * width * slot_bytes
 
 let charge ~rows ~width =

@@ -32,7 +32,6 @@ type stats = {
 }
 
 val stats : unit -> stats
-val live_bytes : unit -> int
 
 val reset : unit -> unit
 (** Zero the ledger.  Also runs on every {!Iosim.reset}. *)
@@ -56,6 +55,3 @@ val with_staged :
     written to a spill partition and read back, page traffic
     charged). *)
 
-val over_budget : int -> bool
-(** Whether a staging of that many rows exceeds the enabled frame
-    budget (always false when the pool is disabled). *)

@@ -3,12 +3,12 @@
    surface at once.
 
    1. Crash chaos: for every frame budget {4, 8, 32, unbounded} x
-      domain count {0, 2, 4}, every statement of a small DML + WITH
-      corpus is crashed at every one of its fault points; recovery
-      must restore the byte-exact pre-statement catalog, twice
-      (idempotence).  WITH is the new coverage: CTE materialization
-      is WAL-logged, so a crash mid-statement can no longer leak a
-      temp table.
+      domain count {0, 2, 4}, every statement of a small DML corpus
+      is crashed at every one of its fault points; recovery must
+      restore the byte-exact pre-statement catalog, twice
+      (idempotence).  A WITH crashed at any of its fault points
+      leaves the catalog and its log as they were, with no recovery
+      at all: its CTEs are statement-local relations.
 
    2. Identity matrix: seeded random scheduler interleavings of
       corpus statements, per budget x domain x strategy, must each
@@ -87,8 +87,7 @@ let exec_ok cat sql =
 
 (* ---------- 1. crash chaos across budgets and domains ---------- *)
 
-(* one statement per WAL-logged shape, WITH included now that CTE
-   materialization logs Create/Drop records *)
+(* one statement per WAL-logged shape *)
 let chaos_corpus =
   [
     ( "insert-select",
@@ -98,11 +97,6 @@ let chaos_corpus =
       [],
       "update dept set budget = 0 where not exists (select * from emp \
        where emp.dept_id = dept.dept_id and emp.salary >= 70)" );
-    ( "with-materialize",
-      [],
-      "with rich as (select emp_id, ename, salary from emp where salary \
-       >= 60) select ename from rich where emp_id in (select lead_emp \
-       from project)" );
   ]
 
 let test_crash_chaos () =
@@ -154,20 +148,42 @@ let test_crash_chaos () =
         domain_counts)
     budgets
 
-(* a clean WITH leaves no trace either: temps dropped, WAL committed *)
+(* A WITH writes neither the catalog nor its log, so a crash at any of
+   its fault points, in any budget x domain configuration, leaves both
+   as they were: no recovery runs, and none is needed. *)
 let test_with_leaves_no_trace () =
-  let cat = fresh () in
-  let before = fingerprint cat in
-  (match
-     Nra.query cat
-       "with rich as (select emp_id, ename from emp where salary >= 60) \
-        select ename from rich"
-   with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
-  Alcotest.(check string) "catalog unchanged" before (fingerprint cat);
-  Alcotest.(check bool) "WAL has no torn statement" false
-    (Wal.needs_recovery cat)
+  let sql =
+    "with rich as (select emp_id, ename, salary from emp where salary >= \
+     60) select ename from rich where emp_id in (select lead_emp from \
+     project)"
+  in
+  List.iter
+    (fun (bname, frames) ->
+      List.iter
+        (fun domains ->
+          with_config ~frames ~domains @@ fun () ->
+          let cat = fresh () in
+          let d0 = Fault.draws () in
+          exec_ok cat sql;
+          let n = Fault.draws () - d0 in
+          let what k = Printf.sprintf "%s/d%d @%d/%d" bname domains k n in
+          Alcotest.(check bool) (what 0 ^ ": draws fault points") true (n > 0);
+          for k = 1 to n do
+            let cat = fresh () in
+            let before = fingerprint cat in
+            Fault.arm_crash ~at:(Fault.draws () + k);
+            (match Nra.exec cat sql with
+            | exception Fault.Crash _ -> ()
+            | Ok _ -> Alcotest.failf "%s: crash did not fire" (what k)
+            | Error m -> Alcotest.failf "%s: surfaced as error: %s" (what k) m);
+            Fault.disarm ();
+            Alcotest.(check string) (what k ^ ": catalog unchanged") before
+              (fingerprint cat);
+            Alcotest.(check bool) (what k ^ ": nothing to recover") false
+              (Wal.needs_recovery cat)
+          done)
+        domain_counts)
+    budgets
 
 (* startup repair: a torn WAL is healed by recover_if_needed, and a
    clean WAL reports nothing to do *)
@@ -299,8 +315,9 @@ let test_identity_matrix () =
         budgets)
     [ Nra.Nra_optimized; Nra.Auto ]
 
-(* WAL-logged CTE materialization under time-slicing: two WITH
-   statements with distinct temp names interleave and match serial *)
+(* WITH under time-slicing: CTEs are statement-local, so statements
+   that bind the same CTE name ([rich]) interleave freely and match
+   serial *)
 let test_with_under_interleaving () =
   let w1 =
     "with rich as (select emp_id, ename, salary from emp where salary >= \
@@ -308,13 +325,16 @@ let test_with_under_interleaving () =
   and w2 =
     "with leads as (select lead_emp from project where hours >= 10) \
      select ename from emp where emp_id in (select lead_emp from leads)"
+  and w3 =
+    "with rich as (select dept_id, dname from dept where budget >= 50) \
+     select dname from rich where dept_id in (select dept_id from emp)"
   in
   let cat = emp_dept_catalog () in
-  let serial = List.map (fun s -> Nra.query cat s) [ w1; w2 ] in
+  let serial = List.map (fun s -> Nra.query cat s) [ w1; w2; w3 ] in
   for seed = 0 to 4 do
     let results =
       interleaved_results ~seed ~strategy:Nra.Nra_optimized cat
-        [| w1; w2 |]
+        [| w1; w2; w3 |]
     in
     List.iteri
       (fun i want ->

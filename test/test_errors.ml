@@ -75,7 +75,8 @@ let test_malformed_corpus () =
       "create table emp (x int, primary key (x))";
       "drop table nosuch";
       "analyze nosuch";
-      "with emp as (select * from dept) select * from emp";
+      "with t as (select * from dept), t as (select * from emp) select * \
+       from t";
     ]
 
 let test_weird_but_no_escape () =
@@ -90,6 +91,7 @@ let test_weird_but_no_escape () =
       "select ename from emp where not (salary is null)";
       "with w as (select emp_id, ename from emp) select * from w where \
        emp_id in (select dept_id from dept)";
+      "with emp as (select * from dept) select * from emp";
       "select count(*) from emp group by dept_id having count(*) > 1";
       "select * from emp where manager_id = any (select emp_id from emp)";
     ]

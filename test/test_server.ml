@@ -286,6 +286,22 @@ let test_cache_invalidation_on_dml_and_analyze () =
   Alcotest.(check int) "only the query is cached" 1
     (cache_stats srv).Plan_cache.entries
 
+(* a WITH is a read: it bumps no generation, so the cached plan of a
+   query run before it still serves the run after it *)
+let test_cache_survives_with () =
+  let srv = server () in
+  let s = Server.session srv () in
+  Alcotest.(check int) "cold" 4 (ok_rows (Server.exec srv s nested_sql));
+  Alcotest.(check int) "the CTE's rows" 2
+    (ok_rows
+       (Server.exec srv s
+          "with dept as (select emp_id from emp where salary >= 80) select \
+           * from dept"));
+  Alcotest.(check int) "warm" 4 (ok_rows (Server.exec srv s nested_sql));
+  let c = cache_stats srv in
+  Alcotest.(check int) "the second run hits" 1 c.Plan_cache.hits;
+  Alcotest.(check int) "nothing invalidated" 0 c.Plan_cache.invalidations
+
 let test_cache_ja_shape_keyed_and_replanned () =
   let srv = server () in
   let s = Server.session srv () in
@@ -751,6 +767,8 @@ let () =
             test_cache_strategy_keyed;
           Alcotest.test_case "DML and ANALYZE invalidate" `Quick
             test_cache_invalidation_on_dml_and_analyze;
+          Alcotest.test_case "a WITH leaves cached plans valid" `Quick
+            test_cache_survives_with;
           Alcotest.test_case "JA shape keyed and re-planned" `Quick
             test_cache_ja_shape_keyed_and_replanned;
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
