@@ -18,9 +18,6 @@ type func =
 
 type spec = { func : func; as_name : string }
 
-val output_type : Schema.t -> func -> Ttype.t
-(** Result type of an aggregate over the given input schema. *)
-
 val group_by : keys:int list -> spec list -> Relation.t -> Relation.t
 (** Output schema: the key columns, then one column per aggregate (table
     qualifier [""], name [as_name]).  Groups appear in order of first

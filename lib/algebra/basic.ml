@@ -60,20 +60,25 @@ let select ?batch pred rel =
 
 let project_cols idxs rel = Relation.project rel idxs
 
-let project_exprs items rel =
+let project_exprs ?sel items rel =
   let schema = Schema.of_columns (List.map snd items) in
   let exprs = Array.of_list (List.map fst items) in
   let n = Array.length exprs in
   (* each output row is filled in place, in expression order, without a
      partially applied [eval_scalar] per row *)
-  Relation.map_rows schema
-    (fun row ->
-      let out = Array.make n Value.Null in
-      for j = 0 to n - 1 do
-        out.(j) <- Expr.eval_scalar row exprs.(j)
-      done;
-      out)
-    rel
+  let project row =
+    let out = Array.make n Value.Null in
+    for j = 0 to n - 1 do
+      out.(j) <- Expr.eval_scalar row exprs.(j)
+    done;
+    out
+  in
+  match sel with
+  | None -> Relation.map_rows schema project rel
+  | Some (sel, count) ->
+      let rows = Relation.rows rel in
+      Relation.make schema
+        (Array.init count (fun k -> project rows.(Array.unsafe_get sel k)))
 
 (* The output cardinality is known exactly, so fill a pre-sized array
    instead of reversing an accumulated list. *)

@@ -23,9 +23,13 @@ val selection :
 val project_cols : int list -> Relation.t -> Relation.t
 (** π over column positions (duplicates preserved — SQL bag π). *)
 
-val project_exprs : (Expr.scalar * Schema.column) list -> Relation.t ->
+val project_exprs :
+  ?sel:int array * int -> (Expr.scalar * Schema.column) list -> Relation.t ->
   Relation.t
-(** Generalized π: each output column is a computed expression. *)
+(** Generalized π: each output column is a computed expression.  With
+    [~sel:(sel, count)] only rows [sel.(0)] ... [sel.(count - 1)] are
+    projected, in that order, as if the relation had been gathered
+    through them first; no gathered row is built. *)
 
 val product : Relation.t -> Relation.t -> Relation.t
 (** Cartesian product; output schema is left ++ right. *)

@@ -56,14 +56,16 @@ let charge_scan_chunked ?table n =
       done
 
 (* The scan every block input starts with: one checkpoint and one
-   charged scan per base table. *)
+   charged scan per base table.  Pages are keyed by the catalog table
+   a binding reads, not by its alias, so two bindings of one table
+   share them; a statement-local relation (a CTE) has no pages in the
+   pool and is charged as a plain sequential scan. *)
 let scan ~charge (b : Analyze.block) =
   Nra_guard.Guard.tick ();
   if charge then
     List.iter
       (fun (bd : Analyze.binding) ->
-        charge_scan_chunked
-          ~table:(Table.name bd.Analyze.table)
+        charge_scan_chunked ?table:bd.Analyze.source
           (Table.cardinality bd.Analyze.table))
       b.Analyze.bindings
 

@@ -17,17 +17,15 @@ val to_pred : Schema.t -> Resolved.rcond list -> Expr.pred
 
 val to_scalar : Schema.t -> Resolved.rexpr -> Expr.scalar
 
-val cond_uids : Resolved.rcond -> string list
-val applicable : uids:string list -> Resolved.rcond -> bool
-(** Does the condition reference only the given binding uids? *)
-
 val charge_scan_chunked : ?table:string -> int -> unit
 (** Charge a sequential scan of that many rows, chunked so budget
     checks and preemption happen every few pages.  With [~table] and
     the buffer pool enabled, the scan instead goes through the pool
     page by page — resident pages free, misses charged — so repeated
     scans of a small table cost what the paper's 32 MB buffer cache
-    would make them cost. *)
+    would make them cost.  [~table] names the catalog table (a
+    binding's [source]), never an alias, so every binding of one table
+    reads the same pages. *)
 
 val block_relation : ?charge:bool -> Analyze.block -> Relation.t
 (** The block's tables inner-joined under its local conjuncts (pushed

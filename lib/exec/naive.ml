@@ -124,7 +124,7 @@ let rec compile ?(use_indexes = true) cat (t : A.t) outer_schema
   let scan_charges =
     List.map
       (fun (bd : A.binding) ->
-        (Table.name bd.A.table, Table.cardinality bd.A.table))
+        (bd.A.source, Table.cardinality bd.A.table))
       b.A.bindings
   in
   (* lazy qualifying sequence over concatenated (outer ++ inner) rows;
@@ -144,7 +144,7 @@ let rec compile ?(use_indexes = true) cat (t : A.t) outer_schema
           List.iter
             (fun (name, n) ->
               if Nra_storage.Bufpool.enabled () then
-                Frame.charge_scan_chunked ~table:name n
+                Frame.charge_scan_chunked ?table:name n
               else
                 Nra_storage.Fault.retrying Nra_storage.Iosim.charge_scan_rows
                   n)

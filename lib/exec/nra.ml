@@ -50,6 +50,32 @@ let block_positions schema (blk : A.block) =
     (Schema.columns schema);
   Array.of_list (List.rev !acc)
 
+(* ---------- frames ---------- *)
+
+(* A frame is a relation's base rows plus an optional selection
+   [(sel, count)]: frame row [i] is base row [sel.(i)], for
+   [i < count].  A one-table block's filter ({!Frame.with_block_input})
+   and every σ site hand their frame on that way, as positions in a
+   buffer borrowed from {!Scratch} that lives until the frame's
+   consumer ends; a consumer that needs rows (the wide outer join, a
+   σ̄ site's padding, [run_where]'s caller) gathers them once. *)
+let frame_rows rel sel =
+  let rows = Relation.rows rel in
+  match sel with
+  | None -> (Array.length rows, Array.get rows)
+  | Some (s, count) -> (count, fun i -> rows.(Array.unsafe_get s i))
+
+let frame_count rel = function
+  | None -> Relation.cardinality rel
+  | Some (_, count) -> count
+
+let base_pos sel i =
+  match sel with None -> i | Some (s, _) -> Array.unsafe_get s i
+
+let gathered rel = function
+  | None -> rel
+  | Some (sel, count) -> Relation.gather rel sel count
+
 (* ---------- nest + linking selection ---------- *)
 
 type mode = Discard | Pad of int array
@@ -66,6 +92,47 @@ let emit mode verdict key out =
   else
     match mode with Discard -> out | Pad pad -> padded pad key :: out
 
+(* A site that decides its outer frame row by row writes its output
+   into [out] as it goes: base position [p] keeps base row [p], and
+   under σ̄, [-p - 1] keeps it padded. *)
+let record mode out kept p verdict =
+  if T3.to_bool verdict then begin
+    out.(!kept) <- p;
+    incr kept
+  end
+  else
+    match mode with
+    | Discard -> ()
+    | Pad _ ->
+        out.(!kept) <- -p - 1;
+        incr kept
+
+(* The output frame of such a site over [rel] through [sel].  [fill out]
+   decides the frame and returns how many entries it [record]ed.  The
+   buffer is borrowed before the site's own scopes (its child's input,
+   the probe's vectors), which end before [k] runs.  Under σ it is the
+   next frame's selection over the same base rows and lives until [k]
+   ends; under σ̄ the rows are built (a padded row is new) and the
+   buffer is returned first. *)
+let site_output mode rel sel ~sorted_prefix k fill =
+  let n = frame_count rel sel in
+  match mode with
+  | Discard ->
+      Scratch.with_ints n @@ fun out ->
+      let kept = fill out in
+      k rel (Some (out, kept)) sorted_prefix
+  | Pad pad ->
+      let rows = Relation.rows rel in
+      let rel' =
+        Scratch.with_ints n @@ fun out ->
+        let kept = fill out in
+        Relation.make (Relation.schema rel)
+          (Array.init kept (fun j ->
+               let p = out.(j) in
+               if p >= 0 then rows.(p) else padded pad rows.(-p - 1)))
+      in
+      k rel' None sorted_prefix
+
 (* a fused nest ([assume_sorted] confirmed by the runtime [sorted]
    flag) takes the single-pass run scan, which on key-sorted input
    produces exactly the groups (and group order) the materialized nest
@@ -73,32 +140,48 @@ let emit mode verdict key out =
 let nest_pipelined (nest : Plan.nest) ~sorted =
   nest.Plan.pipelined || (nest.Plan.assume_sorted && sorted)
 
-(* The staging relation holds the nest-by attributes as a prefix and the
-   keep columns after them; [nest_select] computes υ followed by the
-   linking selection, either as two materialized passes (original) or
-   fused into one group scan over sorted input (optimized, at a site
-   whose wide frame fed its grandchildren; other pipelined sites take
-   [fused_nest_select] and never stage).  Either way the output is
+(* a keep expression read in place from a wide-frame row *)
+let keep_reader (lk : Linkeval.t) pos =
+  match fst (List.nth lk.keep pos) with
+  | Expr.Col j -> fun row -> row.(j)
+  | s -> fun row -> Expr.eval_scalar row s
+
+(* [nest_select] computes υ followed by the linking selection over the
+   wide frame ([wide] through [sel]), whose key attributes are its
+   first [key_arity] columns, either as two materialized passes over a
+   staging of the keys and the keep columns (original) or fused into one
+   group scan over key-sorted input (optimized, at a site whose wide
+   frame fed its grandchildren; other pipelined sites take
+   [fused_nest_select]).  The fused scan sorts the frame's positions,
+   not rows, and reads each element's linked value and marker in place
+   from its wide row, so it builds no staging; the governor is charged
+   the staging the original builds either way.  The output is
    key-sorted, and each group's verdict is one pass of the site's
    [Link_pred] fold. *)
-let nest_select nest st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted wide =
+let nest_select nest st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted ?sel
+    wide =
   let t0 = now () in
-  let pipelined = nest_pipelined nest ~sorted in
   let key_arity = Schema.arity key_schema in
-  let prefix =
-    List.init key_arity (fun i -> (Expr.Col i, Schema.col key_schema i))
-  in
-  let staging = Nra_algebra.Basic.project_exprs (prefix @ lk.keep) wide in
   let by = Array.init key_arity Fun.id in
   let f = LP.fold lk.pred in
-  (* the pre-nest flat staging is governed: charged to the memory
-     ledger and routed through a spill partition when it would not fit
-     the frame budget (byte-identical either way) *)
+  let n, row = frame_rows wide sel in
+  (* the pre-nest staging is governed: charged to the memory ledger and
+     routed through a spill partition when it would not fit the frame
+     budget (byte-identical either way) *)
+  let staged =
+    Nra_storage.Governor.with_staged ~rows:n
+      ~width:(key_arity + List.length lk.keep)
+  in
   let result =
-    Nra_storage.Governor.with_staged staging
-    @@ fun staging ->
-    if not pipelined then begin
+    if not (nest_pipelined nest ~sorted) then begin
       (* original: materialize the nested relation, then select *)
+      let prefix =
+        List.init key_arity (fun i -> (Expr.Col i, Schema.col key_schema i))
+      in
+      let staging =
+        Nra_algebra.Basic.project_exprs ?sel (prefix @ lk.keep) wide
+      in
+      staged @@ fun () ->
       let keep_pos =
         Array.init (List.length lk.keep) (fun i -> key_arity + i)
       in
@@ -115,50 +198,52 @@ let nest_select nest st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted wide =
         grouped.Nra_nested.Grouped.groups;
       Relation.of_rows key_schema (List.rev !out)
     end
-    else begin
-      (* optimized: single pass over (at most once re-)sorted input; the
-         run scan needs adjacent groups, so sortedness is mandatory.
-         Each element's linked value and marker are read in place from
-         its staging row. *)
-      let staging =
-        if sorted then staging else Relation.sort_by by staging
+    else
+      staged @@ fun () ->
+      (* optimized: single pass over (at most once re-)sorted positions;
+         the run scan needs adjacent groups, so sortedness is mandatory.
+         A stable sort of positions by the key prefix orders the rows as
+         a stable sort of their staging rows would. *)
+      let pos =
+        if sorted then Fun.id
+        else begin
+          let order = Array.init n Fun.id in
+          Array.stable_sort
+            (fun i j -> Row.compare_on by (row i) (row j))
+            order;
+          Array.get order
+        end
       in
-      let rows = Relation.rows staging in
-      let n = Array.length rows in
-      let linked = Option.map (fun i -> key_arity + i) lk.linked in
-      let marker = Option.map (fun i -> key_arity + i) lk.marker in
+      let linked =
+        match lk.linked with
+        | Some p -> keep_reader lk p
+        | None -> fun _ -> Value.Null
+      in
+      let padding =
+        match lk.marker with
+        | Some p ->
+            let m = keep_reader lk p in
+            fun r -> Value.is_null (m r)
+        | None -> fun _ -> false
+      in
       let out = ref [] in
       let i = ref 0 in
       while !i < n do
         Nra_guard.Guard.tick ();
-        let start = !i in
-        let key = Row.project_arr rows.(start) by in
+        let first = row (pos !i) in
+        let key = Row.project_arr first by in
         LP.start f ~outer:key;
-        while !i < n && Row.equal_on by rows.(start) rows.(!i) do
-          let row = rows.(!i) in
-          (match marker with
-          | Some m when Value.is_null row.(m) -> ()
-          | _ ->
-              if not (LP.decided f) then
-                LP.step f
-                  (match linked with Some l -> row.(l) | None -> Value.Null));
+        while !i < n && Row.equal_on by first (row (pos !i)) do
+          let r = row (pos !i) in
+          if not (padding r || LP.decided f) then LP.step f (linked r);
           incr i
         done;
         out := emit mode (LP.finish f) key !out
       done;
       Relation.of_rows key_schema (List.rev !out)
-    end
   in
   st.nest_select_seconds <- st.nest_select_seconds +. (now () -. t0);
   result
-
-(* An outer frame handed on as a one-table block's base rows plus the
-   selection vector of its filter ({!Frame.with_block_input}),
-   or as a relation ([None]); a consumer that cannot read through the
-   selection gathers the rows [block_relation] would have built. *)
-let gathered rel = function
-  | None -> rel
-  | Some (sel, count) -> Relation.gather rel sel count
 
 (* Are the [n] rows [row 0] ... [row (n - 1)] already in [Row.compare]
    order?  Then a stable sort of their positions is the identity. *)
@@ -174,11 +259,10 @@ let in_key_order n row =
    linking selection folds over them as it goes, so neither the wide
    product, a staging copy, nor an element row is built, and only the
    (narrow) outer rows are sorted — unless they are already in key
-   order.  The output is listed as outer positions in a borrowed
-   buffer and gathered once.  An outer frame that arrives as base rows
-   plus a selection vector ([osel]) is read through it throughout: the
-   offset vectors, the sort and the output list are indexed by selected
-   position, and only the kept rows are ever gathered.
+   order.  The outer frame ([rel] through [osel]) is read through its
+   selection throughout: the offset vectors and the sort are indexed by
+   frame position, and each group's verdict is [record]ed into [out]
+   under its first row's base position.
 
    Byte-identical to joining, staging, stably sorting the staging on
    the outer columns and scanning runs: the staging row of outer row
@@ -193,7 +277,7 @@ let in_key_order n row =
    frame; only one that reads an outer column evaluates on the
    concatenated row. *)
 let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted ?osel
-    rel child_rel (m : J.matches) =
+    ~out rel child_rel (m : J.matches) =
   let t0 = now () in
   let crows = Relation.rows child_rel in
   let key_arity = Schema.arity key_schema in
@@ -222,12 +306,7 @@ let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted ?osel
     if not (padding lrow rrow || LP.decided f) then
       LP.step f (linked lrow rrow)
   in
-  let outer = Relation.rows rel in
-  let n, row =
-    match osel with
-    | None -> (Array.length outer, Array.get outer)
-    | Some (sel, count) -> (count, fun i -> outer.(Array.unsafe_get sel i))
-  in
+  let n, row = frame_rows rel osel in
   let pos =
     if sorted || in_key_order n row then Fun.id
     else begin
@@ -236,9 +315,6 @@ let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted ?osel
       Array.get order
     end
   in
-  (* the output, as outer positions into a borrowed buffer: [i] keeps
-     outer row [i], [-i - 1] keeps it padded *)
-  Scratch.with_ints n @@ fun out ->
   let kept = ref 0 in
   let k = ref 0 in
   while !k < n do
@@ -256,29 +332,10 @@ let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted ?osel
         done;
       incr k
     done;
-    if T3.to_bool (LP.finish f) then begin
-      out.(!kept) <- first;
-      incr kept
-    end
-    else begin
-      match mode with
-      | Discard -> ()
-      | Pad _ ->
-          out.(!kept) <- -first - 1;
-          incr kept
-    end
+    record mode out kept (base_pos osel first) (LP.finish f)
   done;
-  let rows =
-    Array.init !kept (fun k ->
-        let i = out.(k) in
-        if i >= 0 then row i
-        else
-          match mode with
-          | Pad pad -> padded pad (row (-i - 1))
-          | Discard -> assert false)
-  in
   st.nest_select_seconds <- st.nest_select_seconds +. (now () -. t0);
-  Relation.make key_schema rows
+  !kept
 
 (* ---------- the recursive driver ---------- *)
 
@@ -310,23 +367,16 @@ let record_intermediate st n =
   Nra_storage.Fault.retrying Nra_storage.Iosim.charge_fetch_rows n
 
 (* Per-row application of a linking predicate whose sets are keyed
-   apart from the outer relation (virtual-cartesian-product and
-   push-down paths).  An outer frame handed on as base rows plus a
-   selection ([?sel]) is read through it. *)
-let rowwise mode decide ?sel rel =
-  let rows = Relation.rows rel in
-  let out = ref [] in
-  let visit row =
+   apart from the outer frame (virtual-cartesian-product and push-down
+   paths), [record]ed into [out]. *)
+let rowwise mode decide ?sel rel out =
+  let n, row = frame_rows rel sel in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
     Nra_guard.Guard.tick ();
-    out := emit mode (decide row) row !out
-  in
-  (match sel with
-  | None -> Array.iter visit rows
-  | Some (s, count) ->
-      for i = 0 to count - 1 do
-        visit rows.(s.(i))
-      done);
-  Relation.of_rows (Relation.schema rel) (List.rev !out)
+    record mode out kept (base_pos sel i) (decide (row i))
+  done;
+  !kept
 
 (* The executor runs the plan as given: each node's [impl] picks one of
    the five linking-site implementations, and its [discard_ok] picks σ
@@ -347,29 +397,39 @@ let check_plan (p : Plan.t) =
     (Plan.nodes p)
     (Plan.nodes (Plan.renormalize p))
 
-(* [?sel]: the block's outer frame arrives as base rows plus a
-   selection ([gathered]); only the first site sees it, since every site
-   hands the next one a relation *)
-let rec process st ?sel (rel, sorted_prefix) (p : A.block) nodes =
+(* where a site hands its output frame: base rows, selection, and how
+   many leading columns are known sorted *)
+type 'a frame_k = Relation.t -> (int array * int) option -> int -> 'a
+
+(* The block's sites, in order, over the frame [rel] through [?sel]
+   whose first [sorted_prefix] columns are known sorted; [k] receives
+   the last site's output frame. *)
+let rec process :
+    'a. stats -> ?sel:int array * int -> Relation.t * int -> A.block ->
+    Plan.node list -> 'a frame_k -> 'a =
+ fun st ?sel (rel, sorted_prefix) p nodes k ->
   match nodes with
-  | [] -> (gathered rel sel, sorted_prefix)
+  | [] -> k rel sel sorted_prefix
   | n :: rest ->
-      process st (apply_child st ~parent:p ?sel (rel, sorted_prefix) n) p rest
+      apply_child st ~parent:p ?sel (rel, sorted_prefix) n
+      @@ fun rel sel sorted_prefix ->
+      process st ?sel (rel, sorted_prefix) p rest k
 
-and reduce_standalone st (n : Plan.node) : Relation.t =
+(* a child reduced standalone — its block's input
+   ({!Frame.with_block_input}) under the child's own sites — handed to
+   [f] as a frame *)
+and with_reduced :
+    'a. stats -> Plan.node ->
+    (Relation.t -> (int array * int) option -> 'a) -> 'a =
+ fun st n f ->
   let b = n.Plan.child.A.block in
-  let rel = Frame.block_relation b in
-  let rel', _ = process st (rel, 0) b n.Plan.sub in
-  rel'
+  Frame.with_block_input b @@ fun rel sel ->
+  process st ?sel (rel, 0) b n.Plan.sub (fun rel sel _ -> f rel sel)
 
-(* a standalone child reduced, handed to [f]; a leaf child block that
-   is one filtered table is handed on as its base rows plus the
-   filter's selection vector ({!Frame.with_block_input}) *)
-and with_reduced st (n : Plan.node) f =
-  if n.Plan.sub = [] then Frame.with_block_input n.Plan.child.A.block f
-  else f (reduce_standalone st n) None
-
-and apply_child st ~parent ?sel (rel, sorted_prefix) (n : Plan.node) =
+and apply_child :
+    'a. stats -> parent:A.block -> ?sel:int array * int ->
+    Relation.t * int -> Plan.node -> 'a frame_k -> 'a =
+ fun st ~parent ?sel (rel, sorted_prefix) n k ->
   let c = n.Plan.child in
   let b = c.A.block in
   let key_schema = Relation.schema rel in
@@ -385,6 +445,9 @@ and apply_child st ~parent ?sel (rel, sorted_prefix) (n : Plan.node) =
       (* virtual Cartesian product: the subquery is evaluated once and
          its value set — one set, under the empty key — shared by every
          outer tuple *)
+      site_output mode rel sel
+        ~sorted_prefix:(min sorted_prefix sp_after_select) k
+      @@ fun out ->
       with_reduced st n @@ fun child_rel csel ->
       let lk =
         Linkeval.compile ~key_schema ~wide_schema:(Relation.schema child_rel)
@@ -392,13 +455,14 @@ and apply_child st ~parent ?sel (rel, sorted_prefix) (n : Plan.node) =
       in
       Linkeval.with_group ?sel:csel lk ~keys:[||] ~probe:[||] ~tick:false
         (Relation.rows child_rel)
-      @@ fun set ->
-      (rowwise mode (Linkeval.decide set) ?sel rel,
-       min sorted_prefix sp_after_select)
+      @@ fun set -> rowwise mode (Linkeval.decide set) ?sel rel out
   | Plan.Push_down ->
       (* §4.2.4: chain the reduced child by its correlation key once;
          probe per outer tuple *)
       let pairs = Option.get b.A.equi_correlation in
+      site_output mode rel sel
+        ~sorted_prefix:(min sorted_prefix sp_after_select) k
+      @@ fun out ->
       with_reduced st n @@ fun child_rel csel ->
       let cschema = Relation.schema child_rel in
       let lk =
@@ -410,13 +474,12 @@ and apply_child st ~parent ?sel (rel, sorted_prefix) (n : Plan.node) =
         ~probe:(Linkeval.outer_keys key_schema pairs)
         ~tick:false
         (Relation.rows child_rel)
-      @@ fun groups ->
-      (rowwise mode (Linkeval.decide groups) ?sel rel,
-       min sorted_prefix sp_after_select)
+      @@ fun groups -> rowwise mode (Linkeval.decide groups) ?sel rel out
   | Plan.Semijoin ->
-      (* §4.2.5: σ_{AθSOME{B}}(υ(R ⟕_C S)) = R ⋉_{C ∧ AθB} S *)
-      let rel = gathered rel sel in
-      let child_rel = Frame.block_relation b in
+      (* §4.2.5: σ_{AθSOME{B}}(υ(R ⟕_C S)) = R ⋉_{C ∧ AθB} S, which
+         keeps the outer frame's rows that have a match, in order *)
+      site_output mode rel sel ~sorted_prefix k @@ fun out ->
+      Frame.with_block_input b @@ fun child_rel csel ->
       let concat = Schema.append key_schema (Relation.schema child_rel) in
       let corr = Frame.to_pred concat b.A.correlated in
       let on =
@@ -435,22 +498,31 @@ and apply_child st ~parent ?sel (rel, sorted_prefix) (n : Plan.node) =
         | _ -> assert false
       in
       let t0 = now () in
-      let rel' = J.join J.Semi ~on rel child_rel in
+      J.with_matches ~on ?left_sel:sel ?sel:csel rel child_rel @@ fun m ->
+      let kept = ref 0 in
+      for i = 0 to frame_count rel sel - 1 do
+        if m.J.len.(i) > 0 then begin
+          out.(!kept) <- base_pos sel i;
+          incr kept
+        end
+      done;
       st.join_seconds <- st.join_seconds +. (now () -. t0);
-      (rel', sorted_prefix) (* semijoin preserves left order *)
+      !kept
   | Plan.Bottom_up nest ->
       (* §4.2.3: reduce the subquery standalone, then one outer join
          and one nest+selection at this level *)
-      let child_red = reduce_standalone st n in
-      join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select ?sel rel
-        n (`Reduced child_red)
+      join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select
+        ~standalone:true ?sel rel n k
   | Plan.Top_down nest ->
       (* Algorithm 1, general top-down case *)
-      join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select ?sel rel
-        n (`Block b)
+      join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select
+        ~standalone:false ?sel rel n k
 
-and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select ?sel rel
-    (n : Plan.node) child =
+and join_nest_select :
+    'a. stats -> Plan.nest -> mode:mode -> sorted_prefix:int ->
+    sp_after_select:int -> standalone:bool -> ?sel:int array * int ->
+    Relation.t -> Plan.node -> 'a frame_k -> 'a =
+ fun st nest ~mode ~sorted_prefix ~sp_after_select ~standalone ?sel rel n k ->
   let c = n.Plan.child in
   let b = c.A.block in
   let key_schema = Relation.schema rel in
@@ -461,30 +533,22 @@ and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select ?sel rel
     let concat = Schema.append key_schema (Relation.schema child_rel) in
     (concat, Frame.to_pred concat b.A.correlated)
   in
-  let recurse = match child with `Block _ -> true | `Reduced _ -> false in
-  let feeds_grandchildren = recurse && n.Plan.sub <> [] in
+  let feeds_grandchildren = (not standalone) && n.Plan.sub <> [] in
   let sorted = sorted_prefix >= key_arity in
   if (not feeds_grandchildren) && nest_pipelined nest ~sorted then begin
-    (* a one-table child block with a filter is probed as its base rows
-       through the filter's selection vector, and so is an outer frame
-       handed on that way *)
-    let with_input f =
-      match child with
-      | `Reduced r -> f r None
-      | `Block b -> Frame.with_block_input b f
-    in
-    with_input @@ fun child_rel csel ->
+    (* the child frame — a one-table child block through its filter's
+       selection vector, or a standalone reduction's output — is probed
+       as it is handed on, and so is the outer frame *)
+    site_output mode rel sel ~sorted_prefix:sp_after_select k @@ fun out ->
+    with_reduced st n @@ fun child_rel csel ->
     let concat, on = concat_on child_rel in
     let t0 = now () in
     J.with_matches ~on ?left_sel:sel ?sel:csel rel child_rel @@ fun m ->
     st.join_seconds <- st.join_seconds +. (now () -. t0);
     (* the logical wide cardinality: one row per match, one padded row
        per unmatched outer row *)
-    let nouter =
-      match sel with Some (_, c) -> c | None -> Relation.cardinality rel
-    in
     let wide_rows = ref 0 in
-    for i = 0 to nouter - 1 do
+    for i = 0 to frame_count rel sel - 1 do
       wide_rows := !wide_rows + max 1 m.J.len.(i)
     done;
     let wide_rows = !wide_rows in
@@ -492,52 +556,54 @@ and join_nest_select st nest ~mode ~sorted_prefix ~sp_after_select ?sel rel
     let lk =
       Linkeval.compile ~key_schema ~wide_schema:concat ~with_marker:true c
     in
-    let rel' =
+    let kept =
       Nra_storage.Governor.with_charged ~rows:wide_rows
         ~width:(Schema.arity concat) (fun () ->
-          fused_nest_select st ~key_schema ~lk ~mode ~sorted ?osel:sel rel
-            child_rel m)
+          fused_nest_select st ~key_schema ~lk ~mode ~sorted ?osel:sel ~out
+            rel child_rel m)
     in
     st.fused_sites <- st.fused_sites + 1;
-    (rel', sp_after_select)
+    kept
   end
   else begin
-    let rel = gathered rel sel in
     let child_rel =
-      match child with `Reduced r -> r | `Block b -> Frame.block_relation b
+      if standalone then with_reduced st n gathered
+      else Frame.block_relation b
     in
+    let rel = gathered rel sel in
     let _, on = concat_on child_rel in
     let t0 = now () in
     let wide = J.join J.Left_outer ~on rel child_rel in
     st.join_seconds <- st.join_seconds +. (now () -. t0);
     record_intermediate st (Relation.cardinality wide);
-    let wide, wide_sorted_prefix =
-      if recurse then
-        process st (wide, sorted_prefix) b n.Plan.sub
-      else (wide, sorted_prefix)
-    in
-    let lk =
-      Linkeval.compile ~key_schema ~wide_schema:(Relation.schema wide)
-        ~with_marker:true c
-    in
-    let rel' =
-      (* the wide join product stays live while its staging is projected
-         and nested — charge it for that extent so the governor's
-         high-water mark reflects both *)
+    let nest_over wide wsel wide_sorted_prefix =
+      let lk =
+        Linkeval.compile ~key_schema ~wide_schema:(Relation.schema wide)
+          ~with_marker:true c
+      in
+      (* the wide join product stays live while it is nested — charge
+         it for that extent so the governor's high-water mark reflects
+         both *)
       Nra_storage.Governor.with_charged
-        ~rows:(Relation.cardinality wide)
+        ~rows:(frame_count wide wsel)
         ~width:(Schema.arity (Relation.schema wide))
         (fun () ->
           nest_select nest st ~key_schema ~lk ~mode
             ~sorted:(wide_sorted_prefix >= key_arity)
-            wide)
+            ?sel:wsel wide)
     in
-    (rel', sp_after_select)
+    let rel' =
+      if standalone then nest_over wide None sorted_prefix
+      else process st (wide, sorted_prefix) b n.Plan.sub nest_over
+    in
+    k rel' None sp_after_select
   end
 
 (* ---------- entry points ---------- *)
 
-let run_where ?(options = optimized) ?directives _cat (t : A.t) =
+(* The root frame as the root block's input ({!Frame.with_block_input})
+   under the plan's sites, handed to [k] with the cost counters. *)
+let with_where ?(options = optimized) ?directives (t : A.t) k =
   let plan =
     match directives with
     | Some (p : Plan.t) when p.Plan.analyzed != t ->
@@ -555,16 +621,16 @@ let run_where ?(options = optimized) ?directives _cat (t : A.t) =
       fused_sites = 0;
     }
   in
-  (* the root frame as base rows plus a selection where it is one
-     filtered table: a fused site reads through it, any other consumer
-     gathers exactly the rows [block_relation] builds *)
   Frame.with_block_input t.A.root @@ fun rel sel ->
-  let rel', _ = process st ?sel (rel, 0) t.A.root plan.Plan.roots in
-  (rel', st)
+  process st ?sel (rel, 0) t.A.root plan.Plan.roots (fun rel sel _ ->
+      k rel sel st)
 
-let run ?options ?directives cat t =
-  let rel, _ = run_where ?options ?directives cat t in
-  Post.apply t.A.output rel
+let run_where ?options ?directives _cat t =
+  with_where ?options ?directives t (fun rel sel st -> (gathered rel sel, st))
+
+let run ?options ?directives _cat (t : A.t) =
+  with_where ?options ?directives t (fun rel sel _ ->
+      Post.apply ?sel t.A.output rel)
 
 (* ---------- plan rendering (no execution) ---------- *)
 

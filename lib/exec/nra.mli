@@ -76,7 +76,8 @@ val run_where :
   Catalog.t ->
   Analyze.t ->
   Relation.t * stats
-(** Outer-frame rows satisfying WHERE, plus cost counters.  Runs the
+(** Outer-frame rows satisfying WHERE, gathered into a relation of
+    their own, plus cost counters.  Runs the
     plan [directives] (a rewritten plan of this very [Analyze.t]) as
     given, or [Plan.lift ~base:options] (default {!optimized}) when it
     is absent.
@@ -91,7 +92,11 @@ val run :
   Catalog.t ->
   Analyze.t ->
   Relation.t
-(** [run_where] followed by output post-processing. *)
+(** [run_where] followed by output post-processing, except that the
+    WHERE rows are not gathered: a frame that leaves the last site as
+    base rows plus a selection is post-processed through it
+    ([Post.apply ~sel]), so a result row is the only row built for
+    it. *)
 
 val plan_description : Plan.t -> string
 (** The operator pipeline the plan runs (the paper's Figure 3b query

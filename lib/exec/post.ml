@@ -55,9 +55,14 @@ let guess_type schema scalar =
   | Expr.Const (Value.Bool _) -> Ttype.Bool
   | _ -> Ttype.Float
 
+(* a relation this module builds, staged under the memory governor *)
+let governed rel =
+  Nra_storage.Governor.with_staged ~rows:(Relation.cardinality rel)
+    ~width:(Schema.arity (Relation.schema rel))
+
 (* Project select columns plus hidden ORDER BY keys, sort, then drop the
-   hidden columns. *)
-let project_sort_limit ~to_scalar ~(output : A.output) rel =
+   hidden columns.  [?sel] names the frame rows, read in place. *)
+let project_sort_limit ?sel ~to_scalar ~(output : A.output) rel =
   let schema = Relation.schema rel in
   let select_cols =
     List.map
@@ -86,13 +91,12 @@ let project_sort_limit ~to_scalar ~(output : A.output) rel =
       order_scalars
   in
   let projected =
-    Nra_algebra.Basic.project_exprs (select_cols @ hidden) rel
+    Nra_algebra.Basic.project_exprs ?sel (select_cols @ hidden) rel
   in
   (* the post-processing projection buffer (select + hidden ORDER BY
      keys) is governed: charged to the memory ledger, spilled through
      the pool when it exceeds the frame budget *)
-  Nra_storage.Governor.with_staged projected
-  @@ fun projected ->
+  governed projected @@ fun () ->
   let projected =
     if output.A.distinct then
       if hidden = [] then Nra_algebra.Basic.distinct projected
@@ -146,7 +150,7 @@ let project_sort_limit ~to_scalar ~(output : A.output) rel =
 
 (* ---------- aggregated path ---------- *)
 
-let apply_grouped (output : A.output) rel =
+let apply_grouped ?sel (output : A.output) rel =
   let schema = Relation.schema rel in
   (* collect distinct aggregate calls from SELECT, HAVING, ORDER BY *)
   let aggs =
@@ -177,12 +181,11 @@ let apply_grouped (output : A.output) rel =
       Array.to_list (Schema.columns schema)
       |> List.mapi (fun i c -> (Expr.Col i, c))
     in
-    Nra_algebra.Basic.project_exprs (key_cols @ identity_cols) rel
+    Nra_algebra.Basic.project_exprs ?sel (key_cols @ identity_cols) rel
   in
   (* the aggregation staging (group keys + identity frame) is governed
      like every other staged intermediate *)
-  Nra_storage.Governor.with_staged staged
-  @@ fun staged ->
+  governed staged @@ fun () ->
   let nkeys = List.length key_exprs in
   let to_spec i (a : A.agg_call) =
     let arg =
@@ -274,12 +277,12 @@ let apply_grouped (output : A.output) rel =
     ~output:{ output with A.group_by = []; having = None }
     filtered
 
-let apply (output : A.output) rel =
+let apply ?sel (output : A.output) rel =
   let has_aggs =
     output.A.group_by <> []
     || output.A.having <> None (* HAVING without GROUP BY = global agg *)
     || List.exists (fun (e, _) -> oexpr_has_agg e) output.A.select
     || List.exists (fun (e, _) -> oexpr_has_agg e) output.A.order_by
   in
-  if has_aggs then apply_grouped output rel
-  else project_sort_limit ~to_scalar:plain_scalar ~output rel
+  if has_aggs then apply_grouped ?sel output rel
+  else project_sort_limit ?sel ~to_scalar:plain_scalar ~output rel

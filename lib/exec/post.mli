@@ -10,6 +10,11 @@ open Nra_planner
 
 exception Unsupported of string
 
-val apply : Analyze.output -> Relation.t -> Relation.t
-(** @raise Unsupported on e.g. a non-grouped column used alongside
+val apply : ?sel:int array * int -> Analyze.output -> Relation.t -> Relation.t
+(** [apply output rel] post-processes the frame rows [rel].  With
+    [~sel:(sel, count)] the frame is the [count] rows of [rel] at
+    positions [sel.(0)] ... [sel.(count - 1)], in that order: they are
+    projected (or staged for grouping) straight from [rel], so a result
+    row is the only row built for it.
+    @raise Unsupported on e.g. a non-grouped column used alongside
     aggregates, or ORDER BY expressions incompatible with DISTINCT. *)

@@ -5,11 +5,6 @@
     subrelation [sub].  They are the reference semantics; the evaluators
     use the equivalent {!Grouped} operators. *)
 
-open Nra_relational
-
-val eval_tuple : Link_pred.t -> sub:int -> marker:int option ->
-  Nested_relation.tuple -> Three_valued.t
-
 val select : Link_pred.t -> sub:int -> marker:int option ->
   Nested_relation.t -> Nested_relation.t
 (** σ{_C}: keeps nested tuples whose linking predicate is [True]. *)

@@ -23,7 +23,6 @@ and t = { sch : schema; tuples : tuple list }
 val depth : schema -> int
 (** Definition 1: a flat schema has depth 0. *)
 
-val schema_of_flat : Schema.t -> schema
 val of_flat : Relation.t -> t
 (** A flat relation as a nested relation of depth 0. *)
 

@@ -11,7 +11,6 @@ type rule =
 
 val all : rule list
 val rule_to_string : rule -> string
-val rule_of_string : string -> (rule, string) result
 
 val parse : string -> (rule list, string) result
 (** ["all"], ["none"], or a comma-separated rule list. *)

@@ -50,7 +50,6 @@ val shift_pred : int -> pred -> pred
 (** Add an offset to every column index — used to move a predicate from
     a relation's frame into the right side of a join frame. *)
 
-val remap_scalar : (int -> int) -> scalar -> scalar
 val remap_pred : (int -> int) -> pred -> pred
 
 (** {1 Join analysis} *)

@@ -129,7 +129,5 @@ val cond_conjuncts : cond -> cond list
 
 val pp_expr : Format.formatter -> expr -> unit
 val pp_cond : Format.formatter -> cond -> unit
-val pp_query : Format.formatter -> query -> unit
-val pp_statement : Format.formatter -> statement -> unit
 val to_string : query -> string
 val statement_to_string : statement -> string

@@ -45,30 +45,19 @@ val and3 : float * float -> float * float -> float * float
 val or3 : float * float -> float * float -> float * float
 val not3 : float * float -> float * float
 
-val cond_sel : env -> Resolved.rcond -> float * float
-(** [(p_true, p_unknown)] of one (possibly composite) condition. *)
-
-val local_sel : env -> Analyze.block -> float
-(** Probability a random tuple of the block's base relation satisfies
-    all local conjuncts ([p_true] of their conjunction). *)
-
-val block_base_rows : env -> Analyze.block -> float
-(** Product of the block's binding cardinalities (exact, from the
-    catalog — row counts are always known). *)
-
 val block_card : env -> Analyze.block -> float
-(** [block_base_rows × local_sel] — the block relation's size after
-    pushed-down local selections.  Computed once per block and
+(** The block relation's size after pushed-down local selections: the
+    product of its binding cardinalities (exact, from the catalog) times
+    the probability a random base tuple satisfies all local conjuncts
+    ([p_true] of their conjunction).  Computed once per block and
     context. *)
 
-val corr_sel : env -> Analyze.block -> float
-(** Per-outer-tuple selectivity of the block's correlated conjuncts:
-    for a fixed outer tuple, the probability that a random inner tuple
-    matches (equality contributes [1/ndv(inner column)]). *)
-
 val fanout : env -> Analyze.block -> float
-(** Expected matching inner tuples per outer tuple:
-    [block_card × corr_sel].  Computed once per block and context. *)
+(** Expected matching inner tuples per outer tuple: [block_card] times
+    the per-outer-tuple selectivity of the block's correlated conjuncts
+    (for a fixed outer tuple, the probability that a random inner tuple
+    matches; equality contributes [1/ndv(inner column)]).  Computed
+    once per block and context. *)
 
 val probe_fanout : env -> Analyze.block -> string list -> float
 (** Candidate rows returned by an index probe on the given inner equi

@@ -13,10 +13,10 @@
    - when the buffer pool is enabled and the staging would not fit the
      frame budget ([Iosim.pages rows > frames]), the rows are routed
      through a [Bufpool.Spill] partition and read straight back — the
-     partition holds row positions, so the relation handed on is the
-     staging itself, while the page-outs/page-ins are charged and
-     fault-drawn like any other spill traffic, and the staging never
-     counts as resident;
+     partition holds row positions, so the caller goes on reading the
+     rows it staged (built, or read in place), while the
+     page-outs/page-ins are charged and fault-drawn like any other
+     spill traffic, and the staging never counts as resident;
    - stagings kept in memory record [max_resident_pages], so a test
      can assert that no unspilled intermediate ever exceeded the frame
      budget.
@@ -93,9 +93,7 @@ let spill_roundtrip rows =
       Bufpool.Spill.finish sp;
       Bufpool.Spill.iter sp ignore)
 
-let with_staged rel f =
-  let rows = Relation.cardinality rel in
-  let width = Schema.arity (Relation.schema rel) in
+let with_staged ~rows ~width f =
   if rows > 0 && over_budget rows then begin
     (* spilled: the staging lives on "disk", not in frames — it is
        tallied but never counts toward live bytes; the spill pages are
@@ -109,10 +107,10 @@ let with_staged rel f =
         spilled_rows = !st.spilled_rows + rows;
       };
     spill_roundtrip rows;
-    f rel
+    f ()
   end
   else begin
     let p = Iosim.pages rows in
     if p > !st.max_resident_pages then st := { !st with max_resident_pages = p };
-    with_charged ~rows ~width (fun () -> f rel)
+    with_charged ~rows ~width f
   end

@@ -36,22 +36,16 @@ val stats : unit -> stats
 val reset : unit -> unit
 (** Zero the ledger.  Also runs on every {!Iosim.reset}. *)
 
-val charge : rows:int -> width:int -> unit
-val release : rows:int -> width:int -> unit
-
 val with_charged : rows:int -> width:int -> (unit -> 'a) -> 'a
 (** Charge an intermediate's footprint for the dynamic extent of [f]
     (released on any exit).  Used for intermediates that are observed
     but not re-routable (e.g. the wide join product while it is being
     nested). *)
 
-val with_staged :
-  Nra_relational.Relation.t ->
-  (Nra_relational.Relation.t -> 'a) ->
-  'a
-(** [with_staged rel f] — charge the staged relation and hand
-    [f] [rel] itself, counted resident when it fits the budget, or
-    after its spill round-trip when it does not (its row positions
-    written to a spill partition and read back, page traffic
-    charged). *)
-
+val with_staged : rows:int -> width:int -> (unit -> 'a) -> 'a
+(** [with_staged ~rows ~width f] — charge a staging of [rows] rows of
+    [width] columns and run [f], the staging counted resident when it
+    fits the budget, or after its spill round-trip when it does not
+    (row positions written to a spill partition and read back, page
+    traffic charged).  The staging itself is whatever [f] reads: a
+    relation it builds, or rows it reads in place. *)

@@ -61,10 +61,14 @@ let with_rows ?fresh t rows =
   | Error msg -> invalid_arg (Printf.sprintf "table %s: %s" t.name msg));
   { t with relation; batch = Batch.of_relation relation }
 
-(* the record copy shares [batch]: an alias never rebuilds columns *)
+(* the record copy shares [batch]: an alias never rebuilds columns; a
+   table's columns are qualified with its own name, so aliasing it to
+   that name is the table itself *)
 let alias t a =
-  let s = Schema.rename_table a (schema t) in
-  { t with name = a; relation = Relation.rename t.relation s }
+  if String.equal a t.name then t
+  else
+    let s = Schema.rename_table a (schema t) in
+    { t with name = a; relation = Relation.rename t.relation s }
 
 let pp ppf t =
   Format.fprintf ppf "table %s %a@.%a" t.name Schema.pp (schema t)

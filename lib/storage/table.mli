@@ -43,6 +43,7 @@ val with_rows : ?fresh:int array -> t -> Row.t array -> t
 
 val alias : t -> string -> t
 (** [alias t a] is table [t] seen under alias [a]: schema requalified,
-    same rows, same {!batch}.  Implements [FROM t AS a]. *)
+    same rows, same {!batch}.  Implements [FROM t AS a].  [alias t
+    (name t)] is [t] itself: nothing is copied. *)
 
 val pp : Format.formatter -> t -> unit

@@ -92,6 +92,25 @@ let test_self_join_uids () =
   let uids = List.map fst t.A.by_uid |> List.sort_uniq compare in
   Alcotest.(check int) "two distinct uids" 2 (List.length uids)
 
+(* a FROM table bound under its own name is the catalog's table itself;
+   only an alias requalifies (and so copies) the schema *)
+let test_unaliased_binding_shares () =
+  let cat = emp_dept_catalog () in
+  let t = analyze cat "select ename from emp e, dept where e.dept_id = \
+                       dept.dept_id" in
+  let binding uid =
+    match List.assoc_opt uid t.A.by_uid with
+    | Some bd -> bd
+    | None -> Alcotest.fail ("no binding " ^ uid)
+  in
+  let base name = Table.schema (Catalog.table cat name) in
+  Alcotest.(check bool) "dept shares the catalog schema" true
+    (Table.schema (binding "dept").A.table == base "dept");
+  Alcotest.(check bool) "the alias e requalifies" false
+    (Table.schema (binding "e").A.table == base "emp");
+  Alcotest.(check string) "e's columns are e's" "e"
+    (Schema.col (Table.schema (binding "e").A.table) 0).Schema.table
+
 let test_same_alias_in_nested_blocks () =
   let cat = emp_dept_catalog () in
   (* both blocks bind the bare name emp; uids must disambiguate *)
@@ -371,6 +390,8 @@ let () =
       ( "resolution",
         [
           Alcotest.test_case "self join uids" `Quick test_self_join_uids;
+          Alcotest.test_case "unaliased binding shares its table" `Quick
+            test_unaliased_binding_shares;
           Alcotest.test_case "same alias nested" `Quick
             test_same_alias_in_nested_blocks;
           Alcotest.test_case "outer column in inner select" `Quick

@@ -8,7 +8,9 @@
    corpus, and the cases the fusion argument rests on: runs of equal
    outer rows left by σ̄ padding, element order within a group, keep
    expressions that read an outer column, and outer relations that
-   arrive key-sorted or out of key order. *)
+   arrive key-sorted or out of key order.  Then what a statement and a
+   result row allocate, and sites chained through the selections they
+   hand on, against the reference evaluator. *)
 
 open Nra
 open Test_support
@@ -17,6 +19,7 @@ module A = Planner.Analyze
 module I = Nra_storage.Iosim
 module B = Nra_storage.Bufpool
 module Q = Tpch.Queries
+module Ref = Test_support.Reference_eval
 
 (* small morsels so even the emp/dept corpus crosses the Domain pool *)
 let () =
@@ -324,6 +327,166 @@ let test_ja_alloc () =
   if words_hi >= 2000.0 then
     Alcotest.failf "%.0f words per statement" words_hi
 
+(* ---------- a result row costs one row ----------
+
+   Query 1-JA NOT IN through [N.run]: the fused site hands the outer
+   rows it keeps on as positions into the orders table, and
+   [Post.apply] projects straight from them, so a result row costs its
+   projected row (three words for two columns) and its slot in the
+   result array, and nothing else.  The words one more result row
+   costs are measured between two outer fractions (~600 and ~1,800
+   outer rows at scale 0.002); a site that built its kept rows into an
+   array of their own would pay one word more.  The test sets its own
+   pool size, frame budget and faults. *)
+let test_result_row_alloc () =
+  let cat = Lazy.force tpch_cat in
+  let frames = B.frames () and domains = Pool.size () in
+  Fun.protect
+    ~finally:(fun () ->
+      B.set_frames frames;
+      Pool.set_size domains)
+  @@ fun () ->
+  B.set_frames None;
+  Pool.set_size 0;
+  Fault.disable ();
+  let at outer_fraction =
+    let lo, hi = Q.q1_window ~outer_fraction in
+    let t =
+      match
+        A.analyze_string cat
+          (Q.q1_ja ~link:Q.Ja_not_in ~date_lo:lo ~date_hi:hi)
+      with
+      | Ok t -> t
+      | Error m -> Alcotest.fail m
+    in
+    let _, st = N.run_where ~options:N.optimized cat t in
+    Alcotest.(check int) "one fused site" 1 st.N.fused_sites;
+    let out = ref 0 in
+    let words =
+      words_per 3 (fun _ ->
+          out := Relation.cardinality (N.run ~options:N.optimized cat t))
+    in
+    (!out, words)
+  in
+  let rows_lo, words_lo = at 0.2 and rows_hi, words_hi = at 0.6 in
+  if rows_hi < 2 * rows_lo then
+    Alcotest.failf "result rows %d and %d are too close" rows_lo rows_hi;
+  let per_row = (words_hi -. words_lo) /. float_of_int (rows_hi - rows_lo) in
+  if per_row > 4.1 then
+    Alcotest.failf
+      "%.2f words per result row (%.0f words for %d rows, %.0f for %d)"
+      per_row words_lo rows_lo words_hi rows_hi
+
+(* ---------- chained sites ----------
+
+   A σ site hands the next consumer its kept rows as positions; these
+   queries chain such frames: two sibling conjuncts at the root (the
+   second site reads the first one's output through its selection),
+   and three levels with a σ̄ site below a negated one.  Every strategy
+   must return the reference evaluator's rows, and charge the simulated
+   I/O and the governor's stagings recorded for it (seq/rand pages,
+   fetched rows; stagings, staged rows, high-water bytes): the counters
+   each strategy charged when every site still built its output rows,
+   serial, without a buffer pool, faults or rewrites. *)
+let chained =
+  [
+    ( "select ename from emp where dept_id in (select dept_id from dept \
+       where budget > 20) and salary > all (select salary from emp e2 \
+       where e2.dept_id = emp.dept_id and e2.emp_id <> emp.emp_id)",
+      [
+        ("naive", "6/0/0 1/1/8");
+        ("classical", "6/0/0 1/1/8");
+        ("magic", "6/0/0 1/1/8");
+        ("nra-original", "3/0/4 3/9/544");
+        ("nra-optimized", "3/0/4 2/5/320");
+        ("nra-full", "3/0/4 2/5/320");
+        ("hybrid", "3/0/4 2/5/320");
+        ("auto", "6/0/0 1/1/8");
+      ] );
+    ( "select emp_id, salary from emp where exists (select * from project \
+       where project.lead_emp = emp.emp_id) and dept_id not in (select \
+       owner_dept from project where hours > 20)",
+      [
+        ("naive", "8/0/0 1/2/32");
+        ("classical", "3/0/0 1/2/32");
+        ("magic", "3/0/0 1/2/32");
+        ("nra-original", "3/0/6 3/14/720");
+        ("nra-optimized", "3/0/6 2/8/432");
+        ("nra-full", "3/0/0 1/2/32");
+        ("hybrid", "3/0/0 1/2/32");
+        ("auto", "3/0/0 1/2/32");
+      ] );
+    ( "select dname from dept where not exists (select * from emp where \
+       emp.dept_id = dept.dept_id and salary not in (select hours from \
+       project where project.lead_emp = emp.emp_id))",
+      [
+        ("naive", "8/0/0 1/1/8");
+        ("classical", "8/0/0 1/1/8");
+        ("magic", "3/0/0 1/1/8");
+        ("nra-original", "3/0/12 5/25/1056");
+        ("nra-optimized", "3/0/12 4/19/576");
+        ("nra-full", "3/0/0 1/1/8");
+        ("hybrid", "3/0/0 1/1/8");
+        ("auto", "3/0/0 1/1/8");
+      ] );
+    ( "select distinct dept_id from emp where salary < some (select budget \
+       from dept where dept.dept_id = emp.dept_id and not exists (select * \
+       from project where project.owner_dept = dept.dept_id and hours > \
+       20)) and manager_id is not null",
+      [
+        ("naive", "4/5/0 1/1/8");
+        ("classical", "3/0/0 1/1/8");
+        ("magic", "3/0/0 1/1/8");
+        ("nra-original", "3/0/8 5/13/672");
+        ("nra-optimized", "3/0/8 4/9/384");
+        ("nra-full", "3/0/0 1/1/8");
+        ("hybrid", "3/0/0 1/1/8");
+        ("auto", "3/0/0 1/1/8");
+      ] );
+  ]
+
+let test_chained () =
+  let cat = emp_dept_catalog () in
+  let frames = B.frames ()
+  and domains = Pool.size ()
+  and rules = Nra.rewrite_rules () in
+  Fun.protect
+    ~finally:(fun () ->
+      B.set_frames frames;
+      Pool.set_size domains;
+      Nra.set_rewrite_rules rules)
+  @@ fun () ->
+  B.set_frames None;
+  Pool.set_size 0;
+  Fault.disable ();
+  Nra.set_rewrite_rules [];
+  List.iter
+    (fun (sql, expected) ->
+      let reference =
+        match Ref.sorted_csv cat sql with
+        | Ok csv -> csv
+        | Error m -> Alcotest.fail (sql ^ ": reference: " ^ m)
+      in
+      List.iter
+        (fun (name, strategy) ->
+          I.reset ();
+          let rows =
+            match Nra.query ~strategy cat sql with
+            | Ok rel -> Ref.relation_csv rel
+            | Error m -> Alcotest.failf "%s: %s: %s" name sql m
+          in
+          let c = I.counters () and g = Nra_storage.Governor.stats () in
+          Alcotest.(check string) (name ^ " rows: " ^ sql) reference rows;
+          Alcotest.(check string)
+            (name ^ " charges: " ^ sql)
+            (List.assoc name expected)
+            (Printf.sprintf "%d/%d/%d %d/%d/%d" c.I.seq_pages c.I.rand_pages
+               c.I.fetched_rows g.Nra_storage.Governor.stagings
+               g.Nra_storage.Governor.staged_rows
+               g.Nra_storage.Governor.high_water_bytes))
+        Nra.strategies)
+    chained
+
 let () =
   Alcotest.run "fused"
     [
@@ -341,5 +504,9 @@ let () =
         [
           Alcotest.test_case "a Query 1-JA site allocates per statement"
             `Quick test_ja_alloc;
+          Alcotest.test_case "a result row costs one row" `Quick
+            test_result_row_alloc;
         ] );
+      ( "chained sites",
+        [ Alcotest.test_case "against the reference" `Quick test_chained ] );
     ]

@@ -135,6 +135,45 @@ let test_group_by_after_subquery () =
     [ [ Some 1; Some 2 ]; [ Some 2; Some 2 ] ]
     rel
 
+(* A frame handed on as base rows plus a selection is post-processed in
+   place: [Post.apply ~sel] returns what post-processing the gathered
+   rows returns, and stages as many rows of the same width, for every
+   output shape.  The selection is out of position order, as a site
+   that sorted its outer rows hands it on. *)
+let test_selection_in_place () =
+  let cat = cat () in
+  let emp = Table.relation (Catalog.table cat "emp") in
+  let sel = [| 5; 0; 3; 1; 4 |] in
+  let count = 4 in
+  let gathered = Relation.gather emp sel count in
+  List.iter
+    (fun sql ->
+      let t =
+        match Planner.Analyze.analyze_string cat sql with
+        | Ok t -> t
+        | Error m -> Alcotest.fail (sql ^ ": " ^ m)
+      in
+      let output = t.Planner.Analyze.output in
+      let post ?sel rel =
+        Iosim.reset ();
+        let out = Relation.to_csv (Exec.Post.apply ?sel output rel) in
+        let g = Governor.stats () in
+        Printf.sprintf "%s\n%d stagings, %d rows, %d bytes" out
+          g.Governor.stagings g.Governor.staged_rows
+          g.Governor.high_water_bytes
+      in
+      Alcotest.(check string) sql (post gathered)
+        (post ~sel:(sel, count) emp))
+    [
+      "select ename, salary * 2 as s2 from emp";
+      "select * from emp";
+      "select distinct dept_id from emp order by dept_id desc";
+      "select ename from emp order by salary, ename limit 2";
+      "select dept_id, count(*), max(salary) from emp group by dept_id \
+       having count(*) > 0 order by dept_id";
+      "select count(*), sum(salary) from emp";
+    ]
+
 let test_errors () =
   let expect_err sql =
     match Nra.query (cat ()) sql with
@@ -152,6 +191,8 @@ let () =
         [
           Alcotest.test_case "expressions" `Quick test_projection_expressions;
           Alcotest.test_case "star" `Quick test_star_expansion;
+          Alcotest.test_case "a selection is read in place" `Quick
+            test_selection_in_place;
         ] );
       ( "ordering",
         [
