@@ -481,7 +481,7 @@ let robustness () =
     "  nra-opt, Query 1 (largest sweep point): unguarded cpu %.3fs, \
      guarded cpu %.3fs, sim %.2fs either way\n"
     direct.cpu guarded.cpu guarded.sim;
-  let overrun, floor_ms = Nra.auto_guard () in
+  let saved = Nra.config () in
   let sqls = q1_sqls () @ q2_sqls Q.Any @ q2_sqls Q.All in
   let sweep_auto label =
     Nra.Guard.reset_events ();
@@ -502,10 +502,11 @@ let robustness () =
       (List.length sqls) label ev.Nra.Guard.auto_fallbacks cpu sim
   in
   sweep_auto
-    (Printf.sprintf "default overrun x%.1f floor %.1fms" overrun floor_ms);
-  Nra.set_auto_guard ~overrun:1.0 ~floor_ms:0.0 ();
+    (Printf.sprintf "default overrun x%.1f floor %.1fms"
+       saved.Nra.Engine_config.auto_overrun saved.auto_floor_ms);
+  Nra.configure { saved with auto_overrun = 1.0; auto_floor_ms = 0.0 };
   sweep_auto "overrun x1.0 floor 0ms";
-  Nra.set_auto_guard ~overrun ~floor_ms ();
+  Nra.configure saved;
   Nra.Guard.reset_events ()
 
 (* ---------- rewrite sweep ----------

@@ -56,12 +56,9 @@ let strategy =
     value & opt strategy_conv Nra.Nra_optimized & info [ "strategy"; "s" ] ~doc)
 
 let rewrite_arg =
-  let parse s =
-    match Nra.Opt.Config.parse s with
-    | Ok _ -> Ok s
-    | Error m -> Error (`Msg m)
-  in
-  let rules_conv = Arg.conv (parse, Format.pp_print_string) in
+  let parse s = Result.map_error (fun m -> `Msg m) (Nra.Opt.Config.parse s) in
+  let print ppf rs = Format.pp_print_string ppf (Nra.Opt.Config.mask rs) in
+  let rules_conv = Arg.conv (parse, print) in
   let doc =
     "Algebraic rewrite rules applied to NRA plans before execution: \
      $(b,all), $(b,none), or a comma-separated subset of $(b,fuse), \
@@ -72,16 +69,6 @@ let rewrite_arg =
   in
   Arg.(
     value & opt (some rules_conv) None & info [ "rewrite" ] ~docv:"RULES" ~doc)
-
-let install_rewrite spec =
-  Option.iter
-    (fun s ->
-      match Nra.set_rewrite_spec s with
-      | Ok () -> ()
-      | Error m ->
-          (* the converter validated [s]; defensively surface anyway *)
-          Printf.eprintf "bad --rewrite spec: %s\n%!" m)
-    spec
 
 let make_catalog scale seed null_rate not_null =
   let cfg =
@@ -137,8 +124,6 @@ let fault_seed =
   let doc = "Fault-injection PRNG seed." in
   Arg.(value & opt int 1 & info [ "fault-seed" ] ~docv:"N" ~doc)
 
-let install_faults p seed = if p > 0.0 then Nra.Fault.configure ~seed p
-
 (* ---------- out-of-core storage options ---------- *)
 
 let buffer_pages =
@@ -165,20 +150,6 @@ let page_size_kb =
   in
   Arg.(
     value & opt (some float) None & info [ "page-size-kb" ] ~docv:"KB" ~doc)
-
-let install_storage page_size_kb buffer_pages buffer_mb =
-  Option.iter
-    (fun kb ->
-      let c = Nra.Iosim.config () in
-      Nra.Iosim.set_config { c with Nra.Iosim.page_size_kb = kb })
-    page_size_kb;
-  (match buffer_pages with
-  | Some 0 -> Nra.Bufpool.set_frames None
-  | Some n -> Nra.Bufpool.set_frames (Some n)
-  | None -> ());
-  Option.iter
-    (fun mb -> Nra.Bufpool.set_frames (Some (Nra.Iosim.frames_for_mb mb)))
-    buffer_mb
 
 (* ---------- serving-layer options (repl) ---------- *)
 
@@ -245,6 +216,51 @@ let domains_arg =
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
+(* ---------- the engine configuration ---------- *)
+
+(* The NRA_* environment, then the flags over it: one value, which each
+   command installs before it does any work.  A malformed variable is a
+   usage error. *)
+let engine_config rules domains faults fault_seed page_size_kb buffer_pages
+    buffer_mb =
+  match Nra.Engine_config.of_env Sys.getenv_opt with
+  | Error m -> `Error (false, m)
+  | Ok c ->
+      `Ok
+        {
+          c with
+          rules = Option.value rules ~default:c.rules;
+          domains = Option.value domains ~default:c.domains;
+          iosim =
+            (match page_size_kb with
+            | Some kb -> { c.iosim with Nra.Iosim.page_size_kb = kb }
+            | None -> c.iosim);
+          frames =
+            (match (buffer_mb, buffer_pages) with
+            | Some mb, _ -> Nra.Engine_config.Mb mb
+            | None, Some 0 -> Nra.Engine_config.Off
+            | None, Some n -> Nra.Engine_config.Pages n
+            | None, None -> c.frames);
+          faults =
+            (if faults > 0.0 then
+               { c.faults with probability = faults; seed = fault_seed }
+             else c.faults);
+        }
+
+let engine =
+  Term.(
+    ret
+      (const engine_config $ rewrite_arg $ domains_arg $ faults $ fault_seed
+     $ page_size_kb $ buffer_pages $ buffer_mb))
+
+(* the environment under [rules] alone: commands without the other
+   engine flags *)
+let engine_with rules =
+  Term.(
+    ret
+      (const engine_config $ rules $ const None $ const 0.0 $ const 1
+     $ const None $ const None $ const None))
+
 (* Run [f] over a budget assembled from the flags, with SIGINT wired to
    the budget's cancel token for the duration (the default Ctrl-C
    behavior is restored afterwards, so a second Ctrl-C at a prompt still
@@ -283,12 +299,9 @@ let print_robustness_report () =
 
 (* ---------- commands ---------- *)
 
-let run_query strategy rewrite domains scale seed null_rate
-    not_null csv timing timeout_ms io_budget_ms max_rows faults fault_seed
-    psize bpages bmb sql =
-  Option.iter Nra_pool.Pool.set_size domains;
-  install_rewrite rewrite;
-  install_storage psize bpages bmb;
+let run_query strategy engine scale seed null_rate not_null csv timing
+    timeout_ms io_budget_ms max_rows sql =
+  Nra.configure engine;
   let cat = make_catalog scale seed null_rate not_null in
   (* a torn WAL (e.g. a crash fault in a prior in-process run) is
      repaired before the statement executes *)
@@ -302,7 +315,6 @@ let run_query strategy rewrite domains scale seed null_rate
   (* statistics collection is pure CPU (no Iosim charges), so Auto's
      choice is informed without distorting the reported simulation *)
   if strategy = Nra.Auto then ignore (Nra.exec cat "analyze");
-  install_faults faults fault_seed;
   Nra_storage.Iosim.reset ();
   let t0 = Unix.gettimeofday () in
   match
@@ -376,11 +388,9 @@ let query_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run_query $ strategy $ rewrite_arg
-       $ domains_arg $ scale
-       $ seed $ null_rate $ not_null $ csv $ timing $ timeout_ms
-       $ io_budget_ms $ max_rows $ faults $ fault_seed $ page_size_kb
-       $ buffer_pages $ buffer_mb $ sql_arg))
+        (const run_query $ strategy $ engine $ scale $ seed $ null_rate
+       $ not_null $ csv $ timing $ timeout_ms $ io_budget_ms $ max_rows
+       $ sql_arg))
 
 let costs =
   let doc =
@@ -390,8 +400,8 @@ let costs =
   in
   Arg.(value & flag & info [ "costs" ] ~doc)
 
-let run_explain rewrite scale seed null_rate not_null costs sql =
-  install_rewrite rewrite;
+let run_explain engine scale seed null_rate not_null costs sql =
+  Nra.configure engine;
   let cat = make_catalog scale seed null_rate not_null in
   match Nra.explain cat sql with
   | Ok text ->
@@ -419,23 +429,27 @@ let explain_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run_explain $ rewrite_arg $ scale $ seed $ null_rate
-       $ not_null $ costs $ sql_arg))
+        (const run_explain $ engine_with rewrite_arg $ scale $ seed
+       $ null_rate $ not_null $ costs $ sql_arg))
 
-let run_tables scale seed null_rate not_null =
+let run_tables engine scale seed null_rate not_null =
+  Nra.configure engine;
   let cat = make_catalog scale seed null_rate not_null in
   Format.printf "%a@." Nra.Catalog.pp cat
 
 let tables_cmd =
   let info = Cmd.info "tables" ~doc:"List the generated tables." in
   Cmd.v info
-    Term.(const run_tables $ scale $ seed $ null_rate $ not_null)
+    Term.(
+      const run_tables $ engine_with (const None) $ scale $ seed $ null_rate
+      $ not_null)
 
 let table_arg =
   let doc = "Analyze only this table (default: every table)." in
   Arg.(value & pos 0 (some string) None & info [] ~docv:"TABLE" ~doc)
 
-let run_analyze scale seed null_rate not_null table =
+let run_analyze engine scale seed null_rate not_null table =
+  Nra.configure engine;
   let cat = make_catalog scale seed null_rate not_null in
   let sql =
     match table with Some t -> "analyze " ^ t | None -> "analyze"
@@ -464,16 +478,14 @@ let analyze_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run_analyze $ scale $ seed $ null_rate $ not_null $ table_arg))
+        (const run_analyze $ engine_with (const None) $ scale $ seed
+       $ null_rate $ not_null $ table_arg))
 
-let run_repl strategy rewrite domains scale seed null_rate
-    not_null timeout_ms io_budget_ms max_rows faults fault_seed psize bpages
-    bmb session_wall_ms session_io_ms session_rows max_concurrent queue_len
-    quantum_ms =
-  install_rewrite rewrite;
-  install_storage psize bpages bmb;
+let run_repl strategy engine scale seed null_rate not_null timeout_ms
+    io_budget_ms max_rows session_wall_ms session_io_ms session_rows
+    max_concurrent queue_len quantum_ms =
+  Nra.configure engine;
   let cat = make_catalog scale seed null_rate not_null in
-  install_faults faults fault_seed;
   let server =
     Nra_server.Server.create
       ~config:
@@ -490,7 +502,6 @@ let run_repl strategy rewrite domains scale seed null_rate
           session_rows;
           strategy;
           quantum_ms;
-          domains;
         }
       cat
   in
@@ -543,12 +554,9 @@ let repl_cmd =
   in
   Cmd.v info
     Term.(
-      const run_repl $ strategy $ rewrite_arg
-      $ domains_arg $ scale $ seed
-      $ null_rate $ not_null $ timeout_ms $ io_budget_ms $ max_rows $ faults
-      $ fault_seed $ page_size_kb $ buffer_pages $ buffer_mb
-      $ session_wall_ms $ session_io_ms $ session_rows $ max_concurrent
-      $ queue_len $ quantum_ms)
+      const run_repl $ strategy $ engine $ scale $ seed $ null_rate $ not_null
+      $ timeout_ms $ io_budget_ms $ max_rows $ session_wall_ms $ session_io_ms
+      $ session_rows $ max_concurrent $ queue_len $ quantum_ms)
 
 let main =
   let info =

@@ -172,13 +172,50 @@ let of_cost_strategy = function
   | Nra_stats.Cost.Nra_optimized -> Nra_optimized
   | Nra_stats.Cost.Nra_full -> Nra_full
 
-(* ---------- the algebraic rewrite pass (nra.opt) ---------- *)
+(* ---------- the engine configuration ---------- *)
 
-let rewrite_rules = Nra_opt.Config.rules
-let set_rewrite_rules = Nra_opt.Config.set
-let set_rewrite_spec = Nra_opt.Config.set_spec
-let rewrite_epoch = Nra_opt.Config.current_epoch
-let rewrite_signature = Nra_opt.Config.signature
+module Engine_config = Engine_config
+
+(* The installed config.  Its statement-level fields (rules, Auto's
+   guard) are read from here by statements that are not prepared with
+   a config of their own; the engine-wide fields live in the modules
+   that own them, and [config] reads them back from there. *)
+let installed = ref Engine_config.default
+
+let config () : Engine_config.t =
+  let frames =
+    match Bufpool.frames () with Some n -> Engine_config.Pages n | None -> Off
+  in
+  {
+    !installed with
+    domains = Pool.size ();
+    parallel_threshold = Pool.parallel_threshold ();
+    morsel = Pool.morsel ();
+    frames;
+    faults = Fault.config ();
+    iosim = Iosim.config ();
+  }
+
+(* Only a part that differs from what is installed is set, so
+   re-installing a config keeps the buffer pool's residency, the fault
+   stream and the I/O cache (the pool's setter retires workers only on
+   a new size). *)
+let configure (c : Engine_config.t) =
+  let now = config () and f = c.faults in
+  Pool.configure ~size:c.domains ~threshold:c.parallel_threshold
+    ~morsel:c.morsel;
+  if c.iosim <> now.iosim then Iosim.set_config c.iosim;
+  let frames = Engine_config.frame_count c in
+  if frames <> Bufpool.frames () then Bufpool.set_frames frames;
+  if f <> now.faults then
+    Fault.configure ~seed:f.seed ~max_retries:f.max_retries
+      ~backoff_ms:f.backoff_ms ~alloc_probability:f.alloc_probability
+      f.probability;
+  installed := c
+
+let set_rewrite_rules rules = installed := { !installed with rules }
+
+(* ---------- the algebraic rewrite pass (nra.opt) ---------- *)
 
 (* which options an NRA-family strategy lifts its plan under *)
 let nra_base_options = function
@@ -204,33 +241,35 @@ let unpriced = { estimates = []; rewrites = [] }
 (* rewriting is advisory, so any estimation failure (e.g. an executor
    planner raising on an exotic shape) silently yields the unrewritten
    plan *)
-let rewrite_in ctx plan =
-  match Nra_opt.Rewrite.rewrite ctx plan with
+let rewrite_in rules ctx plan =
+  match Nra_opt.Rewrite.rewrite ~rules ctx plan with
   | r -> Some r
   | exception _ -> None
 
 (* [Some r] only when rules are enabled AND the cost gate fired at
    least one edit *)
-let rewrite_for cat t base =
-  if Nra_opt.Config.rules () = [] then None
+let rewrite_under rules cat t base =
+  if rules = [] then None
   else
     match
-      rewrite_in
+      rewrite_in rules
         (Nra_opt.Rewrite.context (Nra_stats.Cardinality.make_env cat t))
         (Nra_exec.Plan.lift ~base t)
     with
     | Some r when r.Nra_opt.Rewrite.changed -> Some r
     | _ -> None
 
+let rewrite_for cat t base = rewrite_under !installed.rules cat t base
+
 (* every NRA-family execution funnels through here, so enabled rewrites
    apply transparently to every strategy, including Auto's picks and
    Hybrid's NRA arm: the rewrite priced for [s] when there is one,
    else a rewrite made now *)
-let run_nra priced s options cat t =
+let run_nra (cfg : Engine_config.t) priced s options cat t =
   let rewrite =
     match List.assoc_opt s priced.rewrites with
     | Some r -> r
-    | None -> rewrite_for cat t options
+    | None -> rewrite_under cfg.rules cat t options
   in
   let directives = Option.map (fun r -> r.Nra_opt.Rewrite.dirs) rewrite in
   Nra_exec.Nra.run ~options ?directives cat t
@@ -243,7 +282,7 @@ let run_nra priced s options cat t =
    edits and execution runs the rewrite kept here, so the
    cross-product collapses to adjusting each NRA strategy's estimate by
    its rewrite's estimated delta (never below zero) and re-ranking. *)
-let price_in env =
+let price_in rules env =
   let module Cost = Nra_stats.Cost in
   let module Rw = Nra_opt.Rewrite in
   let t = Nra_stats.Cardinality.analysis env in
@@ -256,11 +295,11 @@ let price_in env =
           (Cost.nra_base s))
       Cost.all
   in
-  let rules_on = Nra_opt.Config.rules () <> [] in
   let rewrites =
     List.map
       (fun (s, plan) ->
-        (of_cost_strategy s, if rules_on then rewrite_in ctx plan else None))
+        ( of_cost_strategy s,
+          if rules <> [] then rewrite_in rules ctx plan else None ))
       plans
   in
   let walks = List.map (fun (s, plan) -> (s, Rw.walk ctx plan)) plans in
@@ -290,8 +329,8 @@ let price_in env =
   in
   { estimates; rewrites }
 
-let price cat t = price_in (Nra_stats.Cardinality.make_env cat t)
-let estimates_with_rewrites cat t = (price cat t).estimates
+let price rules cat t = price_in rules (Nra_stats.Cardinality.make_env cat t)
+let estimates_with_rewrites cat t = (price !installed.rules cat t).estimates
 
 (* Budget-aware choice: when the caller runs under a guard, prefer the
    cheapest plan whose estimate FITS what is left of that budget over
@@ -320,53 +359,47 @@ let auto_pick cat t =
    [overrun] times that.  Rather than failing the query, kill the
    attempt, roll the I/O ledger back, and rerun under the
    always-applicable default strategy. *)
-let auto_overrun = ref 4.0
-let auto_floor_ms = ref 1.0
+let auto_attempt_ms (cfg : Engine_config.t) cost_ms =
+  Float.max (Float.max 0.0 cfg.auto_floor_ms)
+    (cost_ms *. Float.max 1.0 cfg.auto_overrun)
 
-let set_auto_guard ?overrun ?floor_ms () =
-  Option.iter (fun v -> auto_overrun := Float.max 1.0 v) overrun;
-  Option.iter (fun v -> auto_floor_ms := Float.max 0.0 v) floor_ms
-
-let auto_guard () = (!auto_overrun, !auto_floor_ms)
-
-let auto_attempt_ms cost_ms =
-  Float.max !auto_floor_ms (cost_ms *. !auto_overrun)
-
-let rec run_analyzed ?(priced = unpriced) strategy cat t =
+let rec run_analyzed ?(priced = unpriced) cfg strategy cat t =
   match strategy with
   | Naive -> Nra_exec.Naive.run cat t
   | Classical -> Nra_exec.Classical.run cat t
   | Magic -> Nra_exec.Magic.run cat t
-  | Nra_original -> run_nra priced Nra_original Nra_exec.Nra.original cat t
-  | Nra_optimized -> run_nra priced Nra_optimized Nra_exec.Nra.optimized cat t
-  | Nra_full -> run_nra priced Nra_full Nra_exec.Nra.full cat t
+  | Nra_original ->
+      run_nra cfg priced Nra_original Nra_exec.Nra.original cat t
+  | Nra_optimized ->
+      run_nra cfg priced Nra_optimized Nra_exec.Nra.optimized cat t
+  | Nra_full -> run_nra cfg priced Nra_full Nra_exec.Nra.full cat t
   | Hybrid ->
       if classical_fully_applies cat t then Nra_exec.Classical.run cat t
-      else run_nra priced Nra_full Nra_exec.Nra.full cat t
-  | Auto -> run_auto cat t
+      else run_nra cfg priced Nra_full Nra_exec.Nra.full cat t
+  | Auto -> run_auto cfg cat t
 
-and run_auto cat t =
-  match price cat t with
-  | exception _ -> run_analyzed Nra_optimized cat t
-  | { estimates = []; _ } -> run_analyzed Nra_optimized cat t
-  | priced -> run_auto_estimates cat t priced
+and run_auto cfg cat t =
+  match price cfg.rules cat t with
+  | exception _ -> run_analyzed cfg Nra_optimized cat t
+  | { estimates = []; _ } -> run_analyzed cfg Nra_optimized cat t
+  | priced -> run_auto_estimates cfg cat t priced
 
 (* The attempt/fallback protocol over an already-priced statement —
    shared with [run_prepared], whose plan cache pays for pricing once
    and replays it here on every execution.  The pick and the fallback
    run the rewrites they were priced with. *)
-and run_auto_estimates cat t priced =
+and run_auto_estimates cfg cat t priced =
   let best = budget_pick priced.estimates in
   let pick = of_cost_strategy best.Nra_stats.Cost.strategy in
   if pick = Nra_optimized then
     (* the chosen plan IS the fallback: a derived budget would only
        kill a query that has nowhere left to degrade to *)
-    run_analyzed ~priced Nra_optimized cat t
+    run_analyzed ~priced cfg Nra_optimized cat t
   else
     let attempt =
       Guard.min_budget (Guard.remaining ())
         (Guard.budget
-           ~sim_io_ms:(auto_attempt_ms best.Nra_stats.Cost.cost_ms)
+           ~sim_io_ms:(auto_attempt_ms cfg best.Nra_stats.Cost.cost_ms)
            ())
     in
     (* the attempt runs under a per-task I/O ledger instead of a
@@ -375,7 +408,8 @@ and run_auto_estimates cat t priced =
        freely — no no-yield critical section needed *)
     let led = Nra_storage.Iosim.push_ledger () in
     match
-      Guard.with_budget attempt (fun () -> run_analyzed ~priced pick cat t)
+      Guard.with_budget attempt (fun () ->
+          run_analyzed ~priced cfg pick cat t)
     with
     | rel ->
         Nra_storage.Iosim.pop_ledger led;
@@ -390,7 +424,7 @@ and run_auto_estimates cat t priced =
            blew, degrading cannot help — re-raise for the facade *)
         Guard.recheck ();
         Guard.note_fallback ();
-        run_analyzed ~priced Nra_optimized cat t
+        run_analyzed ~priced cfg Nra_optimized cat t
     | exception e ->
         Nra_storage.Iosim.pop_ledger led;
         raise e
@@ -398,10 +432,10 @@ and run_auto_estimates cat t priced =
 let ( let* ) = Result.bind
 module Ast = Nra_sql.Ast
 
-let run_select ?ctes strategy cat q =
+let run_select ?ctes cfg strategy cat q =
   trap (fun () ->
       let t = Nra_planner.Analyze.analyze ?ctes cat q in
-      Ok (run_analyzed strategy cat t))
+      Ok (run_analyzed cfg strategy cat t))
 
 (* An ORDER BY / LIMIT written after the last component of a set
    operation applies to the combined result. *)
@@ -447,11 +481,11 @@ let setop_sort_keys schema order_by =
       Ok (keys @ [ k ]))
     (Ok []) order_by
 
-let rec combine ?ctes strategy cat = function
-  | Ast.Select q -> run_select ?ctes strategy cat q
+let rec combine ?ctes cfg strategy cat = function
+  | Ast.Select q -> run_select ?ctes cfg strategy cat q
   | Ast.Setop (op, l, r) ->
-      let* lrel = combine ?ctes strategy cat l in
-      let* rrel = combine ?ctes strategy cat r in
+      let* lrel = combine ?ctes cfg strategy cat l in
+      let* rrel = combine ?ctes cfg strategy cat r in
       if
         Nra_relational.Schema.arity (Relation.schema lrel)
         <> Nra_relational.Schema.arity (Relation.schema rrel)
@@ -474,12 +508,12 @@ let rec combine ?ctes strategy cat = function
         in
         Ok (f lrel rrel)
 
-let run_statement ?ctes strategy cat stmt =
+let run_statement ?ctes cfg strategy cat stmt =
   match stmt with
-  | Ast.Select q -> run_select ?ctes strategy cat q
+  | Ast.Select q -> run_select ?ctes cfg strategy cat q
   | Ast.Setop _ ->
       let body, order_by, limit = strip_rightmost stmt in
-      let* rel = combine ?ctes strategy cat body in
+      let* rel = combine ?ctes cfg strategy cat body in
       let* rel =
         if order_by = [] then Ok rel
         else
@@ -498,12 +532,12 @@ let run_statement ?ctes strategy cat stmt =
    may shadow a base table.  The synthetic __rowid key is the primary
    key Analyze's block marker needs.  The catalog and its log are never
    touched: a WITH is a read. *)
-let run_with strategy cat ctes stmt =
+let run_with cfg strategy cat ctes stmt =
   trap @@ fun () ->
   let rec go scope = function
-    | [] -> run_statement ~ctes:scope strategy cat stmt
+    | [] -> run_statement ~ctes:scope cfg strategy cat stmt
     | (name, cstmt) :: rest ->
-        let* rel = run_statement ~ctes:scope strategy cat cstmt in
+        let* rel = run_statement ~ctes:scope cfg strategy cat cstmt in
         let cols =
           Nra_relational.Schema.column "__rowid" Ttype.Int
           :: (Array.to_list
@@ -607,7 +641,7 @@ let do_insert_rows cat table new_rows =
                 ~mutate:(fun () -> Catalog.update_rows ~fresh cat table rows);
               Ok (Count (List.length new_rows))))
 
-let do_delete strategy cat table where =
+let do_delete cfg strategy cat table where =
   trap (fun () ->
       match Catalog.table_opt cat table with
       | None -> invalidf "unknown table %s" table
@@ -617,7 +651,7 @@ let do_delete strategy cat table where =
               ~from:[ (table, None) ]
               ?where ()
           in
-          match run_select strategy cat probe with
+          match run_select cfg strategy cat probe with
           | Error m -> Error m
           | Ok matching ->
               (* mark the doomed rows by primary key, then split the
@@ -662,7 +696,7 @@ let do_delete strategy cat table where =
                   Catalog.update_rows ~fresh:[||] cat table survivors);
               Ok (Count d)))
 
-let do_update strategy cat table assigns where =
+let do_update cfg strategy cat table assigns where =
   trap (fun () ->
       match Catalog.table_opt cat table with
       | None -> invalidf "unknown table %s" table
@@ -693,7 +727,7 @@ let do_update strategy cat table assigns where =
           let probe =
             Ast.simple_query ~select ~from:[ (table, None) ] ?where ()
           in
-          match run_select strategy cat probe with
+          match run_select cfg strategy cat probe with
           | Error m -> Error m
           | Ok matching ->
               (* a matching row holds the key, then the new values *)
@@ -736,9 +770,9 @@ let do_update strategy cat table assigns where =
                 ~mutate:(fun () -> Catalog.update_rows ~fresh cat table rows);
               Ok (Count !changed)))
 
-let run_command strategy cat = function
+let run_command cfg strategy cat = function
   | Ast.Cmd_query stmt -> (
-      match run_statement strategy cat stmt with
+      match run_statement cfg strategy cat stmt with
       | Ok rel -> Ok (Rows rel)
       | Error e -> Error e)
   | Ast.Create_table { table; columns; key } ->
@@ -755,17 +789,17 @@ let run_command strategy cat = function
   | Ast.Insert_values (table, rows) ->
       do_insert_rows cat table (List.map Array.of_list rows)
   | Ast.Insert_select (table, stmt) -> (
-      match run_statement strategy cat stmt with
+      match run_statement cfg strategy cat stmt with
       | Error e -> Error e
       | Ok rel ->
           do_insert_rows cat table (Array.to_list (Relation.rows rel)))
-  | Ast.Delete (table, where) -> do_delete strategy cat table where
+  | Ast.Delete (table, where) -> do_delete cfg strategy cat table where
   | Ast.With_query (ctes, stmt) -> (
-      match run_with strategy cat ctes stmt with
+      match run_with cfg strategy cat ctes stmt with
       | Ok rel -> Ok (Rows rel)
       | Error e -> Error e)
   | Ast.Update (table, assigns, where) ->
-      do_update strategy cat table assigns where
+      do_update cfg strategy cat table assigns where
   | Ast.Analyze target ->
       trap (fun () ->
           match target with
@@ -798,7 +832,7 @@ let with_guard guard f =
 
 let run ?(strategy = Nra_optimized) ?guard cat sql =
   let* cmd = parse_command sql in
-  with_guard guard (fun () -> run_command strategy cat cmd)
+  with_guard guard (fun () -> run_command !installed strategy cat cmd)
 
 (* ---------- statement footprints ---------- *)
 
@@ -869,6 +903,7 @@ let command_footprint = function
    analyze per component. *)
 type prepared = {
   p_cmd : Ast.command;
+  p_config : Engine_config.t;
   p_strategy : strategy;
   p_analyzed : Nra_planner.Analyze.t option;
   p_priced : priced;  (* a plain SELECT only; [unpriced] otherwise *)
@@ -881,10 +916,11 @@ let prepared_estimates p = p.p_priced.estimates
 let prepared_is_query p =
   match p.p_cmd with Ast.Cmd_query _ -> true | _ -> false
 
-let prepare_command ~strategy ~footprint cat cmd =
+let prepare_command ~config ~strategy ~footprint cat cmd =
   let prepared p_analyzed p_priced =
     {
       p_cmd = cmd;
+      p_config = config;
       p_strategy = strategy;
       p_analyzed;
       p_priced;
@@ -897,21 +933,23 @@ let prepare_command ~strategy ~footprint cat cmd =
           let t = Nra_planner.Analyze.analyze cat q in
           let priced =
             match (strategy, nra_base_options strategy) with
-            | Auto, _ -> ( try price cat t with _ -> unpriced)
+            | Auto, _ -> ( try price config.rules cat t with _ -> unpriced)
             | s, Some options ->
                 let s = if s = Hybrid then Nra_full else s in
-                { unpriced with rewrites = [ (s, rewrite_for cat t options) ] }
+                let r = rewrite_under config.rules cat t options in
+                { unpriced with rewrites = [ (s, r) ] }
             | _, None -> unpriced
           in
           Ok (prepared (Some t) priced))
   | _ -> Ok (prepared None unpriced)
 
-let prepare ?(strategy = Nra_optimized) cat sql =
+let prepare ?(config = !installed) ?(strategy = Nra_optimized) cat sql =
   let* cmd = parse_command sql in
-  prepare_command ~strategy ~footprint:(command_footprint cmd) cat cmd
+  prepare_command ~config ~strategy ~footprint:(command_footprint cmd) cat cmd
 
 let reprepare cat p =
-  prepare_command ~strategy:p.p_strategy ~footprint:p.p_footprint cat p.p_cmd
+  prepare_command ~config:p.p_config ~strategy:p.p_strategy
+    ~footprint:p.p_footprint cat p.p_cmd
 
 let run_prepared ?guard cat p =
   with_guard guard (fun () ->
@@ -920,9 +958,12 @@ let run_prepared ?guard cat p =
           trap (fun () ->
               match p.p_strategy with
               | Auto when p.p_priced.estimates <> [] ->
-                  Ok (Rows (run_auto_estimates cat t p.p_priced))
-              | s -> Ok (Rows (run_analyzed ~priced:p.p_priced s cat t)))
-      | _ -> run_command p.p_strategy cat p.p_cmd)
+                  Ok (Rows (run_auto_estimates p.p_config cat t p.p_priced))
+              | s ->
+                  Ok
+                    (Rows
+                       (run_analyzed ~priced:p.p_priced p.p_config s cat t)))
+      | _ -> run_command p.p_config p.p_strategy cat p.p_cmd)
 
 let exec ?strategy ?guard cat sql =
   Result.map_error Exec_error.to_string (run ?strategy ?guard cat sql)
@@ -932,9 +973,11 @@ let query ?(strategy = Nra_optimized) ?guard cat sql =
     (let* cmd = parse_command sql in
      match cmd with
      | Ast.Cmd_query stmt ->
-         with_guard guard (fun () -> run_statement strategy cat stmt)
+         with_guard guard (fun () ->
+             run_statement !installed strategy cat stmt)
      | Ast.With_query (ctes, stmt) ->
-         with_guard guard (fun () -> run_with strategy cat ctes stmt)
+         with_guard guard (fun () ->
+             run_with !installed strategy cat ctes stmt)
      | Ast.Create_table _ | Ast.Drop_table _ | Ast.Insert_values _
      | Ast.Insert_select _ | Ast.Delete _ | Ast.Update _ | Ast.Analyze _
        ->
@@ -988,13 +1031,13 @@ let explain cat sql =
    NRA strategy whose plan has applicable sites — the fired/skipped
    trace with the before/after whole-plan estimates, so Auto's choice
    over rewritten plans is auditable. *)
-let rewrite_section priced =
-  match Nra_opt.Config.rules () with
+let rewrite_section rules priced =
+  match rules with
   | [] -> "rewrite: off (no rules enabled; --rewrite or NRA_REWRITE)\n"
   | _ ->
       let buf = Buffer.create 256 in
       Buffer.add_string buf
-        (Printf.sprintf "rewrite rules: %s\n" (rewrite_signature ()));
+        (Printf.sprintf "rewrite rules: %s\n" (Nra_opt.Config.mask rules));
       List.iter
         (fun s ->
           match List.assoc_opt s priced.rewrites with
@@ -1022,9 +1065,10 @@ let explain_costs cat sql =
   | Error m -> Error m
   | Ok t -> (
       try
+        let cfg = !installed in
         let env = Nra_stats.Cardinality.make_env cat t in
         let report = Nra_stats.Cost.report env in
-        let priced = price_in env in
+        let priced = price_in cfg.rules env in
         let auto_line =
           match priced.estimates with
           | [] -> ""
@@ -1037,8 +1081,8 @@ let explain_costs cat sql =
                 Printf.sprintf
                   "auto guard: attempt budget %.3f sim-I/O ms (estimate \
                    x %.1f overrun, floor %.1f ms); fallback: %s\n"
-                  (auto_attempt_ms best.Nra_stats.Cost.cost_ms)
-                  !auto_overrun !auto_floor_ms
+                  (auto_attempt_ms cfg best.Nra_stats.Cost.cost_ms)
+                  cfg.auto_overrun cfg.auto_floor_ms
                   (strategy_to_string Nra_optimized)
         in
         let ev = Guard.events () in
@@ -1078,7 +1122,7 @@ let explain_costs cat sql =
           (Printf.sprintf
              "%s\n%s%s%s%sguard events (session): %d budget kill(s), %d \
               cancellation(s), %d auto fallback(s)%s"
-             report auto_line (rewrite_section priced) storage_line
+             report auto_line (rewrite_section cfg.rules priced) storage_line
              governor_line ev.Guard.budget_kills ev.Guard.cancellations
              ev.Guard.auto_fallbacks note)
       with e -> Error (Printexc.to_string e))

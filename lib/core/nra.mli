@@ -55,7 +55,7 @@ module Iosim = Nra_storage.Iosim
 
 module Bufpool = Nra_storage.Bufpool
 (** The paged buffer pool behind out-of-core execution
-    ([--buffer-pages] / [NRA_BUFFER_PAGES]) — see docs/STORAGE.md. *)
+    ([Engine_config.frames]) — see docs/STORAGE.md. *)
 
 module Governor = Nra_storage.Governor
 (** The per-statement memory governor: every staged intermediate is
@@ -74,7 +74,7 @@ module Guard = Nra_guard.Guard
 
 module Pool = Nra_pool.Pool
 (** The Domain pool behind morsel-driven intra-query parallelism
-    ([--domains] / [NRA_DOMAINS]) — see docs/PERF.md. *)
+    ([Engine_config.domains]) — see docs/PERF.md. *)
 
 module Algebra : sig
   module Basic = Nra_algebra.Basic
@@ -135,6 +135,27 @@ end
     fusion, push-down, pipelining, semijoin conversion) that edit the
     NRA plan ({!Exec.Plan}) the executor then runs — see
     docs/OPTIMIZER.md. *)
+
+(** {1 Configuration} *)
+
+module Engine_config = Engine_config
+(** Every engine setting in one value; the table of fields, variables,
+    flags and defaults is in docs/INTERNALS.md. *)
+
+val config : unit -> Engine_config.t
+(** The installed config: its engine-wide fields as the owning modules
+    hold them now, its statement-level fields as last installed. *)
+
+val configure : Engine_config.t -> unit
+(** Install a config.  Each engine-wide part that differs from the
+    installed one goes to its owning module's setter ({!Pool.configure},
+    {!Iosim.set_config}, {!Bufpool.set_frames}, {!Fault.configure});
+    the statement-level fields apply to statements prepared from now
+    on. *)
+
+val set_rewrite_rules : Nra_opt.Config.rule list -> unit
+(** Install [{ (config ()) with rules }] (a shorthand kept for the
+    benchmark driver). *)
 
 (** {1 Errors} *)
 
@@ -258,11 +279,13 @@ type prepared
     a plain SELECT — analyzed into the block tree and priced: [Auto]'s
     estimates and every NRA strategy's rewrite, or an NRA-family
     strategy's one rewrite.  The [nra.server] plan cache stores these
-    keyed on (normalized text, strategy, rewrite signature) and stamped
-    with the catalog generation, so repeated statements skip
-    parse/plan/estimate/rewrite. *)
+    keyed on (normalized text, strategy) and stamped with the catalog
+    generation, so repeated statements skip parse/plan/estimate/rewrite.
+    A preparation keeps the config it was made under, and runs under
+    it. *)
 
 val prepare :
+  ?config:Engine_config.t ->
   ?strategy:strategy ->
   Catalog.t ->
   string ->
@@ -270,7 +293,8 @@ val prepare :
 (** Parse [sql]; analyze it when it is a plain SELECT, and price it:
     when [strategy] is [Auto], every strategy and every NRA strategy's
     rewrite once, in one cardinality context; when it is an NRA-family
-    strategy, that strategy's rewrite under the rules enabled now.  Set
+    strategy, that strategy's rewrite.  Rules and Auto's guard come from
+    [config] (default: the installed one, {!config}).  Set
     operations, WITH and DML prepare to their parsed command only
     (execution analyzes per component, as {!run} does). *)
 
@@ -291,9 +315,8 @@ val run_prepared :
     priced with; the pick still consults [Guard.remaining ()] at
     {e execution} time, so a cached plan adapts to the caller's current
     budget.  The caller is responsible for staleness: a prepared
-    statement must not outlive a change to its catalog, indexes,
-    statistics or rewrite rules (the plan cache enforces this with
-    generation checks and the rewrite signature in its key). *)
+    statement must not outlive a change to its catalog, indexes or
+    statistics (the plan cache enforces this with generation checks). *)
 
 val prepared_strategy : prepared -> strategy
 
@@ -306,23 +329,6 @@ val prepared_is_query : prepared -> bool
 (** [true] for SELECT / set-operation statements — the only ones the
     plan cache retains (DDL and DML are cheap to parse and mutate the
     very generations the cache is keyed on). *)
-
-(** {1 Auto degradation knobs} *)
-
-val set_auto_guard : ?overrun:float -> ?floor_ms:float -> unit -> unit
-(** Configure [Auto]'s kill-and-fallback: the chosen plan runs under a
-    simulated-I/O budget of [max floor_ms (estimate *. overrun)]; if it
-    blows that budget it is killed, its I/O charges rolled back, and the
-    query rerun under [Nra_optimized] (counted in {!Guard.events}).
-    [overrun] is clamped to [>= 1.0] (default 4.0), [floor_ms] to
-    [>= 0.0] (default 1.0 — estimates near zero would otherwise make
-    every misestimate fatal).  The derived budget is intersected with
-    the client's own ({!Guard.min_budget}), and a kill attributable to
-    the client's budget is {e not} degraded: it surfaces as
-    [Budget_exceeded]. *)
-
-val auto_guard : unit -> float * float
-(** The current [(overrun, floor_ms)] pair. *)
 
 val explain : Catalog.t -> string -> (string, string) result
 (** A textual report: the block tree (the paper's "tree expression"),
@@ -349,24 +355,11 @@ val auto_choice : Catalog.t -> string -> (strategy, string) result
 
 (** {1 The algebraic rewrite pass}
 
-    Rules are off by default; enable them with {!set_rewrite_rules} /
-    {!set_rewrite_spec} (the CLI's [--rewrite], and [NRA_REWRITE] in
-    the environment).  Once enabled, every NRA-family execution —
-    including [Auto]'s picks and [Hybrid]'s NRA arm — runs the
-    cost-gated rewritten plan transparently; results are always
-    byte-identical to the unrewritten plan. *)
-
-val rewrite_rules : unit -> Nra_opt.Config.rule list
-val set_rewrite_rules : Nra_opt.Config.rule list -> unit
-
-val set_rewrite_spec : string -> (unit, string) result
-(** Parse ["all"], ["none"], or a comma list of rule names, then
-    {!set_rewrite_rules}. *)
-
-val rewrite_epoch : unit -> int
-val rewrite_signature : unit -> string
-(** ["mask@epoch"]; plan caches must key on this so toggling rules can
-    never serve a stale plan. *)
+    Rules are off by default; a config's [rules] field enables them.
+    Once enabled, every NRA-family execution — including [Auto]'s picks
+    and [Hybrid]'s NRA arm — runs the cost-gated rewritten plan
+    transparently; results are always byte-identical to the unrewritten
+    plan. *)
 
 val nra_base_options : strategy -> Nra_exec.Nra.options option
 (** The executor options an NRA-family strategy runs under ([None] for

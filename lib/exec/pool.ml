@@ -36,32 +36,12 @@ end
 
 (* ---------- sizing knobs ---------- *)
 
-let env_int name =
-  match Sys.getenv_opt name with
-  | None -> None
-  | Some s -> int_of_string_opt (String.trim s)
-
-let default_size () = max 0 (Domain.recommended_domain_count () - 1)
-
-let requested_size : int option ref =
-  ref (Option.map (max 0) (env_int "NRA_DOMAINS"))
-
-let size () =
-  match !requested_size with Some n -> n | None -> default_size ()
-
-let threshold =
-  ref (match env_int "NRA_PARALLEL_THRESHOLD" with
-      | Some n when n > 0 -> n
-      | _ -> 256)
-
+let size_now = ref (max 0 (Domain.recommended_domain_count () - 1))
+let size () = !size_now
+let threshold = ref 256
 let parallel_threshold () = !threshold
-let set_parallel_threshold n = threshold := max 1 n
-
-let morsel_size =
-  ref (match env_int "NRA_MORSEL" with Some n when n > 0 -> n | _ -> 1024)
-
+let morsel_size = ref 1024
 let morsel () = !morsel_size
-let set_morsel n = morsel_size := max 1 n
 
 let executors () = if size () = 0 then 1 else size () + 1
 let use_parallel n = executors () > 1 && n >= !threshold
@@ -148,9 +128,13 @@ let shutdown () =
       workers := [];
       stopping := false
 
-let set_size n =
-  requested_size := Some (max 0 n);
-  shutdown ()
+let configure ~size ~threshold:t ~morsel =
+  threshold := max 1 t;
+  morsel_size := max 1 morsel;
+  if max 0 size <> !size_now then begin
+    size_now := max 0 size;
+    shutdown ()
+  end
 
 (* Spawn lazily, first region only; a failed spawn (fd/thread limits)
    degrades the pool rather than the query. *)

@@ -70,39 +70,30 @@ module Ledger : sig
 end
 
 val size : unit -> int
-(** Worker-domain count currently in effect: the last {!set_size}, else
-    [NRA_DOMAINS] from the environment, else one less than
-    [Domain.recommended_domain_count ()] (the owner participates in
-    every region), clamped at 0.  [0]
-    means strictly serial — no domain is ever spawned and every kernel
-    takes its pre-existing serial path. *)
-
-val set_size : int -> unit
-(** Override the pool size (clamped at 0).  Takes effect lazily: live
-    workers are retired and the new complement is spawned on the next
-    parallel region. *)
-
-val executors : unit -> int
-(** [size () + 1] when parallel (the owner drains morsels too), [1]
-    when serial.  Kernels use this as their partition count. *)
+(** Worker-domain count in effect: the last {!configure}, else one less
+    than [Domain.recommended_domain_count ()] (the owner participates
+    in every region), clamped at 0.  [0] means strictly serial — no
+    domain is ever spawned and every kernel takes its pre-existing
+    serial path. *)
 
 val parallel_threshold : unit -> int
 (** Minimum input rows before a kernel leaves its serial path (default
-    256, or [NRA_PARALLEL_THRESHOLD]); below it, fork-join overhead
-    dominates.  Tests lower it to force tiny inputs through the
-    parallel code. *)
-
-val set_parallel_threshold : int -> unit
+    256); below it, fork-join overhead dominates.  Tests lower it to
+    force tiny inputs through the parallel code. *)
 
 val morsel : unit -> int
-(** Target rows per chunk (default 1024, or [NRA_MORSEL]); the actual
-    chunk count is also capped at 4×{!executors} so per-chunk buffers
-    stay coarse. *)
+(** Target rows per chunk (default 1024); the actual chunk count is
+    also capped at four per executor (the owner and each worker) so
+    per-chunk buffers stay coarse. *)
 
-val set_morsel : int -> unit
+val configure : size:int -> threshold:int -> morsel:int -> unit
+(** Set all three (size clamped at 0, the others at 1) — the pool's
+    part of [Nra.configure].  A new size takes effect lazily: live
+    workers are retired and the new complement is spawned on the next
+    parallel region. *)
 
 val use_parallel : int -> bool
-(** [executors () > 1 && n >= parallel_threshold ()] — the guard every
+(** [size () > 0 && n >= parallel_threshold ()] — the guard every
     kernel places in front of its parallel path. *)
 
 val parallel_chunks :

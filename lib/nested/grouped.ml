@@ -51,17 +51,6 @@ let to_nested t =
     ~keep:(List.init earity (fun i -> karity + i))
     (Nested_relation.of_flat flat)
 
-let equal a b =
-  let canon t =
-    Array.to_list t.groups
-    |> List.map (fun (k, es) ->
-           (k, List.sort Row.compare (Array.to_list es)))
-    |> List.sort (fun (k1, _) (k2, _) -> Row.compare k1 k2)
-  in
-  List.equal
-    (fun (k1, e1) (k2, e2) -> Row.equal k1 k2 && List.equal Row.equal e1 e2)
-    (canon a) (canon b)
-
 (* one fold per selection, restarted per group *)
 let eval_group f ~marker (key, elems) =
   Link_pred.start f ~outer:key;

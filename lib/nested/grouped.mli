@@ -32,9 +32,6 @@ val unnest : t -> Relation.t
 val to_nested : t -> Nested_relation.t
 (** Convert to the general model (deduplicating elements). *)
 
-val equal : t -> t -> bool
-(** Group-set equality: same keys, same element {e multisets}. *)
-
 (** {1 Linking selections — Definition 5}
 
     Both return a {e flat} relation over [key_schema]: the paper's

@@ -128,27 +128,3 @@ let is_positive = function
   | Is_empty | Quant (_, _, All, _) -> false
   | Agg _ -> false (* the empty set aggregates to a value: it matters *)
   | Scalar _ -> false (* like Analyze: the empty result is Unknown *)
-
-let agg_func_name (f : Nra_algebra.Aggregate.func) =
-  match f with
-  | Nra_algebra.Aggregate.Count_star | Nra_algebra.Aggregate.Count _ ->
-      "count"
-  | Nra_algebra.Aggregate.Sum _ -> "sum"
-  | Nra_algebra.Aggregate.Avg _ -> "avg"
-  | Nra_algebra.Aggregate.Min _ -> "min"
-  | Nra_algebra.Aggregate.Max _ -> "max"
-
-let pp ppf = function
-  | Non_empty -> Format.pp_print_string ppf "{B} <> {}"
-  | Is_empty -> Format.pp_print_string ppf "{B} = {}"
-  | Quant (a, op, q, b) ->
-      Format.fprintf ppf "%a %s %s {#%d}" Expr.pp_scalar a
-        (T3.cmpop_to_string op)
-        (match q with Some_ -> "SOME" | All -> "ALL")
-        b
-  | Agg (a, op, f) ->
-      Format.fprintf ppf "%a %s %s{B}" Expr.pp_scalar a
-        (T3.cmpop_to_string op) (agg_func_name f)
-  | Scalar (a, op, b) ->
-      Format.fprintf ppf "%a %s scalar{#%d}" Expr.pp_scalar a
-        (T3.cmpop_to_string op) b

@@ -109,5 +109,3 @@ val is_positive : t -> bool
     satisfied by the empty set.  Aggregate linking is never positive:
     the empty set aggregates to a value (COUNT → 0) that can satisfy
     the comparison.  Drives the σ vs σ̄ choice. *)
-
-val pp : Format.formatter -> t -> unit

@@ -59,9 +59,6 @@ let rec at_depth ~path f (t : N.t) =
       subs.(sub) <- (name, !new_schema);
       { N.sch = { t.N.sch with N.subs }; tuples }
 
-let select_at ~path pred ~sub ~marker t =
-  at_depth ~path (select pred ~sub ~marker) t
-
 let pseudo_select_at ~path pred ~sub ~marker ~pad t =
   at_depth ~path (pseudo_select pred ~sub ~marker ~pad) t
 

@@ -37,11 +37,6 @@ val at_depth : path:int list ->
     the subrelation indices in [path] (so [path = []] is [f r] itself).
     @raise Invalid_argument if an index is out of range. *)
 
-val select_at : path:int list -> Link_pred.t -> sub:int ->
-  marker:int option -> Nested_relation.t -> Nested_relation.t
-(** A linking selection between depths d and d+1: [select] applied to
-    every subrelation at depth d = [length path]. *)
-
 val pseudo_select_at : path:int list -> Link_pred.t -> sub:int ->
   marker:int option -> pad:int list -> Nested_relation.t ->
   Nested_relation.t

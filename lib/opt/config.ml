@@ -1,8 +1,7 @@
-(* Which rewrite rules are enabled, and the epoch counter that makes
-   rule toggling visible to caches.  Rules are OFF by default: the
-   rewriter only runs when the user (CLI --rewrite, NRA_REWRITE env, or
-   a test) switches rules on, so the seed behavior of every strategy is
-   untouched. *)
+(* The rewrite rules and their one parser.  Which rules a statement
+   runs under is a field of the engine configuration it was prepared
+   with ([Nra.Engine_config]); rules are off by default, so the seed
+   behavior of every strategy is untouched. *)
 
 type rule = Fuse_nests | Push_down | Pipeline | Semijoin
 
@@ -48,39 +47,7 @@ let parse spec =
            (Ok [])
       |> Result.map canonical
 
-let enabled =
-  ref
-    (match Sys.getenv_opt "NRA_REWRITE" with
-    | None -> []
-    | Some spec -> ( match parse spec with Ok rs -> rs | Error _ -> []))
-
-let epoch = ref 0
-let rules () = !enabled
-let current_epoch () = !epoch
-
-let mask () =
-  match !enabled with
+let mask rs =
+  match canonical rs with
   | [] -> "none"
   | rs -> String.concat "," (List.map rule_to_string rs)
-
-(* plan-cache key component: the rule mask alone is not enough, because
-   a cache entry stored under mask M, invalidated by toggling away and
-   back to M, must not resurrect — the epoch makes each [set] distinct.
-   Every statement's cache lookup reads it, so it is formatted once per
-   [set]. *)
-let format_signature () = Printf.sprintf "%s@%d" (mask ()) !epoch
-let current_signature = ref (format_signature ())
-let signature () = !current_signature
-
-let set rs =
-  enabled := canonical rs;
-  incr epoch;
-  current_signature := format_signature ()
-
-let set_spec spec =
-  match parse spec with
-  | Ok rs ->
-      set rs;
-      Ok ()
-  | Error e -> Error e
-

@@ -245,10 +245,7 @@ let rec sweep s rule i = function
       try_site s rule i n;
       sweep s rule (i + 1) rest
 
-let rewrite ?rules ctx (start : Plan.t) : result =
-  let rules =
-    match rules with Some rs -> rs | None -> Config.rules ()
-  in
+let rewrite ~rules ctx (start : Plan.t) : result =
   let active = List.filter (fun r -> List.mem r rules) rule_order in
   let sites = Plan.nodes start in
   let sg = signature sites in

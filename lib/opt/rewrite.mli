@@ -54,10 +54,9 @@ val walk : ctx -> Plan.t -> Nra_stats.Cost.breakdown
 (** {!Nra_stats.Cost.plan_breakdown} of a plan of the context's
     statement: for a lifted plan, its NRA strategy's estimate. *)
 
-val rewrite : ?rules:Config.rule list -> ctx -> Plan.t -> result
-(** Rewrite [start], a plan of the context's statement, pricing it and
-    every candidate in that one context.  Rules default to
-    {!Config.rules} (the global toggle state). *)
+val rewrite : rules:Config.rule list -> ctx -> Plan.t -> result
+(** Rewrite [start], a plan of the context's statement, under [rules],
+    pricing it and every candidate in that one context. *)
 
 val site : trace_entry -> string
 (** ["block N: before → after"], formatted when called. *)

@@ -154,8 +154,6 @@ val block_uids : block -> string list
 val collect_blocks : block -> block list
 (** The subtree's blocks in pre-order (the block itself first). *)
 
-val is_positive : link_op -> bool
-
 val child_positive : child -> bool
 (** Site-level positivity: [is_positive] on the link, except that an
     aggregate-linking (type-JA) child — [scalar_agg <> None] — is never

@@ -62,15 +62,6 @@ let blocks_of cols =
 let expr_blocks e = blocks_of (expr_cols e)
 let cond_blocks c = blocks_of (cond_cols c)
 
-let conj = function
-  | [] -> RTrue
-  | c :: cs -> List.fold_left (fun acc d -> RAnd (acc, d)) c cs
-
-let rec conjuncts = function
-  | RAnd (a, b) -> conjuncts a @ conjuncts b
-  | RTrue -> []
-  | c -> [ c ]
-
 exception Unbound of string
 
 let find_col schema { uid; col; _ } =

@@ -43,9 +43,6 @@ val cond_least_block : rcond -> int
 (** The least block id referenced ([max_int] when none): the head of
     [expr_blocks] / [cond_blocks], without building the list. *)
 
-val conj : rcond list -> rcond
-val conjuncts : rcond -> rcond list
-
 exception Unbound of string
 (** A column's (uid, name) pair is missing from the frame schema —
     an internal error if analysis succeeded. *)

@@ -18,7 +18,6 @@ let of_columns l = Array.of_list l
 let columns s = s
 let arity = Array.length
 let col s i = s.(i)
-let empty = [||]
 let append = Array.append
 let project s idxs = Array.of_list (List.map (fun i -> s.(i)) idxs)
 let rename_table alias s = Array.map (fun c -> { c with table = alias }) s

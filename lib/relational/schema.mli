@@ -28,7 +28,6 @@ val columns : t -> column array
 val arity : t -> int
 val col : t -> int -> column
 
-val empty : t
 val append : t -> t -> t
 (** Schema of a join/product: left columns then right columns. *)
 

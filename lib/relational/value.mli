@@ -83,5 +83,3 @@ val string_of_date : int -> string
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val type_name : t -> string
-(** Runtime type name, for error messages. *)

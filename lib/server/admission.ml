@@ -48,7 +48,6 @@ let create cfg =
   { cfg; running = 0; queue = []; st = zero_stats }
 
 let config t = t.cfg
-let running t = t.running
 let stats t = t.st
 
 type 'a waiter = { payload : 'a; enqueued_at : float; at : float }

@@ -35,8 +35,6 @@ type 'a t
 val create : config -> 'a t
 val config : 'a t -> config
 
-val running : 'a t -> int
-
 val submit : 'a t -> now:float -> 'a -> [ `Admitted | `Queued | `Rejected_full ]
 (** [`Admitted] takes a slot (released later via {!release}). *)
 

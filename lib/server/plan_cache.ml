@@ -18,11 +18,10 @@ type entry = {
 type t = {
   capacity : int;
   cat : Nra.Catalog.t;
-  tbl : (string * string * string, entry) Hashtbl.t;
-      (* (normalized SQL, strategy, rewrite signature) — equal
-         normalized text lexes to equal tokens, and the rewrite
-         mask+epoch in the key means toggling rules via CLI/env can
-         never serve a plan prepared under a different configuration *)
+  config : Nra.Engine_config.t;  (* every entry is prepared under it *)
+  tbl : (string * string, entry) Hashtbl.t;
+      (* (normalized SQL, strategy) — equal normalized text lexes to
+         equal tokens *)
   mutable tick : int;
   mutable st : stats;
 }
@@ -43,9 +42,9 @@ let bump ?(hits = 0) ?(misses = 0) ?(invalidations = 0) ?(evictions = 0) t =
   t.st <- add t.st;
   global := add !global
 
-let create ?(capacity = 128) cat =
-  { capacity = Int.max 1 capacity; cat; tbl = Hashtbl.create 64; tick = 0;
-    st = zero_stats }
+let create ?(capacity = 128) ~config cat =
+  { capacity = Int.max 1 capacity; cat; config; tbl = Hashtbl.create 64;
+    tick = 0; st = zero_stats }
 
 let normalize sql =
   let b = Buffer.create (String.length sql) in
@@ -110,11 +109,7 @@ let evict_lru t =
 
 let find_or_prepare t ~strategy sql =
   t.tick <- t.tick + 1;
-  let key =
-    ( normalize sql,
-      Nra.strategy_to_string strategy,
-      Nra.rewrite_signature () )
-  in
+  let key = (normalize sql, Nra.strategy_to_string strategy) in
   let cat_gen = stamp t in
   match Hashtbl.find_opt t.tbl key with
   | Some e when e.cat_gen = cat_gen ->
@@ -133,7 +128,7 @@ let find_or_prepare t ~strategy sql =
             (* the parse of a normalized text cannot go stale; its
                analysis and pricing can *)
             Nra.reprepare t.cat e.prep
-        | None -> Nra.prepare ~strategy t.cat sql
+        | None -> Nra.prepare ~config:t.config ~strategy t.cat sql
       in
       match prepared with
       | Error _ as e -> e

@@ -1,15 +1,16 @@
 (** A generation-checked plan cache over {!Nra.prepared} statements.
 
-    Entries are keyed on (normalized statement text, strategy, rewrite
-    signature — see {!Nra.rewrite_signature}) and stamped with the
-    catalog's global generation ([Catalog.global_generation]) at
-    preparation time.  A lookup whose stamp no longer matches discards
-    the entry's plan and re-prepares: any DML, DDL, index change or
-    [ANALYZE] bumps that generation, so a cached plan can never be
-    replayed against a world it was not priced for.  A stale entry
-    keeps its parse: the re-preparation analyzes and prices the kept
-    command ({!Nra.reprepare}) without lexing or parsing the text
-    again, since the parse of a normalized text cannot go stale.
+    A cache prepares every entry under the one engine config it was
+    created with, so entries are keyed on (normalized statement text,
+    strategy) alone, and stamped with the catalog's global generation
+    ([Catalog.global_generation]) at preparation time.  A lookup whose
+    stamp no longer matches discards the entry's plan and re-prepares:
+    any DML, DDL, index change or [ANALYZE] bumps that generation, so a
+    cached plan can never be replayed against a world it was not priced
+    for.  A stale entry keeps its parse: the re-preparation analyzes and
+    prices the kept command ({!Nra.reprepare}) without lexing or parsing
+    the text again, since the parse of a normalized text cannot go
+    stale.
 
     Normalization collapses whitespace and case and drops [--] line
     comments, all {e outside} quoted literals, so ["SELECT * FROM emp"]
@@ -29,9 +30,9 @@
 
 type t
 
-val create : ?capacity:int -> Nra.Catalog.t -> t
-(** A cache bound to one catalog.  [capacity] defaults to 128 and is
-    clamped to [>= 1]. *)
+val create : ?capacity:int -> config:Nra.Engine_config.t -> Nra.Catalog.t -> t
+(** A cache bound to one catalog, preparing under [config].  [capacity]
+    defaults to 128 and is clamped to [>= 1]. *)
 
 val normalize : string -> string
 (** The cache key's text component: lowercased, whitespace-collapsed,

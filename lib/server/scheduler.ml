@@ -88,8 +88,6 @@ let sync t =
   c.vclock <- c.vclock +. clamp0 (t.io.ms -. c.io_mark);
   c.io_mark <- t.io.ms
 
-let quantum_ms t = t.q_ms
-
 let stats t =
   {
     spawned = t.n_spawned;

@@ -67,8 +67,6 @@ val create : ?quantum_ms:float -> ?chooser:(now:float -> int list -> int)
 val default_quantum_ms : float
 (** 0.5 ms of simulated I/O per slice. *)
 
-val quantum_ms : t -> float
-
 val now : t -> float
 (** The virtual clock, in ms: monotone at every scheduling point. *)
 

@@ -85,11 +85,17 @@ let create ?(config = default_config) cat =
      domain, and a statement's parallel region runs to the barrier
      within its slice (a no-yield critical section), so one pool serves
      all sessions without interleaving hazards. *)
-  Option.iter Nra_pool.Pool.set_size config.domains;
+  Option.iter
+    (fun domains -> Nra.configure { (Nra.config ()) with domains })
+    config.domains;
   {
     cat;
     cfg = config;
-    pc = Plan_cache.create ~capacity:config.cache_capacity cat;
+    (* the installed engine config, snapshot: a later [Nra.configure]
+       changes no plan this server prepares *)
+    pc =
+      Plan_cache.create ~capacity:config.cache_capacity
+        ~config:(Nra.config ()) cat;
     adm = Admission.create config.admission;
     sched = Scheduler.create ~quantum_ms:config.quantum_ms ();
     completed = [];
@@ -98,7 +104,6 @@ let create ?(config = default_config) cat =
     global_locks = 0;
   }
 
-let catalog t = t.cat
 let config t = t.cfg
 let cache t = t.pc
 let scheduler t = t.sched

@@ -33,12 +33,10 @@ type config = {
       (** a statement whose session has at most this much simulated-I/O
           allowance left is boosted ahead of bulk work *)
   domains : int option;
-      (** worker-domain count for intra-query parallelism, applied to
-          the scheduler-owned pool ([Nra_pool.Pool.set_size]) at
-          {!create}; [None] keeps the pool's current size
-          ([NRA_DOMAINS] or the core count).  A statement's parallel
-          regions run to their barrier within its scheduler slice —
-          see docs/PERF.md. *)
+      (** worker-domain count for intra-query parallelism, installed
+          ({!Nra.configure}) at {!create}; [None] keeps the installed
+          count.  A statement's parallel regions run to their barrier
+          within its scheduler slice — see docs/PERF.md. *)
 }
 
 val default_config : config
@@ -49,10 +47,12 @@ val default_config : config
 type t
 
 val create : ?config:config -> Nra.Catalog.t -> t
-(** Also registers the plan cache's [explain --costs] note hook
+(** Snapshots the installed engine config ({!Nra.config}, after
+    [domains] is applied): the server's plan cache prepares, and its
+    statements run, under that snapshot whatever is installed later.
+    Also registers the plan cache's [explain --costs] note hook
     ({!Nra.set_explain_note}) — idempotent. *)
 
-val catalog : t -> Nra.Catalog.t
 val config : t -> config
 val cache : t -> Plan_cache.t
 

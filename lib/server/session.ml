@@ -35,8 +35,6 @@ let create ?label ?wall_ms ?sim_io_ms ?rows () =
   }
 
 let id t = t.id
-let label t = t.label
-let token t = t.token
 
 let remaining t =
   Guard.budget

@@ -28,11 +28,6 @@ val create :
 val id : t -> int
 (** Process-unique, monotonically assigned. *)
 
-val label : t -> string
-(** [create]'s label, defaulting to ["session-<id>"]. *)
-
-val token : t -> Nra_guard.Guard.token
-
 (** {1 The aggregate budget} *)
 
 val remaining : t -> Nra_guard.Guard.budget

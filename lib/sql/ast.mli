@@ -127,7 +127,5 @@ val cond_conjuncts : cond -> cond list
 
 (** {1 Printing} — emits re-parsable SQL *)
 
-val pp_expr : Format.formatter -> expr -> unit
-val pp_cond : Format.formatter -> cond -> unit
 val to_string : query -> string
 val statement_to_string : statement -> string

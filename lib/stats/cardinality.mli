@@ -27,15 +27,6 @@ val make_env : Catalog.t -> Analyze.t -> env
 val catalog : env -> Catalog.t
 val analysis : env -> Analyze.t
 
-val col_stats : env -> Resolved.rcol -> Col_stats.t option
-(** Fresh ANALYZE output for the column's base table, if any. *)
-
-val ndv : env -> Resolved.rcol -> float
-(** Distinct non-NULL values; falls back to the table cardinality for a
-    single-column primary key and rows/10 otherwise. *)
-
-val null_frac : env -> Resolved.rcol -> float
-
 (** {1 The 3VL selectivity algebra}
 
     Selectivity pairs [(p_true, p_unknown)] combined by the three-valued

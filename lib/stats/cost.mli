@@ -83,20 +83,14 @@ val estimates :
     {!plan_breakdown} of [Plan.lift ~base:(nra_base s)] of the
     statement; the others lift and walk their own. *)
 
-val fits :
-  remaining_io_ms:float option -> remaining_rows:int option ->
-  estimate -> bool
-(** Does this plan's estimate fit inside what is left of the caller's
-    budget?  [cost_ms] is checked against the remaining simulated-I/O
-    allowance and [breakdown.fetched_rows] — which the NRA estimators
-    charge per wide-intermediate tuple, mirroring the executor's row
-    accounting — against the remaining row allowance. *)
-
 val pick :
   remaining_io_ms:float option -> remaining_rows:int option ->
   estimate list -> estimate
 (** Budget-aware choice over a cheapest-first estimate list: the
-    cheapest estimate that {!fits}, or the globally cheapest when none
+    cheapest estimate that fits (its [cost_ms] within the remaining
+    simulated-I/O allowance, its [breakdown.fetched_rows] — charged per
+    wide-intermediate tuple, as the executor counts rows — within the
+    remaining row allowance), or the globally cheapest when none
     does (a doomed query should still take its cheapest path to the
     kill).  This is how a caller's [Guard.remaining ()] steers Auto: a
     tight row budget flips the choice away from intermediate-heavy

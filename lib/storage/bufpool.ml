@@ -10,11 +10,8 @@
    layer above without any layer holding real 8 KB buffers.
 
    Disabled by default ([frames () = None]): the engine behaves exactly
-   as before this pool existed.  Enable with [set_frames (Some n)],
-   [--buffer-pages N] on the CLI, or the NRA_BUFFER_PAGES environment
-   variable ("N" frames, or "32mb"-style budgets converted at the
-   configured Iosim page size) — the latter is how CI runs the whole
-   suite out-of-core.
+   as before this pool existed.  Enable with [set_frames (Some n)]; the
+   engine configuration's frame budget is installed through it.
 
    Global and single-threaded, like Iosim: worker domains never touch
    the pool.  The spill paths do run under the Domain pool, but workers
@@ -328,25 +325,4 @@ module Spill = struct
     free t
 end
 
-(* NRA_BUFFER_PAGES: "N" frames, "0" disabled, or a "<X>mb" memory
-   budget converted at the configured Iosim page size *)
-let () =
-  Iosim.on_reset reset;
-  match Sys.getenv_opt "NRA_BUFFER_PAGES" with
-  | None -> ()
-  | Some spec -> (
-      let spec = String.trim (String.lowercase_ascii spec) in
-      match int_of_string_opt spec with
-      | Some n when n > 0 -> frame_budget := Some n
-      | Some _ -> ()
-      | None ->
-          if String.length spec > 2
-             && String.sub spec (String.length spec - 2) 2 = "mb"
-          then
-            match
-              float_of_string_opt
-                (String.sub spec 0 (String.length spec - 2))
-            with
-            | Some mb when mb > 0.0 ->
-                frame_budget := Some (Iosim.frames_for_mb mb)
-            | _ -> ())
+let () = Iosim.on_reset reset

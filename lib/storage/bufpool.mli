@@ -12,10 +12,8 @@
 
     Disabled by default ([frames () = None]); every access is then a
     no-op and the engine charges exactly as it did before this module
-    existed.  Enable with {!set_frames}, [--buffer-pages]/[--buffer-mb]
-    on the CLI, or the [NRA_BUFFER_PAGES] environment variable ("[N]"
-    frames, "[0]" disabled, or "[32mb]"-style budgets converted at the
-    configured {!Iosim} page size).
+    existed.  Enable with {!set_frames}, which installs the engine
+    configuration's frame budget ([Nra.Engine_config]).
 
     Global and single-threaded, like {!Iosim}: worker domains never
     touch the pool.  Spilled partitions are still consumed {e under}

@@ -182,41 +182,3 @@ let retrying f x =
   try f x with Io_fault _ as e -> retry c f x 0 e
 
 let with_retries f = retrying f ()
-
-(* CI enables injection for a whole `dune runtest` via the environment:
-   NRA_FAULT_INJECT="p", "p:seed", "p:seed:retries", or
-   "p:seed:retries:palloc" (the last field adds allocation-pressure
-   faults — row-budget exhaustion under any finite row budget) *)
-let () =
-  match Sys.getenv_opt "NRA_FAULT_INJECT" with
-  | None -> ()
-  | Some spec -> (
-      match String.split_on_char ':' spec with
-      | [ p ] -> (
-          match float_of_string_opt p with
-          | Some p -> configure p
-          | None -> ())
-      | [ p; seed ] -> (
-          match (float_of_string_opt p, int_of_string_opt seed) with
-          | Some p, Some seed -> configure ~seed p
-          | _ -> ())
-      | [ p; seed; retries ] -> (
-          match
-            ( float_of_string_opt p,
-              int_of_string_opt seed,
-              int_of_string_opt retries )
-          with
-          | Some p, Some seed, Some max_retries ->
-              configure ~seed ~max_retries p
-          | _ -> ())
-      | p :: seed :: retries :: palloc :: _ -> (
-          match
-            ( float_of_string_opt p,
-              int_of_string_opt seed,
-              int_of_string_opt retries,
-              float_of_string_opt palloc )
-          with
-          | Some p, Some seed, Some max_retries, Some alloc_probability ->
-              configure ~seed ~max_retries ~alloc_probability p
-          | _ -> ())
-      | [] -> ())

@@ -16,12 +16,9 @@
       budget exhausts and the last {!Io_fault} escapes to the facade,
       which surfaces it as a structured [Io_error].
 
-    Like {!Iosim}, everything is global and single-threaded.
-
-    The environment variable [NRA_FAULT_INJECT] ("p", "p:seed",
-    "p:seed:retries", or "p:seed:retries:palloc" — the last field arms
-    allocation-pressure faults) configures injection at program start —
-    this is how CI runs the whole test suite under injection. *)
+    Like {!Iosim}, everything is global and single-threaded.  The
+    engine configuration's fault spec ([Nra.Engine_config.faults]) is
+    installed through {!configure}. *)
 
 exception Io_fault of string
 (** A (simulated) failed storage read.  The payload names the site,

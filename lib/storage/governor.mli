@@ -33,9 +33,6 @@ type stats = {
 
 val stats : unit -> stats
 
-val reset : unit -> unit
-(** Zero the ledger.  Also runs on every {!Iosim.reset}. *)
-
 val with_charged : rows:int -> width:int -> (unit -> 'a) -> 'a
 (** Charge an intermediate's footprint for the dynamic extent of [f]
     (released on any exit).  Used for intermediates that are observed

@@ -16,7 +16,6 @@ let build rel positions =
   in
   { table; positions; ident = Array.init (Array.length positions) Fun.id }
 
-let positions t = t.positions
 let cardinality t = Keyed.linked t.table
 
 (* a key's chain runs in ascending ids; the walk conses on the way back *)

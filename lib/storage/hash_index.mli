@@ -20,8 +20,6 @@ val build : Relation.t -> int array -> t
     The index refers to [rel]'s rows array, which must not be mutated
     afterwards. *)
 
-val positions : t -> int array
-
 val probe : t -> Row.t -> int list
 (** [probe idx key_row] returns, in ascending order, the ids of rows
     whose key equals [key_row] (a row containing exactly the key values,

@@ -49,10 +49,3 @@ let frac_below t v =
 
 let frac_between t lo hi =
   max 0.0 (frac_below t hi -. frac_below t lo)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>equi-depth[%d]: %a@]" (buckets t)
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " | ")
-       Value.pp)
-    t.bounds

@@ -33,5 +33,3 @@ val frac_below : t -> Value.t -> float
 
 val frac_between : t -> Value.t -> Value.t -> float
 (** [P(lo <= x <= hi)], clamped to [0, 1]. *)
-
-val pp : Format.formatter -> t -> unit

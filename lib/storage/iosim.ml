@@ -143,10 +143,6 @@ let save_task () =
 
 let restore_task s = ledgers := s
 
-let frames_for_mb mb =
-  let kb_per_page = Float.max 0.125 !current.page_size_kb in
-  max 1 (int_of_float (Float.ceil (mb *. 1024.0 /. kb_per_page)))
-
 (* Fault.inject sits at the head of every charge function, before any
    counter or cache mutation, so a Fault.with_retries re-run never
    double-charges *)

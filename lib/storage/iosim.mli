@@ -40,9 +40,9 @@ type config = {
           paper's environment kept ≈3% of the database cached; pick
           [cache_pages] accordingly for the scale in use. *)
   page_size_kb : float;
-      (** size of one simulated page in KB (default 8.0) — the unit
-          {!frames_for_mb} divides a memory budget by, so the paper's
-          "32 MB buffer cache" is expressible as an exact frame count
+      (** size of one simulated page in KB (default 8.0) — the unit a
+          memory budget in MB is divided by ([Nra.Engine_config.frames]),
+          so the paper's "32 MB buffer cache" is an exact frame count
           ([--page-size-kb] on the CLI). *)
 }
 
@@ -65,11 +65,6 @@ val on_reset : (unit -> unit) -> unit
 val pages : int -> int
 (** [pages rows] — how many pages that many rows occupy
     (ceiling division by [rows_per_page]). *)
-
-val frames_for_mb : float -> int
-(** A memory budget in MB converted to whole frames at the configured
-    [page_size_kb] — e.g. the paper's 32 MB cache at 8 KB pages is
-    exactly 4096 frames. *)
 
 val charge_scan_rows : int -> unit
 (** Sequential scan of a relation with that many rows. *)

@@ -47,7 +47,6 @@ let create ~capacity =
   free_range t 0 first_slots;
   t
 
-let capacity t = t.capacity
 let size t = t.size
 let slots t = Array.length t.key
 let key t s = t.key.(s)

@@ -21,7 +21,6 @@ val mem : t -> int -> bool
 (** Residency test without promoting. *)
 
 val size : t -> int
-val capacity : t -> int
 
 val remove : t -> int -> unit
 (** Drop an entry without evicting anything else; no-op if absent. *)

@@ -30,7 +30,6 @@ let build rel positions =
     perm;
   { positions; rows; perm }
 
-let positions t = t.positions
 let cardinality t = Array.length t.perm
 
 (* First index of [perm] whose row satisfies [above]; [perm] is sorted

@@ -13,8 +13,6 @@ val build : Relation.t -> int array -> t
     The index refers to [rel]'s rows array, which must not be mutated
     afterwards. *)
 
-val positions : t -> int array
-
 type bound = Unbounded | Incl of Value.t | Excl of Value.t
 
 val range : t -> lo:bound -> hi:bound -> int list

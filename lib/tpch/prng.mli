@@ -8,16 +8,11 @@ type t
 
 val create : int64 -> t
 
-val next : t -> int64
-
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n); [n] must be positive. *)
 
 val in_range : t -> int -> int -> int
 (** [in_range t lo hi] is uniform in [lo, hi] (inclusive). *)
-
-val float : t -> float -> float
-(** Uniform in [0, x). *)
 
 val bool : t -> float -> bool
 (** True with the given probability. *)

@@ -9,6 +9,29 @@ module Reference_eval = Reference_eval
 (* ANALYZE's original boxed collector, the reference for Col_stats *)
 module Reference_stats = Reference_stats
 
+(* ---------- the engine configuration ----------
+
+   Every suite starts under the config the NRA_* environment names (how
+   CI's stress points squeeze the whole suite); a malformed value stops
+   it.  The library is linked whole (see dune), so a suite that names
+   nothing here starts under it too. *)
+let () =
+  match Engine_config.of_env Sys.getenv_opt with
+  | Ok c -> Nra.configure c
+  | Error m ->
+      prerr_endline ("test configuration: " ^ m);
+      exit 2
+
+(* [f ()] under [change (Nra.config ())]; the config is restored after *)
+let with_config change f =
+  let saved = Nra.config () in
+  Nra.configure (change saved);
+  Fun.protect ~finally:(fun () -> Nra.configure saved) f
+
+(* the plain engine: serial, no buffer pool, no faults *)
+let plain (c : Engine_config.t) =
+  { c with domains = 0; frames = Off; faults = Fault.default_config }
+
 let vi i = Value.Int i
 let vf f = Value.Float f
 let vs s = Value.String s
@@ -332,7 +355,7 @@ let t3 = Alcotest.testable Three_valued.pp Three_valued.equal
    nothing between them, and its count is subtracted, so an empty
    thunk reads 0 whatever [n].  The calls run with the Domain pool at
    size 0: the counters read only the calling domain, so words a worker
-   allocated would be lost.  The pool's size is restored afterwards. *)
+   allocated would be lost. *)
 let counted_words g =
   let minor = Gc.minor_words () and _, promoted, major = Gc.counters () in
   g ();
@@ -340,9 +363,7 @@ let counted_words g =
   minor' -. minor +. (major' -. major) -. (promoted' -. promoted)
 
 let words_per n f =
-  let size = Nra.Pool.size () in
-  Nra.Pool.set_size 0;
-  Fun.protect ~finally:(fun () -> Nra.Pool.set_size size) @@ fun () ->
+  with_config (fun c -> { c with domains = 0 }) @@ fun () ->
   f 0;
   let own = counted_words ignore in
   let words =

@@ -404,23 +404,21 @@ let positions ?left_sel ?sel ~on left right =
       Array.init n (fun i -> Array.sub m.J.pos m.J.off.(i) m.J.len.(i)))
 
 let with_variant variant f =
-  let io = Iosim.config () and domains = Pool.size ()
-  and threshold = Pool.parallel_threshold () and frames = Bufpool.frames () in
-  let set ~domains ~threshold ~frames ~io =
-    Pool.set_size domains;
-    Pool.set_parallel_threshold threshold;
-    Bufpool.set_frames frames;
-    Iosim.set_config io;
-    Iosim.reset ()
-  in
-  Fun.protect ~finally:(fun () -> set ~domains ~threshold ~frames ~io)
+  with_config
+    (fun c ->
+      match variant with
+      | `Serial | `Nested_loop -> { c with domains = 0; frames = Off }
+      | `Parallel ->
+          { c with domains = 2; parallel_threshold = 2; frames = Off }
+      | `Grace ->
+          {
+            c with
+            domains = 0;
+            frames = Pages 8;
+            iosim = { c.iosim with Iosim.rows_per_page = 2 };
+          })
   @@ fun () ->
-  (match variant with
-  | `Serial | `Nested_loop -> set ~domains:0 ~threshold ~frames:None ~io
-  | `Parallel -> set ~domains:2 ~threshold:2 ~frames:None ~io
-  | `Grace ->
-      set ~domains:0 ~threshold ~frames:(Some 8)
-        ~io:{ io with Iosim.rows_per_page = 2 });
+  Iosim.reset ();
   f ()
 
 let variants =

@@ -175,17 +175,8 @@ let with_pool ~domains ~morsel (name, speed, run) =
   ( name,
     speed,
     fun () ->
-      let size = Pool.size ()
-      and m = Pool.morsel ()
-      and threshold = Pool.parallel_threshold () in
-      Pool.set_size domains;
-      Pool.set_morsel morsel;
-      Pool.set_parallel_threshold 2;
-      Fun.protect
-        ~finally:(fun () ->
-          Pool.set_size size;
-          Pool.set_morsel m;
-          Pool.set_parallel_threshold threshold)
+      with_config
+        (fun c -> { c with domains; morsel; parallel_threshold = 2 })
         run )
 
 let selection_properties =

@@ -25,7 +25,6 @@ open Nra
 open Test_support
 module Scheduler = Nra_server.Scheduler
 module I = Nra.Iosim
-module B = Nra.Bufpool
 
 (* the harness numbers fault points and pins schedules itself; a
    CI-wide NRA_FAULT_INJECT must not perturb the draw sequence *)
@@ -52,20 +51,18 @@ let domain_counts = [ 0; 2; 4 ]
 
 (* small pages so the six-row fixtures genuinely overflow the tiny
    budgets (same shrink as the out-of-core suite) *)
-let with_config ?(rows_per_page = 2) ~frames ~domains f =
-  let saved = I.config () in
-  I.set_config { saved with I.rows_per_page };
+let squeezed ~frames ~domains f =
+  with_config
+    (fun c ->
+      {
+        c with
+        iosim = { c.iosim with I.rows_per_page = 2 };
+        frames = (match frames with Some n -> Pages n | None -> Off);
+        domains;
+      })
+  @@ fun () ->
   I.reset ();
-  B.set_frames frames;
-  Nra_pool.Pool.set_size domains;
-  Fun.protect
-    ~finally:(fun () ->
-      Nra_pool.Pool.set_size 0;
-      B.set_frames None;
-      I.set_config saved;
-      I.reset ();
-      Fault.disable ())
-    f
+  f ()
 
 let fingerprint cat =
   Catalog.tables cat
@@ -104,7 +101,7 @@ let test_crash_chaos () =
     (fun (bname, frames) ->
       List.iter
         (fun domains ->
-          with_config ~frames ~domains @@ fun () ->
+          squeezed ~frames ~domains @@ fun () ->
           List.iter
             (fun (name, setup, sql) ->
               (* count this config's fault points with a clean dry run *)
@@ -161,7 +158,7 @@ let test_with_leaves_no_trace () =
     (fun (bname, frames) ->
       List.iter
         (fun domains ->
-          with_config ~frames ~domains @@ fun () ->
+          squeezed ~frames ~domains @@ fun () ->
           let cat = fresh () in
           let d0 = Fault.draws () in
           exec_ok cat sql;
@@ -240,13 +237,10 @@ let interleaved_results ~seed ~strategy cat sqls =
 let test_identity_matrix () =
   (* serial, unbounded, single-domain reference CSVs *)
   let reference strategy =
-    let saved = I.config () in
-    I.set_config { saved with I.rows_per_page = 2 };
-    I.reset ();
-    Fun.protect ~finally:(fun () ->
-        I.set_config saved;
-        I.reset ())
+    with_config (fun c ->
+        { c with iosim = { c.iosim with I.rows_per_page = 2 } })
     @@ fun () ->
+    I.reset ();
     let cat = emp_dept_catalog () in
     ignore (Nra.exec cat "analyze");
     Array.map
@@ -263,7 +257,7 @@ let test_identity_matrix () =
         (fun (bname, frames) ->
           List.iter
             (fun domains ->
-              with_config ~frames ~domains @@ fun () ->
+              squeezed ~frames ~domains @@ fun () ->
               let cat = emp_dept_catalog () in
               ignore (Nra.exec cat "analyze");
               for seed = 0 to 1 do
@@ -353,6 +347,10 @@ let test_with_under_interleaving () =
 (* ---------- 3. Auto statements genuinely interleave ---------- *)
 
 let test_auto_interleaves () =
+  (* serial and unbuffered, whatever the environment: a parallel region
+     is a no-yield critical section, which would leave these small
+     statements too few scheduling points to alternate *)
+  with_config (fun c -> { c with domains = 0; frames = Off }) @@ fun () ->
   let cat = emp_dept_catalog () in
   ignore (Nra.exec cat "analyze");
   let q1 =

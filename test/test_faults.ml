@@ -9,11 +9,9 @@ module Iosim = Nra_storage.Iosim
 
 (* these tests assume every scan touches storage (a permanent fault
    must escape, retries must draw); a CI-wide NRA_BUFFER_PAGES run
-   would keep hot pages resident and free, so pin the pool off *)
-let () = Bufpool.set_frames None
-
-(* pinned intermediate-row counts assume the unrewritten plans *)
-let () = Nra.set_rewrite_rules []
+   would keep hot pages resident and free, so pin the pool off; and
+   the pinned intermediate-row counts assume the unrewritten plans *)
+let () = Nra.configure { (Nra.config ()) with frames = Off; rules = [] }
 
 let with_faults ?seed ?max_retries ?backoff_ms p f =
   Fault.configure ?seed ?max_retries ?backoff_ms p;

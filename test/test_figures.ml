@@ -9,11 +9,11 @@ module Q = Tpch.Queries
 
 (* figure shapes compare measured CPU and exact simulated I/O between
    strategies; retry backoff sleeps under a CI-wide NRA_FAULT_INJECT
-   run would distort both, so injection is off here *)
-let () = Fault.disable ()
-
-(* likewise the shapes compare the unrewritten plans per strategy *)
-let () = Nra.set_rewrite_rules []
+   run would distort both, so injection is off here, and the shapes
+   compare the unrewritten plans per strategy *)
+let () =
+  Nra.configure
+    { (Nra.config ()) with faults = Fault.default_config; rules = [] }
 
 let cat =
   lazy

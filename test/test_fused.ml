@@ -17,17 +17,15 @@ open Test_support
 module N = Exec.Nra_exec
 module A = Planner.Analyze
 module I = Nra_storage.Iosim
-module B = Nra_storage.Bufpool
 module Q = Tpch.Queries
 module Ref = Test_support.Reference_eval
 
 (* small morsels so even the emp/dept corpus crosses the Domain pool *)
 let () =
-  Pool.set_parallel_threshold 2;
-  Pool.set_morsel 4
+  Nra.configure { (Nra.config ()) with parallel_threshold = 2; morsel = 4 }
 
 let domains = [ 0; 2 ]
-let budgets = [ ("8", Some 8); ("inf", None) ]
+let budgets = [ ("8", Engine_config.Pages 8); ("inf", Off) ]
 
 type outcome = { csv : string; fetched : int; fused : int }
 
@@ -51,23 +49,16 @@ let run cat sql options =
 (* [must_fuse]: queries whose optimized run must take the fused path at
    least once, so the matrix cannot pass vacuously *)
 let check_matrix ?(must_fuse = []) cat corpus =
-  let saved = I.config () in
-  Fun.protect
-    ~finally:(fun () ->
-      I.set_config saved;
-      B.set_frames None;
-      Pool.set_size 0;
-      Fault.disable ())
+  (* two rows per page, so the small tables overflow eight frames and
+     the grace join runs its spilled partitions *)
+  with_config
+    (fun c -> { c with iosim = { c.iosim with I.rows_per_page = 2 } })
     (fun () ->
-      (* two rows per page, so the small tables overflow eight frames and
-         the grace join runs its spilled partitions *)
-      I.set_config { saved with I.rows_per_page = 2 };
       List.iter
         (fun d ->
           List.iter
             (fun (budget, frames) ->
-              Pool.set_size d;
-              B.set_frames frames;
+              Nra.configure { (Nra.config ()) with domains = d; frames };
               List.iter
                 (fun sql ->
                   let where =
@@ -288,15 +279,7 @@ let test_subquery_corpus () =
    test sets its own pool size, frame budget and faults. *)
 let test_ja_alloc () =
   let cat = Lazy.force tpch_cat in
-  let frames = B.frames () and domains = Pool.size () in
-  Fun.protect
-    ~finally:(fun () ->
-      B.set_frames frames;
-      Pool.set_size domains)
-  @@ fun () ->
-  B.set_frames None;
-  Pool.set_size 0;
-  Fault.disable ();
+  with_config plain @@ fun () ->
   let at outer_fraction =
     let lo, hi = Q.q1_window ~outer_fraction in
     let t =
@@ -340,15 +323,7 @@ let test_ja_alloc () =
    pool size, frame budget and faults. *)
 let test_result_row_alloc () =
   let cat = Lazy.force tpch_cat in
-  let frames = B.frames () and domains = Pool.size () in
-  Fun.protect
-    ~finally:(fun () ->
-      B.set_frames frames;
-      Pool.set_size domains)
-  @@ fun () ->
-  B.set_frames None;
-  Pool.set_size 0;
-  Fault.disable ();
+  with_config plain @@ fun () ->
   let at outer_fraction =
     let lo, hi = Q.q1_window ~outer_fraction in
     let t =
@@ -447,19 +422,7 @@ let chained =
 
 let test_chained () =
   let cat = emp_dept_catalog () in
-  let frames = B.frames ()
-  and domains = Pool.size ()
-  and rules = Nra.rewrite_rules () in
-  Fun.protect
-    ~finally:(fun () ->
-      B.set_frames frames;
-      Pool.set_size domains;
-      Nra.set_rewrite_rules rules)
-  @@ fun () ->
-  B.set_frames None;
-  Pool.set_size 0;
-  Fault.disable ();
-  Nra.set_rewrite_rules [];
+  with_config (fun c -> { (plain c) with rules = [] }) @@ fun () ->
   List.iter
     (fun (sql, expected) ->
       let reference =

@@ -169,14 +169,13 @@ let test_degradation_path () =
   (match Nra.exec cat "analyze" with
   | Ok _ -> ()
   | Error m -> Alcotest.fail ("analyze failed: " ^ m));
-  let overrun, floor_ms = Nra.auto_guard () in
-  Alcotest.(check (float 0.0)) "default overrun" 4.0 overrun;
-  Alcotest.(check (float 0.0)) "default floor" 1.0 floor_ms;
-  Nra.set_auto_guard ~overrun:1.0 ~floor_ms:0.0 ();
-  Fun.protect
-    ~finally:(fun () ->
-      Nra.set_auto_guard ~overrun ~floor_ms ();
-      Guard.reset_events ())
+  let c = Nra.config () in
+  Alcotest.(check (float 0.0)) "default overrun" 4.0 c.auto_overrun;
+  Alcotest.(check (float 0.0)) "default floor" 1.0 c.auto_floor_ms;
+  Test_support.with_config
+    (fun c -> { c with auto_overrun = 1.0; auto_floor_ms = 0.0 })
+  @@ fun () ->
+  Fun.protect ~finally:Guard.reset_events
     (fun () ->
       let fallbacks = ref 0 in
       List.iter

@@ -6,16 +6,15 @@ module I = Nra_storage.Iosim
    NRA_FAULT_INJECT run must not perturb them; likewise the
    integration case pins the exact charges of the unrewritten plans,
    so a CI-wide NRA_REWRITE run must not change them either *)
-let () = Fault.disable ()
-let () = Nra.set_rewrite_rules []
+let () = Nra.configure
+    { (Nra.config ()) with faults = Fault.default_config; rules = [] }
 
 let approx = Alcotest.float 1e-9
 
 let with_config cfg f =
-  let saved = I.config () in
-  I.set_config cfg;
+  Test_support.with_config (fun c -> { c with iosim = cfg }) @@ fun () ->
   I.reset ();
-  Fun.protect ~finally:(fun () -> I.set_config saved; I.reset ()) f
+  Fun.protect ~finally:I.reset f
 
 let cfg =
   {

@@ -28,7 +28,6 @@ module P = Exec.Plan
 module L = Exec.Linkeval
 module A = Planner.Analyze
 module Ref = Test_support.Reference_eval
-module B = Nra.Bufpool
 module Q = Tpch.Queries
 module Scheduler = Nra_server.Scheduler
 
@@ -244,23 +243,15 @@ let show = function Ok csv -> csv | Error m -> "error: " ^ m
 let configs =
   [
     ("as configured", None);
-    ("serial", Some (0, None));
-    ("domains=2 frames=8", Some (2, Some 8));
+    ("serial", Some (0, Engine_config.Off));
+    ("domains=2 frames=8", Some (2, Pages 8));
   ]
 
-let with_config config f =
-  let domains = Pool.size () and frames = B.frames () in
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.set_size domains;
-      B.set_frames frames)
-    (fun () ->
-      (match config with
-      | None -> ()
-      | Some (d, fr) ->
-          Pool.set_size d;
-          B.set_frames fr);
-      f ())
+let under config f =
+  match config with
+  | None -> f ()
+  | Some (domains, frames) ->
+      with_config (fun c -> { c with domains; frames }) f
 
 let test_differential () =
   let cat = catalog () in
@@ -275,7 +266,7 @@ let test_differential () =
   Alcotest.(check bool) "a non-trivial corpus" true (List.length cases > 600);
   List.iter
     (fun (name, config) ->
-      with_config config @@ fun () ->
+      under config @@ fun () ->
       List.iter
         (fun (sql, correlated, expect) ->
           List.iter
@@ -532,15 +523,7 @@ let test_interleaved () =
    added inner row.  The test sets its own pool size, frame budget and
    faults. *)
 let test_alloc () =
-  let frames = B.frames () and domains = Pool.size () in
-  Fun.protect
-    ~finally:(fun () ->
-      B.set_frames frames;
-      Pool.set_size domains)
-  @@ fun () ->
-  B.set_frames None;
-  Pool.set_size 0;
-  Fault.disable ();
+  with_config plain @@ fun () ->
   let lo, hi = Q.q1_window ~outer_fraction:0.3 in
   let sql = Q.q1_ja ~link:Q.Ja_in ~date_lo:lo ~date_hi:hi in
   let at scale =

@@ -17,7 +17,6 @@
 open Nra
 open Test_support
 module Ref = Test_support.Reference_eval
-module B = Nra.Bufpool
 
 let strategies =
   [ Nra.Nra_original; Nra.Nra_optimized; Nra.Nra_full; Nra.Magic ]
@@ -148,7 +147,8 @@ let queries () =
         links)
     selects
 
-let configs = [ ("serial", 0, None); ("domains=2 frames=8", 2, Some 8) ]
+let configs =
+  [ ("serial", 0, Engine_config.Off); ("domains=2 frames=8", 2, Pages 8) ]
 
 let test_differential () =
   let cat = catalog () in
@@ -161,38 +161,32 @@ let test_differential () =
       (queries ())
   in
   Alcotest.(check bool) "a non-trivial corpus" true (List.length cases > 300);
-  Fun.protect
-    ~finally:(fun () ->
-      Nra_pool.Pool.set_size 0;
-      B.set_frames None)
-    (fun () ->
+  List.iter
+    (fun (name, domains, frames) ->
+      with_config (fun c -> { c with domains; frames }) @@ fun () ->
       List.iter
-        (fun (name, domains, frames) ->
-          Nra_pool.Pool.set_size domains;
-          B.set_frames frames;
+        (fun (sql, expect) ->
           List.iter
-            (fun (sql, expect) ->
-              List.iter
-                (fun s ->
-                  match Nra.query ~strategy:s cat sql with
-                  | Error m ->
-                      Alcotest.fail
-                        (Printf.sprintf "%s (%s, %s): %s" sql
-                           (Nra.strategy_to_string s) name m)
-                  | Ok rel ->
-                      let got = Ref.relation_csv rel in
-                      if got <> expect then
-                        Alcotest.fail
-                          (Printf.sprintf
-                             "%s: %s disagrees with the reference (%s)\n\
-                              reference:\n\
-                              %s\n\
-                              got:\n\
-                              %s"
-                             sql (Nra.strategy_to_string s) name expect got))
-                strategies)
-            cases)
-        configs)
+            (fun s ->
+              match Nra.query ~strategy:s cat sql with
+              | Error m ->
+                  Alcotest.fail
+                    (Printf.sprintf "%s (%s, %s): %s" sql
+                       (Nra.strategy_to_string s) name m)
+              | Ok rel ->
+                  let got = Ref.relation_csv rel in
+                  if got <> expect then
+                    Alcotest.fail
+                      (Printf.sprintf
+                         "%s: %s disagrees with the reference (%s)\n\
+                          reference:\n\
+                          %s\n\
+                          got:\n\
+                          %s"
+                         sql (Nra.strategy_to_string s) name expect got))
+            strategies)
+        cases)
+    configs
 
 (* a scalar subquery with two rows in a group fails with the same text
    under every strategy, and the reference's *)

@@ -190,7 +190,6 @@ let test_delete_is_complement () =
    reference re-runs the subquery per outer tuple by lexical scoping
    and shares nothing with the nest-then-link pipeline under test. *)
 
-module B = Nra.Bufpool
 module Ref = Test_support.Reference_eval
 
 let ja_rng = Tpch.Prng.create 0x1A5EEDL
@@ -274,7 +273,7 @@ let ja_query () =
 
 let ja_rounds = 210
 let ja_domains = [ 0; 2; 4 ]
-let ja_budgets = [ ("8", Some 8); ("inf", None) ]
+let ja_budgets = [ ("8", Engine_config.Pages 8); ("inf", Off) ]
 
 let test_ja_differential () =
   (* the reference answers are config-independent: compute them once *)
@@ -286,23 +285,10 @@ let test_ja_differential () =
         | Ok csv -> (cat, sql, csv)
         | Error m -> Alcotest.fail (sql ^ ": reference: " ^ m))
   in
-  let saved = Fault.config () in
-  let restore () =
-    Nra_pool.Pool.set_size 0;
-    B.set_frames None;
-    if saved.Fault.probability > 0.0 || saved.Fault.alloc_probability > 0.0
-    then
-      Fault.configure ~seed:saved.Fault.seed
-        ~max_retries:saved.Fault.max_retries
-        ~backoff_ms:saved.Fault.backoff_ms
-        ~alloc_probability:saved.Fault.alloc_probability
-        saved.Fault.probability
-    else Fault.disable ()
-  in
   let run_config ~domains (budget_name, frames) =
-    B.set_frames frames;
-    Nra_pool.Pool.set_size domains;
-    (* seeded faults: deterministic, absorbed by the retry loop *)
+    Nra.configure { (Nra.config ()) with domains; frames };
+    (* seeded faults, reseeded per configuration: deterministic,
+       absorbed by the retry loop *)
     Fault.configure ~seed:7 ~max_retries:6 ~alloc_probability:0.05 0.02;
     List.iter
       (fun (cat, sql, expect) ->
@@ -325,7 +311,7 @@ let test_ja_differential () =
           Test_support.all_strategies)
       cases
   in
-  Fun.protect ~finally:restore (fun () ->
+  Test_support.with_config Fun.id (fun () ->
       List.iter
         (fun domains ->
           List.iter (fun budget -> run_config ~domains budget) ja_budgets)

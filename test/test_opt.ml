@@ -1,10 +1,10 @@
 (* The lib/opt rewrite subsystem (ISSUE: algebraic rewrite pass over
-   NRA plans): rule-spec parsing and the cache epoch, per-rule
+   NRA plans): rule-spec parsing, per-rule
    fire / must-NOT-fire preconditions on lifted plan IR, the cost gate
    (a rewrite is applied only on strict estimated improvement),
    byte-identical CSV output rewritten-vs-unrewritten across every
    strategy × domains × frame budgets with faults on, the plan cache's
-   rewrite-signature key component, and the server's table-level locks
+   one config, and the server's table-level locks
    (DML on disjoint tables interleaves, same-table DML serializes). *)
 
 open Nra
@@ -18,11 +18,7 @@ module Server = Nra_server.Server
 module Scheduler = Nra_server.Scheduler
 module Plan_cache = Nra_server.Plan_cache
 
-let reset () =
-  Nra.set_rewrite_rules [];
-  Nra.Fault.disable ();
-  Nra.Bufpool.set_frames None;
-  Nra.Pool.set_size 0
+let reset () = Nra.configure { (plain (Nra.config ())) with rules = [] }
 
 let analyze cat sql =
   match An.analyze_string cat sql with
@@ -67,20 +63,6 @@ let test_config_parse () =
   (match Cfg.parse "semijoin,bogus" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bogus rule accepted")
-
-let test_config_epoch () =
-  reset ();
-  let e0 = Nra.rewrite_epoch () in
-  let s0 = Nra.rewrite_signature () in
-  Nra.set_rewrite_rules Cfg.all;
-  Alcotest.(check bool) "set bumps the epoch" true (Nra.rewrite_epoch () > e0);
-  Alcotest.(check bool) "signature changed" true (Nra.rewrite_signature () <> s0);
-  (* toggling away and back to the same mask must NOT restore the old
-     signature — that is what lets caches survive rule flapping *)
-  Nra.set_rewrite_rules [];
-  Alcotest.(check bool) "same mask, fresh epoch" true
-    (Nra.rewrite_signature () <> s0);
-  reset ()
 
 (* ---------- per-rule preconditions on the lifted plan ----------
 
@@ -262,7 +244,10 @@ let test_prepared_runs_priced () =
     | Ok p ->
         for run = 1 to 2 do
           let prepared, io' = io_after (fun () -> rows (Nra.run_prepared cat p)) in
-          let what = Printf.sprintf "%s (run %d, rules %s)" sql run (Nra.rewrite_signature ()) in
+          let what =
+            Printf.sprintf "%s (run %d, rules %s)" sql run
+              (Cfg.mask (Nra.config ()).rules)
+          in
           Alcotest.(check bool) ("rows: " ^ what) true (prepared = direct);
           Alcotest.(check (triple int int int)) ("seq/rand/fetched: " ^ what) io io'
         done
@@ -345,8 +330,15 @@ let test_identity_matrix () =
     (fun domains ->
       List.iter
         (fun frames ->
-          Nra.Pool.set_size domains;
-          Nra.Bufpool.set_frames frames;
+          Nra.configure
+            {
+              (Nra.config ()) with
+              domains;
+              frames =
+                (match frames with
+                | Some n -> Engine_config.Pages n
+                | None -> Off);
+            };
           List.iter
             (fun sql ->
               List.iter
@@ -378,12 +370,12 @@ let test_identity_matrix () =
     [ 0; 2; 4 ];
   reset ()
 
-(* ---------- plan cache keys on the rewrite signature ---------- *)
+(* ---------- a plan cache prepares under one config ---------- *)
 
-let test_plan_cache_key () =
+let test_plan_cache_config () =
   reset ();
   let cat = emp_dept_catalog () in
-  let pc = Plan_cache.create cat in
+  let pc = Plan_cache.create ~config:(Nra.config ()) cat in
   let look () =
     match Plan_cache.find_or_prepare pc ~strategy:Nra.Nra_optimized exists_equi
     with
@@ -395,15 +387,13 @@ let test_plan_cache_key () =
   let s = Plan_cache.stats pc in
   Alcotest.(check int) "second lookup hits" 1 s.Plan_cache.hits;
   Alcotest.(check int) "one miss" 1 s.Plan_cache.misses;
-  (* toggling rules changes the signature: the cached plan must not be
-     served for the new configuration *)
+  (* the cache keeps the config it was created with: a rule toggle
+     afterwards neither misses nor re-prepares *)
   Nra.set_rewrite_rules Cfg.all;
   look ();
   let s = Plan_cache.stats pc in
-  Alcotest.(check int) "rule toggle misses" 2 s.Plan_cache.misses;
-  look ();
-  let s = Plan_cache.stats pc in
-  Alcotest.(check int) "stable config hits again" 2 s.Plan_cache.hits;
+  Alcotest.(check int) "a rule toggle still hits" 2 s.Plan_cache.hits;
+  Alcotest.(check int) "and prepares nothing" 1 s.Plan_cache.misses;
   reset ()
 
 (* ---------- table-level locks in the server ----------
@@ -546,7 +536,6 @@ let () =
       ( "config",
         [
           Alcotest.test_case "parse" `Quick test_config_parse;
-          Alcotest.test_case "epoch" `Quick test_config_epoch;
         ] );
       ( "rules",
         [
@@ -575,8 +564,8 @@ let () =
         [ Alcotest.test_case "rewritten = unrewritten" `Slow
             test_identity_matrix ] );
       ( "plan-cache",
-        [ Alcotest.test_case "keyed on rewrite signature" `Quick
-            test_plan_cache_key ] );
+        [ Alcotest.test_case "one config per cache" `Quick
+            test_plan_cache_config ] );
       ( "locks",
         [
           Alcotest.test_case "disjoint DML interleaves" `Quick

@@ -15,22 +15,16 @@ module I = Nra.Iosim
 let () = Fault.disable ()
 
 let with_pool ?(rows_per_page = 2) frames f =
-  let saved = I.config () in
-  I.set_config { saved with I.rows_per_page };
+  Test_support.with_config
+    (fun c -> { c with iosim = { c.iosim with I.rows_per_page }; frames })
+  @@ fun () ->
   I.reset ();
-  B.set_frames frames;
-  Fun.protect
-    ~finally:(fun () ->
-      B.set_frames None;
-      I.set_config saved;
-      I.reset ();
-      Fault.disable ())
-    f
+  f ()
 
 (* ---------- buffer-pool unit tests ---------- *)
 
 let test_lru_eviction () =
-  with_pool (Some 2) (fun () ->
+  with_pool (Pages 2) (fun () ->
       B.read (B.owner "t") 0;
       B.read (B.owner "t") 1;
       B.read (B.owner "t") 0;
@@ -51,7 +45,7 @@ let test_lru_eviction () =
       Alcotest.(check int) "misses charged" 4 (I.counters ()).I.seq_pages)
 
 let test_pin_blocks_eviction () =
-  with_pool (Some 2) (fun () ->
+  with_pool (Pages 2) (fun () ->
       B.pin (B.owner "t") 0;
       B.read (B.owner "t") 1;
       (* page 0 is the LRU victim but pinned: 1 must go instead *)
@@ -66,7 +60,7 @@ let test_pin_blocks_eviction () =
         (B.resident (B.owner "t") 0))
 
 let test_dirty_writeback () =
-  with_pool (Some 1) (fun () ->
+  with_pool (Pages 1) (fun () ->
       (* write-behind: the write itself is free... *)
       B.write (B.owner "t") 0;
       Alcotest.(check int) "blind write uncharged" 0
@@ -86,7 +80,7 @@ let test_dirty_writeback () =
         (B.resident (B.owner "t") 2))
 
 let test_spill_roundtrip () =
-  with_pool ~rows_per_page:3 (Some 2) (fun () ->
+  with_pool ~rows_per_page:3 (Pages 2) (fun () ->
       let positions = [| 5; 0; 7; 2; 2; 6; 1; 3 |] in
       let sp = B.Spill.create (Array.make 8 0) ~base:0 in
       Array.iter (B.Spill.add sp) positions;
@@ -109,7 +103,7 @@ let test_spill_roundtrip () =
       B.Spill.free sp)
 
 let test_reset_hooks () =
-  with_pool (Some 4) (fun () ->
+  with_pool (Pages 4) (fun () ->
       B.read (B.owner "t") 0;
       Alcotest.(check bool) "resident before reset" true
         (B.resident (B.owner "t") 0);
@@ -135,7 +129,7 @@ let test_disabled_is_free () =
    budget: with every other frame pinned it over-commits instead of
    evicting that page *)
 let test_pin_overcommit () =
-  with_pool (Some 1) (fun () ->
+  with_pool (Pages 1) (fun () ->
       let t = B.owner "t" in
       B.pin t 0;
       B.pin t 1;
@@ -164,7 +158,7 @@ let check_no_alloc name per_op =
   Alcotest.(check bool) (name ^ " allocates nothing") true (per_op < 0.01)
 
 let test_bufpool_no_alloc () =
-  with_pool (Some 4) (fun () ->
+  with_pool (Pages 4) (fun () ->
       Fault.disable ();
       let t = B.owner "t" and n = 100_000 in
       B.read t 0;
@@ -228,7 +222,7 @@ let test_grace_matches () =
   in
   let on = Expr.Cmp (Three_valued.Eq, Expr.Col 0, Expr.Col 2) in
   let reference = match_positions ~on left right in
-  with_pool (Some 2) (fun () ->
+  with_pool (Pages 2) (fun () ->
       let got = match_positions ~on left right in
       Alcotest.(check bool) "grace path spilled" true
         ((B.stats ()).B.spilled_partitions > 0);
@@ -247,7 +241,7 @@ let test_pages_keyed_by_table () =
   let cat =
     Tpch.Gen.generate { Tpch.Gen.default with Tpch.Gen.scale = 0.002 }
   in
-  with_pool ~rows_per_page:(I.config ()).I.rows_per_page (Some 4096)
+  with_pool ~rows_per_page:(I.config ()).I.rows_per_page (Pages 4096)
     (fun () ->
       let run sql =
         let s0 = B.stats () in
@@ -271,7 +265,7 @@ let test_pages_keyed_by_table () =
 
 let test_staged_no_copy () =
   let rel = int_rel [ "a" ] (Array.init 12 (fun i -> [| Some i |])) in
-  with_pool (Some 2) (fun () ->
+  with_pool (Pages 2) (fun () ->
       (* [f] reads the staged rows in place, once, after the
          round-trip *)
       let runs = ref 0 in
@@ -295,9 +289,9 @@ let test_staged_no_copy () =
 
 let budgets =
   [
-    ("tiny", Some 2);
-    ("paper-32mb", Some (I.frames_for_mb 32.0));
-    ("unbounded", None);
+    ("tiny", Engine_config.Pages 2);
+    ("paper-32mb", Mb 32.0);
+    ("unbounded", Off);
   ]
 
 let outcome cat strategy sql =
@@ -306,28 +300,23 @@ let outcome cat strategy sql =
   | Error m -> "error:" ^ m
 
 let test_spill_equivalence () =
-  let saved = I.config () in
-  (* two rows per page so six-row tables overflow a two-frame budget *)
-  I.set_config { saved with I.rows_per_page = 2 };
-  Fault.configure ~seed:23 0.02;
   let spilled = ref 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      B.set_frames None;
-      I.set_config saved;
-      I.reset ();
-      Fault.disable ())
+  (* two rows per page so six-row tables overflow a two-frame budget *)
+  Test_support.with_config (fun c ->
+      { c with iosim = { c.iosim with I.rows_per_page = 2 } })
   @@ fun () ->
+  Fault.configure ~seed:23 0.02;
+  let frames_at frames = Nra.configure { (Nra.config ()) with frames } in
   let cat = Test_support.emp_dept_catalog () in
   List.iter
     (fun sql ->
       List.iter
         (fun strategy ->
-          B.set_frames None;
+          frames_at Off;
           let reference = outcome cat strategy sql in
           List.iter
             (fun (bname, frames) ->
-              B.set_frames frames;
+              frames_at frames;
               let got = outcome cat strategy sql in
               spilled := !spilled + (B.stats ()).B.spilled_partitions;
               Alcotest.(check string)

@@ -12,14 +12,11 @@ open Test_support
 module Iosim = Nra_storage.Iosim
 
 let () =
-  Pool.set_parallel_threshold 2;
-  Pool.set_morsel 4
+  Nra.configure { (Nra.config ()) with parallel_threshold = 2; morsel = 4 }
 
 let pool_sizes = [ 0; 1; 2; 4 ]
 
-let with_domains d f =
-  Pool.set_size d;
-  Fun.protect ~finally:(fun () -> Pool.set_size 0) f
+let with_domains domains = with_config (fun c -> { c with domains })
 
 (* One run, bit-exactly serialized.  Faults are reseeded per run: the
    draw sequence must not depend on the pool size (workers never draw),
@@ -111,9 +108,7 @@ let test_tpch_identity () =
    tpch corpus at 8 frames is the spill leg: grace join and governed
    staging spill there. *)
 
-let with_frames fr f =
-  Nra.Bufpool.set_frames fr;
-  Fun.protect ~finally:(fun () -> Nra.Bufpool.set_frames None) f
+let with_frames frames = with_config (fun c -> { c with frames })
 
 let check_frames_matrix mk_cat corpus =
   List.iter
@@ -121,7 +116,7 @@ let check_frames_matrix mk_cat corpus =
       List.iter
         (fun strategy ->
           let reference =
-            with_frames None (fun () ->
+            with_frames Off (fun () ->
                 with_domains 0 (fun () ->
                     run_csv ~faults:true (mk_cat ()) sql strategy))
           in
@@ -139,13 +134,13 @@ let check_frames_matrix mk_cat corpus =
                       (Printf.sprintf
                          "frames=%s domains=%d diverges for %s on: %s"
                          (match frames with
-                         | None -> "inf"
-                         | Some n -> string_of_int n)
+                         | Engine_config.Pages n -> string_of_int n
+                         | _ -> "inf")
                          d
                          (Nra.strategy_to_string strategy)
                          sql))
                 [ 0; 2; 4 ])
-            [ None; Some 8 ])
+            [ Engine_config.Off; Pages 8 ])
         all_strategies)
     corpus
 

@@ -146,13 +146,7 @@ let test_mid_probe_interleaving () =
   let cat = Lazy.force ja_cat in
   (* serial kernels (a parallel region is a no-yield critical
      section) and no rewrites, so both NRA strategies probe per row *)
-  let domains = Pool.size () and rules = Nra.rewrite_rules () in
-  Pool.set_size 0;
-  Nra.set_rewrite_rules [];
-  Fun.protect ~finally:(fun () ->
-      Pool.set_size domains;
-      Nra.set_rewrite_rules rules)
-  @@ fun () ->
+  with_config (fun c -> { c with domains = 0; rules = [] }) @@ fun () ->
   List.iteri
     (fun seed strategy ->
       let name = Nra.strategy_to_string strategy in
@@ -591,16 +585,12 @@ let test_head_of_line () =
    task resumes, it drops its victim by page, not by the slot it held
    before the sleep. *)
 let test_pool_charge_sleeps () =
-  let fault = Nra.Fault.config () and frames = Bufpool.frames () in
-  Nra.Fault.disable ();
-  Bufpool.set_frames (Some 1);
-  Fun.protect ~finally:(fun () ->
-      Bufpool.set_frames frames;
-      Nra.Fault.configure ~seed:fault.Nra.Fault.seed
-        ~max_retries:fault.Nra.Fault.max_retries
-        ~backoff_ms:fault.Nra.Fault.backoff_ms
-        ~alloc_probability:fault.Nra.Fault.alloc_probability
-        fault.Nra.Fault.probability)
+  with_config (fun c ->
+      {
+        c with
+        frames = Pages 1;
+        faults = { c.faults with probability = 0.0; alloc_probability = 0.0 };
+      })
   @@ fun () ->
   let a = Bufpool.owner "a" and b = Bufpool.owner "b" in
   Bufpool.write a 0;

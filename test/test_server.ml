@@ -12,8 +12,7 @@ open Nra
    run must not add buffer-pool charges on top; the alloc-pressure
    case additionally relies on the unrewritten plan staging an
    intermediate, so a CI-wide NRA_REWRITE run is pinned off too *)
-let () = Bufpool.set_frames None
-let () = Nra.set_rewrite_rules []
+let () = Nra.configure { (Nra.config ()) with frames = Off; rules = [] }
 
 module Server = Nra_server.Server
 module Admission = Nra_server.Admission
@@ -342,7 +341,7 @@ let test_cache_ja_shape_keyed_and_replanned () =
 
 let test_cache_lru_eviction () =
   let cat = Test_support.emp_dept_catalog () in
-  let pc = Plan_cache.create ~capacity:2 cat in
+  let pc = Plan_cache.create ~capacity:2 ~config:(Nra.config ()) cat in
   let get sql =
     match Plan_cache.find_or_prepare pc ~strategy:Nra.Nra_optimized sql with
     | Ok _ -> ()
@@ -444,11 +443,11 @@ let test_cache_script_counts () =
    the rows and the rewrite-adjusted estimates a cold preparation
    gives. *)
 let test_cache_reprepare_matches_cold () =
-  Fun.protect ~finally:(fun () -> Nra.set_rewrite_rules []) @@ fun () ->
-  Nra.set_rewrite_rules Nra.Opt.Config.all;
+  Test_support.with_config (fun c -> { c with rules = Nra.Opt.Config.all })
+  @@ fun () ->
   let cat = Test_support.emp_dept_catalog () in
   ignore (Nra.run cat "analyze");
-  let pc = Plan_cache.create cat in
+  let pc = Plan_cache.create ~config:(Nra.config ()) cat in
   let get sql =
     match Plan_cache.find_or_prepare pc ~strategy:Nra.Auto sql with
     | Ok p -> p
@@ -502,12 +501,86 @@ let test_cache_reprepare_matches_cold () =
   Alcotest.(check int) "and missed once" n
     (after.Plan_cache.misses - before.Plan_cache.misses)
 
+(* A server runs under the engine config installed when it was
+   created.  Two servers over one catalog, created under rules none and
+   all, each price and charge what the engine does under their own
+   rules, and installing other rules afterwards changes neither. *)
+let test_servers_keep_their_config () =
+  let cat = Test_support.emp_dept_catalog () in
+  ignore (Nra.run cat "analyze");
+  let under rules = Test_support.with_config (fun c -> { c with rules }) in
+  let auto = { Server.default_config with Server.strategy = Nra.Auto } in
+  let create rules = under rules (fun () -> Server.create ~config:auto cat) in
+  let servers =
+    [ ([], create []); (Nra.Opt.Config.all, create Nra.Opt.Config.all) ]
+  in
+  let rows = function
+    | Ok (Nra.Rows rel) -> Test_support.rows_of rel
+    | Ok _ -> Alcotest.fail "expected rows"
+    | Error e -> Alcotest.fail (Exec_error.to_string e)
+  in
+  let charged f =
+    Nra.Iosim.reset ();
+    let r = f () in
+    (r, Nra.Iosim.counters ())
+  in
+  (* what the engine prices and charges under [rules] *)
+  let engine rules sql =
+    under rules @@ fun () ->
+    let t =
+      match Nra.Planner.Analyze.analyze_string cat sql with
+      | Ok t -> t
+      | Error m -> Alcotest.fail m
+    in
+    ( Nra.estimates_with_rewrites cat t,
+      charged (fun () -> rows (Nra.run ~strategy:Nra.Auto cat sql)) )
+  in
+  let served srv sql =
+    match
+      Plan_cache.find_or_prepare (Server.cache srv) ~strategy:Nra.Auto sql
+    with
+    | Error e -> Alcotest.fail (Exec_error.to_string e)
+    | Ok p ->
+        let s = Server.session srv () in
+        ( Nra.prepared_estimates p,
+          charged (fun () -> rows (Server.exec srv s sql)) )
+  in
+  let reads =
+    List.filter
+      (fun sql ->
+        match Nra.Sql.Parser.parse_command sql with
+        | Nra.Sql.Ast.Cmd_query (Nra.Sql.Ast.Select _) -> true
+        | _ -> false)
+      Test_support.subquery_corpus
+  in
+  let expected =
+    List.map (fun (rules, _) -> List.map (engine rules) reads) servers
+  in
+  Alcotest.(check bool) "the rules change some estimate" true
+    (List.nth expected 0 <> List.nth expected 1);
+  List.iter
+    (fun later ->
+      Nra.set_rewrite_rules later;
+      List.iter2
+        (fun (rules, srv) expected ->
+          List.iter2
+            (fun sql e ->
+              Alcotest.(check bool)
+                (Printf.sprintf "rules %s, later %s: %s"
+                   (Nra.Opt.Config.mask rules)
+                   (Nra.Opt.Config.mask later)
+                   sql)
+                true (served srv sql = e))
+            reads expected)
+        servers expected)
+    [ [ Nra.Opt.Config.Pipeline ]; Nra.Opt.Config.all; [] ]
+
 (* A stale entry whose table was dropped, or dropped and re-created
    with other columns, fails as a fresh preparation of its text does,
    and is not kept. *)
 let test_cache_reprepare_errors () =
   let cat = Test_support.emp_dept_catalog () in
-  let pc = Plan_cache.create cat in
+  let pc = Plan_cache.create ~config:(Nra.config ()) cat in
   let exec sql =
     match Nra.run cat sql with
     | Ok _ -> ()
@@ -785,6 +858,8 @@ let () =
             test_cache_reprepare_matches_cold;
           Alcotest.test_case "a stale entry fails as fresh" `Quick
             test_cache_reprepare_errors;
+          Alcotest.test_case "servers keep their config" `Quick
+            test_servers_keep_their_config;
         ] );
       ( "faults",
         [

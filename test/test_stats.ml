@@ -221,9 +221,9 @@ let prop_matches_reference =
   QCheck.Test.make ~count:600 ~name:"matches the reference collector"
     (QCheck.make ~print:print_case case_gen)
     (fun c ->
-      let saved = I.config () in
-      Fun.protect ~finally:(fun () -> I.set_config saved) @@ fun () ->
-      I.set_config { saved with I.rows_per_page = c.rpp };
+      Test_support.with_config (fun cfg ->
+          { cfg with iosim = { cfg.iosim with I.rows_per_page = c.rpp } })
+      @@ fun () ->
       let mixed =
         match fst (Batch.column_of_values c.values) with
         | Batch.Boxed _ -> true
@@ -479,13 +479,15 @@ let test_naive_access_path () =
     Tpch.Gen.generate { Tpch.Gen.default with Tpch.Gen.scale = 0.002 }
   in
   (match Nra.exec cat "analyze" with Ok _ -> () | Error m -> Alcotest.fail m);
-  let saved = I.config () in
-  Fun.protect
-    ~finally:(fun () -> I.set_config saved)
+  Test_support.with_config
+    (fun c ->
+      {
+        c with
+        frames = Off;
+        faults = Fault.default_config;
+        iosim = { c.iosim with I.cache_pages = 0 };
+      })
     (fun () ->
-      Fault.disable ();
-      Bufpool.set_frames None;
-      I.set_config { saved with I.cache_pages = 0 };
       List.iter
         (fun sql ->
           let e = Stats.Cost.estimate cat (analyze cat sql) Stats.Cost.Naive in
