@@ -97,6 +97,20 @@ let timing =
 
 (* ---------- guard / fault options ---------- *)
 
+(* An engine flag read through its setting's range in
+   [Nra.Engine_config.Range], as the environment is: a value out of
+   range is a usage error naming the flag and the value. *)
+let ranged parse print =
+  Arg.conv'
+    ( (fun s ->
+        Result.map_error
+          (fun why -> Printf.sprintf "invalid value '%s', %s" s why)
+          (parse s)),
+      print )
+
+let ranged_int parse = ranged parse Format.pp_print_int
+let ranged_float parse = ranged parse Format.pp_print_float
+
 let timeout_ms =
   let doc = "Kill the query after this much wall-clock time (ms)." in
   Arg.(value & opt (some float) None & info [ "timeout-ms" ] ~docv:"MS" ~doc)
@@ -118,11 +132,17 @@ let faults =
     "Inject transient storage faults with this per-read probability \
      (deterministic, see --fault-seed); executors retry with backoff."
   in
-  Arg.(value & opt float 0.0 & info [ "faults" ] ~docv:"P" ~doc)
+  Arg.(
+    value
+    & opt (ranged_float Nra.Engine_config.Range.probability) 0.0
+    & info [ "faults" ] ~docv:"P" ~doc)
 
 let fault_seed =
   let doc = "Fault-injection PRNG seed." in
-  Arg.(value & opt int 1 & info [ "fault-seed" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (ranged_int Nra.Engine_config.Range.seed) 1
+    & info [ "fault-seed" ] ~docv:"N" ~doc)
 
 (* ---------- out-of-core storage options ---------- *)
 
@@ -133,7 +153,10 @@ let buffer_pages =
      nests spill partitions — results are bit-identical at every \
      setting.  Default: the NRA_BUFFER_PAGES environment variable."
   in
-  Arg.(value & opt (some int) None & info [ "buffer-pages" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (some (ranged_int Nra.Engine_config.Range.pages)) None
+    & info [ "buffer-pages" ] ~docv:"N" ~doc)
 
 let buffer_mb =
   let doc =
@@ -141,7 +164,10 @@ let buffer_mb =
      configured page size (see $(b,--page-size-kb)); the paper's 32 MB \
      buffer cache is $(b,--buffer-mb 32)."
   in
-  Arg.(value & opt (some float) None & info [ "buffer-mb" ] ~docv:"MB" ~doc)
+  Arg.(
+    value
+    & opt (some (ranged_float Nra.Engine_config.Range.megabytes)) None
+    & info [ "buffer-mb" ] ~docv:"MB" ~doc)
 
 let page_size_kb =
   let doc =
@@ -149,7 +175,9 @@ let page_size_kb =
      divides by, so memory budgets convert to exact frame counts."
   in
   Arg.(
-    value & opt (some float) None & info [ "page-size-kb" ] ~docv:"KB" ~doc)
+    value
+    & opt (some (ranged_float Nra.Engine_config.Range.page_size_kb)) None
+    & info [ "page-size-kb" ] ~docv:"KB" ~doc)
 
 (* ---------- serving-layer options (repl) ---------- *)
 
@@ -214,7 +242,10 @@ let domains_arg =
      default is the NRA_DOMAINS environment variable, else the host \
      core count minus one. Results are bit-identical at every setting."
   in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (some (ranged_int Nra.Engine_config.Range.domains)) None
+    & info [ "domains" ] ~docv:"N" ~doc)
 
 (* ---------- the engine configuration ---------- *)
 

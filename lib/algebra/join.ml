@@ -71,8 +71,8 @@ let trivially_true = function
 
 (* ---------- the reference ---------- *)
 
-(* The plain nested loop, independent of the table below: tests hold
-   every variant to it. *)
+(* The plain nested loop, independent of the [Keyed] table below: tests
+   hold every variant to it. *)
 let nested_loop kind ~on left right =
   let rrows = Relation.rows right in
   let right_arity = Schema.arity (Relation.schema right) in
@@ -94,165 +94,105 @@ let nested_loop kind ~on left right =
     (Relation.rows left);
   Relation.of_rows (out_schema kind left right) (List.rev !out)
 
-(* ---------- the chained table ----------
+(* ---------- the probe ----------
 
-   The build side is the right relation's rows, or the [m] of them a
-   selection vector names; build entry [j] is row [entry t j].  The
-   probe side is likewise the left relation's rows or the [n] of them a
-   left selection names; left row [i] is [left t i], and the offset
-   vectors are indexed by [i].  The table is flat: [rhash.(j)] is
-   entry [j]'s key hash and [next.(j)] the next entry of its bucket
-   chain, and partition [p]'s buckets are [head.(hbase.(p) + b)] for
-   [b <= hmask.(p)].  A partition is the key hash mod [nparts] (one,
-   except on the grace path), so a key's entries all live in one
-   partition.  NULL-keyed entries are never linked.
+   The build side is one [Keyed] table over the right relation's rows,
+   or the [m] of them a selection vector names, keyed on the right
+   equi-columns with NULL keys unlinked; entry [j] is right row
+   [base t j].  The probe side is the left relation's rows or the [n]
+   of them a left selection names; left row [i] is [left t i], and the
+   offset vectors are indexed by [i].  A left row's candidates are the
+   entries [Keyed.first]/[next_equal] step to under its key, in build
+   order; a candidate matches when the residual holds on the
+   concatenated pair.  With no equi-conjunct the key is empty, every
+   entry lands in one chain, and the probe is the nested loop under
+   the residual [on].
 
-   An entry matches left row [lrow] of hash [h] when its stored hash
-   is [h] and its keys and the residual agree, so a chain walk visits
-   in build order exactly the entries a table keyed on the hash holds
-   under [h].  With no equi-conjunct the key is empty, every entry
-   hashes alike and lands in one chain, and the probe is the nested
-   loop under the residual [on].
+   The table's arrays and every int array here are borrowed from
+   [Scratch] for the extent of [with_matches]; a parallel region reads
+   the table, and its workers write disjoint slices of buffers borrowed
+   before it starts. *)
 
-   Every int array here is borrowed from [Scratch] for the extent of
-   [with_matches]; a parallel region's buffers are borrowed before it
-   starts, and its workers write disjoint slices. *)
-
-type table = {
-  rows : Row.t array;
+type probe = {
+  tbl : Keyed.t;
   sel : int array option;
-  m : int;
+  rpos : int array;
   lrows : Row.t array;
   lsel : int array option;
   n : int;
   lpos : int array;
-  rpos : int array;
   residual : Expr.pred;
   all_match : bool;
-  rhash : int array;
-  next : int array;
-  mutable head : int array;
-  nparts : int;
-  hbase : int array;
-  hmask : int array;
 }
 
-let entry t j = match t.sel with None -> j | Some s -> Array.unsafe_get s j
+let base t j = match t.sel with None -> j | Some s -> Array.unsafe_get s j
 
 let left t i =
   match t.lsel with
   | None -> t.lrows.(i)
   | Some s -> t.lrows.(Array.unsafe_get s i)
 
-let part t h = h land max_int mod t.nparts
-
-let slot t h =
-  let p = part t h in
-  t.hbase.(p) + ((h land max_int) / t.nparts land t.hmask.(p))
-
-let rec pow2_at_least k n = if k >= n then k else pow2_at_least (2 * k) n
-
-let rec keys_equal lpos rpos lrow rrow i =
-  i >= Array.length lpos
-  || Value.equal lrow.(lpos.(i)) rrow.(rpos.(i))
-     && keys_equal lpos rpos lrow rrow (i + 1)
-
-let matches_entry t lrow h j =
-  Array.unsafe_get t.rhash j = h
-  &&
-  let rrow = t.rows.(entry t j) in
-  keys_equal t.lpos t.rpos lrow rrow 0
-  && (t.all_match || Expr.holds t.residual (Row.concat lrow rrow))
-
 (* The chain walks, top-level recursions so a probe allocates nothing:
-   count a left row's matches, or write their right positions forward
-   from [at] (chains in build order) or backward from [at] (chains
-   linked in reverse, on the grace path). *)
-let rec count_chain t lrow h j acc =
-  if j < 0 then acc
-  else
-    count_chain t lrow h t.next.(j)
-      (if matches_entry t lrow h j then acc + 1 else acc)
+   [seek] is the first match from candidate [j] on, or -1. *)
+let rec seek t lrow j =
+  if
+    j < 0 || t.all_match
+    || Expr.holds t.residual (Row.concat lrow (Keyed.row t.tbl j))
+  then j
+  else seek t lrow (Keyed.next_equal t.tbl t.lpos lrow j)
 
-let rec fill_chain t lrow h j dst at =
-  if j < 0 then ()
-  else if matches_entry t lrow h j then begin
-    dst.(at) <- entry t j;
-    fill_chain t lrow h t.next.(j) dst (at + 1)
-  end
-  else fill_chain t lrow h t.next.(j) dst at
+let first_match t lrow =
+  if Row.has_null_on t.lpos lrow then -1
+  else seek t lrow (Keyed.first t.tbl t.lpos lrow)
 
-let rec fill_chain_rev t lrow h j dst at =
-  if j < 0 then ()
-  else if matches_entry t lrow h j then begin
-    dst.(at) <- entry t j;
-    fill_chain_rev t lrow h t.next.(j) dst (at - 1)
+let next_match t lrow j = seek t lrow (Keyed.next_equal t.tbl t.lpos lrow j)
+
+(* count a left row's matches from [j] on, or write their right
+   positions forward from [at] *)
+let rec count_from t lrow j acc =
+  if j < 0 then acc else count_from t lrow (next_match t lrow j) (acc + 1)
+
+let rec fill_from t lrow j dst at =
+  if j >= 0 then begin
+    dst.(at) <- base t j;
+    fill_from t lrow (next_match t lrow j) dst (at + 1)
   end
-  else fill_chain_rev t lrow h t.next.(j) dst at
 
 (* the serial probe's output: [pos] grows (through [Scratch]) as the
    left rows append their matches *)
 type cursor = { mutable buf : int array; mutable fill : int }
 
-let rec push_chain t lrow h j cur =
+let rec push_from t lrow j cur =
   if j >= 0 then begin
-    if matches_entry t lrow h j then begin
-      if cur.fill = Array.length cur.buf then
-        cur.buf <- Scratch.grow cur.buf ~keep:cur.fill (cur.fill + 1);
-      cur.buf.(cur.fill) <- entry t j;
-      cur.fill <- cur.fill + 1
-    end;
-    push_chain t lrow h t.next.(j) cur
+    if cur.fill = Array.length cur.buf then
+      cur.buf <- Scratch.grow cur.buf ~keep:cur.fill (cur.fill + 1);
+    cur.buf.(cur.fill) <- base t j;
+    cur.fill <- cur.fill + 1;
+    push_from t lrow (next_match t lrow j) cur
   end
 
-(* Hash every build entry and link the table in one partition.
-   Linking from the last entry to the first leaves every chain in
-   build order. *)
-let link_all t =
-  Array.fill t.head 0 (t.hmask.(0) + 1) (-1);
-  for j = t.m - 1 downto 0 do
-    let rrow = t.rows.(entry t j) in
-    if not (Row.has_null_on t.rpos rrow) then begin
-      let h = Row.hash_on t.rpos rrow in
-      t.rhash.(j) <- h;
-      let s = slot t h in
-      t.next.(j) <- t.head.(s);
-      t.head.(s) <- j
-    end
-  done
-
 let probe_serial t ~off ~len cur =
-  link_all t;
   for i = 0 to t.n - 1 do
     Nra_guard.Guard.tick ();
     let lrow = left t i in
     off.(i) <- cur.fill;
-    if not (Row.has_null_on t.lpos lrow) then begin
-      let h = Row.hash_on t.lpos lrow in
-      push_chain t lrow h t.head.(slot t h) cur
-    end;
+    push_from t lrow (first_match t lrow) cur;
     len.(i) <- cur.fill - off.(i)
   done
 
-(* Parallel variant: the owner links the table; left morsels count
-   their rows' matches (the checkpoints accrue to the morsel's ledger,
-   per the guard contract in docs/PERF.md); the owner turns the counts
-   into offsets and sizes [pos]; a second pass over the same morsels
-   writes each row's matches into its own slice.  Bit-identical to the
-   serial probe. *)
+(* Parallel variant: left morsels count their rows' matches (the
+   checkpoints accrue to the morsel's ledger, per the guard contract in
+   docs/PERF.md); the owner turns the counts into offsets and sizes
+   [pos]; a second pass over the same morsels writes each row's matches
+   into its own slice.  Bit-identical to the serial probe. *)
 let probe_parallel t ~off ~len cur =
-  link_all t;
   let n = t.n in
   ignore
     (Pool.parallel_chunks ~n (fun ledger ~lo ~hi ->
          for i = lo to hi - 1 do
            Pool.Ledger.tick ledger;
            let lrow = left t i in
-           len.(i) <-
-             (if Row.has_null_on t.lpos lrow then 0
-              else
-                let h = Row.hash_on t.lpos lrow in
-                count_chain t lrow h t.head.(slot t h) 0)
+           len.(i) <- count_from t lrow (first_match t lrow) 0
          done));
   let total = ref 0 in
   for i = 0 to n - 1 do
@@ -265,119 +205,93 @@ let probe_parallel t ~off ~len cur =
   ignore
     (Pool.parallel_chunks ~n (fun _ledger ~lo ~hi ->
          for i = lo to hi - 1 do
-           if len.(i) > 0 then begin
+           if len.(i) > 0 then
              let lrow = left t i in
-             let h = Row.hash_on t.lpos lrow in
-             fill_chain t lrow h t.head.(slot t h) dst off.(i)
-           end
+             fill_from t lrow (first_match t lrow) dst off.(i)
          done))
 
 (* Grace/hybrid variant: when the build side exceeds the buffer pool's
    frame budget, partition both inputs by key hash into [nparts]
    buckets sized so one bucket's build table fits the budget.  Bucket 0
-   is kept in memory and probed on the fly during the left pass (the
-   "hybrid" refinement); the others spill through Bufpool.Spill —
-   charged page writes under the budget, charged page reads when each
-   partition is processed build-then-probe.
+   is probed on the fly during the left pass (the "hybrid"
+   refinement); the others spill through Bufpool.Spill — charged page
+   writes under the budget, charged page reads when each partition is
+   processed build-then-probe.
 
-   A spill partition holds positions, not rows: build-entry indices on
-   the right (so a selection's base positions are read through it, and
-   no row is gathered) and row positions on the left.  A first pass
-   hashes both sides and sizes every partition, so all partitions
-   share one borrowed buffer, each in its own slice.  The spilled
-   partitions run under the Domain pool, one chunk per partition, in
-   two regions.  The first links each partition's chain table from its
-   spill (in arrival order, so chains come out in reverse build order)
-   and counts every spilled left row's matches, with the same
-   checkpoints as one probe pass; the owner then gives each partition
-   its slice of [pos]; the second writes the matches, back to front
-   along the reversed chains, and records the consumed spills.  The
-   owner replays each partition's page reads and frees it at that
-   barrier, in partition order, so charges and fault draws are
-   identical at every pool size.  Bit-identical to the serial probe:
-   partition [p]'s chains hold exactly the entries of hash [h] with
-   [h mod nparts = p], in build order once reversed. *)
+   The rows stay on the heap, so the spills carry the accounting, not
+   the data: a spill partition holds positions, build entries on the
+   right and left row positions on the left.  No pass reads the right
+   positions back (they are written only for their pages), so every
+   right spill writes into the same region of one buffer.  A first pass
+   hashes the left rows, records each one's partition and sizes the
+   left partitions, so they share one borrowed buffer, each in its own
+   slice.  Every partition probes the one table built before these
+   passes: equal keys hash to one partition, so a left row's chain
+   holds exactly its partition's entries of that key, in build order.
+   (A table per partition, built inside the regions, allocates more per
+   statement: see docs/PERF.md.)  The spilled partitions run under the
+   Domain pool, one chunk per partition, in two regions: the first
+   counts every spilled left row's matches, with the same checkpoints
+   as one probe pass, and keeps the row's first match in its [off]
+   slot; the owner then gives each partition its slice of [pos]; the
+   second writes the matches from that first match, so no row is
+   hashed there again, and records the consumed spills.  The owner
+   replays each partition's page reads and frees it at that barrier,
+   in partition order, so charges and fault draws are identical at
+   every pool size, and the result is bit-identical to the serial
+   probe. *)
 let probe_grace t ~nparts ~off ~len cur =
   let module B = Nra_storage.Bufpool in
-  (* hash the build entries ([next] marks a NULL-keyed one -2 until
-     partition 0 is linked) and size every partition on both sides, so
-     all spilled positions fit one borrowed buffer *)
-  let psize = Array.make nparts 0 and lsize = Array.make nparts 0 in
-  for j = 0 to t.m - 1 do
-    let rrow = t.rows.(entry t j) in
-    if Row.has_null_on t.rpos rrow then t.next.(j) <- -2
-    else begin
-      let h = Row.hash_on t.rpos rrow in
-      t.rhash.(j) <- h;
-      t.next.(j) <- -1;
-      psize.(part t h) <- psize.(part t h) + 1
-    end
-  done;
+  let m = Keyed.length t.tbl in
+  let part pos row =
+    if Row.has_null_on pos row then -1
+    else Row.hash_on pos row land max_int mod nparts
+  in
+  (* hash the left rows once: [len.(i)] holds left row [i]'s partition
+     (-1 for a NULL key) until the probe pass reads it, and the sizes
+     make the left spills slices of one borrowed buffer *)
+  let lsize = Array.make nparts 0 in
   for i = 0 to t.n - 1 do
-    let lrow = left t i in
-    if not (Row.has_null_on t.lpos lrow) then begin
-      let p = part t (Row.hash_on t.lpos lrow) in
-      lsize.(p) <- lsize.(p) + 1
-    end
+    let p = part t.lpos (left t i) in
+    len.(i) <- p;
+    if p >= 0 then lsize.(p) <- lsize.(p) + 1
   done;
   let spilled = ref 0 in
-  let spill sizes =
+  let lslices =
     Array.init (nparts - 1) (fun k ->
         let base = !spilled in
-        spilled := !spilled + sizes.(k + 1);
+        spilled := !spilled + lsize.(k + 1);
         base)
   in
-  let rslices = spill psize in
-  let lslices = spill lsize in
-  Scratch.with_ints !spilled @@ fun buf ->
-  let create base = B.Spill.create buf ~base in
-  let rspills = Array.map create rslices in
-  let lspills = Array.map create lslices in
+  Scratch.with_ints m @@ fun rbuf ->
+  Scratch.with_ints !spilled @@ fun lbuf ->
+  let rspills =
+    Array.init (nparts - 1) (fun _ -> B.Spill.create rbuf ~base:0)
+  in
+  let lspills = Array.map (fun base -> B.Spill.create lbuf ~base) lslices in
   let free_all () =
     Array.iter B.Spill.free rspills;
     Array.iter B.Spill.free lspills
   in
   Fun.protect ~finally:free_all @@ fun () ->
   (* build pass: spill the right side by partition *)
-  for j = 0 to t.m - 1 do
+  for j = 0 to m - 1 do
     Nra_guard.Guard.tick ();
-    if t.next.(j) <> -2 then begin
-      let p = part t t.rhash.(j) in
-      if p > 0 then B.Spill.add rspills.(p - 1) j
-    end
+    let p = part t.rpos (Keyed.row t.tbl j) in
+    if p > 0 then B.Spill.add rspills.(p - 1) j
   done;
   Array.iter B.Spill.finish rspills;
-  let buckets = ref 0 in
-  for p = 0 to nparts - 1 do
-    let nb = pow2_at_least 16 psize.(p) in
-    t.hbase.(p) <- !buckets;
-    t.hmask.(p) <- nb - 1;
-    buckets := !buckets + nb
-  done;
-  t.head <- Scratch.grow t.head ~keep:0 !buckets;
-  Array.fill t.head 0 !buckets (-1);
-  for j = t.m - 1 downto 0 do
-    if t.next.(j) <> -2 && part t t.rhash.(j) = 0 then begin
-      let s = slot t t.rhash.(j) in
-      t.next.(j) <- t.head.(s);
-      t.head.(s) <- j
-    end
-  done;
   (* probe pass: partition 0 resolved immediately, the rest deferred *)
   for i = 0 to t.n - 1 do
     Nra_guard.Guard.tick ();
-    let lrow = left t i in
+    let lrow = left t i and p = len.(i) in
     off.(i) <- cur.fill;
     len.(i) <- 0;
-    if not (Row.has_null_on t.lpos lrow) then begin
-      let h = Row.hash_on t.lpos lrow in
-      let p = part t h in
-      if p = 0 then begin
-        push_chain t lrow h t.head.(slot t h) cur;
-        len.(i) <- cur.fill - off.(i)
-      end
-      else B.Spill.add lspills.(p - 1) i
+    if p = 0 then begin
+      push_from t lrow (first_match t lrow) cur;
+      len.(i) <- cur.fill - off.(i)
     end
+    else if p > 0 then B.Spill.add lspills.(p - 1) i
   done;
   Array.iter B.Spill.finish lspills;
   (* [start.(p)]: partition p's match count, then its slice start *)
@@ -387,15 +301,12 @@ let probe_grace t ~nparts ~off ~len cur =
        (fun ledger ~lo ~hi ->
          for k = lo to hi - 1 do
            Pool.Ledger.tick ledger;
-           B.Spill.iter_raw rspills.(k) (fun j ->
-               let s = slot t t.rhash.(j) in
-               t.next.(j) <- t.head.(s);
-               t.head.(s) <- j);
            B.Spill.iter_raw lspills.(k) (fun i ->
                Pool.Ledger.tick ledger;
                let lrow = left t i in
-               let h = Row.hash_on t.lpos lrow in
-               let c = count_chain t lrow h t.head.(slot t h) 0 in
+               let j = first_match t lrow in
+               off.(i) <- j;
+               let c = count_from t lrow j 0 in
                len.(i) <- c;
                start.(k + 1) <- start.(k + 1) + c)
          done));
@@ -414,11 +325,12 @@ let probe_grace t ~nparts ~off ~len cur =
          for k = lo to hi - 1 do
            let at = ref start.(k + 1) in
            B.Spill.iter_raw lspills.(k) (fun i ->
-               let lrow = left t i in
-               let h = Row.hash_on t.lpos lrow in
+               let j = off.(i) in
                off.(i) <- !at;
-               at := !at + len.(i);
-               fill_chain_rev t lrow h t.head.(slot t h) dst (!at - 1));
+               if j >= 0 then begin
+                 fill_from t (left t i) j dst !at;
+                 at := !at + len.(i)
+               end);
            Pool.Ledger.consumed_spill ledger rspills.(k);
            Pool.Ledger.consumed_spill ledger lspills.(k)
          done))
@@ -461,17 +373,13 @@ let with_matches ~on ?left_sel ?sel left right f =
     | Some (s, count) -> (Some s, count)
     | None -> (None, Array.length lrows)
   in
-  let sel, m =
-    match sel with
-    | Some (s, count) -> (Some s, count)
-    | None -> (None, Array.length rows)
-  in
+  let m = match sel with Some (_, count) -> count | None -> Array.length rows in
   Scratch.with_ints n @@ fun off ->
   Scratch.with_ints n @@ fun len ->
   let cur = { buf = Scratch.borrow (max n m); fill = 0 } in
   Fun.protect ~finally:(fun () -> Scratch.release cur.buf) @@ fun () ->
   if equi = [] && trivially_true on then
-    probe_cartesian ~m ~sel ~n ~off ~len cur
+    probe_cartesian ~m ~sel:(Option.map fst sel) ~n ~off ~len cur
   else begin
     let grace =
       let build_pages = Nra_storage.Iosim.pages m in
@@ -481,32 +389,21 @@ let with_matches ~on ?left_sel ?sel left right f =
           Some (min 64 (max 2 ((build_pages + budget - 1) / budget)))
       | _ -> None
     in
-    let nparts = Option.value grace ~default:1 in
-    (* with no equi-conjunct every entry shares the empty key's chain *)
-    let buckets = if equi = [] then 16 else pow2_at_least 16 m in
-    Scratch.with_ints m @@ fun rhash ->
-    Scratch.with_ints m @@ fun next ->
+    let rpos = Array.of_list (List.map snd equi) in
+    Keyed.with_scratch ~nulls:`Skip ?sel ~pos:rpos rows @@ fun tbl ->
     let t =
       {
-        rows;
-        sel;
-        m;
+        tbl;
+        sel = Option.map fst sel;
+        rpos;
         lrows;
         lsel;
         n;
         lpos = Array.of_list (List.map fst equi);
-        rpos = Array.of_list (List.map snd equi);
         residual = (if equi = [] then on else Expr.conj residual);
         all_match = equi <> [] && trivially_true (Expr.conj residual);
-        rhash;
-        next;
-        head = Scratch.borrow buckets;
-        nparts;
-        hbase = Array.make nparts 0;
-        hmask = Array.make nparts (buckets - 1);
       }
     in
-    Fun.protect ~finally:(fun () -> Scratch.release t.head) @@ fun () ->
     match grace with
     | Some nparts ->
         (* the grace/hybrid path runs its spilled partitions under the

@@ -4,9 +4,10 @@
     equi-join and left outer hash join — while the classical-unnesting
     baseline additionally uses semijoin and antijoin, and the
     nested-iteration baseline uses index nested loops.  All variants
-    share one entry point that extracts equi-conjuncts as hash keys and
-    evaluates the residual conjuncts in 3VL on each candidate pair; with
-    no equi-conjunct the join degrades to a nested loop.
+    share one entry point that extracts equi-conjuncts as hash keys,
+    chains the build side by them in one {!Nra_relational.Keyed} table,
+    and evaluates the residual conjuncts in 3VL on each candidate pair;
+    with no equi-conjunct the join degrades to a nested loop.
 
     NULL join keys never match (SQL equi-join semantics).  For
     [Left_outer], an unmatched left row is padded with NULLs on the
@@ -57,5 +58,6 @@ val with_matches :
 
 val nested_loop : kind -> on:Expr.pred -> Relation.t -> Relation.t ->
   Relation.t
-(** Reference implementation, a plain nested loop independent of the
-    chained table: tests hold [join] and [with_matches] to it. *)
+(** Reference implementation, a plain nested loop independent of
+    {!Nra_relational.Keyed}: tests hold [join] and [with_matches] to
+    it. *)

@@ -36,32 +36,57 @@ let frame_count c =
   | Off -> None
   | Pages n -> Some n
   | Mb mb ->
-      let kb = Float.max 0.125 c.iosim.page_size_kb in
+      let kb = c.iosim.page_size_kb in
       Some (max 1 (int_of_float (Float.ceil (mb *. 1024.0 /. kb))))
+
+(* ---------- ranges ---------- *)
+
+module Range = struct
+  let number of_string ok what s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | _ -> Error ("expected " ^ what)
+
+  let at_least lo =
+    number int_of_string_opt (fun n -> n >= lo)
+      (Printf.sprintf "an integer >= %d" lo)
+
+  let positive =
+    number float_of_string_opt
+      (fun x -> Float.is_finite x && x > 0.0)
+      "a number > 0"
+
+  let domains = at_least 0
+  let count = at_least 1
+  let pages = at_least 0
+  let megabytes = positive
+  let page_size_kb = positive
+
+  let probability =
+    number float_of_string_opt
+      (fun p -> p >= 0.0 && p <= 1.0)
+      "a probability in [0, 1]"
+
+  let seed = at_least 0
+  let retries = at_least 0
+end
 
 (* ---------- the NRA_* variables ---------- *)
 
 let ( let* ) = Result.bind
 
-let number of_string ~lo ~hi what s =
-  match of_string s with
-  | Some v when v >= lo && v <= hi -> Ok v
-  | _ -> Error ("expected " ^ what)
-
-let count ~lo =
-  number int_of_string_opt ~lo ~hi:max_int
-    (Printf.sprintf "an integer >= %d" lo)
-
-let prob =
-  number float_of_string_opt ~lo:0.0 ~hi:1.0 "a probability in [0, 1]"
-
 let frames_of_string s =
   let s = String.lowercase_ascii s in
-  match (int_of_string_opt s, Scanf.sscanf_opt s "%fmb%!" Fun.id) with
-  | Some 0, _ -> Ok Off
-  | Some n, _ when n > 0 -> Ok (Pages n)
-  | None, Some mb when mb > 0.0 -> Ok (Mb mb)
-  | _ -> Error "expected a frame count or <X>mb"
+  let mb =
+    if String.ends_with ~suffix:"mb" s then
+      Result.to_option (Range.megabytes (String.sub s 0 (String.length s - 2)))
+    else None
+  in
+  match (Range.pages s, mb) with
+  | Ok 0, _ -> Ok Off
+  | Ok n, _ -> Ok (Pages n)
+  | Error _, Some mb -> Ok (Mb mb)
+  | Error _, None -> Error "expected a frame count or <X>mb"
 
 let faults_of_string s =
   let d = Fault.default_config in
@@ -70,10 +95,10 @@ let faults_of_string s =
       let field i parse default =
         Option.fold ~none:(Ok default) ~some:parse (List.nth_opt rest i)
       in
-      let* probability = prob p in
-      let* seed = field 0 (count ~lo:0) d.seed in
-      let* max_retries = field 1 (count ~lo:0) d.max_retries in
-      let* alloc_probability = field 2 prob d.alloc_probability in
+      let* probability = Range.probability p in
+      let* seed = field 0 Range.seed d.seed in
+      let* max_retries = field 1 Range.retries d.max_retries in
+      let* alloc_probability = field 2 Range.probability d.alloc_probability in
       Ok { d with probability; seed; max_retries; alloc_probability }
   | _ -> Error "expected p[:seed[:retries[:palloc]]]"
 
@@ -90,10 +115,10 @@ let of_env lookup =
   Ok default
   |> field "NRA_REWRITE" Nra_opt.Config.parse (fun c rules ->
          { c with rules })
-  |> field "NRA_DOMAINS" (count ~lo:0) (fun c domains -> { c with domains })
-  |> field "NRA_PARALLEL_THRESHOLD" (count ~lo:1) (fun c parallel_threshold ->
+  |> field "NRA_DOMAINS" Range.domains (fun c domains -> { c with domains })
+  |> field "NRA_PARALLEL_THRESHOLD" Range.count (fun c parallel_threshold ->
          { c with parallel_threshold })
-  |> field "NRA_MORSEL" (count ~lo:1) (fun c morsel -> { c with morsel })
+  |> field "NRA_MORSEL" Range.count (fun c morsel -> { c with morsel })
   |> field "NRA_BUFFER_PAGES" frames_of_string (fun c frames ->
          { c with frames })
   |> field "NRA_FAULT_INJECT" faults_of_string (fun c faults ->

@@ -37,6 +37,31 @@ val default : t
 val frame_count : t -> int option
 (** The frame budget to install: [None] for [Off]. *)
 
+(** The range of each setting a program reads from outside, as the
+    parser of its text form.  {!of_env} reads the variables through
+    these, and a program's flags for the same settings must too, so a
+    value is accepted or refused alike from either.  The [Error] says
+    what was expected. *)
+module Range : sig
+  val domains : string -> (int, string) result
+  (** Worker domains: an integer, at least 0. *)
+
+  val pages : string -> (int, string) result
+  (** A buffer pool's frames: an integer, at least 0 (0 is off). *)
+
+  val megabytes : string -> (float, string) result
+  (** A buffer pool's budget in MB: a finite number above 0. *)
+
+  val page_size_kb : string -> (float, string) result
+  (** The simulated page size in KB: a finite number above 0. *)
+
+  val probability : string -> (float, string) result
+  (** A fault probability, in \[0, 1\]. *)
+
+  val seed : string -> (int, string) result
+  (** A fault-injection seed: an integer, at least 0. *)
+end
+
 val of_env : (string -> string option) -> (t, string) result
 (** {!default} with the [NRA_*] variables that [lookup] finds applied:
     - [NRA_REWRITE]: [all], [none] or a comma list of rules;

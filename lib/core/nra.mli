@@ -37,9 +37,9 @@ module Scratch = Nra_relational.Scratch
     docs/PERF.md. *)
 
 module Keyed = Nra_relational.Keyed
-(** Rows by key columns: the one chained table behind grouping,
-    DISTINCT, the set operations, the equality index and the keyed
-    linking sets — see docs/INTERNALS.md. *)
+(** Rows by key columns: the one chained table behind the hash join,
+    grouping, DISTINCT, the set operations, the equality index and the
+    keyed linking sets — see docs/INTERNALS.md. *)
 
 module Table = Nra_storage.Table
 module Catalog = Nra_storage.Catalog

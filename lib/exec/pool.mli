@@ -57,7 +57,6 @@ module Ledger : sig
             chunk order and frees them *)
   }
 
-  val create : unit -> t
   val tick : t -> unit
   val add_rows : t -> int -> unit
 

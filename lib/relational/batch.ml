@@ -63,7 +63,6 @@ type t = {
 }
 
 let length t = t.length
-let schema t = t.schema
 let column t i = Lazy.force t.cols.(i)
 
 (* Classify then fill: a column is typed only when every non-null cell

@@ -67,7 +67,6 @@ val to_relation : t -> Relation.t
     identical to [r] for every value mix, NULLs included. *)
 
 val length : t -> int
-val schema : t -> Schema.t
 
 val column : t -> int -> col * Bitset.t
 (** Force and return column [i] with its null bitmap (bit set = NULL).

@@ -76,5 +76,4 @@ val fold_pred : pred -> pred
     eliminate a sibling branch entirely — the same leniency a
     short-circuiting evaluator shows. *)
 
-val pp_scalar : Format.formatter -> scalar -> unit
 val pp_pred : Format.formatter -> pred -> unit

@@ -19,11 +19,11 @@
     serves buffers borrowed from {!Scratch} for a scope
     ({!with_scratch}) and arrays an index owns ({!build}).
 
-    Used by duplicate elimination, GROUP BY, the set operations and
-    division, the DML key lookups, the equality index, the keyed
-    linking sets and the magic set.  The hash join keeps its own
-    partitioned table, ANALYZE its typed one, and
-    [Nested_relation.nest] its own as the reference model. *)
+    Used by the hash join, duplicate elimination, GROUP BY, the set
+    operations and division, the DML key lookups, the equality index,
+    the keyed linking sets and the magic set.  ANALYZE keeps its typed
+    table, and [Nested_relation.nest] its own as the reference
+    model. *)
 
 type nulls = [ `Group | `Skip ]
 type t

@@ -1,8 +1,8 @@
 (** Borrowed int buffers.
 
-    The hash join's chained table and per-row offset vectors, the
-    {!Keyed} tables built for one scope and a scan's selection vector
-    are int arrays of O(rows) length.  Arrays
+    The hash join's per-row offset vectors, the {!Keyed} tables built
+    for one scope and a scan's selection vector are int arrays of
+    O(rows) length.  Arrays
     that long are allocated directly in the major heap, and a dead one
     waits for a whole major cycle to be swept, so allocating them
     afresh per statement raises the heap peak.  Instead they are

@@ -104,7 +104,6 @@ let create ?(config = default_config) cat =
     global_locks = 0;
   }
 
-let config t = t.cfg
 let cache t = t.pc
 let scheduler t = t.sched
 let now t = Scheduler.now t.sched

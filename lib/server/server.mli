@@ -53,7 +53,6 @@ val create : ?config:config -> Nra.Catalog.t -> t
     Also registers the plan cache's [explain --costs] note hook
     ({!Nra.set_explain_note}) — idempotent. *)
 
-val config : t -> config
 val cache : t -> Plan_cache.t
 
 val scheduler : t -> Scheduler.t

@@ -231,23 +231,6 @@ let absorb (c : counters) =
   rand := !rand + c.rand_pages;
   fetched := !fetched + c.fetched_rows
 
-(* aborted-attempt rollback: Auto's kill-and-fallback undoes the killed
-   plan's charges so the simulation reflects only work that produced the
-   answer.  Cache contents are deliberately kept — a real buffer pool
-   stays warm after an aborted query *)
-
-type checkpoint = { cp_state : counters; cp_hits : int; cp_misses : int }
-
-let checkpoint () =
-  { cp_state = counters (); cp_hits = !hits; cp_misses = !misses }
-
-let rollback cp =
-  seq := cp.cp_state.seq_pages;
-  rand := cp.cp_state.rand_pages;
-  fetched := cp.cp_state.fetched_rows;
-  hits := cp.cp_hits;
-  misses := cp.cp_misses
-
 let simulated_seconds () =
   let c = !current in
   (float_of_int !seq *. c.t_seq_ms

@@ -115,22 +115,6 @@ val absorb : counters -> unit
     charge sites, so the injected-fault sequence — and the total
     simulated I/O — are identical for every pool size. *)
 
-type checkpoint
-
-val checkpoint : unit -> checkpoint
-(** Snapshot the charge counters (and cache hit/miss tallies). *)
-
-val rollback : checkpoint -> unit
-(** Restore a snapshot: the charges of an aborted attempt vanish from
-    the simulation.  Buffer-cache {e contents} are kept — a real pool
-    stays warm after an aborted query — only the tallies rewind.
-
-    Checkpoint/rollback is a {e global} snapshot: it is only safe when
-    no other statement can charge in between.  Auto's kill-and-fallback
-    used to rely on that (inside [Guard.with_no_yield]); it now uses the
-    per-task {!ledger} below, which tolerates interleaved charges from
-    other scheduler tasks. *)
-
 (** {2 Per-task ledgers}
 
     A stack of open ledgers that every charge function also tallies

@@ -132,7 +132,8 @@ let test_pure_theta_join () =
   (* 1<3 and 2<3; NULLs on either side never qualify *)
   Alcotest.(check int) "theta join" 2 (Relation.cardinality r)
 
-let qtest = QCheck_alcotest.to_alcotest
+(* seeded, so that two runs print the same log *)
+let qtest t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7 |]) t
 
 let arb_pairs =
   QCheck.(
@@ -211,8 +212,6 @@ let test_division () =
   in
   let d = S.divide takes ~by:required2 ~on:[ (1, 1) ] in
   Alcotest.(check int) "divisor is a set" 2 (Relation.cardinality d)
-
-let qtest2 = QCheck_alcotest.to_alcotest
 
 (* division agrees with its double-negation definition:
    x qualifies iff ¬∃ s ∈ S. ¬∃ (x, s) ∈ R *)
@@ -346,7 +345,8 @@ let test_sort () =
    configuration: the nested loop by hiding the equi-conjunct behind
    [OR FALSE] (same 3VL truth, no equi key), the serial hash table at
    the default serial pool, the parallel one at pool 2 with the
-   threshold forced low, the grace path at 8 frames of 2 rows. *)
+   threshold forced low, the grace path at 8 frames of 2 rows, serial
+   and at pool 2 (its spilled partitions on a worker domain). *)
 
 let irel t cols rows =
   Relation.make
@@ -367,6 +367,33 @@ let off_right =
            (if i mod 11 = 3 then None else Some (i mod 5)); Some (i mod 13);
          |]))
 
+(* a two-column key whose equal cells mix [Int 1] and [Float 1.0], with
+   NULLs in either column *)
+let mixed t cols rows =
+  Relation.make
+    (Schema.of_columns
+       (List.map (fun c -> Schema.column ~table:t c Ttype.Float) cols))
+    rows
+
+let mixed_cell ~null ~float k =
+  if null then vnull else if float then vf (float_of_int k) else vi k
+
+let mixed_left =
+  mixed "l" [ "a"; "b" ]
+    (Array.init 40 (fun i ->
+         [|
+           mixed_cell ~null:(i mod 7 = 2) ~float:(i mod 2 = 0) (i mod 3);
+           mixed_cell ~null:(i mod 11 = 5) ~float:(i mod 5 < 2) (i mod 2);
+         |]))
+
+let mixed_right =
+  mixed "r" [ "c"; "d" ]
+    (Array.init 60 (fun j ->
+         [|
+           mixed_cell ~null:(j mod 13 = 4) ~float:(j / 2 mod 2 = 0) (j mod 3);
+           mixed_cell ~null:(j mod 9 = 7) ~float:(j mod 3 = 0) (j mod 2);
+         |]))
+
 let empty_of rel = Relation.make (Relation.schema rel) [||]
 
 (* over l(a, b) ++ r(c, d) *)
@@ -377,6 +404,10 @@ let off_preds =
       Expr.And
         ( Expr.Cmp (T.Eq, Expr.Col 0, Expr.Col 2),
           Expr.Cmp (T.Lt, Expr.Col 3, Expr.Col 1) ) );
+    ( "two-column equi",
+      Expr.And
+        ( Expr.Cmp (T.Eq, Expr.Col 0, Expr.Col 2),
+          Expr.Cmp (T.Eq, Expr.Col 1, Expr.Col 3) ) );
     ("trivially true", Expr.Lit3 T.True);
     ("theta only", Expr.Cmp (T.Gt, Expr.Col 1, Expr.Col 3));
   ]
@@ -386,6 +417,7 @@ let off_inputs =
     ("both", off_left, off_right);
     ("empty left", empty_of off_left, off_right);
     ("empty right", off_left, empty_of off_right);
+    ("mixed Int/Float keys", mixed_left, mixed_right);
   ]
 
 let check_rows_exact what expected got =
@@ -416,6 +448,14 @@ let with_variant variant f =
             domains = 0;
             frames = Pages 8;
             iosim = { c.iosim with Iosim.rows_per_page = 2 };
+          }
+      | `Grace_pool ->
+          {
+            c with
+            domains = 2;
+            parallel_threshold = 2;
+            frames = Pages 8;
+            iosim = { c.iosim with Iosim.rows_per_page = 2 };
           })
   @@ fun () ->
   Iosim.reset ();
@@ -423,7 +463,8 @@ let with_variant variant f =
 
 let variants =
   [ ("nested loop", `Nested_loop); ("serial", `Serial);
-    ("parallel", `Parallel); ("grace", `Grace) ]
+    ("parallel", `Parallel); ("grace", `Grace);
+    ("grace, pool 2", `Grace_pool) ]
 
 let on_for variant on =
   match variant with
@@ -642,7 +683,7 @@ let () =
         [
           Alcotest.test_case "all six" `Quick test_setops;
           Alcotest.test_case "division" `Quick test_division;
-          qtest2 prop_division_vs_double_negation;
+          qtest prop_division_vs_double_negation;
         ] );
       ( "aggregates",
         [

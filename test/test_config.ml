@@ -1,8 +1,9 @@
 (* The engine configuration: its one parser, [Engine_config.of_env],
    over a fake environment (each NRA_* variable's valid forms, blanks
    as unset, malformed values as errors naming the variable and its
-   value); a megabyte budget converted at the page size in effect; and
-   [Nra.configure] installing each part into the module that owns it. *)
+   value); the ranges the CLI's flags share with it; a megabyte budget
+   converted at the page size in effect; and [Nra.configure] installing
+   each part into the module that owns it. *)
 
 open Nra
 module E = Engine_config
@@ -118,6 +119,31 @@ let test_malformed () =
       ("NRA_FAULT_INJECT", "0.02:7:6:0:9");
     ]
 
+(* The CLI reads its engine flags through [Engine_config.Range], the
+   ranges [of_env] reads the variables through, so a flag value the
+   environment refuses is refused rather than clamped. *)
+let test_flag_ranges () =
+  let refused what = function
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S says what it expected" what m)
+          true (contains m "expected")
+  in
+  refused "--buffer-pages=-3" (E.Range.pages "-3");
+  refused "--page-size-kb=-4" (E.Range.page_size_kb "-4");
+  refused "--domains=-2" (E.Range.domains "-2");
+  refused "--faults 5" (E.Range.probability "5");
+  Alcotest.(check bool) "in range" true
+    (E.Range.pages "0" = Ok 0
+    && E.Range.page_size_kb "4" = Ok 4.0
+    && E.Range.domains "0" = Ok 0
+    && E.Range.probability "1" = Ok 1.0);
+  Alcotest.(check bool) "the environment refuses the same values" true
+    (Result.is_error (parse [ ("NRA_BUFFER_PAGES", "-3") ])
+    && Result.is_error (parse [ ("NRA_DOMAINS", "-2") ])
+    && Result.is_error (parse [ ("NRA_FAULT_INJECT", "5") ]))
+
 (* 0.1 MB is 25.6 pages of 4 KB: 26 frames, whether the budget came
    from the environment or a flag, and 13 at the default 8 KB *)
 let test_mb_at_page_size () =
@@ -176,6 +202,7 @@ let () =
           Alcotest.test_case "unset and blank" `Quick test_unset_and_blank;
           Alcotest.test_case "valid forms" `Quick test_valid_forms;
           Alcotest.test_case "malformed values fail" `Quick test_malformed;
+          Alcotest.test_case "flag ranges" `Quick test_flag_ranges;
           Alcotest.test_case "mb at the page size in effect" `Quick
             test_mb_at_page_size;
         ] );

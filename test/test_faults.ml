@@ -1,8 +1,7 @@
 (* Deterministic fault injection: seeded reproducibility, transparent
    absorption of transient faults by the executors' retry loops (with no
    double-charged I/O), permanent faults surfacing as structured errors
-   with engine state intact, and the Iosim checkpoint/rollback primitive
-   the Auto fallback protocol uses. *)
+   with engine state intact, and allocation-pressure faults. *)
 
 open Nra
 module Iosim = Nra_storage.Iosim
@@ -179,26 +178,6 @@ let test_alloc_probability_clamped () =
   Alcotest.(check (float 0.0)) "disable zeroes" 0.0
     (Fault.config ()).Fault.alloc_probability
 
-let test_checkpoint_rollback () =
-  Iosim.reset ();
-  Iosim.charge_scan_rows 500;
-  let cp = Iosim.checkpoint () in
-  let sim0 = Iosim.simulated_seconds () in
-  let c0 = Iosim.counters () in
-  Iosim.charge_scan_rows 5_000;
-  Iosim.charge_random_pages 7;
-  Iosim.charge_fetch_rows 1_000;
-  Alcotest.(check bool) "charges accrued" true
-    (Iosim.simulated_seconds () > sim0);
-  Iosim.rollback cp;
-  Alcotest.(check (float 0.0)) "time restored" sim0
-    (Iosim.simulated_seconds ());
-  let c1 = Iosim.counters () in
-  Alcotest.(check int) "seq pages" c0.Iosim.seq_pages c1.Iosim.seq_pages;
-  Alcotest.(check int) "rand pages" c0.Iosim.rand_pages c1.Iosim.rand_pages;
-  Alcotest.(check int) "fetched rows" c0.Iosim.fetched_rows
-    c1.Iosim.fetched_rows
-
 let () =
   Alcotest.run "faults"
     [
@@ -220,10 +199,5 @@ let () =
             test_alloc_pressure_needs_finite_budget;
           Alcotest.test_case "probability clamped" `Quick
             test_alloc_probability_clamped;
-        ] );
-      ( "iosim",
-        [
-          Alcotest.test_case "checkpoint/rollback" `Quick
-            test_checkpoint_rollback;
         ] );
     ]
