@@ -123,6 +123,8 @@ type probe = {
   lpos : int array;
   residual : Expr.pred;
   all_match : bool;
+  left_arity : int;
+  width : int;
 }
 
 let base t j = match t.sel with None -> j | Some s -> Array.unsafe_get s j
@@ -132,82 +134,124 @@ let left t i =
   | None -> t.lrows.(i)
   | Some s -> t.lrows.(Array.unsafe_get s i)
 
+(* The residual is tested on one wide row per domain, reused: [bind]
+   writes a left row into its left part once, and [seek] each
+   candidate into its right part, so no pair is concatenated.  A probe
+   whose residual is trivially true needs none. *)
+let wide_row t = if t.all_match then [||] else Array.make t.width Value.Null
+
+let bind t w lrow =
+  if not t.all_match then Array.blit lrow 0 w 0 t.left_arity
+
 (* The chain walks, top-level recursions so a probe allocates nothing:
-   [seek] is the first match from candidate [j] on, or -1. *)
-let rec seek t lrow j =
-  if
-    j < 0 || t.all_match
-    || Expr.holds t.residual (Row.concat lrow (Keyed.row t.tbl j))
-  then j
-  else seek t lrow (Keyed.next_equal t.tbl t.lpos lrow j)
+   [seek] is the first match from candidate [j] on, or -1, with [w]
+   bound to [lrow]. *)
+let rec seek t w lrow j =
+  if j < 0 || t.all_match then j
+  else begin
+    let r = Keyed.row t.tbl j in
+    Array.blit r 0 w t.left_arity (t.width - t.left_arity);
+    if Expr.holds t.residual w then j
+    else seek t w lrow (Keyed.next_equal t.tbl t.lpos lrow j)
+  end
 
-let first_match t lrow =
+let first_match t w lrow =
   if Row.has_null_on t.lpos lrow then -1
-  else seek t lrow (Keyed.first t.tbl t.lpos lrow)
+  else begin
+    bind t w lrow;
+    seek t w lrow (Keyed.first t.tbl t.lpos lrow)
+  end
 
-let next_match t lrow j = seek t lrow (Keyed.next_equal t.tbl t.lpos lrow j)
+let next_match t w lrow j =
+  seek t w lrow (Keyed.next_equal t.tbl t.lpos lrow j)
 
 (* count a left row's matches from [j] on, or write their right
    positions forward from [at] *)
-let rec count_from t lrow j acc =
-  if j < 0 then acc else count_from t lrow (next_match t lrow j) (acc + 1)
+let rec count_from t w lrow j acc =
+  if j < 0 then acc
+  else count_from t w lrow (next_match t w lrow j) (acc + 1)
 
-let rec fill_from t lrow j dst at =
+let rec fill_from t w lrow j dst at =
   if j >= 0 then begin
     dst.(at) <- base t j;
-    fill_from t lrow (next_match t lrow j) dst (at + 1)
+    fill_from t w lrow (next_match t w lrow j) dst (at + 1)
   end
 
 (* the serial probe's output: [pos] grows (through [Scratch]) as the
    left rows append their matches *)
 type cursor = { mutable buf : int array; mutable fill : int }
 
-let rec push_from t lrow j cur =
+let rec push_from t w lrow j cur =
   if j >= 0 then begin
     if cur.fill = Array.length cur.buf then
       cur.buf <- Scratch.grow cur.buf ~keep:cur.fill (cur.fill + 1);
     cur.buf.(cur.fill) <- base t j;
     cur.fill <- cur.fill + 1;
-    push_from t lrow (next_match t lrow j) cur
+    push_from t w lrow (next_match t w lrow j) cur
   end
 
 let probe_serial t ~off ~len cur =
+  let w = wide_row t in
   for i = 0 to t.n - 1 do
     Nra_guard.Guard.tick ();
     let lrow = left t i in
     off.(i) <- cur.fill;
-    push_from t lrow (first_match t lrow) cur;
+    push_from t w lrow (first_match t w lrow) cur;
     len.(i) <- cur.fill - off.(i)
   done
 
 (* Parallel variant: left morsels count their rows' matches (the
    checkpoints accrue to the morsel's ledger, per the guard contract in
-   docs/PERF.md); the owner turns the counts into offsets and sizes
-   [pos]; a second pass over the same morsels writes each row's matches
-   into its own slice.  Bit-identical to the serial probe. *)
+   docs/PERF.md) and keep each row's first match in its [off] slot; the
+   owner sizes [pos] and turns each morsel's total into its slice
+   start; a second region, one unit per morsel, writes each row's
+   matches from its first match into the morsel's slice, so no row is
+   hashed twice.  Bit-identical to the serial probe. *)
+type span = { lo : int; hi : int; mutable at : int }
+
 let probe_parallel t ~off ~len cur =
-  let n = t.n in
-  ignore
-    (Pool.parallel_chunks ~n (fun ledger ~lo ~hi ->
-         for i = lo to hi - 1 do
-           Pool.Ledger.tick ledger;
-           let lrow = left t i in
-           len.(i) <- count_from t lrow (first_match t lrow) 0
-         done));
+  let spans =
+    Pool.parallel_chunks ~n:t.n (fun ledger ~lo ~hi ->
+        let w = wide_row t in
+        let total = ref 0 in
+        for i = lo to hi - 1 do
+          Pool.Ledger.tick ledger;
+          let lrow = left t i in
+          let j = first_match t w lrow in
+          let c = count_from t w lrow j 0 in
+          off.(i) <- j;
+          len.(i) <- c;
+          total := !total + c
+        done;
+        { lo; hi; at = !total })
+  in
   let total = ref 0 in
-  for i = 0 to n - 1 do
-    off.(i) <- !total;
-    total := !total + len.(i)
-  done;
+  Array.iter
+    (fun s ->
+      let c = s.at in
+      s.at <- !total;
+      total := !total + c)
+    spans;
   cur.buf <- Scratch.grow cur.buf ~keep:0 !total;
   cur.fill <- !total;
   let dst = cur.buf in
   ignore
-    (Pool.parallel_chunks ~n (fun _ledger ~lo ~hi ->
-         for i = lo to hi - 1 do
-           if len.(i) > 0 then
-             let lrow = left t i in
-             fill_from t lrow (first_match t lrow) dst off.(i)
+    (Pool.parallel_chunks ~min_chunk:1 ~n:(Array.length spans)
+       (fun _ledger ~lo ~hi ->
+         let w = wide_row t in
+         for k = lo to hi - 1 do
+           let s = spans.(k) in
+           let at = ref s.at in
+           for i = s.lo to s.hi - 1 do
+             let j = off.(i) in
+             off.(i) <- !at;
+             if j >= 0 then begin
+               let lrow = left t i in
+               bind t w lrow;
+               fill_from t w lrow j dst !at;
+               at := !at + len.(i)
+             end
+           done
          done))
 
 (* Grace/hybrid variant: when the build side exceeds the buffer pool's
@@ -282,13 +326,14 @@ let probe_grace t ~nparts ~off ~len cur =
   done;
   Array.iter B.Spill.finish rspills;
   (* probe pass: partition 0 resolved immediately, the rest deferred *)
+  let w = wide_row t in
   for i = 0 to t.n - 1 do
     Nra_guard.Guard.tick ();
     let lrow = left t i and p = len.(i) in
     off.(i) <- cur.fill;
     len.(i) <- 0;
     if p = 0 then begin
-      push_from t lrow (first_match t lrow) cur;
+      push_from t w lrow (first_match t w lrow) cur;
       len.(i) <- cur.fill - off.(i)
     end
     else if p > 0 then B.Spill.add lspills.(p - 1) i
@@ -299,14 +344,15 @@ let probe_grace t ~nparts ~off ~len cur =
   ignore
     (Pool.parallel_chunks ~min_chunk:1 ~n:(nparts - 1)
        (fun ledger ~lo ~hi ->
+         let w = wide_row t in
          for k = lo to hi - 1 do
            Pool.Ledger.tick ledger;
            B.Spill.iter_raw lspills.(k) (fun i ->
                Pool.Ledger.tick ledger;
                let lrow = left t i in
-               let j = first_match t lrow in
+               let j = first_match t w lrow in
                off.(i) <- j;
-               let c = count_from t lrow j 0 in
+               let c = count_from t w lrow j 0 in
                len.(i) <- c;
                start.(k + 1) <- start.(k + 1) + c)
          done));
@@ -322,13 +368,16 @@ let probe_grace t ~nparts ~off ~len cur =
   ignore
     (Pool.parallel_chunks ~min_chunk:1 ~n:(nparts - 1)
        (fun ledger ~lo ~hi ->
+         let w = wide_row t in
          for k = lo to hi - 1 do
            let at = ref start.(k + 1) in
            B.Spill.iter_raw lspills.(k) (fun i ->
                let j = off.(i) in
                off.(i) <- !at;
                if j >= 0 then begin
-                 fill_from t (left t i) j dst !at;
+                 let lrow = left t i in
+                 bind t w lrow;
+                 fill_from t w lrow j dst !at;
                  at := !at + len.(i)
                end);
            Pool.Ledger.consumed_spill ledger rspills.(k);
@@ -402,6 +451,8 @@ let with_matches ~on ?left_sel ?sel left right f =
         lpos = Array.of_list (List.map fst equi);
         residual = (if equi = [] then on else Expr.conj residual);
         all_match = equi <> [] && trivially_true (Expr.conj residual);
+        left_arity;
+        width = left_arity + Schema.arity (Relation.schema right);
       }
     in
     match grace with

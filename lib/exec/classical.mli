@@ -23,6 +23,9 @@ open Nra_planner
 
 type strategy = Semijoin | Antijoin | Iterate
 
+val choose : Analyze.t -> Analyze.child -> strategy
+(** The strategy a subquery runs under. *)
+
 val plan : Catalog.t -> Analyze.t -> (int * strategy) list
 (** Strategy per block id (children of each block, pre-order). *)
 

@@ -281,11 +281,28 @@ let fused_nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted ?osel
   let t0 = now () in
   let crows = Relation.rows child_rel in
   let key_arity = Schema.arity key_schema in
-  let right_nulls = Row.nulls (Schema.arity (Relation.schema child_rel)) in
+  let right_arity = Schema.arity (Relation.schema child_rel) in
+  let right_nulls = Row.nulls right_arity in
+  (* a keep expression that reads an outer column evaluates on one
+     reused wide row: the outer row is written into it once per outer
+     row and each element once, however many expressions read them *)
+  let wide = Array.make (key_arity + right_arity) Value.Null in
+  let bound_l = ref [||] and bound_r = ref [||] in
+  let widen lrow rrow =
+    if lrow != !bound_l then begin
+      Array.blit lrow 0 wide 0 key_arity;
+      bound_l := lrow
+    end;
+    if rrow != !bound_r then begin
+      Array.blit rrow 0 wide key_arity right_arity;
+      bound_r := rrow
+    end;
+    wide
+  in
   let reader pos =
     let s = fst (List.nth lk.keep pos) in
     if List.exists (fun i -> i < key_arity) (Expr.scalar_cols s) then
-      fun lrow rrow -> Expr.eval_scalar (Row.concat lrow rrow) s
+      fun lrow rrow -> Expr.eval_scalar (widen lrow rrow) s
     else
       match Expr.shift_scalar (-key_arity) s with
       | Expr.Col j -> fun _ rrow -> rrow.(j)
@@ -383,19 +400,21 @@ let rowwise mode decide ?sel rel out =
    or σ̄.  A plan with a node whose structural preconditions do not hold
    at its site, or whose discard context disagrees with its position,
    is rejected before anything runs. *)
-let check_plan (p : Plan.t) =
-  List.iter2
-    (fun (n : Plan.node) (expected : Plan.node) ->
-      if n.Plan.discard_ok <> expected.Plan.discard_ok
-         || not (Plan.admissible n)
-      then
+let rec check_nodes ~discard_ok = function
+  | [] -> ()
+  | (n : Plan.node) :: rest ->
+      if n.Plan.discard_ok <> discard_ok || not (Plan.admissible n) then
         invalid_arg
           (Printf.sprintf "Nra.run_where: %s%s is not admissible at block %d"
              (Plan.impl_to_string n.Plan.impl)
              (if n.Plan.discard_ok then "" else " σ̄")
-             n.Plan.child.A.block.A.id))
-    (Plan.nodes p)
-    (Plan.nodes (Plan.renormalize p))
+             n.Plan.child.A.block.A.id);
+      check_nodes
+        ~discard_ok:(Plan.sub_discard ~discard_ok n.Plan.impl n.Plan.child)
+        n.Plan.sub;
+      check_nodes ~discard_ok rest
+
+let check_plan (p : Plan.t) = check_nodes ~discard_ok:true p.Plan.roots
 
 (* where a site hands its output frame: base rows, selection, and how
    many leading columns are known sorted *)

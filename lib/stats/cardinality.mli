@@ -16,7 +16,7 @@ open Nra_planner
 
 type env
 (** One statement's cardinality context: the catalog, the statement's
-    analysis, and [block_card], [fanout] and [index_cols] memoised per
+    analysis, and [block_card], [fanout] and [index_probe] memoised per
     block.  Build
     it once per statement and hand it to every estimate and rewrite
     candidate priced for that statement; it holds no state beyond the
@@ -29,12 +29,15 @@ val analysis : env -> Analyze.t
 
 (** {1 The 3VL selectivity algebra}
 
-    Selectivity pairs [(p_true, p_unknown)] combined by the three-valued
+    Selectivity pairs combined by the three-valued
     truth tables under independence. *)
 
-val and3 : float * float -> float * float -> float * float
-val or3 : float * float -> float * float -> float * float
-val not3 : float * float -> float * float
+type sel = { t : float; u : float }
+(** [t] = P(true), [u] = P(unknown); P(false) is the remainder. *)
+
+val and3 : sel -> sel -> sel
+val or3 : sel -> sel -> sel
+val not3 : sel -> sel
 
 val block_card : env -> Analyze.block -> float
 (** The block relation's size after pushed-down local selections: the
@@ -50,19 +53,22 @@ val fanout : env -> Analyze.block -> float
     matches; equality contributes [1/ndv(inner column)]).  Computed
     once per block and context. *)
 
-val probe_fanout : env -> Analyze.block -> string list -> float
-(** Candidate rows returned by an index probe on the given inner equi
-    columns — base rows × Π 1/ndv, {e before} local selections (an
-    index returns raw table rows; filters apply per candidate). *)
+type probe = {
+  cols : string list;
+      (** the columns nested iteration probes the block's index on
+          ({!Nra_exec.Naive.index_choice} over its equi-correlation
+          columns), or [[]] when the block is rescanned per probe:
+          several bindings, no equi conjunct, or no usable index *)
+  rows : float;
+      (** candidate rows an index probe returns — base rows × Π 1/ndv
+          over [cols], {e before} local selections (an index returns raw
+          table rows; filters apply per candidate) *)
+  pages_per_value : float;
+      (** clustering of the first probed column: distinct pages per
+          probed value (see {!Col_stats}); not positive when the table
+          was not analyzed *)
+}
 
-val pages_per_value : env -> Analyze.binding -> string -> fallback:float ->
-  float
-(** Clustering of the binding's base-table column: distinct pages per
-    probed value (see {!Col_stats}); [fallback] when not analyzed. *)
-
-val index_cols : env -> Analyze.block -> string list option
-(** The columns nested iteration probes the block's index on
-    ({!Nra_exec.Naive.index_choice} over its equi-correlation columns),
-    or [None] when the block is rescanned per probe: several bindings,
-    no equi conjunct, or no usable index.  Looked up once per block and
-    context. *)
+val index_probe : env -> Analyze.block -> probe
+(** How nested iteration reaches the block's rows; looked up once per
+    block and context. *)

@@ -98,6 +98,9 @@ val create_sorted_index : t -> table:string -> string list -> unit
     {!force}.
     @raise Invalid_argument if a column is unknown. *)
 
+val same_set : string list -> string list -> bool
+(** The two lists hold the same columns, counted with multiplicity. *)
+
 val hash_index :
   t -> table:string -> string list -> Hash_index.t index option
 (** The hash index on exactly these columns (order-insensitive). *)

@@ -645,6 +645,30 @@ let test_offset_allocation () =
     (Printf.sprintf "words at 10 K (%.0f) = at 40 K (%.0f)" small large)
     small large
 
+(* A residual is tested on one reused wide row, not on a row
+   concatenated per candidate: a join whose every candidate fails a
+   [<>] residual allocates the same words at 1 K and at 4 K candidates
+   per left row. *)
+let test_residual_allocation () =
+  with_variant `Serial @@ fun () ->
+  let on =
+    Expr.And
+      ( Expr.Cmp (T.Eq, Expr.Col 0, Expr.Col 2),
+        Expr.Cmp (T.Neq, Expr.Col 1, Expr.Col 3) )
+  in
+  let probe candidates =
+    let rows n = irel "r" [ "k"; "v" ] (Array.make n [| Some 1; Some 5 |]) in
+    let left = rows 8 and right = rows candidates in
+    words_per 1 (fun _ ->
+        ignore (J.with_matches ~on left right (fun m -> m.J.len.(0))))
+  in
+  ignore (probe 4_000);
+  let small = probe 1_000 and large = probe 4_000 in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "words at 1 K (%.0f) = at 4 K (%.0f) candidates" small
+       large)
+    small large
+
 let test_offset_cartesian () =
   with_variant `Serial @@ fun () ->
   in_fresh_domain @@ fun () ->
@@ -701,6 +725,8 @@ let () =
             test_offset_left_selection;
           Alcotest.test_case "serial probe allocates per join, not per row"
             `Quick test_offset_allocation;
+          Alcotest.test_case "a residual allocates nothing per candidate"
+            `Quick test_residual_allocation;
           Alcotest.test_case "cartesian shares one range" `Quick
             test_offset_cartesian;
         ] );

@@ -236,18 +236,19 @@ let prop_matches_reference =
 (* ---------- 3VL selectivity algebra ---------- *)
 
 let test_three_valued_algebra () =
-  let check name (et, eu) (t, u) =
-    Alcotest.check approx (name ^ " true") et t;
-    Alcotest.check approx (name ^ " unknown") eu u
+  let check name (et, eu) (s : Card.sel) =
+    Alcotest.check approx (name ^ " true") et s.Card.t;
+    Alcotest.check approx (name ^ " unknown") eu s.Card.u
   in
+  let sel t u = { Card.t; u } in
   check "and of certainties" (0.25, 0.0)
-    (Card.and3 (0.5, 0.0) (0.5, 0.0));
-  check "or of certainties" (0.75, 0.0) (Card.or3 (0.5, 0.0) (0.5, 0.0));
+    (Card.and3 (sel 0.5 0.0) (sel 0.5 0.0));
+  check "or of certainties" (0.75, 0.0) (Card.or3 (sel 0.5 0.0) (sel 0.5 0.0));
   (* x AND x with unknowns: truth tables aggregated independently *)
   check "and with unknowns" (0.25, 0.29)
-    (Card.and3 (0.5, 0.2) (0.5, 0.2));
-  check "not keeps unknown" (0.3, 0.2) (Card.not3 (0.5, 0.2));
-  check "double negation" (0.5, 0.2) (Card.not3 (Card.not3 (0.5, 0.2)))
+    (Card.and3 (sel 0.5 0.2) (sel 0.5 0.2));
+  check "not keeps unknown" (0.3, 0.2) (Card.not3 (sel 0.5 0.2));
+  check "double negation" (0.5, 0.2) (Card.not3 (Card.not3 (sel 0.5 0.2)))
 
 (* ---------- ANALYZE, the store, and staleness ---------- *)
 
