@@ -255,7 +255,11 @@ let null_frac t =
 let eq_sel t =
   if t.ndv = 0 then 0.0 else (1.0 -. null_frac t) /. float_of_int t.ndv
 
-let clamp x = min 1.0 (max 0.0 x)
+(* [min 1.0 (max 0.0 x)], without boxing [x] for the polymorphic [min]
+   and [max] *)
+let clamp x =
+  let m = if 0.0 >= x then 0.0 else x in
+  if 1.0 <= m then 1.0 else m
 
 (* P(col <= v) among non-NULL rows *)
 let frac_le t v =

@@ -19,12 +19,22 @@ let bounds t = t.bounds
 
 (* numeric position for within-bucket interpolation; strings (and any
    future non-numeric type) have no metric, the caller uses 0.5 *)
-let to_float = function
-  | Value.Int i -> Some (float_of_int i)
-  | Value.Float f -> Some f
-  | Value.Date d -> Some (float_of_int d)
-  | Value.Bool b -> Some (if b then 1.0 else 0.0)
-  | Value.String _ | Value.Null -> None
+let numeric = function
+  | Value.Int _ | Value.Float _ | Value.Date _ | Value.Bool _ -> true
+  | Value.String _ | Value.Null -> false
+
+let[@inline] position = function
+  | Value.Int i -> float_of_int i
+  | Value.Float f -> f
+  | Value.Date d -> float_of_int d
+  | Value.Bool b -> if b then 1.0 else 0.0
+  | Value.String _ | Value.Null -> Float.nan
+
+(* [min 1.0 (max 0.0 x)], without boxing [x] for the polymorphic [min]
+   and [max] *)
+let clamp x =
+  let m = if 0.0 >= x then 0.0 else x in
+  if 1.0 <= m then 1.0 else m
 
 let frac_below t v =
   let b = t.bounds in
@@ -39,10 +49,11 @@ let frac_below t v =
     done;
     let k = !k in
     let within =
-      match (to_float v, to_float b.(k), to_float b.(k + 1)) with
-      | Some x, Some lo, Some hi when hi > lo ->
-          min 1.0 (max 0.0 ((x -. lo) /. (hi -. lo)))
-      | _ -> 0.5
+      if numeric v && numeric b.(k) && numeric b.(k + 1) then
+        let x = position v in
+        let lo = position b.(k) and hi = position b.(k + 1) in
+        if hi > lo then clamp ((x -. lo) /. (hi -. lo)) else 0.5
+      else 0.5
     in
     (float_of_int k +. within) /. float_of_int n
   end
