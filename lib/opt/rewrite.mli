@@ -2,10 +2,12 @@
 
     Each enabled rule proposes [impl] edits node by node; an edit is
     applied only when the whole-plan Iosim estimate strictly improves.
-    The estimate is {!Nra_stats.Cost.plan_breakdown} plus the nest
-    materialize / sort / pipeline passes, so two plans that differ only
-    in a nest's shape still cost differently.  The engine iterates to a
-    bounded fixpoint and returns the rewritten plan, which
+    The estimate is {!Nra_stats.Cost.walk}: the scan and fetch charges
+    plus the nest materialize / sort / pipeline passes, so two plans
+    that differ only in a nest's shape still cost differently.  A
+    proposal is priced by the signature ({!Plan.signature}) it would
+    give, and no plan is built while searching.  The engine iterates to
+    a bounded fixpoint and returns the rewritten plan, which
     {!Nra_exec.Nra.run_where} runs as given, and the fired / skipped
     trace for [explain --costs]. *)
 
@@ -44,15 +46,16 @@ type ctx
 (** One statement's pricing context: its cardinality context and every
     plan priced in it so far.  Each distinct plan is walked once per
     context, however many searches or estimates ask for it.  Plans are
-    told apart by their sites' impls, so every plan priced in a context
-    must have its discard contexts normalized, as {!Plan.lift} and
-    {!Plan.renormalize} leave them. *)
+    told apart by their signatures, so every plan priced in a context
+    must have its discard contexts normalized, as {!Plan.lift},
+    {!Plan.of_codes} and {!Plan.replace} leave them. *)
 
 val context : Nra_stats.Cardinality.env -> ctx
 
 val walk : ctx -> Plan.t -> Nra_stats.Cost.breakdown
-(** {!Nra_stats.Cost.plan_breakdown} of a plan of the context's
-    statement: for a lifted plan, its NRA strategy's estimate. *)
+(** The scan and fetch charges of a plan of the context's statement
+    ({!Nra_stats.Cost.breakdown} of its walk): for a lifted plan, its
+    NRA strategy's estimate. *)
 
 val rewrite : rules:Config.rule list -> ctx -> Plan.t -> result
 (** Rewrite [start], a plan of the context's statement, under [rules],

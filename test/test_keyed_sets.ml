@@ -223,9 +223,8 @@ let nested cat sql =
     List.fold_left
       (fun p (n : P.node) ->
         if n.P.impl = P.Shared_set then
-          P.renormalize
-            (P.replace p ~id:n.P.child.A.block.A.id
-               ~impl:(P.Top_down { P.pipelined = true; assume_sorted = false }))
+          P.replace p ~id:n.P.child.A.block.A.id
+            ~impl:(P.Top_down { P.pipelined = true; assume_sorted = false })
         else p)
       plan (P.nodes plan)
   in
