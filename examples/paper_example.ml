@@ -123,9 +123,11 @@ let () =
          (fun c -> Schema.find temp2.G.key_schema ~table:"s" c)
          [ "e"; "h"; "i" ])
   in
-  Format.printf "%a@." Relation.pp (G.pseudo_select all_pred ~marker ~pad temp2);
+  Format.printf "%a@." Relation.pp
+    (G.select (G.Pad pad) all_pred ~marker temp2);
   section "Temp4 = σ_{S.H>ALL{T.J}}(Temp2)  (Figure 2c)";
-  Format.printf "%a@." Relation.pp (G.select all_pred ~marker temp2);
+  Format.printf "%a@." Relation.pp
+    (G.select G.Discard all_pred ~marker temp2);
 
   (* ---- the planner's tree expression and the full evaluation ---- *)
   let cat = Catalog.create () in

@@ -30,10 +30,8 @@ module Algebra = struct
 end
 
 module Nested = struct
-  module Nested_relation = Nra_nested.Nested_relation
   module Grouped = Nra_nested.Grouped
   module Link_pred = Nra_nested.Link_pred
-  module Linking = Nra_nested.Linking
 end
 
 module Sql = struct

@@ -85,10 +85,8 @@ module Algebra : sig
 end
 
 module Nested : sig
-  module Nested_relation = Nra_nested.Nested_relation
   module Grouped = Nra_nested.Grouped
   module Link_pred = Nra_nested.Link_pred
-  module Linking = Nra_nested.Linking
 end
 
 module Sql : sig

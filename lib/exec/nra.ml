@@ -5,6 +5,7 @@ module R = Resolved
 module T3 = Three_valued
 module J = Nra_algebra.Join
 module LP = Nra_nested.Link_pred
+module G = Nra_nested.Grouped
 
 type options = Plan.options = {
   pipelined : bool;
@@ -78,19 +79,7 @@ let gathered rel = function
 
 (* ---------- nest + linking selection ---------- *)
 
-type mode = Discard | Pad of int array
-
-let padded pad key =
-  let row = Array.copy key in
-  Array.iter (fun i -> row.(i) <- Value.Null) pad;
-  row
-
-(* σ keeps a group's key when its verdict is True; σ̄ keeps every key,
-   NULL-padding the owning block's positions of a failed one *)
-let emit mode verdict key out =
-  if T3.to_bool verdict then key :: out
-  else
-    match mode with Discard -> out | Pad pad -> padded pad key :: out
+type mode = G.mode = Discard | Pad of int array
 
 (* A site that decides its outer frame row by row writes its output
    into [out] as it goes: base position [p] keeps base row [p], and
@@ -129,7 +118,7 @@ let site_output mode rel sel ~sorted_prefix k fill =
         Relation.make (Relation.schema rel)
           (Array.init kept (fun j ->
                let p = out.(j) in
-               if p >= 0 then rows.(p) else padded pad rows.(-p - 1)))
+               if p >= 0 then rows.(p) else G.padded pad rows.(-p - 1)))
       in
       k rel' None sorted_prefix
 
@@ -163,7 +152,6 @@ let nest_select nest st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted ?sel
   let t0 = now () in
   let key_arity = Schema.arity key_schema in
   let by = Array.init key_arity Fun.id in
-  let f = LP.fold lk.pred in
   let n, row = frame_rows wide sel in
   (* the pre-nest staging is governed: charged to the memory ledger and
      routed through a spill partition when it would not fit the frame
@@ -185,18 +173,8 @@ let nest_select nest st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted ?sel
       let keep_pos =
         Array.init (List.length lk.keep) (fun i -> key_arity + i)
       in
-      let grouped =
-        Nra_nested.Grouped.nest_sort ~by ~keep:keep_pos staging
-      in
-      let out = ref [] in
-      Array.iter
-        (fun (key, elems) ->
-          Nra_guard.Guard.tick ();
-          LP.start f ~outer:key;
-          Array.iter (LP.step_elem f ~marker:lk.marker) elems;
-          out := emit mode (LP.finish f) key !out)
-        grouped.Nra_nested.Grouped.groups;
-      Relation.of_rows key_schema (List.rev !out)
+      G.select mode lk.pred ~marker:lk.marker
+        (G.nest_sort ~by ~keep:keep_pos staging)
     end
     else
       staged @@ fun () ->
@@ -204,6 +182,7 @@ let nest_select nest st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted ?sel
          the run scan needs adjacent groups, so sortedness is mandatory.
          A stable sort of positions by the key prefix orders the rows as
          a stable sort of their staging rows would. *)
+      let f = LP.fold lk.pred in
       let pos =
         if sorted then Fun.id
         else begin
@@ -238,7 +217,7 @@ let nest_select nest st ~key_schema ~(lk : Linkeval.t) ~mode ~sorted ?sel
           if not (padding r || LP.decided f) then LP.step f (linked r);
           incr i
         done;
-        out := emit mode (LP.finish f) key !out
+        out := G.emit mode (LP.finish f) key !out
       done;
       Relation.of_rows key_schema (List.rev !out)
   in

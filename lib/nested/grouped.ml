@@ -42,44 +42,30 @@ let unnest t =
     t.groups;
   Relation.of_rows schema (List.rev !out)
 
-let to_nested t =
-  let flat = unnest t in
-  let karity = Schema.arity t.key_schema in
-  let earity = Schema.arity t.elem_schema in
-  Nested_relation.nest
-    ~by:(List.init karity Fun.id)
-    ~keep:(List.init earity (fun i -> karity + i))
-    (Nested_relation.of_flat flat)
+type mode = Discard | Pad of int array
+
+let padded pad key =
+  let row = Array.copy key in
+  Array.iter (fun i -> row.(i) <- Value.Null) pad;
+  row
+
+(* σ keeps a group's key when its verdict is True; σ̄ keeps every key,
+   NULL-padding the owning block's positions of a failed one *)
+let emit mode verdict key out =
+  if T3.to_bool verdict then key :: out
+  else
+    match mode with Discard -> out | Pad pad -> padded pad key :: out
 
 (* one fold per selection, restarted per group *)
-let eval_group f ~marker (key, elems) =
-  Link_pred.start f ~outer:key;
-  Array.iter (Link_pred.step_elem f ~marker) elems;
-  Link_pred.finish f
-
-let select pred ~marker t =
+let select mode pred ~marker t =
   let f = Link_pred.fold pred in
   let out = ref [] in
   Array.iter
-    (fun g ->
-      if T3.to_bool (eval_group f ~marker g) then out := fst g :: !out)
-    t.groups;
-  Relation.of_rows t.key_schema (List.rev !out)
-
-let pseudo_select pred ~marker ~pad t =
-  let f = Link_pred.fold pred in
-  let out = ref [] in
-  Array.iter
-    (fun ((key, _) as g) ->
-      let row =
-        if T3.to_bool (eval_group f ~marker g) then key
-        else begin
-          let padded = Array.copy key in
-          Array.iter (fun i -> padded.(i) <- Value.Null) pad;
-          padded
-        end
-      in
-      out := row :: !out)
+    (fun (key, elems) ->
+      Nra_guard.Guard.tick ();
+      Link_pred.start f ~outer:key;
+      Array.iter (Link_pred.step_elem f ~marker) elems;
+      out := emit mode (Link_pred.finish f) key !out)
     t.groups;
   Relation.of_rows t.key_schema (List.rev !out)
 

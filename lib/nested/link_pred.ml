@@ -10,11 +10,6 @@ type t =
   | Agg of Expr.scalar * T3.cmpop * Nra_algebra.Aggregate.func
   | Scalar of Expr.scalar * T3.cmpop * int
 
-let filter_marker ~marker elems =
-  match marker with
-  | None -> elems
-  | Some m -> List.filter (fun e -> not (Value.is_null e.(m))) elems
-
 (* The verdict as a left-to-right fold.  [x] is the outer side, [n]
    counts the elements stepped, [r] is the running verdict: the 3VL
    disjunction (SOME, from False) or conjunction (ALL, from True) so
@@ -122,9 +117,3 @@ let eval p ~outer ~elems =
   start f ~outer;
   List.iter (step_elem f ~marker:None) elems;
   finish f
-
-let is_positive = function
-  | Non_empty | Quant (_, _, Some_, _) -> true
-  | Is_empty | Quant (_, _, All, _) -> false
-  | Agg _ -> false (* the empty set aggregates to a value: it matters *)
-  | Scalar _ -> false (* like Analyze: the empty result is Unknown *)

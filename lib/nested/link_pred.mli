@@ -15,8 +15,10 @@
       [Scalar]
 
     This module is the engine's only implementation of the verdict:
-    the formal model ({!Grouped}, {!Linking}) and every executor decide
-    a link through the same fold.
+    {!Grouped.select} and every executor decide a link through the same
+    fold.  Whether a site may discard (σ) or must pad (σ̄) is not decided
+    here but by the planner's positivity rule
+    ([Nra_planner.Analyze.child_positive]).
 
     Evaluation is three-valued: [x θ ALL ∅ = True], [x θ SOME ∅ = False],
     and a NULL on either side of an element comparison contributes
@@ -99,13 +101,3 @@ val verdict : fold -> outer:Row.t -> Three_valued.t
 val eval : t -> outer:Row.t -> elems:Row.t list -> Three_valued.t
 (** The fold over a list.  [elems] must already have marker-null
     padding elements removed. *)
-
-val filter_marker : marker:int option -> Row.t list -> Row.t list
-(** Drop elements whose marker position holds NULL ([None] keeps all). *)
-
-val is_positive : t -> bool
-(** Positive linking operators (EXISTS, SOME, IN) are satisfied only by
-    non-empty sets; negative ones (NOT EXISTS, ALL, NOT IN) are
-    satisfied by the empty set.  Aggregate linking is never positive:
-    the empty set aggregates to a value (COUNT → 0) that can satisfy
-    the comparison.  Drives the σ vs σ̄ choice. *)

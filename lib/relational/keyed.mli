@@ -22,8 +22,7 @@
     Used by the hash join, duplicate elimination, GROUP BY, the set
     operations and division, the DML key lookups, the equality index,
     the keyed linking sets and the magic set.  ANALYZE keeps its typed
-    table, and [Nested_relation.nest] its own as the reference
-    model. *)
+    table. *)
 
 type nulls = [ `Group | `Skip ]
 type t

@@ -3,8 +3,8 @@
     Predicates over values containing [NULL] evaluate to [Unknown];
     [WHERE] keeps a tuple only when its condition is [True].  The linking
     predicates of the paper ([θ SOME], [θ ALL], set emptiness) are
-    quantified extensions provided by {!Nra_nested.Linking}; this module
-    gives the propositional core and the comparison lifting. *)
+    quantified extensions provided by {!Nra_nested.Link_pred}; this
+    module gives the propositional core and the comparison lifting. *)
 
 type t = True | False | Unknown
 

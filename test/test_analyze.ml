@@ -228,6 +228,34 @@ let test_ja_subquery_forms () =
   Alcotest.(check bool) "non-aggregate IN keeps linked_attr" true
     (c.A.block.A.linked_attr <> None)
 
+(* the engine's one positivity rule: only an EXISTS, SOME or IN site is
+   satisfied by non-empty groups alone, so only it may discard the outer
+   tuples of empty groups (σ instead of σ̄); NOT EXISTS, ALL and NOT IN
+   hold on the empty set, an aggregate of it is a value, and a scalar
+   subquery over it is Unknown *)
+let test_child_positivity () =
+  let cat = emp_dept_catalog () in
+  let positive where =
+    let t = analyze cat ("select ename from emp where " ^ where) in
+    A.child_positive (List.hd t.A.root.A.children)
+  in
+  let correlated = "from dept where dept.dept_id = emp.dept_id" in
+  List.iter
+    (fun (name, want, where) ->
+      Alcotest.(check bool) name want (positive where))
+    [
+      ("exists", true, "exists (select * " ^ correlated ^ ")");
+      ("not exists", false, "not exists (select * " ^ correlated ^ ")");
+      ("some", true, "salary > some (select budget " ^ correlated ^ ")");
+      ("in", true, "salary in (select budget " ^ correlated ^ ")");
+      ("all", false, "salary > all (select budget " ^ correlated ^ ")");
+      ("not in", false, "salary not in (select budget " ^ correlated ^ ")");
+      ( "aggregate under SOME",
+        false,
+        "salary > some (select max(budget) " ^ correlated ^ ")" );
+      ("scalar", false, "salary = (select budget " ^ correlated ^ ")");
+    ]
+
 let test_errors () =
   let cat = emp_dept_catalog () in
   expect_error cat "unknown table" "select * from nosuch";
@@ -386,6 +414,7 @@ let () =
           Alcotest.test_case "non-adjacent correlation" `Quick
             test_nonadjacent_correlation_not_linear;
           Alcotest.test_case "marker" `Quick test_marker_is_key;
+          Alcotest.test_case "positivity" `Quick test_child_positivity;
         ] );
       ( "resolution",
         [

@@ -1,9 +1,7 @@
 open Nra
 open Test_support
-module N = Nested.Nested_relation
 module G = Nested.Grouped
 module LP = Nested.Link_pred
-module L = Nested.Linking
 module T = Three_valued
 
 let schema =
@@ -29,63 +27,6 @@ let sample () =
       (vi 3, vnull, vnull); (* a padded (empty-group) tuple *)
     ]
 
-(* ---------- general model ---------- *)
-
-let test_depth () =
-  let n = N.of_flat (sample ()) in
-  Alcotest.(check int) "flat depth 0" 0 (N.depth n.N.sch);
-  let n1 = N.nest ~by:[ 0 ] ~keep:[ 1; 2 ] n in
-  Alcotest.(check int) "one nest" 1 (N.depth n1.N.sch)
-
-let test_nest_groups_nulls () =
-  let n = N.nest ~by:[ 0 ] ~keep:[ 1; 2 ] (N.of_flat (sample ())) in
-  (* groups: 1, 2, NULL, 3 — NULL keys group together like GROUP BY *)
-  Alcotest.(check int) "groups" 4 (List.length n.N.tuples)
-
-let test_nest_errors () =
-  let n = N.of_flat (sample ()) in
-  (match N.nest ~by:[ 0 ] ~keep:[ 0; 1 ] n with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accepted overlapping by/keep");
-  match N.nest ~by:[ 9 ] ~keep:[] n with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accepted out-of-range position"
-
-let test_unnest_inverse () =
-  let r = flat [ (vi 1, vi 10, vi 1); (vi 1, vi 20, vi 2); (vi 2, vi 30, vi 3) ] in
-  let n = N.nest ~by:[ 0 ] ~keep:[ 1; 2 ] (N.of_flat r) in
-  let u = N.unnest ~sub:0 n in
-  Alcotest.(check bool) "unnest . nest = id (non-empty groups)" true
-    (Relation.equal_bag r (N.to_flat u))
-
-let test_unnest_drops_empty () =
-  let n = N.nest ~by:[ 0 ] ~keep:[ 1; 2 ] (N.of_flat (sample ())) in
-  (* remove the elements of one group by selecting with an impossible
-     predicate… simpler: build a nested tuple with an empty set *)
-  let emptied =
-    {
-      n with
-      N.tuples =
-        List.map
-          (fun (tp : N.tuple) ->
-            if Row.equal tp.N.avals [| vi 2 |] then
-              {
-                tp with
-                N.svals =
-                  [| { (tp.N.svals.(0)) with N.tuples = [] } |];
-              }
-            else tp)
-          n.N.tuples;
-    }
-  in
-  let u = N.unnest ~sub:0 emptied in
-  Alcotest.(check int) "group 2 vanished" 5 (List.length u.N.tuples)
-
-let test_equal_set_semantics () =
-  let a = N.of_flat (flat [ (vi 1, vi 2, vi 3); (vi 1, vi 2, vi 3) ]) in
-  let b = N.of_flat (flat [ (vi 1, vi 2, vi 3) ]) in
-  Alcotest.(check bool) "duplicate tuples equal as sets" true (N.equal a b)
-
 (* ---------- grouped representation ---------- *)
 
 let test_grouped_unnest () =
@@ -94,12 +35,29 @@ let test_grouped_unnest () =
   Alcotest.(check bool) "unnest restores rows" true
     (Relation.equal_bag r (G.unnest g))
 
-let test_grouped_to_nested () =
-  let r = sample () in
-  let g = G.nest_sort ~by:[| 0 |] ~keep:[| 1; 2 |] r in
-  let n = G.to_nested g in
-  Alcotest.(check int) "same groups in general model" 4
-    (List.length n.N.tuples)
+let test_grouped_groups_nulls () =
+  let g = G.nest_sort ~by:[| 0 |] ~keep:[| 1; 2 |] (sample ()) in
+  (* groups: NULL, 1, 2, 3 — NULL keys group together like GROUP BY,
+     and sort first *)
+  Alcotest.(check int) "groups" 4 (G.cardinality g);
+  Alcotest.(check (list int))
+    "group sizes" [ 2; 2; 1; 1 ]
+    (Array.to_list (Array.map (fun (_, es) -> Array.length es) g.G.groups))
+
+let test_grouped_unnest_drops_empty () =
+  let g = G.nest_sort ~by:[| 0 |] ~keep:[| 1; 2 |] (sample ()) in
+  let emptied =
+    {
+      g with
+      G.groups =
+        Array.map
+          (fun (key, es) ->
+            if Row.equal key [| vi 2 |] then (key, [||]) else (key, es))
+          g.G.groups;
+    }
+  in
+  Alcotest.(check int) "group 2 vanished" 5
+    (Relation.cardinality (G.unnest emptied))
 
 (* ---------- linking predicates ---------- *)
 
@@ -141,7 +99,6 @@ let test_scalar_link () =
   Alcotest.check_raises "two rows"
     (Failure "scalar subquery returned more than one row") (fun () ->
       ignore (eval (vi 5) [ vi 5; vi 6 ]));
-  Alcotest.(check bool) "not positive" false (LP.is_positive pred);
   (* the fold never reports a scalar verdict decided: a second element
      must still be seen *)
   let f = LP.fold pred in
@@ -192,105 +149,40 @@ let test_fold_reuse () =
   Alcotest.(check bool) "SOME decided on true" true (LP.decided q);
   Alcotest.check t3 "1 < SOME {null, 3}" T.True (LP.finish q)
 
+(* an element whose marker position holds NULL is the padding of an
+   unmatched outer join: [step_elem] skips it, so a group holding only
+   that element decides as the empty set *)
 let test_marker_filter () =
   let elems = [ [| vi 1; vi 9 |]; [| vi 2; vnull |] ] in
-  Alcotest.(check int) "marker drops padded" 1
-    (List.length (LP.filter_marker ~marker:(Some 1) elems));
-  Alcotest.(check int) "no marker keeps all" 2
-    (List.length (LP.filter_marker ~marker:None elems))
-
-let test_is_positive () =
-  Alcotest.(check bool) "exists" true (LP.is_positive LP.Non_empty);
-  Alcotest.(check bool) "not exists" false (LP.is_positive LP.Is_empty);
-  Alcotest.(check bool) "some" true
-    (LP.is_positive (LP.Quant (Expr.Col 0, T.Eq, LP.Some_, 0)));
-  Alcotest.(check bool) "all" false
-    (LP.is_positive (LP.Quant (Expr.Col 0, T.Eq, LP.All, 0)))
+  let count_of ~marker =
+    let f =
+      LP.fold (LP.Agg (Expr.Col 0, T.Eq, Algebra.Aggregate.Count_star))
+    in
+    LP.clear f;
+    List.iter (LP.step_elem f ~marker) elems;
+    f
+  in
+  Alcotest.check t3 "marker drops padded" T.True
+    (LP.verdict (count_of ~marker:(Some 1)) ~outer:[| vi 1 |]);
+  Alcotest.check t3 "no marker keeps all" T.True
+    (LP.verdict (count_of ~marker:None) ~outer:[| vi 2 |]);
+  let f = LP.fold LP.Non_empty in
+  LP.start f ~outer:[||];
+  LP.step_elem f ~marker:(Some 1) [| vi 2; vnull |];
+  Alcotest.check t3 "padding alone is the empty set" T.False (LP.finish f)
 
 let test_grouped_select () =
-  let r = sample () in
-  let g = G.nest_sort ~by:[| 0 |] ~keep:[| 1; 2 |] r in
+  let g = G.nest_sort ~by:[| 0 |] ~keep:[| 1; 2 |] (sample ()) in
   (* keep groups where 15 < SOME {v}; the padded group (g=3) has marker
      NULL so its set is empty *)
   let pred = LP.Quant (Expr.Const (vi 15), T.Lt, LP.Some_, 0) in
-  let sel = G.select pred ~marker:(Some 1) g in
+  let sel = G.select G.Discard pred ~marker:(Some 1) g in
   check_rows "select keys" [ [ None ]; [ Some 1 ]; [ Some 2 ] ] sel;
-  let psel = G.pseudo_select pred ~marker:(Some 1) ~pad:[| 0 |] g in
-  (* every group survives; the failing one (g=3) is padded *)
-  Alcotest.(check int) "pseudo keeps all" 4 (Relation.cardinality psel)
-
-let test_linking_on_general_model () =
-  let r = sample () in
-  let g = G.nest_sort ~by:[| 0 |] ~keep:[| 1; 2 |] r in
-  let n = G.to_nested g in
-  let pred = LP.Quant (Expr.Const (vi 15), T.Lt, LP.Some_, 0) in
-  let sel = L.select pred ~sub:0 ~marker:(Some 1) n in
-  Alcotest.(check int) "general-model select agrees" 3
-    (List.length sel.N.tuples);
-  let psel = L.pseudo_select pred ~sub:0 ~marker:(Some 1) ~pad:[ 0 ] n in
-  Alcotest.(check int) "general-model pseudo keeps all" 4
-    (List.length psel.N.tuples);
-  let dropped = L.drop_sub ~sub:0 psel in
-  Alcotest.(check int) "drop_sub flattens schema" 0
-    (Array.length dropped.N.sch.N.subs)
-
-let flat_wide rows =
-  let col name = Schema.column ~table:"w" name Ttype.Int in
-  Relation.make
-    (Schema.of_columns
-       (List.map col [ "b"; "c"; "d"; "e"; "h"; "i"; "j"; "l" ]))
-    (Array.of_list
-       (List.map
-          (fun r ->
-            Array.of_list
-              (List.map (function Some i -> vi i | None -> vnull) r))
-          rows))
-
-(* Definition 4's multi-level case: linking attributes at depths d and
-   d+1, computed with select_at after two consecutive nests (§4.2.1) —
-   the whole of the paper's Query Q inside the general model. *)
-let test_deep_linking_query_q () =
-  (* Temp1 columns: B C D E H I J L *)
-  let temp1 =
-    flat_wide
-      [
-        [ Some 1; Some 2; Some 3; Some 1; Some 8; Some 1; Some 9; Some 3 ];
-        [ Some 1; Some 2; Some 3; Some 2; Some 9; Some 2; Some 7; Some 1 ];
-        [ Some 1; Some 2; Some 3; Some 2; Some 9; Some 2; Some 9; Some 3 ];
-        [ Some 2; Some 3; Some 5; Some 3; None; Some 4; None; None ];
-      ]
-  in
-  let n = N.of_flat temp1 in
-  let two_level =
-    N.nest ~name:"ss" ~by:[ 0; 1; 2 ] ~keep:[ 3; 4; 5 ]
-      (N.nest ~name:"ts" ~by:[ 0; 1; 2; 3; 4; 5 ] ~keep:[ 6; 7 ] n)
-  in
-  Alcotest.(check int) "depth 2" 2 (N.depth two_level.N.sch);
-  (* inner predicate S.H > ALL {T.J}, marker T.L, at depth 1 *)
-  let inner = LP.Quant (Expr.Col 1, T.Gt, LP.All, 0) in
-  let after_inner =
-    L.pseudo_select_at ~path:[ 0 ] inner ~sub:0 ~marker:(Some 1)
-      ~pad:[ 0; 1; 2 ] two_level
-  in
-  (* outer predicate R.B <> ALL {S.E} (NOT IN), marker S.I, at the top *)
-  let outer = LP.Quant (Expr.Col 0, T.Neq, LP.All, 0) in
-  let final = L.select outer ~sub:0 ~marker:(Some 2) after_inner in
-  let atoms =
-    List.map (fun (tp : N.tuple) -> tp.N.avals) final.N.tuples
-    |> List.sort Row.compare
-  in
-  Alcotest.(check int) "both R tuples qualify" 2 (List.length atoms);
-  Alcotest.(check bool) "(1,2,3)" true
-    (Row.equal (List.nth atoms 0) [| vi 1; vi 2; vi 3 |]);
-  Alcotest.(check bool) "(2,3,5)" true
-    (Row.equal (List.nth atoms 1) [| vi 2; vi 3; vi 5 |])
-
-let test_at_depth_errors () =
-  let r = sample () in
-  let n = N.nest ~by:[ 0 ] ~keep:[ 1; 2 ] (N.of_flat r) in
-  match L.at_depth ~path:[ 3 ] Fun.id n with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "accepted bad path"
+  (* σ̄: every group survives; the failing one (g=3) is padded *)
+  let psel = G.select (G.Pad [| 0 |]) pred ~marker:(Some 1) g in
+  check_rows "pseudo-select pads the failed key"
+    [ [ None ]; [ None ]; [ Some 1 ]; [ Some 2 ] ]
+    psel
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -336,21 +228,13 @@ let prop_quant_vs_bruteforce =
 let () =
   Alcotest.run "nested"
     [
-      ( "general model",
-        [
-          Alcotest.test_case "depth" `Quick test_depth;
-          Alcotest.test_case "nest groups NULLs" `Quick
-            test_nest_groups_nulls;
-          Alcotest.test_case "nest errors" `Quick test_nest_errors;
-          Alcotest.test_case "unnest inverse" `Quick test_unnest_inverse;
-          Alcotest.test_case "unnest drops empty" `Quick
-            test_unnest_drops_empty;
-          Alcotest.test_case "set semantics" `Quick test_equal_set_semantics;
-        ] );
       ( "grouped",
         [
           Alcotest.test_case "unnest" `Quick test_grouped_unnest;
-          Alcotest.test_case "to_nested" `Quick test_grouped_to_nested;
+          Alcotest.test_case "nest groups NULLs" `Quick
+            test_grouped_groups_nulls;
+          Alcotest.test_case "unnest drops empty" `Quick
+            test_grouped_unnest_drops_empty;
         ] );
       ( "linking",
         [
@@ -359,13 +243,7 @@ let () =
           Alcotest.test_case "scalar link" `Quick test_scalar_link;
           Alcotest.test_case "fold reuse" `Quick test_fold_reuse;
           Alcotest.test_case "marker filter" `Quick test_marker_filter;
-          Alcotest.test_case "positivity" `Quick test_is_positive;
           Alcotest.test_case "grouped selections" `Quick test_grouped_select;
-          Alcotest.test_case "general-model selections" `Quick
-            test_linking_on_general_model;
-          Alcotest.test_case "deep linking (Query Q in the model)" `Quick
-            test_deep_linking_query_q;
-          Alcotest.test_case "at_depth errors" `Quick test_at_depth_errors;
         ] );
       ( "properties",
         [
