@@ -9,23 +9,48 @@ type task_status =
   | Suspended of (unit, unit) Effect.Deep.continuation
   | Finished
 
-(* A slice allocates nothing of its own: the clocks live in flat float
-   records ([Iosim.mark], [clock]), the counters are mutable ints, each
-   task carries its [Some] and its yield handler from birth, and no
-   closure is built per slice.  What remains is what [perform] itself
-   needs, plus the [Suspended] box of the captured continuation. *)
+(* A slice boundary allocates nothing of its own: the clocks live in
+   flat float records ([Iosim.mark], [clock]), the counters are mutable
+   ints, each task carries its [Some] and its yield handler from birth,
+   and no closure is built per slice.  A boundary that no switch could
+   follow runs in place; one that suspends allocates only what
+   [perform] itself needs, plus the [Suspended] box of the captured
+   continuation. *)
 
 type task = {
   id : int;
-  label : string;
+  sched : t;  (* the scheduler that owns it, read by the yield hook *)
   prio : unit -> int;
-  quantum_ms : float;  (* the scheduler's, read by the yield hook *)
   mutable status : task_status;
   mutable wake_at : float option;  (* sleeping until this virtual ms *)
   mutable gctx : Guard.ctx;  (* detached guard context while suspended *)
   slice_start : Iosim.mark;  (* io_now_ms when last scheduled in *)
   mutable last_run : int;  (* scheduling seqno, for round-robin *)
   mutable self : task option;  (* [Some] of this task, built once *)
+}
+
+and t = {
+  q_ms : float;
+  chooser : (now:float -> int list -> int) option;
+  clk : clock;
+  io : Iosim.mark;  (* the latest io_now_ms reading *)
+  mutable stop : float;  (* [advance_to]'s target; infinity otherwise *)
+  mutable tasks : task list;  (* live tasks, oldest first *)
+  mutable seq : int;
+  mutable next_id : int;
+  mutable n_spawned : int;
+  mutable n_finished : int;
+  mutable n_slices : int;
+  mutable n_yields : int;
+  mutable n_sleeps : int;
+  mutable n_woken : int;
+  mutable max_live : int;
+}
+
+and clock = {
+  mutable vclock : float;  (* ms; sampled at the last sync *)
+  mutable io_mark : float;  (* io_now_ms at that sync *)
+  mutable idle_jumped : float;
 }
 
 type stats = {
@@ -37,29 +62,6 @@ type stats = {
   woken : int;
   idle_jumped_ms : float;
   max_live : int;
-}
-
-type clock = {
-  mutable vclock : float;  (* ms; sampled at the last sync *)
-  mutable io_mark : float;  (* io_now_ms at that sync *)
-  mutable idle_jumped : float;
-}
-
-type t = {
-  q_ms : float;
-  chooser : (now:float -> int list -> int) option;
-  clk : clock;
-  io : Iosim.mark;  (* the latest io_now_ms reading *)
-  mutable tasks : task list;  (* live tasks, oldest first *)
-  mutable seq : int;
-  mutable next_id : int;
-  mutable n_spawned : int;
-  mutable n_finished : int;
-  mutable n_slices : int;
-  mutable n_yields : int;
-  mutable n_sleeps : int;
-  mutable n_woken : int;
-  mutable max_live : int;
 }
 
 let default_quantum_ms = 0.5
@@ -114,6 +116,42 @@ let alive t =
 let current : task option ref = ref None
 let checkpoint_io = { Iosim.ms = 0.0 }
 
+let runnable t tk =
+  match tk.status with
+  | Finished -> false
+  | Ready _ | Suspended _ -> (
+      match tk.wake_at with None -> true | Some w -> reached t w)
+
+(* the round-robin order: the smallest (priority class, last-run
+   seqno, id) wins — round-robin within a class, urgent class first *)
+let before a b =
+  let pa = a.prio () and pb = b.prio () in
+  pa < pb
+  || pa = pb
+     && (a.last_run < b.last_run || (a.last_run = b.last_run && a.id < b.id))
+
+(* whether some runnable task other than the running [tk] comes
+   [before] it, i.e. whether [pick] would now choose another task *)
+let rec other_first t tk = function
+  | [] -> false
+  | x :: rest ->
+      (x != tk && runnable t x && before x tk) || other_first t tk rest
+
+(* A quantum expiry suspends the task only when a switch could follow:
+   a chooser decides every switch, [advance_to] returns once the clock
+   reaches its target, or another runnable task comes first in [pick]'s
+   order.  With none of these, the boundary runs in place, with exactly
+   the accounting of a yield/resume pair — the clock synced, the task's
+   guard scopes folded, the slice counted and the slice start
+   re-sampled — and no continuation. *)
+let boundary t tk =
+  sync t;
+  Guard.fold_in_place ();
+  t.seq <- t.seq + 1;
+  tk.last_run <- t.seq;
+  t.n_slices <- t.n_slices + 1;
+  Iosim.sample_ms tk.slice_start
+
 let hook () =
   match !current with
   | None -> ()
@@ -122,8 +160,14 @@ let hook () =
          simulated clock into a flat record, so a checkpoint allocates
          nothing *)
       Iosim.sample_ms checkpoint_io;
-      if checkpoint_io.ms -. tk.slice_start.ms >= tk.quantum_ms then
-        Effect.perform Yield
+      let t = tk.sched in
+      if checkpoint_io.ms -. tk.slice_start.ms >= t.q_ms then
+        if
+          Option.is_some t.chooser
+          || reached t t.stop
+          || other_first t tk t.tasks
+        then Effect.perform Yield
+        else boundary t tk
 
 let sleeper ms =
   match !current with
@@ -160,6 +204,7 @@ let create ?(quantum_ms = default_quantum_ms) ?chooser () =
     chooser;
     clk = { vclock = 0.0; io_mark = io.ms; idle_jumped = 0.0 };
     io;
+    stop = infinity;
     tasks = [];
     seq = 0;
     next_id = 0;
@@ -172,15 +217,14 @@ let create ?(quantum_ms = default_quantum_ms) ?chooser () =
     max_live = 0;
   }
 
-let spawn t ?(prio = fun () -> 1) ?label body =
+let spawn t ?(prio = fun () -> 1) body =
   t.next_id <- t.next_id + 1;
   let id = t.next_id in
   let tk =
     {
       id;
-      label = (match label with Some l -> l | None -> Printf.sprintf "task-%d" id);
+      sched = t;
       prio;
-      quantum_ms = t.q_ms;
       status = Ready body;
       wake_at = None;
       gctx = Guard.empty_ctx;
@@ -277,23 +321,9 @@ let step t tk =
 
 (* ---------- the run loop ---------- *)
 
-let runnable t tk =
-  match tk.status with
-  | Finished -> false
-  | Ready _ | Suspended _ -> (
-      match tk.wake_at with None -> true | Some w -> reached t w)
-
 let prune t =
   if List.exists finished t.tasks then
     t.tasks <- List.filter (fun tk -> not (finished tk)) t.tasks
-
-(* the round-robin order: the smallest (priority class, last-run
-   seqno, id) wins — round-robin within a class, urgent class first *)
-let before a b =
-  let pa = a.prio () and pb = b.prio () in
-  pa < pb
-  || pa = pb
-     && (a.last_run < b.last_run || (a.last_run = b.last_run && a.id < b.id))
 
 (* the first runnable task that no later one is [before]; a lone
    candidate is taken without consulting its priority *)
@@ -342,6 +372,7 @@ let jump_to t target =
   end
 
 let advance_to t target =
+  t.stop <- target;
   let rec drive () =
     if reached t target then ()
     else
@@ -359,6 +390,7 @@ let advance_to t target =
   drive ()
 
 let run_until_idle t =
+  t.stop <- infinity;
   let rec drive () =
     match pick t with
     | Some tk ->

@@ -9,11 +9,18 @@
     coroutine): the task body is the unchanged evaluator code, and every
     [Guard.tick]/[add_rows] checkpoint offers a switch point through the
     guard's yield hook.  When a task has charged [quantum_ms] of
-    simulated I/O since it was scheduled in, the hook performs a yield
-    effect, the scheduler captures the continuation, and the next task
-    runs — so concurrent statements genuinely interleave on the shared
-    virtual clock, deterministically: the schedule is a function of the
-    arrival sequence, the I/O charges, and the quantum alone.
+    simulated I/O since it was scheduled in, its slice ends.  If a
+    switch could follow (a [chooser] is installed, the clock has reached
+    the target of {!advance_to}, or another runnable task comes first
+    in the round-robin order), the hook performs a yield effect, the scheduler
+    captures the continuation, and the next task runs — so concurrent
+    statements genuinely interleave on the shared virtual clock,
+    deterministically: the schedule is a function of the arrival
+    sequence, the I/O charges, and the quantum alone.  Otherwise the
+    task starts its next slice in place, with the same accounting (the
+    clock synced, its guard scopes folded, the slice counted) and no
+    suspension: a lone task pays nothing for switches that could only
+    resume it.
 
     {b The clock.}  Virtual time is the {!Nra_storage.Iosim} ledger (in
     ms) plus idle jumps: while any task runs, time advances exactly as
@@ -55,7 +62,7 @@ val create : ?quantum_ms:float -> ?chooser:(now:float -> int list -> int)
   -> unit -> t
 (** A fresh scheduler with its clock at 0.  [quantum_ms] (default
     {!default_quantum_ms}) is how much simulated I/O a task may charge
-    per slice before the yield hook suspends it; [infinity] restores
+    before its slice ends at the next checkpoint; [infinity] restores
     PR 3's slot-serialized behavior (a task runs to completion once
     scheduled).  [chooser] overrides the round-robin policy: it is
     given the current virtual time and the runnable task ids (ascending)
@@ -70,8 +77,7 @@ val default_quantum_ms : float
 val now : t -> float
 (** The virtual clock, in ms: monotone at every scheduling point. *)
 
-val spawn :
-  t -> ?prio:(unit -> int) -> ?label:string -> (unit -> unit) -> int
+val spawn : t -> ?prio:(unit -> int) -> (unit -> unit) -> int
 (** Register a task and return its id.  The body is not entered until
     the scheduler is next driven ({!advance_to} / {!run_until_idle});
     [prio] (default: constant [1]) is re-read at every switch point —
@@ -96,8 +102,12 @@ val run_until_idle : t -> unit
 type stats = {
   spawned : int;
   finished : int;
-  slices : int;  (** scheduling slices run (context switches) *)
-  yields : int;  (** quantum expiries (yield effects handled) *)
+  slices : int;
+      (** scheduling slices run: one each time a task is scheduled in,
+          plus one per quantum expiry it runs on through in place *)
+  yields : int;
+      (** quantum expiries that suspended the task (yield effects
+          handled); an expiry that no switch could follow is not one *)
   sleeps : int;  (** backoff sleeps taken as virtual suspensions *)
   woken : int;  (** sleeper wake-ups *)
   idle_jumped_ms : float;  (** clock advanced with no task running *)

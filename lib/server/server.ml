@@ -203,7 +203,6 @@ let rec spawn_stmt t p ~start =
   let id = ref 0 in
   id :=
     Scheduler.spawn t.sched ~prio:(priority t p)
-      ~label:(Printf.sprintf "s%d" (Session.id p.pd_session))
       (fun () ->
         let guard =
           let base = Session.remaining p.pd_session in

@@ -223,7 +223,6 @@ let interleaved_results ~seed ~strategy cat sqls =
     (fun i sql ->
       ignore
         (Scheduler.spawn sch
-           ~label:(Printf.sprintf "q%d" i)
            (fun () -> results.(i) <- Some (Nra.query ~strategy cat sql))))
     sqls;
   Scheduler.run_until_idle sch;
@@ -382,10 +381,10 @@ let test_auto_interleaves () =
   let sch = Scheduler.create ~quantum_ms:0.005 ~chooser () in
   let results = Array.make 2 None in
   ignore
-    (Scheduler.spawn sch ~label:"auto1" (fun () ->
+    (Scheduler.spawn sch (fun () ->
          results.(0) <- Some (Nra.query ~strategy:Nra.Auto cat q1)));
   ignore
-    (Scheduler.spawn sch ~label:"auto2" (fun () ->
+    (Scheduler.spawn sch (fun () ->
          results.(1) <- Some (Nra.query ~strategy:Nra.Auto cat q2)));
   Scheduler.run_until_idle sch;
   let order = List.rev !picks in

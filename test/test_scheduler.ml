@@ -53,7 +53,6 @@ let interleaved_results ~seed ~quantum_ms ~strategy cat sqls =
     (fun i sql ->
       ignore
         (Scheduler.spawn sch
-           ~label:(Printf.sprintf "q%d" i)
            (fun () -> results.(i) <- Some (Nra.query ~strategy cat sql))))
     sqls;
   Scheduler.run_until_idle sch;
@@ -275,7 +274,7 @@ let test_preemption_within_quantum () =
   let sch = Scheduler.create ~quantum_ms:quantum () in
   let victim_spend = ref nan and victim_killed = ref false in
   ignore
-    (Scheduler.spawn sch ~label:"victim" (fun () ->
+    (Scheduler.spawn sch (fun () ->
          (try
             Guard.with_budget
               (Guard.budget ~sim_io_ms:limit ())
@@ -290,7 +289,7 @@ let test_preemption_within_quantum () =
   (* concurrent bulk work: its charges must not count against (or
      delay the kill of) the victim *)
   ignore
-    (Scheduler.spawn sch ~label:"bulk" (fun () ->
+    (Scheduler.spawn sch (fun () ->
          for _ = 1 to 200 do
            Iosim.charge_scan_rows 100;
            Guard.tick ()
@@ -326,14 +325,14 @@ let test_backoff_virtual () =
   let sleeper_done = ref nan and query_done = ref nan in
   let escaped = ref false in
   ignore
-    (Scheduler.spawn sch ~label:"retry-storm" (fun () ->
+    (Scheduler.spawn sch (fun () ->
          (try
             Nra.Fault.with_retries (fun () ->
                 raise (Nra.Fault.Io_fault "synthetic"))
           with Nra.Fault.Io_fault _ -> escaped := true);
          sleeper_done := Scheduler.now sch));
   ignore
-    (Scheduler.spawn sch ~label:"concurrent-query" (fun () ->
+    (Scheduler.spawn sch (fun () ->
          ignore (Nra.query cat corpus.(4));
          query_done := Scheduler.now sch));
   let host_t0 = Unix.gettimeofday () in
@@ -383,7 +382,6 @@ let test_deterministic_replay () =
     for i = 0 to 4 do
       ignore
         (Scheduler.spawn sch
-           ~label:(Printf.sprintf "q%d" i)
            (fun () ->
              ignore (Nra.query cat corpus.(i));
              order := i :: !order))
@@ -419,74 +417,234 @@ let test_tick_allocation () =
     (Printf.sprintf "%.3f minor words per checkpoint inside a task" per_tick)
     true (per_tick < 0.01)
 
-(* A slice keeps every yield but allocates nothing of its own: at
-   quantum 0 a task yields at every checkpoint, so each checkpoint is
-   one yield/resume pair.  What a pair may allocate is what [perform]
-   needs (the continuation) and the [Suspended] box holding it, plus,
-   for a budgeted task, the detached guard context.  The task charges
-   no I/O, so no fault is drawn and no frame touched at any stress
-   point. *)
+(* A quantum expiry with no other task to run keeps its slice boundary
+   in place: at quantum 0 a lone task's every checkpoint ends a slice,
+   and none of them suspends it or allocates.  A budgeted task folds
+   its guard scope at each one, also without allocating.  Two
+   equal-priority tasks alternate instead, so each of their boundaries
+   is a yield/resume pair, which may allocate what [perform] needs (the
+   continuation) and the [Suspended] box holding it, plus, for a
+   budgeted task, the detached guard context.  The tasks charge no I/O,
+   so no fault is drawn and no frame touched at any stress point. *)
 let test_slice_allocation () =
-  let words_per_yield ~budgeted =
+  let n = 100_000 in
+  (* [tasks] tasks of [n] checkpoints each: minor words and stats *)
+  let run ~tasks ~budgeted =
     let sch = Scheduler.create ~quantum_ms:0.0 () in
-    let n = 100_000 in
     let body () =
       for _ = 1 to n do
         Guard.tick ()
       done
     in
-    ignore
-      (Scheduler.spawn sch (fun () ->
-           if budgeted then
-             Guard.with_budget (Guard.budget ~max_rows:n ()) body
-           else body ()));
+    for _ = 1 to tasks do
+      ignore
+        (Scheduler.spawn sch (fun () ->
+             if budgeted then
+               Guard.with_budget (Guard.budget ~max_rows:n ()) body
+             else body ()))
+    done;
     let before = Gc.minor_words () in
     Scheduler.run_until_idle sch;
-    let words = Gc.minor_words () -. before in
-    let s = Scheduler.stats sch in
-    Alcotest.(check int) "one yield per checkpoint" n s.Scheduler.yields;
-    words /. float_of_int s.Scheduler.yields
+    (Gc.minor_words () -. before, Scheduler.stats sch)
   in
-  let plain = words_per_yield ~budgeted:false in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per yield/resume pair" plain)
-    true (plain <= 6.0);
-  let budgeted = words_per_yield ~budgeted:true in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per budgeted yield/resume pair"
-       budgeted)
-    true (budgeted <= 10.0)
+  List.iter
+    (fun (budgeted, what, per_yield_cap) ->
+      let words, s = run ~tasks:1 ~budgeted in
+      (* the first slice, then one per checkpoint *)
+      Alcotest.(check int) "one slice per checkpoint" (n + 1)
+        s.Scheduler.slices;
+      Alcotest.(check int) "no yield without another task" 0
+        s.Scheduler.yields;
+      let per_checkpoint = words /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.3f minor words per %sin-place boundary"
+           per_checkpoint what)
+        true (per_checkpoint < 0.01);
+      let words, s = run ~tasks:2 ~budgeted in
+      Alcotest.(check int) "one yield per checkpoint" (2 * n)
+        s.Scheduler.yields;
+      let per_yield = words /. float_of_int s.Scheduler.yields in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f minor words per %syield/resume pair" per_yield
+           what)
+        true
+        (per_yield <= per_yield_cap))
+    [ (false, "", 6.0); (true, "budgeted ", 10.0) ]
 
-(* Once two tasks are runnable, every pick compares their priorities.
-   The server's priority asks whether the task's session is nearly out
-   of simulated I/O ([Session.urgent], as [Server] does), so two
-   interleaved tasks under session budgets allocate per yield no more
-   than one plain task does.  One session is urgent and one is not, so
-   both classes are read at every comparison. *)
+(* Every quantum expiry asks whether another runnable task comes
+   first, which compares priorities.  The server's priority asks
+   whether the task's session is nearly out of simulated I/O
+   ([Session.urgent], as [Server] does).  One session is urgent and one
+   is not, so the urgent task runs first and, with the other task
+   behind it in the order, keeps every boundary in place: both classes
+   are read at each of its checkpoints, and nothing is allocated. *)
 let test_priority_allocation () =
   let sch = Scheduler.create ~quantum_ms:0.0 () in
   let n = 50_000 in
-  let task session =
+  let order = ref [] in
+  let task name session =
     ignore
       (Scheduler.spawn sch
          ~prio:(fun () -> if Session.urgent session ~within:5.0 then 0 else 1)
          (fun () ->
            for _ = 1 to n do
              Guard.tick ()
-           done))
+           done;
+           order := name :: !order))
   in
-  task (Session.create ~sim_io_ms:1.0 ());
-  task (Session.create ~sim_io_ms:1e9 ());
+  task "bulk" (Session.create ~sim_io_ms:1e9 ());
+  task "urgent" (Session.create ~sim_io_ms:1.0 ());
   let before = Gc.minor_words () in
   Scheduler.run_until_idle sch;
   let words = Gc.minor_words () -. before in
   let s = Scheduler.stats sch in
-  Alcotest.(check int) "one yield per checkpoint" (2 * n) s.Scheduler.yields;
-  let per_yield = words /. float_of_int s.Scheduler.yields in
+  Alcotest.(check (list string)) "the urgent task finishes first"
+    [ "urgent"; "bulk" ] (List.rev !order);
+  Alcotest.(check int) "no yield" 0 s.Scheduler.yields;
+  let per_checkpoint = words /. float_of_int (2 * n) in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per yield with two prioritized tasks"
-       per_yield)
-    true (per_yield <= 6.0)
+    (Printf.sprintf "%.3f minor words per checkpoint with two prioritized \
+                     tasks"
+       per_checkpoint)
+    true (per_checkpoint < 0.01)
+
+(* ---------- an in-place boundary is exact ----------
+
+   The same statements run once on a plain scheduler, where each runs
+   alone and every quantum expiry stays in place, and once under a
+   chooser, which makes every expiry suspend and resume the task.  The
+   two must agree to the bit on the virtual clock, the slice count,
+   each statement's recorded spend and the I/O counters, and return
+   the same results.  The statements cover a plain run, a budget kill,
+   and an Auto attempt killed at its bare estimate and rerun.  That
+   attempt is killed at its first checkpoint, so a last statement
+   repeats Auto's protocol with charges fine enough for the attempt to
+   span several boundaries.  Its rollback pulls the I/O ledger below
+   the clock's last sync, and its rerun is cheaper than the attempt, so
+   the statement ends while the clock's clamp holds it at that sync:
+   there the clock tells a boundary that synced from one that did
+   not. *)
+
+let exact_cat =
+  lazy
+    (let cat =
+       Tpch.Gen.generate { Tpch.Gen.default with Tpch.Gen.scale = 0.005 }
+     in
+     Tpch.Gen.add_benchmark_indexes cat;
+     ignore (Nra.exec cat "analyze");
+     cat)
+
+let fingerprint = function
+  | Ok rel -> Digest.to_hex (Digest.string (Relation.to_csv rel))
+  | Error e -> "error: " ^ e
+
+(* Auto's attempt and fallback over synthetic 0.1 ms charges: ten
+   charges under a 1 ms attempt budget, killed at the eleventh, then a
+   rerun of five *)
+let fine_grained_fallback () =
+  let charge n =
+    for _ = 1 to n do
+      Iosim.charge_scan_rows 100;
+      Guard.tick ()
+    done
+  in
+  let led = Iosim.push_ledger () in
+  match
+    Guard.with_budget (Guard.budget ~sim_io_ms:1.0 ()) (fun () -> charge 100)
+  with
+  | () -> Alcotest.fail "the attempt outlived its budget"
+  | exception Guard.Killed (Guard.Budget_exceeded _) ->
+      Iosim.pop_ledger led;
+      Iosim.uncharge led;
+      charge 5;
+      "killed and rerun"
+
+let exact_statements cat =
+  let module Q = Tpch.Queries in
+  let lo, hi = Q.q1_window ~outer_fraction:0.005 in
+  let ja = Q.q1_ja ~link:Q.Ja_in ~date_lo:lo ~date_hi:hi in
+  let q3b =
+    let size_lo, size_hi = Q.size_window ~outer_fraction:0.06 in
+    Q.q3 ~quant:Q.Any ~exists:true ~variant:Q.B ~size_lo ~size_hi
+      ~availqty_max:(Q.availqty_bound ~fraction:0.02) ~quantity:25
+  in
+  let query ?(sim_io_ms = 1e9) strategy sql () =
+    let guard = Guard.budget ~sim_io_ms () in
+    fingerprint (Nra.query ~strategy ~guard cat sql)
+  in
+  (* each under a budget of its own, which records its spend *)
+  [
+    ("Query 1-JA", query Nra.Nra_optimized ja);
+    ("Query 1-JA killed", query ~sim_io_ms:0.3 Nra.Nra_optimized ja);
+    ("Query 3b under Auto", query Nra.Auto q3b);
+    ( "a fine-grained fallback",
+      fun () ->
+        Guard.with_budget (Guard.budget ~sim_io_ms:1e9 ()) fine_grained_fallback
+    );
+  ]
+
+(* each statement's (result, spend, clock at its end) and the whole
+   run's (clock, stats, I/O counters, guard events) *)
+let boundary_run ?chooser cat =
+  Iosim.reset ();
+  Guard.reset_events ();
+  let sch = Scheduler.create ~quantum_ms:0.05 ?chooser () in
+  let per_statement =
+    List.map
+      (fun (name, body) ->
+        let out = ref None in
+        ignore
+          (Scheduler.spawn sch (fun () ->
+               let r = body () in
+               let sp = Guard.last_spend () in
+               out :=
+                 Some
+                   (Printf.sprintf "%s: %s, %h ms sim-I/O, %d rows, at %h ms"
+                      name r sp.Guard.sim_io_ms sp.Guard.rows
+                      (Scheduler.now sch))));
+        Scheduler.run_until_idle sch;
+        match !out with
+        | Some line -> line
+        | None -> Alcotest.fail (name ^ ": the task left no outcome"))
+      (exact_statements cat)
+  in
+  (per_statement, Scheduler.now sch, Scheduler.stats sch, Iosim.counters (),
+   Guard.events ())
+
+let test_inplace_exact () =
+  Nra.Fault.disable ();
+  with_config (fun c ->
+      { c with domains = 0; auto_overrun = 1.0; auto_floor_ms = 0.0 })
+  @@ fun () ->
+  Fun.protect ~finally:Guard.reset_events @@ fun () ->
+  let cat = Lazy.force exact_cat in
+  let lines, now, st, io, ev = boundary_run cat in
+  let lines', now', st', io', ev' =
+    boundary_run ~chooser:(fun ~now:_ ids -> List.hd ids) cat
+  in
+  Alcotest.(check (list string)) "same statements, to the bit" lines' lines;
+  Alcotest.(check string) "same virtual clock"
+    (Printf.sprintf "%h" now') (Printf.sprintf "%h" now);
+  Alcotest.(check int) "same slices" st'.Scheduler.slices st.Scheduler.slices;
+  Alcotest.(check bool)
+    (Printf.sprintf "every boundary in place (%d slices, %d yields)"
+       st.Scheduler.slices st.Scheduler.yields)
+    true
+    (st.Scheduler.yields = 0 && st.Scheduler.slices > 3);
+  (* every slice but each statement's first began at a yield *)
+  Alcotest.(check int) "every boundary suspended under the chooser"
+    (st'.Scheduler.slices - List.length lines)
+    st'.Scheduler.yields;
+  Alcotest.(check (list int)) "same I/O counters"
+    [ io'.Iosim.seq_pages; io'.Iosim.rand_pages; io'.Iosim.fetched_rows ]
+    [ io.Iosim.seq_pages; io.Iosim.rand_pages; io.Iosim.fetched_rows ];
+  (* both paths of interest were taken *)
+  Alcotest.(check bool) "a statement was killed on budget" true
+    (ev.Guard.budget_kills > 0
+    && ev'.Guard.budget_kills = ev.Guard.budget_kills);
+  Alcotest.(check bool) "an Auto attempt fell back" true
+    (ev.Guard.auto_fallbacks > 0
+    && ev'.Guard.auto_fallbacks = ev.Guard.auto_fallbacks)
 
 (* ---------- head-of-line blocking ----------
 
@@ -597,8 +755,10 @@ let test_pool_charge_sleeps () =
   (* the first task's draws: its page-in, then the writeback of a0 *)
   Nra.Fault.arm_fault ~at:(Nra.Fault.draws () + 2);
   let sch = Scheduler.create ~quantum_ms:infinity () in
-  ignore (Scheduler.spawn sch ~label:"evicts-a0" (fun () -> Bufpool.read a 1));
-  ignore (Scheduler.spawn sch ~label:"reads-b0" (fun () -> Bufpool.read b 0));
+  (* the first evicts a0 (and sleeps in its writeback), the second
+     reads b0 *)
+  ignore (Scheduler.spawn sch (fun () -> Bufpool.read a 1));
+  ignore (Scheduler.spawn sch (fun () -> Bufpool.read b 0));
   Scheduler.run_until_idle sch;
   Alcotest.(check int) "the writeback slept" 1
     (Scheduler.stats sch).Scheduler.sleeps;
@@ -637,6 +797,8 @@ let () =
             `Quick test_slice_allocation;
           Alcotest.test_case "two prioritized tasks allocate as one"
             `Quick test_priority_allocation;
+          Alcotest.test_case "an in-place boundary is exact" `Quick
+            test_inplace_exact;
           Alcotest.test_case "a finite quantum cuts head-of-line blocking"
             `Quick test_head_of_line;
         ] );
