@@ -109,7 +109,7 @@ end
 
 (* Convert the engine's runtime exceptions into the taxonomy.  Kills are
    counted here — exactly once, where they surface as a user-visible
-   error; Auto's degraded attempts are caught earlier (in [run_auto])
+   error; Auto's degraded attempts are caught earlier (in [run_priced])
    and counted as fallbacks instead. *)
 let trap f =
   match f () with
@@ -224,11 +224,12 @@ let nra_base_options = function
 
 (* What pricing a statement leaves for its execution, so that the plan
    priced is the plan run.  [estimates] is Auto's ranked list ([] when
-   the statement was not priced for Auto).  [rewrites] holds one entry
-   per NRA strategy priced: the rewriter's result on that strategy's
-   lifted plan, [None] when rules are off or the rewriter raised (the
-   lifted plan runs); a prepared NRA-family strategy keeps only a
-   rewrite that fired.  Hybrid's NRA arm runs nra-full's entry. *)
+   the statement was not priced for Auto, or Auto's pricing failed).
+   [rewrites] holds one entry per NRA strategy priced: the rewriter's
+   result on that strategy's lifted plan, [None] when rules are off or
+   the rewriter raised (the lifted plan runs); an NRA-family strategy
+   priced alone keeps only a rewrite that fired.  Hybrid's NRA arm runs
+   nra-full's entry. *)
 type priced = {
   estimates : Nra_stats.Cost.estimate list;
   rewrites : (strategy * Nra_opt.Rewrite.result option) list;
@@ -259,27 +260,12 @@ let rewrite_under rules cat t base =
 
 let rewrite_for cat t base = rewrite_under !installed.rules cat t base
 
-(* every NRA-family execution funnels through here, so enabled rewrites
-   apply transparently to every strategy, including Auto's picks and
-   Hybrid's NRA arm: the rewrite priced for [s] when there is one,
-   else a rewrite made now *)
-let run_nra (cfg : Engine_config.t) priced s options cat t =
-  let rewrite =
-    match List.assoc_opt s priced.rewrites with
-    | Some r -> r
-    | None -> rewrite_under cfg.rules cat t options
-  in
-  let directives = Option.map (fun r -> r.Nra_opt.Rewrite.dirs) rewrite in
-  Nra_exec.Nra.run ~options ?directives cat t
-
 (* Auto over strategies × rewritten plans, in one pricing context.
-   Each NRA strategy's plan is lifted once: the rewriter starts from it,
-   and its walk, priced once in the context, is the strategy's
-   estimate.  The three searches share the context, so a plan two of
-   them reach is walked once.  The rewriter only fires cost-improving
-   edits and execution runs the rewrite kept here, so the
-   cross-product collapses to adjusting each NRA strategy's estimate by
-   its rewrite's estimated delta (never below zero) and re-ranking. *)
+   Each NRA strategy's plan is lifted once and the rewriter starts from
+   it; the strategy's estimate is the walk of the plan it runs (the
+   rewrite, which is the lifted plan when no edit fired), already
+   priced in the context by the search.  The three searches share the
+   context, so a plan two of them reach is walked once. *)
 let cost_strategies = Array.of_list Nra_stats.Cost.all
 
 let price_in rules env =
@@ -295,36 +281,32 @@ let price_in rules env =
         let plan = Nra_exec.Plan.lift ~base t in
         let r = if rules <> [] then rewrite_in rules ctx plan else None in
         rewrites := (of_cost_strategy cs, r) :: !rewrites;
-        Cost.estimate_in env ~walk:(Rw.walk ctx plan) cs
-  in
-  let adjust (e : Cost.estimate) =
-    match List.assoc_opt (of_cost_strategy e.Cost.strategy) !rewrites with
-    | Some (Some r) when r.Rw.changed ->
-        let shift v f = Float.max 0.0 (v +. (f r.Rw.after -. f r.Rw.before)) in
-        let bd = e.Cost.breakdown in
-        {
-          e with
-          Cost.cost_ms = shift e.Cost.cost_ms (fun c -> c.Rw.ms);
-          breakdown =
-            {
-              Cost.seq_pages = shift bd.Cost.seq_pages (fun c -> c.Rw.seq);
-              rand_pages = shift bd.Cost.rand_pages (fun c -> c.Rw.rand);
-              fetched_rows = shift bd.Cost.fetched_rows (fun c -> c.Rw.fetch);
-            };
-        }
-    | _ -> e
+        let runs = match r with Some r -> r.Rw.dirs | None -> plan in
+        Cost.estimate_in env ~walk:(Rw.walk ctx runs) cs
   in
   let es = Array.map estimate cost_strategies in
   Array.stable_sort Cost.compare es;
-  Array.iteri (fun i e -> es.(i) <- adjust e) es;
-  (* a stable re-sort on cost alone keeps the preference tiebreak *)
-  Array.stable_sort
-    (fun (x : Cost.estimate) y -> Float.compare x.Cost.cost_ms y.Cost.cost_ms)
-    es;
   { estimates = Array.to_list es; rewrites = List.rev !rewrites }
 
-let price rules cat t = price_in rules (Nra_stats.Cardinality.make_env cat t)
-let estimates_with_rewrites cat t = (price !installed.rules cat t).estimates
+(* The one place a statement is priced, for the strategy it will run
+   under: Auto every strategy and every NRA strategy's rewrite (its
+   fallback's rewrite alone when that pricing fails), an NRA-family
+   strategy its one rewrite (Hybrid nra-full's), the others nothing. *)
+let rec price (cfg : Engine_config.t) strategy cat t =
+  match strategy with
+  | Auto -> (
+      match price_in cfg.rules (Nra_stats.Cardinality.make_env cat t) with
+      | { estimates = []; _ } | (exception _) -> price cfg Nra_optimized cat t
+      | priced -> priced)
+  | s -> (
+      match nra_base_options s with
+      | None -> unpriced
+      | Some options ->
+          let runs_as = if s = Hybrid then Nra_full else s in
+          let r = rewrite_under cfg.rules cat t options in
+          { unpriced with rewrites = [ (runs_as, r) ] })
+
+let estimates_with_rewrites cat t = (price !installed Auto cat t).estimates
 
 (* Budget-aware choice: when the caller runs under a guard, prefer the
    cheapest plan whose estimate FITS what is left of that budget over
@@ -337,16 +319,17 @@ let budget_pick es =
   Nra_stats.Cost.pick ~remaining_io_ms:r.Guard.sim_io_ms
     ~remaining_rows:r.Guard.max_rows es
 
-(* the cost model's choice, mapped into this facade's strategy type;
-   estimation is pure (no Iosim charges) but involves the executors'
-   planners, so any failure falls back to the default strategy *)
-let auto_pick cat t =
-  match estimates_with_rewrites cat t with
-  | [] -> Nra_optimized
-  | es -> of_cost_strategy (budget_pick es).Nra_stats.Cost.strategy
-  | exception _ -> Nra_optimized
+(* ---------- the runner ---------- *)
 
-(* ---------- Auto's kill-and-fallback ---------- *)
+(* Every NRA-family execution funnels through here and runs the rewrite
+   priced for [s], or its lifted plan when none was kept. *)
+let run_nra priced s options cat t =
+  let directives =
+    match List.assoc_opt s priced.rewrites with
+    | Some (Some r) -> Some r.Nra_opt.Rewrite.dirs
+    | Some None | None -> None
+  in
+  Nra_exec.Nra.run ~options ?directives cat t
 
 (* A budget kill under Auto is evidence of a cost-model misestimate:
    the chosen plan was supposed to cost [cost_ms] and has already spent
@@ -357,71 +340,64 @@ let auto_attempt_ms (cfg : Engine_config.t) cost_ms =
   Float.max (Float.max 0.0 cfg.auto_floor_ms)
     (cost_ms *. Float.max 1.0 cfg.auto_overrun)
 
-let rec run_analyzed ?(priced = unpriced) cfg strategy cat t =
+(* Run a statement [price] priced for [strategy].  Auto picks over its
+   estimates, with the attempt/fallback protocol, and runs Nra_optimized
+   when it has none; the pick and the fallback run the rewrites they
+   were priced with. *)
+let rec run_priced cfg priced strategy cat t =
   match strategy with
   | Naive -> Nra_exec.Naive.run cat t
   | Classical -> Nra_exec.Classical.run cat t
   | Magic -> Nra_exec.Magic.run cat t
-  | Nra_original ->
-      run_nra cfg priced Nra_original Nra_exec.Nra.original cat t
-  | Nra_optimized ->
-      run_nra cfg priced Nra_optimized Nra_exec.Nra.optimized cat t
-  | Nra_full -> run_nra cfg priced Nra_full Nra_exec.Nra.full cat t
+  | Nra_original -> run_nra priced Nra_original Nra_exec.Nra.original cat t
+  | Nra_optimized -> run_nra priced Nra_optimized Nra_exec.Nra.optimized cat t
+  | Nra_full -> run_nra priced Nra_full Nra_exec.Nra.full cat t
   | Hybrid ->
       if classical_fully_applies cat t then Nra_exec.Classical.run cat t
-      else run_nra cfg priced Nra_full Nra_exec.Nra.full cat t
-  | Auto -> run_auto cfg cat t
-
-and run_auto cfg cat t =
-  match price cfg.rules cat t with
-  | exception _ -> run_analyzed cfg Nra_optimized cat t
-  | { estimates = []; _ } -> run_analyzed cfg Nra_optimized cat t
-  | priced -> run_auto_estimates cfg cat t priced
-
-(* The attempt/fallback protocol over an already-priced statement —
-   shared with [run_prepared], whose plan cache pays for pricing once
-   and replays it here on every execution.  The pick and the fallback
-   run the rewrites they were priced with. *)
-and run_auto_estimates cfg cat t priced =
-  let best = budget_pick priced.estimates in
-  let pick = of_cost_strategy best.Nra_stats.Cost.strategy in
-  if pick = Nra_optimized then
-    (* the chosen plan IS the fallback: a derived budget would only
-       kill a query that has nowhere left to degrade to *)
-    run_analyzed ~priced cfg Nra_optimized cat t
-  else
-    let attempt =
-      Guard.min_budget (Guard.remaining ())
-        (Guard.budget
-           ~sim_io_ms:(auto_attempt_ms cfg best.Nra_stats.Cost.cost_ms)
-           ())
-    in
-    (* the attempt runs under a per-task I/O ledger instead of a
-       global checkpoint: [uncharge] subtracts only the attempt's own
-       charges, so concurrently scheduled statements can interleave
-       freely — no no-yield critical section needed *)
-    let led = Nra_storage.Iosim.push_ledger () in
-    match
-      Guard.with_budget attempt (fun () ->
-          run_analyzed ~priced cfg pick cat t)
-    with
-    | rel ->
-        Nra_storage.Iosim.pop_ledger led;
-        rel
-    | exception Guard.Killed (Guard.Budget_exceeded _) ->
-        Nra_storage.Iosim.pop_ledger led;
-        (* un-charge the aborted attempt: the fallback redoes the
-           work, and double-charging would poison both the client's
-           budget and any [--time] report *)
-        Nra_storage.Iosim.uncharge led;
-        (* if the CLIENT's budget (not the derived one) is what
-           blew, degrading cannot help — re-raise for the facade *)
-        Guard.recheck ();
-        Guard.note_fallback ();
-        run_analyzed ~priced cfg Nra_optimized cat t
-    | exception e ->
-        Nra_storage.Iosim.pop_ledger led;
-        raise e
+      else run_nra priced Nra_full Nra_exec.Nra.full cat t
+  | Auto -> (
+      match priced.estimates with
+      | [] -> run_priced cfg priced Nra_optimized cat t
+      | es ->
+          let best = budget_pick es in
+          let pick = of_cost_strategy best.Nra_stats.Cost.strategy in
+          if pick = Nra_optimized then
+            (* the chosen plan IS the fallback: a derived budget would
+               only kill a query that has nowhere left to degrade to *)
+            run_priced cfg priced Nra_optimized cat t
+          else
+            let attempt =
+              Guard.min_budget (Guard.remaining ())
+                (Guard.budget
+                   ~sim_io_ms:(auto_attempt_ms cfg best.Nra_stats.Cost.cost_ms)
+                   ())
+            in
+            (* the attempt runs under a per-task I/O ledger instead of a
+               global checkpoint: [uncharge] subtracts only the attempt's
+               own charges, so concurrently scheduled statements can
+               interleave freely — no no-yield critical section needed *)
+            let led = Nra_storage.Iosim.push_ledger () in
+            match
+              Guard.with_budget attempt (fun () ->
+                  run_priced cfg priced pick cat t)
+            with
+            | rel ->
+                Nra_storage.Iosim.pop_ledger led;
+                rel
+            | exception Guard.Killed (Guard.Budget_exceeded _) ->
+                Nra_storage.Iosim.pop_ledger led;
+                (* un-charge the aborted attempt: the fallback redoes the
+                   work, and double-charging would poison both the
+                   client's budget and any [--time] report *)
+                Nra_storage.Iosim.uncharge led;
+                (* if the CLIENT's budget (not the derived one) is what
+                   blew, degrading cannot help — re-raise for the facade *)
+                Guard.recheck ();
+                Guard.note_fallback ();
+                run_priced cfg priced Nra_optimized cat t
+            | exception e ->
+                Nra_storage.Iosim.pop_ledger led;
+                raise e)
 
 let ( let* ) = Result.bind
 module Ast = Nra_sql.Ast
@@ -429,7 +405,7 @@ module Ast = Nra_sql.Ast
 let run_select ?ctes cfg strategy cat q =
   trap (fun () ->
       let t = Nra_planner.Analyze.analyze ?ctes cat q in
-      Ok (run_analyzed cfg strategy cat t))
+      Ok (run_priced cfg (price cfg strategy cat t) strategy cat t))
 
 (* An ORDER BY / LIMIT written after the last component of a set
    operation applies to the combined result. *)
@@ -888,13 +864,11 @@ let command_footprint = function
 (* ---------- prepared statements ---------- *)
 
 (* The compile-once-execute-many contract behind the nra.server plan
-   cache: [prepare] pays for parse + analysis + pricing once;
-   [run_prepared] replays only execution.  Pricing is Auto's estimates
-   and every NRA strategy's rewrite, or, for an NRA-family strategy,
-   its one rewrite: execution runs the rewrites priced here.  Non-SELECT
-   shapes (set operations, WITH, DML) keep their parsed command — still
-   skipping the lexer/parser — and take the ordinary paths, which
-   analyze per component. *)
+   cache: [prepare] pays for parse + analysis + [price] once;
+   [run_prepared] replays only [run_priced].  Non-SELECT shapes (set
+   operations, WITH, DML) keep their parsed command — still skipping
+   the lexer/parser — and take the ordinary paths, which analyze and
+   price per component. *)
 type prepared = {
   p_cmd : Ast.command;
   p_config : Engine_config.t;
@@ -925,16 +899,7 @@ let prepare_command ~config ~strategy ~footprint cat cmd =
   | Ast.Cmd_query (Ast.Select q) ->
       trap (fun () ->
           let t = Nra_planner.Analyze.analyze cat q in
-          let priced =
-            match (strategy, nra_base_options strategy) with
-            | Auto, _ -> ( try price config.rules cat t with _ -> unpriced)
-            | s, Some options ->
-                let s = if s = Hybrid then Nra_full else s in
-                let r = rewrite_under config.rules cat t options in
-                { unpriced with rewrites = [ (s, r) ] }
-            | _, None -> unpriced
-          in
-          Ok (prepared (Some t) priced))
+          Ok (prepared (Some t) (price config strategy cat t)))
   | _ -> Ok (prepared None unpriced)
 
 let prepare ?(config = !installed) ?(strategy = Nra_optimized) cat sql =
@@ -950,13 +915,9 @@ let run_prepared ?guard cat p =
       match (p.p_cmd, p.p_analyzed) with
       | Ast.Cmd_query (Ast.Select _), Some t ->
           trap (fun () ->
-              match p.p_strategy with
-              | Auto when p.p_priced.estimates <> [] ->
-                  Ok (Rows (run_auto_estimates p.p_config cat t p.p_priced))
-              | s ->
-                  Ok
-                    (Rows
-                       (run_analyzed ~priced:p.p_priced p.p_config s cat t)))
+              Ok
+                (Rows
+                   (run_priced p.p_config p.p_priced p.p_strategy cat t)))
       | _ -> run_command p.p_config p.p_strategy cat p.p_cmd)
 
 let exec ?strategy ?guard cat sql =
@@ -983,13 +944,6 @@ let query_exn ?strategy cat sql =
   match query ?strategy cat sql with
   | Ok rel -> rel
   | Error m -> failwith m
-
-(* Higher layers (nra.server's plan cache) register a one-line status
-   note here; EXPLAIN COSTS appends it after the guard events so cache
-   hit/miss/invalidation counters surface without this library
-   depending on the serving layer. *)
-let explain_note : (unit -> string option) ref = ref (fun () -> None)
-let set_explain_note f = explain_note := f
 
 let explain cat sql =
   match Nra_planner.Analyze.analyze_string cat sql with
@@ -1054,21 +1008,22 @@ let rewrite_section rules priced =
         [ Nra_original; Nra_optimized; Nra_full ];
       Buffer.contents buf
 
+(* EXPLAIN COSTS renders what [price] left for Auto: the ranked
+   estimates, the pick's attempt guard and each NRA strategy's rewrite
+   trace. *)
 let explain_costs cat sql =
   match Nra_planner.Analyze.analyze_string cat sql with
   | Error m -> Error m
   | Ok t -> (
       try
         let cfg = !installed in
-        let env = Nra_stats.Cardinality.make_env cat t in
-        let report = Nra_stats.Cost.report env in
-        let priced = price_in cfg.rules env in
-        let auto_line =
-          match priced.estimates with
-          | [] -> ""
-          | best :: _ ->
-              let pick = of_cost_strategy best.Nra_stats.Cost.strategy in
-              if pick = Nra_optimized then
+        match price cfg Auto cat t with
+        | { estimates = []; _ } -> Error "no strategy could be priced"
+        | priced ->
+            let best = budget_pick priced.estimates in
+            let auto_line =
+              if of_cost_strategy best.Nra_stats.Cost.strategy = Nra_optimized
+              then
                 "auto guard: choice is the fallback strategy; runs \
                  unguarded\n"
               else
@@ -1078,52 +1033,21 @@ let explain_costs cat sql =
                   (auto_attempt_ms cfg best.Nra_stats.Cost.cost_ms)
                   cfg.auto_overrun cfg.auto_floor_ms
                   (strategy_to_string Nra_optimized)
-        in
-        let ev = Guard.events () in
-        let bp = Bufpool.stats () in
-        let storage_line =
-          Printf.sprintf
-            "storage (session): buffer pool %s; %d hit(s), %d miss(es), \
-             %d eviction(s), %d writeback(s); %d spilled partition(s) \
-             (%d page(s)); %d WAL record(s)\n"
-            (match Bufpool.frames () with
-            | Some f -> Printf.sprintf "%d frame(s)" f
-            | None -> "off")
-            bp.Bufpool.hits bp.Bufpool.misses bp.Bufpool.evictions
-            bp.Bufpool.writebacks bp.Bufpool.spilled_partitions
-            bp.Bufpool.spilled_pages (Wal.records ())
-        in
-        let gv = Governor.stats () in
-        let governor_line =
-          Printf.sprintf
-            "memory governor (session): %d staged intermediate(s) (%d \
-             row(s)), high-water %d byte(s), %d spilled staging(s) (%d \
-             row(s)), largest resident staging %d page(s); spill volume \
-             %d KB\n"
-            gv.Governor.stagings gv.Governor.staged_rows
-            gv.Governor.high_water_bytes gv.Governor.spilled_stagings
-            gv.Governor.spilled_rows gv.Governor.max_resident_pages
-            (int_of_float
-               (float_of_int bp.Bufpool.spilled_pages
-               *. (Iosim.config ()).Iosim.page_size_kb))
-        in
-        let note =
-          match !explain_note () with
-          | Some line -> "\n" ^ line
-          | None -> ""
-        in
-        Ok
-          (Printf.sprintf
-             "%s\n%s%s%s%sguard events (session): %d budget kill(s), %d \
-              cancellation(s), %d auto fallback(s)%s"
-             report auto_line (rewrite_section cfg.rules priced) storage_line
-             governor_line ev.Guard.budget_kills ev.Guard.cancellations
-             ev.Guard.auto_fallbacks note)
+            in
+            Ok
+              (Nra_stats.Cost.report
+                 (Nra_stats.Cardinality.make_env cat t)
+                 priced.estimates
+              ^ "\n" ^ auto_line
+              ^ rewrite_section cfg.rules priced)
       with e -> Error (Printexc.to_string e))
 
 let auto_choice cat sql =
   match Nra_planner.Analyze.analyze_string cat sql with
   | Error m -> Error m
-  | Ok t -> Ok (auto_pick cat t)
+  | Ok t -> (
+      match (price !installed Auto cat t).estimates with
+      | [] | (exception _) -> Ok Nra_optimized
+      | es -> Ok (of_cost_strategy (budget_pick es).Nra_stats.Cost.strategy))
 
 let prepared_footprint p = p.p_footprint

@@ -274,13 +274,13 @@ val run :
 
 type prepared
 (** A statement carried past its per-execution costs: parsed, and — for
-    a plain SELECT — analyzed into the block tree and priced: [Auto]'s
-    estimates and every NRA strategy's rewrite, or an NRA-family
-    strategy's one rewrite.  The [nra.server] plan cache stores these
-    keyed on (normalized text, strategy) and stamped with the catalog
-    generation, so repeated statements skip parse/plan/estimate/rewrite.
-    A preparation keeps the config it was made under, and runs under
-    it. *)
+    a plain SELECT — analyzed into the block tree and priced as a
+    one-shot statement is: [Auto]'s estimates and every NRA strategy's
+    rewrite, or an NRA-family strategy's one rewrite.  The [nra.server]
+    plan cache stores these keyed on (normalized text, strategy) and
+    stamped with the catalog generation, so repeated statements skip
+    parse/plan/estimate/rewrite.  A preparation keeps the config it was
+    made under, and runs under it. *)
 
 val prepare :
   ?config:Engine_config.t ->
@@ -288,10 +288,12 @@ val prepare :
   Catalog.t ->
   string ->
   (prepared, Exec_error.t) result
-(** Parse [sql]; analyze it when it is a plain SELECT, and price it:
-    when [strategy] is [Auto], every strategy and every NRA strategy's
-    rewrite once, in one cardinality context; when it is an NRA-family
-    strategy, that strategy's rewrite.  Rules and Auto's guard come from
+(** Parse [sql]; analyze it when it is a plain SELECT, and price it
+    once, as {!run} does before it executes: when [strategy] is [Auto],
+    every strategy and every NRA strategy's rewrite, in one cardinality
+    context (its fallback [Nra_optimized]'s rewrite alone when that
+    fails); when it is an NRA-family strategy, that strategy's rewrite
+    ([Hybrid]: [Nra_full]'s).  Rules and Auto's guard come from
     [config] (default: the installed one, {!config}).  Set
     operations, WITH and DML prepare to their parsed command only
     (execution analyzes per component, as {!run} does). *)
@@ -307,10 +309,11 @@ val run_prepared :
   prepared ->
   (exec_result, Exec_error.t) result
 (** Execute without re-parsing, re-analyzing, re-estimating or
-    re-rewriting.  An [Auto] preparation replays its stored estimates
-    through the same budget-aware pick and kill-and-fallback protocol
-    as {!run}, and the pick and the fallback run the rewrites they were
-    priced with; the pick still consults [Guard.remaining ()] at
+    re-rewriting, through the runner {!run} uses: every strategy runs
+    the rewrite it was priced with, and an [Auto] preparation replays
+    its stored estimates through the same budget-aware pick and
+    kill-and-fallback protocol ([Nra_optimized] when it holds none).
+    The pick still consults [Guard.remaining ()] at
     {e execution} time, so a cached plan adapts to the caller's current
     budget.  The caller is responsible for staleness: a prepared
     statement must not outlive a change to its catalog, indexes or
@@ -334,15 +337,11 @@ val explain : Catalog.t -> string -> (string, string) result
     would pick per subquery. *)
 
 val explain_costs : Catalog.t -> string -> (string, string) result
-(** The [EXPLAIN COSTS] report: every strategy's estimated I/O cost
-    (cheapest first) and the strategy [Auto] would run.  See
-    {!Stats.Cost.report}. *)
-
-val set_explain_note : (unit -> string option) -> unit
-(** Register a one-line status source appended to {!explain_costs}
-    after the guard events.  The serving layer uses this to surface
-    plan-cache hit/miss/invalidation counters without this library
-    depending on it. *)
+(** The [EXPLAIN COSTS] report of the installed config's pricing of the
+    statement for [Auto], the list {!estimates_with_rewrites} gives:
+    every strategy's estimate (cheapest first, {!Stats.Cost.report}),
+    the strategy [Auto] runs, its attempt guard, and each NRA
+    strategy's rewrite trace. *)
 
 val auto_choice : Catalog.t -> string -> (strategy, string) result
 (** The strategy [Auto] would run for this query — exposed so
@@ -373,10 +372,12 @@ val rewrite_for :
 
 val estimates_with_rewrites :
   Catalog.t -> Nra_planner.Analyze.t -> Nra_stats.Cost.estimate list
-(** {!Stats.Cost.estimates} with each NRA strategy's estimate adjusted
-    by its rewrite's estimated delta and re-ranked — the estimate list
-    [Auto] actually picks over.  The estimates and the rewrites share
-    one cardinality context and one lifted plan per NRA strategy. *)
+(** The estimate list [Auto] picks over under the installed config,
+    cheapest first ([[]] when it could not be priced): each strategy's
+    {!Stats.Cost.estimate_in}, an NRA strategy's priced by the walk of
+    the plan it runs — its rewrite when the cost gate fired, else its
+    lifted plan.  The estimates and the rewrites share one cardinality
+    context and one lifted plan per NRA strategy. *)
 
 (** {1 Statement footprints} *)
 

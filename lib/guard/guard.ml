@@ -181,16 +181,6 @@ let sample_clocks () =
   wall_now.ms <- Unix.gettimeofday ();
   Nra_storage.Iosim.sample_ms io_now
 
-(* A slice boundary that no switch follows: fold the running slice into
-   every scope at one clock reading, as [save_ctx] then [restore_ctx]
-   would, but leave the stack attached *)
-let fold_in_place () =
-  match !stack with
-  | [] -> ()
-  | scopes ->
-      sample_clocks ();
-      fold_slices scopes
-
 (* With no scope and no ledger installed (the host around a slice, a
    task that runs unbudgeted) there is nothing to detach: the shared
    [empty_ctx] stands for it. *)

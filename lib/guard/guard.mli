@@ -132,8 +132,8 @@ val absorb : ticks:int -> rows:int -> unit
     {!add_rows} call the registered {e yield hook} after their budget
     checks, and the hook — which lives in the scheduler, where the
     effect handler is — decides whether the task's quantum has expired
-    and suspends it (or, with no task to switch to, starts the next
-    slice in place through {!fold_in_place}).  Because a task is
+    and suspends it (or, with no task to switch to, lets it run on in
+    place, its scopes still attached and measuring).  Because a task is
     descheduled mid-statement, its budget scopes cannot measure
     consumption against fixed start marks: {!save_ctx} folds the
     running slice into each scope's accumulator and detaches the scope
@@ -177,13 +177,6 @@ val save_ctx : unit -> ctx
 val restore_ctx : ctx -> unit
 (** Reattach a detached context and rebase its slices to "now" on both
     clocks.  Called when a task is scheduled in. *)
-
-val fold_in_place : unit -> unit
-(** Fold the running slice into every active scope at one reading of
-    both clocks and start the next slice there, leaving the stack
-    attached: the accounting of {!save_ctx} then {!restore_ctx}, with
-    nothing detached and nothing allocated.  Called by the scheduler at
-    a slice boundary that no switch follows. *)
 
 val recheck : unit -> unit
 (** An immediate, unconditional check of {e every} limit of the active

@@ -26,11 +26,9 @@ type t = {
   mutable st : stats;
 }
 
-(* Aggregate across all caches, for the [explain --costs] note. *)
-let global : stats ref = ref zero_stats
-
 let bump ?(hits = 0) ?(misses = 0) ?(invalidations = 0) ?(evictions = 0) t =
-  let add s =
+  let s = t.st in
+  t.st <-
     {
       s with
       hits = s.hits + hits;
@@ -38,9 +36,6 @@ let bump ?(hits = 0) ?(misses = 0) ?(invalidations = 0) ?(evictions = 0) t =
       invalidations = s.invalidations + invalidations;
       evictions = s.evictions + evictions;
     }
-  in
-  t.st <- add t.st;
-  global := add !global
 
 let create ?(capacity = 128) ~config cat =
   { capacity = Int.max 1 capacity; cat; config; tbl = Hashtbl.create 64;
@@ -153,15 +148,3 @@ let pp_stats ppf s =
     s.misses
     (if s.misses = 1 then "" else "es")
     (rate *. 100.0) s.invalidations s.evictions s.entries
-
-let note () =
-  let s = !global in
-  let looked = s.hits + s.misses in
-  if looked = 0 then None
-  else
-    Some
-      (Printf.sprintf
-         "plan cache: %d/%d hits (%.0f%%), %d invalidated, %d evicted" s.hits
-         looked
-         (float_of_int s.hits /. float_of_int looked *. 100.0)
-         s.invalidations s.evictions)

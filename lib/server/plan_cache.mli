@@ -24,9 +24,8 @@
     through uncached — caching them would be self-defeating, since they
     invalidate the generation they would be keyed on.
 
-    Eviction is LRU with a fixed capacity.  Counters (hits, misses,
-    invalidations, evictions) feed [explain --costs] via
-    {!Nra.set_explain_note} and the bench report. *)
+    Eviction is LRU with a fixed capacity.  Each cache counts its own
+    hits, misses, invalidations and evictions ({!stats}). *)
 
 type t
 
@@ -62,8 +61,3 @@ type stats = {
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
-
-val note : unit -> string option
-(** The [explain --costs] status line aggregated over every cache
-    created so far, or [None] when no lookups have happened — wired
-    into the core facade via {!Nra.set_explain_note}. *)

@@ -140,13 +140,14 @@ let rec other_first t tk = function
 (* A quantum expiry suspends the task only when a switch could follow:
    a chooser decides every switch, [advance_to] returns once the clock
    reaches its target, or another runnable task comes first in [pick]'s
-   order.  With none of these, the boundary runs in place, with exactly
-   the accounting of a yield/resume pair — the clock synced, the task's
-   guard scopes folded, the slice counted and the slice start
-   re-sampled — and no continuation. *)
+   order.  With none of these, the boundary runs in place, with the
+   accounting of a yield/resume pair — the clock synced, the slice
+   counted and the slice start re-sampled — and no continuation.  The
+   task's guard scopes stay attached: no other task runs before the
+   next slice, so they measure on from their own bases, and the next
+   suspension folds both slices at once. *)
 let boundary t tk =
   sync t;
-  Guard.fold_in_place ();
   t.seq <- t.seq + 1;
   tk.last_run <- t.seq;
   t.n_slices <- t.n_slices + 1;

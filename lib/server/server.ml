@@ -65,13 +65,7 @@ type t = {
   mutable global_locks : int;
 }
 
-let hook_registered = ref false
-
 let create ?(config = default_config) cat =
-  if not !hook_registered then begin
-    Nra.set_explain_note Plan_cache.note;
-    hook_registered := true
-  end;
   (* a WAL left torn by a crash is repaired before the first statement
      is admitted, so every session starts from a consistent catalog *)
   (match Nra.Wal.recover_if_needed cat with

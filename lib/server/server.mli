@@ -49,9 +49,7 @@ type t
 val create : ?config:config -> Nra.Catalog.t -> t
 (** Snapshots the installed engine config ({!Nra.config}, after
     [domains] is applied): the server's plan cache prepares, and its
-    statements run, under that snapshot whatever is installed later.
-    Also registers the plan cache's [explain --costs] note hook
-    ({!Nra.set_explain_note}) — idempotent. *)
+    statements run, under that snapshot whatever is installed later. *)
 
 val cache : t -> Plan_cache.t
 

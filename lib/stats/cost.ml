@@ -301,9 +301,6 @@ let compare a b =
   | 0 -> Int.compare (preference a.strategy) (preference b.strategy)
   | n -> n
 
-let estimates env =
-  List.stable_sort compare (List.map (fun s -> estimate_in env s) all)
-
 (* ---------- budget-aware selection ---------- *)
 
 (* [fetched_rows] doubles as the intermediate-row proxy: the NRA
@@ -331,9 +328,8 @@ let analyzed_tables cat (t : A.t) =
     (List.filter_map (fun (_, bd) -> bd.A.source) t.A.by_uid)
   |> List.map (fun name -> (name, Catalog.stats cat name <> None))
 
-let report env =
+let report env es =
   let cat = C.catalog env and t = C.analysis env in
-  let es = estimates env in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf "%-14s %12s %12s %12s %12s\n" "strategy" "est(ms)"

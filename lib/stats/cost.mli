@@ -95,17 +95,13 @@ val breakdown : tally -> breakdown
     breakdown when the plan is its lifted one. *)
 
 val estimate_in : Cardinality.env -> ?walk:breakdown -> strategy -> estimate
-(** One strategy's estimate in the context; an NRA strategy given
-    [walk], which must be the {!breakdown} of the walk of [Plan.lift
-    ~base:(nra_base s)] of the statement, takes it instead of lifting and
-    walking its plan. *)
+(** One strategy's estimate in the context.  An NRA strategy given
+    [walk], the {!breakdown} of the walk of the plan the strategy runs
+    (its rewrite, or [Plan.lift ~base:(nra_base s)] of the statement),
+    takes it; without it, the strategy lifts and walks its plan. *)
 
 val compare : estimate -> estimate -> int
 (** Cheaper first, ties in preference order. *)
-
-val estimates : Cardinality.env -> estimate list
-(** All six for the context's statement, sorted by {!compare}, priced
-    in that one context. *)
 
 val pick :
   remaining_io_ms:float option -> remaining_rows:int option ->
@@ -121,7 +117,8 @@ val pick :
     plans toward scan-shaped ones even when the latter price higher.
     @raise Invalid_argument on an empty list. *)
 
-val report : Cardinality.env -> string
-(** The EXPLAIN COSTS table for the context's statement: per-strategy
-    breakdowns and the choice, with a note when some table lacks fresh
-    statistics. *)
+val report : Cardinality.env -> estimate list -> string
+(** The EXPLAIN COSTS table of the context's statement over a
+    cheapest-first, non-empty estimate list: each estimate's breakdown
+    and the first one as the choice, with a note when some table lacks
+    fresh statistics. *)

@@ -226,12 +226,18 @@ let io_after f =
       c1.Nra.Iosim.rand_pages - c0.Nra.Iosim.rand_pages,
       c1.Nra.Iosim.fetched_rows - c0.Nra.Iosim.fetched_rows ) )
 
+(* the two corpora's catalogs, ANALYZEd *)
+let analyzed cat =
+  ignore (Nra.exec cat "analyze");
+  cat
+
+let tpch_analyzed () =
+  analyzed
+    (Nra.Tpch.Gen.generate
+       { Nra.Tpch.Gen.default with Nra.Tpch.Gen.scale = 0.01 })
+
 let test_prepared_runs_priced () =
   reset ();
-  let analyzed cat =
-    ignore (Nra.exec cat "analyze");
-    cat
-  in
   let rows = function
     | Ok (Nra.Rows rel) -> Relation.rows rel
     | Ok _ -> Alcotest.fail "expected rows"
@@ -253,15 +259,83 @@ let test_prepared_runs_priced () =
         done
   in
   let emp_dept = analyzed (emp_dept_catalog ()) in
-  let tpch =
-    analyzed (Nra.Tpch.Gen.generate { Nra.Tpch.Gen.default with Nra.Tpch.Gen.scale = 0.01 })
-  in
+  let tpch = tpch_analyzed () in
   List.iter
     (fun rules ->
       Nra.set_rewrite_rules rules;
       List.iter (check emp_dept) subquery_corpus;
       List.iter (check tpch) tpch_plan_corpus)
     [ []; Cfg.all ];
+  reset ()
+
+(* ---------- the plan priced is the plan run ----------
+
+   Over the same corpora, both ANALYZEd, under every rule: each NRA
+   estimate Auto ranks is the walk of the plan that strategy runs (its
+   fired rewrite, else its lift); every estimate pays at least one
+   sequential page; EXPLAIN COSTS names the strategy Auto runs; and
+   Auto, running on what it priced, never needs its fallback. *)
+
+let avg_q1_ja =
+  "select o_orderkey from orders where o_totalprice > (select \
+   avg(l_extendedprice) from lineitem where l_orderkey = o_orderkey)"
+
+let test_priced_is_run () =
+  reset ();
+  Nra.set_rewrite_rules Cfg.all;
+  let module Cost = Nra.Stats.Cost in
+  let selects =
+    List.filter (fun sql ->
+        match Nra.Sql.Parser.parse_command sql with
+        | Nra.Sql.Ast.Cmd_query (Nra.Sql.Ast.Select _) -> true
+        | _ -> false)
+  in
+  let check cat sql =
+    let t = analyze cat sql in
+    let es = Nra.estimates_with_rewrites cat t in
+    Alcotest.(check int) (sql ^ ": every strategy priced") 6 (List.length es);
+    List.iter
+      (fun (e : Cost.estimate) ->
+        let what =
+          Printf.sprintf "%s (%s)" sql (Cost.to_string e.Cost.strategy)
+        in
+        Alcotest.(check bool) ("scans a page: " ^ what) true
+          (e.Cost.breakdown.Cost.seq_pages >= 1.0);
+        match Cost.nra_base e.Cost.strategy with
+        | None -> ()
+        | Some base ->
+            let runs =
+              match Nra.rewrite_for cat t base with
+              | Some r -> r.Rw.dirs
+              | None -> Plan.lift ~base t
+            in
+            let env = Nra.Stats.Cardinality.make_env cat t in
+            let walk = Rw.walk (Rw.context env) runs in
+            Alcotest.(check bool) ("priced by its run's walk: " ^ what) true
+              (Cost.estimate_in env ~walk e.Cost.strategy = e))
+      es;
+    let choice =
+      match Nra.auto_choice cat sql with
+      | Ok s -> Nra.strategy_to_string s
+      | Error m -> Alcotest.fail m
+    in
+    (match Nra.explain_costs cat sql with
+    | Error m -> Alcotest.fail m
+    | Ok report ->
+        Alcotest.(check (list string)) (sql ^ ": explain names the pick")
+          [ "auto picks: " ^ choice ]
+          (List.filter
+             (fun l -> String.starts_with ~prefix:"auto picks:" l)
+             (String.split_on_char '\n' report)));
+    let before = (Guard.events ()).Guard.auto_fallbacks in
+    (match Nra.run ~strategy:Nra.Auto cat sql with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Nra.Exec_error.to_string e));
+    Alcotest.(check int) (sql ^ ": no auto fallback") before
+      (Guard.events ()).Guard.auto_fallbacks
+  in
+  List.iter (check (analyzed (emp_dept_catalog ()))) (selects subquery_corpus);
+  List.iter (check (tpch_analyzed ())) (avg_q1_ja :: tpch_plan_corpus);
   reset ()
 
 (* ---------- the executor runs the plan as given ----------
@@ -569,6 +643,8 @@ let () =
             test_prepared_runs_priced;
           Alcotest.test_case "prepare stays under its floor"
             `Quick test_prepare_floors;
+          Alcotest.test_case "the plan priced is the plan run" `Quick
+            test_priced_is_run;
         ] );
       ( "identity",
         [ Alcotest.test_case "rewritten = unrewritten" `Slow
