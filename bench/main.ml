@@ -2,8 +2,8 @@
    Section 5 (Figures 4–9 plus the in-text nest/linking-selection cost
    table, reported here as "Figure 10"), the type-JA sweep, the
    robustness pseudo-figure, the Section 4.2 ablations and the rewrite
-   on/off sweep.  Every figure and rewrite sweep point lands in
-   BENCH_subqueries.json.
+   on/off sweep.  Every figure point lands in BENCH_subqueries.json,
+   and every rewrite sweep point in BENCH_rewrite.json.
 
    Usage:
      dune exec bench/main.exe                 # everything
@@ -118,7 +118,7 @@ let outer_block_size cat sql =
       let rel = Nra.Exec.Frame.block_relation t.Nra.Planner.Analyze.root in
       Nra.Relation.cardinality rel
 
-(* machine-readable record of every sweep point, dumped as
+(* machine-readable record of every figure point, dumped as
    BENCH_subqueries.json at the end of the run *)
 type point = {
   fig : string;
@@ -160,63 +160,57 @@ let json_string s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
-let emit_json path =
+(* one JSON file: [scale] and one array of entries under [key] *)
+let emit_file path key entries =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    (Printf.sprintf "{\n  \"scale\": %g,\n  \"points\": [\n" !scale);
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"figure\": %s, \"outer\": %d, \"result_rows\": %d, \
-            \"auto_pick\": %s, \"strategies\": ["
-           (json_string p.fig) p.outer p.result_rows
-           (json_string p.auto_pick));
-      List.iteri
-        (fun j (name, c) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf
-            (Printf.sprintf "{\"name\": %s, \"cpu_s\": %.6f, \"sim_s\": %.4f}"
-               (json_string name) c.cpu c.sim))
-        p.runs;
-      Buffer.add_string buf "]}")
-    (List.rev !points);
-  Buffer.add_string buf "\n  ]";
-  if !rewrite_points <> [] then begin
-    Buffer.add_string buf ",\n  \"rewrite_sweep\": [\n";
-    List.iteri
-      (fun i p ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf
-          (Printf.sprintf "    {\"figure\": %s, \"outer\": %d, \
-                           \"strategies\": ["
-             (json_string p.rwp_fig) p.rwp_outer);
-        List.iteri
-          (fun j r ->
-            if j > 0 then Buffer.add_string buf ", ";
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "{\"name\": %s, \"rewrite_fired\": %b, \"pick_off\": %s, \
-                  \"pick_on\": %s, \"off_cpu_s\": %.6f, \"off_sim_s\": \
-                  %.4f, \"on_cpu_s\": %.6f, \"on_sim_s\": %.4f, \
-                  \"improved\": %b}"
-                 (json_string r.rw_name) r.fired (json_string r.pick_off)
-                 (json_string r.pick_on) r.off.cpu r.off.sim r.on.cpu
-                 r.on.sim
-                 (r.on.sim < r.off.sim)))
-          p.rwp_runs;
-        Buffer.add_string buf "]}")
-      (List.rev !rewrite_points);
-    Buffer.add_string buf "\n  ]"
-  end;
-  Buffer.add_string buf "\n}\n";
+    (Printf.sprintf "{\n  \"scale\": %g,\n  %s: [\n" !scale (json_string key));
+  Buffer.add_string buf (String.concat ",\n" entries);
+  Buffer.add_string buf "\n  ]\n}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;
-  Printf.printf "\nwrote %s (%d points, %d rewrite points)\n" path
-    (List.length !points)
-    (List.length !rewrite_points)
+  Printf.printf "\nwrote %s (%d %s)\n" path (List.length entries) key
+
+let emit_points path =
+  emit_file path "points"
+    (List.rev_map
+       (fun p ->
+         Printf.sprintf
+           "    {\"figure\": %s, \"outer\": %d, \"result_rows\": %d, \
+            \"auto_pick\": %s, \"strategies\": [%s]}"
+           (json_string p.fig) p.outer p.result_rows
+           (json_string p.auto_pick)
+           (String.concat ", "
+              (List.map
+                 (fun (name, c) ->
+                   Printf.sprintf
+                     "{\"name\": %s, \"cpu_s\": %.6f, \"sim_s\": %.4f}"
+                     (json_string name) c.cpu c.sim)
+                 p.runs)))
+       !points)
+
+let emit_rewrite_sweep path =
+  emit_file path "rewrite_sweep"
+    (List.rev_map
+       (fun p ->
+         Printf.sprintf
+           "    {\"figure\": %s, \"outer\": %d, \"strategies\": [%s]}"
+           (json_string p.rwp_fig) p.rwp_outer
+           (String.concat ", "
+              (List.map
+                 (fun r ->
+                   Printf.sprintf
+                     "{\"name\": %s, \"rewrite_fired\": %b, \"pick_off\": \
+                      %s, \"pick_on\": %s, \"off_cpu_s\": %.6f, \
+                      \"off_sim_s\": %.4f, \"on_cpu_s\": %.6f, \"on_sim_s\": \
+                      %.4f, \"improved\": %b}"
+                     (json_string r.rw_name) r.fired (json_string r.pick_off)
+                     (json_string r.pick_on) r.off.cpu r.off.sim r.on.cpu
+                     r.on.sim
+                     (r.on.sim < r.off.sim))
+                 p.rwp_runs)))
+       !rewrite_points)
 
 let sweep ~fig cat sqls =
   print_series_header ();
@@ -517,8 +511,7 @@ let robustness () =
    ran, and — for auto — which strategy it picked under each
    configuration.  This is the acceptance evidence that auto selects a
    rewritten plan with a measured improvement on a benched Figure 4
-   query; results land in the rewrite_sweep section of
-   BENCH_subqueries.json. *)
+   query; results land in BENCH_rewrite.json. *)
 
 let rewrite_sweep () =
   header "Rewrite sweep"
@@ -588,15 +581,13 @@ let rewrite_sweep () =
 (* ---------- main ---------- *)
 
 let () =
-  (* with explicit --figure selections the rewrite sweep composes with
-     them (one emit at the end records both); alone it keeps the old
-     sweep-and-exit behavior *)
+  (* the rewrite sweep writes its own file, so it never touches the
+     figure points; with explicit --figure selections those run after
+     it, alone it is all that runs *)
   if !run_rewrite_sweep then begin
     rewrite_sweep ();
-    if !selected_figures = [] then begin
-      emit_json "BENCH_subqueries.json";
-      exit 0
-    end
+    emit_rewrite_sweep "BENCH_rewrite.json";
+    if !selected_figures = [] then exit 0
   end;
   if wanted 4 then figure4 ();
   if wanted 5 then figure5 ();
@@ -608,5 +599,5 @@ let () =
   if wanted 11 then robustness ();
   if wanted 12 then figure_ja ();
   if !run_ablation && !selected_figures = [] then ablations ();
-  if !points <> [] then emit_json "BENCH_subqueries.json";
+  if !points <> [] then emit_points "BENCH_subqueries.json";
   print_newline ()

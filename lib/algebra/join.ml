@@ -99,10 +99,11 @@ let nested_loop kind ~on left right =
    The build side is one [Keyed] table over the right relation's rows,
    or the [m] of them a selection vector names, keyed on the right
    equi-columns with NULL keys unlinked; entry [j] is right row
-   [base t j].  The probe side is the left relation's rows or the [n]
-   of them a left selection names; left row [i] is [left t i], and the
-   offset vectors are indexed by [i].  A left row's candidates are the
-   entries [Keyed.first]/[next_equal] step to under its key, in build
+   [base t j].  The probe side is a [source] of [n] rows; each probing
+   domain reads them through a reader of its own ([t.reader ()]), so
+   left row [i] is [left i], and the offset vectors are indexed by
+   [i].  A left row's candidates are the entries
+   [Keyed.first]/[next_equal] step to under its key, in build
    order; a candidate matches when the residual holds on the
    concatenated pair.  With no equi-conjunct the key is empty, every
    entry lands in one chain, and the probe is the nested loop under
@@ -113,12 +114,13 @@ let nested_loop kind ~on left right =
    the table, and its workers write disjoint slices of buffers borrowed
    before it starts. *)
 
+type source = { count : int; arity : int; reader : unit -> int -> Row.t }
+
 type probe = {
   tbl : Keyed.t;
   sel : int array option;
   rpos : int array;
-  lrows : Row.t array;
-  lsel : int array option;
+  reader : unit -> int -> Row.t;
   n : int;
   lpos : int array;
   residual : Expr.pred;
@@ -128,11 +130,6 @@ type probe = {
 }
 
 let base t j = match t.sel with None -> j | Some s -> Array.unsafe_get s j
-
-let left t i =
-  match t.lsel with
-  | None -> t.lrows.(i)
-  | Some s -> t.lrows.(Array.unsafe_get s i)
 
 (* The residual is tested on one wide row per domain, reused: [bind]
    writes a left row into its left part once, and [seek] each
@@ -191,10 +188,10 @@ let rec push_from t w lrow j cur =
   end
 
 let probe_serial t ~off ~len cur =
-  let w = wide_row t in
+  let w = wide_row t and left = t.reader () in
   for i = 0 to t.n - 1 do
     Nra_guard.Guard.tick ();
-    let lrow = left t i in
+    let lrow = left i in
     off.(i) <- cur.fill;
     push_from t w lrow (first_match t w lrow) cur;
     len.(i) <- cur.fill - off.(i)
@@ -212,11 +209,11 @@ type span = { lo : int; hi : int; mutable at : int }
 let probe_parallel t ~off ~len cur =
   let spans =
     Pool.parallel_chunks ~n:t.n (fun ledger ~lo ~hi ->
-        let w = wide_row t in
+        let w = wide_row t and left = t.reader () in
         let total = ref 0 in
         for i = lo to hi - 1 do
           Pool.Ledger.tick ledger;
-          let lrow = left t i in
+          let lrow = left i in
           let j = first_match t w lrow in
           let c = count_from t w lrow j 0 in
           off.(i) <- j;
@@ -238,7 +235,7 @@ let probe_parallel t ~off ~len cur =
   ignore
     (Pool.parallel_chunks ~min_chunk:1 ~n:(Array.length spans)
        (fun _ledger ~lo ~hi ->
-         let w = wide_row t in
+         let w = wide_row t and left = t.reader () in
          for k = lo to hi - 1 do
            let s = spans.(k) in
            let at = ref s.at in
@@ -246,7 +243,7 @@ let probe_parallel t ~off ~len cur =
              let j = off.(i) in
              off.(i) <- !at;
              if j >= 0 then begin
-               let lrow = left t i in
+               let lrow = left i in
                bind t w lrow;
                fill_from t w lrow j dst !at;
                at := !at + len.(i)
@@ -295,8 +292,9 @@ let probe_grace t ~nparts ~off ~len cur =
      (-1 for a NULL key) until the probe pass reads it, and the sizes
      make the left spills slices of one borrowed buffer *)
   let lsize = Array.make nparts 0 in
+  let left = t.reader () in
   for i = 0 to t.n - 1 do
-    let p = part t.lpos (left t i) in
+    let p = part t.lpos (left i) in
     len.(i) <- p;
     if p >= 0 then lsize.(p) <- lsize.(p) + 1
   done;
@@ -329,7 +327,7 @@ let probe_grace t ~nparts ~off ~len cur =
   let w = wide_row t in
   for i = 0 to t.n - 1 do
     Nra_guard.Guard.tick ();
-    let lrow = left t i and p = len.(i) in
+    let lrow = left i and p = len.(i) in
     off.(i) <- cur.fill;
     len.(i) <- 0;
     if p = 0 then begin
@@ -344,12 +342,12 @@ let probe_grace t ~nparts ~off ~len cur =
   ignore
     (Pool.parallel_chunks ~min_chunk:1 ~n:(nparts - 1)
        (fun ledger ~lo ~hi ->
-         let w = wide_row t in
+         let w = wide_row t and left = t.reader () in
          for k = lo to hi - 1 do
            Pool.Ledger.tick ledger;
            B.Spill.iter_raw lspills.(k) (fun i ->
                Pool.Ledger.tick ledger;
-               let lrow = left t i in
+               let lrow = left i in
                let j = first_match t w lrow in
                off.(i) <- j;
                let c = count_from t w lrow j 0 in
@@ -368,14 +366,14 @@ let probe_grace t ~nparts ~off ~len cur =
   ignore
     (Pool.parallel_chunks ~min_chunk:1 ~n:(nparts - 1)
        (fun ledger ~lo ~hi ->
-         let w = wide_row t in
+         let w = wide_row t and left = t.reader () in
          for k = lo to hi - 1 do
            let at = ref start.(k + 1) in
            B.Spill.iter_raw lspills.(k) (fun i ->
                let j = off.(i) in
                off.(i) <- !at;
                if j >= 0 then begin
-                 let lrow = left t i in
+                 let lrow = left i in
                  bind t w lrow;
                  fill_from t w lrow j dst !at;
                  at := !at + len.(i)
@@ -412,16 +410,10 @@ let probe_cartesian ~m ~sel ~n ~off ~len cur =
       point ~lo:i ~hi:(i + 1)
     done
 
-let with_matches ~on ?left_sel ?sel left right f =
-  let left_arity = Schema.arity (Relation.schema left) in
+let with_matches_of ~on ?sel (source : source) right f =
+  let left_arity = source.arity and n = source.count in
   let equi, residual = Expr.split_equi ~left_arity on in
-  let lrows = Relation.rows left in
   let rows = Relation.rows right in
-  let lsel, n =
-    match left_sel with
-    | Some (s, count) -> (Some s, count)
-    | None -> (None, Array.length lrows)
-  in
   let m = match sel with Some (_, count) -> count | None -> Array.length rows in
   Scratch.with_ints n @@ fun off ->
   Scratch.with_ints n @@ fun len ->
@@ -445,8 +437,7 @@ let with_matches ~on ?left_sel ?sel left right f =
         tbl;
         sel = Option.map fst sel;
         rpos;
-        lrows;
-        lsel;
+        reader = source.reader;
         n;
         lpos = Array.of_list (List.map fst equi);
         residual = (if equi = [] then on else Expr.conj residual);
@@ -469,6 +460,22 @@ let with_matches ~on ?left_sel ?sel left right f =
         else probe_serial t ~off ~len cur
   end;
   f { off; len; pos = cur.buf }
+
+(* a stored relation's rows, or the [count] of them a selection names,
+   read in place: every domain shares one reader *)
+let relation_source ?left_sel rel =
+  let rows = Relation.rows rel in
+  let arity = Schema.arity (Relation.schema rel) in
+  match left_sel with
+  | None ->
+      let get i = rows.(i) in
+      { count = Array.length rows; arity; reader = (fun () -> get) }
+  | Some (s, count) ->
+      let get i = rows.(Array.unsafe_get s i) in
+      { count; arity; reader = (fun () -> get) }
+
+let with_matches ~on ?left_sel ?sel left right f =
+  with_matches_of ~on ?sel (relation_source ?left_sel left) right f
 
 let join kind ~on left right =
   with_matches ~on left right (emit_all kind left right)

@@ -56,6 +56,28 @@ val with_matches :
     extent of [f] and returned however [f] ends: [f] must not keep
     them. *)
 
+type source = {
+  count : int;
+  arity : int;
+  reader : unit -> int -> Row.t;
+      (** one probing domain's view of the rows: [reader ()] is called
+          once per domain (the serial probe, each parallel chunk, each
+          grace pass), and the function it returns gives row [i], for
+          [i < count].  It may hand back a buffer of its own, which its
+          next call overwrites: the probe reads a row only until it
+          reads the next. *)
+}
+(** A probe side whose rows need not be stored: the NRA executor's wide
+    frame kept as position pairs loads each pair's columns into one
+    row buffer per domain. *)
+
+val with_matches_of :
+  on:Expr.pred -> ?sel:int array * int -> source -> Relation.t ->
+  (matches -> 'a) -> 'a
+(** [with_matches] over a {!source}: the same variants, charges,
+    checkpoints and vectors, with left row [i] read through the
+    source. *)
+
 val nested_loop : kind -> on:Expr.pred -> Relation.t -> Relation.t ->
   Relation.t
 (** Reference implementation, a plain nested loop independent of

@@ -16,10 +16,13 @@
       consecutive nests — an upper level's nesting attributes are a
       prefix of the level below, and outer joins preserve the left
       order, so re-sorts are skipped) and the linking selection
-      evaluated during the group scan, in a single pass.  At a site
-      whose wide frame feeds no grandchild, the nest groups the join's
-      per-outer-row match ranges as the probe emits them (the fused
-      probe–nest–select), so the wide product is never materialized;
+      evaluated during the group scan, in a single pass.  The wide
+      product is never materialized: at a site whose wide frame feeds
+      no grandchild, the nest groups the join's per-outer-row match
+      ranges as the probe emits them (the fused probe–nest–select), and
+      a site whose wide frame feeds its child's sites keeps it as
+      position pairs (outer row, child row), which those sites read in
+      place and the nest groups by outer row;
     - {b bottom-up for linear correlation} (§4.2.3): a self-contained
       subquery is reduced standalone so only qualifying tuples join
       upward;
@@ -64,10 +67,11 @@ type stats = {
           cost the paper reports separately *)
   mutable join_seconds : float;  (** time in outer joins: build + probe *)
   mutable fused_sites : int;
-      (** sites evaluated by the fused probe–nest–select: pipelined
-          sites whose wide frame feeds no grandchild, which group the
-          join's match ranges directly instead of materializing,
-          staging and sorting the wide product *)
+      (** pipelined sites that build no wide row: a leaf site's fused
+          probe–nest–select groups the join's match ranges directly,
+          and a site whose wide frame feeds its child's sites keeps that
+          frame as position pairs, instead of materializing, staging and
+          sorting the wide product *)
 }
 
 val run_where :

@@ -31,17 +31,6 @@ let nest_sort ~by ~keep rel =
   done;
   { key_schema; elem_schema; groups = Array.of_list (List.rev !groups) }
 
-let cardinality t = Array.length t.groups
-
-let unnest t =
-  let schema = Schema.append t.key_schema t.elem_schema in
-  let out = ref [] in
-  Array.iter
-    (fun (key, elems) ->
-      Array.iter (fun e -> out := Row.concat key e :: !out) elems)
-    t.groups;
-  Relation.of_rows schema (List.rev !out)
-
 type mode = Discard | Pad of int array
 
 let padded pad key =

@@ -30,11 +30,6 @@ type t = {
 val nest_sort : by:int array -> keep:int array -> Relation.t -> t
 (** Groups appear in key order. *)
 
-val cardinality : t -> int
-
-val unnest : t -> Relation.t
-(** Flatten back (groups with no elements vanish). *)
-
 (** {1 Linking selections — Definition 5}
 
     [select] returns a {e flat} relation over [key_schema]: the paper's
@@ -56,10 +51,6 @@ type mode =
 val padded : int array -> Row.t -> Row.t
 (** [padded pad key] is a copy of [key] with the [pad] positions
     NULL. *)
-
-val emit : mode -> Three_valued.t -> Row.t -> Row.t list -> Row.t list
-(** [emit mode verdict key out] conses the key a group of this verdict
-    contributes under [mode], if any, onto [out]. *)
 
 val select : mode -> Link_pred.t -> marker:int option -> t -> Relation.t
 (** One pass of the predicate's {!Link_pred.fold} per group, in group

@@ -111,9 +111,3 @@ let outer_free = function
 let verdict f ~outer =
   f.x <- outer_value f.pred outer;
   finish f
-
-let eval p ~outer ~elems =
-  let f = fold p in
-  start f ~outer;
-  List.iter (step_elem f ~marker:None) elems;
-  finish f

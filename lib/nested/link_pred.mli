@@ -97,7 +97,3 @@ val clear : fold -> unit
 val verdict : fold -> outer:Row.t -> Three_valued.t
 (** Decide the set stepped so far against [outer], leaving it as it is.
     Only meaningful when [outer_free]. *)
-
-val eval : t -> outer:Row.t -> elems:Row.t list -> Three_valued.t
-(** The fold over a list.  [elems] must already have marker-null
-    padding elements removed. *)

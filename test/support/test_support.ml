@@ -9,6 +9,10 @@ module Reference_eval = Reference_eval
 (* ANALYZE's original boxed collector, the reference for Col_stats *)
 module Reference_stats = Reference_stats
 
+(* random three-table queries and catalogs, for the differential
+   suites *)
+module Random_sql = Random_sql
+
 (* ---------- the engine configuration ----------
 
    Every suite starts under the config the NRA_* environment names (how
@@ -37,6 +41,30 @@ let vf f = Value.Float f
 let vs s = Value.String s
 let vnull = Value.Null
 let col = Schema.column
+
+(* ---------- nested relations and linking predicates ----------
+
+   What the tests read off the engine's one nested model: a linking
+   predicate's verdict over a list of element rows (one pass of
+   {!Nested.Link_pred.fold}), and a [Grouped.t]'s group count and
+   flattening, from its public fields. *)
+
+let link_eval pred ~outer ~elems =
+  let f = Nested.Link_pred.fold pred in
+  Nested.Link_pred.start f ~outer;
+  List.iter (Nested.Link_pred.step_elem f ~marker:None) elems;
+  Nested.Link_pred.finish f
+
+let group_count (g : Nested.Grouped.t) = Array.length g.Nested.Grouped.groups
+
+(* groups with no elements vanish *)
+let unnest (g : Nested.Grouped.t) =
+  Relation.of_rows
+    (Schema.append g.Nested.Grouped.key_schema g.Nested.Grouped.elem_schema)
+    (List.concat_map
+       (fun (key, elems) ->
+         List.map (fun e -> Row.concat key e) (Array.to_list elems))
+       (Array.to_list g.Nested.Grouped.groups))
 
 (* ---------- the paper's Figure 1 base relations ----------
 
@@ -305,8 +333,31 @@ let run_all ?(strategies = all_strategies) cat sql =
       | Error m -> (Nra.strategy_to_string s, Error m))
     strategies
 
-let check_equivalent ?strategies cat sql =
-  match run_all ?strategies cat sql with
+(* Every strategy returns the first one's relation, as a bag; with
+   [~reference:true], every strategy's rows are also the reference
+   evaluator's, as sorted CSV. *)
+let check_equivalent ?strategies ?(reference = false) cat sql =
+  let results = run_all ?strategies cat sql in
+  if reference then begin
+    let expected =
+      match Reference_eval.sorted_csv cat sql with
+      | Ok csv -> csv
+      | Error m -> Alcotest.failf "reference evaluator on %s: %s" sql m
+    in
+    List.iter
+      (fun (name, res) ->
+        match res with
+        | Error m -> Alcotest.failf "%s failed on %s: %s" name sql m
+        | Ok rel ->
+            let got = Reference_eval.relation_csv rel in
+            if got <> expected then
+              Alcotest.failf
+                "%s disagrees with the reference evaluator on:\n%s\n\
+                 reference:\n%s\n%s:\n%s"
+                name sql expected name got)
+      results
+  end;
+  match results with
   | [] -> Alcotest.fail "no strategies"
   | (ref_name, ref_res) :: rest ->
       let ref_rel =

@@ -69,145 +69,49 @@ let test_corpus_against_hand_results () =
        (fun row -> [ Value.to_string row.(0) ])
        (Relation.sorted_rows rel))
 
-(* ---------- randomized skeleton queries ---------- *)
-
-let cmp_syms = [| "="; "<>"; "<"; "<="; ">"; ">=" |]
-let quants = [| "any"; "all" |]
-
-type rand_cfg = {
-  null_rate : float;
-  rows_r : int;
-  rows_s : int;
-  rows_t : int;
-}
-
-let random_catalog rng cfg =
-  let v_opt bound =
-    if Tpch.Prng.bool rng cfg.null_rate then vnull
-    else vi (Tpch.Prng.int rng (max 1 bound))
-  in
-  let cat = Catalog.create () in
-  Catalog.register cat
-    (Table.create ~name:"rr" ~key:[ "rid" ]
-       [
-         Schema.column "rid" Ttype.Int;
-         Schema.column "a" Ttype.Int;
-         Schema.column "b" Ttype.Int;
-       ]
-       (Array.init cfg.rows_r (fun i -> [| vi i; v_opt 6; v_opt 6 |])));
-  Catalog.register cat
-    (Table.create ~name:"ss" ~key:[ "sid" ]
-       [
-         Schema.column "sid" Ttype.Int;
-         Schema.column "c" Ttype.Int;
-         Schema.column "d" Ttype.Int;
-         Schema.column "rref" Ttype.Int;
-       ]
-       (Array.init cfg.rows_s (fun i ->
-            [| vi i; v_opt 6; v_opt 6; v_opt cfg.rows_r |])));
-  Catalog.register cat
-    (Table.create ~name:"tt" ~key:[ "tid" ]
-       [
-         Schema.column "tid" Ttype.Int;
-         Schema.column "e" Ttype.Int;
-         Schema.column "sref" Ttype.Int;
-       ]
-       (Array.init cfg.rows_t (fun i ->
-            [| vi i; v_opt 6; v_opt cfg.rows_s |])));
-  cat
-
-let random_query rng =
-  let cmp () = cmp_syms.(Tpch.Prng.int rng 6) in
-  let quant () = quants.(Tpch.Prng.int rng 2) in
-  let const () = string_of_int (Tpch.Prng.int rng 6) in
-  let inner_most =
-    if Tpch.Prng.bool rng 0.5 then ""
-    else
-      let corr =
-        match Tpch.Prng.int rng 3 with
-        | 0 -> "tt.sref = ss.sid" (* adjacent, equality *)
-        | 1 -> "tt.e <> ss.c" (* adjacent, non-equality *)
-        | _ -> "tt.e = rr.a" (* non-adjacent *)
-      in
-      let link =
-        match Tpch.Prng.int rng 4 with
-        | 0 -> Printf.sprintf "exists (select * from tt where %s)" corr
-        | 1 -> Printf.sprintf "not exists (select * from tt where %s)" corr
-        | 2 ->
-            Printf.sprintf "ss.d %s %s (select e from tt where %s)" (cmp ())
-              (quant ()) corr
-        | _ ->
-            Printf.sprintf "ss.d not in (select e from tt where %s)" corr
-      in
-      " and " ^ link
-  in
-  let mid_corr =
-    match Tpch.Prng.int rng 3 with
-    | 0 -> "ss.rref = rr.rid"
-    | 1 -> "ss.c <> rr.b"
-    | _ -> "ss.c = rr.a"
-  in
-  let mid_local =
-    match Tpch.Prng.int rng 4 with
-    | 0 -> Printf.sprintf "ss.c %s %s" (cmp ()) (const ())
-    | 1 -> Printf.sprintf "ss.c between %s and 5" (const ())
-    | 2 -> "ss.c is not null"
-    | _ -> Printf.sprintf "ss.c in (%s, %s)" (const ()) (const ())
-  in
-  let subq =
-    Printf.sprintf "(select d from ss where %s and %s%s)" mid_corr mid_local
-      inner_most
-  in
-  let link =
-    match Tpch.Prng.int rng 6 with
-    | 0 ->
-        Printf.sprintf
-          "exists (select * from ss where %s and %s%s)" mid_corr mid_local
-          inner_most
-    | 1 ->
-        Printf.sprintf
-          "not exists (select * from ss where %s and %s%s)" mid_corr
-          mid_local inner_most
-    | 2 -> Printf.sprintf "rr.b in %s" subq
-    | 3 -> Printf.sprintf "rr.b not in %s" subq
-    | 4 ->
-        (* aggregate scalar subquery: always exactly one value *)
-        let agg = [| "min"; "max"; "sum"; "avg"; "count" |] in
-        Printf.sprintf "rr.b %s (select %s(d) from ss where %s and %s%s)"
-          (cmp ())
-          agg.(Tpch.Prng.int rng 5)
-          mid_corr mid_local inner_most
-    | _ -> Printf.sprintf "rr.b %s %s %s" (cmp ()) (quant ()) subq
-  in
-  let outer_local = Printf.sprintf "rr.a %s %s" (cmp ()) (const ()) in
-  Printf.sprintf "select rid from rr where %s and %s" outer_local link
-
 let test_randomized () =
   let rng = Tpch.Prng.create 0xFEEDL in
   for _round = 1 to 150 do
     let cat =
-      random_catalog rng
+      Random_sql.catalog rng
         { null_rate = 0.25; rows_r = 12; rows_s = 14; rows_t = 10 }
     in
-    let sql = random_query rng in
-    ignore (check_equivalent cat sql)
+    let sql = Random_sql.query rng in
+    ignore (check_equivalent ~reference:true cat sql)
   done
 
 let test_randomized_no_nulls () =
   let rng = Tpch.Prng.create 0xBEEFL in
   for _round = 1 to 50 do
     let cat =
-      random_catalog rng
+      Random_sql.catalog rng
         { null_rate = 0.0; rows_r = 10; rows_s = 12; rows_t = 8 }
     in
-    let sql = random_query rng in
-    ignore (check_equivalent cat sql)
+    let sql = Random_sql.query rng in
+    ignore (check_equivalent ~reference:true cat sql)
+  done
+
+(* the generator's shapes at 30 % NULLs on smaller tables, many more
+   of them, every strategy against the reference evaluator: a third of
+   the three-block queries correlate the inner block to rr, past ss,
+   which is the non-leaf site shape a pipelined plan keeps as position
+   pairs *)
+let test_randomized_reference () =
+  let rng = Tpch.Prng.create 0xC0FFEEL in
+  for _round = 1 to 3000 do
+    let cat =
+      Random_sql.catalog rng
+        { null_rate = 0.3; rows_r = 6; rows_s = 7; rows_t = 5 }
+    in
+    let sql = Random_sql.query rng in
+    ignore (check_equivalent ~reference:true cat sql)
   done
 
 let test_empty_tables () =
   let rng = Tpch.Prng.create 1L in
   let cat =
-    random_catalog rng { null_rate = 0.3; rows_r = 5; rows_s = 0; rows_t = 0 }
+    Random_sql.catalog rng
+      { null_rate = 0.3; rows_r = 5; rows_s = 0; rows_t = 0 }
   in
   List.iter
     (fun sql -> ignore (check_equivalent cat sql))
@@ -257,7 +161,8 @@ let test_naive_without_indexes () =
 let test_empty_outer () =
   let rng = Tpch.Prng.create 2L in
   let cat =
-    random_catalog rng { null_rate = 0.3; rows_r = 0; rows_s = 5; rows_t = 5 }
+    Random_sql.catalog rng
+      { null_rate = 0.3; rows_r = 0; rows_s = 5; rows_t = 5 }
   in
   let rel =
     check_equivalent cat
@@ -282,6 +187,8 @@ let () =
             test_randomized;
           Alcotest.test_case "50 random queries without NULLs" `Slow
             test_randomized_no_nulls;
+          Alcotest.test_case "3000 random queries against the reference"
+            `Slow test_randomized_reference;
         ] );
       ( "degenerate",
         [

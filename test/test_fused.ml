@@ -1,16 +1,18 @@
 (* The fused probe–nest–select (a pipelined site whose wide frame feeds
    no grandchild groups the join's match ranges as the probe emits them)
-   against the materialized nest of the original variant: byte-identical
-   CSV and identical fetched-row charges at every pool size and frame
-   budget, faults on.  The corpus covers the Figure 4–9 queries, the
+   and the pair frame (a pipelined site whose wide frame does feed its
+   child's sites keeps it as position pairs) against the materialized
+   nest of the original variant: byte-identical CSV and identical
+   fetched-row charges at every pool size and frame budget, faults on.  The corpus covers the Figure 4–9 queries, the
    Query 1-JA links over an outer block read through its filter's
    selection vector, gathered, or unfiltered, the emp/dept subquery
    corpus, and the cases the fusion argument rests on: runs of equal
    outer rows left by σ̄ padding, element order within a group, keep
    expressions that read an outer column, and outer relations that
-   arrive key-sorted or out of key order.  Then what a statement and a
-   result row allocate, and sites chained through the selections they
-   hand on, against the reference evaluator. *)
+   arrive key-sorted or out of key order, at leaf and non-leaf sites.
+   Then what a statement and a result row allocate, and sites chained
+   through the selections they hand on, against the reference
+   evaluator. *)
 
 open Nra
 open Test_support
@@ -29,16 +31,20 @@ let budgets = [ ("8", Engine_config.Pages 8); ("inf", Off) ]
 
 type outcome = { csv : string; fetched : int; fused : int }
 
-let run cat sql options =
+module P = Exec.Plan
+
+(* [plan t] is the plan to run, the options' lift by default *)
+let run ?plan cat sql options =
   let t =
     match A.analyze_string cat sql with
     | Ok t -> t
     | Error m -> Alcotest.fail (sql ^ ": " ^ m)
   in
+  let directives = Option.map (fun plan -> plan t) plan in
   (* reseeded per run: each run sees the same fault-draw sequence *)
   Fault.configure ~seed:23 ~max_retries:8 0.02;
   I.reset ();
-  let rel, st = N.run_where ~options cat t in
+  let rel, st = N.run_where ~options ?directives cat t in
   let out = Exec.Post.apply t.A.output rel in
   {
     csv = Relation.to_csv out;
@@ -46,9 +52,30 @@ let run cat sql options =
     fused = st.N.fused_sites;
   }
 
-(* [must_fuse]: queries whose optimized run must take the fused path at
-   least once, so the matrix cannot pass vacuously *)
-let check_matrix ?(must_fuse = []) cat corpus =
+(* a CSV's rows, sorted *)
+let lines csv = List.sort compare (String.split_on_char '\n' csv)
+
+(* nra-full's plan with every nest materialized: the same sites —
+   semijoins, push-downs and shared sets over the wide frames included —
+   so the same rows in the same order *)
+let materialized_full t =
+  let full = P.lift ~base:N.full t in
+  List.fold_left
+    (fun plan (n : P.node) ->
+      match n.P.impl with
+      | P.Top_down _ | P.Bottom_up _ ->
+          P.replace plan ~id:n.P.child.A.block.A.id
+            ~impl:(P.with_nest n.P.impl ~pipelined:false ~assume_sorted:false)
+      | P.Shared_set | P.Push_down | P.Semijoin -> plan)
+    full (P.nodes full)
+
+(* [must_fuse]: queries whose optimized run must build no wide row at
+   [min_fused] sites or more, so the matrix cannot pass vacuously; with
+   [~full], nra-full must match its plan with every nest materialized,
+   CSV for CSV, and return the original's rows (its shortcuts fetch
+   other rows, and a push-down site keeps its outer frame's order) *)
+let check_matrix ?(must_fuse = []) ?(min_fused = 1) ?(full = false) cat
+    corpus =
   (* two rows per page, so the small tables overflow eight frames and
      the grace join runs its spilled partitions *)
   with_config
@@ -72,8 +99,21 @@ let check_matrix ?(must_fuse = []) cat corpus =
                   Alcotest.(check int)
                     ("fetched rows, " ^ where)
                     orig.fetched opt.fetched;
-                  if List.mem sql must_fuse && opt.fused = 0 then
-                    Alcotest.fail ("no fused site, " ^ where))
+                  if List.mem sql must_fuse && opt.fused < min_fused then
+                    Alcotest.failf "%d fused sites, %s" opt.fused where;
+                  if full then begin
+                    let fl = run cat sql N.full in
+                    let mat = run ~plan:materialized_full cat sql N.full in
+                    Alcotest.(check string)
+                      ("nra-full CSV, " ^ where)
+                      mat.csv fl.csv;
+                    Alcotest.(check int)
+                      ("nra-full fetched rows, " ^ where)
+                      mat.fetched fl.fetched;
+                    Alcotest.(check (list string))
+                      ("nra-full rows, " ^ where)
+                      (lines orig.csv) (lines fl.csv)
+                  end)
                 corpus)
             budgets)
         domains)
@@ -267,6 +307,83 @@ let test_edge_cases () =
 let test_subquery_corpus () =
   check_matrix (emp_dept_catalog ()) subquery_corpus
 
+(* ---------- non-leaf sites: the wide frame as position pairs ----------
+
+   A pipelined site whose child block has children of its own keeps its
+   wide frame as (outer, child) positions, and its nest hands on outer
+   positions.  Query 3a/3b/3c with ANY and ALL at the middle link and
+   EXISTS and NOT EXISTS at the leaf: under ALL the leaf is σ̄ and pads
+   the middle (partsupp) block of the pair frame, and under nra-full the
+   EXISTS leaf is a semijoin that probes the pair frame.  Each query
+   runs with at least two sites that build no wide row. *)
+let q3_corpus =
+  List.concat_map
+    (fun variant ->
+      List.concat_map
+        (fun quant ->
+          List.map
+            (fun exists ->
+              Q.q3 ~quant ~exists ~variant ~size_lo:1 ~size_hi:12
+                ~availqty_max:2000 ~quantity:25)
+            [ true; false ])
+        [ Q.Any; Q.All ])
+    [ Q.A; Q.B; Q.C ]
+
+let test_q3 () =
+  check_matrix ~must_fuse:q3_corpus ~min_fused:2 ~full:true
+    (Lazy.force tpch_cat) q3_corpus
+
+(* Over d ⟵ e ⟵ p, with e stored out of key order: σ̄ at the middle
+   block (the ALL and NOT IN links pad e), a root e whose pair frame
+   must be sorted by its outer rows — under nra-full also where its
+   only sub-site is a semijoin, which keeps the frame's order — a pair
+   site that is itself σ̄ under a NOT EXISTS and pads its own outer pair
+   frame, and an outer keep expression over a pair frame. *)
+let non_leaf_edges =
+  [
+    "select did from d where v > all (select s from e where e.did = d.did \
+     and not exists (select * from p where p.eref = e.eid and p.h = e.s))";
+    "select did from d where v not in (select s from e where e.did = d.did \
+     and s > some (select h from p where p.did = d.did))";
+    "select eid from e where s < any (select h from p where p.eref = e.eid \
+     and not exists (select * from d where d.did = p.did and d.v < e.s))";
+    "select eid from e where not exists (select * from p where p.did = \
+     e.did and h > all (select v from d where d.did = p.did))";
+    "select did from d where not exists (select * from e where e.did = \
+     d.did and s in (select h from p where p.eref = e.eid and exists \
+     (select * from d d2 where d2.did = p.did and d2.v > e.s)))";
+    "select did from d where v > all (select s + d.v - 9 from e where \
+     e.did = d.did and exists (select * from p where p.eref = e.eid))";
+    "select eid from e where s > any (select h from p where p.did = e.did \
+     and exists (select * from d where d.did = p.did and d.v > e.s))";
+  ]
+
+(* four blocks, dept → emp → project → emp e3: the project site's pair
+   frame has a pair frame as its outer *)
+let four_blocks =
+  [
+    "select dname from dept where budget < any (select salary from emp \
+     where emp.dept_id = dept.dept_id and salary > all (select hours from \
+     project where project.lead_emp = emp.emp_id and not exists (select * \
+     from emp e3 where e3.manager_id = emp.emp_id)))";
+    "select dname from dept where exists (select * from emp where \
+     emp.dept_id = dept.dept_id and salary < all (select hours from \
+     project where project.owner_dept = dept.dept_id and exists (select * \
+     from emp e3 where e3.emp_id = project.lead_emp and e3.salary > \
+     emp.salary)))";
+    "select dname from dept where not exists (select * from emp where \
+     emp.dept_id = dept.dept_id and salary not in (select hours from \
+     project where project.lead_emp = emp.emp_id and exists (select * \
+     from emp e3 where e3.dept_id = dept.dept_id and e3.salary > \
+     project.hours)))";
+  ]
+
+let test_non_leaf_edges () =
+  check_matrix ~must_fuse:non_leaf_edges ~min_fused:2 ~full:true
+    (edge_catalog ()) non_leaf_edges;
+  check_matrix ~must_fuse:four_blocks ~min_fused:3 ~full:true
+    (emp_dept_catalog ()) four_blocks
+
 (* ---------- the fused Query 1-JA site allocates little ----------
 
    The IN link never holds (no order's total price is the maximum of its
@@ -309,6 +426,52 @@ let test_ja_alloc () =
       words_lo outer_lo words_hi outer_hi;
   if words_hi >= 2000.0 then
     Alcotest.failf "%.0f words per statement" words_hi
+
+(* ---------- a Query 3 site allocates per statement ----------
+
+   Query 3b NOT EXISTS under nra-full: the partsupp site feeds its
+   lineitem grandchild, so its wide frame is kept as position pairs in
+   borrowed buffers, the lineitem site probes it a row at a time
+   through one row buffer, and the partsupp site's nest hands the part
+   rows it keeps on as positions.  So no wide row, key row or gathered
+   outer row is built: a statement allocates under 3,000 words at two
+   part-size windows whose wide frames (~300 and ~760 rows at scale
+   0.002) differ by more than 2x, and a wide row costs less than a
+   word.  Building the wide rows, the nest's key rows and the gathered
+   outer rows cost ~4,100 and ~9,200 words, ~11 per wide row.  The test
+   sets its own pool size, frame budget and faults. *)
+let test_q3_alloc () =
+  let cat = Lazy.force tpch_cat in
+  with_config plain @@ fun () ->
+  let at size_hi =
+    let sql =
+      Q.q3 ~quant:Q.Any ~exists:false ~variant:Q.B ~size_lo:1 ~size_hi
+        ~availqty_max:199 ~quantity:25
+    in
+    let t =
+      match A.analyze_string cat sql with
+      | Ok t -> t
+      | Error m -> Alcotest.fail m
+    in
+    let _, st = N.run_where ~options:N.full cat t in
+    Alcotest.(check int) "two sites without a wide row" 2 st.N.fused_sites;
+    let words =
+      words_per 3 (fun _ -> ignore (N.run_where ~options:N.full cat t))
+    in
+    (st.N.total_intermediate_rows, words)
+  in
+  let wide_lo, words_lo = at 12 and wide_hi, words_hi = at 36 in
+  if wide_hi < 2 * wide_lo then
+    Alcotest.failf "wide rows %d and %d are too close" wide_lo wide_hi;
+  List.iter
+    (fun (wide, words) ->
+      if words >= 3000.0 then
+        Alcotest.failf "%.0f words per statement over %d wide rows" words wide)
+    [ (wide_lo, words_lo); (wide_hi, words_hi) ];
+  let per_row = (words_hi -. words_lo) /. float_of_int (wide_hi - wide_lo) in
+  if per_row >= 1.0 then
+    Alcotest.failf "%.2f words per wide row (%.0f words for %d, %.0f for %d)"
+      per_row words_lo wide_lo words_hi wide_hi
 
 (* ---------- a result row costs one row ----------
 
@@ -399,7 +562,7 @@ let chained =
         ("classical", "8/0/0 1/1/8");
         ("magic", "3/0/0 1/1/8");
         ("nra-original", "3/0/12 5/25/1056");
-        ("nra-optimized", "3/0/12 4/19/576");
+        ("nra-optimized", "3/0/12 3/13/576");
         ("nra-full", "3/0/0 1/1/8");
         ("hybrid", "3/0/0 1/1/8");
         ("auto", "3/0/0 1/1/8");
@@ -413,7 +576,7 @@ let chained =
         ("classical", "3/0/0 1/1/8");
         ("magic", "3/0/0 1/1/8");
         ("nra-original", "3/0/8 5/13/672");
-        ("nra-optimized", "3/0/8 4/9/384");
+        ("nra-optimized", "3/0/8 3/7/384");
         ("nra-full", "3/0/0 1/1/8");
         ("hybrid", "3/0/0 1/1/8");
         ("auto", "3/0/0 1/1/8");
@@ -462,11 +625,16 @@ let () =
           Alcotest.test_case "padded runs, outer keep, presorted" `Quick
             test_edge_cases;
           Alcotest.test_case "subquery corpus" `Quick test_subquery_corpus;
+          Alcotest.test_case "query 3, non-leaf sites" `Quick test_q3;
+          Alcotest.test_case "non-leaf padding, order and four blocks"
+            `Quick test_non_leaf_edges;
         ] );
       ( "allocation",
         [
           Alcotest.test_case "a Query 1-JA site allocates per statement"
             `Quick test_ja_alloc;
+          Alcotest.test_case "a Query 3 site allocates per statement" `Quick
+            test_q3_alloc;
           Alcotest.test_case "a result row costs one row" `Quick
             test_result_row_alloc;
         ] );

@@ -33,13 +33,13 @@ let test_grouped_unnest () =
   let r = sample () in
   let g = G.nest_sort ~by:[| 0 |] ~keep:[| 1; 2 |] r in
   Alcotest.(check bool) "unnest restores rows" true
-    (Relation.equal_bag r (G.unnest g))
+    (Relation.equal_bag r (unnest g))
 
 let test_grouped_groups_nulls () =
   let g = G.nest_sort ~by:[| 0 |] ~keep:[| 1; 2 |] (sample ()) in
   (* groups: NULL, 1, 2, 3 — NULL keys group together like GROUP BY,
      and sort first *)
-  Alcotest.(check int) "groups" 4 (G.cardinality g);
+  Alcotest.(check int) "groups" 4 (group_count g);
   Alcotest.(check (list int))
     "group sizes" [ 2; 2; 1; 1 ]
     (Array.to_list (Array.map (fun (_, es) -> Array.length es) g.G.groups))
@@ -57,13 +57,13 @@ let test_grouped_unnest_drops_empty () =
     }
   in
   Alcotest.(check int) "group 2 vanished" 5
-    (Relation.cardinality (G.unnest emptied))
+    (Relation.cardinality (unnest emptied))
 
 (* ---------- linking predicates ---------- *)
 
 let test_quantifier_semantics () =
   let eval q op x elems =
-    LP.eval (LP.Quant (Expr.Const x, op, q, 0)) ~outer:[||]
+    link_eval (LP.Quant (Expr.Const x, op, q, 0)) ~outer:[||]
       ~elems:(List.map (fun v -> [| v |]) elems)
   in
   (* the motivating example of Section 2: 5 > ALL {2,3,4,null} *)
@@ -80,16 +80,16 @@ let test_quantifier_semantics () =
   Alcotest.check t3 "null lhs with non-empty set" T.Unknown
     (eval LP.All T.Eq vnull [ vi 1 ]);
   Alcotest.check t3 "exists" T.True
-    (LP.eval LP.Non_empty ~outer:[||] ~elems:[ [| vi 1 |] ]);
+    (link_eval LP.Non_empty ~outer:[||] ~elems:[ [| vi 1 |] ]);
   Alcotest.check t3 "not exists" T.True
-    (LP.eval LP.Is_empty ~outer:[||] ~elems:[])
+    (link_eval LP.Is_empty ~outer:[||] ~elems:[])
 
 (* the scalar case: no element is Unknown, one is a comparison, a
    second raises the same error text every executor reports *)
 let test_scalar_link () =
   let pred = LP.Scalar (Expr.Col 0, T.Eq, 0) in
   let eval x elems =
-    LP.eval pred ~outer:[| x |] ~elems:(List.map (fun v -> [| v |]) elems)
+    link_eval pred ~outer:[| x |] ~elems:(List.map (fun v -> [| v |]) elems)
   in
   Alcotest.check t3 "no row is unknown" T.Unknown (eval (vi 5) []);
   Alcotest.check t3 "5 = (5)" T.True (eval (vi 5) [ vi 5 ]);
@@ -198,7 +198,7 @@ let prop_nest_partitions =
   QCheck.Test.make ~name:"nest partitions the rows" arb_rows (fun rows ->
       let r = flat rows in
       let g = G.nest_sort ~by:[| 0 |] ~keep:[| 1; 2 |] r in
-      Relation.equal_bag r (G.unnest g))
+      Relation.equal_bag r (unnest g))
 
 let prop_quant_vs_bruteforce =
   QCheck.Test.make ~name:"quantifiers match brute force"
@@ -219,7 +219,7 @@ let prop_quant_vs_bruteforce =
           List.for_all
             (fun q ->
               T.equal
-                (LP.eval (LP.Quant (Expr.Const x, op, q, 0)) ~outer:[||]
+                (link_eval (LP.Quant (Expr.Const x, op, q, 0)) ~outer:[||]
                    ~elems)
                 (brute op q))
             [ LP.Some_; LP.All ])

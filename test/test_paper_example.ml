@@ -103,7 +103,7 @@ let test_temp1 () =
 
 let test_temp2 () =
   let t2 = temp2 () in
-  Alcotest.(check int) "four groups" 4 (G.cardinality t2);
+  Alcotest.(check int) "four groups" 4 (group_count t2);
   (* the group of (1,2,3,s2) holds two T elements *)
   let counts =
     Array.to_list t2.G.groups
