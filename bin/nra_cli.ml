@@ -61,8 +61,8 @@ let rewrite_arg =
   let rules_conv = Arg.conv (parse, print) in
   let doc =
     "Algebraic rewrite rules applied to NRA plans before execution: \
-     $(b,all), $(b,none), or a comma-separated subset of $(b,fuse), \
-     $(b,push-down), $(b,pipeline), $(b,semijoin).  Each candidate \
+     $(b,all), $(b,none), or a comma-separated subset of \
+     $(b,push-down), $(b,semijoin).  Each candidate \
      rewrite is priced by the cost model and fires only on improvement; \
      results are identical under any setting.  Overrides the \
      NRA_REWRITE environment variable."

@@ -994,8 +994,8 @@ let rewrite_section rules priced =
                 Buffer.add_string buf
                   (Printf.sprintf "rewrite trace (%s): est %.1f → %.1f ms\n"
                      (strategy_to_string s)
-                     r.Nra_opt.Rewrite.before.Nra_opt.Rewrite.ms
-                     r.Nra_opt.Rewrite.after.Nra_opt.Rewrite.ms);
+                     (Nra_stats.Cost.price r.Nra_opt.Rewrite.before)
+                     (Nra_stats.Cost.price r.Nra_opt.Rewrite.after));
                 List.iter
                   (fun l -> Buffer.add_string buf (l ^ "\n"))
                   (Nra_opt.Rewrite.trace_lines r)

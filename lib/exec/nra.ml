@@ -219,23 +219,16 @@ let site_output mode fr sel ~sorted_prefix k fill =
       done;
       k fr (Some (out, kept)) sorted_prefix
 
-(* a pipelined nest, or an [assume_sorted] one over an outer frame the
-   runtime [sorted] flag confirms key-sorted, groups in one run scan
-   ([nest_runs]), which produces exactly the groups (and group order)
-   the materialized nest would *)
-let nest_pipelined (nest : Plan.nest) ~sorted =
-  nest.Plan.pipelined || (nest.Plan.assume_sorted && sorted)
-
 (* [nest_select] is the materialized υ followed by the linking
    selection over a stored wide frame ([wide] through [sel]), whose key
    attributes are its first [key_arity] columns: two passes over a
    staging of the keys and the keep columns.  nra-original runs it at
    every site, and a pipelined site runs it when a materialized nest
-   below it hands on key rows, or when its nest is [assume_sorted] and
-   its outer frame is not key-sorted; every other pipelined site groups
-   without a wide row ([nest_runs]).  The output is key rows,
-   key-sorted, and each group's verdict is one pass of the site's
-   [Link_pred] fold. *)
+   below it hands on key rows; every other pipelined site groups
+   without a wide row in one run scan ([nest_runs]), which produces
+   exactly the groups (and group order) the materialized nest would.
+   The output is key rows, key-sorted, and each group's verdict is one
+   pass of the site's [Link_pred] fold. *)
 let nest_select st ~key_schema ~(lk : Linkeval.t) ~mode ?sel wide =
   let t0 = now () in
   let key_arity = Schema.arity key_schema in
@@ -641,7 +634,7 @@ and join_nest_select :
   let key_arity = Schema.arity key_schema in
   let sorted = sorted_prefix >= key_arity in
   if
-    nest_pipelined nest ~sorted
+    nest.Plan.pipelined
     && (standalone || List.for_all positional n.Plan.sub)
   then
     site_output mode fr sel ~sorted_prefix:sp_after_select k @@ fun out ->

@@ -17,7 +17,7 @@ type options = {
   positive_simplify : bool;
 }
 
-type nest = { pipelined : bool; assume_sorted : bool }
+type nest = { pipelined : bool }
 
 type impl =
   | Shared_set
@@ -66,42 +66,28 @@ let sub_discard ~discard_ok impl (c : A.child) =
 
 (* Every impl a site can take, so a code stands for one shared value:
    Shared_set, Push_down, Semijoin, then Bottom_up and Top_down over the
-   four nests (+1 pipelined, +2 assume_sorted). *)
-let nests =
+   two nests (+1 pipelined). *)
+let impls =
   [|
-    { pipelined = false; assume_sorted = false };
-    { pipelined = true; assume_sorted = false };
-    { pipelined = false; assume_sorted = true };
-    { pipelined = true; assume_sorted = true };
+    Shared_set;
+    Push_down;
+    Semijoin;
+    Bottom_up { pipelined = false };
+    Bottom_up { pipelined = true };
+    Top_down { pipelined = false };
+    Top_down { pipelined = true };
   |]
 
-let impls =
-  Array.concat
-    [
-      [| Shared_set; Push_down; Semijoin |];
-      Array.map (fun nf -> Bottom_up nf) nests;
-      Array.map (fun nf -> Top_down nf) nests;
-    ]
-
-let nest_bits ~pipelined ~assume_sorted =
-  (if pipelined then 1 else 0) + if assume_sorted then 2 else 0
+let nest_bit pipelined = if pipelined then 1 else 0
 
 let code = function
   | Shared_set -> 0
   | Push_down -> 1
   | Semijoin -> 2
-  | Bottom_up { pipelined; assume_sorted } ->
-      3 + nest_bits ~pipelined ~assume_sorted
-  | Top_down { pipelined; assume_sorted } ->
-      7 + nest_bits ~pipelined ~assume_sorted
+  | Bottom_up { pipelined } -> 3 + nest_bit pipelined
+  | Top_down { pipelined } -> 5 + nest_bit pipelined
 
 let of_code c = impls.(c)
-
-let with_nest impl ~pipelined ~assume_sorted =
-  match impl with
-  | Bottom_up _ -> impls.(3 + nest_bits ~pipelined ~assume_sorted)
-  | Top_down _ -> impls.(7 + nest_bits ~pipelined ~assume_sorted)
-  | Shared_set | Push_down | Semijoin -> invalid_arg "Plan.with_nest"
 
 (* ---------- sites in pre-order ---------- *)
 
@@ -125,10 +111,10 @@ let choose (base : options) ~discard_ok (c : A.child) =
   else if base.positive_simplify && admits_at c ~discard_ok Semijoin then
     Semijoin
   else
-    let bits = nest_bits ~pipelined:base.pipelined ~assume_sorted:false in
-    if base.bottom_up_linear && admits_at c ~discard_ok impls.(3 + bits) then
-      impls.(3 + bits)
-    else impls.(7 + bits)
+    let bit = nest_bit base.pipelined in
+    if base.bottom_up_linear && admits_at c ~discard_ok impls.(3 + bit) then
+      impls.(3 + bit)
+    else impls.(5 + bit)
 
 (* The nodes over [cs], the first at site [i], each taking [impl_at i c
    ~discard_ok]; a node's discard context follows from its ancestors'
@@ -187,10 +173,7 @@ let replace p ~id ~impl =
 
 (* ---------- rendering ---------- *)
 
-let nest_to_string n =
-  if n.pipelined then "υ-pipelined"
-  else if n.assume_sorted then "υ-fused"
-  else "υ-materialized"
+let nest_to_string n = if n.pipelined then "υ-pipelined" else "υ-materialized"
 
 let impl_to_string = function
   | Shared_set -> "shared-set"

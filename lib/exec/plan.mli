@@ -25,11 +25,6 @@ type nest = {
   pipelined : bool;
       (** evaluate the linking selection during the group scan instead of
           materializing υ (§4.2.1–4.2.2) *)
-  assume_sorted : bool;
-      (** fuse with the upstream sort: when the wide input is already
-          key-sorted at runtime, skip the re-sort and stream groups off
-          the run scan.  Checked against the executor's own sorted-prefix
-          tracking, so it never changes results. *)
 }
 
 type impl =
@@ -77,14 +72,10 @@ val lift : base:options -> Analyze.t -> t
     A plan's sites are its analysis' children in pre-order ({!nodes}
     order), and a node's discard context follows from its ancestors'
     impls, so a plan is determined by its sites' impls.  Each impl is a
-    code below 11; the impls decoded from codes are shared values. *)
+    code below 7; the impls decoded from codes are shared values. *)
 
 val code : impl -> int
 val of_code : int -> impl
-
-val with_nest : impl -> pipelined:bool -> assume_sorted:bool -> impl
-(** A join+nest impl with its nest's flags replaced, as a shared value.
-    @raise Invalid_argument on another impl. *)
 
 val count_sites : int -> Analyze.child list -> int
 (** [count_sites n cs]: [n] plus the sites of [cs] and their

@@ -1,32 +1,17 @@
 module Guard = Nra_guard.Guard
-module Iosim = Nra_storage.Iosim
 
 (* ---------- worker-local ledgers ---------- *)
 
 module Ledger = struct
   type t = {
     mutable ticks : int;
-    mutable rows : int;
-    mutable seq_pages : int;
-    mutable rand_pages : int;
-    mutable fetched_rows : int;
     mutable spills : Nra_storage.Bufpool.Spill.t list;
         (* partitions this chunk consumed via Spill.iter_raw, newest
            first; ownership transfers to the owner at the barrier *)
   }
 
-  let create () =
-    {
-      ticks = 0;
-      rows = 0;
-      seq_pages = 0;
-      rand_pages = 0;
-      fetched_rows = 0;
-      spills = [];
-    }
-
+  let create () = { ticks = 0; spills = [] }
   let tick l = l.ticks <- l.ticks + 1
-  let add_rows l n = l.rows <- l.rows + n
 
   (* record a spill partition fully consumed by this chunk (with
      [Bufpool.Spill.iter_raw], which neither charges nor draws); the
@@ -169,23 +154,8 @@ let merge_ledgers ledgers =
         (List.rev l.spills);
       l.spills <- [])
     ledgers;
-  let ticks = ref 0
-  and rows = ref 0
-  and seq = ref 0
-  and rand = ref 0
-  and fetched = ref 0 in
-  Array.iter
-    (fun (l : Ledger.t) ->
-      ticks := !ticks + l.ticks;
-      rows := !rows + l.rows;
-      seq := !seq + l.seq_pages;
-      rand := !rand + l.rand_pages;
-      fetched := !fetched + l.fetched_rows)
-    ledgers;
-  if !seq <> 0 || !rand <> 0 || !fetched <> 0 then
-    Iosim.absorb
-      { Iosim.seq_pages = !seq; rand_pages = !rand; fetched_rows = !fetched };
-  Guard.absorb ~ticks:!ticks ~rows:!rows
+  Guard.absorb
+    ~ticks:(Array.fold_left (fun n (l : Ledger.t) -> n + l.ticks) 0 ledgers)
 
 let chunk_count ~min_chunk ~n nexec =
   let by_size = (n + min_chunk - 1) / min_chunk in

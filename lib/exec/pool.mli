@@ -15,9 +15,10 @@
     The guard ({!Nra_guard.Guard}) and the I/O simulation
     ({!Nra_storage.Iosim}) are global and single-threaded by design.
     Worker domains therefore never touch them: each chunk closure
-    receives a private {!Ledger.t} and accrues ticks/rows/page counts
-    there; the owner merges all ledgers and charges the guard {e once}
-    at the join barrier.  Consequences, all documented and tested:
+    receives a private {!Ledger.t} and accrues its checkpoints and the
+    spill partitions it consumed there; the owner merges all ledgers
+    {e once}, at the join barrier, replaying the partitions' page reads
+    and crediting the checkpoints to the guard.  Consequences, all documented and tested:
 
     - a parallel region is one coarse checkpoint — budgets are enforced
       at region entry and at the barrier, not per row;
@@ -29,8 +30,9 @@
       mid-region stops the remaining morsels and surfaces
       [Killed Cancelled] at the barrier;
     - total charged simulated I/O equals the serial run's total, because
-      fault injection and the charge sites stay owner-side and ledger
-      merging bypasses {!Nra_storage.Fault.inject}.
+      every charge site stays owner-side: the kernels charge before or
+      after a region, and a consumed spill partition's page reads are
+      replayed, with their fault draws, at the barrier in chunk order.
 
     Chunk closures must not call [Guard.tick]/[Iosim.charge_*]
     themselves — that is what the ledger is for.
@@ -46,10 +48,6 @@
 module Ledger : sig
   type t = {
     mutable ticks : int;  (** would-be [Guard.tick] calls *)
-    mutable rows : int;  (** would-be [Guard.add_rows] rows *)
-    mutable seq_pages : int;
-    mutable rand_pages : int;
-    mutable fetched_rows : int;  (** would-be [Iosim] charges, in pages/rows *)
     mutable spills : Nra_storage.Bufpool.Spill.t list;
         (** spill partitions this chunk fully consumed (via
             [Bufpool.Spill.iter_raw]); ownership transfers to the owner
@@ -58,7 +56,6 @@ module Ledger : sig
   }
 
   val tick : t -> unit
-  val add_rows : t -> int -> unit
 
   val consumed_spill : t -> Nra_storage.Bufpool.Spill.t -> unit
   (** Record a partition consumed by this chunk.  This is how the

@@ -273,14 +273,9 @@ let recheck () =
 
 (* Parallel regions (nra.pool) accrue checkpoints into worker-local
    ledgers; the owner merges them here in one call at the join barrier.
-   Folding into the top scope only mirrors tick/add_rows: enclosing
-   scopes receive the rows when the scope exits (see with_budget). *)
-let absorb ~ticks ~rows =
-  (match !stack with
-  | [] -> ()
-  | s :: _ ->
-      s.ticks <- s.ticks + ticks;
-      s.rows <- s.rows + rows);
+   Folding into the top scope only mirrors tick. *)
+let absorb ~ticks =
+  (match !stack with [] -> () | s :: _ -> s.ticks <- s.ticks + ticks);
   recheck ()
 
 let add_rows n =

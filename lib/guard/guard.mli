@@ -114,15 +114,14 @@ val add_rows : int -> unit
     {!tick}.
     @raise Killed when the row limit is crossed. *)
 
-val absorb : ticks:int -> rows:int -> unit
+val absorb : ticks:int -> unit
 (** Merge a parallel region's worker ledgers in one call: credit
-    [ticks] deferred checkpoints and [rows] intermediate rows to the
-    active scope, then {!recheck} every limit.  This is the guard half
-    of the ledger-merge contract (see [nra.pool] and docs/PERF.md):
-    worker domains never touch the scope stack, so budget enforcement
-    inside a region is coarse — entry and barrier — while cancellation
-    stays per-morsel.  Never yields (the caller is still inside its
-    [with_no_yield] region).
+    [ticks] deferred checkpoints to the active scope, then {!recheck}
+    every limit.  This is the guard half of the ledger-merge contract
+    (see [nra.pool] and docs/PERF.md): worker domains never touch the
+    scope stack, so budget enforcement inside a region is coarse —
+    entry and barrier — while cancellation stays per-morsel.  Never
+    yields (the caller is still inside its [with_no_yield] region).
     @raise Killed when a limit is crossed. *)
 
 (** {1 Scheduler integration}

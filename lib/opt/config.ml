@@ -3,27 +3,23 @@
    with ([Nra.Engine_config]); rules are off by default, so the seed
    behavior of every strategy is untouched. *)
 
-type rule = Fuse_nests | Push_down | Pipeline | Semijoin
+type rule = Push_down | Semijoin
 
-let all = [ Fuse_nests; Push_down; Pipeline; Semijoin ]
+let all = [ Push_down; Semijoin ]
 
 let rule_to_string = function
-  | Fuse_nests -> "fuse"
   | Push_down -> "push-down"
-  | Pipeline -> "pipeline"
   | Semijoin -> "semijoin"
 
 let rule_of_string s =
   match String.lowercase_ascii (String.trim s) with
-  | "fuse" | "fuse-nests" | "nest-fusion" -> Ok Fuse_nests
   | "push-down" | "pushdown" | "push_down" -> Ok Push_down
-  | "pipeline" | "pipelined" -> Ok Pipeline
   | "semijoin" | "semi-join" -> Ok Semijoin
   | other ->
       Error
         (Printf.sprintf
-           "unknown rewrite rule %S (expected fuse, push-down, pipeline, \
-            semijoin, or all/none)"
+           "unknown rewrite rule %S (expected push-down, semijoin, or \
+            all/none)"
            other)
 
 (* canonical order, so the mask string is stable no matter how the set

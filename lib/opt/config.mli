@@ -4,9 +4,7 @@
     behavior. *)
 
 type rule =
-  | Fuse_nests  (** adjacent-nest fusion: skip the re-sort (§4.2.2) *)
   | Push_down  (** nest push-down past the outer join (§4.2.4) *)
-  | Pipeline  (** pipelined linking selection (§4.2.1) *)
   | Semijoin  (** positive linking predicate → plain semijoin (§4.2.5) *)
 
 val all : rule list

@@ -2,27 +2,24 @@
    an edit is applied only when the whole-plan Iosim estimate strictly
    improves.
 
-   The estimate is the cost model's walk over the plan
-   ([Nra_stats.Cost.walk]): its scan and fetch charges plus the nest
-   passes the rewrites can change (a materialized nest's
-   materialize-and-rescan pass, and a sort skipped when the staging
-   input is statically key-sorted). *)
+   The estimate is the price ([Nra_stats.Cost.price]) of the cost
+   model's walk over the plan ([Nra_stats.Cost.walk]): its scan and
+   fetch charges, the ones the executor makes and the ones Auto ranks
+   strategies by. *)
 
 open Nra_planner
 module A = Analyze
 module Cost = Nra_stats.Cost
 module Plan = Nra_exec.Plan
 
-type costline = { seq : float; rand : float; fetch : float; ms : float }
-
 (* ---------- one statement's pricing context ---------- *)
 
 (* A plan of the statement is determined by its signature
-   ([Plan.signature]), so [priced] keeps one entry per signature: its
-   costline and the cost model's walk, which is the NRA strategy's
-   estimate.  A statement prices a handful of plans, so a list is the
+   ([Plan.signature]), so [priced] keeps one entry per signature: the
+   cost model's walk, which is the NRA strategy's estimate, and its
+   price.  A statement prices a handful of plans, so a list is the
    cheapest map. *)
-type priced = { sg : string; line : costline; walk : Cost.breakdown }
+type priced = { sg : string; walk : Cost.breakdown; ms : float }
 
 type ctx = {
   env : Nra_stats.Cardinality.env;
@@ -45,21 +42,9 @@ let price ctx sg =
   match lookup sg ctx.priced with
   | pr -> pr
   | exception Not_found ->
-      let t = ctx.tally in
-      Cost.walk ctx.env sg t;
-      let pr =
-        {
-          sg = Bytes.to_string sg;
-          line =
-            {
-              seq = t.Cost.seq +. t.Cost.nest;
-              rand = t.Cost.rand;
-              fetch = t.Cost.fetch;
-              ms = t.Cost.ms;
-            };
-          walk = Cost.breakdown t;
-        }
-      in
+      Cost.walk ctx.env sg ctx.tally;
+      let walk = Cost.breakdown ctx.tally in
+      let pr = { sg = Bytes.to_string sg; walk; ms = Cost.price walk } in
       ctx.priced <- pr :: ctx.priced;
       pr
 
@@ -75,13 +60,6 @@ let proposal (rule : Config.rule) ~discard_ok (c : A.child) impl =
     match (rule, impl) with
     | Config.Semijoin, (Plan.Bottom_up _ | Plan.Top_down _) -> Plan.Semijoin
     | Config.Push_down, (Plan.Bottom_up _ | Plan.Top_down _) -> Plan.Push_down
-    | Config.Pipeline, (Plan.Bottom_up nf | Plan.Top_down nf)
-      when not nf.Plan.pipelined ->
-        Plan.with_nest impl ~pipelined:true
-          ~assume_sorted:nf.Plan.assume_sorted
-    | Config.Fuse_nests, (Plan.Bottom_up nf | Plan.Top_down nf)
-      when (not nf.Plan.pipelined) && not nf.Plan.assume_sorted ->
-        Plan.with_nest impl ~pipelined:false ~assume_sorted:true
     | _ -> impl
   in
   if candidate != impl && Plan.admits_at c ~discard_ok candidate then
@@ -103,8 +81,8 @@ type trace_entry = {
   block_id : int;
   impl_before : Plan.impl;
   impl_after : Plan.impl;
-  cost_before : costline;
-  cost_after : costline;
+  cost_before : Cost.breakdown;
+  cost_after : Cost.breakdown;
   verdict : verdict;
 }
 
@@ -112,14 +90,13 @@ type result = {
   dirs : Plan.t;
   changed : bool;
   trace : trace_entry list;
-  before : costline;
-  after : costline;
+  before : Cost.breakdown;
+  after : Cost.breakdown;
 }
 
-(* rule application order: structural conversions first (they remove
-   whole intermediates), then the nest-shape refinements *)
-let rule_order =
-  [ Config.Semijoin; Config.Push_down; Config.Pipeline; Config.Fuse_nests ]
+(* rule application order: the semijoin removes a leaf's whole
+   intermediate, so it is offered before push-down *)
+let rule_order = [ Config.Semijoin; Config.Push_down ]
 
 let max_passes = 4
 let eps = 1e-9
@@ -130,7 +107,7 @@ let eps = 1e-9
 type search = {
   ctx : ctx;
   sg : Bytes.t;
-  mutable cost : costline;
+  mutable cost : priced;
   mutable trace : trace_entry list;
   mutable changed : bool;
   mutable progressed : bool;
@@ -146,7 +123,7 @@ let try_site s rule i (c : A.child) ~discard_ok impl =
   let impl' = proposal rule ~discard_ok c impl in
   if impl' != impl then begin
     set_code s.sg i impl';
-    let cost' = (price s.ctx s.sg).line in
+    let cost' = price s.ctx s.sg in
     let fired = cost'.ms < s.cost.ms -. eps in
     (* the gate's refusals are recorded once, for explain *)
     if fired || s.pass_no = 1 then
@@ -156,8 +133,8 @@ let try_site s rule i (c : A.child) ~discard_ok impl =
           block_id = c.A.block.A.id;
           impl_before = impl;
           impl_after = impl';
-          cost_before = s.cost;
-          cost_after = cost';
+          cost_before = s.cost.walk;
+          cost_after = cost'.walk;
           verdict =
             (if fired then Fired else Skipped "no estimated improvement");
         }
@@ -196,7 +173,7 @@ let rec sweeps s ~rules roots = function
 
 let rewrite ~rules ctx (start : Plan.t) : result =
   let sg = Plan.signature start in
-  let before = (price ctx sg).line in
+  let before = price ctx sg in
   let s =
     {
       ctx;
@@ -218,8 +195,8 @@ let rewrite ~rules ctx (start : Plan.t) : result =
     dirs = (if s.changed then Plan.of_codes start.Plan.analyzed sg else start);
     changed = s.changed;
     trace = List.rev s.trace;
-    before;
-    after = s.cost;
+    before = before.walk;
+    after = s.cost.walk;
   }
 
 (* ---------- rendering for explain --costs ---------- *)
@@ -238,6 +215,9 @@ let trace_lines (r : result) =
     in
     Printf.sprintf "  %-10s %-45s %8.1f → %8.1f ms  %s"
       (Config.rule_to_string e.rule)
-      (site e) e.cost_before.ms e.cost_after.ms verdict
+      (site e)
+      (Cost.price e.cost_before)
+      (Cost.price e.cost_after)
+      verdict
   in
   List.map line r.trace

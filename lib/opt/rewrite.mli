@@ -2,18 +2,16 @@
 
     Each enabled rule proposes [impl] edits node by node; an edit is
     applied only when the whole-plan Iosim estimate strictly improves.
-    The estimate is {!Nra_stats.Cost.walk}: the scan and fetch charges
-    plus the nest materialize / sort / pipeline passes, so two plans
-    that differ only in a nest's shape still cost differently.  A
-    proposal is priced by the signature ({!Plan.signature}) it would
-    give, and no plan is built while searching.  The engine iterates to
+    The estimate is {!Nra_stats.Cost.price} of {!Nra_stats.Cost.walk}:
+    the scan and fetch charges the executor makes, the one number Auto
+    also ranks strategies by.  A proposal is priced by the signature
+    ({!Plan.signature}) it would give, and no plan is built while
+    searching.  The engine iterates to
     a bounded fixpoint and returns the rewritten plan, which
     {!Nra_exec.Nra.run_where} runs as given, and the fired / skipped
     trace for [explain --costs]. *)
 
 module Plan := Nra_exec.Plan
-
-type costline = { seq : float; rand : float; fetch : float; ms : float }
 
 val propose : Config.rule -> Plan.node -> Plan.impl option
 (** The rule's edit at this node (before any costing): [Some impl] only
@@ -27,8 +25,8 @@ type trace_entry = {
   block_id : int;
   impl_before : Plan.impl;
   impl_after : Plan.impl;  (** the rule's proposal at the block *)
-  cost_before : costline;
-  cost_after : costline;
+  cost_before : Nra_stats.Cost.breakdown;
+  cost_after : Nra_stats.Cost.breakdown;
   verdict : verdict;
 }
 
@@ -38,8 +36,8 @@ type result = {
           [?directives] *)
   changed : bool;
   trace : trace_entry list;
-  before : costline;
-  after : costline;
+  before : Nra_stats.Cost.breakdown;  (** the starting plan's walk *)
+  after : Nra_stats.Cost.breakdown;  (** the rewritten plan's walk *)
 }
 
 type ctx

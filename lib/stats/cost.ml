@@ -47,27 +47,21 @@ type estimate = {
 }
 
 (* The estimators' accumulator: one per estimate or pricing context,
-   reset before each walk.  [nest] is the NRA walk's nest passes and
-   [ms] its price with them; [sum] is scratch.  All fields are floats,
+   reset before each walk.  [sum] is scratch.  All fields are floats,
    so they are stored unboxed and the walks allocate no float. *)
 type tally = {
   mutable seq : float;
   mutable rand : float;
   mutable fetch : float;
-  mutable nest : float;
-  mutable ms : float;
   mutable sum : float;
 }
 
-let tally () =
-  { seq = 0.0; rand = 0.0; fetch = 0.0; nest = 0.0; ms = 0.0; sum = 0.0 }
+let tally () = { seq = 0.0; rand = 0.0; fetch = 0.0; sum = 0.0 }
 
 let reset t =
   t.seq <- 0.0;
   t.rand <- 0.0;
-  t.fetch <- 0.0;
-  t.nest <- 0.0;
-  t.ms <- 0.0
+  t.fetch <- 0.0
 
 let breakdown t =
   { seq_pages = t.seq; rand_pages = t.rand; fetched_rows = t.fetch }
@@ -173,105 +167,57 @@ let magic_cost env (r : A.block) t =
 
 (* ---------- the nested relational approach ---------- *)
 
-(* The sequential pages of one nest+linking-selection over [rows]
-   staged tuples, charged as the rewrite engine's extension of the
-   walk: a materialized nest pays a materialize-and-rescan pass over
-   its staging and a sort pass, a pipelined nest pays only the sort,
-   and that sort is skipped when the staging is already key-sorted. *)
-let[@inline] nest_pass t (nest : Plan.nest) ~sorted ~rows =
-  let p2 = 2.0 *. pages rows in
-  t.nest <-
-    t.nest
-    +.
-    if nest.Plan.pipelined || (nest.Plan.assume_sorted && sorted) then
-      (* single pass; one re-sort when the input is not already sorted *)
-      if sorted then 0.0 else p2
-    else
-      (* materialize the nested relation and sort it, then a separate
-         selection pass *)
-      2.0 *. p2
-
 (* One walk over the sites of a plan, given by its signature
    ({!Plan.signature}): [sg] holds site [i]'s impl, and the sites are
    the statement's children in pre-order.  It charges what the
    executor charges: one scan per block, and the per-tuple fetch of
    every wide (outer-join) intermediate at a join+nest site, after the
    sites its standalone reduction runs and before the sites that join
-   against the widened frame.  Returns the site after [cs]'s subtrees.
-
-   [discard_ok] is the sites' discard context and [sorted] whether the
-   frame entering the next site is statically key-sorted.  A frame
-   starts unsorted; a join+nest site emits it sorted unless σ̄ padding
-   breaks the order, a semijoin keeps the order it was given, and a
-   shared-set or push-down site keeps it only where it discards.  A
-   top-down site's grandchildren widen its frame, so its staging is
-   sorted only when it has none.  Where the analysis cannot be sure
-   (below a top-down recursion) it assumes unsorted, which can only
-   under-fire the fusion rule, never mis-fire it. *)
+   against the widened frame.  Returns the site after [cs]'s subtrees. *)
 (* left-outer-join output: every outer tuple survives (padded when
    unmatched), matched ones multiply by the fan-out *)
 let[@inline] loj_rows env ~outer b = outer *. Float.max 1.0 (C.fanout env b)
 
-let rec nra_sites env t sg i ~outer ~discard_ok ~sorted = function
+let rec nra_sites env t sg i ~outer = function
   | [] -> i
   | (c : A.child) :: rest ->
       let b = c.A.block in
-      let impl = Plan.of_code (Char.code (Bytes.get sg i)) in
       scan_pages t b;
       t.seq <- t.seq +. t.sum;
       let next =
-        match impl with
+        match Plan.of_code (Char.code (Bytes.get sg i)) with
         | Plan.Shared_set | Plan.Push_down -> standalone env t sg i b
         | Plan.Semijoin -> Plan.count_sites (i + 1) b.A.children
-        | Plan.Bottom_up nf ->
+        | Plan.Bottom_up _ ->
             let next = standalone env t sg i b in
+            t.fetch <- t.fetch +. loj_rows env ~outer b;
+            next
+        | Plan.Top_down _ ->
             let rows = loj_rows env ~outer b in
             t.fetch <- t.fetch +. rows;
-            nest_pass t nf ~sorted ~rows;
-            next
-        | Plan.Top_down nf ->
-            let rows = loj_rows env ~outer b in
-            t.fetch <- t.fetch +. rows;
-            let next =
-              nra_sites env t sg (i + 1) ~outer:rows
-                ~discard_ok:(Plan.sub_discard ~discard_ok impl c)
-                ~sorted:false b.A.children
-            in
-            nest_pass t nf ~sorted:(sorted && b.A.children = []) ~rows;
-            next
+            nra_sites env t sg (i + 1) ~outer:rows b.A.children
       in
-      let sorted =
-        match impl with
-        | Plan.Bottom_up _ | Plan.Top_down _ -> discard_ok
-        | Plan.Semijoin -> sorted
-        | Plan.Shared_set | Plan.Push_down -> sorted && discard_ok
-      in
-      nra_sites env t sg next ~outer ~discard_ok ~sorted rest
+      nra_sites env t sg next ~outer rest
 
 (* a site's subtree reduced standalone, where it is outermost *)
 and standalone env t sg i (b : A.block) =
-  nra_sites env t sg (i + 1) ~outer:(C.block_card env b) ~discard_ok:true
-    ~sorted:false b.A.children
+  nra_sites env t sg (i + 1) ~outer:(C.block_card env b) b.A.children
 
 (* ---------- assembly ---------- *)
 
-let[@inline] price_of ~seq ~rand ~fetch =
-  let c = Iosim.config () in
-  (seq *. c.Iosim.t_seq_ms) +. (rand *. c.Iosim.t_rand_ms)
-  +. (fetch *. c.Iosim.t_fetch_ms)
-
 let price (bd : breakdown) =
-  price_of ~seq:bd.seq_pages ~rand:bd.rand_pages ~fetch:bd.fetched_rows
+  let c = Iosim.config () in
+  (bd.seq_pages *. c.Iosim.t_seq_ms)
+  +. (bd.rand_pages *. c.Iosim.t_rand_ms)
+  +. (bd.fetched_rows *. c.Iosim.t_fetch_ms)
 
 let walk env sg t =
   reset t;
   let root = (C.analysis env).A.root in
   root_scan t root;
   ignore
-    (nra_sites env t sg 0 ~outer:(C.block_card env root) ~discard_ok:true
-       ~sorted:false root.A.children
-      : int);
-  t.ms <- price_of ~seq:(t.seq +. t.nest) ~rand:t.rand ~fetch:t.fetch
+    (nra_sites env t sg 0 ~outer:(C.block_card env root) root.A.children
+      : int)
 
 let nra_base = function
   | Nra_original -> Some Nx.original

@@ -72,14 +72,6 @@ type tally = private {
   mutable seq : float;
   mutable rand : float;
   mutable fetch : float;
-  mutable nest : float;
-      (** the sequential pages of the plan's nest passes, which the
-          strategy estimates leave out: a materialized nest pays a
-          materialize-and-rescan pass and a sort, a pipelined or fused
-          nest only a sort, skipped when its staging is statically
-          key-sorted.  The rewrite engine prices them, because its
-          edits change them. *)
-  mutable ms : float;  (** the price of all four *)
   mutable sum : float;  (** scratch *)
 }
 
@@ -88,11 +80,18 @@ val tally : unit -> tally
 val walk : Cardinality.env -> Bytes.t -> tally -> unit
 (** Charge the NRA plan with this signature ({!Nra_exec.Plan.signature})
     into the tally, cleared first: the scan and fetch charges the
-    executor makes, and the nest passes. *)
+    executor makes, and nothing else.  The executor charges no nest or
+    sort pass in memory, so neither does the walk; a materialized
+    nest's staging spill under a frame budget is charged by the
+    executor as it happens and is not modelled. *)
 
 val breakdown : tally -> breakdown
-(** The scan and fetch charges of the last walk: the NRA strategy's
-    breakdown when the plan is its lifted one. *)
+(** The charges of the last walk: the NRA strategy's breakdown when the
+    plan is its lifted one. *)
+
+val price : breakdown -> float
+(** A breakdown in milliseconds under the current {!Iosim.config}: the
+    one price estimates, Auto and the rewrite gate rank by. *)
 
 val estimate_in : Cardinality.env -> ?walk:breakdown -> strategy -> estimate
 (** One strategy's estimate in the context.  An NRA strategy given

@@ -220,17 +220,6 @@ let charge_wal_append ~pages:n =
 let counters () =
   { seq_pages = !seq; rand_pages = !rand; fetched_rows = !fetched }
 
-(* Parallel-region ledger merge (nra.pool): workers tally would-be
-   charges locally and the owner deposits the sum here at the join
-   barrier.  Deliberately no Fault.inject — every charge site already
-   drew its fault owner-side, and a second draw would make the fault
-   sequence depend on the domain count. *)
-let absorb (c : counters) =
-  tally ~seq:c.seq_pages ~rand:c.rand_pages ~fetched:c.fetched_rows;
-  seq := !seq + c.seq_pages;
-  rand := !rand + c.rand_pages;
-  fetched := !fetched + c.fetched_rows
-
 let simulated_seconds () =
   let c = !current in
   (float_of_int !seq *. c.t_seq_ms

@@ -108,13 +108,6 @@ type counters = {
 
 val counters : unit -> counters
 
-val absorb : counters -> unit
-(** Add a delta to the charge counters without drawing from the fault
-    injector: the deposit half of the parallel-region ledger merge
-    ([nra.pool]).  The fault draws belong to the original owner-side
-    charge sites, so the injected-fault sequence — and the total
-    simulated I/O — are identical for every pool size. *)
-
 (** {2 Per-task ledgers}
 
     A stack of open ledgers that every charge function also tallies

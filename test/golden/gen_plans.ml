@@ -39,9 +39,9 @@ let analyzed_catalog cat =
   | Error m -> failwith ("analyze: " ^ m));
   cat
 
-let costline (c : Rw.costline) =
-  Printf.sprintf "ms=%h seq=%h rand=%h fetch=%h" c.Rw.ms c.Rw.seq c.Rw.rand
-    c.Rw.fetch
+let price_line (b : Cost.breakdown) =
+  Printf.sprintf "ms=%h seq=%h rand=%h fetch=%h" (Cost.price b)
+    b.Cost.seq_pages b.Cost.rand_pages b.Cost.fetched_rows
 
 let pin_rewrite cat t (name, base) =
   Printf.printf "--- rewrite trace %s\n" name;
@@ -51,8 +51,8 @@ let pin_rewrite cat t (name, base) =
       (Exec.Plan.lift ~base t)
   with
   | r ->
-      Printf.printf "before %s\nafter  %s\n" (costline r.Rw.before)
-        (costline r.Rw.after);
+      Printf.printf "before %s\nafter  %s\n" (price_line r.Rw.before)
+        (price_line r.Rw.after);
       List.iter
         (fun (e : Rw.trace_entry) ->
           Printf.printf "%s %s: %s\n  %s\n  %s\n"
@@ -60,7 +60,7 @@ let pin_rewrite cat t (name, base) =
             (match e.Rw.verdict with
             | Rw.Fired -> "fired"
             | Rw.Skipped why -> "skipped (" ^ why ^ ")")
-            (Rw.site e) (costline e.Rw.cost_before) (costline e.Rw.cost_after))
+            (Rw.site e) (price_line e.Rw.cost_before) (price_line e.Rw.cost_after))
         r.Rw.trace
   | exception e -> Printf.printf "error: %s\n" (Printexc.to_string e)
 

@@ -48,8 +48,8 @@ let test_valid_forms () =
   check_rules "all" Cfg.all "all";
   check_rules "none" [] "none";
   check_rules "a list, canonical"
-    [ Cfg.Fuse_nests; Cfg.Semijoin ]
-    "semijoin, fuse";
+    [ Cfg.Push_down; Cfg.Semijoin ]
+    "semijoin, push-down";
   let int what expect got = Alcotest.(check int) what expect got in
   int "NRA_DOMAINS=0" 0 (one "NRA_DOMAINS" "0").domains;
   int "NRA_DOMAINS=4" 4 (one "NRA_DOMAINS" " 4 ").domains;
@@ -165,7 +165,7 @@ let test_configure_installs () =
   let target c =
     {
       c with
-      E.rules = [ Cfg.Pipeline ];
+      E.rules = [ Cfg.Push_down ];
       domains = 2;
       parallel_threshold = 3;
       morsel = 5;

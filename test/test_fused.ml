@@ -62,10 +62,12 @@ let materialized_full t =
   let full = P.lift ~base:N.full t in
   List.fold_left
     (fun plan (n : P.node) ->
+      let materialize impl =
+        P.replace plan ~id:n.P.child.A.block.A.id ~impl
+      in
       match n.P.impl with
-      | P.Top_down _ | P.Bottom_up _ ->
-          P.replace plan ~id:n.P.child.A.block.A.id
-            ~impl:(P.with_nest n.P.impl ~pipelined:false ~assume_sorted:false)
+      | P.Top_down _ -> materialize (P.Top_down { P.pipelined = false })
+      | P.Bottom_up _ -> materialize (P.Bottom_up { P.pipelined = false })
       | P.Shared_set | P.Push_down | P.Semijoin -> plan)
     full (P.nodes full)
 

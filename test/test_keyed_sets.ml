@@ -224,7 +224,7 @@ let nested cat sql =
       (fun p (n : P.node) ->
         if n.P.impl = P.Shared_set then
           P.replace p ~id:n.P.child.A.block.A.id
-            ~impl:(P.Top_down { P.pipelined = true; assume_sorted = false })
+            ~impl:(P.Top_down { P.pipelined = true })
         else p)
       plan (P.nodes plan)
   in

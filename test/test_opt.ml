@@ -17,6 +17,7 @@ module An = Nra.Planner.Analyze
 module Server = Nra_server.Server
 module Scheduler = Nra_server.Scheduler
 module Plan_cache = Nra_server.Plan_cache
+module Cost = Nra.Stats.Cost
 
 let reset () = Nra.configure { (plain (Nra.config ())) with rules = [] }
 
@@ -40,6 +41,16 @@ let node_of plan id =
   | Some n -> n
   | None -> Alcotest.fail (Printf.sprintf "no IR node for block %d" id)
 
+(* the two corpora's catalogs, ANALYZEd *)
+let analyzed cat =
+  ignore (Nra.exec cat "analyze");
+  cat
+
+let tpch_analyzed () =
+  analyzed
+    (Nra.Tpch.Gen.generate
+       { Nra.Tpch.Gen.default with Nra.Tpch.Gen.scale = 0.01 })
+
 let rule = Alcotest.testable
     (fun ppf r -> Format.pp_print_string ppf (Cfg.rule_to_string r))
     ( = )
@@ -55,11 +66,11 @@ let test_config_parse () =
     (Cfg.parse "");
   (* canonical order no matter how the set is spelled *)
   Alcotest.(check (result (list rule) string)) "subset, reordered"
-    (Ok [ Cfg.Fuse_nests; Cfg.Semijoin ])
-    (Cfg.parse "semijoin , FUSE");
+    (Ok [ Cfg.Push_down; Cfg.Semijoin ])
+    (Cfg.parse "semijoin , PUSH-DOWN");
   Alcotest.(check (result (list rule) string)) "duplicates collapse"
-    (Ok [ Cfg.Pipeline ])
-    (Cfg.parse "pipeline,pipelined");
+    (Ok [ Cfg.Push_down ])
+    (Cfg.parse "push-down,pushdown");
   (match Cfg.parse "semijoin,bogus" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bogus rule accepted")
@@ -119,33 +130,38 @@ let test_push_down_rule () =
   Alcotest.(check bool) "not on a shared-set site" true
     (Rw.propose Cfg.Push_down (node_of (lift cat uncorrelated) 2) = None)
 
-let test_pipeline_rule () =
-  let cat = emp_dept_catalog () in
-  (* fires on a materialized nest (the original variant)… *)
-  (match
-     Rw.propose Cfg.Pipeline (node_of (lift ~base:Nx.original cat exists_equi) 2)
-   with
-  | Some (Plan.Top_down { pipelined = true; _ }) -> ()
-  | _ -> Alcotest.fail "pipeline must fire on a materialized nest");
-  (* …and must NOT fire when the nest is already pipelined *)
-  Alcotest.(check bool) "not when already pipelined" true
-    (Rw.propose Cfg.Pipeline
-       (node_of (lift ~base:Nx.optimized cat exists_equi) 2)
-    = None)
+(* A lifted plan's walk and its pipelined twin's: every subquery corpus
+   and figure query.  The nest's pipelining changes CPU work, not what
+   the executor charges, so [Plan.lift ~base:original] and
+   [~base:optimized] price the same to the bit, and no rule edits it. *)
 
+let bits (b : Cost.breakdown) =
+  List.map Int64.bits_of_float
+    [ b.Cost.seq_pages; b.Cost.rand_pages; b.Cost.fetched_rows ]
+
+let lifted_walk cat t base =
+  let env = Nra.Stats.Cardinality.make_env cat t in
+  Rw.walk (Rw.context env) (Plan.lift ~base t)
+
+let test_pipeline_rule () =
+  let check cat sql =
+    let t = analyze cat sql in
+    Alcotest.(check (list int64)) ("original walks as optimized: " ^ sql)
+      (bits (lifted_walk cat t Nx.optimized))
+      (bits (lifted_walk cat t Nx.original))
+  in
+  List.iter (check (analyzed (emp_dept_catalog ()))) subquery_corpus;
+  List.iter (check (tpch_analyzed ())) tpch_plan_corpus
+
+(* no rule edits a nest's shape: it changes no charge the gate prices,
+   so [fuse] and [pipeline] name no rule *)
 let test_fuse_rule () =
-  let cat = emp_dept_catalog () in
-  (match
-     Rw.propose Cfg.Fuse_nests
-       (node_of (lift ~base:Nx.original cat exists_equi) 2)
-   with
-  | Some (Plan.Top_down { assume_sorted = true; pipelined = false }) -> ()
-  | _ -> Alcotest.fail "fusion must offer assume_sorted on a sort nest");
-  (* must NOT fire on a pipelined nest (fusion is subsumed there) *)
-  Alcotest.(check bool) "not on a pipelined nest" true
-    (Rw.propose Cfg.Fuse_nests
-       (node_of (lift ~base:Nx.optimized cat exists_equi) 2)
-    = None)
+  List.iter
+    (fun spec ->
+      match Cfg.parse spec with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%S accepted as a rewrite rule" spec)
+    [ "fuse"; "pipeline"; "semijoin,fuse"; "pipelined" ]
 
 (* ---------- the cost gate ---------- *)
 
@@ -157,7 +173,7 @@ let test_gate_no_rules () =
   (* the compiled directives of an unchanged plan just restate the
      options-driven choice (the core only installs them when [changed]) *)
   Alcotest.(check bool) "unchanged cost" true
-    (r.Rw.after.Rw.ms = r.Rw.before.Rw.ms)
+    (Cost.price r.Rw.after = Cost.price r.Rw.before)
 
 let test_gate_monotone () =
   let cat = emp_dept_catalog () in
@@ -167,13 +183,13 @@ let test_gate_monotone () =
       Alcotest.(check bool)
         (Printf.sprintf "estimate never worsens (%s)" sql)
         true
-        (r.Rw.after.Rw.ms <= r.Rw.before.Rw.ms +. 1e-9);
+        (Cost.price r.Rw.after <= Cost.price r.Rw.before +. 1e-9);
       List.iter
         (fun (e : Rw.trace_entry) ->
           match e.Rw.verdict with
           | Rw.Fired ->
               Alcotest.(check bool) "every fired edit strictly improved" true
-                (e.Rw.cost_after.Rw.ms < e.Rw.cost_before.Rw.ms)
+                (Cost.price e.Rw.cost_after < Cost.price e.Rw.cost_before)
           | Rw.Skipped _ -> ())
         r.Rw.trace;
       let impls p = List.map (fun n -> n.Plan.impl) (Plan.nodes p) in
@@ -183,6 +199,55 @@ let test_gate_monotone () =
           (impls r.Rw.dirs
           <> impls (Plan.lift ~base:Nx.original (analyze cat sql))))
     [ exists_equi; not_exists_equi; nested_under_negative; uncorrelated ]
+
+(* One price: over the subquery corpus and the figure queries, both
+   ANALYZEd, under every rule, the rewrite gate and Auto rank the same
+   number.  An edit fires exactly when it lowers [Cost.price] of the
+   walk; each NRA strategy's Auto estimate is the price of its
+   rewrite's [after]; and nra-original, which differs from
+   nra-optimized only in its materialized nests, prices as it. *)
+let test_one_price () =
+  reset ();
+  Nra.set_rewrite_rules Cfg.all;
+  let check cat sql =
+    let t = analyze cat sql in
+    let es = Nra.estimates_with_rewrites cat t in
+    let estimate s =
+      List.find (fun (e : Cost.estimate) -> e.Cost.strategy = s) es
+    in
+    List.iter
+      (fun s ->
+        let what = Printf.sprintf "%s (%s)" sql (Cost.to_string s) in
+        let base = Option.get (Cost.nra_base s) in
+        let r =
+          Rw.rewrite ~rules:Cfg.all
+            (Rw.context (Nra.Stats.Cardinality.make_env cat t))
+            (Plan.lift ~base t)
+        in
+        List.iter
+          (fun (e : Rw.trace_entry) ->
+            let lowers =
+              Cost.price e.Rw.cost_after < Cost.price e.Rw.cost_before
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s lowers the price iff it fired: %s, %s"
+                 (Cfg.rule_to_string e.Rw.rule)
+                 (Rw.site e) what)
+              (e.Rw.verdict = Rw.Fired) lowers)
+          r.Rw.trace;
+        Alcotest.(check int64) ("Auto's estimate is the rewrite's price: " ^ what)
+          (Int64.bits_of_float (Cost.price r.Rw.after))
+          (Int64.bits_of_float (estimate s).Cost.cost_ms))
+      [ Cost.Nra_original; Cost.Nra_optimized; Cost.Nra_full ];
+    let orig = estimate Cost.Nra_original
+    and opt = estimate Cost.Nra_optimized in
+    Alcotest.(check (list int64)) ("nra-original prices as nra-optimized: " ^ sql)
+      (Int64.bits_of_float opt.Cost.cost_ms :: bits opt.Cost.breakdown)
+      (Int64.bits_of_float orig.Cost.cost_ms :: bits orig.Cost.breakdown)
+  in
+  List.iter (check (analyzed (emp_dept_catalog ()))) subquery_corpus;
+  List.iter (check (tpch_analyzed ())) tpch_plan_corpus;
+  reset ()
 
 (* every proposal on every corpus site, under every base, is admissible
    where it is proposed *)
@@ -225,16 +290,6 @@ let io_after f =
     ( c1.Nra.Iosim.seq_pages - c0.Nra.Iosim.seq_pages,
       c1.Nra.Iosim.rand_pages - c0.Nra.Iosim.rand_pages,
       c1.Nra.Iosim.fetched_rows - c0.Nra.Iosim.fetched_rows ) )
-
-(* the two corpora's catalogs, ANALYZEd *)
-let analyzed cat =
-  ignore (Nra.exec cat "analyze");
-  cat
-
-let tpch_analyzed () =
-  analyzed
-    (Nra.Tpch.Gen.generate
-       { Nra.Tpch.Gen.default with Nra.Tpch.Gen.scale = 0.01 })
 
 let test_prepared_runs_priced () =
   reset ();
@@ -283,7 +338,6 @@ let avg_q1_ja =
 let test_priced_is_run () =
   reset ();
   Nra.set_rewrite_rules Cfg.all;
-  let module Cost = Nra.Stats.Cost in
   let selects =
     List.filter (fun sql ->
         match Nra.Sql.Parser.parse_command sql with
@@ -632,6 +686,7 @@ let () =
         [
           Alcotest.test_case "no rules, no change" `Quick test_gate_no_rules;
           Alcotest.test_case "monotone estimates" `Quick test_gate_monotone;
+          Alcotest.test_case "one price" `Quick test_one_price;
         ] );
       ( "plan",
         [

@@ -1,6 +1,7 @@
 (* Morsel-driven parallelism: serial-vs-parallel bit-identity across
    every strategy and pool size (fault injection on), cancellation
-   mid-region, and the guard ledger-merge accounting contract.
+   mid-region, and what the barrier merges: worker ticks and consumed
+   spill partitions.
 
    The thresholds are forced down so even the tiny emp/dept corpus goes
    through the parallel kernels; on a single-core host the domains
@@ -209,33 +210,84 @@ let test_cancel_mid_region () =
 
 (* ---------- ledger merge ---------- *)
 
-let test_ledger_merge_rows_and_io () =
+(* The guard samples the wall clock at every 32nd checkpoint of a
+   scope, so the checkpoint a wall budget's kill lands on shows how
+   many ticks the scope was credited: the region's sixteen worker ticks
+   merged at the barrier, and the barrier's own. *)
+let test_ledger_merge_ticks () =
   with_domains 2 (fun () ->
-      Iosim.reset ();
-      Guard.with_budget
-        (Guard.budget ~max_rows:1000 ())
-        (fun () ->
-          ignore
-            (Pool.parallel_chunks ~min_chunk:1 ~n:8 (fun led ~lo ~hi ->
-                 Pool.Ledger.add_rows led (hi - lo);
-                 led.Pool.Ledger.seq_pages <- led.Pool.Ledger.seq_pages + 1)));
-      let spend = Guard.last_spend () in
-      Alcotest.(check int) "worker rows charged at the barrier" 8
-        spend.Guard.rows;
-      let c = Iosim.counters () in
-      Alcotest.(check int) "worker pages absorbed" 8 c.Iosim.seq_pages)
-
-let test_ledger_merge_enforces_budget () =
-  with_domains 2 (fun () ->
+      (* spawn the workers first, outside the budget *)
+      ignore (Pool.parallel_chunks ~min_chunk:1 ~n:8 (fun _ ~lo:_ ~hi:_ -> ()));
+      let calls = ref 0 in
       match
         Guard.with_budget
-          (Guard.budget ~max_rows:3 ())
+          (Guard.budget ~wall_ms:250.0 ())
           (fun () ->
-            Pool.parallel_chunks ~min_chunk:1 ~n:8 (fun led ~lo ~hi ->
-                Pool.Ledger.add_rows led (hi - lo)))
+            ignore
+              (Pool.parallel_chunks ~min_chunk:1 ~n:8 (fun led ~lo:_ ~hi:_ ->
+                   Pool.Ledger.tick led;
+                   Pool.Ledger.tick led));
+            Unix.sleepf 0.3;
+            while true do
+              incr calls;
+              Guard.tick ()
+            done)
       with
-      | _ -> Alcotest.fail "expected a rows kill at the barrier"
-      | exception Guard.Killed (Guard.Budget_exceeded Guard.Rows) -> ())
+      | () -> assert false
+      | exception Guard.Killed (Guard.Budget_exceeded Guard.Wall_clock) ->
+          Alcotest.(check int) "killed at the scope's 32nd checkpoint"
+            (32 - 17) !calls)
+
+(* At the barrier the owner replays every consumed spill partition's
+   page reads in chunk order, then in each chunk's consumption order,
+   at every pool size.  One frame and two one-page partitions, [b]
+   written last and so resident: replaying [a] first pages both in and
+   writes [b] back to make room, replaying [b] first pages in [a]
+   alone. *)
+let test_ledger_merge_spills () =
+  let module B = Nra.Bufpool in
+  let replay consume =
+    let spill () =
+      let sp = B.Spill.create (Array.make 2 0) ~base:0 in
+      B.Spill.add sp 0;
+      B.Spill.add sp 1;
+      B.Spill.finish sp;
+      sp
+    in
+    let a = spill () in
+    let b = spill () in
+    let s0 = B.stats () in
+    ignore
+      (Pool.parallel_chunks ~min_chunk:1 ~n:2 (fun led ~lo ~hi:_ ->
+           List.iter
+             (fun sp ->
+               B.Spill.iter_raw sp ignore;
+               Pool.Ledger.consumed_spill led sp)
+             (consume a b).(lo)));
+    let s1 = B.stats () in
+    (s1.B.misses - s0.B.misses, s1.B.writebacks - s0.B.writebacks)
+  in
+  List.iter
+    (fun domains ->
+      with_config
+        (fun c ->
+          {
+            c with
+            domains;
+            frames = Pages 1;
+            iosim = { c.iosim with Iosim.rows_per_page = 2 };
+          })
+      @@ fun () ->
+      Fault.disable ();
+      Iosim.reset ();
+      let what = Printf.sprintf "%d domains: " domains in
+      Alcotest.(check (pair int int)) (what ^ "chunk order")
+        (2, 1)
+        (replay (fun a b -> [| [ a ]; [ b ] |]));
+      Alcotest.(check (pair int int)) (what ^ "consumption order")
+        (1, 0)
+        (replay (fun a b -> [| [ b; a ]; [] |])))
+    pool_sizes
 
 (* The accounting invariant: the same query charges the same simulated
    I/O — to the exact counter — at every pool size, because the charge
@@ -299,10 +351,10 @@ let () =
         ] );
       ( "ledger",
         [
-          Alcotest.test_case "rows and pages merge at the barrier" `Quick
-            test_ledger_merge_rows_and_io;
-          Alcotest.test_case "merged rows enforce the budget" `Quick
-            test_ledger_merge_enforces_budget;
+          Alcotest.test_case "ticks merge at the barrier" `Quick
+            test_ledger_merge_ticks;
+          Alcotest.test_case "spills replay in chunk order" `Quick
+            test_ledger_merge_spills;
           Alcotest.test_case "simulated I/O parity across pool sizes"
             `Quick test_sim_io_parity;
         ] );

@@ -573,7 +573,7 @@ let test_servers_keep_their_config () =
                 true (served srv sql = e))
             reads expected)
         servers expected)
-    [ [ Nra.Opt.Config.Pipeline ]; Nra.Opt.Config.all; [] ]
+    [ [ Nra.Opt.Config.Semijoin ]; Nra.Opt.Config.all; [] ]
 
 (* A stale entry whose table was dropped, or dropped and re-created
    with other columns, fails as a fresh preparation of its text does,
